@@ -97,20 +97,16 @@ type Config struct {
 	// Stream switches bootstrap target selection from the stride sample
 	// (which enumerates every router address — and, on a lazy world,
 	// materializes every stub) to the streaming scheduler: a seeded
-	// pseudo-random permutation over the probeable target space, drained
-	// in bounded batches under MaxBootstrapTargets and PrefixBudget.
-	// Memory is flat in the universe size, and the accepted sequence is a
-	// pure function of (space, StreamSeed) — identical on every engine.
-	// MaxTargets capping switches to the same permuted selection.
+	// pseudo-random permutation over the probeable target space, accepted
+	// under MaxBootstrapTargets and PrefixBudget. Memory is flat in the
+	// universe size, and the accepted sequence is a pure function of
+	// (space, StreamSeed) — identical on every engine. MaxTargets capping
+	// switches to the same permuted selection.
 	Stream bool
 	// PrefixBudget caps how many targets the streaming scheduler accepts
 	// per budget prefix (the target's AS aggregate); zero = no budget.
 	// Only meaningful with Stream.
 	PrefixBudget int
-	// StreamBatch is the streaming scheduler's drain granularity (zero
-	// selects the default, 256 targets per batch). Batch size never
-	// changes campaign output — only scheduling overhead.
-	StreamBatch int
 	// StreamSeed seeds the target-space permutation. The same (space,
 	// seed) always yields the same target sequence.
 	StreamSeed int64
@@ -196,14 +192,13 @@ type Campaign struct {
 	// Shards reports per-shard measurement statistics (probing phase
 	// only), in canonical shard order.
 	Shards []ShardStats
-	// Workers is the size of the worker pool the campaign ran with (1 for
-	// the serial engine). Every pool slot participates in the sharded
-	// bootstrap sweep.
+	// Workers is the number of slots the campaign ran on (1 for the
+	// serial engine). Every slot gets a bootstrap partition.
 	Workers int
 	// ShardWorkers is the effective parallelism of the probing phase:
-	// min(Workers, shard count). With ShardByTeam's 5 shards, pool slots
-	// beyond the fifth idle through that phase — this field reports what
-	// actually ran, where Workers reports what was provisioned.
+	// min(Workers, shard count). With the 5 team shards, slots beyond the
+	// fifth idle through that phase — this field reports what actually
+	// ran, where Workers reports what was provisioned.
 	ShardWorkers int
 	// Phase breaks the campaign wall-clock into engine phases.
 	Phase PhaseTimings
@@ -212,18 +207,15 @@ type Campaign struct {
 	// teamOf assigns each target to a vantage-point team with the
 	// paper's neighborhood-consistency rule.
 	teamOf map[netaddr.Addr]int
-	// bootProbes counts the probes spent on bootstrap (and, with
-	// MeasuredAliases, alias resolution) before the shard phase.
-	bootProbes uint64
-	// bootFlow is the flow-cache activity of the bootstrap phase.
-	bootFlow netsim.FlowCacheStats
-	// bootSweep is the sweep-engine activity of the bootstrap phase.
-	bootSweep netsim.SweepStats
+	// boot is the bootstrap phase's accounting (alias resolution
+	// included) over every fabric the campaign drove.
+	boot counters
 }
 
-// PhaseTimings is the campaign wall-clock split by engine phase: replica
-// acquisition (zero when the pool is warm or the engine is serial), the
-// bootstrap sweep plus target selection, and the shard probing phase.
+// PhaseTimings is the campaign wall-clock split by engine phase: slot
+// set-up (replica acquisition, or the distributed engine's encode, spawn,
+// join and world shipping; zero for the serial engine), the bootstrap
+// sweep plus target selection, and the shard probing phase.
 type PhaseTimings struct {
 	Replica   time.Duration
 	Bootstrap time.Duration
@@ -235,144 +227,21 @@ type PhaseTimings struct {
 // BootstrapProbes is the shard-phase probe count. Benchmarks report the
 // two populations separately so serial and parallel runs are compared on
 // the same footing.
-func (c *Campaign) BootstrapProbes() uint64 { return c.bootProbes }
+func (c *Campaign) BootstrapProbes() uint64 { return c.boot.Probes }
 
 // Run executes the full campaign serially on the Internet's own fabric:
-// the same shard pipeline the parallel engine uses, with the shards
-// processed one after another. Output is byte-identical to RunParallel at
-// any worker count.
+// the coordinator every engine shares, driving one slot on the source.
+// Output is byte-identical to RunParallel at any worker count.
 func Run(in *gen.Internet, cfg Config) *Campaign {
-	lz0 := in.LazyStats()
-	c := prepare(in, cfg)
-	hdnAddr := c.hdnByAddr()
-	plan := gen.BuildChurnPlan(in, cfg.ChurnRate, cfg.ChurnSeed)
-	t0 := time.Now()
-	var results []*shardResult
-	for _, sh := range c.buildShards(ShardByTeam) {
-		vp := c.vpForTeam(sh.team)
-		// The schedule's random stream is the canonical shard index, so
-		// the parallel engine fires the same events per shard.
-		events := plan.EventsFor(in, sh.idx, len(sh.targets))
-		results = append(results, c.runShard(sh, vp, vp, hdnAddr, events, cfg.ChurnFlushWorld))
-	}
-	c.Phase.Probe = time.Since(t0)
-	c.Workers = 1
-	c.ShardWorkers = 1
-	c.merge(results)
-	c.Lazy = in.LazyStats()
-	c.Lazy.FaultIns -= lz0.FaultIns
-	c.Lazy.FaultInNS -= lz0.FaultInNS
+	e := &engine{in: in, cfg: cfg, slots: []executor{newLocalSlot(in, cfg, proberSettingsOf(in.VPs), false)}}
+	c, _ := e.run() // local slots never fail
 	return c
-}
-
-// prepare runs the phases every engine shares: bootstrap sweep, target
-// selection, and prober configuration. The returned campaign is ready for
-// its shards to be probed.
-func prepare(in *gen.Internet, cfg Config) *Campaign {
-	c := newCampaign(in, cfg)
-	in.Net.SetFlowCacheEnabled(!cfg.DisableFlowCache)
-	in.Net.SetSweepEnabled(!cfg.DisableSweep)
-	// The bootstrap sweep always probes from TTL 1: it maps the whole
-	// path, gateway included, and — unlike the prober's last-configured
-	// FirstTTL, which a previous campaign on the same Internet may have
-	// left at cfg.FirstTTL — it makes the probe count invariant across
-	// repeated runs.
-	for _, vp := range in.VPs {
-		vp.Prober.FirstTTL = 1
-		vp.Prober.Method = cfg.Method
-	}
-	t0 := time.Now()
-	sent0 := sentByVPs(in.VPs)
-	fab0 := in.Net.FabricStats()
-	flow0 := in.Net.FlowCacheStats()
-	sweep0 := in.Net.SweepStats()
-	c.bootstrap()
-	c.selectTargets()
-	c.bootProbes = sentByVPs(in.VPs) - sent0
-	fab1 := in.Net.FabricStats()
-	c.BudgetHits = fab1.BudgetExhausted - fab0.BudgetExhausted
-	c.LoopDrops = fab1.DroppedEvents - fab0.DroppedEvents
-	c.bootFlow = flowDelta(in.Net.FlowCacheStats(), flow0)
-	c.bootSweep = sweepDelta(in.Net.SweepStats(), sweep0)
-	c.Phase.Bootstrap = time.Since(t0)
-	// Campaign-wide prober configuration happens once, here: FirstTTL is
-	// shared per-VP state, so mutating it inside the per-target probe loop
-	// (as an earlier version did) is exactly the kind of latent coupling a
-	// parallel driver turns into a race. Every VP — including ones that end
-	// up with no targets but still run revelation re-traces — probes the
-	// whole campaign with the same FirstTTL.
-	for _, vp := range in.VPs {
-		vp.Prober.FirstTTL = cfg.FirstTTL
-	}
-	return c
-}
-
-// newCampaign allocates the shared campaign state every engine starts
-// from.
-func newCampaign(in *gen.Internet, cfg Config) *Campaign {
-	return &Campaign{
-		In:            in,
-		Cfg:           cfg,
-		Fingerprints:  make(map[netaddr.Addr]fingerprint.Result),
-		FingerprintVP: make(map[netaddr.Addr]*gen.VP),
-	}
-}
-
-// sentByVPs sums the probe counters of a vantage-point set.
-func sentByVPs(vps []*gen.VP) uint64 {
-	var n uint64
-	for _, vp := range vps {
-		n += vp.Prober.Sent
-	}
-	return n
-}
-
-// flowDelta subtracts two flow-cache counter snapshots.
-func flowDelta(a, b netsim.FlowCacheStats) netsim.FlowCacheStats {
-	return netsim.FlowCacheStats{
-		Hits:          a.Hits - b.Hits,
-		Misses:        a.Misses - b.Misses,
-		FastForwards:  a.FastForwards - b.FastForwards,
-		Invalidations: a.Invalidations - b.Invalidations,
-		SharedHits:    a.SharedHits - b.SharedHits,
-	}
-}
-
-// addFlow accumulates flow-cache counters.
-func addFlow(dst *netsim.FlowCacheStats, d netsim.FlowCacheStats) {
-	dst.Hits += d.Hits
-	dst.Misses += d.Misses
-	dst.FastForwards += d.FastForwards
-	dst.Invalidations += d.Invalidations
-	dst.SharedHits += d.SharedHits
-}
-
-// sweepDelta subtracts two sweep-engine counter snapshots.
-func sweepDelta(a, b netsim.SweepStats) netsim.SweepStats {
-	return a.Sub(b)
-}
-
-// addSweep accumulates sweep-engine counters.
-func addSweep(dst *netsim.SweepStats, d netsim.SweepStats) {
-	dst.Add(d)
 }
 
 // vpForTeam maps a team index to its vantage point (the paper's 5-team
 // split over the VP pool).
 func (c *Campaign) vpForTeam(team int) *gen.VP {
 	return c.In.VPs[team%len(c.In.VPs)]
-}
-
-// hdnByAddr indexes the HDN set by interface address (the Sec. 4
-// candidate post-processing filter).
-func (c *Campaign) hdnByAddr() map[netaddr.Addr]*topo.Node {
-	hdnAddr := make(map[netaddr.Addr]*topo.Node)
-	for _, n := range c.HDNs {
-		for _, a := range n.Addrs {
-			hdnAddr[a] = n
-		}
-	}
-	return hdnAddr
 }
 
 // resolver returns the campaign's IP-to-router/AS mapping: the ground
@@ -415,8 +284,6 @@ func (c *Campaign) resolver() topo.Resolver {
 	}
 }
 
-// bootstrap sweeps all router addresses from a few VPs each and builds
-// the observed graph.
 // strideSample returns up to max elements of xs at evenly spaced indices
 // (the full slice when max is zero or not exceeded). Deterministic, so
 // every engine samples the identical subset.
@@ -431,38 +298,37 @@ func strideSample[T any](xs []T, max int) []T {
 	return out
 }
 
-// bootstrapAddrs returns the bootstrap sweep's destination list: every
-// registered router address, stride-sampled down to the configured cap.
-func (c *Campaign) bootstrapAddrs() []netaddr.Addr {
-	return strideSample(c.In.RouterAddrs(), c.Cfg.MaxBootstrapTargets)
+// bootstrapJobs returns the bootstrap sweep's canonical job list: every
+// sampled target traced from BootstrapSpread consecutive VPs. The sample
+// is a stride sample over every router address or, with Stream, the
+// streaming scheduler's accepted sequence — a pure function of (space,
+// seed) enumerated without probing anything.
+func (c *Campaign) bootstrapJobs() []bootJob {
+	if len(c.In.VPs) == 0 {
+		return nil
+	}
+	if c.Cfg.Stream {
+		space := c.In.ProbeSpace()
+		return spreadJobs(streamTargets(space, c.Cfg.StreamSeed, c.Cfg.MaxBootstrapTargets, c.Cfg.PrefixBudget), c.Cfg.BootstrapSpread, len(c.In.VPs))
+	}
+	return spreadJobs(strideSample(c.In.RouterAddrs(), c.Cfg.MaxBootstrapTargets), c.Cfg.BootstrapSpread, len(c.In.VPs))
 }
 
-func (c *Campaign) bootstrap() {
-	c.ITDK = topo.New(c.resolver())
-	if c.Cfg.Stream {
-		c.bootstrapStream()
-		c.finishBootstrapGraph()
-		return
-	}
-	addrs := c.bootstrapAddrs()
-	vps := c.In.VPs
-	spread := c.Cfg.BootstrapSpread
-	if spread < 1 {
-		spread = 1
-	}
-	for i, dst := range addrs {
-		for k := 0; k < spread && k < len(vps); k++ {
-			vp := vps[(i+k)%len(vps)]
-			tr := vp.Prober.Traceroute(dst)
-			c.ITDK.AddTrace(tr)
+// spreadJobs traces target i from VPs i, i+1, …, i+spread-1 (mod vps).
+func spreadJobs(targets []netaddr.Addr, spread, vps int) []bootJob {
+	spread = min(max(spread, 1), vps)
+	jobs := make([]bootJob, 0, len(targets)*spread)
+	for i, dst := range targets {
+		for k := 0; k < spread; k++ {
+			jobs = append(jobs, bootJob{VP: (i + k) % vps, Dst: dst})
 		}
 	}
-	c.finishBootstrapGraph()
+	return jobs
 }
 
 // finishBootstrapGraph derives the HDN set from the observed graph,
-// selecting the threshold adaptively when unset. Shared by the serial and
-// sharded bootstrap paths: it must run after the last AddTrace.
+// selecting the threshold adaptively when unset. It must run after the
+// last AddTrace.
 func (c *Campaign) finishBootstrapGraph() {
 	if c.Cfg.HDNThreshold == 0 {
 		c.Cfg.HDNThreshold = c.ITDK.DegreeHistogram().Quantile(0.90)

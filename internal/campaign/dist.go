@@ -1,18 +1,14 @@
 package campaign
 
-// The multi-process campaign engine: a coordinator plans the same
-// canonical partitions the in-process pool uses (contiguous bootstrap job
-// ranges, shard si on worker si mod ShardWorkers) and ships each worker
-// process a replica of the fabric — the wire-codec snapshot blob in
-// ReplicaSnapshot mode, the generator Params in ReplicaRebuild mode —
-// over a length-prefixed frame protocol on a Unix (or TCP) socket.
-// Workers probe their private fabric and stream tracefile-format records
-// back; the coordinator replays bootstrap traces in canonical job order
-// and folds shard results through the same merge the serial and
-// in-process-parallel engines use, so the distributed output is
-// byte-identical to both at any worker count. Trace content is
-// probing-order-invariant (the RunParallel contract), which is what makes
-// partition-shaped execution safe.
+// The multi-process transport. RunDistributed hands the coordinator one
+// remoteSlot per worker process: a length-prefixed frame protocol on a
+// Unix (or TCP) socket. The worker receives a replica of the fabric — the
+// wire-codec snapshot blob in ReplicaSnapshot mode, the generator Params
+// in ReplicaRebuild mode — and ServeWorker drives the same localSlot code
+// the in-process engines use on it, streaming tracefile-format records
+// back. The coordinator replays them through the shared phases, so the
+// distributed output is byte-identical to Run and RunParallel at any
+// worker count.
 
 import (
 	"encoding/binary"
@@ -23,12 +19,14 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"wormhole/internal/fingerprint"
 	"wormhole/internal/gen"
 	"wormhole/internal/netaddr"
-	"wormhole/internal/netsim"
+	"wormhole/internal/probe"
 	"wormhole/internal/reveal"
 	"wormhole/internal/topo"
 	"wormhole/internal/tracefile"
@@ -42,8 +40,6 @@ type DistConfig struct {
 	// ships the wire-codec blob (decode, no generation replay),
 	// ReplicaRebuild ships the generator Params (each worker rebuilds).
 	Replica ReplicaMode
-	// ShardBy selects the target partitioning, as in ParallelConfig.
-	ShardBy ShardBy
 	// Network/Addr name the coordinator's listening socket. Empty Network
 	// selects a Unix socket in a private temp directory.
 	Network, Addr string
@@ -77,78 +73,42 @@ func (e *WorkerError) Unwrap() error { return e.Err }
 const (
 	msgHello       byte = iota + 1 // c→w: distHello
 	msgWorld                       // c→w: wire blob (snapshot) or Params JSON (rebuild)
-	msgBootstrap                   // c→w: []distJob, the worker's contiguous partition
+	msgBootstrap                   // c→w: []bootJob, the worker's contiguous partition
 	msgTraces                      // w→c: []tracefile.Trace chunk, partition order
-	msgBootDone                    // w→c: distPhaseStats
-	msgShards                      // c→w: distShardMsg
-	msgShardResult                 // w→c: distShardResult, ascending shard index
-	msgWorkerDone                  // w→c: distWorkerDone
+	msgBootDone                    // w→c: counters of the partition
+	msgShards                      // c→w: shardMsg
+	msgShardResult                 // w→c: distShardResult, assignment order
+	msgWorkerDone                  // w→c: slotDone
 )
 
 // maxFrame bounds a single frame; the world blob dominates (the Large
 // rung encodes to a few MB) and even the Giga rung stays far below this.
 const maxFrame = 1 << 31
 
+// frameChunk is the first read of a frame's payload. Later reads grow
+// the buffer eightfold at most, so it never exceeds eight times the bytes
+// actually received plus one chunk, whatever length the header claims.
+const frameChunk = 64 << 10
+
 // distTraceChunk is the bootstrap streaming granularity: traces per
 // msgTraces frame. Chunking never changes output — the coordinator
 // replays in partition order regardless.
 const distTraceChunk = 256
 
-// distHello opens the session: the worker's identity, the campaign
-// configuration, and the main fabric's prober discipline to mirror.
+// distHello opens the session: the campaign configuration, the replica
+// mode of the world frame that follows, and the source's prober settings.
 type distHello struct {
-	Index   int          `json:"index"`
-	Workers int          `json:"workers"`
-	Replica ReplicaMode  `json:"replica"`
-	Cfg     Config       `json:"cfg"`
-	Probers []distProber `json:"probers"`
+	Replica ReplicaMode      `json:"replica"`
+	Cfg     Config           `json:"cfg"`
+	Probers []proberSettings `json:"probers"`
 }
 
-// distProber mirrors the prober fields the in-process pool copies to
-// replica VPs (FirstTTL and Method are phase discipline, set separately).
-type distProber struct {
-	MaxTTL   uint8  `json:"max_ttl"`
-	GapLimit int    `json:"gap_limit"`
-	Attempts int    `json:"attempts"`
-	FlowID   uint16 `json:"flow_id"`
-}
-
-// distJob is one bootstrap traceroute: VP index and destination.
-type distJob struct {
-	VP  int    `json:"vp"`
-	Dst uint32 `json:"dst"`
-}
-
-// distPhaseStats is a worker's bootstrap-phase accounting delta.
-type distPhaseStats struct {
-	Probes     uint64                `json:"probes"`
-	BudgetHits uint64                `json:"budget_hits,omitempty"`
-	LoopDrops  uint64                `json:"loop_drops,omitempty"`
-	Flow       netsim.FlowCacheStats `json:"flow"`
-	Sweep      netsim.SweepStats     `json:"sweep"`
-}
-
-// distNode ships one HDN alias set; workers rebuild the candidate filter
-// map from these (distinct IDs preserved, so the same-router exclusion
-// compares identically).
-type distNode struct {
-	ID    int      `json:"id"`
-	ASN   uint32   `json:"asn"`
-	Addrs []uint32 `json:"addrs"`
-}
-
-// distShard assigns one canonical shard to the worker.
-type distShard struct {
-	Idx     int      `json:"idx"`
-	Team    int      `json:"team"`
-	Targets []uint32 `json:"targets"`
-}
-
-// distShardMsg is the probing-phase plan for one worker.
-type distShardMsg struct {
-	ShardWorkers int         `json:"shard_workers"`
-	Nodes        []distNode  `json:"nodes"`
-	Shards       []distShard `json:"shards"`
+// shardMsg is the probing-phase plan for one worker: the HDN set the
+// candidate filter needs (distinct IDs preserved, so the same-router
+// exclusion compares identically) and the worker's shards.
+type shardMsg struct {
+	HDNs   []*topo.Node `json:"hdns"`
+	Shards []shard      `json:"shards"`
 }
 
 // distRecord is one campaign record in tracefile format, plus the
@@ -168,117 +128,220 @@ type distShardResult struct {
 	Fps     []tracefile.Fingerprint `json:"fps,omitempty"`
 }
 
-// distWorkerDone closes a worker's session with its lazy-fabric deltas.
-type distWorkerDone struct {
-	FaultIns  int   `json:"fault_ins,omitempty"`
-	FaultInNS int64 `json:"fault_in_ns,omitempty"`
-	Resident  int   `json:"resident,omitempty"`
-}
-
 // countConn wraps a worker connection and bills every byte moved to the
-// coordinator's stream counter. RunDistributed drives all connections
-// from one goroutine, so a plain counter suffices.
+// coordinator's stream counter, which every slot's goroutine shares.
 type countConn struct {
 	net.Conn
-	n *uint64
+	n *atomic.Uint64
 }
 
 func (c *countConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	*c.n += uint64(n)
+	c.n.Add(uint64(n))
 	return n, err
 }
 
 func (c *countConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
-	*c.n += uint64(n)
+	c.n.Add(uint64(n))
 	return n, err
 }
 
-func writeFrame(conn net.Conn, typ byte, payload []byte) error {
+func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	hdr := make([]byte, 5, 5+len(payload))
 	binary.LittleEndian.PutUint32(hdr, uint32(len(payload)+1))
 	hdr[4] = typ
-	_, err := conn.Write(append(hdr, payload...))
+	_, err := w.Write(append(hdr, payload...))
 	return err
 }
 
-func writeJSON(conn net.Conn, typ byte, v any) error {
+func writeJSON(w io.Writer, typ byte, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	return writeFrame(conn, typ, payload)
+	return writeFrame(w, typ, payload)
 }
 
-func readFrame(conn net.Conn, timeout time.Duration) (byte, []byte, error) {
-	if timeout > 0 {
-		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return 0, nil, err
-		}
-	}
+// readFrame reads one frame into buf's storage, growing it only as bytes
+// arrive: a lying header costs memory in proportion to what the peer
+// actually sends. The payload aliases buf and is valid until the next
+// read into it.
+func readFrame(r io.Reader, buf []byte) (byte, []byte, error) {
 	var hdr [5]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
 	if n < 1 || n > maxFrame {
 		return 0, nil, fmt.Errorf("bad frame length %d", n)
 	}
-	payload := make([]byte, n-1)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		return 0, nil, err
+	want := int(n - 1)
+	payload := buf[:0]
+	for len(payload) < want {
+		step := min(want-len(payload), max(frameChunk, 7*len(payload)))
+		payload = slices.Grow(payload, step)
+		if _, err := io.ReadFull(r, payload[len(payload):len(payload)+step]); err != nil {
+			return 0, nil, err
+		}
+		payload = payload[:len(payload)+step]
 	}
 	return hdr[4], payload, nil
 }
 
-func readJSON(conn net.Conn, want byte, timeout time.Duration, v any) error {
-	typ, payload, err := readFrame(conn, timeout)
+func readJSON(r io.Reader, want byte, v any) error {
+	typ, payload, err := readFrame(r, nil)
 	if err != nil {
 		return err
 	}
+	return decodeJSON(typ, want, payload, v)
+}
+
+func decodeJSON(typ, want byte, payload []byte, v any) error {
 	if typ != want {
 		return fmt.Errorf("unexpected frame type %d (want %d)", typ, want)
 	}
 	return json.Unmarshal(payload, v)
 }
 
-// distBootstrapJobs enumerates the canonical bootstrap job list — the
-// identical sequence the serial and in-process engines probe. The stream
-// scheduler's accepted sequence is a pure function of (space, seed), so
-// the coordinator can enumerate it without probing anything.
-func (c *Campaign) distBootstrapJobs() []distJob {
-	if len(c.In.VPs) == 0 {
-		return nil
-	}
-	if c.Cfg.Stream {
-		st := c.newTargetStream()
-		batch := c.streamBatchSize()
-		var jobs []distJob
-		for {
-			b := st.nextBatch(batch)
-			if len(b) == 0 {
-				break
-			}
-			for _, j := range b {
-				jobs = append(jobs, distJob{VP: j.vp, Dst: uint32(j.dst)})
-			}
-		}
-		return jobs
-	}
-	addrs := c.bootstrapAddrs()
-	vps := c.In.VPs
-	spread := c.Cfg.BootstrapSpread
-	if spread < 1 {
-		spread = 1
-	}
-	jobs := make([]distJob, 0, len(addrs)*spread)
-	for i, dst := range addrs {
-		for k := 0; k < spread && k < len(vps); k++ {
-			jobs = append(jobs, distJob{VP: (i + k) % len(vps), Dst: uint32(dst)})
+// remoteSlot drives a worker process over its connection. Every inbound
+// frame is decoded before the next is read, so one buffer serves them all.
+type remoteSlot struct {
+	conn net.Conn
+	step time.Duration
+	buf  []byte
+}
+
+func (r *remoteSlot) read() (byte, []byte, error) {
+	if r.step > 0 {
+		if err := r.conn.SetReadDeadline(time.Now().Add(r.step)); err != nil {
+			return 0, nil, err
 		}
 	}
-	return jobs
+	typ, payload, err := readFrame(r.conn, r.buf)
+	if err == nil {
+		r.buf = payload
+	}
+	return typ, payload, err
+}
+
+func (r *remoteSlot) readJSON(want byte, v any) error {
+	typ, payload, err := r.read()
+	if err != nil {
+		return err
+	}
+	return decodeJSON(typ, want, payload, v)
+}
+
+func (r *remoteSlot) traceJobs(jobs []bootJob, emit func(int, *probe.Trace) error) (counters, error) {
+	if err := writeJSON(r.conn, msgBootstrap, jobs); err != nil {
+		return counters{}, err
+	}
+	got := 0
+	for {
+		typ, payload, err := r.read()
+		if err != nil {
+			return counters{}, fmt.Errorf("bootstrap: %w", err)
+		}
+		switch typ {
+		case msgTraces:
+			var chunk []tracefile.Trace
+			if err := json.Unmarshal(payload, &chunk); err != nil {
+				return counters{}, err
+			}
+			if got+len(chunk) > len(jobs) {
+				return counters{}, fmt.Errorf("bootstrap returned over %d traces", len(jobs))
+			}
+			for _, wt := range chunk {
+				tr, err := wt.ToTrace()
+				if err != nil {
+					return counters{}, err
+				}
+				if err := emit(got, tr); err != nil {
+					return counters{}, err
+				}
+				got++
+			}
+		case msgBootDone:
+			if got != len(jobs) {
+				return counters{}, fmt.Errorf("bootstrap returned %d traces, want %d", got, len(jobs))
+			}
+			var d counters
+			return d, json.Unmarshal(payload, &d)
+		default:
+			return counters{}, fmt.Errorf("unexpected frame type %d in bootstrap", typ)
+		}
+	}
+}
+
+func (r *remoteSlot) probeShards(shards []shard, p *probePlan, emit func(*shardResult) error) error {
+	if err := writeJSON(r.conn, msgShards, shardMsg{HDNs: p.hdns, Shards: shards}); err != nil {
+		return err
+	}
+	for _, sh := range shards {
+		var d distShardResult
+		if err := r.readJSON(msgShardResult, &d); err != nil {
+			return fmt.Errorf("shard phase: %w", err)
+		}
+		if d.Idx != sh.Idx {
+			return fmt.Errorf("shard result %d, want %d", d.Idx, sh.Idx)
+		}
+		res, err := rebuildShardResult(sh, &d)
+		if err != nil {
+			return err
+		}
+		if err := emit(res); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *remoteSlot) finish() (slotDone, error) {
+	var d slotDone
+	if err := r.readJSON(msgWorkerDone, &d); err != nil {
+		return d, fmt.Errorf("finish: %w", err)
+	}
+	return d, nil
+}
+
+// rebuildShardResult reconstructs a shard's private output from its wire
+// form: traces parse back hop-for-hop, Candidate re-derives from the
+// identical trace, revelations parse with their technique and steps, and
+// the merge then canonicalizes exactly as in-process.
+func rebuildShardResult(sh shard, d *distShardResult) (*shardResult, error) {
+	res := &shardResult{sh: sh, fps: make(map[netaddr.Addr]fingerprint.Result), stats: d.Stats}
+	for i := range d.Records {
+		dr := &d.Records[i]
+		tr, err := dr.Trace.ToTrace()
+		if err != nil {
+			return nil, err
+		}
+		rec := &Record{Trace: tr}
+		if dr.HasCandidate {
+			cand, ok := reveal.CandidateFromTrace(tr)
+			if !ok {
+				return nil, fmt.Errorf("shard %d: candidate does not re-derive from trace to %s", sh.Idx, tr.Dst)
+			}
+			rec.Candidate = &cand
+			rec.CandidateAS = dr.CandidateAS
+			rec.EgressEchoTTL = dr.EgressEchoTTL
+		}
+		if dr.Revelation != nil {
+			if rec.Revelation, err = dr.Revelation.ToRevelation(); err != nil {
+				return nil, err
+			}
+		}
+		res.records = append(res.records, rec)
+	}
+	for _, f := range d.Fps {
+		r, err := f.ToResult()
+		if err != nil {
+			return nil, err
+		}
+		res.fps[r.Addr] = r
+	}
+	return res, nil
 }
 
 // RunDistributed executes the campaign with dcfg.Workers worker
@@ -287,10 +350,7 @@ func (c *Campaign) distBootstrapJobs() []distJob {
 // any worker failure it returns a *WorkerError and no campaign: partial
 // results are discarded, never merged.
 func RunDistributed(in *gen.Internet, cfg Config, dcfg DistConfig) (*Campaign, error) {
-	workers := dcfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(dcfg.Workers, 1)
 	if dcfg.Spawn == nil {
 		return nil, errors.New("campaign: DistConfig.Spawn is required")
 	}
@@ -303,8 +363,11 @@ func RunDistributed(in *gen.Internet, cfg Config, dcfg DistConfig) (*Campaign, e
 		stepTO = 5 * time.Minute
 	}
 
-	// Encode the world before any prober state mutates: the blob captures
-	// the fabric exactly as the serial engine would first observe it.
+	// Slot set-up — encode, listen, spawn, join, ship the world — is the
+	// distributed engine's replica acquisition. The world is encoded
+	// before any prober state mutates: the blob captures the fabric
+	// exactly as the serial engine would first observe it.
+	t0 := time.Now()
 	var world []byte
 	var err error
 	if dcfg.Replica == ReplicaRebuild {
@@ -335,13 +398,15 @@ func RunDistributed(in *gen.Internet, cfg Config, dcfg DistConfig) (*Campaign, e
 			return nil, fmt.Errorf("campaign: spawn worker %d: %w", i, err)
 		}
 	}
-	var streamed uint64
-	conns := make([]net.Conn, 0, workers)
+	var streamed atomic.Uint64
+	var conns []net.Conn
 	defer func() {
 		for _, conn := range conns {
 			conn.Close()
 		}
 	}()
+	e := &engine{in: in, cfg: cfg}
+	hello := distHello{Replica: dcfg.Replica, Cfg: cfg, Probers: proberSettingsOf(in.VPs)}
 	type deadliner interface{ SetDeadline(time.Time) error }
 	for i := 0; i < workers; i++ {
 		if d, ok := ln.(deadliner); ok {
@@ -351,227 +416,39 @@ func RunDistributed(in *gen.Internet, cfg Config, dcfg DistConfig) (*Campaign, e
 		if err != nil {
 			return nil, &WorkerError{Worker: i, Err: fmt.Errorf("join: %w", err)}
 		}
-		conns = append(conns, &countConn{Conn: conn, n: &streamed})
-	}
-
-	c := newCampaign(in, cfg)
-	c.Workers = workers
-	lz0 := in.LazyStats()
-	in.Net.SetFlowCacheEnabled(!cfg.DisableFlowCache)
-	in.Net.SetSweepEnabled(!cfg.DisableSweep)
-
-	probers := make([]distProber, len(in.VPs))
-	for i, vp := range in.VPs {
-		p := vp.Prober
-		probers[i] = distProber{MaxTTL: p.MaxTTL, GapLimit: p.GapLimit, Attempts: p.Attempts, FlowID: p.FlowID}
-	}
-	for i, conn := range conns {
-		hello := distHello{Index: i, Workers: workers, Replica: dcfg.Replica, Cfg: cfg, Probers: probers}
-		if err := writeJSON(conn, msgHello, hello); err != nil {
+		conns = append(conns, conn)
+		s := &remoteSlot{conn: &countConn{Conn: conn, n: &streamed}, step: stepTO}
+		e.slots = append(e.slots, s)
+		if err := writeJSON(s.conn, msgHello, hello); err != nil {
 			return nil, &WorkerError{Worker: i, Err: err}
 		}
-		if err := writeFrame(conn, msgWorld, world); err != nil {
+		if err := writeFrame(s.conn, msgWorld, world); err != nil {
 			return nil, &WorkerError{Worker: i, Err: err}
 		}
 	}
+	setup := time.Since(t0)
 
-	// Bootstrap, mirroring prepare/prepareParallel: TTL-1 discipline on
-	// the main VPs (the resolver may probe them), canonical job list,
-	// contiguous partitions, replay in job order.
-	for _, vp := range in.VPs {
-		vp.Prober.FirstTTL = 1
-		vp.Prober.Method = cfg.Method
+	c, err := e.run()
+	if err != nil {
+		return nil, err
 	}
-	t0 := time.Now()
-	sent0 := sentByVPs(in.VPs)
-	fab0 := in.Net.FabricStats()
-	flow0 := in.Net.FlowCacheStats()
-	sweep0 := in.Net.SweepStats()
-	c.ITDK = topo.New(c.resolver())
-	jobs := c.distBootstrapJobs()
-	for p, conn := range conns {
-		lo, hi := len(jobs)*p/workers, len(jobs)*(p+1)/workers
-		if err := writeJSON(conn, msgBootstrap, jobs[lo:hi]); err != nil {
-			return nil, &WorkerError{Worker: p, Err: err}
-		}
-	}
-	bootStats := make([]distPhaseStats, workers)
-	for p, conn := range conns {
-		want := len(jobs)*(p+1)/workers - len(jobs)*p/workers
-		got := 0
-		for {
-			typ, payload, err := readFrame(conn, stepTO)
-			if err != nil {
-				return nil, &WorkerError{Worker: p, Err: fmt.Errorf("bootstrap: %w", err)}
-			}
-			if typ == msgBootDone {
-				if err := json.Unmarshal(payload, &bootStats[p]); err != nil {
-					return nil, &WorkerError{Worker: p, Err: err}
-				}
-				break
-			}
-			if typ != msgTraces {
-				return nil, &WorkerError{Worker: p, Err: fmt.Errorf("unexpected frame type %d in bootstrap", typ)}
-			}
-			var chunk []tracefile.Trace
-			if err := json.Unmarshal(payload, &chunk); err != nil {
-				return nil, &WorkerError{Worker: p, Err: err}
-			}
-			for _, wt := range chunk {
-				tr, err := wt.ToTrace()
-				if err != nil {
-					return nil, &WorkerError{Worker: p, Err: err}
-				}
-				c.ITDK.AddTrace(tr)
-				got++
-			}
-		}
-		if got != want {
-			return nil, &WorkerError{Worker: p, Err: fmt.Errorf("bootstrap returned %d traces, want %d", got, want)}
-		}
-	}
-	c.finishBootstrapGraph()
-	c.selectTargets()
-	c.bootProbes = sentByVPs(in.VPs) - sent0
-	fab1 := in.Net.FabricStats()
-	c.BudgetHits = fab1.BudgetExhausted - fab0.BudgetExhausted
-	c.LoopDrops = fab1.DroppedEvents - fab0.DroppedEvents
-	c.bootFlow = flowDelta(in.Net.FlowCacheStats(), flow0)
-	c.bootSweep = sweepDelta(in.Net.SweepStats(), sweep0)
-	for _, ws := range bootStats {
-		c.bootProbes += ws.Probes
-		c.BudgetHits += ws.BudgetHits
-		c.LoopDrops += ws.LoopDrops
-		addFlow(&c.bootFlow, ws.Flow)
-		addSweep(&c.bootSweep, ws.Sweep)
-	}
-	c.Phase.Bootstrap = time.Since(t0)
-	for _, vp := range in.VPs {
-		vp.Prober.FirstTTL = cfg.FirstTTL
-	}
-
-	// Probing phase: canonical shards, static shard→worker assignment
-	// (si mod ShardWorkers), exactly the in-process pool's schedule.
-	shards := c.buildShards(dcfg.ShardBy)
-	c.ShardWorkers = workers
-	if c.ShardWorkers > len(shards) {
-		c.ShardWorkers = len(shards)
-	}
-	if c.ShardWorkers < 1 {
-		c.ShardWorkers = 1
-	}
-	var nodes []distNode
-	for _, n := range c.HDNs {
-		dn := distNode{ID: int(n.ID), ASN: n.ASN, Addrs: make([]uint32, len(n.Addrs))}
-		for i, a := range n.Addrs {
-			dn.Addrs[i] = uint32(a)
-		}
-		nodes = append(nodes, dn)
-	}
-	mine := make([][]distShard, workers)
-	for si, sh := range shards {
-		w := si % c.ShardWorkers
-		ds := distShard{Idx: sh.idx, Team: sh.team, Targets: make([]uint32, len(sh.targets))}
-		for i, a := range sh.targets {
-			ds.Targets[i] = uint32(a)
-		}
-		mine[w] = append(mine[w], ds)
-	}
-	t0 = time.Now()
-	for p, conn := range conns {
-		msg := distShardMsg{ShardWorkers: c.ShardWorkers, Nodes: nodes, Shards: mine[p]}
-		if err := writeJSON(conn, msgShards, msg); err != nil {
-			return nil, &WorkerError{Worker: p, Err: err}
-		}
-	}
-	results := make([]*shardResult, len(shards))
-	var dones []distWorkerDone
-	for p, conn := range conns {
-		for range mine[p] {
-			var dres distShardResult
-			if err := readJSON(conn, msgShardResult, stepTO, &dres); err != nil {
-				return nil, &WorkerError{Worker: p, Err: fmt.Errorf("shard phase: %w", err)}
-			}
-			if dres.Idx < 0 || dres.Idx >= len(shards) || results[dres.Idx] != nil {
-				return nil, &WorkerError{Worker: p, Err: fmt.Errorf("bad shard index %d", dres.Idx)}
-			}
-			res, err := c.rebuildShardResult(shards[dres.Idx], &dres)
-			if err != nil {
-				return nil, &WorkerError{Worker: p, Err: err}
-			}
-			results[dres.Idx] = res
-		}
-		var done distWorkerDone
-		if err := readJSON(conn, msgWorkerDone, stepTO, &done); err != nil {
-			return nil, &WorkerError{Worker: p, Err: fmt.Errorf("finish: %w", err)}
-		}
-		dones = append(dones, done)
-	}
-	c.Phase.Probe = time.Since(t0)
-
-	c.merge(results)
-	c.Lazy = in.LazyStats()
-	c.Lazy.FaultIns -= lz0.FaultIns
-	c.Lazy.FaultInNS -= lz0.FaultInNS
-	for _, d := range dones {
-		c.ReplicaResident += d.Resident
-		c.Lazy.FaultIns += d.FaultIns
-		c.Lazy.FaultInNS += d.FaultInNS
-	}
-	c.StreamBytes = streamed
+	c.Phase.Replica = setup
+	c.StreamBytes = streamed.Load()
 	return c, nil
 }
 
-// rebuildShardResult reconstructs a shard's private output from its wire
-// form: traces parse back hop-for-hop, Candidate re-derives from the
-// identical trace, revelations parse with their technique and steps, and
-// the existing merge then canonicalizes exactly as in-process.
-func (c *Campaign) rebuildShardResult(sh shard, d *distShardResult) (*shardResult, error) {
-	res := &shardResult{sh: sh, fps: make(map[netaddr.Addr]fingerprint.Result), stats: d.Stats}
-	for i := range d.Records {
-		dr := &d.Records[i]
-		tr, err := dr.Trace.ToTrace()
-		if err != nil {
-			return nil, err
-		}
-		rec := &Record{VP: c.vpForTeam(sh.team), Trace: tr}
-		if dr.HasCandidate {
-			cand, ok := reveal.CandidateFromTrace(tr)
-			if !ok {
-				return nil, fmt.Errorf("shard %d: candidate does not re-derive from trace to %s", sh.idx, tr.Dst)
-			}
-			rec.Candidate = &cand
-			rec.CandidateAS = dr.CandidateAS
-			rec.EgressEchoTTL = dr.EgressEchoTTL
-		}
-		if dr.Revelation != nil {
-			if rec.Revelation, err = dr.Revelation.ToRevelation(); err != nil {
-				return nil, err
-			}
-		}
-		res.records = append(res.records, rec)
-	}
-	for _, f := range d.Fps {
-		r, err := f.ToResult()
-		if err != nil {
-			return nil, err
-		}
-		res.fps[r.Addr] = r
-	}
-	return res, nil
-}
-
 // ServeWorker runs the worker half of the protocol on conn: receive the
-// world, probe the bootstrap partition and assigned shards on the private
-// fabric, stream results back. It returns when the session completes or
-// the connection breaks; the process exit code is the caller's concern.
+// world, then drive a localSlot on it — the bootstrap partition and the
+// assigned shards — streaming results back. It returns when the session
+// completes or the connection breaks; the process exit code is the
+// caller's concern.
 func ServeWorker(conn net.Conn) error {
 	defer conn.Close()
 	var hello distHello
-	if err := readJSON(conn, msgHello, 0, &hello); err != nil {
+	if err := readJSON(conn, msgHello, &hello); err != nil {
 		return fmt.Errorf("worker: hello: %w", err)
 	}
-	typ, payload, err := readFrame(conn, 0)
+	typ, payload, err := readFrame(conn, nil)
 	if err != nil {
 		return fmt.Errorf("worker: world: %w", err)
 	}
@@ -590,31 +467,20 @@ func ServeWorker(conn net.Conn) error {
 	} else if win, err = gen.DecodeWire(payload); err != nil {
 		return fmt.Errorf("worker: decode: %w", err)
 	}
-	cfg := hello.Cfg
-	win.Net.SetFlowCacheEnabled(!cfg.DisableFlowCache)
-	win.Net.SetSweepEnabled(!cfg.DisableSweep)
-	for i, vp := range win.VPs {
-		vp.Prober.FirstTTL = 1
-		vp.Prober.Method = cfg.Method
-		if i < len(hello.Probers) {
-			p := hello.Probers[i]
-			vp.Prober.MaxTTL = p.MaxTTL
-			vp.Prober.GapLimit = p.GapLimit
-			vp.Prober.Attempts = p.Attempts
-			vp.Prober.FlowID = p.FlowID
-		}
+	if len(hello.Probers) != len(win.VPs) {
+		return fmt.Errorf("worker: hello carries %d probers for %d vantage points", len(hello.Probers), len(win.VPs))
 	}
-	lzw0 := win.LazyStats()
+	s := newLocalSlot(win, hello.Cfg, hello.Probers, true)
 
-	// Bootstrap partition: trace in order, stream back in chunks.
-	var jobs []distJob
-	if err := readJSON(conn, msgBootstrap, 0, &jobs); err != nil {
+	var jobs []bootJob
+	if err := readJSON(conn, msgBootstrap, &jobs); err != nil {
 		return fmt.Errorf("worker: bootstrap jobs: %w", err)
 	}
-	sent0 := sentByVPs(win.VPs)
-	fab0 := win.Net.FabricStats()
-	flow0 := win.Net.FlowCacheStats()
-	sweep0 := win.Net.SweepStats()
+	for _, j := range jobs {
+		if j.VP < 0 || j.VP >= len(win.VPs) {
+			return fmt.Errorf("worker: bootstrap job for VP %d of %d", j.VP, len(win.VPs))
+		}
+	}
 	chunk := make([]tracefile.Trace, 0, distTraceChunk)
 	flush := func() error {
 		if len(chunk) == 0 {
@@ -624,70 +490,42 @@ func ServeWorker(conn net.Conn) error {
 		chunk = chunk[:0]
 		return err
 	}
-	for _, j := range jobs {
-		tr := win.VPs[j.VP].Prober.Traceroute(netaddr.Addr(j.Dst))
+	boot, err := s.traceJobs(jobs, func(_ int, tr *probe.Trace) error {
 		chunk = append(chunk, tracefile.FromTrace(tr))
-		if len(chunk) == distTraceChunk {
-			if err := flush(); err != nil {
-				return err
-			}
+		if len(chunk) < distTraceChunk {
+			return nil
 		}
+		return flush()
+	})
+	if err == nil {
+		err = flush()
 	}
-	if err := flush(); err != nil {
+	if err != nil {
 		return err
-	}
-	fab1 := win.Net.FabricStats()
-	boot := distPhaseStats{
-		Probes:     sentByVPs(win.VPs) - sent0,
-		BudgetHits: fab1.BudgetExhausted - fab0.BudgetExhausted,
-		LoopDrops:  fab1.DroppedEvents - fab0.DroppedEvents,
-		Flow:       flowDelta(win.Net.FlowCacheStats(), flow0),
-		Sweep:      sweepDelta(win.Net.SweepStats(), sweep0),
 	}
 	if err := writeJSON(conn, msgBootDone, boot); err != nil {
 		return err
 	}
 
-	// Probing phase.
-	for _, vp := range win.VPs {
-		vp.Prober.FirstTTL = cfg.FirstTTL
-	}
-	var sm distShardMsg
-	if err := readJSON(conn, msgShards, 0, &sm); err != nil {
+	var sm shardMsg
+	if err := readJSON(conn, msgShards, &sm); err != nil {
 		return fmt.Errorf("worker: shards: %w", err)
 	}
-	hdnAddr := make(map[netaddr.Addr]*topo.Node)
-	for _, dn := range sm.Nodes {
-		node := &topo.Node{ID: topo.NodeID(dn.ID), ASN: dn.ASN}
-		for _, a := range dn.Addrs {
-			addr := netaddr.Addr(a)
-			node.Addrs = append(node.Addrs, addr)
-			hdnAddr[addr] = node
+	for _, sh := range sm.Shards {
+		if sh.Team < 0 || len(win.VPs) == 0 {
+			return fmt.Errorf("worker: shard %d for team %d", sh.Idx, sh.Team)
 		}
 	}
 	// The symbolic churn plan compiles identically on a structural
 	// replica: candidates are (AS index, core position) pairs and the
 	// schedule is a pure function of (seed, shard index).
-	plan := gen.BuildChurnPlan(win, cfg.ChurnRate, cfg.ChurnSeed)
-	var wc Campaign // runShard uses no campaign state
-	for _, ds := range sm.Shards {
-		sh := shard{idx: ds.Idx, team: ds.Team, targets: make([]netaddr.Addr, len(ds.Targets))}
-		for i, a := range ds.Targets {
-			sh.targets[i] = netaddr.Addr(a)
-		}
-		events := plan.EventsFor(win, sh.idx, len(sh.targets))
-		vp := win.VPs[sh.team%len(win.VPs)]
-		res := wc.runShard(sh, vp, vp, hdnAddr, events, cfg.ChurnFlushWorld)
-		res.stats.Worker = hello.Index
-		out := distShardResult{Idx: sh.idx, Stats: res.stats, Fps: tracefile.FromFingerprints(res.fps)}
+	plan := newProbePlan(sm.HDNs, gen.BuildChurnPlan(win, hello.Cfg.ChurnRate, hello.Cfg.ChurnSeed))
+	err = s.probeShards(sm.Shards, plan, func(res *shardResult) error {
+		out := distShardResult{Idx: res.sh.Idx, Stats: res.stats, Fps: tracefile.FromFingerprints(res.fps)}
 		for _, rec := range res.records {
-			dr := distRecord{Record: tracefile.Record{
-				Trace:         tracefile.FromTrace(rec.Trace),
-				CandidateAS:   rec.CandidateAS,
-				EgressEchoTTL: rec.EgressEchoTTL,
-			}}
-			if rec.Candidate != nil {
-				dr.HasCandidate = true
+			dr := distRecord{
+				Record:       tracefile.Record{Trace: tracefile.FromTrace(rec.Trace), CandidateAS: rec.CandidateAS, EgressEchoTTL: rec.EgressEchoTTL},
+				HasCandidate: rec.Candidate != nil,
 			}
 			if rec.Revelation != nil {
 				rv := tracefile.FromRevelation(rec.Revelation)
@@ -695,14 +533,11 @@ func ServeWorker(conn net.Conn) error {
 			}
 			out.Records = append(out.Records, dr)
 		}
-		if err := writeJSON(conn, msgShardResult, out); err != nil {
-			return err
-		}
-	}
-	lzw1 := win.LazyStats()
-	return writeJSON(conn, msgWorkerDone, distWorkerDone{
-		FaultIns:  lzw1.FaultIns - lzw0.FaultIns,
-		FaultInNS: lzw1.FaultInNS - lzw0.FaultInNS,
-		Resident:  lzw1.Resident,
+		return writeJSON(conn, msgShardResult, out)
 	})
+	if err != nil {
+		return err
+	}
+	done, _ := s.finish()
+	return writeJSON(conn, msgWorkerDone, done)
 }

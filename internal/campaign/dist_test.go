@@ -71,7 +71,8 @@ func runDist(t *testing.T, in *gen.Internet, cfg campaign.Config, workers int, m
 
 // TestDistributedGolden pins the headline contract: 1, 2, and 4 worker
 // processes, in both replica modes, produce the byte-identical dataset
-// the serial engine produces.
+// the serial engine produces, and bill their slot set-up (encode, spawn,
+// join, world shipping) to Phase.Replica.
 func TestDistributedGolden(t *testing.T) {
 	in := distWorld(t)
 	cfg := campaign.DefaultConfig()
@@ -94,6 +95,9 @@ func TestDistributedGolden(t *testing.T) {
 			}
 			if c.Workers != workers {
 				t.Errorf("Workers = %d, want %d", c.Workers, workers)
+			}
+			if c.Phase.Replica <= 0 {
+				t.Errorf("workers=%d mode=%s: slot set-up not billed to Phase.Replica", workers, mode)
 			}
 		}
 	}

@@ -3,14 +3,10 @@ package campaign
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"wormhole/internal/gen"
-	"wormhole/internal/netaddr"
 	"wormhole/internal/netsim"
-	"wormhole/internal/probe"
-	"wormhole/internal/topo"
 )
 
 // ReplicaMode selects how each worker obtains its private fabric replica.
@@ -42,67 +38,37 @@ type ParallelConfig struct {
 	// gets a bootstrap partition; the probing phase uses min(Workers,
 	// shard count) of them (Campaign.ShardWorkers).
 	Workers int
-	// ShardBy selects the target partitioning (default ShardByTeam).
-	ShardBy ShardBy
 	// Replica selects the worker replica path (default ReplicaSnapshot).
 	Replica ReplicaMode
 }
 
-// RunParallel executes the campaign end to end on a worker pool: the
-// bootstrap sweep is sharded across the workers just like the probing
-// phase, each worker drives a pooled private replica of the fabric, and
-// the workers share one read-mostly flow-reply table.
-//
-// The engine is built from three coordinated pieces:
-//
-//   - Sharded bootstrap. The serial sweep's (target, VP) job list is
-//     flattened in canonical order and split into contiguous per-worker
-//     partitions; each worker traceroutes its partition on its own
-//     replica and the coordinator replays the collected traces into the
-//     observed graph in the original order, so the resulting ITDK, HDN
-//     set, and target selection are byte-identical to the serial
-//     engine's.
+// RunParallel executes the campaign on a worker pool: the coordinator
+// every engine shares, driving one local slot per pooled replica.
 //
 //   - Pooled replicas. Worker replicas are acquired from a pool on the
 //     Internet (gen.Internet.AcquireReplicas) that survives across
 //     campaigns: slot i reuses the same replica — and its warm flow cache
 //     — run after run, so steady-state runs build no replicas at all.
-//     The same replica serves the worker's bootstrap partition and its
+//     The same replica serves the slot's bootstrap partition and its
 //     shards. A control-plane mutation on the source or a replica
 //     invalidates the affected pool entries.
 //
 //   - Shared flow cache. All replicas subscribe to one
 //     netsim.SharedFlowTable keyed to the source fabric's topology; the
-//     coordinator publishes each worker's fresh recordings at the two
-//     phase barriers, so worker N replays trajectories worker M paid
+//     coordinator publishes each replica's fresh recordings at the two
+//     phase barriers, so replica N replays trajectories replica M paid
 //     for, and a later campaign's cold replicas adopt the whole previous
 //     campaign's replies.
 //
-// Each replica is driven by exactly one worker goroutine — no
+// Each replica is driven by exactly one goroutine per phase — no
 // packet-level state is shared (netsim's ownership assertions enforce
 // this); the shared table hands out only immutable published epochs.
-// Shard results merge in canonical (team, target) order, giving Records,
-// Fingerprints, and Revelations byte-identical to the serial engine at
-// any worker count.
-//
-// The identity holds because per-probe fabric behaviour is independent of
-// probing history for both Paris methods (no loss injection, bandwidth
-// modeling, or ICMP rate limiting is active in generated worlds). ICMP
-// Paris keeps the ECMP flow hash constant per prober; UDP Paris cycles
-// its destination port with the per-prober token counter, which restarts
-// from the same seed on every replica, so the slot sequence — and every
-// slot walk and derived reply — replays identically too.
 func RunParallel(in *gen.Internet, cfg Config, pcfg ParallelConfig) (*Campaign, error) {
 	workers := pcfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	c := newCampaign(in, cfg)
-	c.Workers = workers
+	workers = max(workers, 1)
 
 	t0 := time.Now()
 	replicas, err := in.AcquireReplicas(workers, pcfg.Replica == ReplicaRebuild)
@@ -110,321 +76,31 @@ func RunParallel(in *gen.Internet, cfg Config, pcfg ParallelConfig) (*Campaign, 
 		return nil, fmt.Errorf("campaign: replica pool: %w", err)
 	}
 	defer in.ReleaseReplicas(replicas)
-	c.Phase.Replica = time.Since(t0)
-
-	in.Net.SetFlowCacheEnabled(!cfg.DisableFlowCache)
-	in.Net.SetSweepEnabled(!cfg.DisableSweep)
 	var table *netsim.SharedFlowTable
 	if !cfg.DisableFlowCache {
 		table = in.Net.OwnSharedFlowCache()
 	}
-	for _, r := range replicas {
-		r.Net.SetFlowCacheEnabled(!cfg.DisableFlowCache)
-		r.Net.SetSweepEnabled(!cfg.DisableSweep)
+	e := &engine{in: in, cfg: cfg}
+	probers := proberSettingsOf(in.VPs)
+	nets := make([]*netsim.Network, len(replicas))
+	for i, r := range replicas {
+		e.slots = append(e.slots, newLocalSlot(r, cfg, probers, true))
 		if table != nil && r.Net.SharedFlowCache() != table {
 			r.Net.AttachSharedFlowCache(table)
 		}
+		nets[i] = r.Net
 	}
-
-	pool := newWorkerPool(replicas)
-	defer pool.close()
-
-	// Pooled replicas carry fault-in counters across campaigns; snapshot
-	// them so Campaign.Lazy reports only this run's materialization work.
-	lz0 := in.LazyStats()
-	var repFault0 int
-	var repNS0 int64
-	for _, r := range replicas {
-		s := r.LazyStats()
-		repFault0 += s.FaultIns
-		repNS0 += s.FaultInNS
-	}
-
-	c.prepareParallel(pool, table)
-
-	shards := c.buildShards(pcfg.ShardBy)
-	hdnAddr := c.hdnByAddr()
-	c.ShardWorkers = workers
-	if c.ShardWorkers > len(shards) {
-		c.ShardWorkers = len(shards)
-	}
-	if c.ShardWorkers < 1 {
-		c.ShardWorkers = 1
-	}
-
-	plan := gen.BuildChurnPlan(in, cfg.ChurnRate, cfg.ChurnSeed)
-	t0 = time.Now()
-	results := make([]*shardResult, len(shards))
-	for si := range shards {
-		// Static assignment: shard i always runs on worker i mod
-		// ShardWorkers, so ShardStats.Worker is deterministic and each
-		// pooled replica re-probes the same teams run after run, keeping
-		// its private cache working set small and warm.
-		si, sh, w := si, shards[si], si%c.ShardWorkers
-		pool.submit(w, func(r *gen.Internet) {
-			// The symbolic plan resolves against the worker's own replica
-			// with the canonical shard index as random stream: every
-			// engine fails the same links at the same probe boundaries of
-			// shard si, whichever fabric executes it.
-			events := plan.EventsFor(r, sh.idx, len(sh.targets))
-			res := c.runShard(sh, r.VPs[sh.team%len(r.VPs)], c.vpForTeam(sh.team), hdnAddr, events, cfg.ChurnFlushWorld)
-			res.stats.Worker = w
-			results[si] = res
-		})
-	}
-	pool.barrier()
 	if table != nil {
-		table.Publish(pool.nets()...)
+		// Publishing while the pool is quiescent lets a replica's shard
+		// probes hit on trajectories any bootstrap partition paid for.
+		e.barrier = func() { table.Publish(nets...) }
 	}
-	c.Phase.Probe = time.Since(t0)
+	setup := time.Since(t0)
 
-	c.merge(results)
-	c.Lazy = in.LazyStats()
-	c.Lazy.FaultIns -= lz0.FaultIns + repFault0
-	c.Lazy.FaultInNS -= lz0.FaultInNS + repNS0
-	for _, r := range replicas {
-		s := r.LazyStats()
-		c.ReplicaResident += s.Resident
-		c.Lazy.FaultIns += s.FaultIns
-		c.Lazy.FaultInNS += s.FaultInNS
+	c, err := e.run()
+	if err != nil {
+		return nil, err
 	}
+	c.Phase.Replica = setup
 	return c, nil
-}
-
-// prepareParallel mirrors prepare with the bootstrap sweep sharded across
-// the worker pool: same prober discipline, same accounting, summed over
-// the main fabric and every replica.
-func (c *Campaign) prepareParallel(pool *workerPool, table *netsim.SharedFlowTable) {
-	in, cfg := c.In, c.Cfg
-	for _, vp := range in.VPs {
-		vp.Prober.FirstTTL = 1
-		vp.Prober.Method = cfg.Method
-	}
-	pool.mirrorProbers(in.VPs)
-
-	t0 := time.Now()
-	sent0 := sentByVPs(in.VPs) + pool.sentByReplicaVPs()
-	fab0 := addFabric(in.Net.FabricStats(), pool.fabricStats())
-	flow0 := sumFlow(in.Net.FlowCacheStats(), pool.flowStats())
-	sweep0 := sumSweep(in.Net.SweepStats(), pool.sweepStats())
-	c.bootstrapSharded(pool)
-	if table != nil {
-		// Publish the partitions' recordings while the pool is quiescent:
-		// shards replay bootstrap flows, and with the barrier here a
-		// worker's shard probes hit on trajectories any partition paid for.
-		table.Publish(pool.nets()...)
-	}
-	c.selectTargets()
-	c.bootProbes = sentByVPs(in.VPs) + pool.sentByReplicaVPs() - sent0
-	fab1 := addFabric(in.Net.FabricStats(), pool.fabricStats())
-	c.BudgetHits = fab1.BudgetExhausted - fab0.BudgetExhausted
-	c.LoopDrops = fab1.DroppedEvents - fab0.DroppedEvents
-	c.bootFlow = flowDelta(sumFlow(in.Net.FlowCacheStats(), pool.flowStats()), flow0)
-	c.bootSweep = sweepDelta(sumSweep(in.Net.SweepStats(), pool.sweepStats()), sweep0)
-	c.Phase.Bootstrap = time.Since(t0)
-
-	for _, vp := range in.VPs {
-		vp.Prober.FirstTTL = cfg.FirstTTL
-	}
-	pool.mirrorProbers(in.VPs)
-}
-
-// bootstrapSharded is the parallel counterpart of bootstrap: the serial
-// sweep's nested loop is flattened into a canonical job list, split into
-// contiguous per-worker partitions probed on the workers' replicas, and
-// the traces are replayed into the observed graph in canonical order on
-// the coordinating goroutine — AddTrace assigns node identities by
-// insertion order, so the replay order is the byte-identity.
-func (c *Campaign) bootstrapSharded(pool *workerPool) {
-	// The resolver may probe the main fabric (MeasuredAliases); it runs
-	// here, before any worker drives a replica, exactly as the serial
-	// engine resolves before its first traceroute.
-	c.ITDK = topo.New(c.resolver())
-	if c.Cfg.Stream {
-		c.bootstrapStreamSharded(pool)
-		c.finishBootstrapGraph()
-		return
-	}
-	addrs := c.bootstrapAddrs()
-	vps := c.In.VPs
-	spread := c.Cfg.BootstrapSpread
-	if spread < 1 {
-		spread = 1
-	}
-	if len(vps) == 0 {
-		c.finishBootstrapGraph()
-		return
-	}
-	type bootJob struct {
-		vp  int
-		dst netaddr.Addr
-	}
-	jobs := make([]bootJob, 0, len(addrs)*spread)
-	for i, dst := range addrs {
-		for k := 0; k < spread && k < len(vps); k++ {
-			jobs = append(jobs, bootJob{vp: (i + k) % len(vps), dst: dst})
-		}
-	}
-	traces := make([]*probe.Trace, len(jobs))
-	w := pool.size()
-	for p := 0; p < w; p++ {
-		lo, hi := len(jobs)*p/w, len(jobs)*(p+1)/w
-		if lo == hi {
-			continue
-		}
-		pool.submit(p, func(r *gen.Internet) {
-			// Disjoint index ranges: no two workers touch the same slot.
-			for j := lo; j < hi; j++ {
-				traces[j] = r.VPs[jobs[j].vp].Prober.Traceroute(jobs[j].dst)
-			}
-		})
-	}
-	pool.barrier()
-	for _, tr := range traces {
-		c.ITDK.AddTrace(tr)
-	}
-	c.finishBootstrapGraph()
-}
-
-// workerPool runs one goroutine per replica for the lifetime of a
-// campaign: the goroutine binds the replica's fabric once and then
-// executes submitted tasks against it, so the same replica serves the
-// worker's bootstrap partition and all its shards without rebinding.
-type workerPool struct {
-	replicas []*gen.Internet
-	tasks    []chan func(*gen.Internet)
-	workers  sync.WaitGroup // goroutine lifetimes
-	phase    sync.WaitGroup // outstanding submitted tasks
-}
-
-func newWorkerPool(replicas []*gen.Internet) *workerPool {
-	p := &workerPool{
-		replicas: replicas,
-		tasks:    make([]chan func(*gen.Internet), len(replicas)),
-	}
-	for w := range replicas {
-		ch := make(chan func(*gen.Internet), 4)
-		p.tasks[w] = ch
-		p.workers.Add(1)
-		go func(r *gen.Internet, ch chan func(*gen.Internet)) {
-			defer p.workers.Done()
-			// The replica is driven by this goroutine only, between here
-			// and close().
-			r.Net.BindOwner()
-			defer r.Net.ReleaseOwner()
-			for fn := range ch {
-				fn(r)
-				p.phase.Done()
-			}
-		}(replicas[w], ch)
-	}
-	return p
-}
-
-func (p *workerPool) size() int { return len(p.replicas) }
-
-// submit queues fn on worker w's replica. Tasks submitted to one worker
-// run in order; barrier() waits for all outstanding tasks.
-func (p *workerPool) submit(w int, fn func(*gen.Internet)) {
-	p.phase.Add(1)
-	p.tasks[w] <- fn
-}
-
-// barrier blocks until every submitted task has completed. Afterwards the
-// coordinating goroutine may read and reconfigure the replicas until the
-// next submit (the channel send/receive orders those accesses).
-func (p *workerPool) barrier() { p.phase.Wait() }
-
-// close shuts the worker goroutines down and releases fabric ownership.
-func (p *workerPool) close() {
-	for _, ch := range p.tasks {
-		close(ch)
-	}
-	p.workers.Wait()
-}
-
-// nets returns the replicas' fabrics (for shared-table publishing).
-func (p *workerPool) nets() []*netsim.Network {
-	out := make([]*netsim.Network, len(p.replicas))
-	for i, r := range p.replicas {
-		out[i] = r.Net
-	}
-	return out
-}
-
-// mirrorProbers copies the campaign prober tunables from the main vantage
-// points onto every replica's twins. Callers must be between barriers.
-func (p *workerPool) mirrorProbers(vps []*gen.VP) {
-	for _, r := range p.replicas {
-		for i, vp := range r.VPs {
-			mirrorProber(vp, vps[i])
-		}
-	}
-}
-
-// sentByReplicaVPs sums the probe counters across all replicas.
-func (p *workerPool) sentByReplicaVPs() uint64 {
-	var n uint64
-	for _, r := range p.replicas {
-		n += sentByVPs(r.VPs)
-	}
-	return n
-}
-
-// fabricStats sums the replicas' fabric counters.
-func (p *workerPool) fabricStats() netsim.FabricStats {
-	var sum netsim.FabricStats
-	for _, r := range p.replicas {
-		sum = addFabric(sum, r.Net.FabricStats())
-	}
-	return sum
-}
-
-// flowStats sums the replicas' flow-cache counters.
-func (p *workerPool) flowStats() netsim.FlowCacheStats {
-	var sum netsim.FlowCacheStats
-	for _, r := range p.replicas {
-		addFlow(&sum, r.Net.FlowCacheStats())
-	}
-	return sum
-}
-
-// sweepStats sums the replicas' sweep-engine counters.
-func (p *workerPool) sweepStats() netsim.SweepStats {
-	var sum netsim.SweepStats
-	for _, r := range p.replicas {
-		addSweep(&sum, r.Net.SweepStats())
-	}
-	return sum
-}
-
-// addFabric sums the fabric counters the campaign accounts for.
-func addFabric(a, b netsim.FabricStats) netsim.FabricStats {
-	a.BudgetExhausted += b.BudgetExhausted
-	a.DroppedEvents += b.DroppedEvents
-	return a
-}
-
-// sumFlow adds two flow-cache counter snapshots.
-func sumFlow(a, b netsim.FlowCacheStats) netsim.FlowCacheStats {
-	addFlow(&a, b)
-	return a
-}
-
-// sumSweep adds two sweep-engine counter snapshots.
-func sumSweep(a, b netsim.SweepStats) netsim.SweepStats {
-	addSweep(&a, b)
-	return a
-}
-
-// mirrorProber copies the campaign-relevant prober tunables from a main
-// vantage point onto its replica twin (counters and sequence state stay
-// private to the replica).
-func mirrorProber(dst, src *gen.VP) {
-	dst.Prober.Method = src.Prober.Method
-	dst.Prober.FirstTTL = src.Prober.FirstTTL
-	dst.Prober.MaxTTL = src.Prober.MaxTTL
-	dst.Prober.GapLimit = src.Prober.GapLimit
-	dst.Prober.Attempts = src.Prober.Attempts
-	dst.Prober.FlowID = src.Prober.FlowID
 }

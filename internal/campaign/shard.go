@@ -8,33 +8,7 @@ import (
 	"wormhole/internal/netaddr"
 	"wormhole/internal/netsim"
 	"wormhole/internal/reveal"
-	"wormhole/internal/topo"
 )
-
-// ShardBy selects how the target set is partitioned into independently
-// probeable shards. Whatever the partitioning (and whatever worker count
-// executes it), the merged campaign output is identical: shards carry
-// private state and the merge canonicalizes in shard order.
-type ShardBy uint8
-
-const (
-	// ShardByTeam makes one shard per vantage-point team — the paper's
-	// 5-team split. Fingerprint and revelation de-duplication then work at
-	// team granularity, so this is also the cheapest partitioning.
-	ShardByTeam ShardBy = iota
-	// ShardByTarget makes one shard per target for fine-grained load
-	// balancing. Per-shard de-duplication degenerates to per-target, so
-	// more duplicate fingerprint/revelation probes are spent; the merged
-	// output is still identical to ShardByTeam.
-	ShardByTarget
-)
-
-func (s ShardBy) String() string {
-	if s == ShardByTarget {
-		return "target"
-	}
-	return "team"
-}
 
 // ShardStats is the per-shard measurement accounting surfaced to the CLI
 // and benchmarks.
@@ -77,12 +51,12 @@ type ShardStats struct {
 	Elapsed, VirtualElapsed time.Duration
 }
 
-// shard is one unit of probing work: a team's targets (or a single
-// target), probed from that team's vantage point.
+// shard is one unit of probing work: a team's targets, probed from that
+// team's vantage point. It crosses the worker wire as is.
 type shard struct {
-	idx     int // canonical order
-	team    int
-	targets []netaddr.Addr
+	Idx     int            `json:"idx"` // canonical order
+	Team    int            `json:"team"`
+	Targets []netaddr.Addr `json:"targets"`
 }
 
 // revealPair keys revelation de-duplication by candidate endpoints.
@@ -98,75 +72,61 @@ type shardResult struct {
 	stats   ShardStats
 }
 
-// buildShards partitions the (sorted) target set. Shard order — and
-// therefore merged record order — is (team, target), independent of the
-// partitioning mode and of any worker count.
-func (c *Campaign) buildShards(by ShardBy) []shard {
+// buildShards partitions the (sorted) target set into one shard per
+// vantage-point team — the paper's 5-team split. Shard order, and
+// therefore merged record order, is (team, target), independent of any
+// worker count.
+func (c *Campaign) buildShards() []shard {
 	if len(c.In.VPs) == 0 {
 		return nil
 	}
-	teams := c.Cfg.Teams
-	if teams < 1 {
-		teams = 1
-	}
 	var shards []shard
-	for team := 0; team < teams; team++ {
+	for team := 0; team < max(c.Cfg.Teams, 1); team++ {
 		var targets []netaddr.Addr
 		for _, dst := range c.Targets { // already sorted
 			if c.teamOf[dst] == team {
 				targets = append(targets, dst)
 			}
 		}
-		if len(targets) == 0 {
-			continue
-		}
-		switch by {
-		case ShardByTarget:
-			for _, dst := range targets {
-				shards = append(shards, shard{idx: len(shards), team: team, targets: []netaddr.Addr{dst}})
-			}
-		default:
-			shards = append(shards, shard{idx: len(shards), team: team, targets: targets})
+		if len(targets) > 0 {
+			shards = append(shards, shard{Idx: len(shards), Team: team, Targets: targets})
 		}
 	}
 	return shards
 }
 
-// runShard probes one shard: traceroute every target, fingerprint new
-// hops, detect candidates, ping candidate egresses, then run the
-// recursive revelation for each distinct candidate pair. probeVP supplies
-// the prober (a worker's replica VP in parallel runs); recordVP is the
-// campaign-level VP the records reference (always the main Internet's, so
-// analyses see one coherent VP set). All written state is shard-private.
+// runShard probes one shard on fabric in from its team's VP: traceroute
+// every target, fingerprint new hops, detect candidates, ping candidate
+// egresses, then run the recursive revelation for each distinct candidate
+// pair. All written state is shard-private; the merge attaches the
+// campaign-level VP to the records.
 //
-// events, when non-empty, is the shard's churn schedule: it is armed on
-// the prober's fabric for the duration of the shard and fires at
-// deterministic probe boundaries. ChurnEnd force-fires any remainder, so
-// the fabric leaves the shard control-plane pristine.
-func (c *Campaign) runShard(sh shard, probeVP, recordVP *gen.VP, hdnAddr map[netaddr.Addr]*topo.Node, events []netsim.ChurnEvent, flushWorld bool) *shardResult {
+// The shard's churn schedule, resolved against in with the canonical
+// shard index as random stream, is armed for the duration of the shard
+// and fires at deterministic probe boundaries. ChurnEnd force-fires any
+// remainder, so the fabric leaves the shard control-plane pristine.
+func runShard(in *gen.Internet, sh shard, p *probePlan, flushWorld bool) *shardResult {
 	res := &shardResult{
 		sh:  sh,
 		fps: make(map[netaddr.Addr]fingerprint.Result),
 		stats: ShardStats{
-			Shard:   sh.idx,
-			Team:    sh.team,
-			Targets: len(sh.targets),
+			Shard:   sh.Idx,
+			Team:    sh.Team,
+			Targets: len(sh.Targets),
 		},
 	}
-	prober := probeVP.Prober
-	sent0, recv0 := prober.Sent, prober.Recv
-	clock0 := prober.Net.Now()
-	fab0 := prober.Net.FabricStats()
-	flow0 := prober.Net.FlowCacheStats()
-	sweep0 := prober.Net.SweepStats()
-	fired0 := prober.Net.ChurnFired()
-	prober.Net.ChurnBegin(events, flushWorld)
+	prober := in.VPs[sh.Team%len(in.VPs)].Prober
+	c0 := readCounters(in)
+	recv0 := prober.Recv
+	clock0 := in.Net.Now()
+	fired0 := in.Net.ChurnFired()
+	in.Net.ChurnBegin(p.churn.EventsFor(in, sh.Idx, len(sh.Targets)), flushWorld)
 	start := time.Now()
 
 	fp := fingerprint.New(prober)
-	for _, dst := range sh.targets {
+	for _, dst := range sh.Targets {
 		tr := prober.Traceroute(dst)
-		rec := &Record{VP: recordVP, Trace: tr}
+		rec := &Record{Trace: tr}
 		res.records = append(res.records, rec)
 
 		for _, h := range tr.Hops {
@@ -187,8 +147,8 @@ func (c *Campaign) runShard(sh shard, probeVP, recordVP *gen.VP, hdnAddr map[net
 		}
 		// Both endpoints must be HDN routers of the same AS (Sec. 4's
 		// post-processing filter).
-		iNode, iOK := hdnAddr[cand.Ingress.Addr]
-		eNode, eOK := hdnAddr[cand.Egress.Addr]
+		iNode, iOK := p.hdnAddr[cand.Ingress.Addr]
+		eNode, eOK := p.hdnAddr[cand.Egress.Addr]
 		if !iOK || !eOK || iNode.ASN != eNode.ASN || iNode.ID == eNode.ID {
 			continue
 		}
@@ -225,38 +185,37 @@ func (c *Campaign) runShard(sh shard, probeVP, recordVP *gen.VP, hdnAddr map[net
 	// Disarm before the final counter reads: remainders force-fired here
 	// restore the pristine control plane, and their evictions land in the
 	// shard's cache accounting.
-	prober.Net.ChurnEnd()
-	res.stats.ChurnEvents = prober.Net.ChurnFired() - fired0
-
-	res.stats.Probes = prober.Sent - sent0
+	in.Net.ChurnEnd()
+	d := readCounters(in).sub(c0)
+	res.stats.ChurnEvents = in.Net.ChurnFired() - fired0
+	res.stats.Probes = d.Probes
 	res.stats.Replies = prober.Recv - recv0
 	res.stats.Elapsed = time.Since(start)
-	res.stats.VirtualElapsed = prober.Net.Now() - clock0
-	fab1 := prober.Net.FabricStats()
-	res.stats.BudgetHits = fab1.BudgetExhausted - fab0.BudgetExhausted
-	res.stats.LoopDrops = fab1.DroppedEvents - fab0.DroppedEvents
-	res.stats.FlowCache = flowDelta(prober.Net.FlowCacheStats(), flow0)
-	res.stats.Sweep = sweepDelta(prober.Net.SweepStats(), sweep0)
+	res.stats.VirtualElapsed = in.Net.Now() - clock0
+	res.stats.BudgetHits = d.BudgetHits
+	res.stats.LoopDrops = d.LoopDrops
+	res.stats.FlowCache = d.Flow
+	res.stats.Sweep = d.Sweep
 	return res
 }
 
 // merge folds shard results back into the campaign in canonical shard
-// order: records concatenate to (team, target) order, the first shard to
-// fingerprint an address wins, and revelations are canonicalized so every
-// record of a candidate pair shares the pair's first revelation object —
-// exactly what a serial pass over the same shards produces.
+// order: records concatenate to (team, target) order and reference the
+// campaign-level VP of their team, the first shard to fingerprint an
+// address wins, and revelations are canonicalized so every record of a
+// candidate pair shares the pair's first revelation object — exactly what
+// a serial pass over the same shards produces. The campaign totals start
+// from the bootstrap's counters.
 func (c *Campaign) merge(results []*shardResult) {
+	c.Fingerprints = make(map[netaddr.Addr]fingerprint.Result)
+	c.FingerprintVP = make(map[netaddr.Addr]*gen.VP)
+	c.Probes, c.BudgetHits, c.LoopDrops = c.boot.Probes, c.boot.BudgetHits, c.boot.LoopDrops
+	c.FlowCache, c.Sweep = c.boot.Flow, c.boot.Sweep
 	canonical := make(map[revealPair]*reveal.Revelation)
 	for _, res := range results {
-		vp := c.vpForTeam(res.sh.team)
-		c.Records = append(c.Records, res.records...)
-		for a, r := range res.fps {
-			if _, done := c.Fingerprints[a]; !done {
-				c.Fingerprints[a] = r
-				c.FingerprintVP[a] = vp
-			}
-		}
+		vp := c.vpForTeam(res.sh.Team)
 		for _, rec := range res.records {
+			rec.VP = vp
 			if rec.Revelation == nil || rec.Candidate == nil {
 				continue
 			}
@@ -267,15 +226,20 @@ func (c *Campaign) merge(results []*shardResult) {
 				canonical[k] = rec.Revelation
 			}
 		}
-		c.Shards = append(c.Shards, res.stats)
-		c.Probes += res.stats.Probes
-		c.BudgetHits += res.stats.BudgetHits
-		c.LoopDrops += res.stats.LoopDrops
-		c.ChurnEvents += res.stats.ChurnEvents
-		addFlow(&c.FlowCache, res.stats.FlowCache)
-		addSweep(&c.Sweep, res.stats.Sweep)
+		c.Records = append(c.Records, res.records...)
+		for a, r := range res.fps {
+			if _, done := c.Fingerprints[a]; !done {
+				c.Fingerprints[a] = r
+				c.FingerprintVP[a] = vp
+			}
+		}
+		s := res.stats
+		c.Shards = append(c.Shards, s)
+		c.Probes += s.Probes
+		c.BudgetHits += s.BudgetHits
+		c.LoopDrops += s.LoopDrops
+		c.ChurnEvents += s.ChurnEvents
+		c.FlowCache.Add(s.FlowCache)
+		c.Sweep.Add(s.Sweep)
 	}
-	c.Probes += c.bootProbes
-	addFlow(&c.FlowCache, c.bootFlow)
-	addSweep(&c.Sweep, c.bootSweep)
 }

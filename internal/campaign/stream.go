@@ -2,21 +2,18 @@
 // enumerated address list in memory to pick every len/max-th element —
 // at the Giga rung that list alone is gigabytes, and enumerating it
 // materializes every lazy stub. This scheduler replaces it with a seeded
-// pseudo-random permutation over an indexable view of the target space,
-// drained in bounded batches: memory is O(batch + accepted), coverage is
-// exact (a Feistel network with cycle-walking is a bijection on [0, n)),
-// and the draw order is a pure function of (space size, seed), so every
-// engine — serial, or parallel at any worker count — accepts the
-// identical target sequence.
+// pseudo-random permutation over an indexable view of the target space:
+// memory is O(accepted), coverage is exact (a Feistel network with
+// cycle-walking is a bijection on [0, n)), and the draw order is a pure
+// function of (space size, seed), so every engine accepts the identical
+// target sequence.
 
 package campaign
 
 import (
 	"sort"
 
-	"wormhole/internal/gen"
 	"wormhole/internal/netaddr"
-	"wormhole/internal/probe"
 )
 
 // TargetSpace is an indexable target universe the scheduler permutes
@@ -28,12 +25,6 @@ type TargetSpace interface {
 	Addr(i int) netaddr.Addr
 	Prefix(i int) netaddr.Prefix
 }
-
-// defaultStreamBatch is the scheduler drain granularity when
-// Config.StreamBatch is unset: large enough to amortize channel traffic
-// in the work-stealing drain, small enough that the reorder buffer stays
-// a few thousand traces.
-const defaultStreamBatch = 256
 
 // feistel is a 4-round Feistel network over 2^(2·halfBits) values — a
 // seeded bijection. Values ≥ n are cycle-walked back through the network
@@ -95,194 +86,28 @@ func (f feistel) walk(i uint64) uint64 {
 	return x
 }
 
-// streamJob is one scheduled bootstrap probe: the seq-th accepted target,
-// traced from VP index vp. seq drives the canonical replay order; vp
-// reproduces the serial sweep's (i+k) % len(vps) spread discipline.
-type streamJob struct {
-	seq int
-	vp  int
-	dst netaddr.Addr
-}
-
-// targetStream is the scheduler cursor: it pulls raw indices 0..n-1,
-// permutes each through the Feistel network, applies the per-prefix
-// budget and the global cap, and emits the surviving targets' probe jobs
-// in accept order. State is the cursor, the budget map (bounded by the
-// accepted count), and the O(1) permutation — flat in the universe size.
-type targetStream struct {
-	space    TargetSpace
-	perm     feistel
-	next     uint64
-	n        uint64
-	cap      int
-	budget   int
-	used     map[netaddr.Prefix]int
-	accepted int
-	spread   int
-	vps      int
-}
-
-func (c *Campaign) newTargetStream() *targetStream {
-	space := TargetSpace(c.In.ProbeSpace())
-	spread := c.Cfg.BootstrapSpread
-	if spread < 1 {
-		spread = 1
-	}
-	return &targetStream{
-		space:  space,
-		perm:   newFeistel(space.Len(), c.Cfg.StreamSeed),
-		n:      uint64(space.Len()),
-		cap:    c.Cfg.MaxBootstrapTargets,
-		budget: c.Cfg.PrefixBudget,
-		used:   make(map[netaddr.Prefix]int),
-		spread: spread,
-		vps:    len(c.In.VPs),
-	}
-}
-
-// nextBatch returns the jobs of up to max more accepted targets (spread
-// jobs per target), or nil when the space is exhausted or the cap is
-// reached. Successive calls with any batch sizes produce one identical
-// concatenated job sequence.
-func (s *targetStream) nextBatch(max int) []streamJob {
-	var jobs []streamJob
-	for t := 0; t < max; {
-		if s.next >= s.n || (s.cap > 0 && s.accepted >= s.cap) {
-			break
-		}
-		i := int(s.perm.walk(s.next))
-		s.next++
-		if s.budget > 0 {
-			pfx := s.space.Prefix(i)
-			if s.used[pfx] >= s.budget {
+// streamTargets draws the space in permuted order and accepts each
+// target whose budget prefix has taken fewer than budget targets, up to
+// limit accepted targets (zero disables either bound). State is the
+// budget map (bounded by the accepted count) and the O(1) permutation —
+// flat in the universe size.
+func streamTargets(space TargetSpace, seed int64, limit, budget int) []netaddr.Addr {
+	n := space.Len()
+	perm := newFeistel(n, seed)
+	used := make(map[netaddr.Prefix]int)
+	var out []netaddr.Addr
+	for next := 0; next < n && (limit <= 0 || len(out) < limit); next++ {
+		i := int(perm.walk(uint64(next)))
+		if budget > 0 {
+			pfx := space.Prefix(i)
+			if used[pfx] >= budget {
 				continue
 			}
-			s.used[pfx]++
+			used[pfx]++
 		}
-		dst := s.space.Addr(i)
-		for k := 0; k < s.spread && k < s.vps; k++ {
-			jobs = append(jobs, streamJob{seq: s.accepted, vp: (s.accepted + k) % s.vps, dst: dst})
-		}
-		s.accepted++
-		t++
+		out = append(out, space.Addr(i))
 	}
-	return jobs
-}
-
-func (c *Campaign) streamBatchSize() int {
-	if b := c.Cfg.StreamBatch; b > 0 {
-		return b
-	}
-	return defaultStreamBatch
-}
-
-// bootstrapStream is the serial streamed sweep: drain the scheduler in
-// batches, tracing and replaying each job inline in accept order. On a
-// lazy world each first probe into a stub's /20 faults the stub in; the
-// rest of the universe never constructs.
-func (c *Campaign) bootstrapStream() {
-	vps := c.In.VPs
-	if len(vps) == 0 {
-		return
-	}
-	st := c.newTargetStream()
-	batch := c.streamBatchSize()
-	for {
-		jobs := st.nextBatch(batch)
-		if len(jobs) == 0 {
-			return
-		}
-		for _, j := range jobs {
-			tr := vps[j.vp].Prober.Traceroute(j.dst)
-			c.ITDK.AddTrace(tr)
-		}
-	}
-}
-
-// bootstrapStreamSharded is the work-stealing drain: one producer
-// goroutine pulls batches off the scheduler into a bounded work channel,
-// every pool worker steals batches and traceroutes them on its own
-// replica, and the coordinator replays completed batches through a
-// reorder buffer in batch order — so the AddTrace sequence, and with it
-// the observed graph, is byte-identical to bootstrapStream whatever
-// order the workers finish in. (Trace content is probing-order-invariant
-// — the RunParallel contract — so only the replay order matters.)
-//
-// In-flight state is bounded: the work and result channels hold at most
-// pool-size batches each, and the reorder buffer at most one batch per
-// out-of-order worker.
-func (c *Campaign) bootstrapStreamSharded(pool *workerPool) {
-	if len(c.In.VPs) == 0 {
-		return
-	}
-	st := c.newTargetStream()
-	batch := c.streamBatchSize()
-	w := pool.size()
-
-	type jobBatch struct {
-		idx  int
-		jobs []streamJob
-	}
-	type tracedBatch struct {
-		idx    int
-		traces []*probe.Trace
-	}
-	work := make(chan jobBatch, w)
-	results := make(chan tracedBatch, w)
-	total := make(chan int, 1)
-	go func() {
-		n := 0
-		for {
-			jobs := st.nextBatch(batch)
-			if len(jobs) == 0 {
-				break
-			}
-			work <- jobBatch{idx: n, jobs: jobs}
-			n++
-		}
-		close(work)
-		total <- n
-	}()
-	for p := 0; p < w; p++ {
-		pool.submit(p, func(r *gen.Internet) {
-			for b := range work {
-				traces := make([]*probe.Trace, len(b.jobs))
-				for i, j := range b.jobs {
-					traces[i] = r.VPs[j.vp].Prober.Traceroute(j.dst)
-				}
-				results <- tracedBatch{idx: b.idx, traces: traces}
-			}
-		})
-	}
-	// Replay concurrently with the workers: the coordinator touches only
-	// the observed graph and the main fabric (AddTrace resolution may
-	// fault stubs in there), never the replicas; shared lazy-universe
-	// state (descriptors, block index, sealed address records) is
-	// immutable, so the two sides share nothing mutable.
-	pending := make(map[int][]*probe.Trace, w)
-	nextIdx, done, nTotal := 0, 0, -1
-	for nTotal < 0 || done < nTotal {
-		select {
-		case b := <-results:
-			pending[b.idx] = b.traces
-			done++
-			for {
-				traces, ok := pending[nextIdx]
-				if !ok {
-					break
-				}
-				delete(pending, nextIdx)
-				for _, tr := range traces {
-					c.ITDK.AddTrace(tr)
-				}
-				nextIdx++
-			}
-		case n := <-total:
-			nTotal = n
-			total = nil
-		}
-	}
-	pool.barrier()
+	return out
 }
 
 // streamSampleTargets is the streamed replacement for the target-list

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"wormhole/internal/netaddr"
@@ -40,68 +39,26 @@ func (f fakeSpace) Prefix(i int) netaddr.Prefix {
 	return netaddr.MustPrefixFrom(netaddr.Addr((i/4)<<8), 24)
 }
 
-func newTestStream(space TargetSpace, cap, budget, spread, vps int, seed int64) *targetStream {
-	return &targetStream{
-		space:  space,
-		perm:   newFeistel(space.Len(), seed),
-		n:      uint64(space.Len()),
-		cap:    cap,
-		budget: budget,
-		used:   make(map[netaddr.Prefix]int),
-		spread: spread,
-		vps:    vps,
-	}
-}
-
-func drainAll(s *targetStream, batch int) []streamJob {
-	var jobs []streamJob
-	for {
-		b := s.nextBatch(batch)
-		if len(b) == 0 {
-			return jobs
-		}
-		jobs = append(jobs, b...)
-	}
-}
-
-// TestStreamBatchInvariance pins that the accepted job sequence is
-// independent of the drain granularity: batch sizes 1, 7, and one
-// all-at-once drain produce the identical concatenated sequence.
-func TestStreamBatchInvariance(t *testing.T) {
-	want := drainAll(newTestStream(fakeSpace{137}, 40, 2, 2, 5, 99), 137*2)
-	for _, batch := range []int{1, 7, 64} {
-		got := drainAll(newTestStream(fakeSpace{137}, 40, 2, 2, 5, 99), batch)
-		if len(got) != len(want) {
-			t.Fatalf("batch=%d: %d jobs, want %d", batch, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("batch=%d: job %d = %+v, want %+v", batch, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestStreamCoverageAndBudget pins the cursor's selection semantics:
-// with no cap or budget every target is accepted exactly once with the
-// serial sweep's VP spread discipline; with a budget no prefix exceeds
-// it; with a cap exactly cap targets are accepted.
+// TestStreamCoverageAndBudget pins the scheduler's selection semantics:
+// with no cap or budget every target is accepted exactly once and traced
+// with the serial sweep's VP spread discipline; with a budget no prefix
+// exceeds it; with a cap exactly cap targets are accepted.
 func TestStreamCoverageAndBudget(t *testing.T) {
 	const n, vps, spread = 103, 5, 2
-	jobs := drainAll(newTestStream(fakeSpace{n}, 0, 0, spread, vps, 7), 16)
+	jobs := spreadJobs(streamTargets(fakeSpace{n}, 7, 0, 0), spread, vps)
 	if len(jobs) != n*spread {
 		t.Fatalf("%d jobs, want %d", len(jobs), n*spread)
 	}
 	seen := map[netaddr.Addr]int{}
 	for i, j := range jobs {
 		seq := i / spread
-		if j.seq != seq {
-			t.Fatalf("job %d: seq %d, want %d", i, j.seq, seq)
+		if j.Dst != jobs[seq*spread].Dst {
+			t.Fatalf("job %d: target %s, want %s", i, j.Dst, jobs[seq*spread].Dst)
 		}
-		if want := (seq + i%spread) % vps; j.vp != want {
-			t.Fatalf("job %d: vp %d, want %d", i, j.vp, want)
+		if want := (seq + i%spread) % vps; j.VP != want {
+			t.Fatalf("job %d: vp %d, want %d", i, j.VP, want)
 		}
-		seen[j.dst]++
+		seen[j.Dst]++
 	}
 	if len(seen) != n {
 		t.Fatalf("%d distinct targets, want %d", len(seen), n)
@@ -112,11 +69,10 @@ func TestStreamCoverageAndBudget(t *testing.T) {
 		}
 	}
 
-	jobs = drainAll(newTestStream(fakeSpace{n}, 0, 2, 1, vps, 7), 16)
 	perPrefix := map[netaddr.Prefix]int{}
 	sp := fakeSpace{n}
-	for _, j := range jobs {
-		perPrefix[sp.Prefix(int(j.dst)-1)]++ // Addr(i) = i+1
+	for _, a := range streamTargets(sp, 7, 0, 2) {
+		perPrefix[sp.Prefix(int(a)-1)]++ // Addr(i) = i+1
 	}
 	for p, c := range perPrefix {
 		if c > 2 {
@@ -124,69 +80,21 @@ func TestStreamCoverageAndBudget(t *testing.T) {
 		}
 	}
 
-	if jobs = drainAll(newTestStream(fakeSpace{n}, 17, 0, 1, vps, 7), 16); len(jobs) != 17 {
-		t.Fatalf("cap=17 accepted %d targets", len(jobs))
-	}
-}
-
-// TestStreamWorkStealingCoverage pins the parallel drain's exactly-once
-// contract: batches pulled concurrently by competing consumers cover the
-// same (vp, target) job multiset as a serial drain — nothing dropped,
-// nothing probed twice, whatever the steal order.
-func TestStreamWorkStealingCoverage(t *testing.T) {
-	want := drainAll(newTestStream(fakeSpace{211}, 0, 0, 2, 5, 3), 8)
-
-	work := make(chan []streamJob, 4)
-	go func() {
-		s := newTestStream(fakeSpace{211}, 0, 0, 2, 5, 3)
-		for {
-			b := s.nextBatch(8)
-			if len(b) == 0 {
-				break
-			}
-			work <- b
-		}
-		close(work)
-	}()
-	var mu sync.Mutex
-	got := map[string]int{}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range work {
-				mu.Lock()
-				for _, j := range b {
-					got[fmt.Sprintf("%d/%d/%s", j.seq, j.vp, j.dst)]++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if len(got) != len(want) {
-		t.Fatalf("stolen drain saw %d distinct jobs, serial %d", len(got), len(want))
-	}
-	for _, j := range want {
-		k := fmt.Sprintf("%d/%d/%s", j.seq, j.vp, j.dst)
-		if got[k] != 1 {
-			t.Fatalf("job %s visited %d times", k, got[k])
-		}
+	if got := streamTargets(fakeSpace{n}, 7, 17, 0); len(got) != 17 {
+		t.Fatalf("cap=17 accepted %d targets", len(got))
 	}
 }
 
 // TestStreamedDeterminismGolden is the scheduler's engine-equivalence
-// golden: with Stream on (multiple batches, a per-prefix budget, and
-// both sampling caps engaged), the serial engine and the work-stealing
-// parallel drain at several worker counts — on both replica paths —
-// produce byte-identical campaign output.
+// golden: with Stream on (a per-prefix budget and both sampling caps
+// engaged), the serial engine and the parallel engine at several worker
+// counts — on both replica paths — produce byte-identical campaign
+// output.
 func TestStreamedDeterminismGolden(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HDNThreshold = 6
 	cfg.Stream = true
 	cfg.PrefixBudget = 3
-	cfg.StreamBatch = 4
 	cfg.StreamSeed = 1234
 	cfg.MaxBootstrapTargets = 60
 	cfg.MaxTargets = 40

@@ -92,10 +92,31 @@ type FlowCacheStats struct {
 	FastForwards uint64
 	// Invalidations counts control-plane mutations that flushed the cache.
 	Invalidations uint64
-	// SharedHits counts the subset of Hits that were adopted from an
-	// attached SharedFlowTable rather than recorded locally — trajectories
-	// another replica paid for.
+	// SharedHits counts adoptions from an attached SharedFlowTable —
+	// replies another replica paid for: lookups served by adopting a
+	// shared entry after a local miss (a subset of Hits), plus sweep
+	// decisions whose adoption added replies the local entry lacked.
 	SharedHits uint64
+}
+
+// Sub returns the per-field difference s − o (campaign phase deltas).
+func (s FlowCacheStats) Sub(o FlowCacheStats) FlowCacheStats {
+	return FlowCacheStats{
+		Hits:          s.Hits - o.Hits,
+		Misses:        s.Misses - o.Misses,
+		FastForwards:  s.FastForwards - o.FastForwards,
+		Invalidations: s.Invalidations - o.Invalidations,
+		SharedHits:    s.SharedHits - o.SharedHits,
+	}
+}
+
+// Add accumulates o into s field by field (shard merges).
+func (s *FlowCacheStats) Add(o FlowCacheStats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.FastForwards += o.FastForwards
+	s.Invalidations += o.Invalidations
+	s.SharedHits += o.SharedHits
 }
 
 // trajStep is one recorded delivery of the (marked) forward packet: the

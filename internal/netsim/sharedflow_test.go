@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"wormhole/internal/packet"
 )
 
 // seedFlowEntry plants a locally recorded reply into n's cache and dirty
@@ -268,5 +270,64 @@ func TestSharedFlowTableConcurrency(t *testing.T) {
 	sib.AttachSharedFlowCache(table)
 	if _, ok := sib.FlowLookup(key, 7); !ok {
 		t.Fatal("post-churn publish not visible to a fresh subscriber")
+	}
+}
+
+// TestSweepBeginSharedAdoption pins how a sweep decision adopts from the
+// shared table: a flow with no local memo adopts the published entry, and
+// counts the adoption, when that closes the trace; a flow whose local
+// memo already covers the trace leaves the published entry alone; and an
+// entry that adds no reply is neither adopted nor counted.
+func TestSweepBeginSharedAdoption(t *testing.T) {
+	owner := New(1)
+	owner.SetFlowCacheEnabled(true)
+	table := owner.OwnSharedFlowCache()
+	mk := func() *Network {
+		n := New(1)
+		n.SetFlowCacheEnabled(true)
+		n.SetSweepEnabled(true)
+		n.AttachSharedFlowCache(table)
+		return n
+	}
+	reached := ProbeObs{Answered: true, From: 0x0a0000ff, ReplyTTL: 60, ICMPType: packet.ICMPEchoReply}
+	covered, short := sharedKey(7), sharedKey(8)
+	pub := mk()
+	seedFlowEntry(t, pub, covered, 1, sharedObs(7, 1))
+	seedFlowEntry(t, pub, covered, 2, reached)
+	seedFlowEntry(t, pub, covered, 5, sharedObs(7, 5)) // past the reached TTL
+	seedFlowEntry(t, pub, short, 1, sharedObs(8, 1))
+	table.Publish(pub)
+
+	cold := mk()
+	if cold.SweepBegin(covered, 1, 30) {
+		t.Fatal("walk requested for a flow the published epoch covers")
+	}
+	if got := cold.FlowCacheStats().SharedHits; got != 1 {
+		t.Fatalf("cold adoption counted %d times, want 1", got)
+	}
+
+	warm := mk()
+	seedFlowEntry(t, warm, covered, 1, sharedObs(7, 1))
+	seedFlowEntry(t, warm, covered, 2, reached)
+	if warm.SweepBegin(covered, 1, 30) {
+		t.Fatal("walk requested for a locally covered flow")
+	}
+	if e := warm.flows.entries[covered]; e.valid[0]&(1<<5) != 0 || e.touchAll {
+		t.Fatal("locally covered flow adopted the published entry")
+	}
+	if got := warm.FlowCacheStats().SharedHits; got != 0 {
+		t.Fatalf("covered flow counted %d adoptions, want 0", got)
+	}
+
+	partial := mk()
+	seedFlowEntry(t, partial, short, 1, sharedObs(8, 1))
+	if !partial.SweepBegin(short, 1, 30) {
+		t.Fatal("uncovered flow skipped its walk")
+	}
+	if e := partial.flows.entries[short]; e.touchAll {
+		t.Fatal("published entry that adds no reply was adopted")
+	}
+	if got := partial.FlowCacheStats().SharedHits; got != 0 {
+		t.Fatalf("adoption that added no reply counted %d times", got)
 	}
 }

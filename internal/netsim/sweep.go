@@ -369,14 +369,17 @@ func (n *Network) SweepBegin(key FlowKey, first, max uint8) bool {
 				return false
 			}
 		}
+		if e != nil && e.coveredTrace(first, max) {
+			return false
+		}
 		if f.shared != nil {
-			// Adopt any published coverage before deciding: a fully covered
-			// flow skips the walk outright.
+			// Local coverage falls short: adopt what the published epoch
+			// adds, and skip the walk if that closes the trace.
 			ep := f.shared.cur.Load()
 			if ep.version != f.sharedVer {
 				f.shared = nil
 				f.dirty = nil
-			} else if se := ep.entries[key]; se != nil && n.sharedAdoptable(se) {
+			} else if se := ep.entries[key]; se != nil && n.sharedAdoptable(se) && (e == nil || addsReplies(e.valid, se.valid)) {
 				if e == nil {
 					if f.entries == nil {
 						f.entries = make(map[FlowKey]*flowEntry)
@@ -386,10 +389,11 @@ func (n *Network) SweepBegin(key FlowKey, first, max uint8) bool {
 				}
 				mergeReplies(&e.valid, &e.replies, se.valid, se.replies)
 				adoptTouched(e, se)
+				f.stats.SharedHits++
+				if e.coveredTrace(first, max) {
+					return false
+				}
 			}
-		}
-		if e != nil && e.coveredTrace(first, max) {
-			return false
 		}
 	} else if f.soOK && f.soE != nil && f.soKey == key && f.soE.coveredTrace(first, max) {
 		return false
@@ -404,6 +408,11 @@ func (n *Network) SweepBegin(key FlowKey, first, max uint8) bool {
 		return false
 	}
 	return true
+}
+
+// addsReplies reports whether valid holds a TTL dst lacks.
+func addsReplies(dst, valid [4]uint64) bool {
+	return valid[0]&^dst[0]|valid[1]&^dst[1]|valid[2]&^dst[2]|valid[3]&^dst[3] != 0
 }
 
 // coveredTrace reports whether the memo already answers every probe a

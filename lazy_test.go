@@ -37,13 +37,12 @@ func lazyParams(seed int64, lazy bool) gen.Params {
 }
 
 // streamedConfig is the campaign the equivalence golden runs: streaming
-// scheduler, several batches, a per-prefix budget, both caps engaged.
+// scheduler, a per-prefix budget, both caps engaged.
 func streamedConfig() campaign.Config {
 	cfg := campaign.DefaultConfig()
 	cfg.HDNThreshold = 6
 	cfg.Stream = true
 	cfg.PrefixBudget = 2
-	cfg.StreamBatch = 16
 	cfg.StreamSeed = 77
 	cfg.MaxBootstrapTargets = 80
 	cfg.MaxTargets = 60

@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the full local gate, in the order CI would run it:
-# build everything, vet, then the performance guard (bench_guard.sh
-# fails if the 2-worker cached campaign regresses below the 1-worker
-# row, if the sweep-on cold path stops beating per-probe, if
+# build everything, vet, the gofmt gate, then the performance guard
+# (bench_guard.sh fails if the 2-worker cached campaign regresses below
+# the 1-worker row, if the sweep-on cold path stops beating per-probe, if
 # delta-invalidation falls below flush-the-world under churn, if the
 # UDP sweep+cache row stops beating the UDP per-probe baseline, or if
 # the Large replica's bytes/router exceeds the committed ceiling) — run
@@ -11,17 +11,23 @@
 # throttled window that skews them. Then the test suite with coverage
 # aggregation (per-package floors on the engine packages guard against
 # silently shedding tests), short native-fuzz smokes over the sweep
-# derivation model and the UDP port-cycle branch-class algebra, and the
-# race tier (TestRaceTier shells out to
-# `go test -race` over the concurrency-heavy packages and is skipped
-# automatically under -short). Last, the distributed smoke: a real
-# 2-process campaign over a Unix socket byte-compared to serial.
+# derivation model, the UDP port-cycle branch-class algebra and the
+# distributed coordinator's inbound frame path, and the race tier
+# (TestRaceTier shells out to `go test -race` over the
+# concurrency-heavy packages and is skipped automatically under
+# -short). Last, the distributed smoke: a real 2-process campaign over
+# a Unix socket byte-compared to serial.
 #
 # Usage: ./scripts/check.sh
 set -eux
 
 go build ./...
 go vet ./...
+unformatted=$(gofmt -l cmd examples internal perfbench ./*.go)
+if [ -n "$unformatted" ]; then
+    echo "check: FAIL — not gofmt-clean: $unformatted"
+    exit 1
+fi
 
 ./scripts/bench_guard.sh
 
@@ -50,11 +56,16 @@ check_floor netsim 50
 check_floor campaign 85
 
 # Native-fuzz smokes: ten seconds each of the backward-scan differential
-# fuzzer and the UDP slot-class fuzzer. Regressions in the lineage model
-# or the port-cycle aliasing algebra surface here long before a campaign
-# happens to probe the right flow or roll the colliding ports.
+# fuzzer, the UDP slot-class fuzzer and the coordinator inbound-path
+# fuzzer. Regressions in the lineage model or the port-cycle aliasing
+# algebra surface here long before a campaign happens to probe the right
+# flow or roll the colliding ports; a worker frame that panics or hangs
+# the coordinator surfaces before a real worker sends one.
 go test ./internal/netsim/ -run='^$' -fuzz=FuzzLineageBackwardScan -fuzztime=10s
 go test ./internal/netsim/ -run='^$' -fuzz=FuzzUDPSlotClasses -fuzztime=10s
+# The coordinator fuzzer's seed is a whole worker session; bound the
+# minimization of each new input so the smoke spends its time mutating.
+go test ./internal/campaign/ -run='^$' -fuzz=FuzzCoordinatorInbound -fuzztime=10s -fuzzminimizetime=100x
 
 go test -race -run TestRaceTier .
 
