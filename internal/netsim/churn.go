@@ -1,6 +1,9 @@
 package netsim
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // This file implements the churn engine: a deterministic, seeded schedule
 // of control-plane events (link failures, IGP reconvergence, LSP
@@ -28,13 +31,27 @@ import "sort"
 // cache on every flap, so churnFire brackets each event's Apply in a
 // *batch*: every router that mutates reports itself through
 // InvalidateFlowCacheScoped and is collected into a scope bitmap instead
-// of flushing. When Apply returns, exactly the flows whose recorded
-// activity (forward trajectory and reply path — the touched set, see
-// flowcache.go) intersects the scope are evicted, the per-node scope
-// generations advance, and everything else stays warm. The fabric-wide
-// topoGen is deliberately not bumped: a schedule always closes with a
-// repair that restores the original control plane byte-for-byte, so a
-// fabric that ends its shard content-pristine may be re-pooled warm.
+// of flushing. When Apply returns, exactly the flow entries and reply
+// shapes whose recorded activity (forward trajectory and reply path — the
+// touched set, see flowcache.go) intersects the scope are evicted, and
+// everything else stays warm. The fabric-wide topoGen is deliberately not
+// bumped: a schedule always closes with a repair that restores the
+// original control plane byte-for-byte, so a fabric that ends its shard
+// content-pristine may be re-pooled warm.
+//
+// Eviction is generation-stamped, so an event costs O(|scope|) rather
+// than a scan of the whole cache. evictScope advances the fabric's
+// eviction generation and stamps it on every node in scope (scopeGen).
+// Each flow entry and reply shape carries the generation it was last
+// validated at, and its one accessor (liveEntry, liveShape) settles the
+// eviction on read: a current stamp is live; otherwise the artifact is
+// evicted if any node in its touched set was stamped later (or its
+// provenance is unknown), and restamped if not. Since touched sets only
+// grow on artifacts validated in the current generation, and events fire
+// only between probes, that read sees the same set every eviction since
+// the stamp would have scanned: an artifact is served exactly when the
+// eager scan would have kept it. Evicted artifacts linger in their maps
+// until read or overwritten, bounded by the key space.
 //
 // # Deviance windows
 //
@@ -166,10 +183,10 @@ func (n *Network) churnFire(ev *ChurnEvent) {
 	} else {
 		c.batching = true
 		c.batchAll = false
-		c.batchList = c.batchList[:0]
-		for i := range c.batchBits {
-			c.batchBits[i] = 0
+		for _, i := range c.batchList {
+			clearBit(c.batchBits, i)
 		}
+		c.batchList = c.batchList[:0]
 		for _, nd := range ev.EvictScope {
 			n.batchNode(nd)
 		}
@@ -180,8 +197,7 @@ func (n *Network) churnFire(ev *ChurnEvent) {
 		if c.batchAll {
 			n.InvalidateFlowCache()
 		} else if len(c.batchList) > 0 {
-			n.evictScope(c.batchBits)
-			n.bumpScopeGen(c.batchList)
+			n.evictScope(c.batchBits, c.batchList)
 		}
 	}
 	switch {
@@ -264,53 +280,55 @@ func (n *Network) EndFaultIn() {
 	}
 }
 
-// ScopeGen returns the node's scope generation: the number of scoped
-// invalidations whose eviction scope covered it. Under delta-invalidation
-// the fabric-wide TopoGen splits into these per-node generations; TopoGen
-// itself still counts whole-fabric flushes only.
+// ScopeGen returns the eviction generation of the last scoped
+// invalidation whose scope covered the node, or 0 if none has. Each scoped
+// invalidation advances the fabric's eviction generation by one, so under
+// delta-invalidation the fabric-wide TopoGen splits into these per-node
+// stamps; TopoGen itself still counts whole-fabric flushes only.
 func (n *Network) ScopeGen(nd Node) uint64 {
 	i, ok := n.nodeIdx[nd]
 	if !ok || int(i) >= len(n.scopeGen) {
 		return 0
 	}
-	return n.scopeGen[i]
+	return uint64(n.scopeGen[i])
 }
 
-func (n *Network) bumpScopeGen(list []int32) {
-	for _, i := range list {
-		for int(i) >= len(n.scopeGen) {
-			n.scopeGen = append(n.scopeGen, 0)
-		}
-		n.scopeGen[i]++
-	}
-}
-
-// evictScope deletes every cached artifact whose touched set intersects
-// the scope bitmap (or is unknown): flow entries and their dirty marks,
-// the cache-off sweep slot, learned reply shapes, and — when this fabric
-// owns a shared table — the table's matching entries. Everything else
-// survives: purity is unaffected by churn (link state is not a purity
-// input), so no re-scan is scheduled, and the fabric-wide topoGen stays
-// put.
-func (n *Network) evictScope(bits []uint64) {
+// evictScope evicts every cached artifact whose touched set intersects the
+// scope (given as a bitmap and as its index list) or is unknown, in
+// O(|scope|): it advances the eviction generation and stamps it on the
+// scope's nodes, leaving flow entries and reply shapes to be retired by
+// their accessors on read. What is O(1) or read by other goroutines is
+// evicted here and now: the in-flight recording is poisoned, the hot
+// lookup and the cache-off sweep slot are dropped, and — when this fabric
+// owns a shared table — the table's matching entries go, because
+// subscribers read its copy-on-write epochs concurrently. Purity is
+// unaffected by churn (link state is not a purity input), so no re-scan is
+// scheduled, and the fabric-wide topoGen stays put.
+func (n *Network) evictScope(bits []uint64, list []int32) {
 	f := &n.flows
 	if f.rec.active {
 		f.rec.bad = true
 	}
-	for k, e := range f.entries {
-		if entryInScope(e, bits) {
-			delete(f.entries, k)
-			delete(f.dirty, k)
+	if n.evictGen == math.MaxUint32 {
+		// The generation space is exhausted: fall back to the full flush,
+		// drop every stamped artifact (the flush keeps those of a disabled
+		// cache or sweep), and restart the stamps.
+		n.InvalidateFlowCache()
+		f.entries, f.dirty, f.shapes = nil, nil, nil
+		n.evictGen = 0
+		clear(n.scopeGen)
+		return
+	}
+	n.evictGen++
+	for _, i := range list {
+		if int(i) >= len(n.scopeGen) {
+			n.scopeGen = append(n.scopeGen, make([]uint32, int(i)+1-len(n.scopeGen))...)
 		}
+		n.scopeGen[i] = n.evictGen
 	}
 	f.hotE, f.hotOK = nil, false
 	if f.soOK && f.soE != nil && entryInScope(f.soE, bits) {
 		f.soE, f.soOK = nil, false
-	}
-	for k, sh := range f.shapes {
-		if sh.touchAll || sh.touched == nil || intersectsBits(sh.touched, bits) {
-			delete(f.shapes, k)
-		}
 	}
 	if f.enabled || f.sweepEnabled {
 		f.stats.Invalidations++
@@ -319,8 +337,80 @@ func (n *Network) evictScope(bits []uint64) {
 		f.shared.ScopedFlush(bits)
 	}
 	// A subscribed replica stays attached: the entries it published while
-	// pristine remain valid for its siblings, and its local deviations
-	// were evicted above.
+	// pristine remain valid for its siblings, and its local deviations are
+	// retired by the stamps above.
+}
+
+// evicted reports whether a scoped eviction has retired an artifact
+// stamped at gen with the given provenance: unknown provenance is retired
+// by any eviction since the stamp, known provenance by one whose scope
+// covered a node of touched. It reads only, so concurrent readers of an
+// idle fabric may call it.
+func (n *Network) evicted(gen uint32, touched []int32, touchAll bool) bool {
+	if gen == n.evictGen {
+		return false
+	}
+	if touchAll || touched == nil {
+		return true
+	}
+	sg := n.scopeGen
+	for _, i := range touched {
+		if int(i) < len(sg) && sg[i] > gen {
+			return true
+		}
+	}
+	return false
+}
+
+// liveEntry is the read path for flow entries: the entry cached under key,
+// or nil if there is none or a scoped eviction has retired it. A retired
+// entry is deleted, from the dirty set too; a surviving one is restamped
+// with the current generation, so the next read costs one comparison.
+// UDP aliases share their master's entry by pointer, and with it the
+// stamp.
+func (n *Network) liveEntry(key FlowKey) *flowEntry {
+	f := &n.flows
+	e := f.entries[key]
+	if e == nil || e.gen == n.evictGen {
+		return e
+	}
+	if n.evicted(e.gen, e.touched, e.touchAll) {
+		delete(f.entries, key)
+		delete(f.dirty, key)
+		return nil
+	}
+	e.gen = n.evictGen
+	return e
+}
+
+// addEntry creates an empty entry under key, stamped with the current
+// generation.
+func (n *Network) addEntry(key FlowKey) *flowEntry {
+	f := &n.flows
+	if f.entries == nil {
+		f.entries = make(map[FlowKey]*flowEntry)
+	}
+	e := &flowEntry{gen: n.evictGen}
+	f.entries[key] = e
+	return e
+}
+
+// liveShape is the read path for learned reply shapes, with liveEntry's
+// semantics: a shape a scoped eviction has retired is deleted and
+// reported absent, a surviving one restamped.
+func (n *Network) liveShape(k shapeKey) (replyShape, bool) {
+	f := &n.flows
+	sh, ok := f.shapes[k]
+	if !ok || sh.gen == n.evictGen {
+		return sh, ok
+	}
+	if n.evicted(sh.gen, sh.touched, sh.touchAll) {
+		delete(f.shapes, k)
+		return replyShape{}, false
+	}
+	sh.gen = n.evictGen
+	f.shapes[k] = sh
+	return sh, true
 }
 
 // entryInScope reports whether a flow entry must be evicted for the given

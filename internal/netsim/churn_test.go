@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wormhole/internal/netaddr"
+	"wormhole/internal/packet"
 )
 
 // churnHosts builds a fabric with n registered hosts (no links) so churn
@@ -100,10 +101,10 @@ func TestChurnScopedEviction(t *testing.T) {
 	net.ChurnTick()
 	net.ChurnEnd()
 
-	if net.flows.entries[kA] != nil {
+	if net.liveEntry(kA) != nil {
 		t.Fatal("entry touching the scope survived")
 	}
-	if net.flows.entries[kB] == nil {
+	if net.liveEntry(kB) == nil {
 		t.Fatal("disjoint entry was evicted")
 	}
 	if net.TopoGen() != gen0 {
@@ -120,7 +121,7 @@ func TestChurnScopedEviction(t *testing.T) {
 	net.ChurnBegin([]ChurnEvent{{Tick: 0, Kind: "fail", EvictScope: []Node{hosts[2]}}}, false)
 	net.ChurnTick()
 	net.ChurnEnd()
-	if net.flows.entries[kC] != nil {
+	if net.liveEntry(kC) != nil {
 		t.Fatal("unknown-provenance entry dodged a churn scope")
 	}
 }
@@ -282,4 +283,99 @@ func TestChurnMidDrainPoisonsRecording(t *testing.T) {
 		t.Fatal("scoped eviction did not poison the in-flight recording")
 	}
 	net.ChurnEnd()
+}
+
+// TestChurnEvictsReplyShapes pins reply-shape eviction under churn. A
+// learned shape carries the provenance of the probe that taught it —
+// forward path to the expiry plus the reply's path home — which the
+// trajectories of the flows composing from it do not cover. The fixture
+// is a swept ICMP trajectory r0 → r1 → host with t0 5, so a probe at TTL
+// 2 expires exactly on arrival at r1 and composes from r1's shape, and a
+// shape taught over the reply path r0, r1, r2.
+func TestChurnEvictsReplyShapes(t *testing.T) {
+	cases := []struct {
+		name     string
+		scope    int  // index into nodes: r0, r1, r2 (reply path), r3 (elsewhere)
+		empty    bool // the shape's provenance is empty
+		composes bool
+	}{
+		{name: "reply-path-scope", scope: 2, composes: false},
+		{name: "disjoint-scope", scope: 3, composes: true},
+		{name: "empty-provenance", scope: 3, empty: true, composes: false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := New(1)
+			var nodes [4]*cacheableNode
+			for i := range nodes {
+				nodes[i] = &cacheableNode{ok: true}
+				nodes[i].ifc = &Iface{Owner: nodes[i], Name: "in", Addr: netaddr.AddrFrom4(10, 1, 0, byte(i+1))}
+				net.AddNode(nodes[i])
+			}
+			p := netaddr.MustParsePrefix("10.2.0.0/24")
+			h := NewHost("dst", p.Nth(1), p)
+			net.AddNode(h)
+			net.SetFlowCacheEnabled(true)
+			net.SetSweepEnabled(true)
+			idx := func(nd Node) int32 { return net.nodeIdx[nd] }
+
+			key := FlowKey{Src: netaddr.AddrFrom4(10, 0, 0, 1), Dst: h.If.Addr, Proto: packet.ProtoICMP, A: 0x77}
+			var lin packet.Packet
+			lin.SetLineageIP(true)
+			ip := func(ttl uint8) packet.IPv4 {
+				return packet.IPv4{Src: key.Src, Dst: key.Dst, Protocol: packet.ProtoICMP, TTL: ttl}
+			}
+			e := &flowEntry{t0: 5, maxTTL: 255, swept: true, steps: []trajStep{
+				{to: nodes[0].ifc, offset: time.Millisecond, ip: ip(5), lineage: lin.Lineage},
+				{to: nodes[1].ifc, offset: 2 * time.Millisecond, ip: ip(4), lineage: lin.Lineage},
+				{to: h.If, offset: 3 * time.Millisecond, ip: ip(3), lineage: lin.Lineage},
+			}}
+			walk := ProbeObs{Answered: true, From: key.Dst, ReplyTTL: 60, ICMPType: packet.ICMPEchoReply, Advance: 6 * time.Millisecond}
+			e.valid[0] = 1 << 5
+			e.replies = make([]ProbeObs, 6)
+			e.replies[5] = walk
+			e.touched = sortedTouched([]int32{idx(nodes[0]), idx(nodes[1]), idx(h)})
+			net.flows.entries = map[FlowKey]*flowEntry{key: e}
+
+			sk, ok := shapeKeyAt(&e.steps[1], key, 0)
+			if !ok {
+				t.Fatal("no shape key for the expiry step")
+			}
+			sh := replyShape{shapeObs: shapeObs{answered: true, from: nodes[1].ifc.Addr, replyTTL: 253, icmpType: 11, retDelay: 2 * time.Millisecond}}
+			if !tc.empty {
+				sh.touched = sortedTouched([]int32{idx(nodes[0]), idx(nodes[1]), idx(nodes[2])})
+			}
+			net.flows.shapes = map[shapeKey]replyShape{sk: sh}
+
+			net.ChurnBegin([]ChurnEvent{{Tick: 0, Kind: "fail", EvictScope: []Node{nodes[tc.scope]}}}, false)
+			net.ChurnTick()
+			net.ChurnEnd()
+
+			// The flow's own trajectory is outside every scope here.
+			if got, ok := net.FlowLookup(key, 5); !ok || got.From != walk.From || got.Advance != walk.Advance {
+				t.Fatalf("walk reply after the event: %+v, %v", got, ok)
+			}
+			comp, ok := net.composeExpiry(e, key, 1, 2)
+			if ok != tc.composes {
+				t.Fatalf("composeExpiry ok = %v, want %v", ok, tc.composes)
+			}
+			if ok {
+				if comp.From != sh.from || comp.Advance != e.steps[1].offset+sh.retDelay {
+					t.Fatalf("composed %+v from shape %+v", comp, sh)
+				}
+				return
+			}
+			// Without the shape, TTL 2 is a gap the next probe fills live.
+			if _, ok := net.FlowLookup(key, 2); ok {
+				t.Fatal("TTL 2 served without its shape")
+			}
+			before := net.SweepStats().ICMP.Fallbacks
+			pkt := &packet.Packet{IP: ip(2), ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: key.A}}
+			net.FlowProbe(nil, pkt, key, 2)
+			net.FlowFinish(2, ProbeObs{})
+			if got := net.SweepStats().ICMP.Fallbacks - before; got != 1 {
+				t.Fatalf("TTL 2 ran %d live fallbacks, want 1", got)
+			}
+		})
+	}
 }

@@ -42,7 +42,9 @@ import (
 //     personality) flushes the cache through InvalidateFlowCache — the
 //     same hooks that flush the per-router route caches — and poisons an
 //     in-flight recording, so a mutation mid-drain can never leak a stale
-//     step into the cache.
+//     step into the cache. Inside a churn event the flush narrows to a
+//     scoped eviction (churn.go), which every read then honours through
+//     liveEntry.
 //
 // Timing is exact, not approximate: step offsets are virtual-time deltas
 // from injection, link delays are TTL-independent, and a memoized reply
@@ -144,7 +146,11 @@ type trajStep struct {
 type flowEntry struct {
 	t0     uint8
 	maxTTL uint8
-	steps  []trajStep
+	// gen is the eviction generation at which the entry was last
+	// validated (see liveEntry). It sits in what would otherwise be
+	// padding, keeping the entry at 192 bytes.
+	gen   uint32
+	steps []trajStep
 
 	// swept marks a trajectory recorded by a full TTL-sweep walk
 	// (sweep.go): every step is a trusted snapshot, so smaller initial
@@ -172,9 +178,12 @@ type flowEntry struct {
 
 	// touched is the sorted set of fabric node indices this entry's
 	// recorded activity — forward trajectories and reply paths alike —
-	// has ever visited. Delta-invalidation (churn.go) evicts an entry
-	// exactly when its touched set intersects a mutation scope; nil with
-	// touchAll unset means unknown provenance, which is always evicted.
+	// has ever visited. Delta-invalidation (churn.go) treats an entry as
+	// evicted exactly when a scoped eviction since its gen stamped a node
+	// in this set; nil with touchAll unset means unknown provenance, which
+	// any eviction evicts. The set only grows on an entry liveEntry has
+	// just validated, so the set a read checks is the set every eviction
+	// since the stamp would have checked.
 	touched  []int32
 	touchAll bool
 	// tainted marks an entry that recorded while the fabric deviated
@@ -412,7 +421,7 @@ func (n *Network) FlowLookup(key FlowKey, ttl uint8) (ProbeObs, bool) {
 		return ProbeObs{}, false
 	}
 	f := &n.flows
-	e := f.entries[key]
+	e := n.liveEntry(key)
 	f.hotKey, f.hotE, f.hotOK = key, e, true
 	if e == nil || e.valid[ttl>>6]&(1<<(ttl&63)) == 0 {
 		if key.Proto == packet.ProtoUDP && f.sweepEnabled {
@@ -468,11 +477,7 @@ func (n *Network) sharedLookup(key FlowKey, ttl uint8, e *flowEntry) (ProbeObs, 
 		return ProbeObs{}, false
 	}
 	if e == nil {
-		if f.entries == nil {
-			f.entries = make(map[FlowKey]*flowEntry)
-		}
-		e = &flowEntry{}
-		f.entries[key] = e
+		e = n.addEntry(key)
 		f.hotE = e
 	}
 	mergeReplies(&e.valid, &e.replies, se.valid, se.replies)
@@ -517,14 +522,10 @@ func (n *Network) FlowProbe(out *Iface, pkt *packet.Packet, key FlowKey, ttl uin
 	if f.hotOK && f.hotKey == key {
 		e = f.hotE
 	} else {
-		e = f.entries[key]
+		e = n.liveEntry(key)
 	}
 	if e == nil {
-		if f.entries == nil {
-			f.entries = make(map[FlowKey]*flowEntry)
-		}
-		e = &flowEntry{}
-		f.entries[key] = e
+		e = n.addEntry(key)
 	}
 	if e.swept {
 		// A swept trajectory must keep its prefix intact for backward
@@ -800,7 +801,9 @@ func noteMinT(f *FlowCache, minT int) {
 // records afresh. Reply stacks are shared read-only with src and with
 // sibling replicas; the reply slices themselves are copied so concurrent
 // growth never touches shared backing. Callers seed replicas before
-// driving them; src must be idle.
+// driving them; src must be idle. Entries a scoped eviction has retired
+// are skipped without being deleted: src is only read, so replicas may
+// seed from it concurrently.
 func (n *Network) SeedFlowCacheFrom(src *Network) {
 	sf := &src.flows
 	if len(sf.entries) == 0 {
@@ -811,10 +814,10 @@ func (n *Network) SeedFlowCacheFrom(src *Network) {
 		f.entries = make(map[FlowKey]*flowEntry, len(sf.entries))
 	}
 	for k, e := range sf.entries {
-		if e.valid == ([4]uint64{}) {
+		if e.valid == ([4]uint64{}) || src.evicted(e.gen, e.touched, e.touchAll) {
 			continue
 		}
-		ne := &flowEntry{valid: e.valid, touchAll: e.touchAll, tainted: e.tainted}
+		ne := &flowEntry{gen: n.evictGen, valid: e.valid, touchAll: e.touchAll, tainted: e.tainted}
 		ne.replies = append([]ProbeObs(nil), e.replies...)
 		ne.touched = append([]int32(nil), e.touched...)
 		f.entries[k] = ne

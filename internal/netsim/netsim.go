@@ -148,10 +148,12 @@ type Network struct {
 	// topoGen counts control-plane mutations (every InvalidateFlowCache
 	// call, whether or not the cache is enabled). Replica pools compare it
 	// to decide whether a cached replica still matches its source fabric.
-	// Scoped invalidations (see churn.go) advance the per-node scopeGen
-	// generations instead, leaving topoGen — and pooled replicas — warm.
+	// Scoped invalidations (see churn.go) advance the eviction generation
+	// evictGen instead and stamp it into scopeGen for every node in their
+	// scope, leaving topoGen — and pooled replicas — warm.
 	topoGen  uint64
-	scopeGen []uint64
+	evictGen uint32
+	scopeGen []uint32
 
 	// nodeIdx maps each registered node to its index in nodes; touched
 	// sets and churn scopes are bitmaps over these indices.

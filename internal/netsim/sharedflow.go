@@ -124,7 +124,8 @@ func (t *SharedFlowTable) ScopedFlush(bits []uint64) {
 // campaign calls this from the coordinating goroutine at a phase barrier
 // — but concurrent readers of the table itself are safe throughout. With
 // every dirty set empty (the steady state of a warm worker pool) this is
-// a no-op.
+// a no-op, as it is when every dirty entry has since been retired by a
+// scoped eviction.
 func (t *SharedFlowTable) Publish(nets ...*Network) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -139,6 +140,11 @@ func (t *SharedFlowTable) Publish(nets ...*Network) {
 			f.shared = nil
 			f.dirty = nil
 			continue
+		}
+		for k := range f.dirty {
+			// Entries a scoped eviction retired since they were recorded
+			// are not published: liveEntry deletes them from dirty too.
+			n.liveEntry(k)
 		}
 		total += len(f.dirty)
 	}

@@ -18,13 +18,9 @@ func seedFlowEntry(t *testing.T, n *Network, key FlowKey, ttl uint8, obs ProbeOb
 	if !f.enabled {
 		t.Fatal("seedFlowEntry: cache not enabled")
 	}
-	e := f.entries[key]
+	e := n.liveEntry(key)
 	if e == nil {
-		if f.entries == nil {
-			f.entries = make(map[FlowKey]*flowEntry)
-		}
-		e = &flowEntry{}
-		f.entries[key] = e
+		e = n.addEntry(key)
 	}
 	e.valid[ttl>>6] |= 1 << (ttl & 63)
 	if int(ttl) >= len(e.replies) {

@@ -169,11 +169,14 @@ type shapeKey struct {
 // time from expiry to the drain going idle (zero for suppressed
 // replies), plus the provenance of the probe that taught it — a composed
 // reply's validity depends on the reply path's routers, which the
-// forward trajectory alone does not cover.
+// forward trajectory alone does not cover. gen is the eviction generation
+// the shape was last validated at (see liveShape), kept in the struct's
+// padding like flowEntry.gen.
 type replyShape struct {
 	shapeObs
 	touched  []int32
 	touchAll bool
+	gen      uint32
 }
 
 // shapeObs is the comparable core of a replyShape; two probes expiring
@@ -324,14 +327,14 @@ func (n *Network) learnShape(rec *flowRec, obs ProbeObs, tl []int32, tlOK bool) 
 		hasMPLS:  len(obs.MPLS) > 0,
 		retDelay: obs.Advance - rec.expOff,
 	}
-	if prev, ok := f.shapes[rec.expKey]; ok && prev.shapeObs == so &&
+	if prev, ok := n.liveShape(rec.expKey); ok && prev.shapeObs == so &&
 		(tlOK && touchedCovers(prev.touched, prev.touchAll, tl) || !tlOK && prev.touchAll) {
 		return
 	}
 	if f.shapes == nil {
 		f.shapes = make(map[shapeKey]replyShape)
 	}
-	sh := replyShape{shapeObs: so}
+	sh := replyShape{shapeObs: so, gen: n.evictGen}
 	if tlOK {
 		sh.touched = sortedTouched(tl)
 	} else {
@@ -357,7 +360,7 @@ func (n *Network) SweepBegin(key FlowKey, first, max uint8) bool {
 		return false
 	}
 	if n.flowActive() {
-		e := f.entries[key]
+		e := n.liveEntry(key)
 		if key.Proto == packet.ProtoUDP {
 			if e == nil {
 				e = n.udpAlias(key)
@@ -381,11 +384,7 @@ func (n *Network) SweepBegin(key FlowKey, first, max uint8) bool {
 				f.dirty = nil
 			} else if se := ep.entries[key]; se != nil && n.sharedAdoptable(se) && (e == nil || addsReplies(e.valid, se.valid)) {
 				if e == nil {
-					if f.entries == nil {
-						f.entries = make(map[FlowKey]*flowEntry)
-					}
-					e = &flowEntry{}
-					f.entries[key] = e
+					e = n.addEntry(key)
 				}
 				mergeReplies(&e.valid, &e.replies, se.valid, se.replies)
 				adoptTouched(e, se)
@@ -441,13 +440,9 @@ func (n *Network) SweepWalk(out *Iface, pkt *packet.Packet, key FlowKey) time.Du
 	f := &n.flows
 	var e *flowEntry
 	if n.flowActive() {
-		if f.entries == nil {
-			f.entries = make(map[FlowKey]*flowEntry)
-		}
-		e = f.entries[key]
+		e = n.liveEntry(key)
 		if e == nil {
-			e = &flowEntry{}
-			f.entries[key] = e
+			e = n.addEntry(key)
 		}
 		f.hotKey, f.hotE, f.hotOK = key, e, true
 	} else {
@@ -654,7 +649,7 @@ func (n *Network) composeExpiry(e *flowEntry, key FlowKey, k int, ttl uint8) (Pr
 	if !ok {
 		return ProbeObs{}, false
 	}
-	sh, ok := n.flows.shapes[sk]
+	sh, ok := n.liveShape(sk)
 	if !ok {
 		return ProbeObs{}, false
 	}
@@ -864,8 +859,8 @@ func (n *Network) registerMaster(key FlowKey) {
 // udpAlias resolves a missing flow key against the flow's master walks:
 // on a branch-class match the master's entry is adopted by pointer, so
 // the alias shares the trajectory, the memoized replies, and — because
-// eviction is keyed on the shared entry's provenance — the same churn
-// fate. Masters whose entries were evicted are pruned here, lazily.
+// eviction is keyed on the shared entry's provenance and stamp — the same
+// churn fate. Masters whose entries were evicted are pruned here, lazily.
 func (n *Network) udpAlias(key FlowKey) *flowEntry {
 	f := &n.flows
 	if len(f.masters) == 0 || !n.sweepActive() {
@@ -880,7 +875,7 @@ func (n *Network) udpAlias(key FlowKey) *flowEntry {
 	kept := mks[:0]
 	var found *flowEntry
 	for _, mk := range mks {
-		me := f.entries[mk]
+		me := n.liveEntry(mk)
 		if me == nil || !me.swept {
 			continue
 		}

@@ -56,13 +56,18 @@ check_floor netsim 50
 check_floor campaign 85
 
 # Native-fuzz smokes: ten seconds each of the backward-scan differential
-# fuzzer, the UDP slot-class fuzzer and the coordinator inbound-path
-# fuzzer. Regressions in the lineage model or the port-cycle aliasing
-# algebra surface here long before a campaign happens to probe the right
-# flow or roll the colliding ports; a worker frame that panics or hangs
-# the coordinator surfaces before a real worker sends one.
+# fuzzer, the UDP slot-class fuzzer, the scoped-eviction differential
+# fuzzer (generation-stamped eviction against the eager whole-cache
+# scan), the wire-format reader fuzzer and the coordinator inbound-path
+# fuzzer. Regressions in the lineage model, the port-cycle aliasing
+# algebra or the eviction stamps surface here long before a campaign
+# happens to probe the right flow, roll the colliding ports or churn the
+# right link; a blob or worker frame that panics or hangs a decoder
+# surfaces before a real worker sends one.
 go test ./internal/netsim/ -run='^$' -fuzz=FuzzLineageBackwardScan -fuzztime=10s
 go test ./internal/netsim/ -run='^$' -fuzz=FuzzUDPSlotClasses -fuzztime=10s
+go test ./internal/netsim/ -run='^$' -fuzz=FuzzScopedEviction -fuzztime=10s
+go test ./internal/wirefmt/ -run='^$' -fuzz=FuzzReader -fuzztime=10s
 # The coordinator fuzzer's seed is a whole worker session; bound the
 # minimization of each new input so the smoke spends its time mutating.
 go test ./internal/campaign/ -run='^$' -fuzz=FuzzCoordinatorInbound -fuzztime=10s -fuzzminimizetime=100x
