@@ -235,25 +235,22 @@ func TestBenchSmoke(t *testing.T) {
 	if rep.Clone.StructuralMS <= 0 || rep.Clone.RebuildMS <= 0 || rep.Clone.Speedup <= 0 {
 		t.Fatalf("bad clone report: %+v", rep.Clone)
 	}
-	// Two worker counts × (ICMP baseline, ICMP sweep-only, ICMP
-	// sweep+cache, churn-delta, churn-flush, UDP baseline, UDP
-	// sweep+cache).
-	if len(rep.Campaign) != 14 {
-		t.Fatalf("want 14 campaign entries, got %d", len(rep.Campaign))
+	// Two worker counts × (ICMP baseline, ICMP cache, churn-delta,
+	// churn-flush, UDP baseline, UDP cache).
+	if len(rep.Campaign) != 12 {
+		t.Fatalf("want 12 campaign entries, got %d", len(rep.Campaign))
 	}
-	wantWorkers := []int{1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2}
-	wantMethod := []string{"icmp", "icmp", "icmp", "icmp", "icmp", "udp", "udp",
-		"icmp", "icmp", "icmp", "icmp", "icmp", "udp", "udp"}
-	wantCache := []bool{false, false, true, true, true, false, true, false, false, true, true, true, false, true}
-	wantSweep := []bool{false, true, true, true, true, false, true, false, true, true, true, true, false, true}
-	wantChurn := []bool{false, false, false, true, true, false, false, false, false, false, true, true, false, false}
-	wantFlush := []bool{false, false, false, false, true, false, false, false, false, false, false, true, false, false}
+	wantWorkers := []int{1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2}
+	wantMethod := []string{"icmp", "icmp", "icmp", "icmp", "udp", "udp",
+		"icmp", "icmp", "icmp", "icmp", "udp", "udp"}
+	wantCache := []bool{false, true, true, true, false, true, false, true, true, true, false, true}
+	wantChurn := []bool{false, false, true, true, false, false, false, false, true, true, false, false}
+	wantFlush := []bool{false, false, false, true, false, false, false, false, false, true, false, false}
 	for i, cr := range rep.Campaign {
-		if cr.Workers != wantWorkers[i] || cr.Method != wantMethod[i] ||
-			cr.FlowCache != wantCache[i] || cr.Sweep != wantSweep[i] ||
+		if cr.Workers != wantWorkers[i] || cr.Method != wantMethod[i] || cr.FlowCache != wantCache[i] ||
 			cr.Churn != wantChurn[i] || cr.ChurnFlushWorld != wantFlush[i] || cr.Runs != 1 {
-			t.Errorf("entry %d: workers=%d method=%s cache=%v sweep=%v churn=%v flush=%v runs=%d",
-				i, cr.Workers, cr.Method, cr.FlowCache, cr.Sweep, cr.Churn, cr.ChurnFlushWorld, cr.Runs)
+			t.Errorf("entry %d: workers=%d method=%s cache=%v churn=%v flush=%v runs=%d",
+				i, cr.Workers, cr.Method, cr.FlowCache, cr.Churn, cr.ChurnFlushWorld, cr.Runs)
 		}
 		if cr.Churn && cr.ChurnEventsPerRun == 0 {
 			t.Errorf("entry %d: churn armed but no events fired: %+v", i, cr)
@@ -292,15 +289,12 @@ func TestBenchSmoke(t *testing.T) {
 		} else if cr.CacheHitsPerRun != 0 || cr.CacheMissesPerRun != 0 || cr.CacheFFPerRun != 0 {
 			t.Errorf("entry %d: cache disabled but counters nonzero: %+v", i, cr)
 		}
-		if cr.Sweep {
-			// Warm cache-on rows may be fully covered by the memo (zero
-			// walks is the steady state); the cache-off sweep rows must
-			// show the engine actually working.
-			if !cr.FlowCache && (cr.SweepWalksPerRun == 0 || cr.SweepRepliesPerRun == 0) {
-				t.Errorf("entry %d: sweep enabled but inert: %+v", i, cr)
-			}
-		} else if cr.SweepWalksPerRun != 0 || cr.SweepRepliesPerRun != 0 || cr.SweepFallbacksPerRun != 0 {
-			t.Errorf("entry %d: sweep disabled but counters nonzero: %+v", i, cr)
+		// Only cached UDP rows may sweep (and, warm, may be fully covered
+		// by the memo: zero walks is their steady state). ICMP never walks
+		// and a cache-off fabric is the per-probe oracle.
+		if !(cr.FlowCache && cr.Method == "udp") &&
+			(cr.SweepWalksPerRun != 0 || cr.SweepRepliesPerRun != 0 || cr.SweepFallbacksPerRun != 0) {
+			t.Errorf("entry %d: sweep counters nonzero outside the cached UDP rows: %+v", i, cr)
 		}
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
@@ -325,13 +319,13 @@ func TestBenchSmoke(t *testing.T) {
 		back.Dist[0].StreamMB != rep.Dist[0].StreamMB {
 		t.Fatalf("JSON round-trip mangled the dist rows: %+v", back.Dist)
 	}
-	if back.Scale != rep.Scale || len(back.Campaign) != len(rep.Campaign) || back.Campaign[7].Workers != 2 ||
-		back.Campaign[5].Method != "udp" || back.Campaign[6].Method != "udp" ||
-		!back.Campaign[3].Churn || back.Campaign[3].ChurnFlushWorld ||
-		!back.Campaign[4].ChurnFlushWorld ||
-		back.Campaign[3].ChurnEventsPerRun != rep.Campaign[3].ChurnEventsPerRun ||
-		!back.Campaign[2].FlowCache || back.Campaign[2].CacheHitsPerRun != rep.Campaign[2].CacheHitsPerRun ||
-		!back.Campaign[1].Sweep || back.Campaign[1].SweepWalksPerRun != rep.Campaign[1].SweepWalksPerRun {
+	if back.Scale != rep.Scale || len(back.Campaign) != len(rep.Campaign) || back.Campaign[6].Workers != 2 ||
+		back.Campaign[4].Method != "udp" || back.Campaign[5].Method != "udp" ||
+		!back.Campaign[2].Churn || back.Campaign[2].ChurnFlushWorld ||
+		!back.Campaign[3].ChurnFlushWorld ||
+		back.Campaign[2].ChurnEventsPerRun != rep.Campaign[2].ChurnEventsPerRun ||
+		!back.Campaign[1].FlowCache || back.Campaign[1].CacheHitsPerRun != rep.Campaign[1].CacheHitsPerRun ||
+		!back.Campaign[5].FlowCache || back.Campaign[5].SweepRepliesPerRun != rep.Campaign[5].SweepRepliesPerRun {
 		t.Fatalf("JSON round-trip mangled the report: %+v", back)
 	}
 }

@@ -120,12 +120,10 @@ type CampaignReport struct {
 	// sweep coverage comes from branch-class aliasing rather than
 	// single-flow memoization.
 	Method string `json:"method"`
-	// FlowCache reports whether the flow-trajectory cache was enabled.
+	// FlowCache reports whether the flow-trajectory cache was enabled,
+	// and with it the single-injection TTL sweep, which engages only on
+	// cached UDP rows. The FlowCache=false row is the per-probe baseline.
 	FlowCache bool `json:"flow_cache"`
-	// Sweep reports whether the single-injection TTL sweep was enabled.
-	// The (FlowCache=false, Sweep=false) row is the per-probe baseline;
-	// (false, true) isolates the cold-path win the sweep buys on its own.
-	Sweep bool `json:"sweep"`
 	// Churn reports whether a seeded fail/reconverge/repair schedule ran
 	// during every campaign. Churn rows measure invalidation cost: the
 	// delta row (ChurnFlushWorld=false) evicts only the flows crossing
@@ -163,9 +161,9 @@ type CampaignReport struct {
 	// CacheSharedHitsPerRun is the subset of hits adopted from the shared
 	// cross-worker reply table rather than recorded locally.
 	CacheSharedHitsPerRun uint64 `json:"cache_shared_hits_per_run"`
-	// Sweep counters, averaged per run (zero when Sweep is false): walks
-	// injected, replies synthesized without event-loop simulation, and
-	// probes that fell back to live simulation under a swept flow.
+	// Sweep counters, averaged per run (zero except on cached UDP rows):
+	// walks injected, replies synthesized without event-loop simulation,
+	// and probes that fell back to live simulation under a swept flow.
 	SweepWalksPerRun     uint64 `json:"sweep_walks_per_run"`
 	SweepRepliesPerRun   uint64 `json:"sweep_replies_per_run"`
 	SweepFallbacksPerRun uint64 `json:"sweep_fallbacks_per_run"`
@@ -276,24 +274,23 @@ func Run(cfg Config) (*Report, error) {
 
 	camCfg := cfg.Scale.CampaignConfig()
 	for _, w := range workers {
-		// ICMP: per-probe baseline, sweep-only cold path, the full fast
-		// path, and the two churned fast-path rows (delta-invalidation vs
-		// the flush-the-world baseline on an identical schedule). UDP:
-		// per-probe baseline and the full fast path — the pair that prices
-		// the port-cycle slot cold path.
+		// ICMP: per-probe baseline, the full fast path, and the two
+		// churned fast-path rows (delta-invalidation vs the flush-the-world
+		// baseline on an identical schedule). UDP: per-probe baseline and
+		// the full fast path — the pair that prices the port-cycle slot
+		// cold path.
 		for _, combo := range []struct {
-			method                          probe.Method
-			cache, sweep, churn, flushWorld bool
+			method                   probe.Method
+			cache, churn, flushWorld bool
 		}{
-			{probe.ICMPParis, false, false, false, false},
-			{probe.ICMPParis, false, true, false, false},
-			{probe.ICMPParis, true, true, false, false},
-			{probe.ICMPParis, true, true, true, false},
-			{probe.ICMPParis, true, true, true, true},
-			{probe.UDPParis, false, false, false, false},
-			{probe.UDPParis, true, true, false, false},
+			{probe.ICMPParis, false, false, false},
+			{probe.ICMPParis, true, false, false},
+			{probe.ICMPParis, true, true, false},
+			{probe.ICMPParis, true, true, true},
+			{probe.UDPParis, false, false, false},
+			{probe.UDPParis, true, false, false},
 		} {
-			cr, err := measureCampaign(in, camCfg, w, cfg.Runs, combo.method, combo.cache, combo.sweep, combo.churn, combo.flushWorld)
+			cr, err := measureCampaign(in, camCfg, w, cfg.Runs, combo.method, combo.cache, combo.churn, combo.flushWorld)
 			if err != nil {
 				return nil, err
 			}
@@ -429,16 +426,14 @@ func measureClone(in *gen.Internet, iters int) (CloneReport, error) {
 	return rep, nil
 }
 
-func measureCampaign(in *gen.Internet, base campaign.Config, workers, runs int, method probe.Method, flowCache, sweep, churn, flushWorld bool) (CampaignReport, error) {
+func measureCampaign(in *gen.Internet, base campaign.Config, workers, runs int, method probe.Method, flowCache, churn, flushWorld bool) (CampaignReport, error) {
 	rep := CampaignReport{
-		Workers: workers, Runs: runs, Method: method.String(),
-		FlowCache: flowCache, Sweep: sweep,
+		Workers: workers, Runs: runs, Method: method.String(), FlowCache: flowCache,
 		Churn: churn, ChurnFlushWorld: churn && flushWorld,
 	}
 	cfg := base
 	cfg.Method = method
 	cfg.DisableFlowCache = !flowCache
-	cfg.DisableSweep = !sweep
 	if churn {
 		cfg.ChurnRate = benchChurnRate
 		cfg.ChurnFlushWorld = flushWorld

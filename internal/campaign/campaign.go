@@ -60,9 +60,10 @@ type Config struct {
 	// exists for those tests and for benchmarking the speedup.
 	DisableFlowCache bool
 	// DisableSweep turns the fabric's single-injection TTL sweep off, so
-	// cold traces probe per-TTL instead of deriving the sweep from one
-	// walk. Independent of DisableFlowCache: the sweep is what makes the
-	// cache-off cold path cheap, the cache is what makes re-traces free.
+	// cold UDP Paris traces probe per-TTL instead of deriving each
+	// port-cycle slot class from one walk. It switches UDP only: ICMP
+	// Paris never walks (its cold path is the flow cache's frontier
+	// fast-forward), and with DisableFlowCache the sweep is inert too.
 	DisableSweep bool
 	// ChurnRate arms the dynamic-topology churn engine: the expected
 	// number of link fail/reconverge/repair cycles injected per shard,
@@ -170,7 +171,7 @@ type Campaign struct {
 	FlowCache netsim.FlowCacheStats
 	// Sweep aggregates the single-injection TTL sweep counters over the
 	// whole campaign (bootstrap plus every shard). All-zero when the
-	// sweep is disabled or inert.
+	// sweep is disabled or inert: with the cache off, and for ICMP.
 	Sweep netsim.SweepStats
 	// ChurnEvents counts the topology churn events fired across all
 	// shards (zero when ChurnRate is zero).

@@ -3,6 +3,7 @@ package campaign
 import (
 	"testing"
 
+	"wormhole/internal/netsim"
 	"wormhole/internal/probe"
 )
 
@@ -27,7 +28,9 @@ func churnTestConfig() Config {
 // additionally exercises eviction of aliased port-cycle slots: scoped
 // deltas evict a master walk's entry out from under every slot sharing
 // it, and the lazily pruned master index must re-walk, not serve stale
-// trajectories.
+// trajectories. A cache-off run is the per-probe oracle even with the
+// sweep requested: its scoped evictions have nothing to evict, so it
+// must move no cache or sweep counter.
 func TestChurnEquivalenceGolden(t *testing.T) {
 	t.Run("icmp", func(t *testing.T) { testChurnEquivalence(t, probe.ICMPParis) })
 	t.Run("udp", func(t *testing.T) { testChurnEquivalence(t, probe.UDPParis) })
@@ -79,6 +82,7 @@ func testChurnEquivalence(t *testing.T, method probe.Method) {
 		{name: "workers=8", parallel: true, pcfg: ParallelConfig{Workers: 8}, mutate: func(c *Config) {}},
 		{name: "workers=2 rebuild", parallel: true, pcfg: ParallelConfig{Workers: 2, Replica: ReplicaRebuild}, mutate: func(c *Config) {}},
 		{name: "workers=2 flush-world", parallel: true, pcfg: ParallelConfig{Workers: 2}, mutate: func(c *Config) { c.ChurnFlushWorld = true }},
+		{name: "serial cache-off", mutate: func(c *Config) { c.DisableFlowCache = true }},
 		{name: "workers=2 cache-off", parallel: true, pcfg: ParallelConfig{Workers: 2}, mutate: func(c *Config) {
 			c.DisableFlowCache = true
 			c.DisableSweep = true
@@ -106,6 +110,9 @@ func testChurnEquivalence(t *testing.T, method probe.Method) {
 		}
 		if !runCfg.DisableFlowCache && c.FlowCache.Hits == 0 {
 			t.Errorf("%s: cache enabled under churn but never hit: %+v", tc.name, c.FlowCache)
+		}
+		if runCfg.DisableFlowCache && (c.FlowCache != (netsim.FlowCacheStats{}) || c.Sweep != (netsim.SweepStats{})) {
+			t.Errorf("%s: cache disabled but counters moved: %+v %+v", tc.name, c.FlowCache, c.Sweep)
 		}
 	}
 }

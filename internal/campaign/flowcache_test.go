@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"wormhole/internal/netsim"
 )
 
 // dumpExactCampaign renders everything the flow cache must leave untouched,
@@ -40,18 +42,18 @@ func dumpExactCampaign(t *testing.T, c *Campaign) string {
 }
 
 // TestFlowCacheEquivalenceGolden is the acceptance test for the
-// flow-trajectory cache: a campaign with the cache enabled must be
-// byte-identical — hops, reply TTLs, label stacks, RTTs, probe and reply
-// counters, and per-shard virtual-clock totals — to the cache-disabled
-// oracle, across the serial engine, snapshot and rebuild replicas, and
-// 1/2/8-worker pools.
+// flow-trajectory cache on the default ICMP path: a campaign with the
+// cache enabled must be byte-identical — hops, reply TTLs, label stacks,
+// RTTs, probe and reply counters, and per-shard virtual-clock totals — to
+// the cache-disabled oracle, across the serial engine, snapshot and
+// rebuild replicas, and 1/2/8-worker pools. ICMP never walks, so every
+// run must leave the sweep counters at zero and the cached runs serve
+// their cold probes by the upward fast-forward; a cache-off run must move
+// no counter at all. TestSweepEquivalenceGolden covers the UDP sweep
+// matrix.
 func TestFlowCacheEquivalenceGolden(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HDNThreshold = 6
-	// Isolate the flow cache: with the sweep engine on, cold misses go
-	// through sweep-resume instead of the upward fast-forward this test
-	// pins. TestSweepEquivalenceGolden covers the sweep-on matrix.
-	cfg.DisableSweep = true
 
 	oracleCfg := cfg
 	oracleCfg.DisableFlowCache = true
@@ -61,8 +63,8 @@ func TestFlowCacheEquivalenceGolden(t *testing.T) {
 		t.Fatalf("oracle campaign is trivial: %d records, %d revelations",
 			len(oracle.Records), len(oracle.Revelations()))
 	}
-	if oracle.FlowCache.Hits != 0 || oracle.FlowCache.Misses != 0 {
-		t.Fatalf("cache-disabled oracle has cache activity: %+v", oracle.FlowCache)
+	if oracle.FlowCache != (netsim.FlowCacheStats{}) || oracle.Sweep != (netsim.SweepStats{}) {
+		t.Fatalf("cache-disabled oracle has cache or sweep activity: %+v %+v", oracle.FlowCache, oracle.Sweep)
 	}
 
 	// Serial engine, cache on.
@@ -72,6 +74,9 @@ func TestFlowCacheEquivalenceGolden(t *testing.T) {
 	}
 	if cached.FlowCache.Hits == 0 || cached.FlowCache.FastForwards == 0 {
 		t.Errorf("serial cached run shows no cache activity: %+v", cached.FlowCache)
+	}
+	if cached.Sweep != (netsim.SweepStats{}) {
+		t.Errorf("ICMP campaign moved the sweep counters: %+v", cached.Sweep)
 	}
 
 	// Parallel engine: snapshot replicas at 1/2/8 workers, a rebuild
@@ -99,8 +104,11 @@ func TestFlowCacheEquivalenceGolden(t *testing.T) {
 		if !tc.disable && c.FlowCache.Misses == 0 {
 			t.Errorf("%s: cache enabled but never consulted: %+v", tc.name, c.FlowCache)
 		}
-		if tc.disable && c.FlowCache != oracle.FlowCache {
+		if tc.disable && c.FlowCache != (netsim.FlowCacheStats{}) {
 			t.Errorf("%s: cache disabled but counters moved: %+v", tc.name, c.FlowCache)
+		}
+		if c.Sweep != (netsim.SweepStats{}) {
+			t.Errorf("%s: ICMP campaign moved the sweep counters: %+v", tc.name, c.Sweep)
 		}
 	}
 }
@@ -111,7 +119,6 @@ func TestFlowCacheEquivalenceGolden(t *testing.T) {
 func TestFlowCacheRepeatRunsWarm(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HDNThreshold = 6
-	cfg.DisableSweep = true
 
 	oracleCfg := cfg
 	oracleCfg.DisableFlowCache = true

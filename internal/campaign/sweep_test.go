@@ -8,20 +8,20 @@ import (
 )
 
 // TestSweepEquivalenceGolden is the acceptance test for the
-// single-injection TTL sweep: a campaign with the sweep enabled — cache
-// on or off, serial or parallel, snapshot or rebuild replicas, ICMP or
-// UDP Paris — must be byte-identical (hops, RTTs, reply TTLs, RFC 4950
-// stacks, probe/reply counters, per-shard virtual-clock totals) to the
-// per-probe oracle with both engines disabled.
+// single-injection TTL sweep of UDP Paris port-cycle slots: a UDP campaign
+// with the sweep enabled — cache on or off, serial or parallel, snapshot
+// or rebuild replicas — must be byte-identical (hops, RTTs, reply TTLs,
+// RFC 4950 stacks, probe/reply counters, per-shard virtual-clock totals)
+// to the per-probe oracle with both engines disabled. ICMP Paris never
+// walks; TestFlowCacheEquivalenceGolden pins its default path.
 func TestSweepEquivalenceGolden(t *testing.T) {
-	t.Run("icmp", func(t *testing.T) { testSweepEquivalence(t, probe.ICMPParis) })
-	t.Run("udp", func(t *testing.T) { testSweepEquivalence(t, probe.UDPParis) })
+	t.Run("udp", testSweepEquivalence)
 }
 
-func testSweepEquivalence(t *testing.T, method probe.Method) {
+func testSweepEquivalence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HDNThreshold = 6
-	cfg.Method = method
+	cfg.Method = probe.UDPParis
 
 	oracleCfg := cfg
 	oracleCfg.DisableFlowCache = true
@@ -36,54 +36,37 @@ func testSweepEquivalence(t *testing.T, method probe.Method) {
 		t.Fatalf("sweep-disabled oracle has sweep activity: %+v", oracle.Sweep)
 	}
 
-	// Serial, sweep on with the cache off. For ICMP this is the cold path
-	// the sweep accelerates, and the sweep-only memo must not masquerade
-	// as cache activity. A UDP sweep memoizes across the port cycle, which
-	// the single-slot cache-off fallback entry cannot hold, so there the
-	// engine must stay inert and the campaign runs per-probe.
+	// Serial, sweep on with the cache off: slot walks are cache entries,
+	// so the engine must stay inert and the campaign runs per-probe.
 	coldCfg := cfg
 	coldCfg.DisableFlowCache = true
 	cold := Run(testInternet(t, 101), coldCfg)
 	if got := dumpExactCampaign(t, cold); got != want {
 		t.Errorf("serial sweep-on cache-off diverged from oracle\n%s", firstDiff(want, got))
 	}
-	if method == probe.ICMPParis {
-		if cold.Sweep.ICMP.Walks == 0 || cold.Sweep.ICMP.Replies == 0 {
-			t.Errorf("sweep enabled but inert on the cold path: %+v", cold.Sweep)
-		}
-	} else if w := cold.Sweep.UDP.Walks; w != 0 {
+	if cold.Sweep != (netsim.SweepStats{}) {
 		t.Errorf("UDP sweep walked without the flow cache: %+v", cold.Sweep)
 	}
 	if cold.FlowCache != (netsim.FlowCacheStats{}) {
-		t.Errorf("cache disabled but sweep moved its counters: %+v", cold.FlowCache)
+		t.Errorf("cache disabled but counters moved: %+v", cold.FlowCache)
 	}
 
-	// Serial, both engines on (the default configuration). UDP walks are
-	// charged to the UDP counters only, and the port-cycle slots of each
-	// trace must alias onto its master walks rather than walking
-	// themselves.
+	// Serial, both engines on (the default configuration): the port-cycle
+	// slots of each trace must alias onto its master walks rather than
+	// walking themselves.
 	both := Run(testInternet(t, 101), cfg)
 	if got := dumpExactCampaign(t, both); got != want {
 		t.Errorf("serial sweep+cache diverged from oracle\n%s", firstDiff(want, got))
 	}
-	if method == probe.ICMPParis {
-		if both.Sweep.ICMP.Walks == 0 {
-			t.Errorf("sweep enabled but no walks with the cache on: %+v", both.Sweep)
-		}
-	} else {
-		if both.Sweep.UDP.Walks == 0 || both.Sweep.UDP.Replies == 0 {
-			t.Errorf("UDP slot sweep inert with the cache on: %+v", both.Sweep)
-		}
-		if both.Sweep.UDP.Aliases == 0 {
-			t.Errorf("UDP slots never aliased onto a master walk: %+v", both.Sweep)
-		}
-		if both.Sweep.ICMP.Walks != 0 {
-			t.Errorf("UDP campaign charged ICMP walks: %+v", both.Sweep)
-		}
+	if both.Sweep.UDP.Walks == 0 || both.Sweep.UDP.Replies == 0 {
+		t.Errorf("UDP slot sweep inert with the cache on: %+v", both.Sweep)
+	}
+	if both.Sweep.UDP.Aliases == 0 {
+		t.Errorf("UDP slots never aliased onto a master walk: %+v", both.Sweep)
 	}
 
-	// Parallel matrix: worker counts, both replica modes, and the
-	// cache-off sweep-on combination benchrun's cold rows measure.
+	// Parallel matrix: worker counts, both replica modes, and cache-off
+	// controls.
 	for _, tc := range []struct {
 		name    string
 		pcfg    ParallelConfig
@@ -105,26 +88,26 @@ func testSweepEquivalence(t *testing.T, method probe.Method) {
 		if got := dumpExactCampaign(t, c); got != want {
 			t.Errorf("%s: diverged from per-probe oracle\n%s", tc.name, firstDiff(want, got))
 		}
-		// UDP sweeps only through the cache; cache-off rows run per-probe.
-		if udpInert := method == probe.UDPParis && tc.noCache; !udpInert && c.Sweep.Total().Walks == 0 {
+		if !tc.noCache && c.Sweep.UDP.Walks == 0 {
 			t.Errorf("%s: sweep enabled but no walks: %+v", tc.name, c.Sweep)
 		}
-		if tc.noCache && c.FlowCache != (netsim.FlowCacheStats{}) {
-			t.Errorf("%s: cache disabled but counters moved: %+v", tc.name, c.FlowCache)
+		if tc.noCache && (c.FlowCache != (netsim.FlowCacheStats{}) || c.Sweep != (netsim.SweepStats{})) {
+			t.Errorf("%s: cache disabled but counters moved: %+v %+v", tc.name, c.FlowCache, c.Sweep)
 		}
 	}
 }
 
-// TestSweepRepeatRunsCovered pins the warm steady state of the sweep-only
-// configuration benchrun's cold rows measure: rerunning the campaign with
-// the cache off still reproduces the oracle, and the learned reply shapes
-// make the second run synthesize at least as much as the first.
+// TestSweepRepeatRunsCovered pins the warm steady state of the UDP slot
+// engine: rerunning a UDP campaign on the same Internet still reproduces
+// the oracle, and the walks and learned reply shapes the first run left
+// behind make the second run walk and fall back no more than the first.
 func TestSweepRepeatRunsCovered(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HDNThreshold = 6
-	cfg.DisableFlowCache = true
+	cfg.Method = probe.UDPParis
 
 	oracleCfg := cfg
+	oracleCfg.DisableFlowCache = true
 	oracleCfg.DisableSweep = true
 	want := dumpExactCampaign(t, Run(testInternet(t, 101), oracleCfg))
 
@@ -134,8 +117,11 @@ func TestSweepRepeatRunsCovered(t *testing.T) {
 	if got := dumpExactCampaign(t, second); got != want {
 		t.Errorf("warm sweep rerun diverged from oracle\n%s", firstDiff(want, got))
 	}
-	if second.Sweep.Total().Fallbacks > first.Sweep.Total().Fallbacks {
-		t.Errorf("warm rerun should fall back no more than the cold run: first %+v, second %+v",
+	if first.Sweep.UDP.Walks == 0 {
+		t.Fatalf("cold UDP run never walked: %+v", first.Sweep)
+	}
+	if second.Sweep.UDP.Walks > first.Sweep.UDP.Walks || second.Sweep.UDP.Fallbacks > first.Sweep.UDP.Fallbacks {
+		t.Errorf("warm rerun should walk and fall back no more than the cold run: first %+v, second %+v",
 			first.Sweep, second.Sweep)
 	}
 }

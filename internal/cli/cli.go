@@ -200,7 +200,7 @@ func cmdCampaign(args []string) error {
 	distReplica := fs.String("dist-replica", "snapshot", "how workers obtain the fabric: snapshot (wire-codec blob) or rebuild (regenerate from Params)")
 	method := fs.String("method", "icmp", "traceroute probe method: icmp (Paris echo) or udp (classic port-cycling)")
 	noFlowCache := fs.Bool("no-flow-cache", false, "disable the flow-trajectory probe cache (results are identical either way)")
-	noSweep := fs.Bool("no-sweep", false, "disable the single-injection TTL sweep (results are identical either way)")
+	noSweep := fs.Bool("no-sweep", false, "disable the single-injection TTL sweep, which only -method udp uses, with the flow cache on (results are identical either way)")
 	churn := fs.Float64("churn", 0, "expected link fail/reconverge/repair cycles per shard (0 = static topology)")
 	churnSeed := fs.Int64("churn-seed", 0, "churn schedule seed (default: the generator seed)")
 	churnFlush := fs.Bool("churn-flush-world", false, "invalidate every cache on each churn event instead of delta-eviction (baseline mode)")
@@ -302,17 +302,9 @@ func cmdCampaign(args []string) error {
 		printf("flow cache: %d hits (%d shared), %d misses, %d fast-forwards, %d invalidations\n",
 			fc.Hits, fc.SharedHits, fc.Misses, fc.FastForwards, fc.Invalidations)
 	}
-	if !*noSweep {
-		for _, mod := range []struct {
-			name string
-			c    netsim.SweepCounters
-		}{{"icmp", c.Sweep.ICMP}, {"udp", c.Sweep.UDP}} {
-			if mod.c == (netsim.SweepCounters{}) {
-				continue
-			}
-			printf("ttl sweep [%s]: %d walks, %d derived replies, %d fallbacks, %d bypasses, %d slot aliases\n",
-				mod.name, mod.c.Walks, mod.c.Replies, mod.c.Fallbacks, mod.c.Bypasses, mod.c.Aliases)
-		}
+	if sw := c.Sweep.UDP; sw != (netsim.SweepCounters{}) {
+		printf("ttl sweep [udp]: %d walks, %d derived replies, %d fallbacks, %d bypasses, %d slot aliases\n",
+			sw.Walks, sw.Replies, sw.Fallbacks, sw.Bypasses, sw.Aliases)
 	}
 	byTech := map[reveal.Technique]int{}
 	hidden := 0
@@ -528,12 +520,9 @@ func cmdBench(args []string) error {
 	printf("clone: structural %.2fms, rebuild %.2fms, speedup %.1fx\n",
 		rep.Clone.StructuralMS, rep.Clone.RebuildMS, rep.Clone.Speedup)
 	for _, cr := range rep.Campaign {
-		cache, sweep := "off", "off"
+		cache := "off"
 		if cr.FlowCache {
 			cache = "on"
-		}
-		if cr.Sweep {
-			sweep = "on"
 		}
 		churn := "off"
 		if cr.Churn {
@@ -542,8 +531,8 @@ func cmdBench(args []string) error {
 				churn = "flush"
 			}
 		}
-		printf("campaign workers=%d (%d effective) method=%-4s cache=%-3s sweep=%-3s churn=%-5s procs=%d: %.0f probes/s, %.0f ns/probe, %.1f allocs/probe, %.2fms/run (replica %.2fms, bootstrap %.2fms)",
-			cr.Workers, cr.EffectiveWorkers, cr.Method, cache, sweep, churn, cr.GoMaxProcs, cr.ProbesPerSec, cr.NsPerProbe, cr.AllocsPerProbe,
+		printf("campaign workers=%d (%d effective) method=%-4s cache=%-3s churn=%-5s procs=%d: %.0f probes/s, %.0f ns/probe, %.1f allocs/probe, %.2fms/run (replica %.2fms, bootstrap %.2fms)",
+			cr.Workers, cr.EffectiveWorkers, cr.Method, cache, churn, cr.GoMaxProcs, cr.ProbesPerSec, cr.NsPerProbe, cr.AllocsPerProbe,
 			cr.WallMSPerRun, cr.ReplicaMS, cr.BootstrapMS)
 		if cr.Churn {
 			printf(" (%d churn events)", cr.ChurnEventsPerRun)
@@ -552,7 +541,7 @@ func cmdBench(args []string) error {
 			printf(" (%d hits incl %d shared, %d misses, %d ff)",
 				cr.CacheHitsPerRun, cr.CacheSharedHitsPerRun, cr.CacheMissesPerRun, cr.CacheFFPerRun)
 		}
-		if cr.Sweep {
+		if cr.FlowCache && cr.Method == "udp" {
 			printf(" (%d walks, %d derived, %d fallbacks, %d bypasses, %d aliases)",
 				cr.SweepWalksPerRun, cr.SweepRepliesPerRun, cr.SweepFallbacksPerRun,
 				cr.SweepBypassesPerRun, cr.SweepAliasesPerRun)

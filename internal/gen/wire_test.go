@@ -4,7 +4,9 @@ package gen_test
 // the rungs come from internal/experiments (which imports gen).
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"wormhole/internal/experiments"
@@ -92,4 +94,77 @@ func TestWireCorruption(t *testing.T) {
 			t.Fatalf("truncated blob (%d bytes) decoded without error", cut)
 		}
 	}
+}
+
+// wireSection locates one framed section's payload in a blob as the
+// byte range [start, end); the section's CRC-32C follows at end.
+type wireSection struct {
+	start, end int
+}
+
+// wireSections walks the framing of an EncodeWire blob — a 6-byte
+// magic/version header, then [u32 id][u64 len][payload][u32 crc32c]
+// sections — and returns every section's payload range.
+func wireSections(t testing.TB, blob []byte) []wireSection {
+	t.Helper()
+	var out []wireSection
+	for off := 6; off < len(blob); {
+		if len(blob)-off < 12 {
+			t.Fatalf("blob framing ends mid-header at %d", off)
+		}
+		n := int(binary.LittleEndian.Uint64(blob[off+4:]))
+		start := off + 12
+		if n < 0 || len(blob)-start < n+4 {
+			t.Fatalf("section at %d overruns the blob", off)
+		}
+		out = append(out, wireSection{start: start, end: start + n})
+		off = start + n + 4
+	}
+	return out
+}
+
+// FuzzDecodeWire drives hostile bytes past the checksums into the
+// section parsers. Each input picks one section of a Small blob, patches
+// bytes of its payload at an offset, and re-seals that section's CRC-32C,
+// so the mutation reaches the parser instead of stopping at
+// *wirefmt.ChecksumError as TestWireCorruption's flips do. Decoding must
+// return an error or a fabric, never panic; a fabric that decodes must
+// then carry a traceroute from its first and its last vantage point
+// without panicking either. A crash found here is fixed by making the
+// decoder reject the input (errBadWire), and the crashing input stays
+// under testdata/fuzz as a regression seed.
+func FuzzDecodeWire(f *testing.F) {
+	in, err := gen.Build(experiments.Small.Params(7))
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := in.EncodeWire()
+	if err != nil {
+		f.Fatal(err)
+	}
+	secs := wireSections(f, blob)
+	// Seeds: per section, a count or scalar at the payload head zeroed
+	// and saturated, and a flip in the middle of the payload.
+	for i, s := range secs {
+		f.Add(uint8(i), uint32(0), []byte{0, 0, 0, 0})
+		f.Add(uint8(i), uint32(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+		f.Add(uint8(i), uint32(s.end-s.start)/2, []byte{0x5a})
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	f.Fuzz(func(t *testing.T, sec uint8, off uint32, patch []byte) {
+		s := secs[int(sec)%len(secs)]
+		if s.end == s.start {
+			return
+		}
+		bad := append([]byte(nil), blob...)
+		copy(bad[s.start+int(off%uint32(s.end-s.start)):s.end], patch)
+		binary.LittleEndian.PutUint32(bad[s.end:], crc32.Checksum(bad[s.start:s.end], castagnoli))
+		out, err := gen.DecodeWire(bad)
+		if err != nil || len(out.VPs) == 0 {
+			return
+		}
+		first, last := out.VPs[0], out.VPs[len(out.VPs)-1]
+		first.Prober.Traceroute(last.Host.Addr())
+		last.Prober.Traceroute(first.Host.Addr())
+	})
 }

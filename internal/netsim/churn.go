@@ -299,11 +299,13 @@ func (n *Network) ScopeGen(nd Node) uint64 {
 // scope's nodes, leaving flow entries and reply shapes to be retired by
 // their accessors on read. What is O(1) or read by other goroutines is
 // evicted here and now: the in-flight recording is poisoned, the hot
-// lookup and the cache-off sweep slot are dropped, and — when this fabric
-// owns a shared table — the table's matching entries go, because
-// subscribers read its copy-on-write epochs concurrently. Purity is
-// unaffected by churn (link state is not a purity input), so no re-scan is
-// scheduled, and the fabric-wide topoGen stays put.
+// lookup is dropped, and — when this fabric owns a shared table — the
+// table's matching entries go, because subscribers read its copy-on-write
+// epochs concurrently. Only a fabric whose cache is on counts the
+// eviction: with the cache off there is nothing to evict, and
+// FlowCacheStats stays zero. Purity is unaffected by churn (link state is
+// not a purity input), so no re-scan is scheduled, and the fabric-wide
+// topoGen stays put.
 func (n *Network) evictScope(bits []uint64, list []int32) {
 	f := &n.flows
 	if f.rec.active {
@@ -311,10 +313,8 @@ func (n *Network) evictScope(bits []uint64, list []int32) {
 	}
 	if n.evictGen == math.MaxUint32 {
 		// The generation space is exhausted: fall back to the full flush,
-		// drop every stamped artifact (the flush keeps those of a disabled
-		// cache or sweep), and restart the stamps.
+		// which drops every stamped artifact, and restart the stamps.
 		n.InvalidateFlowCache()
-		f.entries, f.dirty, f.shapes = nil, nil, nil
 		n.evictGen = 0
 		clear(n.scopeGen)
 		return
@@ -327,10 +327,7 @@ func (n *Network) evictScope(bits []uint64, list []int32) {
 		n.scopeGen[i] = n.evictGen
 	}
 	f.hotE, f.hotOK = nil, false
-	if f.soOK && f.soE != nil && entryInScope(f.soE, bits) {
-		f.soE, f.soOK = nil, false
-	}
-	if f.enabled || f.sweepEnabled {
+	if f.enabled {
 		f.stats.Invalidations++
 	}
 	if f.shared != nil && f.sharedOwner {
@@ -411,12 +408,6 @@ func (n *Network) liveShape(k shapeKey) (replyShape, bool) {
 	sh.gen = n.evictGen
 	f.shapes[k] = sh
 	return sh, true
-}
-
-// entryInScope reports whether a flow entry must be evicted for the given
-// scope: provenance unknown, or overlapping the scope.
-func entryInScope(e *flowEntry, bits []uint64) bool {
-	return e.touchAll || e.touched == nil || intersectsBits(e.touched, bits)
 }
 
 // ---- touched-set primitives ----

@@ -289,9 +289,9 @@ func TestChurnMidDrainPoisonsRecording(t *testing.T) {
 // learned shape carries the provenance of the probe that taught it —
 // forward path to the expiry plus the reply's path home — which the
 // trajectories of the flows composing from it do not cover. The fixture
-// is a swept ICMP trajectory r0 → r1 → host with t0 5, so a probe at TTL
-// 2 expires exactly on arrival at r1 and composes from r1's shape, and a
-// shape taught over the reply path r0, r1, r2.
+// is a swept UDP slot trajectory r0 → r1 → host with t0 5, so a probe at
+// TTL 2 expires exactly on arrival at r1 and composes from r1's shape,
+// and a shape taught over the reply path r0, r1, r2.
 func TestChurnEvictsReplyShapes(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -319,25 +319,25 @@ func TestChurnEvictsReplyShapes(t *testing.T) {
 			net.SetSweepEnabled(true)
 			idx := func(nd Node) int32 { return net.nodeIdx[nd] }
 
-			key := FlowKey{Src: netaddr.AddrFrom4(10, 0, 0, 1), Dst: h.If.Addr, Proto: packet.ProtoICMP, A: 0x77}
+			key := FlowKey{Src: netaddr.AddrFrom4(10, 0, 0, 1), Dst: h.If.Addr, Proto: packet.ProtoUDP, A: 0x77, B: UDPBasePort}
 			var lin packet.Packet
 			lin.SetLineageIP(true)
 			ip := func(ttl uint8) packet.IPv4 {
-				return packet.IPv4{Src: key.Src, Dst: key.Dst, Protocol: packet.ProtoICMP, TTL: ttl}
+				return packet.IPv4{Src: key.Src, Dst: key.Dst, Protocol: packet.ProtoUDP, TTL: ttl}
 			}
-			e := &flowEntry{t0: 5, maxTTL: 255, swept: true, steps: []trajStep{
+			e := &flowEntry{t0: 5, maxTTL: 255, swept: true, port: canonPort(key, nil), steps: []trajStep{
 				{to: nodes[0].ifc, offset: time.Millisecond, ip: ip(5), lineage: lin.Lineage},
 				{to: nodes[1].ifc, offset: 2 * time.Millisecond, ip: ip(4), lineage: lin.Lineage},
 				{to: h.If, offset: 3 * time.Millisecond, ip: ip(3), lineage: lin.Lineage},
 			}}
-			walk := ProbeObs{Answered: true, From: key.Dst, ReplyTTL: 60, ICMPType: packet.ICMPEchoReply, Advance: 6 * time.Millisecond}
+			walk := ProbeObs{Answered: true, From: key.Dst, ReplyTTL: 60, ICMPType: packet.ICMPDestUnreach, ICMPCode: packet.CodePortUnreach, Advance: 6 * time.Millisecond}
 			e.valid[0] = 1 << 5
 			e.replies = make([]ProbeObs, 6)
 			e.replies[5] = walk
 			e.touched = sortedTouched([]int32{idx(nodes[0]), idx(nodes[1]), idx(h)})
 			net.flows.entries = map[FlowKey]*flowEntry{key: e}
 
-			sk, ok := shapeKeyAt(&e.steps[1], key, 0)
+			sk, ok := shapeKeyAt(&e.steps[1], key, e.port)
 			if !ok {
 				t.Fatal("no shape key for the expiry step")
 			}
@@ -369,11 +369,11 @@ func TestChurnEvictsReplyShapes(t *testing.T) {
 			if _, ok := net.FlowLookup(key, 2); ok {
 				t.Fatal("TTL 2 served without its shape")
 			}
-			before := net.SweepStats().ICMP.Fallbacks
-			pkt := &packet.Packet{IP: ip(2), ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: key.A}}
+			before := net.SweepStats().UDP.Fallbacks
+			pkt := &packet.Packet{IP: ip(2), UDP: &packet.UDP{SrcPort: key.A, DstPort: key.B}}
 			net.FlowProbe(nil, pkt, key, 2)
 			net.FlowFinish(2, ProbeObs{})
-			if got := net.SweepStats().ICMP.Fallbacks - before; got != 1 {
+			if got := net.SweepStats().UDP.Fallbacks - before; got != 1 {
 				t.Fatalf("TTL 2 ran %d live fallbacks, want 1", got)
 			}
 		})

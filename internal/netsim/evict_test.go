@@ -120,21 +120,18 @@ func eagerEvict(n *Network, nodes []Node) {
 		f.rec.bad = true
 	}
 	for k, e := range f.entries {
-		if entryInScope(e, bits) {
+		if e.touchAll || e.touched == nil || intersectsBits(e.touched, bits) {
 			delete(f.entries, k)
 			delete(f.dirty, k)
 		}
 	}
 	f.hotE, f.hotOK = nil, false
-	if f.soOK && f.soE != nil && entryInScope(f.soE, bits) {
-		f.soE, f.soOK = nil, false
-	}
 	for k, sh := range f.shapes {
 		if sh.touchAll || sh.touched == nil || intersectsBits(sh.touched, bits) {
 			delete(f.shapes, k)
 		}
 	}
-	if f.enabled || f.sweepEnabled {
+	if f.enabled {
 		f.stats.Invalidations++
 	}
 	if f.shared != nil && f.sharedOwner {
@@ -142,21 +139,22 @@ func eagerEvict(n *Network, nodes []Node) {
 	}
 }
 
-// The fuzzed key space: four ICMP flows, each with one reply shape keyed
-// on its single recorded step, and four UDP port-cycle slots of one base
-// flow, which alias each other's master walks.
+// The fuzzed key space, all UDP swept master walks: four single-slot
+// flows, each with one reply shape keyed on its single recorded step, and
+// four port-cycle slots of one base flow, which alias each other's
+// master walks.
 const (
-	evictHosts = 6
-	evictICMP  = 4
-	evictUDP   = 4
-	evictT0    = 32
+	evictHosts  = 6
+	evictShaped = 4
+	evictSlots  = 4
+	evictT0     = 32
 )
 
 func evictKey(i int) FlowKey {
-	if i < evictICMP {
-		return FlowKey{Src: 0x0a000001, Dst: 0x0a0000ff, Proto: packet.ProtoICMP, A: uint16(i)}
+	if i < evictShaped {
+		return FlowKey{Src: 0x0a000001, Dst: 0x0a0000ff, Proto: packet.ProtoUDP, A: uint16(i), B: UDPBasePort}
 	}
-	return FlowKey{Src: 0x0a000001, Dst: 0x0a0000fe, Proto: packet.ProtoUDP, A: 7, B: uint16(UDPBasePort + i - evictICMP)}
+	return FlowKey{Src: 0x0a000001, Dst: 0x0a0000fe, Proto: packet.ProtoUDP, A: 7, B: uint16(UDPBasePort + i - evictShaped)}
 }
 
 // evictSide is one fabric of the differential pair, subscribed to a
@@ -198,13 +196,21 @@ func (s *evictSide) touches(spec byte) ([]int32, bool) {
 	return tl, true
 }
 
+// evictShapeKey is the shape key of a shaped flow's single step.
+func (s *evictSide) evictShapeKey(i int) shapeKey {
+	k := evictKey(i)
+	st := trajStep{to: s.hosts[i%evictHosts].If}
+	sk, _ := shapeKeyAt(&st, k, canonPort(k, nil))
+	return sk
+}
+
 func evictObs(ttl, variant uint8) ProbeObs {
 	return ProbeObs{Answered: true, From: netaddr.Addr(0x0a000100 + uint32(variant)), ReplyTTL: 250 - ttl, ICMPType: 11, Advance: time.Duration(ttl) * time.Millisecond}
 }
 
 // record mirrors FlowFinish: the entry (validated, or created) gains the
-// recording's provenance and memoizes the reply. A fresh entry gets one
-// step onto its host, and UDP entries become swept master walks.
+// recording's provenance and memoizes the reply. A fresh entry becomes a
+// swept master walk with one step onto its host.
 func (s *evictSide) record(ki int, ttl uint8, spec byte) {
 	n := s.net
 	k := evictKey(ki)
@@ -213,33 +219,32 @@ func (s *evictSide) record(ki int, ttl uint8, spec byte) {
 		e = n.addEntry(k)
 		e.t0 = evictT0
 		e.steps = []trajStep{{to: s.hosts[ki%evictHosts].If, offset: time.Millisecond}}
-		if k.Proto == packet.ProtoUDP {
-			e.swept = true
-			e.port = canonPort(k, nil)
-			n.registerMaster(k)
-		}
+		e.swept = true
+		e.port = canonPort(k, nil)
+		n.registerMaster(k)
 	}
 	tl, ok := s.touches(spec)
 	applyTouched(e, tl, ok)
 	n.memoize(e, k, ttl, evictObs(ttl, 0), false)
 }
 
-// learn mirrors a recording that taught the reply shape of an ICMP flow's
-// step.
+// learn mirrors a resumed probe of a shaped flow teaching the reply shape
+// of the flow's step. Only a live swept entry learns: an absent one, or
+// one adopted from the shared table without a trajectory, teaches
+// nothing.
 func (s *evictSide) learn(ki int, variant uint8, spec byte) {
 	n := s.net
 	k := evictKey(ki)
-	st := trajStep{to: s.hosts[ki%evictHosts].If}
-	sk, _ := shapeKeyAt(&st, k, 0)
+	sk := s.evictShapeKey(ki)
 	tl, ok := s.touches(spec)
 	obs := evictObs(1, variant)
 	obs.Advance = 3 * time.Millisecond
-	rec := flowRec{key: k, expSeen: true, expOff: time.Millisecond, expKey: sk}
+	rec := flowRec{entry: n.liveEntry(k), key: k, expSeen: true, expOff: time.Millisecond, expKey: sk}
 	n.learnShape(&rec, obs, tl, ok)
 }
 
-// compose derives an ICMP flow's reply from its step's shape, folding the
-// shape's provenance into the (validated) entry as SweepFinish does.
+// compose derives a shaped flow's reply from its step's shape, folding
+// the shape's provenance into the (validated) entry as deriveSlot does.
 func (s *evictSide) compose(ki int, ttl uint8) (ProbeObs, bool) {
 	n := s.net
 	k := evictKey(ki)
@@ -289,47 +294,47 @@ func (s *evictSide) servedShape(k shapeKey) (replyShape, bool) {
 // entry or a reply shape with a given provenance (unknown included), grow
 // a validated entry's provenance by re-recording it or composing from a
 // shape, alias a UDP slot onto a master walk, fire a scoped eviction, read
-// through FlowLookup, Publish to the shared table, seed a fresh fabric —
-// applied to two fabrics: one evicting through churn events (the
-// production path) and one through eagerEvict. After every operation both
-// must serve exactly the same entries, shapes, dirty marks and replies,
-// with the same counters.
+// through FlowLookup, Publish to the shared table — applied to two
+// fabrics: one evicting through churn events (the production path) and
+// one through eagerEvict. After every operation both must serve exactly
+// the same entries, shapes, dirty marks and replies, with the same
+// counters.
 func FuzzScopedEviction(f *testing.F) {
 	// Seeds: the late-reach case (record over host 0, evict host 1, grow
 	// into host 1, read, evict host 1 again); an unknown-provenance entry
 	// and an empty-set shape under a disjoint eviction; a UDP master and
 	// its alias evicted through the alias; a dirty entry and its shape
-	// evicted before Publish and seeding; a published entry evicted
+	// evicted before Publish, then read; a published entry evicted
 	// locally and re-adopted from the table.
 	f.Add([]byte{0, 0, 3, 0x06, 4, 2, 0, 0, 0, 0, 3, 0x0a, 5, 0, 3, 0, 4, 2, 0, 0, 5, 0, 3, 0})
 	f.Add([]byte{0, 1, 3, 0, 1, 1, 0, 1, 4, 32, 0, 0, 5, 1, 3, 0, 2, 1, 5, 0})
 	f.Add([]byte{0, 4, 31, 0x0a, 3, 1, 0, 0, 0, 5, 31, 0x12, 4, 4, 0, 0, 5, 4, 31, 0, 5, 5, 31, 0})
-	f.Add([]byte{0, 2, 6, 0x22, 1, 2, 0, 0x22, 2, 2, 3, 0, 4, 8, 0, 0, 6, 0, 0, 0, 7, 0, 0, 0})
-	f.Add([]byte{0, 0, 3, 0x06, 6, 0, 0, 0, 4, 1, 0, 0, 5, 0, 3, 0, 2, 0, 1, 0, 7, 0, 0, 0})
+	f.Add([]byte{0, 2, 6, 0x22, 1, 2, 0, 0x22, 2, 2, 3, 0, 4, 8, 0, 0, 6, 0, 0, 0, 5, 2, 6, 0})
+	f.Add([]byte{0, 0, 3, 0x06, 6, 0, 0, 0, 4, 1, 0, 0, 5, 0, 3, 0, 2, 0, 1, 0, 6, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lazy, eager := newEvictSide(t, true), newEvictSide(t, false)
 		sides := [2]*evictSide{lazy, eager}
 		for step := 0; len(data) >= 4 && step < 64; step++ {
 			op, a, b, c := data[0], data[1], data[2], data[3]
 			data = data[4:]
-			switch op % 8 {
+			switch op % 7 {
 			case 0:
 				for _, s := range sides {
-					s.record(int(a)%(evictICMP+evictUDP), 1+b%evictT0, c)
+					s.record(int(a)%(evictShaped+evictSlots), 1+b%evictT0, c)
 				}
 			case 1:
 				for _, s := range sides {
-					s.learn(int(a)%evictICMP, b%2, c)
+					s.learn(int(a)%evictShaped, b%2, c)
 				}
 			case 2:
-				ol, okl := lazy.compose(int(a)%evictICMP, 1+b%(evictT0-1))
-				oe, oke := eager.compose(int(a)%evictICMP, 1+b%(evictT0-1))
+				ol, okl := lazy.compose(int(a)%evictShaped, 1+b%(evictT0-1))
+				oe, oke := eager.compose(int(a)%evictShaped, 1+b%(evictT0-1))
 				if okl != oke || !sameObs(ol, oe) {
 					t.Fatalf("step %d: compose lazy (%+v, %v), eager (%+v, %v)", step, ol, okl, oe, oke)
 				}
 			case 3:
 				for _, s := range sides {
-					if k := evictKey(evictICMP + int(a)%evictUDP); s.net.liveEntry(k) == nil {
+					if k := evictKey(evictShaped + int(a)%evictSlots); s.net.liveEntry(k) == nil {
 						s.net.udpAlias(k)
 					}
 				}
@@ -347,7 +352,7 @@ func FuzzScopedEviction(f *testing.F) {
 					s.evict(nodes)
 				}
 			case 5:
-				k := evictKey(int(a) % (evictICMP + evictUDP))
+				k := evictKey(int(a) % (evictShaped + evictSlots))
 				ol, okl := lazy.net.FlowLookup(k, 1+b%evictT0)
 				oe, oke := eager.net.FlowLookup(k, 1+b%evictT0)
 				if okl != oke || !sameObs(ol, oe) {
@@ -357,8 +362,6 @@ func FuzzScopedEviction(f *testing.F) {
 				lazy.table.Publish(lazy.net)
 				eager.table.Publish(eager.net)
 				compareTables(t, step, lazy.table, eager.table)
-			case 7:
-				compareSeeded(t, step, lazy, eager)
 			}
 			compareServed(t, step, lazy, eager)
 		}
@@ -393,7 +396,7 @@ func sameEntry(a, b *flowEntry) bool {
 
 func compareServed(t *testing.T, step int, lazy, eager *evictSide) {
 	t.Helper()
-	var el, ee [evictICMP + evictUDP]*flowEntry
+	var el, ee [evictShaped + evictSlots]*flowEntry
 	for i := range el {
 		k := evictKey(i)
 		el[i], ee[i] = lazy.servedEntry(k), eager.servedEntry(k)
@@ -414,14 +417,9 @@ func compareServed(t *testing.T, step int, lazy, eager *evictSide) {
 			}
 		}
 	}
-	for i := 0; i < evictICMP; i++ {
-		k := evictKey(i)
-		stl := trajStep{to: lazy.hosts[i%evictHosts].If}
-		ste := trajStep{to: eager.hosts[i%evictHosts].If}
-		skl, _ := shapeKeyAt(&stl, k, 0)
-		ske, _ := shapeKeyAt(&ste, k, 0)
-		shl, okl := lazy.servedShape(skl)
-		she, oke := eager.servedShape(ske)
+	for i := 0; i < evictShaped; i++ {
+		shl, okl := lazy.servedShape(lazy.evictShapeKey(i))
+		she, oke := eager.servedShape(eager.evictShapeKey(i))
 		if okl != oke {
 			t.Fatalf("step %d: shape %d served lazily %v, eagerly %v", step, i, okl, oke)
 		}
@@ -448,40 +446,6 @@ func compareTables(t *testing.T, step int, lt, et *SharedFlowTable) {
 		if e == nil || !sameEntry(&flowEntry{valid: l.valid, replies: l.replies, touched: l.touched, touchAll: l.touchAll},
 			&flowEntry{valid: e.valid, replies: e.replies, touched: e.touched, touchAll: e.touchAll}) {
 			t.Fatalf("step %d: published entry %+v differs: lazy %+v, eager %+v", step, k, l, e)
-		}
-	}
-}
-
-// compareSeeded seeds a fresh fabric from each side and checks they
-// received the same entries, and that seeding left the lazy source
-// untouched: no entry deleted, no stamp rewritten.
-func compareSeeded(t *testing.T, step int, lazy, eager *evictSide) {
-	t.Helper()
-	stamps := make(map[FlowKey]uint32, len(lazy.net.flows.entries))
-	for k, e := range lazy.net.flows.entries {
-		stamps[k] = e.gen
-	}
-	var dst [2]*Network
-	for i, s := range [2]*evictSide{lazy, eager} {
-		dst[i] = New(1)
-		dst[i].SetFlowCacheEnabled(true)
-		dst[i].SeedFlowCacheFrom(s.net)
-	}
-	if len(lazy.net.flows.entries) != len(stamps) {
-		t.Fatalf("step %d: seeding deleted source entries", step)
-	}
-	for k, e := range lazy.net.flows.entries {
-		if stamps[k] != e.gen {
-			t.Fatalf("step %d: seeding restamped source entry %+v", step, k)
-		}
-	}
-	dl, de := dst[0].flows.entries, dst[1].flows.entries
-	if len(dl) != len(de) {
-		t.Fatalf("step %d: seeded %d entries lazily, %d eagerly", step, len(dl), len(de))
-	}
-	for k, l := range dl {
-		if e := de[k]; e == nil || !sameEntry(l, e) {
-			t.Fatalf("step %d: seeded entry %+v differs", step, k)
 		}
 	}
 }

@@ -87,7 +87,9 @@ type ProbeObs struct {
 
 // FlowCacheStats counts cache outcomes. Hits are memoized replies served
 // without touching the event loop; FastForwards are probes resumed at a
-// recorded frontier; Misses ran fully live (and recorded).
+// recorded frontier (ICMP Paris's cold path: past a trace's first probe,
+// each cold probe resumes where the previous one expired); Misses ran
+// fully live (and recorded).
 type FlowCacheStats struct {
 	Hits         uint64
 	Misses       uint64
@@ -241,16 +243,12 @@ type FlowCache struct {
 	stats    FlowCacheStats
 	rec      flowRec
 
-	// Sweep-engine state (sweep.go). sweepEnabled gates the single-walk
-	// TTL sweep independently of the cache proper; shapes memoizes learned
-	// reply shapes; soKey/soE/soOK form the single-slot per-trace entry the
-	// sweep uses when the cache itself is disabled.
+	// Sweep-engine state (sweep.go). sweepEnabled gates the UDP slot
+	// walks, which engage only while the cache itself is active; shapes
+	// memoizes learned reply shapes.
 	sweepEnabled bool
 	sweep        SweepStats
 	shapes       map[shapeKey]replyShape
-	soKey        FlowKey
-	soE          *flowEntry
-	soOK         bool
 
 	// hints maps (vp, destination) to the last observed reach TTL —
 	// the yield predictor behind SweepBegin's adaptive walk bypass.
@@ -293,16 +291,17 @@ type FlowCache struct {
 
 // SetFlowCacheEnabled turns the flow-trajectory cache on or off. Enabling
 // schedules a purity scan (performed lazily on the next probe); disabling
-// drops all cached state.
+// drops all cached state, the sweep engine's included.
 func (n *Network) SetFlowCacheEnabled(on bool) {
 	f := &n.flows
 	f.enabled = on
-	f.needScan = on || f.sweepEnabled
+	f.needScan = on
 	if !on {
 		f.entries = nil
 		f.dirty = nil
 		f.rec = flowRec{}
 		f.hotE, f.hotOK = nil, false
+		f.resetSweep()
 	}
 }
 
@@ -332,24 +331,11 @@ func (n *Network) InvalidateFlowCache() {
 		}
 		f.dirty = nil
 	}
-	if f.sweepEnabled {
-		// Sweep state is derived from the same control plane: drop the
-		// per-trace entry, every learned reply shape, the reach hints and
-		// the master-walk index, and poison any in-flight walk or resumed
-		// probe.
-		f.soE, f.soOK = nil, false
-		f.shapes = nil
-		f.hints = nil
-		f.masters = nil
-		f.recBranches = f.recBranches[:0]
-		f.needScan = true
-		if f.rec.active {
-			f.rec.bad = true
-		}
-	}
 	if !f.enabled {
 		return
 	}
+	// Sweep state is derived from the same control plane as the memo.
+	f.resetSweep()
 	f.entries = nil
 	f.dirty = nil
 	f.hotE, f.hotOK = nil, false
@@ -412,12 +398,6 @@ func (n *Network) flowPure() bool {
 // the probe exactly as the live path would.
 func (n *Network) FlowLookup(key FlowKey, ttl uint8) (ProbeObs, bool) {
 	if !n.flowActive() {
-		// With the cache off the sweep engine may still hold the current
-		// trace's single-slot entry; serving from it keeps the "-no-flow-
-		// cache" counters untouched (sweep activity has its own stats).
-		if e, ok := n.sweepOnlyEntry(key); ok && e.valid[ttl>>6]&(1<<(ttl&63)) != 0 {
-			return e.replies[ttl], true
-		}
 		return ProbeObs{}, false
 	}
 	f := &n.flows
@@ -512,9 +492,6 @@ func (n *Network) AdvanceClock(d time.Duration) { n.clock += d }
 // IP.TTL == ttl, as built by the prober.
 func (n *Network) FlowProbe(out *Iface, pkt *packet.Packet, key FlowKey, ttl uint8) time.Duration {
 	if !n.flowActive() {
-		if e, ok := n.sweepOnlyEntry(key); ok {
-			return n.sweepResume(out, pkt, e, key, ttl)
-		}
 		return n.Inject(out, pkt)
 	}
 	f := &n.flows
@@ -528,7 +505,7 @@ func (n *Network) FlowProbe(out *Iface, pkt *packet.Packet, key FlowKey, ttl uin
 		e = n.addEntry(key)
 	}
 	if e.swept {
-		// A swept trajectory must keep its prefix intact for backward
+		// A swept UDP slot must keep its prefix intact for backward
 		// derivation: materialize this probe from the walk (or run it fully
 		// live in resume mode) instead of re-recording over the steps.
 		return n.sweepResume(out, pkt, e, key, ttl)
@@ -792,34 +769,5 @@ func noteMinT(f *FlowCache, minT int) {
 	}
 	if uint8(minT) > f.rec.minT {
 		f.rec.minT = uint8(minT)
-	}
-}
-
-// SeedFlowCacheFrom copies src's memoized replies into this fabric's
-// cache. Trajectories are not copied — their steps hold interface
-// pointers local to src's fabric — so the first unseen TTL on each flow
-// records afresh. Reply stacks are shared read-only with src and with
-// sibling replicas; the reply slices themselves are copied so concurrent
-// growth never touches shared backing. Callers seed replicas before
-// driving them; src must be idle. Entries a scoped eviction has retired
-// are skipped without being deleted: src is only read, so replicas may
-// seed from it concurrently.
-func (n *Network) SeedFlowCacheFrom(src *Network) {
-	sf := &src.flows
-	if len(sf.entries) == 0 {
-		return
-	}
-	f := &n.flows
-	if f.entries == nil {
-		f.entries = make(map[FlowKey]*flowEntry, len(sf.entries))
-	}
-	for k, e := range sf.entries {
-		if e.valid == ([4]uint64{}) || src.evicted(e.gen, e.touched, e.touchAll) {
-			continue
-		}
-		ne := &flowEntry{gen: n.evictGen, valid: e.valid, touchAll: e.touchAll, tainted: e.tainted}
-		ne.replies = append([]ProbeObs(nil), e.replies...)
-		ne.touched = append([]int32(nil), e.touched...)
-		f.entries[k] = ne
 	}
 }

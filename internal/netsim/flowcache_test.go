@@ -114,41 +114,3 @@ func TestFlowCacheDisabledIsInert(t *testing.T) {
 	}
 	_ = h2
 }
-
-// TestSeedFlowCacheFrom checks replica seeding: memoized replies transfer
-// (with copied slices, so growth is replica-local), trajectories do not,
-// and entries with no valid replies are skipped.
-func TestSeedFlowCacheFrom(t *testing.T) {
-	src, _, _ := pairedHosts(t, 1, time.Millisecond)
-	src.SetFlowCacheEnabled(true)
-
-	obs := ProbeObs{Answered: true, From: netaddr.AddrFrom4(10, 0, 0, 2), ReplyTTL: 63, Advance: time.Millisecond}
-	eA := &flowEntry{replies: make([]ProbeObs, 4)}
-	eA.valid[0] = 1 << 3
-	eA.replies[3] = obs
-	eA.steps = []trajStep{{offset: time.Millisecond}} // must NOT transfer
-	eEmpty := &flowEntry{}                            // no valid replies: skipped
-	src.flows.entries = map[FlowKey]*flowEntry{
-		testKey(2): eA,
-		testKey(3): eEmpty,
-	}
-
-	dst, _, _ := pairedHosts(t, 1, time.Millisecond)
-	dst.SetFlowCacheEnabled(true)
-	dst.SeedFlowCacheFrom(src)
-
-	if got, ok := dst.FlowLookup(testKey(2), 3); !ok || got.From != obs.From ||
-		got.ReplyTTL != obs.ReplyTTL || got.Advance != obs.Advance || !got.Answered {
-		t.Fatalf("seeded lookup = %+v, %v", got, ok)
-	}
-	ne := dst.flows.entries[testKey(2)]
-	if len(ne.steps) != 0 {
-		t.Error("trajectory steps leaked across fabrics")
-	}
-	if &ne.replies[0] == &eA.replies[0] {
-		t.Error("reply slice shares backing with the source")
-	}
-	if _, ok := dst.flows.entries[testKey(3)]; ok {
-		t.Error("entry with no valid replies was seeded")
-	}
-}

@@ -269,11 +269,11 @@ func TestSharedFlowTableConcurrency(t *testing.T) {
 	}
 }
 
-// TestSweepBeginSharedAdoption pins how a sweep decision adopts from the
-// shared table: a flow with no local memo adopts the published entry, and
-// counts the adoption, when that closes the trace; a flow whose local
-// memo already covers the trace leaves the published entry alone; and an
-// entry that adds no reply is neither adopted nor counted.
+// TestSweepBeginSharedAdoption pins how a UDP slot's sweep decision adopts
+// from the shared table: a flow with no local memo adopts the published
+// entry, and counts the adoption, when that closes the trace; a flow
+// whose local memo already covers the trace leaves the published entry
+// alone; and an entry that adds no reply is neither adopted nor counted.
 func TestSweepBeginSharedAdoption(t *testing.T) {
 	owner := New(1)
 	owner.SetFlowCacheEnabled(true)
@@ -287,6 +287,7 @@ func TestSweepBeginSharedAdoption(t *testing.T) {
 	}
 	reached := ProbeObs{Answered: true, From: 0x0a0000ff, ReplyTTL: 60, ICMPType: packet.ICMPEchoReply}
 	covered, short := sharedKey(7), sharedKey(8)
+	covered.Proto, short.Proto = packet.ProtoUDP, packet.ProtoUDP
 	pub := mk()
 	seedFlowEntry(t, pub, covered, 1, sharedObs(7, 1))
 	seedFlowEntry(t, pub, covered, 2, reached)

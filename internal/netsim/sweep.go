@@ -7,36 +7,37 @@ import (
 	"wormhole/internal/packet"
 )
 
-// This file implements the single-injection TTL sweep: the cold-path
-// counterpart of the flow cache. A classic traceroute injects one probe
-// per TTL and replays the same forwarding prefix h times — O(h²) router
-// visits per trace. But on a pure fabric all probes of one flow traverse
-// the same trajectory (the structural fact Paris traceroute is built on),
-// so one walk at TTL=MaxTTL records everything the whole sweep needs:
+// This file implements the single-injection TTL sweep for UDP Paris
+// port-cycle slots. A UDP trace cycles its destination port per probe, so
+// its probes are distinct flows and the flow cache's frontier
+// fast-forward (flowcache.go) — which serves ICMP Paris, whose constant
+// flow identifier keeps one flow per trace — finds nothing to extend. But
+// on a pure fabric all probes of one slot traverse the same trajectory,
+// so one walk at TTL=MaxTTL records everything the slot needs:
 //
 //   - Walk. SweepWalk injects a single marked probe at the trace's
 //     MaxTTL and records every delivery — interface, arrival offset,
 //     headers, TTL lineage — through the same machinery the flow cache
 //     uses, plus the NoteTTLMin *floor* each snapshot is valid down to.
 //
-//   - Derivation. SweepFinish scans the recorded trajectory once per
-//     smaller TTL, patching propagated TTL fields down by the delta
-//     (the affine model of packet.Lineage, run in reverse). The scan
-//     finds where that probe expires: the first step whose patched top
-//     LSE TTL reaches 1, or whose patched IP TTL reaches 1 at a
-//     plain-IP transit router. A probe that passes every step follows
-//     the walk to its terminal and inherits the walk's observation.
+//   - Derivation. deriveSlot scans the recorded trajectory for a smaller
+//     TTL, patching propagated TTL fields down by the delta (the affine
+//     model of packet.Lineage, run in reverse). The scan finds where that
+//     probe expires: the first step whose patched top LSE TTL reaches 1,
+//     or whose patched IP TTL reaches 1 at a plain-IP transit router. A
+//     probe that passes every step follows the walk to its terminal and
+//     inherits the walk's observation.
 //
 //   - Reply shapes. What a time-exceeded looks like from a given expiry
 //     context — replying address, return TTL, whether RFC 4950 labels
 //     are attached, and the virtual time the reply takes to come home —
 //     is a pure function of (ingress iface, label stack, vantage point,
-//     flow id): the quote varies per probe but nothing on the return
-//     path reads it beyond the flow hash, which sees only the quoted
-//     flow id. NoteExpiry (hooked into the router's reply generators)
-//     captures that context on every live expiry; once the shape is
-//     known, a derived TTL's reply is composed arithmetically — no event
-//     simulation at all — with its RFC 4950 stack rebuilt from the
+//     destination, flow id, branch class): the quote varies per probe
+//     but nothing on the return path reads it beyond the flow hash.
+//     NoteExpiry (hooked into the router's reply generators) captures
+//     that context on every live expiry of a swept slot; once the shape
+//     is known, a derived TTL's reply is composed arithmetically — no
+//     event simulation at all — with its RFC 4950 stack rebuilt from the
 //     recorded snapshot patched by lineage.
 //
 // TTLs whose expiry is ambiguous (a mid-processing expiry, a NoteTTLMin
@@ -48,14 +49,13 @@ import (
 // tunnel); anything else runs live, and the live run teaches the shape
 // table for next time.
 //
-// The sweep is gated by exactly the flow cache's purity rules and
-// invalidated by the same mutation hooks. It is independently
-// switchable: with the cache off it keeps a single per-trace entry
-// (soE), so "-no-flow-cache" benchmarks still measure a cold cache while
-// the sweep collapses each trace from h full drains to one walk plus h
-// materializations.
+// The sweep lives inside the flow cache: it engages only while the cache
+// is active (same purity rules, same mutation hooks), stores walks as
+// ordinary cache entries, and is independently switchable off. With the
+// cache off no probe sweeps, so a cache-off fabric is the per-probe
+// oracle for both probe methods.
 
-// SweepCounters counts sweep-engine outcomes for one probe modality.
+// SweepCounters counts sweep-engine outcomes.
 type SweepCounters struct {
 	// Walks counts full-TTL sweep walks injected.
 	Walks uint64
@@ -77,34 +77,25 @@ type SweepCounters struct {
 	Aliases uint64
 }
 
-// SweepStats splits the sweep counters by probe modality: ICMP Paris
-// walks one trajectory per (flow, destination); UDP Paris walks one per
-// (flow, destination, port-cycle slot class) and aliases the slots that
-// share a branch class.
+// SweepStats holds the sweep counters by probe modality. Only UDP Paris
+// walks — one trajectory per (flow, destination, port-cycle slot class),
+// aliasing the slots that share a branch class — so UDP is the only
+// modality; ICMP Paris's cold path is the flow cache's fast-forward,
+// counted in FlowCacheStats.FastForwards.
 type SweepStats struct {
-	ICMP SweepCounters
-	UDP  SweepCounters
+	UDP SweepCounters
 }
 
-// Total folds both modalities into one counter set.
-func (s SweepStats) Total() SweepCounters {
-	return SweepCounters{
-		Walks:     s.ICMP.Walks + s.UDP.Walks,
-		Replies:   s.ICMP.Replies + s.UDP.Replies,
-		Fallbacks: s.ICMP.Fallbacks + s.UDP.Fallbacks,
-		Bypasses:  s.ICMP.Bypasses + s.UDP.Bypasses,
-		Aliases:   s.ICMP.Aliases + s.UDP.Aliases,
-	}
-}
+// Total folds the modalities into one counter set.
+func (s SweepStats) Total() SweepCounters { return s.UDP }
 
 // Sub returns the per-field difference s − o (campaign phase deltas).
 func (s SweepStats) Sub(o SweepStats) SweepStats {
-	return SweepStats{ICMP: s.ICMP.sub(o.ICMP), UDP: s.UDP.sub(o.UDP)}
+	return SweepStats{UDP: s.UDP.sub(o.UDP)}
 }
 
 // Add accumulates o into s field by field (shard merges).
 func (s *SweepStats) Add(o SweepStats) {
-	s.ICMP.add(o.ICMP)
 	s.UDP.add(o.UDP)
 }
 
@@ -126,14 +117,6 @@ func (c *SweepCounters) add(o SweepCounters) {
 	c.Aliases += o.Aliases
 }
 
-// sweepCtr selects the modality's counter set for a flow.
-func (f *FlowCache) sweepCtr(proto packet.Protocol) *SweepCounters {
-	if proto == packet.ProtoUDP {
-		return &f.sweep.UDP
-	}
-	return &f.sweep.ICMP
-}
-
 // shapeKey identifies a reply-synthesis context: the interface the probe
 // expired on, the label stack it carried (labels only — TTLs are the
 // probe-varying part), and the flow fields the reply's trip home can
@@ -144,20 +127,19 @@ func (f *FlowCache) sweepCtr(proto packet.Protocol) *SweepCounters {
 // expiring at the same (iface, stack) can ride different LSP branches.
 // Stacks deeper than the inline array are not memoized.
 //
-// port is the slot component for UDP flows: the probe's cycling
-// destination port changes the flow hash, so two slots expiring at the
-// same (iface, stack) can ride different LSP branches home — the shape is
-// only a pure function of the context once the slot is in the key. Raw
-// ports would fragment learning across the 128-port cycle, so the key
-// holds the flow's *canonical* branch-class port (flowEntry.port): every
-// slot whose hash reproduces the walk's recorded ECMP decisions shares
-// the trajectory, the reply ride, and therefore the shape. ICMP keys keep
-// port zero.
+// id is the UDP source port (the Paris flow identifier) and port the slot
+// component: the probe's cycling destination port changes the flow hash,
+// so two slots expiring at the same (iface, stack) can ride different LSP
+// branches home — the shape is only a pure function of the context once
+// the slot is in the key. Raw ports would fragment learning across the
+// 128-port cycle, so the key holds the flow's *canonical* branch-class
+// port (flowEntry.port): every slot whose hash reproduces the walk's
+// recorded ECMP decisions shares the trajectory, the reply ride, and
+// therefore the shape.
 type shapeKey struct {
 	in     *Iface
 	vp     netaddr.Addr
 	dst    netaddr.Addr
-	proto  packet.Protocol
 	id     uint16
 	port   uint16
 	depth  uint8
@@ -191,53 +173,48 @@ type shapeObs struct {
 	retDelay time.Duration
 }
 
-// SetSweepEnabled turns the single-injection TTL sweep on or off.
-// Enabling schedules a purity scan; disabling drops the per-trace entry,
+// SetSweepEnabled turns the single-injection TTL sweep on or off. The
+// sweep engages only while the flow cache is active too. Disabling drops
 // every learned reply shape, the reach hints, and the master-walk index.
 func (n *Network) SetSweepEnabled(on bool) {
 	f := &n.flows
 	f.sweepEnabled = on
-	if on {
-		f.needScan = true
-	} else {
-		f.soE, f.soOK = nil, false
-		f.shapes = nil
-		f.hints = nil
-		f.masters = nil
-		f.recBranches = f.recBranches[:0]
+	if !on {
+		f.resetSweep()
 	}
 }
 
+// resetSweep drops the sweep engine's derived state: learned reply
+// shapes, reach hints, the master-walk index and the in-flight walk's
+// branch scratch.
+func (f *FlowCache) resetSweep() {
+	f.shapes = nil
+	f.hints = nil
+	f.masters = nil
+	f.recBranches = f.recBranches[:0]
+}
+
 // SweepEnabled reports whether the sweep engine has been requested (it
-// may still be inert on an impure fabric).
+// may still be inert: flow cache off, or an impure fabric).
 func (n *Network) SweepEnabled() bool { return n.flows.sweepEnabled }
 
 // SweepStats returns the sweep counters.
 func (n *Network) SweepStats() SweepStats { return n.flows.sweep }
 
-// sweepActive reports whether the sweep may engage, sharing the flow
-// cache's purity scan and Trace-hook opt-out.
+// sweepActive reports whether the sweep may engage: only where the flow
+// cache itself may serve and record.
 func (n *Network) sweepActive() bool {
-	return n.flows.sweepEnabled && n.Trace == nil && n.purityOK()
+	return n.flows.sweepEnabled && n.flowActive()
 }
 
-// sweepOnlyEntry returns the cache-off per-trace entry when it matches
-// key and holds a swept trajectory.
-func (n *Network) sweepOnlyEntry(key FlowKey) (*flowEntry, bool) {
-	f := &n.flows
-	if !f.sweepEnabled || !f.soOK || f.soE == nil || f.soKey != key || !n.sweepActive() {
-		return nil, false
-	}
-	return f.soE, true
-}
-
-// NoteExpiry captures the context of a marked probe's TTL expiry, at the
-// entry of the router's reply generators (before any suppression
+// NoteExpiry captures the context of a marked UDP probe's TTL expiry, at
+// the entry of the router's reply generators (before any suppression
 // decision — the resulting observation, answered or not, is the shape).
-// Routers call it for both IP and LSE expiries.
+// Routers call it for both IP and LSE expiries; ICMP recordings teach the
+// sweep engine nothing and are filtered out here.
 func (n *Network) NoteExpiry(in *Iface, pkt *packet.Packet) {
 	f := &n.flows
-	if !f.sweepEnabled || !f.rec.active || f.rec.expSeen || pkt.Mark == 0 {
+	if !f.sweepEnabled || !f.rec.active || f.rec.expSeen || pkt.Mark == 0 || f.rec.key.Proto != packet.ProtoUDP {
 		return
 	}
 	f.rec.expSeen = true
@@ -261,18 +238,13 @@ func (n *Network) NoteLocalDelivery(pkt *packet.Packet) {
 	f.rec.localSeen = true
 }
 
-// shapeKeyOf builds the synthesis-context key for a probe about to
-// expire. ok is false for stacks too deep to memoize inline.
+// shapeKeyOf builds the synthesis-context key for the marked probe of a
+// UDP recording about to expire, leaving the canonical port to
+// learnShape. ok is false for stacks too deep to memoize inline.
 func shapeKeyOf(in *Iface, pkt *packet.Packet) (shapeKey, bool) {
-	k := shapeKey{in: in, vp: pkt.IP.Src, dst: pkt.IP.Dst, proto: pkt.IP.Protocol, depth: uint8(len(pkt.MPLS))}
+	k := shapeKey{in: in, vp: pkt.IP.Src, dst: pkt.IP.Dst, id: pkt.UDP.SrcPort, depth: uint8(len(pkt.MPLS))}
 	if len(pkt.MPLS) > len(k.labels) {
 		return shapeKey{}, false
-	}
-	switch {
-	case pkt.ICMP != nil:
-		k.id = pkt.ICMP.ID
-	case pkt.UDP != nil:
-		k.id = pkt.UDP.SrcPort
 	}
 	for i, lse := range pkt.MPLS {
 		k.labels[i] = lse.Label
@@ -281,13 +253,12 @@ func shapeKeyOf(in *Iface, pkt *packet.Packet) (shapeKey, bool) {
 }
 
 // shapeKeyAt rebuilds the synthesis-context key from a recorded step and
-// the flow it belongs to. The transport id is the flow key's A field:
-// the ICMP echo identifier or the UDP source port, exactly what
-// shapeKeyOf read from the live packet. port is the owning entry's
-// canonical branch-class port (zero for ICMP), matching the patch
+// the flow it belongs to. The transport id is the flow key's A field, the
+// UDP source port shapeKeyOf read from the live packet. port is the
+// owning entry's canonical branch-class port, matching the patch
 // learnShape applies on the learning side.
 func shapeKeyAt(st *trajStep, key FlowKey, port uint16) (shapeKey, bool) {
-	k := shapeKey{in: st.to, vp: key.Src, dst: key.Dst, proto: key.Proto, id: key.A, port: port, depth: uint8(len(st.mpls))}
+	k := shapeKey{in: st.to, vp: key.Src, dst: key.Dst, id: key.A, port: port, depth: uint8(len(st.mpls))}
 	if len(st.mpls) > len(k.labels) {
 		return shapeKey{}, false
 	}
@@ -302,22 +273,18 @@ func shapeKeyAt(st *trajStep, key FlowKey, port uint16) (shapeKey, bool) {
 // (tl is the borrowed scratch view; the copy taken here is the shape's
 // own). Re-learning a shape whose observation and provenance are already
 // covered is a no-op, keeping the steady state allocation-free.
+//
+// Shapes are keyed on the canonical branch-class port, which only exists
+// once the flow has a completed master walk: the walk itself and its
+// resumed fallback probes learn, plain recordings (bypassed traces, ICMP
+// probes) do not. shapeKeyOf left the port zero.
 func (n *Network) learnShape(rec *flowRec, obs ProbeObs, tl []int32, tlOK bool) {
 	f := &n.flows
-	if !f.sweepEnabled || !rec.expSeen || rec.expDeep {
+	e := rec.entry
+	if !f.sweepEnabled || !rec.expSeen || rec.expDeep || e == nil || !e.swept {
 		return
 	}
-	if rec.key.Proto == packet.ProtoUDP {
-		// UDP shapes are keyed on the canonical branch-class port, which
-		// only exists once the flow has a completed master walk: the walk
-		// itself and its resumed fallback probes learn, plain recordings
-		// (bypassed traces) do not. shapeKeyOf left the port zero.
-		e := rec.entry
-		if e == nil || !e.swept || e.port == 0 {
-			return
-		}
-		rec.expKey.port = e.port
-	}
+	rec.expKey.port = e.port
 	so := shapeObs{
 		answered: obs.Answered,
 		from:     obs.From,
@@ -343,59 +310,49 @@ func (n *Network) learnShape(rec *flowRec, obs ProbeObs, tl []int32, tlOK bool) 
 	f.shapes[rec.expKey] = sh
 }
 
-// SweepBegin decides whether a trace over [first, max] needs a walk:
-// true means the caller should inject one via SweepWalk and complete it
-// with SweepFinish. False means the sweep is inactive here or the flow's
-// memo already covers the TTLs the trace will probe (up to the first
+// SweepBegin decides whether the UDP port-cycle slot key, probed by a
+// trace over [first, max], needs a walk: true means the caller should
+// inject one via SweepWalk and complete it with SweepFinish. False means
+// the sweep is inactive here (cache off, impure fabric, not a UDP slot),
+// the slot already has or shares a master walk, or its memo already
+// covers the TTLs the trace will probe (up to the first
 // destination-reached reply).
 func (n *Network) SweepBegin(key FlowKey, first, max uint8) bool {
 	f := &n.flows
-	if first > max || !n.sweepActive() || f.rec.active {
+	if key.Proto != packet.ProtoUDP || first > max || !n.sweepActive() || f.rec.active {
 		return false
 	}
-	if key.Proto == packet.ProtoUDP && !n.flowActive() {
-		// UDP walks are slot-keyed: a master walk plus its port-cycle
-		// aliases need the full entries map, which the cache-off sweep's
-		// single per-trace slot cannot hold. Cache-off UDP stays per-probe.
+	e := n.liveEntry(key)
+	if e == nil {
+		e = n.udpAlias(key)
+	}
+	if e != nil && e.swept {
+		// This slot already has (or shares) a master walk; gaps in its
+		// coverage are served lazily or fall back per probe — re-walking
+		// the same trajectory cannot close them.
 		return false
 	}
-	if n.flowActive() {
-		e := n.liveEntry(key)
-		if key.Proto == packet.ProtoUDP {
+	if e != nil && e.coveredTrace(first, max) {
+		return false
+	}
+	if f.shared != nil {
+		// Local coverage falls short: adopt what the published epoch adds,
+		// and skip the walk if that closes the trace.
+		ep := f.shared.cur.Load()
+		if ep.version != f.sharedVer {
+			f.shared = nil
+			f.dirty = nil
+		} else if se := ep.entries[key]; se != nil && n.sharedAdoptable(se) && (e == nil || addsReplies(e.valid, se.valid)) {
 			if e == nil {
-				e = n.udpAlias(key)
+				e = n.addEntry(key)
 			}
-			if e != nil && e.swept {
-				// This slot already has (or shares) a master walk; gaps in
-				// its coverage are served lazily or fall back per probe —
-				// re-walking the same trajectory cannot close them.
+			mergeReplies(&e.valid, &e.replies, se.valid, se.replies)
+			adoptTouched(e, se)
+			f.stats.SharedHits++
+			if e.coveredTrace(first, max) {
 				return false
 			}
 		}
-		if e != nil && e.coveredTrace(first, max) {
-			return false
-		}
-		if f.shared != nil {
-			// Local coverage falls short: adopt what the published epoch
-			// adds, and skip the walk if that closes the trace.
-			ep := f.shared.cur.Load()
-			if ep.version != f.sharedVer {
-				f.shared = nil
-				f.dirty = nil
-			} else if se := ep.entries[key]; se != nil && n.sharedAdoptable(se) && (e == nil || addsReplies(e.valid, se.valid)) {
-				if e == nil {
-					e = n.addEntry(key)
-				}
-				mergeReplies(&e.valid, &e.replies, se.valid, se.replies)
-				adoptTouched(e, se)
-				f.stats.SharedHits++
-				if e.coveredTrace(first, max) {
-					return false
-				}
-			}
-		}
-	} else if f.soOK && f.soE != nil && f.soKey == key && f.soE.coveredTrace(first, max) {
-		return false
 	}
 	if h, ok := f.hints[hintKey{src: key.Src, dst: key.Dst}]; ok && int(h)-int(first)+1 <= sweepBypassYield {
 		// Adaptive bypass: a previous trace of this (vp, destination)
@@ -403,7 +360,7 @@ func (n *Network) SweepBegin(key FlowKey, first, max uint8) bool {
 		// derived replies — too few to pay for a full-depth walk plus its
 		// backward scans. The trace runs per-probe, which is always
 		// byte-identical; the hint only spends or saves time.
-		f.sweepCtr(key.Proto).Bypasses++
+		f.sweep.UDP.Bypasses++
 		return false
 	}
 	return true
@@ -438,27 +395,11 @@ func (e *flowEntry) coveredTrace(first, max uint8) bool {
 // complete the walk with SweepFinish.
 func (n *Network) SweepWalk(out *Iface, pkt *packet.Packet, key FlowKey) time.Duration {
 	f := &n.flows
-	var e *flowEntry
-	if n.flowActive() {
-		e = n.liveEntry(key)
-		if e == nil {
-			e = n.addEntry(key)
-		}
-		f.hotKey, f.hotE, f.hotOK = key, e, true
-	} else {
-		// Cache off: a single per-trace slot, reset for every walk. The
-		// provenance resets to unknown (nil) until SweepFinish stamps the
-		// new flow's touched set — unknown is always evicted, so an
-		// unfinished slot can never dodge a churn scope.
-		e = f.soE
-		if e == nil {
-			e = &flowEntry{}
-		}
-		e.valid = [4]uint64{}
-		e.derived = [4]uint64{}
-		e.touched, e.touchAll, e.tainted = nil, false, false
-		f.soKey, f.soE, f.soOK = key, e, true
+	e := n.liveEntry(key)
+	if e == nil {
+		e = n.addEntry(key)
 	}
+	f.hotKey, f.hotE, f.hotOK = key, e, true
 	e.steps = e.steps[:0]
 	e.t0 = pkt.IP.TTL
 	e.maxTTL = 255
@@ -467,7 +408,7 @@ func (n *Network) SweepWalk(out *Iface, pkt *packet.Packet, key FlowKey) time.Du
 	e.tailMinT = 0
 	pkt.Mark = 1
 	pkt.SetLineageIP(true)
-	f.sweepCtr(key.Proto).Walks++
+	f.sweep.UDP.Walks++
 	f.recBranches = f.recBranches[:0]
 	start := n.clock
 	f.rec = flowRec{active: true, entry: e, key: key, start: start}
@@ -480,12 +421,13 @@ func (n *Network) SweepWalk(out *Iface, pkt *packet.Packet, key FlowKey) time.Du
 }
 
 // SweepFinish completes the walk begun by SweepWalk: it memoizes the
-// walk's own observation at its TTL, marks the trajectory swept, and
-// derives every TTL in [first, walkTTL) the memo does not already cover —
-// inheriting the walk's observation where the probe provably follows the
-// whole trajectory, composing a reply where the expiry point and shape
-// are provable, and leaving a gap (live fallback) everywhere else.
-func (n *Network) SweepFinish(key FlowKey, first uint8, obs ProbeObs) {
+// walk's own observation at its TTL, marks the trajectory swept, stamps
+// the walk's ECMP decisions and canonical port, and indexes it as a
+// master for sibling slots. Lower TTLs are derived lazily, on lookup
+// (deriveSlot): the expiry shapes for a fresh destination are learned by
+// this very trace's fallback probes, so an eager pass here would run
+// before any shape exists and permanently miss.
+func (n *Network) SweepFinish(key FlowKey, obs ProbeObs) {
 	f := &n.flows
 	rec := f.rec
 	if !rec.active {
@@ -493,7 +435,6 @@ func (n *Network) SweepFinish(key FlowKey, first uint8, obs ProbeObs) {
 	}
 	e := rec.entry
 	f.rec = flowRec{}
-	ctr := f.sweepCtr(key.Proto)
 	if rec.bad {
 		// Poisoned walk (budget exhaustion or mid-drain invalidation): the
 		// trace falls back to per-probe simulation.
@@ -501,64 +442,25 @@ func (n *Network) SweepFinish(key FlowKey, first uint8, obs ProbeObs) {
 		f.recBranches = f.recBranches[:0]
 		e.steps = e.steps[:0]
 		e.swept = false
-		ctr.Fallbacks++
+		f.sweep.UDP.Fallbacks++
 		return
 	}
 	e.swept = true
 	e.terminalLocal = rec.localSeen
 	e.tailMinT = rec.minT
-	if key.Proto == packet.ProtoUDP {
-		// Stamp the walk's ECMP decision list and resolve the branch
-		// class's canonical port before any shape is learned from this
-		// recording, then index the walk so sibling slots can alias it.
-		e.branches = append(e.branches[:0], f.recBranches...)
-		e.port = canonPort(key, e.branches)
-		n.registerMaster(key)
-	}
+	// Stamp the walk's ECMP decision list and resolve the branch class's
+	// canonical port before any shape is learned from this recording, then
+	// index the walk so sibling slots can alias it.
+	e.branches = append(e.branches[:0], f.recBranches...)
 	f.recBranches = f.recBranches[:0]
+	e.port = canonPort(key, e.branches)
+	n.registerMaster(key)
 	tl, tlOK := f.takeTouched()
 	n.learnShape(&rec, obs, tl, tlOK)
 	applyTouched(e, tl, tlOK)
 	n.taintCheck(e, tlOK)
 	f.touchReset()
 	n.memoize(e, key, e.t0, obs, false)
-	if key.Proto == packet.ProtoUDP {
-		// UDP derivation is lazy (FlowLookup's deriveSlot): the expiry
-		// shapes for a fresh destination are learned by this very trace's
-		// fallback probes, so an eager pass here would run before any
-		// shape exists and permanently miss. The walk's own observation
-		// above is the only eager memo.
-		return
-	}
-	// Ascending with an early stop at the first destination-reached
-	// reply: the traceroute loop stops there too, so replies above it
-	// would be derived and never consumed (the sweep-only regression on
-	// shallow traces). Gaps below it still fall back per probe.
-	for t := int(first); t < int(e.t0); t++ {
-		ttl := uint8(t)
-		if e.valid[t>>6]&(1<<(uint(t)&63)) != 0 {
-			o := &e.replies[t]
-			if o.Answered && (o.ICMPType == packet.ICMPEchoReply || o.ICMPType == packet.ICMPDestUnreach) {
-				break
-			}
-			continue
-		}
-		sc := n.sweepScan(e, ttl)
-		switch {
-		case sc.kind == scanReach:
-			n.memoize(e, key, ttl, obs, true)
-			ctr.Replies++
-			n.learnReachHint(key, ttl, &obs)
-			if obs.Answered && (obs.ICMPType == packet.ICMPEchoReply || obs.ICMPType == packet.ICMPDestUnreach) {
-				return
-			}
-		case sc.kind == scanExpire && sc.exact:
-			if comp, ok := n.composeExpiry(e, key, sc.step, ttl); ok {
-				n.memoize(e, key, ttl, comp, true)
-				ctr.Replies++
-			}
-		}
-	}
 }
 
 // scanKind classifies what the backward scan proved about a derived TTL.
@@ -690,7 +592,7 @@ func (n *Network) composeExpiry(e *flowEntry, key FlowKey, k int, ttl uint8) (Pr
 // expiry's shape learned), so the gap closes for the next trace.
 func (n *Network) sweepResume(out *Iface, pkt *packet.Packet, e *flowEntry, key FlowKey, ttl uint8) time.Duration {
 	f := &n.flows
-	f.sweepCtr(key.Proto).Fallbacks++
+	f.sweep.UDP.Fallbacks++
 	start := n.clock
 	pkt.Mark = 1
 	f.rec = flowRec{active: true, resume: true, entry: e, key: key, start: start}
@@ -726,7 +628,7 @@ func (n *Network) sweepResume(out *Iface, pkt *packet.Packet, e *flowEntry, key 
 //
 // A UDP Paris probe cycles its destination port over the 128 ports above
 // UDPBasePort, changing the ECMP flow hash per probe: no single walk
-// covers a UDP trace the way it covers an ICMP one. But the hash only
+// covers a whole UDP trace. But the hash only
 // *matters* where a router actually fans out. A walk records every ECMP
 // decision it takes (router.notedNextHop/notedLabelHop → NoteFlowBranch)
 // as (fan-out, index) pairs; any other slot whose own hash reproduces
@@ -774,9 +676,9 @@ type branchRec struct {
 
 // NoteFlowBranch records an ECMP decision taken while forwarding the
 // marked walk probe of an in-flight UDP sweep recording. Routers call it
-// from their hop-selection sites; everything else (ICMP walks, resumed
-// fallbacks, unmarked traffic) is filtered out here or by the caller's
-// Mark check.
+// from their hop-selection sites; everything else (ICMP recordings,
+// resumed fallbacks, unmarked traffic) is filtered out here or by the
+// caller's Mark check.
 func (n *Network) NoteFlowBranch(fan, idx uint16) {
 	f := &n.flows
 	if !f.sweepEnabled || !f.rec.active || f.rec.resume || f.rec.key.Proto != packet.ProtoUDP {
@@ -898,12 +800,14 @@ func (n *Network) udpAlias(key FlowKey) *flowEntry {
 }
 
 // deriveSlot synthesizes the (key, ttl) observation from a swept UDP
-// trajectory on demand — the lazy counterpart of SweepFinish's eager
-// ICMP pass. Laziness is load-bearing, not an optimization: the reply
-// shapes for a fresh destination are learned by the first trace's own
-// fallback probes, after its SweepFinish has run, so only a per-lookup
-// derivation ever sees them. The result is memoized, so each (slot
-// class, TTL) pays the scan once.
+// trajectory on demand: it inherits the walk's observation where the
+// probe provably follows the whole trajectory, composes a reply where the
+// expiry point and shape are provable, and leaves a gap (live fallback)
+// everywhere else. Laziness is load-bearing, not an optimization: the
+// reply shapes for a fresh destination are learned by the first trace's
+// own fallback probes, after its SweepFinish has run, so only a
+// per-lookup derivation ever sees them. The result is memoized, so each
+// (slot class, TTL) pays the scan once.
 func (n *Network) deriveSlot(e *flowEntry, key FlowKey, ttl uint8) (ProbeObs, bool) {
 	if !e.swept || ttl >= e.t0 || e.valid[e.t0>>6]&(1<<(e.t0&63)) == 0 {
 		return ProbeObs{}, false
@@ -928,13 +832,14 @@ func (n *Network) deriveSlot(e *flowEntry, key FlowKey, ttl uint8) (ProbeObs, bo
 }
 
 // learnReachHint remembers the TTL at which a (vp, destination) pair's
-// probes reach the destination, feeding SweepBegin's adaptive bypass.
-// Hints are heuristic: they steer walk-or-not decisions only, never
-// bytes, so they are not churn-scoped — a stale hint after reconvergence
-// costs at most a suboptimal walk decision until relearned.
+// UDP probes reach the destination, feeding SweepBegin's adaptive bypass;
+// ICMP probes, which never walk, teach nothing. Hints are heuristic: they
+// steer walk-or-not decisions only, never bytes, so they are not
+// churn-scoped — a stale hint after reconvergence costs at most a
+// suboptimal walk decision until relearned.
 func (n *Network) learnReachHint(key FlowKey, ttl uint8, obs *ProbeObs) {
 	f := &n.flows
-	if !f.sweepEnabled || !obs.Answered ||
+	if !f.sweepEnabled || key.Proto != packet.ProtoUDP || !obs.Answered ||
 		(obs.ICMPType != packet.ICMPEchoReply && obs.ICMPType != packet.ICMPDestUnreach) {
 		return
 	}

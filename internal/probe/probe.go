@@ -271,10 +271,11 @@ func (p *Prober) probe(dst netaddr.Addr, ttl uint8, method Method) netsim.ProbeO
 	if method == UDPParis && ttl < p.MaxTTL && p.Net.SweepBegin(key, ttl, p.MaxTTL) {
 		// First contact with this slot's branch class: walk the slot once
 		// at MaxTTL so the engine can derive the lower-TTL replies of this
-		// and every aliased slot. Unlike the eager ICMP sweep, the walk
-		// runs lazily inside the probe and reuses the probe's own token —
+		// and every aliased slot. The walk reuses the probe's own token —
 		// the slot IS the token, and drawing a fresh one would shift every
-		// later probe's port off the per-probe oracle's sequence.
+		// later probe's port off the per-probe oracle's sequence. The walk
+		// is bookkeeping, not a probe: Sent is untouched and its reply
+		// match must not count toward Recv.
 		wpkt := p.buildProbe(dst, p.MaxTTL, UDPParis, token)
 		p.pending = await{id: wpkt.UDP.SrcPort, seq: wpkt.UDP.DstPort, ipid: token}
 		p.waiting = true
@@ -284,7 +285,7 @@ func (p *Prober) probe(dst netaddr.Addr, ttl uint8, method Method) netsim.ProbeO
 		p.waiting = false
 		p.pending = await{}
 		p.Recv = recv
-		p.Net.SweepFinish(key, ttl, replyObs(wreply, elapsed))
+		p.Net.SweepFinish(key, replyObs(wreply, elapsed))
 		if obs, ok := p.Net.FlowLookup(key, ttl); ok {
 			p.Sent++
 			p.Net.AdvanceClock(obs.Advance)
@@ -311,39 +312,6 @@ func (p *Prober) probe(dst netaddr.Addr, ttl uint8, method Method) netsim.ProbeO
 	return obs
 }
 
-// sweep offers the trace to the fabric's single-injection sweep engine:
-// one walk at MaxTTL records the flow's whole trajectory, from which the
-// engine derives the per-TTL replies the loop below will consume as memo
-// hits. Only ICMP Paris sweeps eagerly here — its flow key is constant
-// over the trace, so one up-front walk covers every probe. The UDP port
-// cycle varies the flow key per probe; its walks run lazily inside
-// probe(), one per branch class the trace actually touches. Inactive
-// engines (impure fabric, sweep disabled, memo already covering the
-// trace) make this a no-op and the trace runs per-probe.
-func (p *Prober) sweep(dst netaddr.Addr) {
-	if p.Method != ICMPParis {
-		return
-	}
-	key := netsim.FlowKey{Src: p.Host.Addr(), Dst: dst, Proto: packet.ProtoICMP, A: p.FlowID}
-	if !p.Net.SweepBegin(key, p.FirstTTL, p.MaxTTL) {
-		return
-	}
-	token := p.nextToken()
-	pkt := p.buildProbe(dst, p.MaxTTL, ICMPParis, token)
-	p.pending = await{id: pkt.ICMP.ID, seq: pkt.ICMP.Seq, ipid: token}
-	p.waiting = true
-	// The walk is bookkeeping, not a probe: Sent is untouched and the
-	// reply match must not count toward Recv (the derived memo hits will,
-	// exactly as the per-probe oracle would).
-	recv := p.Recv
-	elapsed := p.Net.SweepWalk(p.Host.If, pkt, key)
-	reply := p.pending.reply
-	p.waiting = false
-	p.pending = await{}
-	p.Recv = recv
-	p.Net.SweepFinish(key, p.FirstTTL, replyObs(reply, elapsed))
-}
-
 // Traceroute traces toward dst.
 func (p *Prober) Traceroute(dst netaddr.Addr) *Trace {
 	// Lazy fabrics materialize the destination's stub before the first
@@ -351,7 +319,6 @@ func (p *Prober) Traceroute(dst netaddr.Addr) *Trace {
 	p.Net.FaultIn(dst)
 	tr := &Trace{Src: p.Host.Addr(), Dst: dst}
 	p.seq = p.traceSeed(dst)
-	p.sweep(dst)
 	gaps := 0
 	attempts := p.Attempts
 	if attempts < 1 {

@@ -30,38 +30,46 @@ func tracesEqual(t *testing.T, want, got *Trace) {
 	}
 }
 
-// TestSweepTraceMatchesPerProbe pins the probe-level contract of the
-// sweep engine on a pure fabric: the sweep engages (one walk per trace)
-// and the trace — including Sent/Recv accounting and the virtual clock —
-// is identical to the per-probe run.
-func TestSweepTraceMatchesPerProbe(t *testing.T) {
+// TestICMPTraceFastForwardsWithoutWalking pins the probe-level contract
+// of the ICMP cold path on a pure fabric with both engines on: an ICMP
+// Paris trace never walks — each probe past the first fast-forwards to
+// the flow's recorded frontier — and the trace, Sent/Recv accounting and
+// virtual clock included, is identical to the per-probe run.
+func TestICMPTraceFastForwardsWithoutWalking(t *testing.T) {
 	a := buildLine(t, 3)
 	off := a.prober.Traceroute(a.host.Addr())
 
 	b := buildLine(t, 3)
+	b.net.SetFlowCacheEnabled(true)
 	b.net.SetSweepEnabled(true)
 	on := b.prober.Traceroute(b.host.Addr())
 
 	tracesEqual(t, off, on)
-	if s := b.net.SweepStats(); s.ICMP.Walks != 1 {
-		t.Errorf("want exactly one sweep walk, got %+v", s)
+	if s := b.net.SweepStats(); s != (netsim.SweepStats{}) {
+		t.Errorf("ICMP trace moved the sweep counters: %+v", s)
+	}
+	if fc := b.net.FlowCacheStats(); fc.FastForwards == 0 {
+		t.Errorf("ICMP trace never fast-forwarded: %+v", fc)
 	}
 	if a.prober.Sent != b.prober.Sent || a.prober.Recv != b.prober.Recv {
-		t.Errorf("accounting differs: per-probe Sent/Recv %d/%d, sweep %d/%d",
+		t.Errorf("accounting differs: per-probe Sent/Recv %d/%d, cached %d/%d",
 			a.prober.Sent, a.prober.Recv, b.prober.Sent, b.prober.Recv)
 	}
 	if a.net.Now() != b.net.Now() {
-		t.Errorf("virtual clock differs: per-probe %v, sweep %v", a.net.Now(), b.net.Now())
+		t.Errorf("virtual clock differs: per-probe %v, cached %v", a.net.Now(), b.net.Now())
 	}
 }
 
 // TestSweepPurityFallbackLossyLink proves the purity gate: on a fabric
-// with a lossy link the sweep must stay inert — no walks, no synthesized
-// replies — and the trace runs per-probe.
+// with a lossy link the sweep must stay inert even with the flow cache
+// requested — no walks, no synthesized replies — and the trace runs
+// per-probe.
 func TestSweepPurityFallbackLossyLink(t *testing.T) {
 	l := buildLine(t, 3)
 	l.vp.If.Link.LossProb = 0.5
+	l.net.SetFlowCacheEnabled(true)
 	l.net.SetSweepEnabled(true)
+	l.prober.Method = UDPParis
 	tr := l.prober.Traceroute(l.host.Addr())
 	if len(tr.Hops) == 0 {
 		t.Fatal("trace produced no hops")
@@ -72,9 +80,8 @@ func TestSweepPurityFallbackLossyLink(t *testing.T) {
 }
 
 // TestSweepUDPFallsBackPerProbe pins that without the flow cache a UDP
-// Paris trace never sweeps: slot walks memoize per (slot, TTL) across the
-// port cycle, which the single-slot cache-off fallback entry cannot hold,
-// so the engine stays inert and the trace runs per-probe.
+// Paris trace never sweeps: slot walks are flow-cache entries, so with the
+// cache off the engine stays inert and the trace runs per-probe.
 func TestSweepUDPFallsBackPerProbe(t *testing.T) {
 	l := buildLine(t, 3)
 	l.net.SetSweepEnabled(true)
@@ -108,12 +115,8 @@ func TestSweepUDPTraceMatchesPerProbe(t *testing.T) {
 	on := b.prober.Traceroute(b.host.Addr())
 
 	tracesEqual(t, off, on)
-	s := b.net.SweepStats()
-	if s.UDP.Walks == 0 || s.UDP.Replies == 0 {
+	if s := b.net.SweepStats(); s.UDP.Walks == 0 || s.UDP.Replies == 0 {
 		t.Errorf("UDP slot sweep did not engage: %+v", s)
-	}
-	if s.ICMP != (netsim.SweepCounters{}) {
-		t.Errorf("UDP trace charged ICMP sweep counters: %+v", s)
 	}
 	if a.prober.Sent != b.prober.Sent || a.prober.Recv != b.prober.Recv {
 		t.Errorf("accounting differs: per-probe Sent/Recv %d/%d, sweep %d/%d",

@@ -80,12 +80,20 @@ func (s WireStats) Append(w *wirefmt.Writer) {
 	}
 }
 
-// DecodeWireStats reverses Append.
+// DecodeWireStats reverses Append. Every counted element is decoded from
+// at least one byte of the payload that follows, so a count larger than
+// the rest of the payload is corruption: it fails the reader before
+// NewDecodeArena can size a slab from it.
 func DecodeWireStats(r *wirefmt.Reader) WireStats {
 	var s WireStats
 	for _, p := range [...]*int{&s.Routers, &s.Ifaces, &s.IfPtrs, &s.Locals, &s.Routes,
 		&s.NHops, &s.Binds, &s.LHops, &s.Unders, &s.LFIB, &s.TrieNodes} {
-		*p = int(r.U64())
+		v := r.U64()
+		if v > uint64(r.Len()) {
+			r.Fail(errBadWire)
+			return WireStats{}
+		}
+		*p = int(v)
 	}
 	return s
 }
