@@ -281,8 +281,8 @@ func TestBenchSmoke(t *testing.T) {
 		}
 		if cr.FlowCache {
 			// Misses (and fast-forwards) may be zero: the untimed warm run
-			// leaves the pooled replicas and the shared reply table covering
-			// every flow the timed runs probe.
+			// leaves the pooled replicas' caches covering every flow the
+			// timed runs probe.
 			if cr.CacheHitsPerRun == 0 {
 				t.Errorf("entry %d: cache enabled but no hits: %+v", i, cr)
 			}

@@ -126,10 +126,10 @@ type CampaignReport struct {
 	FlowCache bool `json:"flow_cache"`
 	// Churn reports whether a seeded fail/reconverge/repair schedule ran
 	// during every campaign. Churn rows measure invalidation cost: the
-	// delta row (ChurnFlushWorld=false) evicts only the flows crossing
-	// mutated routers, the flush-world row drops every cache (and the
-	// replica pool) on every event — the baseline delta-invalidation must
-	// beat.
+	// delta row (ChurnFlushWorld=false) masks only the flows crossing
+	// mutated routers, and only until the repair; the flush-world row
+	// drops every cache (and the replica pool) on every event — the
+	// baseline masking must beat.
 	Churn           bool `json:"churn"`
 	ChurnFlushWorld bool `json:"churn_flush_world"`
 	Runs            int  `json:"runs"`
@@ -153,14 +153,10 @@ type CampaignReport struct {
 	BootstrapMS float64 `json:"bootstrap_ms"`
 	// Cache counters, averaged per run (zero when FlowCache is false;
 	// misses and fast-forwards are also zero once the pooled replicas'
-	// caches and the shared reply table fully cover the run, the warm
-	// steady state).
+	// caches fully cover the run, the warm steady state).
 	CacheHitsPerRun   uint64 `json:"cache_hits_per_run"`
 	CacheMissesPerRun uint64 `json:"cache_misses_per_run"`
 	CacheFFPerRun     uint64 `json:"cache_fast_forwards_per_run"`
-	// CacheSharedHitsPerRun is the subset of hits adopted from the shared
-	// cross-worker reply table rather than recorded locally.
-	CacheSharedHitsPerRun uint64 `json:"cache_shared_hits_per_run"`
 	// Sweep counters, averaged per run (zero except on cached UDP rows):
 	// walks injected, replies synthesized without event-loop simulation,
 	// and probes that fell back to live simulation under a swept flow.
@@ -468,7 +464,7 @@ func measureCampaign(in *gen.Internet, base campaign.Config, workers, runs int, 
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	var probes, hits, misses, ffs, shared uint64
+	var probes, hits, misses, ffs uint64
 	var walks, synth, falls, bypasses, aliases, churnEvents uint64
 	var replica, boot time.Duration
 	for i := 0; i < runs; i++ {
@@ -483,7 +479,6 @@ func measureCampaign(in *gen.Internet, base campaign.Config, workers, runs int, 
 		hits += c.FlowCache.Hits
 		misses += c.FlowCache.Misses
 		ffs += c.FlowCache.FastForwards
-		shared += c.FlowCache.SharedHits
 		sw := c.Sweep.Total()
 		walks += sw.Walks
 		synth += sw.Replies
@@ -506,7 +501,6 @@ func measureCampaign(in *gen.Internet, base campaign.Config, workers, runs int, 
 	rep.CacheHitsPerRun = hits / uint64(runs)
 	rep.CacheMissesPerRun = misses / uint64(runs)
 	rep.CacheFFPerRun = ffs / uint64(runs)
-	rep.CacheSharedHitsPerRun = shared / uint64(runs)
 	rep.SweepWalksPerRun = walks / uint64(runs)
 	rep.SweepRepliesPerRun = synth / uint64(runs)
 	rep.SweepFallbacksPerRun = falls / uint64(runs)

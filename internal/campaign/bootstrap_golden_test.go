@@ -83,7 +83,7 @@ func TestParallelBootstrapITDKGolden(t *testing.T) {
 	}
 
 	// Re-running on the same Internet must reproduce the graph through the
-	// warm replica pool and shared reply table, not just on cold replicas.
+	// warm replica pool and its caches, not just on cold replicas.
 	in := testInternet(t, 411)
 	for round := 0; round < 2; round++ {
 		c, err := RunParallel(in, DefaultConfig(), ParallelConfig{Workers: 2})

@@ -76,9 +76,9 @@ type Config struct {
 	// ChurnSeed seeds the churn schedule; the same (topology, rate, seed)
 	// triple always fails the same links at the same probe ticks.
 	ChurnSeed int64
-	// ChurnFlushWorld switches churn invalidation from scoped
-	// delta-eviction to a whole-fabric cache flush per event — the
-	// baseline the delta path is equivalence-tested and benchmarked
+	// ChurnFlushWorld switches churn invalidation from masking (see
+	// netsim's churn.go) to a whole-fabric cache flush per event — the
+	// baseline the masking path is equivalence-tested and benchmarked
 	// against.
 	ChurnFlushWorld bool
 	// MaxBootstrapTargets caps how many router addresses the bootstrap

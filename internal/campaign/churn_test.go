@@ -3,6 +3,7 @@ package campaign
 import (
 	"testing"
 
+	"wormhole/internal/gen"
 	"wormhole/internal/netsim"
 	"wormhole/internal/probe"
 )
@@ -23,14 +24,14 @@ func churnTestConfig() Config {
 // byte-identical — hops, reply TTLs, label stacks, RTTs, probe and reply
 // counters, per-shard virtual-clock totals — to the uncached, unswept
 // oracle, across the serial engine, snapshot and rebuild replicas,
-// 1/2/8-worker pools, both invalidation modes (scoped delta eviction and
-// the flush-the-world baseline), and both probe methods. The UDP run
-// additionally exercises eviction of aliased port-cycle slots: scoped
-// deltas evict a master walk's entry out from under every slot sharing
-// it, and the lazily pruned master index must re-walk, not serve stale
-// trajectories. A cache-off run is the per-probe oracle even with the
-// sweep requested: its scoped evictions have nothing to evict, so it
-// must move no cache or sweep counter.
+// 1/2/8-worker pools, both invalidation modes (masking and the
+// flush-the-world baseline), and both probe methods. The UDP run
+// additionally exercises masking of aliased port-cycle slots: a mask
+// hides a master walk's entry from every slot sharing it, and while a
+// window is open slots take the plain memo path instead of deriving from
+// trajectories the window may have changed. A cache-off run is the
+// per-probe oracle even with the sweep requested: its events have nothing
+// to mask, so it must move no cache or sweep counter.
 func TestChurnEquivalenceGolden(t *testing.T) {
 	t.Run("icmp", func(t *testing.T) { testChurnEquivalence(t, probe.ICMPParis) })
 	t.Run("udp", func(t *testing.T) { testChurnEquivalence(t, probe.UDPParis) })
@@ -137,11 +138,11 @@ func TestChurnRestoresPristine(t *testing.T) {
 	}
 }
 
-// TestChurnParallelWarmPool pins pool reuse under scoped invalidation:
-// because delta eviction never bumps the fabric's topology generation and
-// repair restores the pristine control plane, a second churned parallel
-// campaign reuses the pooled replicas (no replica build) and still
-// matches the serial output.
+// TestChurnParallelWarmPool pins pool reuse under masking: because a
+// masking event never bumps the fabric's topology generation and repair
+// restores the pristine control plane, a second churned parallel campaign
+// reuses the pooled replicas (no replica build) and still matches the
+// serial output.
 func TestChurnParallelWarmPool(t *testing.T) {
 	cfg := churnTestConfig()
 	want := dumpExactCampaign(t, Run(testInternet(t, 101), cfg))
@@ -163,7 +164,53 @@ func TestChurnParallelWarmPool(t *testing.T) {
 		t.Logf("warm rerun replica phase %v vs cold %v (informational)",
 			second.Phase.Replica, first.Phase.Replica)
 	}
-	if second.FlowCache.SharedHits == 0 && second.FlowCache.Hits == 0 {
+	if second.FlowCache.Hits == 0 {
 		t.Errorf("warm churned rerun shows no cache reuse: %+v", second.FlowCache)
+	}
+}
+
+// TestChurnWarmRepeat pins that pristine cache state survives churn on
+// every engine: at the Small rung, a repeat of a churned campaign on the
+// same fabric reproduces the first run exactly and misses fewer than a
+// tenth of its probes — only what the windows' masks hide runs live —
+// on the serial engine and on a 2-worker pool alike.
+func TestChurnWarmRepeat(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ChurnRate, cfg.ChurnSeed = 2, 2024
+	for _, tc := range []struct {
+		name string
+		run  func(*gen.Internet) (*Campaign, error)
+	}{
+		{"serial", func(in *gen.Internet) (*Campaign, error) { return Run(in, cfg), nil }},
+		{"workers=2", func(in *gen.Internet) (*Campaign, error) {
+			return RunParallel(in, cfg, ParallelConfig{Workers: 2})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := gen.DefaultParams(2024)
+			p.NumTier1, p.NumTransit, p.NumStub, p.NumVPs = 2, 5, 10, 5
+			in, err := gen.Build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := tc.run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := tc.run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if second.ChurnEvents == 0 {
+				t.Fatal("no churn events fired")
+			}
+			if got, want := dumpExactCampaign(t, second), dumpExactCampaign(t, first); got != want {
+				t.Fatalf("warm churned repeat diverged\n%s", firstDiff(want, got))
+			}
+			t.Logf("repeat: %d probes, %d misses, %d churn events", second.Probes, second.FlowCache.Misses, second.ChurnEvents)
+			if second.FlowCache.Misses*10 >= second.Probes {
+				t.Errorf("warm churned repeat missed %d of %d probes", second.FlowCache.Misses, second.Probes)
+			}
+		})
 	}
 }

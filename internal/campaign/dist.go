@@ -511,6 +511,11 @@ func ServeWorker(conn net.Conn) error {
 	if err := readJSON(conn, msgShards, &sm); err != nil {
 		return fmt.Errorf("worker: shards: %w", err)
 	}
+	for i, h := range sm.HDNs {
+		if h == nil {
+			return fmt.Errorf("worker: null HDN %d in the shards frame", i)
+		}
+	}
 	for _, sh := range sm.Shards {
 		if sh.Team < 0 || len(win.VPs) == 0 {
 			return fmt.Errorf("worker: shard %d for team %d", sh.Idx, sh.Team)

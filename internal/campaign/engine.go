@@ -229,9 +229,6 @@ type engine struct {
 	in    *gen.Internet
 	cfg   Config
 	slots []executor
-	// barrier, when set, runs after each phase's last slot returns (the
-	// parallel engine publishes its shared flow table there).
-	barrier func()
 	// own meters the source fabric while the coordinator itself works on
 	// it (alias resolution, job enumeration, graph replay, selection) and
 	// is paused while slots run, so a slot on the source fabric is never
@@ -251,7 +248,7 @@ func (e *engine) owned() counters {
 }
 
 // each runs fn on every slot concurrently and returns the first failure
-// in slot order, blamed on its slot; then the barrier runs.
+// in slot order, blamed on its slot.
 func (e *engine) each(fn func(i int, x executor) error) error {
 	e.pause()
 	defer e.resume()
@@ -269,9 +266,6 @@ func (e *engine) each(fn func(i int, x executor) error) error {
 		if err != nil {
 			return &WorkerError{Worker: i, Err: err}
 		}
-	}
-	if e.barrier != nil {
-		e.barrier()
 	}
 	return nil
 }

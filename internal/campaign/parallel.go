@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"wormhole/internal/gen"
-	"wormhole/internal/netsim"
 )
 
 // ReplicaMode selects how each worker obtains its private fabric replica.
@@ -51,18 +50,12 @@ type ParallelConfig struct {
 //     — run after run, so steady-state runs build no replicas at all.
 //     The same replica serves the slot's bootstrap partition and its
 //     shards. A control-plane mutation on the source or a replica
-//     invalidates the affected pool entries.
+//     invalidates the affected pool entries; churn masks instead of
+//     mutating the cache (see netsim's churn.go), so a replica's pristine
+//     cache state survives every fail/repair cycle.
 //
-//   - Shared flow cache. All replicas subscribe to one
-//     netsim.SharedFlowTable keyed to the source fabric's topology; the
-//     coordinator publishes each replica's fresh recordings at the two
-//     phase barriers, so replica N replays trajectories replica M paid
-//     for, and a later campaign's cold replicas adopt the whole previous
-//     campaign's replies.
-//
-// Each replica is driven by exactly one goroutine per phase — no
-// packet-level state is shared (netsim's ownership assertions enforce
-// this); the shared table hands out only immutable published epochs.
+// Each replica is driven by exactly one goroutine per phase and the
+// replicas share nothing — netsim's ownership assertions enforce this.
 func RunParallel(in *gen.Internet, cfg Config, pcfg ParallelConfig) (*Campaign, error) {
 	workers := pcfg.Workers
 	if workers <= 0 {
@@ -76,24 +69,10 @@ func RunParallel(in *gen.Internet, cfg Config, pcfg ParallelConfig) (*Campaign, 
 		return nil, fmt.Errorf("campaign: replica pool: %w", err)
 	}
 	defer in.ReleaseReplicas(replicas)
-	var table *netsim.SharedFlowTable
-	if !cfg.DisableFlowCache {
-		table = in.Net.OwnSharedFlowCache()
-	}
 	e := &engine{in: in, cfg: cfg}
 	probers := proberSettingsOf(in.VPs)
-	nets := make([]*netsim.Network, len(replicas))
-	for i, r := range replicas {
+	for _, r := range replicas {
 		e.slots = append(e.slots, newLocalSlot(r, cfg, probers, true))
-		if table != nil && r.Net.SharedFlowCache() != table {
-			r.Net.AttachSharedFlowCache(table)
-		}
-		nets[i] = r.Net
-	}
-	if table != nil {
-		// Publishing while the pool is quiescent lets a replica's shard
-		// probes hit on trajectories any bootstrap partition paid for.
-		e.barrier = func() { table.Publish(nets...) }
 	}
 	setup := time.Since(t0)
 

@@ -195,10 +195,10 @@ func TestFirstTTLConsistentAcrossTargets(t *testing.T) {
 // `go test -race` it runs 10x the iterations so the detector sees many
 // pool lifecycles (this is the stress half of the race tier). Each
 // iteration runs three campaigns on the same Internet — a cold one that
-// builds the replica pool and shared reply table, a warm one that reuses
-// both (the shared-cache adoption path under concurrent workers), and,
-// after a mid-campaign-style control-plane mutation on the source fabric,
-// a third that must flush the shared epochs and rebuild the pool.
+// builds the replica pool, a warm one that reuses it and the replicas'
+// caches under concurrent workers, and, after a mid-campaign-style
+// control-plane mutation on the source fabric, a third that must rebuild
+// the pool.
 func TestParallelStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short")
@@ -219,8 +219,8 @@ func TestParallelStress(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			if round == 2 {
 				// Simulate the mutated() hook firing between campaigns: the
-				// owner flushes the shared table and the replica pool drops
-				// its now-stale entries.
+				// source's topology generation moves and the replica pool
+				// drops its now-stale entries.
 				in.Net.InvalidateFlowCache()
 			}
 			c, err := RunParallel(in, DefaultConfig(), ParallelConfig{Workers: workers})

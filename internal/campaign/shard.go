@@ -183,8 +183,8 @@ func runShard(in *gen.Internet, sh shard, p *probePlan, flushWorld bool) *shardR
 	}
 
 	// Disarm before the final counter reads: remainders force-fired here
-	// restore the pristine control plane, and their evictions land in the
-	// shard's cache accounting.
+	// restore the pristine control plane, and their invalidations land in
+	// the shard's cache accounting.
 	in.Net.ChurnEnd()
 	d := readCounters(in).sub(c0)
 	res.stats.ChurnEvents = in.Net.ChurnFired() - fired0

@@ -203,7 +203,7 @@ func cmdCampaign(args []string) error {
 	noSweep := fs.Bool("no-sweep", false, "disable the single-injection TTL sweep, which only -method udp uses, with the flow cache on (results are identical either way)")
 	churn := fs.Float64("churn", 0, "expected link fail/reconverge/repair cycles per shard (0 = static topology)")
 	churnSeed := fs.Int64("churn-seed", 0, "churn schedule seed (default: the generator seed)")
-	churnFlush := fs.Bool("churn-flush-world", false, "invalidate every cache on each churn event instead of delta-eviction (baseline mode)")
+	churnFlush := fs.Bool("churn-flush-world", false, "invalidate every cache on each churn event instead of masking (baseline mode)")
 	pprofPrefix := fs.String("pprof", "", "write CPU and heap profiles to <prefix>.cpu.pb.gz and <prefix>.heap.pb.gz")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -299,8 +299,8 @@ func cmdCampaign(args []string) error {
 	}
 	if !*noFlowCache {
 		fc := c.FlowCache
-		printf("flow cache: %d hits (%d shared), %d misses, %d fast-forwards, %d invalidations\n",
-			fc.Hits, fc.SharedHits, fc.Misses, fc.FastForwards, fc.Invalidations)
+		printf("flow cache: %d hits, %d misses, %d fast-forwards, %d invalidations\n",
+			fc.Hits, fc.Misses, fc.FastForwards, fc.Invalidations)
 	}
 	if sw := c.Sweep.UDP; sw != (netsim.SweepCounters{}) {
 		printf("ttl sweep [udp]: %d walks, %d derived replies, %d fallbacks, %d bypasses, %d slot aliases\n",
@@ -538,8 +538,8 @@ func cmdBench(args []string) error {
 			printf(" (%d churn events)", cr.ChurnEventsPerRun)
 		}
 		if cr.FlowCache {
-			printf(" (%d hits incl %d shared, %d misses, %d ff)",
-				cr.CacheHitsPerRun, cr.CacheSharedHitsPerRun, cr.CacheMissesPerRun, cr.CacheFFPerRun)
+			printf(" (%d hits, %d misses, %d ff)",
+				cr.CacheHitsPerRun, cr.CacheMissesPerRun, cr.CacheFFPerRun)
 		}
 		if cr.FlowCache && cr.Method == "udp" {
 			printf(" (%d walks, %d derived, %d fallbacks, %d bypasses, %d aliases)",

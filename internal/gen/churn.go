@@ -151,7 +151,7 @@ func cycleEvents(in2 *Internet, cand churnCandidate, failAt, reconvAt, repairAt 
 			// deviance scope is the AS even though fail itself only
 			// touches the endpoints.
 			DevScope: scope,
-			// The endpoints must be evicted even if the fast-reroute
+			// The endpoints must be masked even if the fast-reroute
 			// computation fails: the down link drops packets regardless.
 			EvictScope: []netsim.Node{a, b},
 			Apply: func() {
@@ -179,9 +179,8 @@ func cycleEvents(in2 *Internet, cand churnCandidate, failAt, reconvAt, repairAt 
 			Kind:     "repair",
 			Dev:      -1,
 			DevScope: scope,
-			// Every flow that crossed the AS during the deviance window
-			// must be evicted here, whether or not repair's own
-			// mutations reach its routers.
+			// The whole AS is masked until the window closes here,
+			// whether or not repair's own mutations reach its routers.
 			EvictScope: scope,
 			Apply: func() {
 				link.Up = true

@@ -35,9 +35,8 @@ import (
 // stubs it marks) are copied, so Snapshot() stays proportional to the
 // resident set, not the universe. Replicas fault stubs in independently:
 // their node indices for lazy stubs diverge across fabrics, which is safe
-// because churn scopes and shared-table eviction bitmaps only ever name
-// core nodes (BuildChurnPlan skips stubs), and the shared address index
-// never contains lazy records.
+// because churn scopes only ever name core nodes (BuildChurnPlan skips
+// stubs), and the shared address index never contains lazy records.
 
 // stubDesc is the compact build-time plan of one stub AS: everything the
 // eager build would have decided from the main rng, captured so

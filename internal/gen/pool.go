@@ -144,7 +144,7 @@ func (in *Internet) ReleaseReplicas(rs []*Internet) {
 		if l.epoch != p.epoch || r.Net.TopoGen() != l.gen || r.Net.ChurnDeviant() {
 			// TopoGen catches whole-fabric flushes; ChurnDeviant catches a
 			// churn schedule that somehow ended without restoring the
-			// pristine control plane (scoped invalidations leave TopoGen
+			// pristine control plane (masking churn events leave TopoGen
 			// untouched by design).
 			continue
 		}

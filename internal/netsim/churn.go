@@ -1,15 +1,11 @@
 package netsim
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // This file implements the churn engine: a deterministic, seeded schedule
 // of control-plane events (link failures, IGP reconvergence, LSP
 // re-signalling, repairs) injected into a running campaign, plus the
-// delta-invalidation machinery that keeps the flow cache warm across
-// those events.
+// masking rule that keeps the flow cache warm across those events.
 //
 // # Scheduling
 //
@@ -23,45 +19,41 @@ import (
 // sequence, so events fire at identical boundaries and every probe sees
 // identical topology.
 //
-// # Delta-invalidation
+// # Masking
 //
 // Outside churn, any router mutation flushes the world
 // (InvalidateFlowCache): correct, and cheap when mutations only happen
-// between campaigns. During a churn window that would cold-start every
-// cache on every flap, so churnFire brackets each event's Apply in a
-// *batch*: every router that mutates reports itself through
-// InvalidateFlowCacheScoped and is collected into a scope bitmap instead
-// of flushing. When Apply returns, exactly the flow entries and reply
-// shapes whose recorded activity (forward trajectory and reply path — the
-// touched set, see flowcache.go) intersects the scope are evicted, and
-// everything else stays warm. The fabric-wide topoGen is deliberately not
-// bumped: a schedule always closes with a repair that restores the
-// original control plane byte-for-byte, so a fabric that ends its shard
+// between campaigns. Churn events instead mask. Each event brackets its
+// Apply in a batch: every router that mutates reports itself through
+// InvalidateFlowCacheScoped and joins the event's scope, with the nodes
+// its EvictScope names. Cached state then splits in two:
+//
+//   - Pristine: the flow entries and reply shapes in the cache's main
+//     maps, each recorded while no node of its touched set (the nodes
+//     its recorded activity visited, see flowcache.go) deviated from the
+//     built topology. No event ever evicts them.
+//   - Window-era: entries recorded while a deviance window (fail →
+//     repair) is open whose touched set crosses a masked node. They live
+//     in a per-window map that the next event drops.
+//
+// While a window is open the mask is every node an event since the first
+// window opened put in scope. A pristine artifact is served only if its
+// touched set misses the mask (unknown provenance never does); a fresh
+// recording that misses it is pristine too, and joins the main maps. When
+// the last open window closes, the mask clears and everything it hid is
+// served again without a live probe — provided every masked node lies in
+// the DevScope of a window that opened since, whose repair restores it;
+// otherwise the cache flushes instead. An event that mutates anything
+// while no window is open flushes.
+//
+// The rule is exact because events fire only between probes, so a
+// probe's whole drain sees one control plane, and because the schedule's
+// repair restores the AS's control plane byte for byte: a node outside
+// the mask behaves as built, so a drain that touched only such nodes
+// observed exactly what it would have on the pristine fabric, and after
+// the repair every masked node behaves as built again. The fabric-wide
+// topoGen moves only on flushes, so a fabric that ends its shard
 // content-pristine may be re-pooled warm.
-//
-// Eviction is generation-stamped, so an event costs O(|scope|) rather
-// than a scan of the whole cache. evictScope advances the fabric's
-// eviction generation and stamps it on every node in scope (scopeGen).
-// Each flow entry and reply shape carries the generation it was last
-// validated at, and its one accessor (liveEntry, liveShape) settles the
-// eviction on read: a current stamp is live; otherwise the artifact is
-// evicted if any node in its touched set was stamped later (or its
-// provenance is unknown), and restamped if not. Since touched sets only
-// grow on artifacts validated in the current generation, and events fire
-// only between probes, that read sees the same set every eviction since
-// the stamp would have scanned: an artifact is served exactly when the
-// eager scan would have kept it. Evicted artifacts linger in their maps
-// until read or overwritten, bounded by the key space.
-//
-// # Deviance windows
-//
-// Between a failure and its repair the fabric deviates from the pristine
-// topology its shared reply table is keyed to. The window's node scope is
-// tracked in a deviance bitmap: while any window is open, shared-table
-// entries touching it are not adopted, and locally recorded entries
-// touching it are tainted (never published). The repair event's eviction
-// scope covers the window, so every deviant-era entry is evicted before
-// the next publish barrier.
 
 // ChurnEvent is one scheduled control-plane mutation.
 type ChurnEvent struct {
@@ -77,13 +69,13 @@ type ChurnEvent struct {
 	// inside a window).
 	Dev int
 	// DevScope lists the nodes whose behaviour may differ from pristine
-	// while the window this event opens stays open. Consulted only when
-	// Dev != 0.
+	// while the window this event opens stays open: the nodes its repair
+	// vouches to restore. Consulted only when Dev > 0.
 	DevScope []Node
-	// EvictScope lists nodes whose cached flows must be evicted even if
-	// Apply does not mutate them directly (e.g. both endpoints of a
-	// failed link, which drops packets without touching a FIB). Routers
-	// mutated by Apply are collected automatically.
+	// EvictScope lists nodes to mask even if Apply does not mutate them
+	// directly (e.g. both endpoints of a failed link, which drops packets
+	// without touching a FIB). Routers mutated by Apply are collected
+	// automatically.
 	EvictScope []Node
 	// Apply performs the mutation (link flips, IGP recomputation, LSP
 	// re-signalling) against this fabric.
@@ -101,24 +93,29 @@ type churnState struct {
 	fired      uint64
 
 	// batching brackets an event's Apply: mutations accumulate into the
-	// batch scope instead of flushing the world. batchAll falls back to a
-	// full flush when a mutation cannot be attributed to a known node.
-	batching  bool
-	batchAll  bool
-	batchBits []uint64
-	batchList []int32
+	// batch scope instead of flushing the world. batchAll records a
+	// mutation that cannot be attributed to a known node.
+	batching bool
+	batchAll bool
+	batch    nodeSet
 
-	// devBits marks nodes inside an open deviance window; devCount is
-	// the number of open windows.
-	devBits  []uint64
-	devCount int
+	// devCount is the number of open deviance windows. While one is open,
+	// mask holds every node an event put in scope and restore the DevScope
+	// of every window opened; unvouched records an unattributable
+	// mutation, which no repair vouches for.
+	devCount  int
+	mask      nodeSet
+	restore   nodeSet
+	unvouched bool
 }
 
 // ChurnBegin arms the engine with a schedule for the probes that follow.
 // flushWorld selects the baseline invalidation strategy — every event
-// flushes the world — instead of delta-invalidation; it exists so the
-// benchmark can measure one against the other on identical schedules. A
-// nil schedule leaves the engine inert.
+// flushes the world — instead of masking; it exists so the benchmark can
+// measure one against the other on identical schedules. A nil schedule
+// leaves the engine inert. Deviance windows belong to the fabric, not the
+// schedule: one a previous schedule left open stays open, mask and all,
+// since its nodes still deviate until a repair closes it.
 func (n *Network) ChurnBegin(events []ChurnEvent, flushWorld bool) {
 	c := &n.churn
 	c.events = events
@@ -126,10 +123,6 @@ func (n *Network) ChurnBegin(events []ChurnEvent, flushWorld bool) {
 	c.tick = 0
 	c.active = len(events) > 0
 	c.flushWorld = flushWorld
-	c.devCount = 0
-	for i := range c.devBits {
-		c.devBits[i] = 0
-	}
 }
 
 // ChurnTick advances the probe clock by one and fires every event whose
@@ -169,12 +162,20 @@ func (n *Network) ChurnFired() uint64 { return n.churn.fired }
 // ChurnDeviant reports whether a deviance window is open: the fabric's
 // control plane differs from the pristine topology it was built with.
 // Replica pools refuse to re-pool a deviant fabric.
-func (n *Network) ChurnDeviant() bool { return n.churn.devCount != 0 }
+func (n *Network) ChurnDeviant() bool { return n.churn.devCount > 0 }
 
 // churnFire applies one event under the armed invalidation strategy and
-// maintains the deviance window bookkeeping.
+// maintains the deviance windows.
 func (n *Network) churnFire(ev *ChurnEvent) {
 	c := &n.churn
+	if ev.Dev > 0 {
+		c.devCount++
+		for _, nd := range ev.DevScope {
+			if i, ok := n.nodeIdx[nd]; ok {
+				c.restore.add(i)
+			}
+		}
+	}
 	if c.flushWorld {
 		if ev.Apply != nil {
 			ev.Apply()
@@ -183,10 +184,7 @@ func (n *Network) churnFire(ev *ChurnEvent) {
 	} else {
 		c.batching = true
 		c.batchAll = false
-		for _, i := range c.batchList {
-			clearBit(c.batchBits, i)
-		}
-		c.batchList = c.batchList[:0]
+		c.batch.reset()
 		for _, nd := range ev.EvictScope {
 			n.batchNode(nd)
 		}
@@ -194,29 +192,57 @@ func (n *Network) churnFire(ev *ChurnEvent) {
 			ev.Apply()
 		}
 		c.batching = false
-		if c.batchAll {
-			n.InvalidateFlowCache()
-		} else if len(c.batchList) > 0 {
-			n.evictScope(c.batchBits, c.batchList)
-		}
+		n.maskBatch()
 	}
-	switch {
-	case ev.Dev > 0:
-		c.devCount++
-		for _, nd := range ev.DevScope {
-			if i, ok := n.nodeIdx[nd]; ok {
-				setBit(&c.devBits, i)
-			}
-		}
-	case ev.Dev < 0:
+	if ev.Dev < 0 && c.devCount > 0 {
 		c.devCount--
-		for _, nd := range ev.DevScope {
-			if i, ok := n.nodeIdx[nd]; ok {
-				clearBit(c.devBits, i)
+		if c.devCount == 0 {
+			// The last window closes: its repairs restored every node they
+			// vouch for, so the mask lifts — unless it covers a node no
+			// window vouched for, which only a flush can clear.
+			if c.unvouched || !c.restore.covers(c.mask.list) {
+				n.flush()
 			}
+			c.mask.reset()
+			c.restore.reset()
+			c.unvouched = false
 		}
 	}
 	c.fired++
+}
+
+// maskBatch settles one event's batch: it drops the window-era map (its
+// recordings saw the control plane this event just changed) and, while a
+// window is open, adds the batch to the mask. An unattributable mutation,
+// or any mutation with no window open, flushes instead. Only a fabric
+// whose cache is on counts the event as an invalidation: with the cache
+// off there is nothing to invalidate, and FlowCacheStats stays zero.
+// Purity is unaffected by churn (link state is not a purity input), so no
+// re-scan is scheduled.
+func (n *Network) maskBatch() {
+	c := &n.churn
+	f := &n.flows
+	clear(f.window)
+	f.hotE, f.hotOK = nil, false
+	if f.rec.active {
+		f.rec.bad = true
+	}
+	if f.enabled {
+		f.stats.Invalidations++
+	}
+	switch {
+	case c.batchAll:
+		n.flush()
+		c.unvouched = c.devCount > 0
+	case c.devCount == 0:
+		if len(c.batch.list) > 0 {
+			n.flush()
+		}
+	default:
+		for _, i := range c.batch.list {
+			c.mask.add(i)
+		}
+	}
 }
 
 // batchNode adds a node to the in-progress event batch scope.
@@ -230,22 +256,15 @@ func (n *Network) batchNode(nd Node) {
 		c.batchAll = true
 		return
 	}
-	w, b := int(i>>6), uint(i&63)
-	for w >= len(c.batchBits) {
-		c.batchBits = append(c.batchBits, 0)
-	}
-	if c.batchBits[w]&(1<<b) == 0 {
-		c.batchBits[w] |= 1 << b
-		c.batchList = append(c.batchList, i)
-	}
+	c.batch.add(i)
 }
 
-// InvalidateFlowCacheScoped is the delta-invalidation entry point routers
-// call from their mutation hooks. Inside a fault-in bracket the mutation
-// is swallowed entirely (see BeginFaultIn). Inside a churn batch it is
-// collected into the event's eviction scope; outside one it falls back to
-// the full flush, so mutations between campaigns keep their pre-churn
-// semantics exactly.
+// InvalidateFlowCacheScoped is the churn-aware invalidation entry point
+// routers call from their mutation hooks. Inside a fault-in bracket the
+// mutation is swallowed entirely (see BeginFaultIn). Inside a churn batch
+// it joins the event's scope; outside one it falls back to the full
+// flush, so mutations between campaigns keep their pre-churn semantics
+// exactly.
 func (n *Network) InvalidateFlowCacheScoped(nd Node) {
 	if n.faultInDepth > 0 {
 		return
@@ -266,11 +285,11 @@ func (n *Network) InvalidateFlowCacheScoped(nd Node) {
 // limiting — purity is preserved), and the only mutations on
 // already-built routers are customer routes for the stub's fresh address
 // block. The fault-in hook fires before the first probe toward that
-// block, so no cached trajectory, reply shape, or shared-table entry can
-// reference it — there is nothing to evict, and suppressing the flush
-// keeps every warm cache (and the TopoGen-keyed replica pool) intact.
-// The mutating routers' local route caches are still flushed by their
-// own mutation hooks, which is all the correctness the new routes need.
+// block, so no cached trajectory or reply shape can reference it — there
+// is nothing to invalidate, and suppressing the flush keeps every warm
+// cache (and the TopoGen-keyed replica pool) intact. The mutating
+// routers' local route caches are still flushed by their own mutation
+// hooks, which is all the correctness the new routes need.
 func (n *Network) BeginFaultIn() { n.faultInDepth++ }
 
 // EndFaultIn closes the bracket opened by BeginFaultIn.
@@ -280,162 +299,71 @@ func (n *Network) EndFaultIn() {
 	}
 }
 
-// ScopeGen returns the eviction generation of the last scoped
-// invalidation whose scope covered the node, or 0 if none has. Each scoped
-// invalidation advances the fabric's eviction generation by one, so under
-// delta-invalidation the fabric-wide TopoGen splits into these per-node
-// stamps; TopoGen itself still counts whole-fabric flushes only.
-func (n *Network) ScopeGen(nd Node) uint64 {
-	i, ok := n.nodeIdx[nd]
-	if !ok || int(i) >= len(n.scopeGen) {
-		return 0
-	}
-	return uint64(n.scopeGen[i])
-}
+// masking reports whether a deviance window has masked any node, which
+// routes the flow cache through its window-era paths.
+func (c *churnState) masking() bool { return len(c.mask.list) > 0 }
 
-// evictScope evicts every cached artifact whose touched set intersects the
-// scope (given as a bitmap and as its index list) or is unknown, in
-// O(|scope|): it advances the eviction generation and stamps it on the
-// scope's nodes, leaving flow entries and reply shapes to be retired by
-// their accessors on read. What is O(1) or read by other goroutines is
-// evicted here and now: the in-flight recording is poisoned, the hot
-// lookup is dropped, and — when this fabric owns a shared table — the
-// table's matching entries go, because subscribers read its copy-on-write
-// epochs concurrently. Only a fabric whose cache is on counts the
-// eviction: with the cache off there is nothing to evict, and
-// FlowCacheStats stays zero. Purity is unaffected by churn (link state is
-// not a purity input), so no re-scan is scheduled, and the fabric-wide
-// topoGen stays put.
-func (n *Network) evictScope(bits []uint64, list []int32) {
-	f := &n.flows
-	if f.rec.active {
-		f.rec.bad = true
-	}
-	if n.evictGen == math.MaxUint32 {
-		// The generation space is exhausted: fall back to the full flush,
-		// which drops every stamped artifact, and restart the stamps.
-		n.InvalidateFlowCache()
-		n.evictGen = 0
-		clear(n.scopeGen)
-		return
-	}
-	n.evictGen++
-	for _, i := range list {
-		if int(i) >= len(n.scopeGen) {
-			n.scopeGen = append(n.scopeGen, make([]uint32, int(i)+1-len(n.scopeGen))...)
-		}
-		n.scopeGen[i] = n.evictGen
-	}
-	f.hotE, f.hotOK = nil, false
-	if f.enabled {
-		f.stats.Invalidations++
-	}
-	if f.shared != nil && f.sharedOwner {
-		f.shared.ScopedFlush(bits)
-	}
-	// A subscribed replica stays attached: the entries it published while
-	// pristine remain valid for its siblings, and its local deviations are
-	// retired by the stamps above.
-}
-
-// evicted reports whether a scoped eviction has retired an artifact
-// stamped at gen with the given provenance: unknown provenance is retired
-// by any eviction since the stamp, known provenance by one whose scope
-// covered a node of touched. It reads only, so concurrent readers of an
-// idle fabric may call it.
-func (n *Network) evicted(gen uint32, touched []int32, touchAll bool) bool {
-	if gen == n.evictGen {
+// masked reports whether a pristine artifact with this provenance must not
+// be served now: the mask is up and the artifact touched a masked node, or
+// its provenance is unknown.
+func (n *Network) masked(touched []int32, touchAll bool) bool {
+	c := &n.churn
+	if !c.masking() {
 		return false
 	}
-	if touchAll || touched == nil {
-		return true
-	}
-	sg := n.scopeGen
-	for _, i := range touched {
-		if int(i) < len(sg) && sg[i] > gen {
-			return true
-		}
-	}
-	return false
-}
-
-// liveEntry is the read path for flow entries: the entry cached under key,
-// or nil if there is none or a scoped eviction has retired it. A retired
-// entry is deleted, from the dirty set too; a surviving one is restamped
-// with the current generation, so the next read costs one comparison.
-// UDP aliases share their master's entry by pointer, and with it the
-// stamp.
-func (n *Network) liveEntry(key FlowKey) *flowEntry {
-	f := &n.flows
-	e := f.entries[key]
-	if e == nil || e.gen == n.evictGen {
-		return e
-	}
-	if n.evicted(e.gen, e.touched, e.touchAll) {
-		delete(f.entries, key)
-		delete(f.dirty, key)
-		return nil
-	}
-	e.gen = n.evictGen
-	return e
-}
-
-// addEntry creates an empty entry under key, stamped with the current
-// generation.
-func (n *Network) addEntry(key FlowKey) *flowEntry {
-	f := &n.flows
-	if f.entries == nil {
-		f.entries = make(map[FlowKey]*flowEntry)
-	}
-	e := &flowEntry{gen: n.evictGen}
-	f.entries[key] = e
-	return e
-}
-
-// liveShape is the read path for learned reply shapes, with liveEntry's
-// semantics: a shape a scoped eviction has retired is deleted and
-// reported absent, a surviving one restamped.
-func (n *Network) liveShape(k shapeKey) (replyShape, bool) {
-	f := &n.flows
-	sh, ok := f.shapes[k]
-	if !ok || sh.gen == n.evictGen {
-		return sh, ok
-	}
-	if n.evicted(sh.gen, sh.touched, sh.touchAll) {
-		delete(f.shapes, k)
-		return replyShape{}, false
-	}
-	sh.gen = n.evictGen
-	f.shapes[k] = sh
-	return sh, true
+	return touchAll || touched == nil || c.mask.meets(touched)
 }
 
 // ---- touched-set primitives ----
 
-func setBit(bits *[]uint64, i int32) {
-	w := int(i >> 6)
-	for w >= len(*bits) {
-		*bits = append(*bits, 0)
-	}
-	(*bits)[w] |= 1 << uint(i&63)
+// nodeSet is a set of fabric node indices: a bitmap for membership plus
+// the insertion-order list that makes clearing O(|set|).
+type nodeSet struct {
+	bits []uint64
+	list []int32
 }
 
-func clearBit(bits []uint64, i int32) {
-	w := int(i >> 6)
-	if w < len(bits) {
-		bits[w] &^= 1 << uint(i&63)
+func (s *nodeSet) add(i int32) {
+	w, b := int(i>>6), uint(i&63)
+	for w >= len(s.bits) {
+		s.bits = append(s.bits, 0)
+	}
+	if s.bits[w]&(1<<b) == 0 {
+		s.bits[w] |= 1 << b
+		s.list = append(s.list, i)
 	}
 }
 
-// intersectsBits reports whether any index in touched is set in bits.
-func intersectsBits(touched []int32, bits []uint64) bool {
+func (s *nodeSet) has(i int32) bool {
+	w := int(i >> 6)
+	return w < len(s.bits) && s.bits[w]&(1<<uint(i&63)) != 0
+}
+
+// meets reports whether any index in touched is in the set.
+func (s *nodeSet) meets(touched []int32) bool {
 	for _, i := range touched {
-		w := int(i >> 6)
-		if w < len(bits) && bits[w]&(1<<uint(i&63)) != 0 {
+		if s.has(i) {
 			return true
 		}
 	}
 	return false
+}
+
+// covers reports whether every index in list is in the set.
+func (s *nodeSet) covers(list []int32) bool {
+	for _, i := range list {
+		if !s.has(i) {
+			return false
+		}
+	}
+	return true
+}
+
+func (s *nodeSet) reset() {
+	for _, i := range s.list {
+		s.bits[int(i>>6)] &^= 1 << uint(i&63)
+	}
+	s.list = s.list[:0]
 }
 
 // sortedTouched returns a sorted copy of an unsorted (already unique)
@@ -508,30 +436,13 @@ func applyTouched(e *flowEntry, tl []int32, ok bool) {
 	e.touched = unionTouched(e.touched, sortedTouched(tl))
 }
 
-// adoptTouched folds a shared entry's provenance into a local entry on
-// adoption.
-func adoptTouched(e *flowEntry, se *sharedFlowEntry) {
-	if se.touchAll || se.touched == nil {
+// foldTouched folds another artifact's provenance — a sorted set, or
+// unknown — into the entry's touched set.
+func foldTouched(e *flowEntry, touched []int32, touchAll bool) {
+	switch {
+	case touchAll:
 		e.touched, e.touchAll = nil, true
-		return
-	}
-	if e.touchAll || touchedCovers(e.touched, false, se.touched) {
-		return
-	}
-	e.touched = unionTouched(e.touched, se.touched)
-}
-
-// taintCheck marks the entry tainted when its recording overlapped an
-// open deviance window: the observation may be specific to the deviated
-// topology and must never be published to a shared table. (Eviction at
-// repair already removes such entries locally; the taint is the publish-
-// side guarantee.)
-func (n *Network) taintCheck(e *flowEntry, tlOK bool) {
-	c := &n.churn
-	if c.devCount == 0 {
-		return
-	}
-	if !tlOK || e.touchAll || intersectsBits(e.touched, c.devBits) {
-		e.tainted = true
+	case !e.touchAll && !touchedCovers(e.touched, false, touched):
+		e.touched = unionTouched(e.touched, touched)
 	}
 }

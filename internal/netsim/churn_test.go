@@ -22,18 +22,30 @@ func churnHosts(t *testing.T, n int) (*Network, []*Host) {
 	return net, hosts
 }
 
-// touchOf stamps a flow entry's provenance (white-box: what FlowFinish
-// computes from the touch scratch of a real drain).
-func touchOf(t *testing.T, net *Network, e *flowEntry, nodes ...Node) {
+// seedEntry plants a pristine reply for (key, ttl) with the given
+// provenance, the state FlowProbe/FlowFinish would leave behind, without
+// running a fabric (white-box). The empty Network passes the purity scan,
+// so FlowLookup behaves exactly as on a real quiescent fabric.
+func seedEntry(t *testing.T, net *Network, key FlowKey, ttl uint8, nodes ...Node) {
 	t.Helper()
+	e := net.flows.entries[key]
+	if e == nil {
+		e = net.flows.putEntry(key, &flowEntry{})
+	}
+	var tl []int32
 	for _, nd := range nodes {
 		i, ok := net.nodeIdx[nd]
 		if !ok {
 			t.Fatalf("node %s not registered", nd.Name())
 		}
-		e.touched = append(e.touched, i)
+		tl = append(tl, i)
 	}
-	e.touched = sortedTouched(e.touched)
+	applyTouched(e, tl, true)
+	memoize(e, ttl, ProbeObs{Answered: true, From: 0x0a000002, ReplyTTL: 250 - ttl, ICMPType: 11}, false)
+}
+
+func churnKey(i int) FlowKey {
+	return FlowKey{Src: 0x0a000001, Dst: 0x0a0000ff, A: uint16(i), B: 33434}
 }
 
 // TestChurnTickSchedule pins the probe-tick contract: events fire
@@ -82,58 +94,12 @@ func TestChurnTickSchedule(t *testing.T) {
 	}
 }
 
-// TestChurnScopedEviction pins delta-invalidation: an event whose scope
-// covers one node evicts exactly the entries touching it, advances only
-// that node's scope generation, and leaves the fabric-wide TopoGen — and
-// therefore pooled-replica validity — untouched.
-func TestChurnScopedEviction(t *testing.T) {
-	net, hosts := churnHosts(t, 3)
-	net.SetFlowCacheEnabled(true)
-
-	kA, kB := sharedKey(10), sharedKey(11)
-	seedFlowEntry(t, net, kA, 4, sharedObs(0, 4))
-	seedFlowEntry(t, net, kB, 4, sharedObs(1, 4))
-	touchOf(t, net, net.flows.entries[kA], hosts[0], hosts[1])
-	touchOf(t, net, net.flows.entries[kB], hosts[2])
-
-	gen0 := net.TopoGen()
-	net.ChurnBegin([]ChurnEvent{{Tick: 0, Kind: "fail", EvictScope: []Node{hosts[1]}}}, false)
-	net.ChurnTick()
-	net.ChurnEnd()
-
-	if net.liveEntry(kA) != nil {
-		t.Fatal("entry touching the scope survived")
-	}
-	if net.liveEntry(kB) == nil {
-		t.Fatal("disjoint entry was evicted")
-	}
-	if net.TopoGen() != gen0 {
-		t.Fatalf("scoped eviction bumped TopoGen %d -> %d", gen0, net.TopoGen())
-	}
-	if net.ScopeGen(hosts[1]) != 1 || net.ScopeGen(hosts[2]) != 0 {
-		t.Fatalf("scope generations: h1=%d h2=%d, want 1 and 0",
-			net.ScopeGen(hosts[1]), net.ScopeGen(hosts[2]))
-	}
-
-	// Unknown provenance is always in scope.
-	kC := sharedKey(12)
-	seedFlowEntry(t, net, kC, 4, sharedObs(2, 4))
-	net.ChurnBegin([]ChurnEvent{{Tick: 0, Kind: "fail", EvictScope: []Node{hosts[2]}}}, false)
-	net.ChurnTick()
-	net.ChurnEnd()
-	if net.liveEntry(kC) != nil {
-		t.Fatal("unknown-provenance entry dodged a churn scope")
-	}
-}
-
 // TestChurnFlushWorldBaseline pins the baseline mode: every event is a
 // whole-fabric flush (TopoGen advances, everything evicted).
 func TestChurnFlushWorldBaseline(t *testing.T) {
 	net, hosts := churnHosts(t, 2)
 	net.SetFlowCacheEnabled(true)
-	k := sharedKey(20)
-	seedFlowEntry(t, net, k, 4, sharedObs(0, 4))
-	touchOf(t, net, net.flows.entries[k], hosts[1])
+	seedEntry(t, net, churnKey(20), 4, hosts[1])
 
 	gen0 := net.TopoGen()
 	net.ChurnBegin([]ChurnEvent{{Tick: 0, Kind: "fail", EvictScope: []Node{hosts[0]}}}, true)
@@ -147,157 +113,206 @@ func TestChurnFlushWorldBaseline(t *testing.T) {
 	}
 }
 
-// TestScopedFlushSharedTable pins the shared-table side of
-// delta-invalidation: a scoped flush removes exactly the published
-// entries whose provenance intersects the scope (or is unknown), keeps
-// the epoch version so subscribers stay attached, and is a no-op when
-// nothing matches.
-func TestScopedFlushSharedTable(t *testing.T) {
-	owner, hosts := churnHosts(t, 3)
-	owner.SetFlowCacheEnabled(true)
-	table := owner.OwnSharedFlowCache()
-
-	rep := New(1)
-	rep.SetFlowCacheEnabled(true)
-	rep.AttachSharedFlowCache(table)
-	// Replicas are structurally identical, so provenance indices transfer;
-	// here we stamp them against the owner's node index directly.
-	kA, kB, kC := sharedKey(30), sharedKey(31), sharedKey(32)
-	seedFlowEntry(t, rep, kA, 4, sharedObs(0, 4))
-	seedFlowEntry(t, rep, kB, 4, sharedObs(1, 4))
-	seedFlowEntry(t, rep, kC, 4, sharedObs(2, 4))
-	touchOf(t, owner, rep.flows.entries[kA], hosts[0])
-	touchOf(t, owner, rep.flows.entries[kB], hosts[2])
-	// kC keeps nil provenance: unknown, must be evicted by any scope.
-	table.Publish(rep)
-	v0 := table.Version()
-
-	var bits []uint64
-	setBit(&bits, owner.nodeIdx[hosts[0]])
-	table.ScopedFlush(bits)
-	if table.Version() != v0 {
-		t.Fatalf("ScopedFlush changed the version %d -> %d", v0, table.Version())
-	}
-	if table.Len() != 1 {
-		t.Fatalf("table has %d entries after scoped flush, want 1 survivor", table.Len())
-	}
-
-	// The survivor still serves a fresh subscriber.
-	sib := New(1)
-	sib.SetFlowCacheEnabled(true)
-	sib.AttachSharedFlowCache(table)
-	if _, ok := sib.FlowLookup(kB, 4); !ok {
-		t.Fatal("surviving entry not served")
-	}
-	if _, ok := sib.FlowLookup(kA, 4); ok {
-		t.Fatal("evicted entry still served")
-	}
-
-	// Disjoint scope: nothing matches, the epoch is untouched.
-	ep0 := table.cur.Load()
-	var none []uint64
-	setBit(&none, owner.nodeIdx[hosts[1]])
-	table.ScopedFlush(none)
-	if table.cur.Load() != ep0 {
-		t.Fatal("no-op scoped flush installed a new epoch")
-	}
-}
-
-// TestChurnDevianceGatesSharedAdoption pins the deviance window: while a
-// window is open, shared entries overlapping it (or of unknown
-// provenance) are not adopted, disjoint ones still are, and local
-// recordings overlapping the window are tainted and never published.
-func TestChurnDevianceGatesSharedAdoption(t *testing.T) {
-	owner, hosts := churnHosts(t, 3)
-	owner.SetFlowCacheEnabled(true)
-	table := owner.OwnSharedFlowCache()
-
-	pub := New(1)
-	pub.SetFlowCacheEnabled(true)
-	pub.AttachSharedFlowCache(table)
-	kIn, kOut := sharedKey(40), sharedKey(41)
-	seedFlowEntry(t, pub, kIn, 4, sharedObs(0, 4))
-	seedFlowEntry(t, pub, kOut, 4, sharedObs(1, 4))
-	touchOf(t, owner, pub.flows.entries[kIn], hosts[0])
-	touchOf(t, owner, pub.flows.entries[kOut], hosts[2])
-	table.Publish(pub)
-
-	// A replica mid-deviance: the window covers hosts[0]. Adoption indices
-	// are fabric-local, so the replica must host the same node layout —
-	// reuse the owner fabric itself as the reader (self-subscription is
-	// what the serial engine does).
-	reader, rhosts := churnHosts(t, 3)
-	reader.SetFlowCacheEnabled(true)
-	reader.AttachSharedFlowCache(table)
-	reader.ChurnBegin([]ChurnEvent{
-		{Tick: 0, Kind: "fail", Dev: 1, DevScope: []Node{rhosts[0]}, EvictScope: []Node{rhosts[0]}},
-		{Tick: 99, Kind: "repair", Dev: -1, DevScope: []Node{rhosts[0]}, EvictScope: []Node{rhosts[0]}},
-	}, false)
-	reader.ChurnTick()
-
-	if _, ok := reader.FlowLookup(kIn, 4); ok {
-		t.Fatal("adopted a shared entry overlapping the open deviance window")
-	}
-	if _, ok := reader.FlowLookup(kOut, 4); !ok {
-		t.Fatal("refused a shared entry disjoint from the window")
-	}
-
-	// A local recording overlapping the window is tainted: simulate what
-	// FlowFinish computes.
-	kLocal := sharedKey(42)
-	seedFlowEntry(t, reader, kLocal, 5, sharedObs(2, 5))
-	e := reader.flows.entries[kLocal]
-	touchOf(t, reader, e, rhosts[0])
-	reader.taintCheck(e, true)
-	if !e.tainted {
-		t.Fatal("deviant-window recording not tainted")
-	}
-	table.Publish(reader)
-	if _, ok := table.cur.Load().entries[kLocal]; ok {
-		t.Fatal("tainted entry was published")
-	}
-
-	// ChurnEnd force-fires the repair; the window closes and adoption
-	// resumes.
-	reader.ChurnEnd()
-	if reader.ChurnDeviant() {
-		t.Fatal("window still open")
-	}
-	if _, ok := reader.FlowLookup(kIn, 4); !ok {
-		t.Fatal("post-repair adoption still refused")
-	}
-}
-
-// TestChurnMidDrainPoisonsRecording pins the in-flight guard: a scoped
-// eviction firing while a recording is active poisons it, exactly like a
-// full invalidation would, so a mutation mid-drain can never leak a
-// stale step into the cache.
+// TestChurnMidDrainPoisonsRecording pins the in-flight guard: an event
+// firing while a recording is active poisons it, whether it masks or
+// flushes, exactly like a full invalidation would, so a mutation
+// mid-drain can never leak a stale step into the cache.
 func TestChurnMidDrainPoisonsRecording(t *testing.T) {
-	net, hosts := churnHosts(t, 2)
-	net.SetFlowCacheEnabled(true)
-	f := &net.flows
-	f.rec = flowRec{active: true, entry: &flowEntry{}, key: sharedKey(50), start: time.Duration(0)}
-	net.ChurnBegin([]ChurnEvent{{Tick: 0, Kind: "fail", EvictScope: []Node{hosts[0]}}}, false)
-	net.ChurnTick()
-	if !f.rec.bad {
-		t.Fatal("scoped eviction did not poison the in-flight recording")
+	for _, dev := range []int{1, 0} {
+		net, hosts := churnHosts(t, 2)
+		net.SetFlowCacheEnabled(true)
+		f := &net.flows
+		f.rec = flowRec{active: true, entry: &flowEntry{}, key: churnKey(50), start: time.Duration(0)}
+		net.ChurnBegin([]ChurnEvent{{Tick: 0, Kind: "fail", Dev: dev, DevScope: []Node{hosts[0]}, EvictScope: []Node{hosts[0]}}}, false)
+		net.ChurnTick()
+		if !f.rec.bad {
+			t.Fatalf("event with Dev %d did not poison the in-flight recording", dev)
+		}
+		net.ChurnEnd()
 	}
-	net.ChurnEnd()
 }
 
-// TestChurnEvictsReplyShapes pins reply-shape eviction under churn. A
-// learned shape carries the provenance of the probe that taught it —
-// forward path to the expiry plus the reply's path home — which the
-// trajectories of the flows composing from it do not cover. The fixture
-// is a swept UDP slot trajectory r0 → r1 → host with t0 5, so a probe at
-// TTL 2 expires exactly on arrival at r1 and composes from r1's shape,
-// and a shape taught over the reply path r0, r1, r2.
-func TestChurnEvictsReplyShapes(t *testing.T) {
+// echoPairs builds a fabric of n host pairs, each joined by its own link:
+// a probe from pair i's first host to its second touches that pair only.
+func echoPairs(t *testing.T, n int) (*Network, [][2]*Host) {
+	t.Helper()
+	net := New(1)
+	pairs := make([][2]*Host, n)
+	for i := range pairs {
+		p := netaddr.MustPrefixFrom(netaddr.AddrFrom4(10, 8, byte(i), 0), 30)
+		a, b := NewHost("a", p.Nth(1), p), NewHost("b", p.Nth(2), p)
+		net.AddNode(a)
+		net.AddNode(b)
+		link30(t, net, a, b, "", time.Millisecond)
+		pairs[i] = [2]*Host{a, b}
+	}
+	net.SetFlowCacheEnabled(true)
+	return net, pairs
+}
+
+// echo runs one probe of pair p the way the prober does — churn tick,
+// memo lookup, and on a miss a recorded live echo — and reports whether
+// the memo answered it.
+func echo(net *Network, p [2]*Host) bool {
+	net.ChurnTick()
+	src, dst := p[0], p[1]
+	key := FlowKey{Src: src.Addr(), Dst: dst.Addr(), Proto: packet.ProtoICMP, A: 7}
+	if obs, ok := net.FlowLookup(key, 64); ok {
+		net.AdvanceClock(obs.Advance)
+		return true
+	}
+	var reply *packet.Packet
+	src.Handler = func(net *Network, pkt *packet.Packet) { net.AdoptPacket(pkt); reply = pkt }
+	pkt := &packet.Packet{
+		IP:   packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: src.Addr(), Dst: dst.Addr()},
+		ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: 7, Seq: 1},
+	}
+	obs := ProbeObs{Advance: net.FlowProbe(src.If, pkt, key, 64)}
+	if reply != nil {
+		obs.Answered, obs.From, obs.ReplyTTL, obs.ICMPType = true, reply.IP.Src, reply.IP.TTL, reply.ICMP.Type
+	}
+	net.FlowFinish(64, obs)
+	return false
+}
+
+// window is the fail → reconverge → repair triple the churn planner
+// emits, over scope, firing at the given ticks: fail masks the first node
+// of scope, the later events the whole of it.
+func window(scope []Node, fail, reconverge, repair uint64) []ChurnEvent {
+	return []ChurnEvent{
+		{Tick: fail, Kind: "fail", Dev: 1, DevScope: scope, EvictScope: scope[:1]},
+		{Tick: reconverge, Kind: "reconverge", EvictScope: scope},
+		{Tick: repair, Kind: "repair", Dev: -1, EvictScope: scope},
+	}
+}
+
+// TestChurnMaskKeepsPristine pins the masking rule's read side: a
+// pristine entry crossing the failed scope misses while the window is
+// open and hits again after the repair without a live probe, a disjoint
+// entry is served throughout, and no event moves TopoGen.
+func TestChurnMaskKeepsPristine(t *testing.T) {
+	net, pairs := echoPairs(t, 2)
+	inside, outside := pairs[0], pairs[1]
+	if echo(net, inside) || echo(net, outside) {
+		t.Fatal("cold probes hit")
+	}
+	gen0, st0 := net.TopoGen(), net.FlowCacheStats()
+	net.ChurnBegin(window([]Node{inside[1], inside[0]}, 0, 2, 4), false)
+	for tick, tc := range []struct {
+		pair [2]*Host
+		hit  bool
+	}{
+		{outside, true}, // fail fires
+		{inside, false},
+		{outside, true}, // reconverge fires
+		{inside, false},
+	} {
+		if got := echo(net, tc.pair); got != tc.hit {
+			t.Fatalf("tick %d: hit %v, want %v", tick, got, tc.hit)
+		}
+	}
+	d0 := net.FabricStats().Deliveries
+	if !echo(net, inside) { // repair fires
+		t.Fatal("pristine entry not served after the repair")
+	}
+	if d := net.FabricStats().Deliveries - d0; d != 0 {
+		t.Fatalf("post-repair hit ran %d deliveries", d)
+	}
+	if !echo(net, outside) {
+		t.Fatal("disjoint entry not served after the repair")
+	}
+	if net.ChurnDeviant() || net.TopoGen() != gen0 {
+		t.Fatalf("after the repair: deviant %v, TopoGen %d -> %d", net.ChurnDeviant(), gen0, net.TopoGen())
+	}
+	if got := net.FlowCacheStats().Invalidations - st0.Invalidations; got != 3 {
+		t.Fatalf("%d invalidations for 3 events", got)
+	}
+}
+
+// TestChurnWindowRecordingDropped pins the masking rule's write side: a
+// recording that crossed a masked node is served until the next event and
+// never after it, and it never overwrites the pristine entry the repair
+// brings back.
+func TestChurnWindowRecordingDropped(t *testing.T) {
+	net, pairs := echoPairs(t, 1)
+	p := pairs[0]
+	key := FlowKey{Src: p[0].Addr(), Dst: p[1].Addr(), Proto: packet.ProtoICMP, A: 7}
+	echo(net, p)
+	pristine := net.flows.entries[key]
+	net.ChurnBegin(window([]Node{p[1], p[0]}, 0, 2, 4), false)
+	for tick, hit := range []bool{false, true, false, true} {
+		if got := echo(net, p); got != hit {
+			t.Fatalf("tick %d: hit %v, want %v", tick, got, hit)
+		}
+		if net.flows.entries[key] != pristine || net.flows.window[key] == nil || net.flows.window[key] == pristine {
+			t.Fatalf("tick %d: window recording not kept apart from the pristine entry", tick)
+		}
+	}
+	if !echo(net, p) { // repair fires
+		t.Fatal("pristine entry not served after the repair")
+	}
+	if len(net.flows.window) != 0 {
+		t.Fatalf("%d window-era entries outlived the window", len(net.flows.window))
+	}
+}
+
+// TestChurnMaskOutsideWindowFlushes pins the two flush rules: an event
+// that mutates anything while no window is open flushes (TopoGen moves),
+// one that mutates nothing does not; and closing the last window flushes
+// instead of lifting the mask when a masked node lies outside every
+// window's DevScope.
+func TestChurnMaskOutsideWindowFlushes(t *testing.T) {
+	net, hosts := churnHosts(t, 3)
+	net.SetFlowCacheEnabled(true)
+	k := churnKey(30)
+	seedEntry(t, net, k, 4, hosts[2])
+	fire := func(evs ...ChurnEvent) {
+		net.ChurnBegin(evs, false)
+		net.ChurnEnd()
+	}
+
+	gen0 := net.TopoGen()
+	fire(ChurnEvent{Kind: "noop"})
+	if _, ok := net.FlowLookup(k, 4); !ok || net.TopoGen() != gen0 {
+		t.Fatalf("an event mutating nothing flushed (TopoGen %d -> %d)", gen0, net.TopoGen())
+	}
+	h0, h1 := []Node{hosts[0]}, []Node{hosts[1]}
+	fire(ChurnEvent{Kind: "reconverge", EvictScope: h0})
+	if _, ok := net.FlowLookup(k, 4); ok || net.TopoGen() != gen0+1 {
+		t.Fatalf("a mutation outside any window did not flush (TopoGen %d -> %d)", gen0, net.TopoGen())
+	}
+
+	// A window over hosts[0] whose reconvergence also masks hosts[1].
+	seedEntry(t, net, k, 4, hosts[2])
+	fire(
+		ChurnEvent{Kind: "fail", Dev: 1, DevScope: h0, EvictScope: h0},
+		ChurnEvent{Kind: "reconverge", EvictScope: h1},
+		ChurnEvent{Kind: "repair", Dev: -1, EvictScope: h0},
+	)
+	if _, ok := net.FlowLookup(k, 4); ok || net.TopoGen() != gen0+2 || net.churn.masking() {
+		t.Fatalf("closing over an unvouched node: TopoGen %d -> %d, masking %v", gen0, net.TopoGen(), net.churn.masking())
+	}
+	if got := net.FlowCacheStats().Invalidations; got != 5 {
+		t.Fatalf("%d invalidations for 5 events", got)
+	}
+}
+
+// TestChurnMasksReplyShapes pins reply shapes under masking. A learned
+// shape carries the provenance of the probe that taught it — forward path
+// to the expiry plus the reply's path home — which the trajectories of
+// the flows composing from it do not cover. The fixture is a swept UDP
+// slot trajectory r0 → r1 → host with t0 5, so a probe at TTL 2 expires
+// exactly on arrival at r1 and composes from r1's shape, and a shape
+// taught over the reply path r0, r1, r2. While the window is open the
+// slot takes the plain memo path and the shape composes only if it misses
+// the mask; after the repair it composes again, without a live probe,
+// whatever the window covered.
+func TestChurnMasksReplyShapes(t *testing.T) {
 	cases := []struct {
 		name     string
 		scope    int  // index into nodes: r0, r1, r2 (reply path), r3 (elsewhere)
 		empty    bool // the shape's provenance is empty
-		composes bool
+		composes bool // inside the window
 	}{
 		{name: "reply-path-scope", scope: 2, composes: false},
 		{name: "disjoint-scope", scope: 3, composes: true},
@@ -307,10 +322,12 @@ func TestChurnEvictsReplyShapes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			net := New(1)
 			var nodes [4]*cacheableNode
+			scope := make([]Node, len(nodes))
 			for i := range nodes {
 				nodes[i] = &cacheableNode{ok: true}
 				nodes[i].ifc = &Iface{Owner: nodes[i], Name: "in", Addr: netaddr.AddrFrom4(10, 1, 0, byte(i+1))}
 				net.AddNode(nodes[i])
+				scope[i] = nodes[i]
 			}
 			p := netaddr.MustParsePrefix("10.2.0.0/24")
 			h := NewHost("dst", p.Nth(1), p)
@@ -331,9 +348,7 @@ func TestChurnEvictsReplyShapes(t *testing.T) {
 				{to: h.If, offset: 3 * time.Millisecond, ip: ip(3), lineage: lin.Lineage},
 			}}
 			walk := ProbeObs{Answered: true, From: key.Dst, ReplyTTL: 60, ICMPType: packet.ICMPDestUnreach, ICMPCode: packet.CodePortUnreach, Advance: 6 * time.Millisecond}
-			e.valid[0] = 1 << 5
-			e.replies = make([]ProbeObs, 6)
-			e.replies[5] = walk
+			memoize(e, 5, walk, false)
 			e.touched = sortedTouched([]int32{idx(nodes[0]), idx(nodes[1]), idx(h)})
 			net.flows.entries = map[FlowKey]*flowEntry{key: e}
 
@@ -347,34 +362,30 @@ func TestChurnEvictsReplyShapes(t *testing.T) {
 			}
 			net.flows.shapes = map[shapeKey]replyShape{sk: sh}
 
-			net.ChurnBegin([]ChurnEvent{{Tick: 0, Kind: "fail", EvictScope: []Node{nodes[tc.scope]}}}, false)
+			net.ChurnBegin([]ChurnEvent{
+				{Tick: 0, Kind: "fail", Dev: 1, DevScope: scope, EvictScope: []Node{nodes[tc.scope]}},
+				{Tick: 2, Kind: "repair", Dev: -1, EvictScope: []Node{nodes[tc.scope]}},
+			}, false)
 			net.ChurnTick()
-			net.ChurnEnd()
-
 			// The flow's own trajectory is outside every scope here.
 			if got, ok := net.FlowLookup(key, 5); !ok || got.From != walk.From || got.Advance != walk.Advance {
-				t.Fatalf("walk reply after the event: %+v, %v", got, ok)
+				t.Fatalf("walk reply inside the window: %+v, %v", got, ok)
 			}
-			comp, ok := net.composeExpiry(e, key, 1, 2)
-			if ok != tc.composes {
-				t.Fatalf("composeExpiry ok = %v, want %v", ok, tc.composes)
-			}
-			if ok {
-				if comp.From != sh.from || comp.Advance != e.steps[1].offset+sh.retDelay {
-					t.Fatalf("composed %+v from shape %+v", comp, sh)
-				}
-				return
-			}
-			// Without the shape, TTL 2 is a gap the next probe fills live.
 			if _, ok := net.FlowLookup(key, 2); ok {
-				t.Fatal("TTL 2 served without its shape")
+				t.Fatal("TTL 2 derived while the window masks nodes")
 			}
-			before := net.SweepStats().UDP.Fallbacks
-			pkt := &packet.Packet{IP: ip(2), UDP: &packet.UDP{SrcPort: key.A, DstPort: key.B}}
-			net.FlowProbe(nil, pkt, key, 2)
-			net.FlowFinish(2, ProbeObs{})
-			if got := net.SweepStats().UDP.Fallbacks - before; got != 1 {
-				t.Fatalf("TTL 2 ran %d live fallbacks, want 1", got)
+			if _, ok := net.composeExpiry(e, key, 1, 2); ok != tc.composes {
+				t.Fatalf("composeExpiry inside the window ok = %v, want %v", ok, tc.composes)
+			}
+			net.ChurnTick()
+			net.ChurnTick() // the repair fires
+			fallbacks := net.SweepStats().UDP.Fallbacks
+			comp, ok := net.FlowLookup(key, 2)
+			if !ok || comp.From != sh.from || comp.Advance != e.steps[1].offset+sh.retDelay {
+				t.Fatalf("TTL 2 after the repair: %+v, %v (shape %+v)", comp, ok, sh)
+			}
+			if net.SweepStats().UDP.Fallbacks != fallbacks {
+				t.Fatal("post-repair composition ran live")
 			}
 		})
 	}

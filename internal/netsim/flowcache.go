@@ -43,8 +43,9 @@ import (
 //     same hooks that flush the per-router route caches — and poisons an
 //     in-flight recording, so a mutation mid-drain can never leak a stale
 //     step into the cache. Inside a churn event the flush narrows to a
-//     scoped eviction (churn.go), which every read then honours through
-//     liveEntry.
+//     mask (churn.go): pristine state stays cached, and while a deviance
+//     window is open every read and recording takes the window-era paths
+//     here (windowLookup, windowEntry, keepPristine).
 //
 // Timing is exact, not approximate: step offsets are virtual-time deltas
 // from injection, link delays are TTL-independent, and a memoized reply
@@ -94,13 +95,9 @@ type FlowCacheStats struct {
 	Hits         uint64
 	Misses       uint64
 	FastForwards uint64
-	// Invalidations counts control-plane mutations that flushed the cache.
+	// Invalidations counts control-plane mutations that flushed the
+	// cache, plus one per churn event, whether it masked or flushed.
 	Invalidations uint64
-	// SharedHits counts adoptions from an attached SharedFlowTable —
-	// replies another replica paid for: lookups served by adopting a
-	// shared entry after a local miss (a subset of Hits), plus sweep
-	// decisions whose adoption added replies the local entry lacked.
-	SharedHits uint64
 }
 
 // Sub returns the per-field difference s − o (campaign phase deltas).
@@ -110,7 +107,6 @@ func (s FlowCacheStats) Sub(o FlowCacheStats) FlowCacheStats {
 		Misses:        s.Misses - o.Misses,
 		FastForwards:  s.FastForwards - o.FastForwards,
 		Invalidations: s.Invalidations - o.Invalidations,
-		SharedHits:    s.SharedHits - o.SharedHits,
 	}
 }
 
@@ -120,7 +116,6 @@ func (s *FlowCacheStats) Add(o FlowCacheStats) {
 	s.Misses += o.Misses
 	s.FastForwards += o.FastForwards
 	s.Invalidations += o.Invalidations
-	s.SharedHits += o.SharedHits
 }
 
 // trajStep is one recorded delivery of the (marked) forward packet: the
@@ -148,11 +143,7 @@ type trajStep struct {
 type flowEntry struct {
 	t0     uint8
 	maxTTL uint8
-	// gen is the eviction generation at which the entry was last
-	// validated (see liveEntry). It sits in what would otherwise be
-	// padding, keeping the entry at 192 bytes.
-	gen   uint32
-	steps []trajStep
+	steps  []trajStep
 
 	// swept marks a trajectory recorded by a full TTL-sweep walk
 	// (sweep.go): every step is a trusted snapshot, so smaller initial
@@ -180,19 +171,11 @@ type flowEntry struct {
 
 	// touched is the sorted set of fabric node indices this entry's
 	// recorded activity — forward trajectories and reply paths alike —
-	// has ever visited. Delta-invalidation (churn.go) treats an entry as
-	// evicted exactly when a scoped eviction since its gen stamped a node
-	// in this set; nil with touchAll unset means unknown provenance, which
-	// any eviction evicts. The set only grows on an entry liveEntry has
-	// just validated, so the set a read checks is the set every eviction
-	// since the stamp would have checked.
+	// has ever visited. While a churn deviance window is open (churn.go)
+	// a pristine entry is served only if this set misses the mask; nil
+	// with touchAll unset means unknown provenance, which never does.
 	touched  []int32
 	touchAll bool
-	// tainted marks an entry that recorded while the fabric deviated
-	// from its pristine topology (an open churn deviance window): its
-	// observations are valid locally until the repair evicts them, but
-	// must never be published to a shared table.
-	tainted bool
 
 	// branches and port exist only on swept UDP trajectories (sweep.go).
 	// branches is the walk's deduplicated ECMP decision list; any
@@ -239,9 +222,13 @@ type FlowCache struct {
 	enabled  bool
 	pure     bool
 	needScan bool
-	entries  map[FlowKey]*flowEntry
-	stats    FlowCacheStats
-	rec      flowRec
+	// entries holds the pristine flow entries; window holds the ones
+	// recorded over a masked node while a deviance window is open
+	// (churn.go), valid until the next event drops the map.
+	entries map[FlowKey]*flowEntry
+	window  map[FlowKey]*flowEntry
+	stats   FlowCacheStats
+	rec     flowRec
 
 	// Sweep-engine state (sweep.go). sweepEnabled gates the UDP slot
 	// walks, which engage only while the cache itself is active; shapes
@@ -267,26 +254,12 @@ type FlowCache struct {
 	hotE   *flowEntry
 	hotOK  bool
 
-	// tBits/tList/tAll are the touch scratch for the recording in
-	// flight: the set of node indices the drain has delivered to, as a
-	// bitmap plus an insertion-order list for O(touched) reset. tAll
-	// flags a delivery that could not be attributed to a registered
-	// node, degrading the recording's provenance to "unknown".
-	tBits []uint64
-	tList []int32
+	// touch is the touch scratch for the recording in flight: the set of
+	// node indices the drain has delivered to. tAll flags a delivery that
+	// could not be attributed to a registered node, degrading the
+	// recording's provenance to "unknown".
+	touch nodeSet
 	tAll  bool
-
-	// shared, when non-nil, is the cross-fabric reply table this cache
-	// participates in (see sharedflow.go). sharedOwner marks the fabric
-	// whose topology keys the table: its mutations flush epochs, while a
-	// mutated non-owner silently detaches. sharedVer is the epoch version
-	// this cache subscribed at; a version mismatch on lookup means the
-	// owner mutated and the subscription is stale. dirty tracks the flows
-	// this (non-owner) cache recorded since the last Publish.
-	shared      *SharedFlowTable
-	sharedVer   uint64
-	sharedOwner bool
-	dirty       map[FlowKey]*flowEntry
 }
 
 // SetFlowCacheEnabled turns the flow-trajectory cache on or off. Enabling
@@ -298,7 +271,7 @@ func (n *Network) SetFlowCacheEnabled(on bool) {
 	f.needScan = on
 	if !on {
 		f.entries = nil
-		f.dirty = nil
+		f.window = nil
 		f.rec = flowRec{}
 		f.hotE, f.hotOK = nil, false
 		f.resetSweep()
@@ -312,34 +285,32 @@ func (n *Network) FlowCacheEnabled() bool { return n.flows.enabled }
 // FlowCacheStats returns the cache counters.
 func (n *Network) FlowCacheStats() FlowCacheStats { return n.flows.stats }
 
-// InvalidateFlowCache flushes every memoized trajectory and reply, poisons
-// any in-flight recording, and schedules a purity re-scan. Routers call it
-// from the same mutation hooks that flush their route caches. It also
-// advances the fabric's topology generation and resolves the fabric's
-// relationship to any attached shared table: the owner flushes the table
-// (every published reply is stale for future subscribers), while a mutated
-// replica merely detaches — the replies it published while still pristine
-// remain valid for its siblings.
+// InvalidateFlowCache flushes every memoized trajectory, reply and reply
+// shape, poisons any in-flight recording, and schedules a purity re-scan.
+// Routers call it from the same mutation hooks that flush their route
+// caches. It also advances the fabric's topology generation.
 func (n *Network) InvalidateFlowCache() {
+	n.flush()
+	if n.flows.enabled {
+		n.flows.stats.Invalidations++
+	}
+}
+
+// flush is InvalidateFlowCache without the count, for churn events, which
+// count once whether they mask or flush. An open deviance window keeps
+// its mask: recordings made after the flush may still cross nodes the
+// window's repair has yet to restore.
+func (n *Network) flush() {
 	n.topoGen++
 	f := &n.flows
-	if f.shared != nil {
-		if f.sharedOwner {
-			f.sharedVer = f.shared.Flush()
-		} else {
-			f.shared = nil
-		}
-		f.dirty = nil
-	}
 	if !f.enabled {
 		return
 	}
 	// Sweep state is derived from the same control plane as the memo.
 	f.resetSweep()
 	f.entries = nil
-	f.dirty = nil
+	f.window = nil
 	f.hotE, f.hotOK = nil, false
-	f.stats.Invalidations++
 	f.needScan = true
 	if f.rec.active {
 		f.rec.bad = true
@@ -401,16 +372,19 @@ func (n *Network) FlowLookup(key FlowKey, ttl uint8) (ProbeObs, bool) {
 		return ProbeObs{}, false
 	}
 	f := &n.flows
-	e := n.liveEntry(key)
+	if n.churn.masking() {
+		return n.windowLookup(key, ttl)
+	}
+	e := f.entries[key]
 	f.hotKey, f.hotE, f.hotOK = key, e, true
-	if e == nil || e.valid[ttl>>6]&(1<<(ttl&63)) == 0 {
+	if e == nil || !e.has(ttl) {
 		if key.Proto == packet.ProtoUDP && f.sweepEnabled {
 			// Slot path: adopt a master walk for a first-contact slot, then
 			// derive this TTL's reply from the shared trajectory on demand.
 			if e == nil {
 				if e = n.udpAlias(key); e != nil {
 					f.hotE = e
-					if e.valid[ttl>>6]&(1<<(ttl&63)) != 0 {
+					if e.has(ttl) {
 						f.stats.Hits++
 						return e.replies[ttl], true
 					}
@@ -423,11 +397,6 @@ func (n *Network) FlowLookup(key FlowKey, ttl uint8) (ProbeObs, bool) {
 				}
 			}
 		}
-		if f.shared != nil {
-			if obs, ok := n.sharedLookup(key, ttl, e); ok {
-				return obs, true
-			}
-		}
 		f.stats.Misses++
 		return ProbeObs{}, false
 	}
@@ -435,49 +404,27 @@ func (n *Network) FlowLookup(key FlowKey, ttl uint8) (ProbeObs, bool) {
 	return e.replies[ttl], true
 }
 
-// sharedLookup consults the attached shared table after a local miss. On a
-// hit the whole shared entry is adopted into the local cache — replies
-// copied into locally owned backing, valid bits unioned — so every later
-// TTL on the flow is a plain local hit. A version mismatch means the
-// table's owner mutated since this fabric subscribed: the subscription is
-// stale and the fabric detaches.
-func (n *Network) sharedLookup(key FlowKey, ttl uint8, e *flowEntry) (ProbeObs, bool) {
+// windowLookup is FlowLookup while a deviance window has masked nodes:
+// the flow's window-era entry answers first, then its pristine entry if
+// the entry's touched set misses the mask. UDP slots take this plain memo
+// path too — no alias, no derivation — so nothing is derived from a
+// trajectory the window may have changed.
+func (n *Network) windowLookup(key FlowKey, ttl uint8) (ProbeObs, bool) {
 	f := &n.flows
-	ep := f.shared.cur.Load()
-	if ep.version != f.sharedVer {
-		f.shared = nil
-		f.dirty = nil
-		return ProbeObs{}, false
+	e := f.window[key]
+	if e == nil || !e.has(ttl) {
+		e = f.entries[key]
+		if e == nil || !e.has(ttl) || n.masked(e.touched, e.touchAll) {
+			f.stats.Misses++
+			return ProbeObs{}, false
+		}
 	}
-	se := ep.entries[key]
-	if se == nil || se.valid[ttl>>6]&(1<<(ttl&63)) == 0 {
-		return ProbeObs{}, false
-	}
-	if !n.sharedAdoptable(se) {
-		return ProbeObs{}, false
-	}
-	if e == nil {
-		e = n.addEntry(key)
-		f.hotE = e
-	}
-	mergeReplies(&e.valid, &e.replies, se.valid, se.replies)
-	adoptTouched(e, se)
 	f.stats.Hits++
-	f.stats.SharedHits++
 	return e.replies[ttl], true
 }
 
-// sharedAdoptable reports whether a shared entry may be adopted right
-// now: while a churn deviance window is open, entries whose provenance
-// is unknown or overlaps the window are off-limits — they were recorded
-// against the pristine topology the window deviates from.
-func (n *Network) sharedAdoptable(se *sharedFlowEntry) bool {
-	c := &n.churn
-	if c.devCount == 0 {
-		return true
-	}
-	return !se.touchAll && se.touched != nil && !intersectsBits(se.touched, c.devBits)
-}
+// has reports whether the entry memoizes a reply for ttl.
+func (e *flowEntry) has(ttl uint8) bool { return e.valid[ttl>>6]&(1<<(ttl&63)) != 0 }
 
 // AdvanceClock moves virtual time forward by d: the memo-replay
 // counterpart of the drain a live probe would have performed.
@@ -496,13 +443,16 @@ func (n *Network) FlowProbe(out *Iface, pkt *packet.Packet, key FlowKey, ttl uin
 	}
 	f := &n.flows
 	var e *flowEntry
-	if f.hotOK && f.hotKey == key {
+	switch {
+	case n.churn.masking():
+		e = n.windowEntry(key)
+	case f.hotOK && f.hotKey == key:
 		e = f.hotE
-	} else {
-		e = n.liveEntry(key)
+	default:
+		e = f.entries[key]
 	}
 	if e == nil {
-		e = n.addEntry(key)
+		e = f.putEntry(key, &flowEntry{})
 	}
 	if e.swept {
 		// A swept UDP slot must keep its prefix intact for backward
@@ -587,27 +537,73 @@ func (n *Network) FlowFinish(ttl uint8, obs ProbeObs) {
 	tl, tlOK := f.takeTouched()
 	n.learnShape(&rec, obs, tl, tlOK)
 	applyTouched(e, tl, tlOK)
-	n.taintCheck(e, tlOK)
-	n.memoize(e, rec.key, ttl, obs, false)
+	memoize(e, ttl, obs, false)
+	if n.churn.masking() {
+		n.keepPristine(rec.key, e, ttl, obs)
+	}
 	n.learnReachHint(rec.key, ttl, &obs)
 	f.touchReset()
 }
 
-// memoize stores obs as the (entry, ttl) reply, marking the entry dirty
-// for shared-table publication. derived distinguishes sweep-synthesized
-// replies from live observations in the stats.
-func (n *Network) memoize(e *flowEntry, key FlowKey, ttl uint8, obs ProbeObs, derived bool) {
-	f := &n.flows
-	if f.enabled && f.shared != nil && !f.sharedOwner && !e.tainted {
-		// A subscriber's fresh recording is publishable at the next phase
-		// barrier, unless it recorded against a deviated topology
-		// (tainted). (Adopted replies are never re-marked: adoption
-		// happens in sharedLookup, which bypasses FlowFinish entirely.)
-		if f.dirty == nil {
-			f.dirty = make(map[FlowKey]*flowEntry)
-		}
-		f.dirty[key] = e
+// putEntry files e as the flow's pristine entry.
+func (f *FlowCache) putEntry(key FlowKey, e *flowEntry) *flowEntry {
+	if f.entries == nil {
+		f.entries = make(map[FlowKey]*flowEntry)
 	}
+	f.entries[key] = e
+	return e
+}
+
+// windowEntry returns the entry a probe records into while a deviance
+// window has masked nodes: the flow's window-era entry, else a fresh one,
+// seeded with the frontier of the flow's pristine entry when that entry
+// may be served, so the probe can still fast-forward. A pristine entry is
+// never written mid-window — a recording may yet cross a masked node.
+func (n *Network) windowEntry(key FlowKey) *flowEntry {
+	f := &n.flows
+	if e := f.window[key]; e != nil {
+		return e
+	}
+	e := &flowEntry{}
+	if p := f.entries[key]; p != nil && !p.swept && len(p.steps) > 0 && !n.masked(p.touched, p.touchAll) {
+		fr := p.steps[len(p.steps)-1]
+		fr.mpls = append(packet.LabelStack(nil), fr.mpls...)
+		e.steps = append(e.steps, fr)
+		e.t0, e.maxTTL = p.t0, p.maxTTL
+		// The prefix's provenance; shared read-only, since touched sets are
+		// only ever replaced, never written in place.
+		e.touched = p.touched
+	}
+	if f.window == nil {
+		f.window = make(map[FlowKey]*flowEntry)
+	}
+	f.window[key] = e
+	return e
+}
+
+// keepPristine files a recording finished while a deviance window has
+// masked nodes. One whose entry crossed a masked node stays window-era,
+// for the next event to drop. Any other saw only nodes that behave as
+// built, so its observation is pristine: it joins the flow's pristine
+// entry, or on first contact the whole window entry becomes that entry.
+func (n *Network) keepPristine(key FlowKey, e *flowEntry, ttl uint8, obs ProbeObs) {
+	if n.masked(e.touched, e.touchAll) {
+		return
+	}
+	f := &n.flows
+	p := f.entries[key]
+	if p == nil {
+		f.putEntry(key, e)
+		delete(f.window, key)
+		return
+	}
+	foldTouched(p, e.touched, false)
+	memoize(p, ttl, obs, false)
+}
+
+// memoize stores obs as the (entry, ttl) reply. derived distinguishes
+// sweep-synthesized replies from live observations in the stats.
+func memoize(e *flowEntry, ttl uint8, obs ProbeObs, derived bool) {
 	e.valid[ttl>>6] |= 1 << (ttl & 63)
 	if derived {
 		e.derived[ttl>>6] |= 1 << (ttl & 63)
@@ -672,20 +668,12 @@ func (n *Network) touchDelivery(to *Iface) {
 		idx = i + 1
 		to.ownerIdx = idx
 	}
-	i := idx - 1
-	w, b := int(i>>6), uint(i&63)
-	for w >= len(f.tBits) {
-		f.tBits = append(f.tBits, 0)
-	}
-	if f.tBits[w]&(1<<b) == 0 {
-		f.tBits[w] |= 1 << b
-		f.tList = append(f.tList, i)
-	}
+	f.touch.add(idx - 1)
 }
 
 // touchRemote seeds the touch scratch with the first hop a probe is
 // injected toward, so even a probe whose packet dies on the wire (down
-// link) leaves a non-empty — and therefore evictable — provenance.
+// link) leaves a non-empty — and therefore maskable — provenance.
 func (n *Network) touchRemote(out *Iface) {
 	if out == nil || out.Link == nil {
 		return
@@ -697,15 +685,12 @@ func (n *Network) touchRemote(out *Iface) {
 // unsorted view; ok is false when some delivery could not be attributed.
 // Callers copy what they keep and then call touchReset.
 func (f *FlowCache) takeTouched() ([]int32, bool) {
-	return f.tList, !f.tAll
+	return f.touch.list, !f.tAll
 }
 
 // touchReset clears the touch scratch for the next recording.
 func (f *FlowCache) touchReset() {
-	for _, i := range f.tList {
-		f.tBits[int(i>>6)] &^= 1 << uint(i&63)
-	}
-	f.tList = f.tList[:0]
+	f.touch.reset()
 	f.tAll = false
 }
 

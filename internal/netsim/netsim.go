@@ -145,15 +145,12 @@ type Network struct {
 	// fresh replicas start with it disabled and empty.
 	flows FlowCache
 
-	// topoGen counts control-plane mutations (every InvalidateFlowCache
-	// call, whether or not the cache is enabled). Replica pools compare it
+	// topoGen counts control-plane mutations (every flush of the flow
+	// cache, whether or not the cache is enabled). Replica pools compare it
 	// to decide whether a cached replica still matches its source fabric.
-	// Scoped invalidations (see churn.go) advance the eviction generation
-	// evictGen instead and stamp it into scopeGen for every node in their
-	// scope, leaving topoGen — and pooled replicas — warm.
-	topoGen  uint64
-	evictGen uint32
-	scopeGen []uint32
+	// Churn events that mask instead (see churn.go) leave topoGen — and
+	// pooled replicas — warm.
+	topoGen uint64
 
 	// nodeIdx maps each registered node to its index in nodes; touched
 	// sets and churn scopes are bitmaps over these indices.

@@ -151,14 +151,11 @@ type shapeKey struct {
 // time from expiry to the drain going idle (zero for suppressed
 // replies), plus the provenance of the probe that taught it — a composed
 // reply's validity depends on the reply path's routers, which the
-// forward trajectory alone does not cover. gen is the eviction generation
-// the shape was last validated at (see liveShape), kept in the struct's
-// padding like flowEntry.gen.
+// forward trajectory alone does not cover.
 type replyShape struct {
 	shapeObs
 	touched  []int32
 	touchAll bool
-	gen      uint32
 }
 
 // shapeObs is the comparable core of a replyShape; two probes expiring
@@ -277,7 +274,8 @@ func shapeKeyAt(st *trajStep, key FlowKey, port uint16) (shapeKey, bool) {
 // Shapes are keyed on the canonical branch-class port, which only exists
 // once the flow has a completed master walk: the walk itself and its
 // resumed fallback probes learn, plain recordings (bypassed traces, ICMP
-// probes) do not. shapeKeyOf left the port zero.
+// probes, every probe recorded while a churn window masks nodes) do not.
+// shapeKeyOf left the port zero. Every shape is therefore pristine.
 func (n *Network) learnShape(rec *flowRec, obs ProbeObs, tl []int32, tlOK bool) {
 	f := &n.flows
 	e := rec.entry
@@ -294,14 +292,14 @@ func (n *Network) learnShape(rec *flowRec, obs ProbeObs, tl []int32, tlOK bool) 
 		hasMPLS:  len(obs.MPLS) > 0,
 		retDelay: obs.Advance - rec.expOff,
 	}
-	if prev, ok := n.liveShape(rec.expKey); ok && prev.shapeObs == so &&
+	if prev, ok := f.shapes[rec.expKey]; ok && prev.shapeObs == so &&
 		(tlOK && touchedCovers(prev.touched, prev.touchAll, tl) || !tlOK && prev.touchAll) {
 		return
 	}
 	if f.shapes == nil {
 		f.shapes = make(map[shapeKey]replyShape)
 	}
-	sh := replyShape{shapeObs: so, gen: n.evictGen}
+	sh := replyShape{shapeObs: so}
 	if tlOK {
 		sh.touched = sortedTouched(tl)
 	} else {
@@ -313,16 +311,16 @@ func (n *Network) learnShape(rec *flowRec, obs ProbeObs, tl []int32, tlOK bool) 
 // SweepBegin decides whether the UDP port-cycle slot key, probed by a
 // trace over [first, max], needs a walk: true means the caller should
 // inject one via SweepWalk and complete it with SweepFinish. False means
-// the sweep is inactive here (cache off, impure fabric, not a UDP slot),
-// the slot already has or shares a master walk, or its memo already
-// covers the TTLs the trace will probe (up to the first
-// destination-reached reply).
+// the sweep is inactive here (cache off, impure fabric, not a UDP slot,
+// or a churn window masking nodes), the slot already has or shares a
+// master walk, or its memo already covers the TTLs the trace will probe
+// (up to the first destination-reached reply).
 func (n *Network) SweepBegin(key FlowKey, first, max uint8) bool {
 	f := &n.flows
-	if key.Proto != packet.ProtoUDP || first > max || !n.sweepActive() || f.rec.active {
+	if key.Proto != packet.ProtoUDP || first > max || !n.sweepActive() || f.rec.active || n.churn.masking() {
 		return false
 	}
-	e := n.liveEntry(key)
+	e := f.entries[key]
 	if e == nil {
 		e = n.udpAlias(key)
 	}
@@ -335,25 +333,6 @@ func (n *Network) SweepBegin(key FlowKey, first, max uint8) bool {
 	if e != nil && e.coveredTrace(first, max) {
 		return false
 	}
-	if f.shared != nil {
-		// Local coverage falls short: adopt what the published epoch adds,
-		// and skip the walk if that closes the trace.
-		ep := f.shared.cur.Load()
-		if ep.version != f.sharedVer {
-			f.shared = nil
-			f.dirty = nil
-		} else if se := ep.entries[key]; se != nil && n.sharedAdoptable(se) && (e == nil || addsReplies(e.valid, se.valid)) {
-			if e == nil {
-				e = n.addEntry(key)
-			}
-			mergeReplies(&e.valid, &e.replies, se.valid, se.replies)
-			adoptTouched(e, se)
-			f.stats.SharedHits++
-			if e.coveredTrace(first, max) {
-				return false
-			}
-		}
-	}
 	if h, ok := f.hints[hintKey{src: key.Src, dst: key.Dst}]; ok && int(h)-int(first)+1 <= sweepBypassYield {
 		// Adaptive bypass: a previous trace of this (vp, destination)
 		// reached at TTL h, so this trace expects at most h-first+1
@@ -364,11 +343,6 @@ func (n *Network) SweepBegin(key FlowKey, first, max uint8) bool {
 		return false
 	}
 	return true
-}
-
-// addsReplies reports whether valid holds a TTL dst lacks.
-func addsReplies(dst, valid [4]uint64) bool {
-	return valid[0]&^dst[0]|valid[1]&^dst[1]|valid[2]&^dst[2]|valid[3]&^dst[3] != 0
 }
 
 // coveredTrace reports whether the memo already answers every probe a
@@ -395,9 +369,9 @@ func (e *flowEntry) coveredTrace(first, max uint8) bool {
 // complete the walk with SweepFinish.
 func (n *Network) SweepWalk(out *Iface, pkt *packet.Packet, key FlowKey) time.Duration {
 	f := &n.flows
-	e := n.liveEntry(key)
+	e := f.entries[key]
 	if e == nil {
-		e = n.addEntry(key)
+		e = f.putEntry(key, &flowEntry{})
 	}
 	f.hotKey, f.hotE, f.hotOK = key, e, true
 	e.steps = e.steps[:0]
@@ -458,9 +432,8 @@ func (n *Network) SweepFinish(key FlowKey, obs ProbeObs) {
 	tl, tlOK := f.takeTouched()
 	n.learnShape(&rec, obs, tl, tlOK)
 	applyTouched(e, tl, tlOK)
-	n.taintCheck(e, tlOK)
 	f.touchReset()
-	n.memoize(e, key, e.t0, obs, false)
+	memoize(e, e.t0, obs, false)
 }
 
 // scanKind classifies what the backward scan proved about a derived TTL.
@@ -551,18 +524,15 @@ func (n *Network) composeExpiry(e *flowEntry, key FlowKey, k int, ttl uint8) (Pr
 	if !ok {
 		return ProbeObs{}, false
 	}
-	sh, ok := n.liveShape(sk)
-	if !ok {
+	f := &n.flows
+	sh, ok := f.shapes[sk]
+	if !ok || n.masked(sh.touched, sh.touchAll) {
 		return ProbeObs{}, false
 	}
 	// The composed reply's validity now also rests on the reply path the
 	// shape was learned over: fold its provenance into the entry so a
-	// churn scope covering only the return path still evicts this flow.
-	if sh.touchAll {
-		e.touched, e.touchAll = nil, true
-	} else if !e.touchAll && !touchedCovers(e.touched, false, sh.touched) {
-		e.touched = unionTouched(e.touched, sh.touched)
-	}
+	// churn mask covering only the return path still hides this flow.
+	foldTouched(e, sh.touched, sh.touchAll)
 	obs := ProbeObs{
 		Answered: sh.answered,
 		From:     sh.from,
@@ -761,8 +731,8 @@ func (n *Network) registerMaster(key FlowKey) {
 // udpAlias resolves a missing flow key against the flow's master walks:
 // on a branch-class match the master's entry is adopted by pointer, so
 // the alias shares the trajectory, the memoized replies, and — because
-// eviction is keyed on the shared entry's provenance and stamp — the same
-// churn fate. Masters whose entries were evicted are pruned here, lazily.
+// masking reads the shared entry's provenance — the same churn fate.
+// Masters whose walks were poisoned are pruned here, lazily.
 func (n *Network) udpAlias(key FlowKey) *flowEntry {
 	f := &n.flows
 	if len(f.masters) == 0 || !n.sweepActive() {
@@ -777,7 +747,7 @@ func (n *Network) udpAlias(key FlowKey) *flowEntry {
 	kept := mks[:0]
 	var found *flowEntry
 	for _, mk := range mks {
-		me := n.liveEntry(mk)
+		me := f.entries[mk]
 		if me == nil || !me.swept {
 			continue
 		}
@@ -817,13 +787,13 @@ func (n *Network) deriveSlot(e *flowEntry, key FlowKey, ttl uint8) (ProbeObs, bo
 	switch {
 	case sc.kind == scanReach:
 		obs := e.replies[e.t0]
-		n.memoize(e, key, ttl, obs, true)
+		memoize(e, ttl, obs, true)
 		f.sweep.UDP.Replies++
 		n.learnReachHint(key, ttl, &obs)
 		return obs, true
 	case sc.kind == scanExpire && sc.exact:
 		if comp, ok := n.composeExpiry(e, key, sc.step, ttl); ok {
-			n.memoize(e, key, ttl, comp, true)
+			memoize(e, ttl, comp, true)
 			f.sweep.UDP.Replies++
 			return comp, true
 		}
@@ -834,9 +804,9 @@ func (n *Network) deriveSlot(e *flowEntry, key FlowKey, ttl uint8) (ProbeObs, bo
 // learnReachHint remembers the TTL at which a (vp, destination) pair's
 // UDP probes reach the destination, feeding SweepBegin's adaptive bypass;
 // ICMP probes, which never walk, teach nothing. Hints are heuristic: they
-// steer walk-or-not decisions only, never bytes, so they are not
-// churn-scoped — a stale hint after reconvergence costs at most a
-// suboptimal walk decision until relearned.
+// steer walk-or-not decisions only, never bytes, so churn never masks
+// them — a stale hint after reconvergence costs at most a suboptimal walk
+// decision until relearned.
 func (n *Network) learnReachHint(key FlowKey, ttl uint8, obs *ProbeObs) {
 	f := &n.flows
 	if !f.sweepEnabled || key.Proto != packet.ProtoUDP || !obs.Answered ||

@@ -324,7 +324,9 @@ func (p *Prober) Traceroute(dst netaddr.Addr) *Trace {
 	if attempts < 1 {
 		attempts = 1
 	}
-	for ttl := p.FirstTTL; ttl <= p.MaxTTL; ttl++ {
+	// Count in an int: a uint8 counter wraps past MaxTTL 255 and never ends.
+	for t := int(p.FirstTTL); t <= int(p.MaxTTL); t++ {
+		ttl := uint8(t)
 		var obs netsim.ProbeObs
 		for try := 0; try < attempts && !obs.Answered; try++ {
 			obs = p.probe(dst, ttl, p.Method)

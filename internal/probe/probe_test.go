@@ -257,3 +257,41 @@ func TestAttemptsRetryRateLimitedHop(t *testing.T) {
 		t.Error("RateLimited counter not incremented")
 	}
 }
+
+// TestTracerouteMaxTTL255 pins the TTL counter at the top of its range:
+// a trace through a forwarding loop (two static routes bouncing a dead
+// prefix between r0 and r1) with MaxTTL 255 answers every hop and must
+// stop after exactly 255 of them — a uint8 counter wraps to 0 instead and
+// never ends, so the trace runs under a deadline.
+func TestTracerouteMaxTTL255(t *testing.T) {
+	l := buildLine(t, 2)
+	dead := netaddr.MustParsePrefix("10.77.0.0/24")
+	iface := func(r *router.Router, name string) *netsim.Iface {
+		for _, ifc := range r.Ifaces() {
+			if ifc.Name == name {
+				return ifc
+			}
+		}
+		t.Fatalf("%s has no %s interface", r.Name(), name)
+		return nil
+	}
+	toR1, toR0 := iface(l.rs[0], "right"), iface(l.rs[1], "left")
+	l.rs[0].InstallRoute(dead, &router.Route{Origin: router.OriginIGP, NextHops: []router.NextHop{{Out: toR1, Gateway: toR0.Addr}}})
+	l.rs[1].InstallRoute(dead, &router.Route{Origin: router.OriginIGP, NextHops: []router.NextHop{{Out: toR0, Gateway: toR1.Addr}}})
+	l.prober.MaxTTL = 255
+	done := make(chan *Trace, 1)
+	go func() { done <- l.prober.Traceroute(dead.Nth(1)) }()
+	select {
+	case tr := <-done:
+		if tr.Reached || len(tr.Hops) != 255 {
+			t.Fatalf("looping trace: reached %v, %d hops, want 255 unreached", tr.Reached, len(tr.Hops))
+		}
+		for i, h := range tr.Hops {
+			if h.ProbeTTL != uint8(i+1) || h.Anonymous() {
+				t.Fatalf("hop %d: probe TTL %d, anonymous %v", i, h.ProbeTTL, h.Anonymous())
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("traceroute with MaxTTL 255 did not end")
+	}
+}

@@ -110,8 +110,8 @@ func (r *Router) invalidateRouteCache() {
 func (r *Router) mutated() {
 	r.invalidateRouteCache()
 	if r.net != nil {
-		// Scoped: inside a churn event batch only flows that traversed
-		// this router are evicted; outside one this is the full flush.
+		// Scoped: inside a churn event batch this router joins the
+		// event's mask; outside one this is the full flush.
 		r.net.InvalidateFlowCacheScoped(r)
 	}
 }

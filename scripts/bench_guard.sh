@@ -7,18 +7,21 @@
 #
 #  1. Scaling: the 2-worker cache-on row must not regress below the
 #     1-worker row beyond a small noise tolerance. Adding a worker must
-#     never make the cached campaign slower — the sharded bootstrap,
-#     pooled replicas, and shared flow table have to pull their weight
-#     even on a single-CPU box.
+#     never make the cached campaign slower — the sharded bootstrap and
+#     the pooled replicas' warm caches have to pull their weight even on
+#     a single-CPU box.
 #
-#  2. Churn: under an identical churn schedule, the delta-invalidation
-#     row must not fall below the flush-the-world baseline at 2 workers. Scoped eviction exists to keep unaffected
-#     flows, the replica pool, and the shared-table subscription warm
-#     across topology events; if flushing everything is just as fast,
-#     the delta machinery is dead weight. Gated at 2 workers because
-#     that is where the subscription protocol matters — flush-world
-#     detaches every replica, delta keeps them attached — and where the
-#     measured margin is widest (structural, not noise).
+#  2. Churn: under an identical churn schedule, the delta row (masking)
+#     must not fall below the flush-the-world baseline at 2 workers.
+#     Masking exists to keep every replica's pristine cache state, and
+#     the replica pool, warm across topology events: a fail/repair cycle
+#     only hides what crossed the failed AS until the repair, where
+#     flush-world drops every cache and rebuilds every pooled replica on
+#     every event; if flushing everything is just as fast, the masking
+#     machinery is dead weight. Gated at 2 workers because that is where
+#     flush-world pays twice — cold caches on every replica and a rebuilt
+#     pool — and where the measured margin is widest (structural, not
+#     noise).
 #
 #  3. Memory: the bytes/router footprint of one retained replica at the
 #     Large (~10⁴ router) rung must stay under a committed ceiling. The struct-of-arrays arenas exist to keep replica cost
@@ -61,8 +64,8 @@
 # absorbs scheduler jitter at runs=8 on a loaded box; the pre-fix
 # inversion was -37%). The churned delta row must reach CHURN_FLOOR%
 # of the churned flush-world row at 2 workers (100%: delta must at
-# least match the baseline; measured ~140% — it wins by keeping the
-# pool and the shared-table subscription warm). The UDP sweep+cache row
+# least match the baseline — it wins by masking, which keeps the pool
+# and every replica's pristine cache state warm). The UDP sweep+cache row
 # must reach UDP_FLOOR% of the UDP per-probe baseline at 1 worker.
 # The Large replica must stay under MEM_CEILING heap bytes per router.
 #
@@ -143,7 +146,7 @@ campaign_gates() {
         printf "bench_guard: churn %.0f probes/s flush-world, %.0f delta at 2w (%.1f%%, floor %d%%)\n", \
             rate["2,icmp,1,1,1"], rate["2,icmp,1,1,0"], churnpct, chfloor
         if (churnpct < chfloor) {
-            print "bench_guard: FAIL — delta-invalidation fell below flush-the-world under churn"
+            print "bench_guard: FAIL — masking fell below flush-the-world under churn"
             exit 1
         }
         if (!(("1,udp,0,0,0") in rate) || !(("1,udp,1,0,0") in rate)) {

@@ -2,7 +2,7 @@
 # check.sh — the full local gate, in the order CI would run it:
 # build everything, vet, the gofmt gate, then the performance guard
 # (bench_guard.sh fails if the 2-worker cached campaign regresses below
-# the 1-worker row, if delta-invalidation falls below flush-the-world
+# the 1-worker row, if churn masking falls below flush-the-world
 # under churn, if the UDP sweep+cache row stops beating the UDP
 # per-probe baseline, if the Large replica's bytes/router exceeds the
 # committed ceiling, or if the Large wire codec exceeds its
@@ -12,9 +12,9 @@
 # throttled window that skews them. Then the test suite with coverage
 # aggregation (per-package floors on the engine packages guard against
 # silently shedding tests), short native-fuzz smokes over the sweep
-# derivation model, the UDP port-cycle branch-class algebra, scoped
-# eviction, the snapshot wire decoder and the distributed coordinator's
-# inbound frame path, and the race tier
+# derivation model, the UDP port-cycle branch-class algebra, churn
+# masking, the snapshot wire decoder and the distributed coordinator's
+# and worker's inbound frame paths, and the race tier
 # (TestRaceTier shells out to `go test -race` over the
 # concurrency-heavy packages and is skipped automatically under
 # -short). Last, the distributed smoke: a real 2-process campaign over
@@ -58,23 +58,26 @@ check_floor netsim 50
 check_floor campaign 85
 
 # Native-fuzz smokes: ten seconds each of the backward-scan differential
-# fuzzer, the UDP slot-class fuzzer, the scoped-eviction differential
-# fuzzer (generation-stamped eviction against the eager whole-cache
-# scan), the wire-format reader fuzzer, the snapshot decoder fuzzer
-# (section payloads mutated and re-sealed past their checksums) and the
-# coordinator inbound-path fuzzer. Regressions in the lineage model, the
-# port-cycle aliasing algebra or the eviction stamps surface here long
-# before a campaign happens to probe the right flow, roll the colliding
-# ports or churn the right link; a blob or worker frame that panics or
-# hangs a decoder surfaces before a real worker sends one.
+# fuzzer, the UDP slot-class fuzzer, the churn-masking differential
+# fuzzer (a cached fabric against the cache-off oracle under
+# gen.BuildChurnPlan schedules), the wire-format reader fuzzer, the
+# snapshot decoder fuzzer (section payloads mutated and re-sealed past
+# their checksums) and the coordinator and worker inbound-path fuzzers.
+# Regressions in the lineage model, the port-cycle aliasing algebra or
+# the masking rule surface here long before a campaign happens to probe
+# the right flow, roll the colliding ports or churn the right link; a
+# blob or frame that panics or hangs a decoder surfaces before a real
+# peer sends one.
 go test ./internal/netsim/ -run='^$' -fuzz=FuzzLineageBackwardScan -fuzztime=10s
 go test ./internal/netsim/ -run='^$' -fuzz=FuzzUDPSlotClasses -fuzztime=10s
-go test ./internal/netsim/ -run='^$' -fuzz=FuzzScopedEviction -fuzztime=10s
 go test ./internal/wirefmt/ -run='^$' -fuzz=FuzzReader -fuzztime=10s
 go test ./internal/gen/ -run='^$' -fuzz=FuzzDecodeWire -fuzztime=10s
-# The coordinator fuzzer's seed is a whole worker session; bound the
-# minimization of each new input so the smoke spends its time mutating.
+# The masking and inbound fuzzers' inputs are whole probe sequences and
+# sessions; bound the minimization of each new input so the smokes spend
+# their time mutating.
+go test ./internal/netsim/ -run='^$' -fuzz=FuzzChurnMasking -fuzztime=10s -fuzzminimizetime=100x
 go test ./internal/campaign/ -run='^$' -fuzz=FuzzCoordinatorInbound -fuzztime=10s -fuzzminimizetime=100x
+go test ./internal/campaign/ -run='^$' -fuzz=FuzzServeWorkerInbound -fuzztime=10s -fuzzminimizetime=100x
 
 go test -race -run TestRaceTier .
 
