@@ -102,6 +102,29 @@ func histMedian(h *stats.Histogram) string {
 	return fmt.Sprintf("%d", h.Median())
 }
 
+// churnCampaigns runs one campaign per swept rate. The rate-0 entry is
+// the shared campaign; each churned one reruns the shared campaign's own
+// config with only the churn schedule armed, so every row probes the
+// baseline's targets in the baseline's order and measureChurnRow compares
+// traces of the same destinations.
+func churnCampaigns(w *World) ([]*campaign.Campaign, error) {
+	cs := make([]*campaign.Campaign, 0, len(churnExpRates))
+	for _, rate := range churnExpRates {
+		c := w.C
+		if rate > 0 {
+			cfg := w.C.Cfg
+			cfg.ChurnRate = rate
+			cfg.ChurnSeed = churnExpSeed
+			var err error
+			if c, err = campaign.RunParallel(w.In, cfg, campaign.ParallelConfig{}); err != nil {
+				return nil, err
+			}
+		}
+		cs = append(cs, c)
+	}
+	return cs, nil
+}
+
 // ChurnAccuracy sweeps the churn rate over the shared world's Internet
 // and tabulates revelation quality per rate: how many Ingress-Egress
 // pairs are found and revealed, which techniques carry the load, and
@@ -109,19 +132,12 @@ func histMedian(h *stats.Histogram) string {
 // mutates mid-campaign. The rate-0 row reuses the shared campaign, so it
 // is byte-identical to the static world every other experiment measures.
 func ChurnAccuracy(w *World) (*Report, error) {
-	rows := make([]churnRow, 0, len(churnExpRates))
-	for _, rate := range churnExpRates {
-		c := w.C
-		if rate > 0 {
-			cfg := campaign.DefaultConfig()
-			cfg.ChurnRate = rate
-			cfg.ChurnSeed = churnExpSeed
-			cc, err := campaign.RunParallel(w.In, cfg, campaign.ParallelConfig{})
-			if err != nil {
-				return nil, err
-			}
-			c = cc
-		}
+	cs, err := churnCampaigns(w)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]churnRow, 0, len(cs))
+	for _, c := range cs {
 		rows = append(rows, measureChurnRow(c, w.C))
 	}
 

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"wormhole/internal/campaign"
 )
 
 // world is shared across experiment tests (building it dominates runtime).
@@ -56,5 +59,34 @@ func TestScaleParams(t *testing.T) {
 	large := Large.Params(1)
 	if small.NumStub >= large.NumStub {
 		t.Error("scales not ordered")
+	}
+}
+
+// TestChurnRowsProbeBaselineTargets pins the churn sweep to the world's
+// own campaign config. Small's config equals campaign.DefaultConfig(), so
+// the world here caps MaxTargets at half its target list, as the sampled
+// rungs do: every churned row must probe the baseline's targets, in the
+// baseline's order, or its dTraces compares different destinations.
+func TestChurnRowsProbeBaselineTargets(t *testing.T) {
+	shared := getWorld(t)
+	cfg := Small.CampaignConfig()
+	cfg.MaxTargets = len(shared.C.Targets) / 2
+	c, err := campaign.RunParallel(shared.In, cfg, campaign.ParallelConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &World{In: shared.In, C: c}
+	cs, err := churnCampaigns(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cc := range cs {
+		if !slices.Equal(cc.Targets, c.Targets) {
+			t.Errorf("churn rate %.0f probed %d targets, baseline %d (or a different order)",
+				churnExpRates[i], len(cc.Targets), len(c.Targets))
+		}
+		if churnExpRates[i] > 0 && cc.ChurnEvents == 0 {
+			t.Errorf("churn rate %.0f fired no events", churnExpRates[i])
+		}
 	}
 }

@@ -1,7 +1,5 @@
 package netsim
 
-import "sort"
-
 // This file implements the churn engine: a deterministic, seeded schedule
 // of control-plane events (link failures, IGP reconvergence, LSP
 // re-signalling, repairs) injected into a running campaign, plus the
@@ -366,83 +364,44 @@ func (s *nodeSet) reset() {
 	s.list = s.list[:0]
 }
 
-// sortedTouched returns a sorted copy of an unsorted (already unique)
-// touch list.
-func sortedTouched(tl []int32) []int32 {
-	out := append([]int32(nil), tl...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// unionTouched merges two sorted unique index lists into a fresh one.
-func unionTouched(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+// union appends to list every index of add it lacks, marking through s,
+// which must be empty and is left empty. Touched lists are unsorted and
+// repeat-free, and they only grow, by appending, so a capacity-clipped
+// view of a list's prefix (windowEntry) never sees a later append.
+func (s *nodeSet) union(list, add []int32) []int32 {
+	for _, i := range list {
+		s.add(i)
+	}
+	for _, i := range add {
+		if !s.has(i) {
+			s.add(i)
+			list = append(list, i)
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	s.reset()
+	return list
 }
 
-// touchedCovers reports whether the sorted set have (or haveAll) contains
-// every index in tl. The steady state of a warm cache — re-recording a
-// trajectory over nodes the entry already covers — passes this test and
-// allocates nothing.
-func touchedCovers(have []int32, haveAll bool, tl []int32) bool {
-	if haveAll {
-		return true
+// holds reports whether list contains every index of sub, marking
+// through s, which must be empty and is left empty.
+func (s *nodeSet) holds(list, sub []int32) bool {
+	for _, i := range list {
+		s.add(i)
 	}
-	for _, v := range tl {
-		lo, hi := 0, len(have)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if have[mid] < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == len(have) || have[lo] != v {
-			return false
-		}
-	}
-	return true
+	ok := s.covers(sub)
+	s.reset()
+	return ok
 }
 
-// applyTouched folds a finished recording's touch list into the entry's
-// touched set (union: a fast-forward only re-records frontier-onward, and
-// the old prefix's nodes stay relevant).
-func applyTouched(e *flowEntry, tl []int32, ok bool) {
-	if !ok {
-		e.touched, e.touchAll = nil, true
-		return
-	}
-	if e.touchAll || touchedCovers(e.touched, false, tl) {
-		return
-	}
-	e.touched = unionTouched(e.touched, sortedTouched(tl))
-}
-
-// foldTouched folds another artifact's provenance — a sorted set, or
-// unknown — into the entry's touched set.
-func foldTouched(e *flowEntry, touched []int32, touchAll bool) {
+// fold merges an artifact's provenance — a finished drain's touch list,
+// another entry's or a reply shape's touched set, or unknown — into the
+// entry's touched set. A fast-forward re-records only frontier-onward, so
+// what earlier recordings touched stays relevant: the set only grows.
+func (f *FlowCache) fold(e *flowEntry, touched []int32, touchAll bool) {
 	switch {
 	case touchAll:
 		e.touched, e.touchAll = nil, true
-	case !e.touchAll && !touchedCovers(e.touched, false, touched):
-		e.touched = unionTouched(e.touched, touched)
+	case !e.touchAll:
+		e.touched = f.marks.union(e.touched, touched)
 	}
 }

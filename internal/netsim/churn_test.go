@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,7 +42,7 @@ func seedEntry(t *testing.T, net *Network, key FlowKey, ttl uint8, nodes ...Node
 		}
 		tl = append(tl, i)
 	}
-	applyTouched(e, tl, true)
+	net.flows.fold(e, tl, false)
 	memoize(e, ttl, ProbeObs{Answered: true, From: 0x0a000002, ReplyTTL: 250 - ttl, ICMPType: 11}, false)
 }
 
@@ -349,7 +351,7 @@ func TestChurnMasksReplyShapes(t *testing.T) {
 			}}
 			walk := ProbeObs{Answered: true, From: key.Dst, ReplyTTL: 60, ICMPType: packet.ICMPDestUnreach, ICMPCode: packet.CodePortUnreach, Advance: 6 * time.Millisecond}
 			memoize(e, 5, walk, false)
-			e.touched = sortedTouched([]int32{idx(nodes[0]), idx(nodes[1]), idx(h)})
+			e.touched = []int32{idx(nodes[0]), idx(nodes[1]), idx(h)}
 			net.flows.entries = map[FlowKey]*flowEntry{key: e}
 
 			sk, ok := shapeKeyAt(&e.steps[1], key, e.port)
@@ -358,7 +360,7 @@ func TestChurnMasksReplyShapes(t *testing.T) {
 			}
 			sh := replyShape{shapeObs: shapeObs{answered: true, from: nodes[1].ifc.Addr, replyTTL: 253, icmpType: 11, retDelay: 2 * time.Millisecond}}
 			if !tc.empty {
-				sh.touched = sortedTouched([]int32{idx(nodes[0]), idx(nodes[1]), idx(nodes[2])})
+				sh.touched = []int32{idx(nodes[0]), idx(nodes[1]), idx(nodes[2])}
 			}
 			net.flows.shapes = map[shapeKey]replyShape{sk: sh}
 
@@ -389,4 +391,91 @@ func TestChurnMasksReplyShapes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTouchedSetPrimitives checks union and holds against a map
+// reference over random index lists that repeat within a call and across
+// calls: union keeps the list repeat-free, only appends (the old list
+// stays a prefix), and leaves the scratch set empty; holds agrees with
+// the reference.
+func TestTouchedSetPrimitives(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randList := func(n int) []int32 {
+		l := make([]int32, rng.Intn(n))
+		for i := range l {
+			l[i] = int32(rng.Intn(200))
+		}
+		return l
+	}
+	var s nodeSet
+	for round := 0; round < 50; round++ {
+		var list []int32
+		ref := map[int32]bool{}
+		for call := 0; call < 20; call++ {
+			add := randList(24)
+			prev := slices.Clone(list)
+			list = s.union(list, add)
+			for _, i := range add {
+				ref[i] = true
+			}
+			if !slices.Equal(list[:len(prev)], prev) {
+				t.Fatalf("round %d call %d: union rewrote the existing list", round, call)
+			}
+			seen := map[int32]bool{}
+			for _, i := range list {
+				if seen[i] || !ref[i] {
+					t.Fatalf("round %d call %d: %d repeated or never added", round, call, i)
+				}
+				seen[i] = true
+			}
+			if len(seen) != len(ref) {
+				t.Fatalf("round %d call %d: list holds %d indices, reference %d", round, call, len(seen), len(ref))
+			}
+			sub := randList(12)
+			want := true
+			for _, i := range sub {
+				want = want && ref[i]
+			}
+			if got := s.holds(list, sub); got != want {
+				t.Fatalf("round %d call %d: holds(%v) = %v, reference %v", round, call, sub, got, want)
+			}
+			if len(s.list) != 0 || slices.ContainsFunc(s.bits, func(w uint64) bool { return w != 0 }) {
+				t.Fatalf("round %d call %d: scratch set left non-empty", round, call)
+			}
+		}
+	}
+}
+
+// TestWindowEntryKeepsPristineTouched pins the capacity clip on the
+// touched set a window entry shares with the pristine entry it was seeded
+// from: growing the window entry's set, then the pristine one's, leaves
+// each exactly as folded, even when the pristine list has spare capacity.
+func TestWindowEntryKeepsPristineTouched(t *testing.T) {
+	net, hosts := churnHosts(t, 5)
+	net.SetFlowCacheEnabled(true)
+	idx := func(h *Host) int32 { return net.nodeIdx[h] }
+	key := churnKey(60)
+	p := net.flows.putEntry(key, &flowEntry{t0: 3, maxTTL: 255, steps: []trajStep{{to: hosts[1].If}}})
+	p.touched = append(make([]int32, 0, 8), idx(hosts[0]), idx(hosts[1]))
+	before := slices.Clone(p.touched[:cap(p.touched)])
+
+	// A window masking a node the pristine entry never touched.
+	net.ChurnBegin([]ChurnEvent{{Tick: 0, Kind: "fail", Dev: 1, DevScope: []Node{hosts[4]}, EvictScope: []Node{hosts[4]}}}, false)
+	net.ChurnTick()
+	e := net.windowEntry(key)
+	if len(e.steps) != 1 || !slices.Equal(e.touched, p.touched) {
+		t.Fatalf("window entry not seeded from the pristine one: %d steps, touched %v", len(e.steps), e.touched)
+	}
+	net.flows.fold(e, []int32{idx(hosts[2])}, false)
+	if !slices.Equal(p.touched[:cap(p.touched)], before) {
+		t.Fatalf("growing the window entry wrote through to the pristine touched set: %v", p.touched[:cap(p.touched)])
+	}
+	net.flows.fold(p, []int32{idx(hosts[3])}, false)
+	if want := []int32{idx(hosts[0]), idx(hosts[1]), idx(hosts[2])}; !slices.Equal(e.touched, want) {
+		t.Fatalf("window entry touched %v after the pristine set grew, want %v", e.touched, want)
+	}
+	if want := []int32{idx(hosts[0]), idx(hosts[1]), idx(hosts[3])}; !slices.Equal(p.touched, want) {
+		t.Fatalf("pristine touched %v, want %v", p.touched, want)
+	}
+	net.ChurnEnd()
 }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/bits"
+	"slices"
 	"time"
 
 	"wormhole/internal/netaddr"
@@ -133,13 +135,14 @@ type trajStep struct {
 	minT    uint8
 }
 
-// flowEntry holds one flow's state: the trajectory recorded by the most
-// recent live (or resumed) probe, normalized to that probe's initial TTL
-// t0, plus the per-TTL reply memo. maxTTL is the largest initial TTL the
-// recorded prefix is proven valid for (accumulated from NoteTTLMin
-// bounds). Only the last step — the frontier, where the t0 probe expired
-// or was answered — is ever reconstructed; earlier steps exist for
-// inspection and debugging.
+// flowEntry holds one flow's state: the frontier of the most recent live
+// (or resumed) probe — the last delivery of its marked packet, where the
+// t0 probe expired or was answered, normalized to t0 — plus the per-TTL
+// reply memo. maxTTL is the largest initial TTL the recorded trajectory
+// is proven valid for (accumulated from NoteTTLMin bounds). Only a swept
+// walk keeps its whole step history, which backward derivation reads;
+// every other recording keeps the frontier alone, the one step the
+// fast-forward rebuilds.
 type flowEntry struct {
 	t0     uint8
 	maxTTL uint8
@@ -147,9 +150,8 @@ type flowEntry struct {
 
 	// swept marks a trajectory recorded by a full TTL-sweep walk
 	// (sweep.go): every step is a trusted snapshot, so smaller initial
-	// TTLs may be derived backward from the prefix. Cleared whenever the
-	// steps are re-recorded by the ordinary frontier fast-forward, which
-	// rebases t0 and leaves the prefix normalized to the old one.
+	// TTLs may be derived backward from the prefix. Later probes of the
+	// flow resume from the walk without re-recording it (sweepResume).
 	swept bool
 	// terminalLocal records that the walk's final delivery was consumed
 	// locally by a router (deliverLocal): such a terminal answers before
@@ -161,7 +163,8 @@ type flowEntry struct {
 	// observation for a smaller TTL requires ttl >= tailMinT.
 	tailMinT uint8
 
-	// valid is a 256-bit presence set over replies, indexed by probe TTL.
+	// valid is a 256-bit presence set over probe TTLs. replies is dense:
+	// one reply per memoized TTL, in TTL order, at the TTL's rank in valid.
 	valid   [4]uint64
 	replies []ProbeObs
 	// derived flags the replies that were synthesized from a sweep walk
@@ -169,11 +172,12 @@ type flowEntry struct {
 	// overwrites the reply and clears the flag).
 	derived [4]uint64
 
-	// touched is the sorted set of fabric node indices this entry's
-	// recorded activity — forward trajectories and reply paths alike —
-	// has ever visited. While a churn deviance window is open (churn.go)
-	// a pristine entry is served only if this set misses the mask; nil
-	// with touchAll unset means unknown provenance, which never does.
+	// touched lists, unsorted and without repeats, the fabric node
+	// indices this entry's recorded activity — forward trajectories and
+	// reply paths alike — has ever visited. It only grows, by appending.
+	// While a churn deviance window is open (churn.go) a pristine entry is
+	// served only if this set misses the mask; nil with touchAll unset
+	// means unknown provenance, which never does.
 	touched  []int32
 	touchAll bool
 
@@ -193,11 +197,14 @@ type flowEntry struct {
 // invalidation); a poisoned probe is neither recorded nor memoized.
 // resume marks a probe materialized from a swept trajectory: it runs live
 // but must not overwrite the walk's steps or tighten its bounds — only
-// its final observation is memoized (and its reply shape learned).
+// its final observation is memoized (and its reply shape learned). walk
+// marks a UDP sweep walk (SweepWalk), the one recording that keeps every
+// step instead of the frontier alone.
 type flowRec struct {
 	active bool
 	bad    bool
 	resume bool
+	walk   bool
 	entry  *flowEntry
 	key    FlowKey
 	start  time.Duration
@@ -257,9 +264,11 @@ type FlowCache struct {
 	// touch is the touch scratch for the recording in flight: the set of
 	// node indices the drain has delivered to. tAll flags a delivery that
 	// could not be attributed to a registered node, degrading the
-	// recording's provenance to "unknown".
+	// recording's provenance to "unknown". marks is the empty bitmap that
+	// touched-set merges and cover checks mark through.
 	touch nodeSet
 	tAll  bool
+	marks nodeSet
 }
 
 // SetFlowCacheEnabled turns the flow-trajectory cache on or off. Enabling
@@ -386,7 +395,7 @@ func (n *Network) FlowLookup(key FlowKey, ttl uint8) (ProbeObs, bool) {
 					f.hotE = e
 					if e.has(ttl) {
 						f.stats.Hits++
-						return e.replies[ttl], true
+						return e.reply(ttl), true
 					}
 				}
 			}
@@ -401,7 +410,7 @@ func (n *Network) FlowLookup(key FlowKey, ttl uint8) (ProbeObs, bool) {
 		return ProbeObs{}, false
 	}
 	f.stats.Hits++
-	return e.replies[ttl], true
+	return e.reply(ttl), true
 }
 
 // windowLookup is FlowLookup while a deviance window has masked nodes:
@@ -420,11 +429,25 @@ func (n *Network) windowLookup(key FlowKey, ttl uint8) (ProbeObs, bool) {
 		}
 	}
 	f.stats.Hits++
-	return e.replies[ttl], true
+	return e.reply(ttl), true
 }
 
 // has reports whether the entry memoizes a reply for ttl.
 func (e *flowEntry) has(ttl uint8) bool { return e.valid[ttl>>6]&(1<<(ttl&63)) != 0 }
+
+// rank returns where ttl's reply sits in the dense memo: the number of
+// memoized TTLs below it.
+func (e *flowEntry) rank(ttl uint8) int {
+	w := int(ttl >> 6)
+	r := bits.OnesCount64(e.valid[w] & (1<<(ttl&63) - 1))
+	for _, v := range e.valid[:w] {
+		r += bits.OnesCount64(v)
+	}
+	return r
+}
+
+// reply returns the memoized reply for ttl, which must be present.
+func (e *flowEntry) reply(ttl uint8) ProbeObs { return e.replies[e.rank(ttl)] }
 
 // AdvanceClock moves virtual time forward by d: the memo-replay
 // counterpart of the drain a live probe would have performed.
@@ -488,10 +511,10 @@ func (n *Network) FlowProbe(out *Iface, pkt *packet.Packet, key FlowKey, ttl uin
 				}
 			}
 		}
-		// The frontier is re-recorded by the resumed run (rebased to this
-		// probe's t0); the prefix keeps its offsets and ifaces, which are
-		// TTL-independent.
-		e.steps = e.steps[:len(e.steps)-1]
+		// The resumed run re-records the frontier in place, rebased to this
+		// probe's t0; offsets stay measured from injection, since link
+		// delays are TTL-independent.
+		e.steps = e.steps[:0]
 		e.t0 = ttl
 		f.rec = flowRec{active: true, entry: e, key: key, start: start}
 		n.touchRemote(out)
@@ -536,7 +559,7 @@ func (n *Network) FlowFinish(ttl uint8, obs ProbeObs) {
 	}
 	tl, tlOK := f.takeTouched()
 	n.learnShape(&rec, obs, tl, tlOK)
-	applyTouched(e, tl, tlOK)
+	f.fold(e, tl, !tlOK)
 	memoize(e, ttl, obs, false)
 	if n.churn.masking() {
 		n.keepPristine(rec.key, e, ttl, obs)
@@ -570,9 +593,10 @@ func (n *Network) windowEntry(key FlowKey) *flowEntry {
 		fr.mpls = append(packet.LabelStack(nil), fr.mpls...)
 		e.steps = append(e.steps, fr)
 		e.t0, e.maxTTL = p.t0, p.maxTTL
-		// The prefix's provenance; shared read-only, since touched sets are
-		// only ever replaced, never written in place.
-		e.touched = p.touched
+		// The pristine provenance, shared: touched sets only grow by
+		// appending, and the clipped capacity sends this entry's first
+		// append to a fresh array instead of the pristine one's spare room.
+		e.touched = p.touched[:len(p.touched):len(p.touched)]
 	}
 	if f.window == nil {
 		f.window = make(map[FlowKey]*flowEntry)
@@ -597,37 +621,33 @@ func (n *Network) keepPristine(key FlowKey, e *flowEntry, ttl uint8, obs ProbeOb
 		delete(f.window, key)
 		return
 	}
-	foldTouched(p, e.touched, false)
+	f.fold(p, e.touched, false)
 	memoize(p, ttl, obs, false)
 }
 
-// memoize stores obs as the (entry, ttl) reply. derived distinguishes
-// sweep-synthesized replies from live observations in the stats.
+// memoize stores obs as the (entry, ttl) reply, overwriting one already
+// there. derived distinguishes sweep-synthesized replies from live
+// observations in the stats.
 func memoize(e *flowEntry, ttl uint8, obs ProbeObs, derived bool) {
-	e.valid[ttl>>6] |= 1 << (ttl & 63)
+	w, b := ttl>>6, uint64(1)<<(ttl&63)
 	if derived {
-		e.derived[ttl>>6] |= 1 << (ttl & 63)
+		e.derived[w] |= b
 	} else {
-		e.derived[ttl>>6] &^= 1 << (ttl & 63)
+		e.derived[w] &^= b
 	}
-	if int(ttl) >= len(e.replies) {
-		if int(ttl) < cap(e.replies) {
-			// Grow within capacity; the backing array was zeroed at
-			// allocation and replies never shrinks, so the exposed tail is
-			// clean.
-			e.replies = e.replies[:ttl+1]
-		} else {
-			grown := make([]ProbeObs, ttl+1, 2*int(ttl)+2)
-			copy(grown, e.replies)
-			e.replies = grown
-		}
+	i := e.rank(ttl)
+	if e.valid[w]&b != 0 {
+		e.replies[i] = obs
+		return
 	}
-	e.replies[ttl] = obs
+	e.valid[w] |= b
+	e.replies = slices.Insert(e.replies, i, obs)
 }
 
 // record captures one delivery of the marked forward packet, reusing the
 // step slot (and its label-stack capacity) left by previous recordings so
-// steady-state recording allocates nothing.
+// steady-state recording allocates nothing. Outside a walk each delivery
+// overwrites the last: the frontier is the only step read back.
 func (f *FlowCache) record(to *Iface, at time.Duration, pkt *packet.Packet) {
 	if f.rec.resume {
 		// A probe materialized from a swept trajectory runs live without
@@ -635,6 +655,9 @@ func (f *FlowCache) record(to *Iface, at time.Duration, pkt *packet.Packet) {
 		return
 	}
 	e := f.rec.entry
+	if !f.rec.walk {
+		e.steps = e.steps[:0]
+	}
 	if len(e.steps) < cap(e.steps) {
 		e.steps = e.steps[:len(e.steps)+1]
 	} else {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -113,4 +114,50 @@ func TestFlowCacheDisabledIsInert(t *testing.T) {
 		t.Fatalf("disabled cache counted: %+v", got)
 	}
 	_ = h2
+}
+
+// TestMemoizeOutOfOrder pins the dense reply memo: replies memoized in
+// any TTL order — across the valid bitmap's words — read back by rank,
+// each with its derived bit, and a second memoize of a TTL overwrites its
+// reply in place.
+func TestMemoizeOutOfOrder(t *testing.T) {
+	obs := func(ttl uint8) ProbeObs {
+		return ProbeObs{Answered: true, ReplyTTL: 255 - ttl, Advance: time.Duration(ttl),
+			MPLS: packet.LabelStack{{Label: uint32(ttl), TTL: 1}}}
+	}
+	over := ProbeObs{Answered: true, From: 0x0a000009, ReplyTTL: 99}
+	type memo struct {
+		obs     ProbeObs
+		derived bool
+	}
+	e := &flowEntry{}
+	check := func(step string, want map[uint8]memo) {
+		t.Helper()
+		if len(e.replies) != len(want) {
+			t.Fatalf("%s: %d replies stored for %d TTLs", step, len(e.replies), len(want))
+		}
+		for ttl := 0; ttl < 256; ttl++ {
+			w, ok := want[uint8(ttl)]
+			if e.has(uint8(ttl)) != ok {
+				t.Fatalf("%s: has(%d) = %v, want %v", step, ttl, !ok, ok)
+			}
+			if !ok {
+				continue
+			}
+			if got := e.reply(uint8(ttl)); !reflect.DeepEqual(got, w.obs) {
+				t.Errorf("%s: reply(%d) = %+v, want %+v", step, ttl, got, w.obs)
+			}
+			if got := e.derived[ttl>>6]&(1<<(ttl&63)) != 0; got != w.derived {
+				t.Errorf("%s: TTL %d derived = %v, want %v", step, ttl, got, w.derived)
+			}
+		}
+	}
+	memoize(e, 64, obs(64), false)
+	memoize(e, 3, obs(3), true)
+	memoize(e, 10, obs(10), false)
+	check("64, 3, 10", map[uint8]memo{3: {obs(3), true}, 10: {obs(10), false}, 64: {obs(64), false}})
+	memoize(e, 3, over, false)
+	check("3 overwritten", map[uint8]memo{3: {over, false}, 10: {obs(10), false}, 64: {obs(64), false}})
+	memoize(e, 200, obs(200), true)
+	check("200 added", map[uint8]memo{3: {over, false}, 10: {obs(10), false}, 64: {obs(64), false}, 200: {obs(200), true}})
 }

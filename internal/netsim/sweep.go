@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"time"
 
 	"wormhole/internal/netaddr"
@@ -293,7 +294,7 @@ func (n *Network) learnShape(rec *flowRec, obs ProbeObs, tl []int32, tlOK bool) 
 		retDelay: obs.Advance - rec.expOff,
 	}
 	if prev, ok := f.shapes[rec.expKey]; ok && prev.shapeObs == so &&
-		(tlOK && touchedCovers(prev.touched, prev.touchAll, tl) || !tlOK && prev.touchAll) {
+		(prev.touchAll || tlOK && f.marks.holds(prev.touched, tl)) {
 		return
 	}
 	if f.shapes == nil {
@@ -301,7 +302,7 @@ func (n *Network) learnShape(rec *flowRec, obs ProbeObs, tl []int32, tlOK bool) 
 	}
 	sh := replyShape{shapeObs: so}
 	if tlOK {
-		sh.touched = sortedTouched(tl)
+		sh.touched = slices.Clone(tl)
 	} else {
 		sh.touchAll = true
 	}
@@ -349,11 +350,13 @@ func (n *Network) SweepBegin(key FlowKey, first, max uint8) bool {
 // traceroute over [first, max] would send: contiguous coverage from
 // first up to a destination-reached reply or max.
 func (e *flowEntry) coveredTrace(first, max uint8) bool {
-	for t := int(first); t <= int(max); t++ {
-		if e.valid[t>>6]&(1<<(uint(t)&63)) == 0 {
+	// Covered TTLs are contiguous, so their replies sit side by side.
+	i := e.rank(first)
+	for t := int(first); t <= int(max); t, i = t+1, i+1 {
+		if !e.has(uint8(t)) {
 			return false
 		}
-		obs := &e.replies[t]
+		obs := &e.replies[i]
 		if obs.Answered && (obs.ICMPType == packet.ICMPEchoReply || obs.ICMPType == packet.ICMPDestUnreach) {
 			return true
 		}
@@ -385,7 +388,7 @@ func (n *Network) SweepWalk(out *Iface, pkt *packet.Packet, key FlowKey) time.Du
 	f.sweep.UDP.Walks++
 	f.recBranches = f.recBranches[:0]
 	start := n.clock
-	f.rec = flowRec{active: true, entry: e, key: key, start: start}
+	f.rec = flowRec{active: true, walk: true, entry: e, key: key, start: start}
 	n.touchRemote(out)
 	n.Transmit(out, pkt)
 	n.Run()
@@ -431,7 +434,7 @@ func (n *Network) SweepFinish(key FlowKey, obs ProbeObs) {
 	n.registerMaster(key)
 	tl, tlOK := f.takeTouched()
 	n.learnShape(&rec, obs, tl, tlOK)
-	applyTouched(e, tl, tlOK)
+	f.fold(e, tl, !tlOK)
 	f.touchReset()
 	memoize(e, e.t0, obs, false)
 }
@@ -532,7 +535,7 @@ func (n *Network) composeExpiry(e *flowEntry, key FlowKey, k int, ttl uint8) (Pr
 	// The composed reply's validity now also rests on the reply path the
 	// shape was learned over: fold its provenance into the entry so a
 	// churn mask covering only the return path still hides this flow.
-	foldTouched(e, sh.touched, sh.touchAll)
+	f.fold(e, sh.touched, sh.touchAll)
 	obs := ProbeObs{
 		Answered: sh.answered,
 		From:     sh.from,
@@ -779,14 +782,14 @@ func (n *Network) udpAlias(key FlowKey) *flowEntry {
 // per-lookup derivation ever sees them. The result is memoized, so each
 // (slot class, TTL) pays the scan once.
 func (n *Network) deriveSlot(e *flowEntry, key FlowKey, ttl uint8) (ProbeObs, bool) {
-	if !e.swept || ttl >= e.t0 || e.valid[e.t0>>6]&(1<<(e.t0&63)) == 0 {
+	if !e.swept || ttl >= e.t0 || !e.has(e.t0) {
 		return ProbeObs{}, false
 	}
 	f := &n.flows
 	sc := n.sweepScan(e, ttl)
 	switch {
 	case sc.kind == scanReach:
-		obs := e.replies[e.t0]
+		obs := e.reply(e.t0)
 		memoize(e, ttl, obs, true)
 		f.sweep.UDP.Replies++
 		n.learnReachHint(key, ttl, &obs)

@@ -13,8 +13,8 @@
 # aggregation (per-package floors on the engine packages guard against
 # silently shedding tests), short native-fuzz smokes over the sweep
 # derivation model, the UDP port-cycle branch-class algebra, churn
-# masking, the snapshot wire decoder and the distributed coordinator's
-# and worker's inbound frame paths, and the race tier
+# masking, the snapshot wire decoder, the distributed coordinator's
+# and worker's inbound frame paths and the dataset reader, and the race tier
 # (TestRaceTier shells out to `go test -race` over the
 # concurrency-heavy packages and is skipped automatically under
 # -short). Last, the distributed smoke: a real 2-process campaign over
@@ -35,7 +35,7 @@ fi
 
 # Full suite with an aggregated coverage profile, then per-package floors
 # on the engine packages. The floors sit safely under the measured values
-# (netsim ~56%, campaign ~95% as of PR 6) — they catch wholesale test
+# (netsim ~75%, campaign ~90% by function) — they catch wholesale test
 # loss, not incremental drift.
 COVOUT=$(mktemp)
 trap 'rm -f "$COVOUT"' EXIT
@@ -62,7 +62,8 @@ check_floor campaign 85
 # fuzzer (a cached fabric against the cache-off oracle under
 # gen.BuildChurnPlan schedules), the wire-format reader fuzzer, the
 # snapshot decoder fuzzer (section payloads mutated and re-sealed past
-# their checksums) and the coordinator and worker inbound-path fuzzers.
+# their checksums), the coordinator and worker inbound-path fuzzers and
+# the JSONL dataset reader behind `wormhole analyze`.
 # Regressions in the lineage model, the port-cycle aliasing algebra or
 # the masking rule surface here long before a campaign happens to probe
 # the right flow, roll the colliding ports or churn the right link; a
@@ -72,12 +73,13 @@ go test ./internal/netsim/ -run='^$' -fuzz=FuzzLineageBackwardScan -fuzztime=10s
 go test ./internal/netsim/ -run='^$' -fuzz=FuzzUDPSlotClasses -fuzztime=10s
 go test ./internal/wirefmt/ -run='^$' -fuzz=FuzzReader -fuzztime=10s
 go test ./internal/gen/ -run='^$' -fuzz=FuzzDecodeWire -fuzztime=10s
-# The masking and inbound fuzzers' inputs are whole probe sequences and
-# sessions; bound the minimization of each new input so the smokes spend
-# their time mutating.
+# The masking, inbound and dataset fuzzers' inputs are whole probe
+# sequences, sessions and datasets; bound the minimization of each new
+# input so the smokes spend their time mutating.
 go test ./internal/netsim/ -run='^$' -fuzz=FuzzChurnMasking -fuzztime=10s -fuzzminimizetime=100x
 go test ./internal/campaign/ -run='^$' -fuzz=FuzzCoordinatorInbound -fuzztime=10s -fuzzminimizetime=100x
 go test ./internal/campaign/ -run='^$' -fuzz=FuzzServeWorkerInbound -fuzztime=10s -fuzzminimizetime=100x
+go test ./internal/tracefile/ -run='^$' -fuzz=FuzzTracefileRead -fuzztime=10s -fuzzminimizetime=100x
 
 go test -race -run TestRaceTier .
 
