@@ -185,24 +185,3 @@ func BenchmarkAblationUHPDefeatsRevelation(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationInBandControlPlane measures what running the control
-// plane as actual protocol messages (OSPF + LDP + BGP on the fabric)
-// costs over the centralized computations, for the same world.
-func BenchmarkAblationInBandControlPlane(b *testing.B) {
-	p := gen.DefaultParams(606)
-	p.NumTier1, p.NumTransit, p.NumStub, p.NumVPs = 2, 5, 10, 4
-	p.TEFrac = 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gen.Build(p); err != nil {
-			b.Fatal(err)
-		}
-		pi := p
-		pi.InBandControlPlane = true
-		if _, err := gen.Build(pi); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -50,7 +50,3 @@ func TestExampleAnomaly(t *testing.T) {
 func TestExampleCampaign(t *testing.T) {
 	runExample(t, "campaign", "revelations:", "graph correction:", "ground truth:")
 }
-
-func TestExampleControlplane(t *testing.T) {
-	runExample(t, "controlplane", "converged in-band", "LDP mapping deliveries", "revealed 3 hidden LSRs via BRPR")
-}

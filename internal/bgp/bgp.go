@@ -375,8 +375,9 @@ func installAS(as, origin *AS, class routeClass, nextASes []*AS, sessionsBetween
 	if len(egresses) == 0 {
 		return
 	}
-	// Deterministic order for stable tie-breaks (loopback then gateway
-	// order, matching the in-band speakers' lowest-next-hop rule).
+	// Deterministic order for stable tie-breaks: among equally near
+	// egresses the lowest border loopback wins, then the lowest gateway
+	// address (the lowest-next-hop rule).
 	sort.SliceStable(egresses, func(i, j int) bool {
 		li, lj := egresses[i].border.Loopback(), egresses[j].border.Loopback()
 		if li == nil || lj == nil {

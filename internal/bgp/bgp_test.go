@@ -312,3 +312,68 @@ func TestHotPotatoPicksNearestEgress(t *testing.T) {
 		t.Errorf("r2 exit = %+v, want via p2 (%s)", rt2, b2.Addr)
 	}
 }
+
+// TestTwoProviderStub has a stub buying from two providers that peer with
+// each other, and a destination behind only the second. The stub holds
+// two provider-class routes, [p2 dst] and [p1 p2 dst], and must take the
+// shorter one whatever order the sessions were declared in. Both
+// providers must carry a route to the stub, each over its own customer
+// session rather than across the peering.
+func TestTwoProviderStub(t *testing.T) {
+	m := newMiniNet(t)
+	for i, n := range []string{"s", "p1", "p2", "dst"} {
+		m.addAS(t, n, uint32(i+1))
+	}
+	m.link(t, "s", "p1", ACustomerOfB)
+	m.link(t, "s", "p2", ACustomerOfB)
+	m.link(t, "p1", "p2", APeerOfB)
+	m.link(t, "dst", "p2", ACustomerOfB)
+	m.compute(t)
+
+	rt, ok := m.route(t, "s", "dst")
+	if !ok || rt.Origin != router.OriginBGP {
+		t.Fatalf("s has no BGP route to dst: %+v %v", rt, ok)
+	}
+	if gw, want := rt.NextHops[0].Gateway, m.topo.Sessions[1].BIf.Addr; gw != want {
+		t.Errorf("s exits via %s, want p2's side of the s-p2 link %s", gw, want)
+	}
+	for i, p := range []string{"p1", "p2"} {
+		rt, ok := m.route(t, p, "s")
+		if !ok {
+			t.Errorf("%s has no route to its customer s", p)
+			continue
+		}
+		if gw, want := rt.NextHops[0].Gateway, m.topo.Sessions[i].AIf.Addr; gw != want {
+			t.Errorf("%s reaches s via %s, want its customer link %s", p, gw, want)
+		}
+	}
+}
+
+// TestBestPathOrdering pins the selection order: route class first, then
+// AS-path length within the class. x hears dst over a direct peering
+// (path length 1), through customer c2 and its customer m (length 3),
+// and through customer c1 (length 2). The customer class beats the
+// shorter peer route, and within it the shorter path via c1 wins. The
+// sessions are declared losers first, so declaration order cannot pick
+// the winner.
+func TestBestPathOrdering(t *testing.T) {
+	m := newMiniNet(t)
+	for i, n := range []string{"x", "c1", "c2", "m", "dst"} {
+		m.addAS(t, n, uint32(i+1))
+	}
+	m.link(t, "x", "dst", APeerOfB)
+	m.link(t, "c2", "x", ACustomerOfB)
+	m.link(t, "m", "c2", ACustomerOfB)
+	m.link(t, "dst", "m", ACustomerOfB)
+	m.link(t, "c1", "x", ACustomerOfB)
+	m.link(t, "dst", "c1", ACustomerOfB)
+	m.compute(t)
+
+	rt, ok := m.route(t, "x", "dst")
+	if !ok || rt.Origin != router.OriginBGP {
+		t.Fatalf("x has no BGP route to dst: %+v %v", rt, ok)
+	}
+	if gw, want := rt.NextHops[0].Gateway, m.topo.Sessions[4].AIf.Addr; gw != want {
+		t.Errorf("x exits via %s, want c1's side of the c1-x link %s", gw, want)
+	}
+}

@@ -13,9 +13,7 @@ type ReplicaMode uint8
 
 const (
 	// ReplicaSnapshot structurally deep-copies the built Internet
-	// (gen.Internet.Clone) — O(state) per worker, the fast path. Worlds
-	// converged with an in-band control plane fall back to a rebuild
-	// automatically.
+	// (gen.Internet.Snapshot) — O(state) per worker, the fast path.
 	ReplicaSnapshot ReplicaMode = iota
 	// ReplicaRebuild replays the generator with the original parameters
 	// (gen.Internet.Rebuild) — O(convergence) per worker. Kept as the

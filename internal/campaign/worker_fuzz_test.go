@@ -8,6 +8,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net"
 	"sort"
 	"strings"
@@ -138,5 +139,26 @@ func TestServeWorkerRejectsNullHDN(t *testing.T) {
 	err := s.serve(s.hello, []byte("[]"), []byte(`{"hdns":[null],"shards":[]}`))
 	if err == nil || !strings.Contains(err.Error(), "HDN") {
 		t.Fatalf("null HDN: %v", err)
+	}
+}
+
+// TestServeWorkerRebuildPlanError feeds a rebuild-mode worker Params
+// whose address plan cannot fit (a transit with more routers than
+// loopback slots): the generator's error must end the session instead of
+// panicking the worker process.
+func TestServeWorkerRebuildPlanError(t *testing.T) {
+	p := gen.DefaultParams(1)
+	p.TransitCore = [2]int{300, 300}
+	var in bytes.Buffer
+	if err := writeJSON(&in, msgHello, distHello{Replica: ReplicaRebuild, Cfg: DefaultConfig()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSON(&in, msgWorld, p); err != nil {
+		t.Fatal(err)
+	}
+	err := ServeWorker(sessionConn{r: bytes.NewReader(in.Bytes())})
+	var pe *gen.AddressPlanError
+	if err == nil || !strings.HasPrefix(err.Error(), "worker: rebuild:") || !errors.As(err, &pe) {
+		t.Fatalf("ServeWorker = %v, want a worker: rebuild: error wrapping *gen.AddressPlanError", err)
 	}
 }

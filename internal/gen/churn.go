@@ -60,11 +60,9 @@ type ChurnPlan struct {
 // BuildChurnPlan compiles the candidate set for an Internet. rate is the
 // expected number of fail/reconverge/repair cycles per shard (fractions
 // are sampled per shard). Returns nil — no churn — for a non-positive
-// rate, an in-band-converged world (its control plane lives in handler
-// closures the planner cannot re-run centrally), or a topology with no
-// safely failable links.
+// rate or a topology with no safely failable links.
 func BuildChurnPlan(in *Internet, rate float64, seed int64) *ChurnPlan {
-	if rate <= 0 || in.params.InBandControlPlane {
+	if rate <= 0 {
 		return nil
 	}
 	p := &ChurnPlan{rate: rate, seed: seed}

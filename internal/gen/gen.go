@@ -24,7 +24,6 @@ import (
 	"wormhole/internal/ldp"
 	"wormhole/internal/netaddr"
 	"wormhole/internal/netsim"
-	"wormhole/internal/ospf"
 	"wormhole/internal/probe"
 	"wormhole/internal/router"
 	"wormhole/internal/rsvpte"
@@ -107,11 +106,6 @@ type Params struct {
 	// modeling geography the way PlanetLab vantage points experience it.
 	Regional    bool
 	RegionDelay time.Duration
-	// InBandControlPlane converges every AS with actual protocol message
-	// exchange on the fabric (OSPF LSA flooding, LDP mapping cascades)
-	// instead of the centralized computations. Slower to build,
-	// observationally identical; integration tests exercise both.
-	InBandControlPlane bool
 
 	// Hierarchical forces the streamed, provider-aggregated build path
 	// (see hier.go): tier-1 and transit ASes converge eagerly, stubs are
@@ -119,7 +113,7 @@ type Params struct {
 	// default routes instead of full tables, and lazily recomputable SPF
 	// state. It turns on automatically above the flat builder's AS limit;
 	// setting it explicitly lets tests exercise the streamed path at
-	// small scale. Incompatible with InBandControlPlane.
+	// small scale.
 	Hierarchical bool
 
 	// LazyStubs defers stub construction past Build: the hierarchical
@@ -320,19 +314,6 @@ type Internet struct {
 // Params returns the parameters the Internet was built from.
 func (in *Internet) Params() Params { return in.params }
 
-// Clone builds an independent replica of this Internet: every router,
-// link, and fabric object is fresh, so the replica can be driven from its
-// own goroutine with no sharing. It takes the fast path — a structural
-// Snapshot of the built state — except for in-band-converged worlds, which
-// fall back to Rebuild (a full generator replay) because their routers
-// carry control-plane closures that cannot be copied.
-func (in *Internet) Clone() (*Internet, error) {
-	if in.params.InBandControlPlane {
-		return in.Rebuild()
-	}
-	return in.Snapshot()
-}
-
 // AddrInfo is the ground-truth owner of an interface address.
 type AddrInfo struct {
 	Router *router.Router
@@ -416,7 +397,9 @@ func (in *Internet) RouterAddrs() []netaddr.Addr {
 // Build generates an Internet. Worlds beyond the flat builder's AS limit
 // (or with Params.Hierarchical set) go through the streamed hierarchical
 // builder in hier.go; small worlds keep the flat path byte-for-byte.
-func Build(p Params) (*Internet, error) {
+// Params whose address plan does not fit return an *AddressPlanError.
+func Build(p Params) (_ *Internet, err error) {
+	defer recoverPlanError(&err)
 	if p.NumTier1 < 1 {
 		return nil, fmt.Errorf("gen: unsupported AS counts (%d/%d/%d)", p.NumTier1, p.NumTransit, p.NumStub)
 	}
@@ -504,30 +487,14 @@ func Build(p Params) (*Internet, error) {
 	// 4. Control planes: IGP per AS, LDP where MPLS, then BGP.
 	var bgpASes []*bgp.AS
 	for _, as := range in.ASes {
-		var spf *igp.Result
-		if p.InBandControlPlane {
-			area := ospf.Enable(in.Net, as.Routers())
-			if err := area.Converge(); err != nil {
-				return nil, fmt.Errorf("gen: AS%d OSPF: %w", as.Num, err)
-			}
-			var err error
-			if spf, err = area.Result(); err != nil {
-				return nil, fmt.Errorf("gen: AS%d OSPF result: %w", as.Num, err)
-			}
-		} else {
-			dom := &igp.Domain{Routers: as.Routers()}
-			var err error
-			if spf, err = dom.Compute(); err != nil {
-				return nil, fmt.Errorf("gen: AS%d SPF: %w", as.Num, err)
-			}
+		dom := &igp.Domain{Routers: as.Routers()}
+		spf, err := dom.Compute()
+		if err != nil {
+			return nil, fmt.Errorf("gen: AS%d SPF: %w", as.Num, err)
 		}
 		as.spf = spf
 		if as.Profile.MPLS {
-			if p.InBandControlPlane {
-				ldp.EnableInBand(in.Net, as.Routers()).Converge()
-			} else {
-				ldp.Build(as.Routers(), spf)
-			}
+			ldp.Build(as.Routers(), spf)
 			if as.Profile.TE {
 				in.addTETunnels(as)
 			}
@@ -539,10 +506,7 @@ func Build(p Params) (*Internet, error) {
 			SPF:      spf,
 		})
 	}
-	topo := &bgp.Topology{ASes: bgpASes, Sessions: sessions}
-	if p.InBandControlPlane {
-		bgp.EnableInBand(in.Net, topo).ConvergeAll()
-	} else if err := bgp.Compute(topo); err != nil {
+	if err := bgp.Compute(&bgp.Topology{ASes: bgpASes, Sessions: sessions}); err != nil {
 		return nil, err
 	}
 	in.finishAddrIndex()
@@ -592,13 +556,43 @@ func (a *ASInfo) size() uint32 {
 	return uint32(a.Aggregate.NumAddrs())
 }
 
+// AddressPlanError reports an AS whose address block cannot hold what
+// the Params ask of it: more routers than loopback slots, more links than
+// /30 subnets, or more stub customers than child /20 blocks.
+type AddressPlanError struct {
+	AS   uint32
+	Pool string // "loopbacks", "subnets" or "child blocks"
+}
+
+func (e *AddressPlanError) Error() string {
+	return fmt.Sprintf("gen: AS%d out of %s", e.AS, e.Pool)
+}
+
+// recoverPlanError turns an allocator's *AddressPlanError panic into
+// Build's error. The allocators run deep inside construction closures,
+// and unwinding to Build is simpler than threading an error through each
+// of them. Any other panic is a generator bug and keeps going.
+func recoverPlanError(err *error) {
+	if r := recover(); r != nil {
+		pe, ok := r.(*AddressPlanError)
+		if !ok {
+			panic(r)
+		}
+		*err = pe
+	}
+}
+
+// maxLoopbacks is how many routers one AS can number: loopbacks take the
+// top 256 addresses of the aggregate, minus its first and last.
+const maxLoopbacks = 254
+
 // subnet30 allocates the AS's next /30: bottom-up from the aggregate base,
 // stopping at childFloor (loopback range; carved child blocks).
 func (a *ASInfo) subnet30() netaddr.Prefix {
 	p := netaddr.MustPrefixFrom(a.Aggregate.Addr()+netaddr.Addr(a.nextSubnet*4), 30)
 	a.nextSubnet++
 	if a.nextSubnet*4 >= a.childFloor {
-		panic(fmt.Sprintf("gen: AS%d out of subnets", a.Num))
+		panic(&AddressPlanError{AS: a.Num, Pool: "subnets"})
 	}
 	return p
 }
@@ -607,8 +601,8 @@ func (a *ASInfo) subnet30() netaddr.Prefix {
 // of the aggregate (10.num.255.x in the flat plan).
 func (a *ASInfo) loopback() netaddr.Addr {
 	a.nextLo++
-	if a.nextLo > 254 {
-		panic(fmt.Sprintf("gen: AS%d out of loopbacks", a.Num))
+	if a.nextLo > maxLoopbacks {
+		panic(&AddressPlanError{AS: a.Num, Pool: "loopbacks"})
 	}
 	return a.Aggregate.Addr() + netaddr.Addr(a.size()-256) + netaddr.Addr(a.nextLo)
 }
@@ -619,7 +613,7 @@ func (a *ASInfo) loopback() netaddr.Addr {
 func (a *ASInfo) carveChild20() netaddr.Prefix {
 	const childSize = 1 << 12
 	if a.childFloor < childSize || a.childFloor-childSize < a.nextSubnet*4 {
-		panic(fmt.Sprintf("gen: AS%d out of child blocks", a.Num))
+		panic(&AddressPlanError{AS: a.Num, Pool: "child blocks"})
 	}
 	a.childFloor -= childSize
 	return netaddr.MustPrefixFrom(a.Aggregate.Addr()+netaddr.Addr(a.childFloor), 20)

@@ -62,9 +62,6 @@ func transitAggregate(i int) netaddr.Prefix {
 }
 
 func buildHierarchical(p Params) (*Internet, error) {
-	if p.InBandControlPlane {
-		return nil, fmt.Errorf("gen: hierarchical build does not support InBandControlPlane")
-	}
 	if p.NumTier1 < 1 || p.NumTier1 > 256 || p.NumTransit < 1 || p.NumTransit > maxHierTransits {
 		return nil, fmt.Errorf("gen: unsupported hierarchical AS counts (%d/%d/%d)", p.NumTier1, p.NumTransit, p.NumStub)
 	}
@@ -221,6 +218,13 @@ func buildHierarchical(p Params) (*Internet, error) {
 		seed := rng.Int63()
 		as := in.newAS(num, prof, transits[provIdx[0]].carveChild20(), x, y)
 		num++
+		// A lazy stub materializes after Build has returned, so its plan
+		// is checked here. Loopbacks are the only pool a stub can run
+		// out of: its /20 holds subnets for every link of a stub with
+		// maxLoopbacks routers.
+		if nCore > maxLoopbacks {
+			return nil, &AddressPlanError{AS: as.Num, Pool: "loopbacks"}
+		}
 
 		d := stubDesc{
 			seed:    seed,

@@ -169,12 +169,12 @@ func TestHierParamsRoundTrip(t *testing.T) {
 	if in.Params() != p {
 		t.Fatal("Params() does not round-trip the hierarchical build parameters")
 	}
-	replica, err := in.Clone()
+	replica, err := in.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if replica.Net == in.Net {
-		t.Fatal("Clone returned a shared fabric")
+		t.Fatal("Snapshot returned a shared fabric")
 	}
 	aa, bb := in.RouterAddrs(), replica.RouterAddrs()
 	if len(aa) != len(bb) {
@@ -184,14 +184,6 @@ func TestHierParamsRoundTrip(t *testing.T) {
 		if aa[i] != bb[i] {
 			t.Fatalf("addr %d differs: %s vs %s", i, aa[i], bb[i])
 		}
-	}
-}
-
-func TestHierRejectsInBand(t *testing.T) {
-	p := hierParams(11)
-	p.InBandControlPlane = true
-	if _, err := Build(p); err == nil {
-		t.Fatal("hierarchical build accepted InBandControlPlane")
 	}
 }
 

@@ -43,7 +43,7 @@ type lease struct {
 // AcquireReplicas returns n independent replicas of this Internet, reusing
 // pooled ones when neither the source nor the replica has mutated since
 // they were built, and building the rest (concurrently) via Rebuild when
-// rebuild is set, Clone otherwise. Replicas come back in stable order —
+// rebuild is set, Snapshot otherwise. Replicas come back in stable order —
 // slot i holds the same replica across successive acquisitions — and must
 // be returned with ReleaseReplicas.
 func (in *Internet) AcquireReplicas(n int, rebuild bool) ([]*Internet, error) {
@@ -92,7 +92,7 @@ func (in *Internet) AcquireReplicas(n int, rebuild bool) ([]*Internet, error) {
 			if rebuild {
 				built[i], errs[i] = in.Rebuild()
 			} else {
-				built[i], errs[i] = in.Clone()
+				built[i], errs[i] = in.Snapshot()
 			}
 		}(i)
 	}

@@ -34,15 +34,10 @@ type snapCtx struct {
 // a generator replay would produce; campaign workers reconfigure them from
 // the campaign config anyway.
 //
-// Worlds converged with InBandControlPlane cannot be snapshot: their
-// routers hold ControlHandler closures over source-side protocol state.
-// Use Rebuild (or Clone, which falls back automatically) for those.
+// Snapshot works on every built world. Rebuild, a generator replay,
+// stays as its validation oracle and behind the explicit rebuild replica
+// mode.
 func (in *Internet) Snapshot() (*Internet, error) {
-	for _, n := range in.Net.Nodes() {
-		if r, ok := n.(*router.Router); ok && r.ControlHandler != nil {
-			return nil, fmt.Errorf("gen: cannot snapshot %s: in-band control plane attached (use Rebuild)", r.Name())
-		}
-	}
 	c, err := in.Net.BeginSnapshot()
 	if err != nil {
 		return nil, err
@@ -183,7 +178,6 @@ func (in *Internet) Snapshot() (*Internet, error) {
 }
 
 // Rebuild builds an independent replica by replaying the generator with
-// the original parameters — the validation oracle for Snapshot, and the
-// only replication path for in-band-converged worlds. Post-build mutations
-// to the original are NOT carried over.
+// the original parameters — the validation oracle for Snapshot.
+// Post-build mutations to the original are NOT carried over.
 func (in *Internet) Rebuild() (*Internet, error) { return Build(in.params) }

@@ -102,26 +102,3 @@ func firstTraceDiff(want, got string) string {
 	}
 	return fmt.Sprintf("line count: want %d, got %d", len(wl), len(gl))
 }
-
-// TestSnapshotRejectsInBand verifies the fallback: a world converged with
-// an in-band control plane cannot be structurally snapshot (routers hold
-// ControlHandler closures), so Snapshot must refuse and Clone must route
-// through Rebuild instead.
-func TestSnapshotRejectsInBand(t *testing.T) {
-	p := smallParams(4)
-	p.InBandControlPlane = true
-	in, err := Build(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Snapshot(); err == nil {
-		t.Fatal("Snapshot accepted an in-band world")
-	}
-	replica, err := in.Clone()
-	if err != nil {
-		t.Fatalf("Clone did not fall back to Rebuild: %v", err)
-	}
-	if replica.Net == in.Net {
-		t.Fatal("Clone returned a shared fabric")
-	}
-}

@@ -12,13 +12,12 @@ package gen
 // allocations plus one linear parse, and the result is observationally
 // identical to a Snapshot() replica of the encoded fabric.
 //
-// What never crosses the wire, mirroring Snapshot(): ControlHandler
-// closures (encode refuses in-band worlds), queued events (encode
-// refuses a non-quiescent fabric), route caches, the flow-trajectory
-// cache, prober state (probers are created fresh, then configured by the
-// campaign), and SPF results — replicas recompute those on demand, which
-// is observationally identical and keeps the blob proportional to the
-// data plane.
+// What never crosses the wire, mirroring Snapshot(): queued events
+// (encode refuses a non-quiescent fabric), route caches, the
+// flow-trajectory cache, prober state (probers are created fresh, then
+// configured by the campaign), and SPF results — replicas recompute those
+// on demand, which is observationally identical and keeps the blob
+// proportional to the data plane.
 //
 // Section layout (every section is [u32 id][u64 len][payload][u32 crc]):
 //
@@ -57,7 +56,7 @@ import (
 
 const (
 	wireMagic   = 0x314e5357 // "WSN1" little-endian
-	wireVersion = 1
+	wireVersion = 2
 
 	secParams    = 1
 	secNetBasis  = 2
@@ -78,9 +77,8 @@ const (
 	nodeHost   = 1
 )
 
-// EncodeWire serializes the fabric. Like Snapshot, it refuses worlds
-// with in-band control planes (handler closures cannot cross a process)
-// and fabrics with queued events.
+// EncodeWire serializes the fabric. It refuses a fabric with queued
+// events.
 func (in *Internet) EncodeWire() ([]byte, error) {
 	if !in.Net.Quiescent() {
 		return nil, errors.New("gen: cannot encode a fabric with queued events")
@@ -89,9 +87,6 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 	nLinks := len(in.Net.Links())
 	for _, n := range in.Net.Nodes() {
 		if r, ok := n.(*router.Router); ok {
-			if r.ControlHandler != nil {
-				return nil, fmt.Errorf("gen: cannot encode %s: in-band control plane attached (use Rebuild on the worker)", r.Name())
-			}
 			stats.Count(r)
 		}
 	}
@@ -130,7 +125,6 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 	w.I64(int64(p.MaxDelay))
 	w.Bool(p.Regional)
 	w.I64(int64(p.RegionDelay))
-	w.Bool(p.InBandControlPlane)
 	w.Bool(p.Hierarchical)
 	w.Bool(p.LazyStubs)
 	w.EndSection(mark)
@@ -393,7 +387,6 @@ func DecodeWire(buf []byte) (*Internet, error) {
 	p.MaxDelay = time.Duration(sec.I64())
 	p.Regional = sec.Bool()
 	p.RegionDelay = time.Duration(sec.I64())
-	p.InBandControlPlane = sec.Bool()
 	p.Hierarchical = sec.Bool()
 	p.LazyStubs = sec.Bool()
 	if err := sec.Err(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"wormhole/internal/experiments"
@@ -93,6 +94,25 @@ func TestWireCorruption(t *testing.T) {
 		if _, err := gen.DecodeWire(blob[:cut]); err == nil {
 			t.Fatalf("truncated blob (%d bytes) decoded without error", cut)
 		}
+	}
+}
+
+// TestWireVersionMismatch pins the header check: a blob stamped with an
+// older codec version fails with the version error before any section is
+// parsed.
+func TestWireVersionMismatch(t *testing.T) {
+	in, err := gen.Build(experiments.Small.Params(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := in.EncodeWire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint16(old[4:], 1)
+	if _, err := gen.DecodeWire(old); err == nil || !strings.Contains(err.Error(), "wire version 1 not supported") {
+		t.Fatalf("version-1 blob: got %v, want the version error", err)
 	}
 }
 

@@ -21,20 +21,9 @@ type fixture struct {
 	host   *netsim.Host
 	rs     []*router.Router
 	prober *probe.Prober
-	spf    *igp.Result
 }
 
 func build(t *testing.T, cfgs []router.Config) *fixture {
-	t.Helper()
-	f := buildBare(t, cfgs)
-	Build(f.rs, f.spf)
-	f.prober = probe.New(f.net, f.vp)
-	return f
-}
-
-// buildBare wires the topology and computes IGP routes, leaving label
-// distribution to the caller.
-func buildBare(t *testing.T, cfgs []router.Config) *fixture {
 	t.Helper()
 	net := netsim.New(3)
 	f := &fixture{net: net}
@@ -74,7 +63,8 @@ func buildBare(t *testing.T, cfgs []router.Config) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.spf = spf
+	Build(f.rs, spf)
+	f.prober = probe.New(f.net, f.vp)
 	return f
 }
 
@@ -239,63 +229,4 @@ func quotedLabel(t *testing.T, f *fixture, dst netaddr.Addr) uint32 {
 		}
 	}
 	return 0
-}
-
-// buildInBand mirrors build() but distributes labels with in-band LDP
-// message exchange instead of the centralized builder.
-func buildInBand(t *testing.T, cfgs []router.Config) *fixture {
-	t.Helper()
-	f := buildBare(t, cfgs)
-	p := EnableInBand(f.net, f.rs)
-	p.Converge()
-	f.prober = probe.New(f.net, f.vp)
-	return f
-}
-
-// TestInBandMatchesCentralizedBuild compares the observable tunnel
-// behaviour of in-band LDP with the centralized builder across the
-// scenarios: identical hop sequences for identical targets.
-func TestInBandMatchesCentralizedBuild(t *testing.T) {
-	scenarios := []struct {
-		name string
-		cfgs []router.Config
-	}{
-		{"all-prefixes-invisible", cfgN(4, allPrefixes)},
-		{"all-prefixes-visible", cfgN(4, cfgWithPropagate(allPrefixes))},
-		{"host-routes", cfgN(4, hostRoutes)},
-		{"uhp", cfgN(4, cfgUHP())},
-		{"mixed", []router.Config{allPrefixes, hostRoutes, allPrefixes, allPrefixes}},
-	}
-	for _, sc := range scenarios {
-		central := build(t, sc.cfgs)
-		inband := buildInBand(t, sc.cfgs)
-		targets := func(f *fixture) []netaddr.Addr {
-			return []netaddr.Addr{
-				f.host.Addr(),
-				f.rs[3].Loopback().Addr,
-				f.rs[3].Ifaces()[0].Addr,
-				f.rs[2].Ifaces()[0].Addr,
-			}
-		}
-		ct, it := targets(central), targets(inband)
-		for k := range ct {
-			hc := central.hopsSeen(ct[k])
-			hi := inband.hopsSeen(it[k])
-			if len(hc) != len(hi) {
-				t.Errorf("%s target %d: central saw %v, in-band saw %v", sc.name, k, hc, hi)
-				continue
-			}
-			for j := range hc {
-				if hc[j] != hi[j] {
-					t.Errorf("%s target %d hop %d: %s vs %s", sc.name, k, j, hc[j], hi[j])
-				}
-			}
-		}
-	}
-}
-
-func cfgUHP() router.Config {
-	c := allPrefixes
-	c.UHP = true
-	return c
 }

@@ -93,11 +93,11 @@ func FuzzChurnMasking(f *testing.F) {
 		if len(ops) > 24 {
 			ops = ops[:24]
 		}
-		cached, err := in.Clone()
+		cached, err := in.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := in.Clone()
+		oracle, err := in.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}

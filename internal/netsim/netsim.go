@@ -12,7 +12,7 @@
 // # Shard ownership
 //
 // Parallel campaign drivers scale out by building one independent fabric
-// replica per worker (gen.Internet.Clone) and driving each replica from
+// replica per worker (gen.Internet.Snapshot) and driving each replica from
 // exactly one goroutine — shard-per-worker, no shared fabric. Two
 // invariants make that safe:
 //

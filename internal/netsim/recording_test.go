@@ -16,7 +16,7 @@ import (
 func coldReplica(t *testing.T) (*gen.Internet, *probe.Prober) {
 	t.Helper()
 	in, _ := maskFuzzWorld(t)
-	w, err := in.Clone()
+	w, err := in.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

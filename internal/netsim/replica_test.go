@@ -21,7 +21,7 @@ func buildReplica(t *testing.T) *gen.Internet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica, err := in.Clone()
+	replica, err := in.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,9 @@ type Packet struct {
 	IP   IPv4
 	ICMP *ICMP // set when IP.Protocol == ProtoICMP
 	UDP  *UDP  // set when IP.Protocol == ProtoUDP
-	// Raw carries the opaque payload of other protocols (OSPF LSAs and
-	// the like); its encoding belongs to the owning subsystem.
+	// Raw carries the opaque payload of protocols the codec does not
+	// model (TCP, OSPF and the like), so Decode and Serialize round-trip
+	// them.
 	Raw []byte
 
 	// PayloadLen is opaque application payload carried beyond the modeled

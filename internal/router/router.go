@@ -63,11 +63,6 @@ type Router struct {
 	// Stats counts data-plane events; tests and the campaign post-mortem
 	// read them.
 	Stats Stats
-
-	// ControlHandler, when set, receives control-plane packets (OSPF and
-	// the like) addressed to the router or multicast on a link. In-band
-	// routing protocols register here.
-	ControlHandler func(net *netsim.Network, in *netsim.Iface, pkt *packet.Packet)
 }
 
 // Stats are per-router data-plane counters.
@@ -325,21 +320,8 @@ func (r *Router) Receive(net *netsim.Network, in *netsim.Iface, pkt *packet.Pack
 // ---- Plain IP path ----
 
 func (r *Router) receiveIP(net *netsim.Network, in *netsim.Iface, pkt *packet.Packet) {
-	if pkt.IP.Protocol == packet.ProtoOSPF ||
-		(pkt.IP.Protocol == packet.ProtoTCP && pkt.Raw != nil && r.IsLocal(pkt.IP.Dst)) {
-		// Control-plane traffic: OSPF is link-local; LDP sessions (TCP
-		// 646 in reality) are modeled as Raw TCP datagrams between
-		// adjacent routers. Never forwarded as data.
-		if r.ControlHandler != nil {
-			// Protocol handlers may keep decoded state referencing the
-			// packet; off the hot path, so escape the free list.
-			net.AdoptPacket(pkt)
-			r.ControlHandler(net, in, pkt)
-		}
-		return
-	}
 	if r.IsLocal(pkt.IP.Dst) {
-		r.deliverLocal(net, in, pkt)
+		r.deliverLocal(net, pkt)
 		return
 	}
 	if pkt.IP.TTL <= 1 {
@@ -572,7 +554,7 @@ func (r *Router) disposeUHP(net *netsim.Network, in *netsim.Iface, pkt *packet.P
 			fwd.SetLineageIP(topProp)
 		}
 		if r.IsLocal(fwd.IP.Dst) {
-			r.deliverLocal(net, in, fwd)
+			r.deliverLocal(net, fwd)
 			net.PacketPool().Release(fwd)
 			return
 		}
@@ -585,7 +567,7 @@ func (r *Router) disposeUHP(net *netsim.Network, in *netsim.Iface, pkt *packet.P
 		return
 	}
 	if r.IsLocal(fwd.IP.Dst) {
-		r.deliverLocal(net, in, fwd)
+		r.deliverLocal(net, fwd)
 		net.PacketPool().Release(fwd)
 		return
 	}
@@ -688,7 +670,7 @@ func (r *Router) icmpAllowed(net *netsim.Network) bool {
 	return true
 }
 
-func (r *Router) deliverLocal(net *netsim.Network, in *netsim.Iface, pkt *packet.Packet) {
+func (r *Router) deliverLocal(net *netsim.Network, pkt *packet.Packet) {
 	// Routers consume local traffic before any TTL check; tell the sweep
 	// recorder its terminal step is exempt from transit expiry rules.
 	net.NoteLocalDelivery(pkt)
@@ -734,17 +716,9 @@ func (r *Router) deliverLocal(net *netsim.Network, in *netsim.Iface, pkt *packet
 		icmp.Quote = quoteOf(pool, pkt)
 		reply.ICMP = icmp
 		r.Originate(net, reply)
-	case pkt.IP.Protocol == packet.ProtoOSPF,
-		pkt.IP.Protocol == packet.ProtoTCP && pkt.Raw != nil:
-		// Control traffic delivered through a label disposition path
-		// (e.g. multi-hop iBGP across a UHP tunnel) lands here rather
-		// than in receiveIP.
-		if r.ControlHandler != nil {
-			net.AdoptPacket(pkt)
-			r.ControlHandler(net, in, pkt)
-		}
 	default:
-		// ICMP errors or replies addressed to the router: consumed.
+		// Anything else addressed to the router (ICMP errors and replies,
+		// other protocols): consumed.
 	}
 }
 

@@ -153,10 +153,6 @@ func (r *Router) Snapshot(c *netsim.Cloner) *Router {
 // hold arena indices, not pointers); the route, binding, and dense LFIB
 // arenas copy with one sequential sweep each, remapping egress interfaces
 // as they go.
-//
-// ControlHandler is deliberately not copied: it closes over source-side
-// protocol state. Callers that run in-band control planes must rebuild
-// replicas through the generator instead (gen.Internet.Rebuild).
 func (r *Router) SnapshotInto(c *netsim.Cloner, ar *CloneArena) *Router {
 	var nr *Router
 	if len(ar.routers) < cap(ar.routers) {

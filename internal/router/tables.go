@@ -108,13 +108,6 @@ func pickNextHop(hops []NextHop, pkt *packet.Packet) NextHop {
 	return hops[flowHash(pkt)%uint32(len(hops))]
 }
 
-func pickLabelHop(hops []LabelHop, pkt *packet.Packet) LabelHop {
-	if len(hops) == 1 {
-		return hops[0]
-	}
-	return hops[flowHash(pkt)%uint32(len(hops))]
-}
-
 // notedNextHop is pickNextHop plus branch reporting: when a marked sweep
 // walk crosses a real ECMP fan-out, the (fan-out, index) decision is
 // handed to the fabric's recorder so untraced port-cycle slots can later

@@ -170,9 +170,7 @@ func (e *wireEnc) appendLabelHops(w *wirefmt.Writer, hops []LabelHop) {
 	}
 }
 
-// AppendWire encodes the router. ControlHandler is not encodable (it
-// closes over process-local protocol state); the fabric-level encoder
-// refuses such routers up front, mirroring gen.Internet.Snapshot.
+// AppendWire encodes the router.
 func (r *Router) AppendWire(w *wirefmt.Writer) {
 	e := wireEnc{r: r}
 

@@ -1,6 +1,9 @@
 #!/bin/sh
 # check.sh — the full local gate, in the order CI would run it:
-# build everything, vet, the gofmt gate, then the performance guard
+# build everything, vet, the gofmt gate, the dead-package guard (every
+# package under internal/ must be imported by the non-test code of some
+# package in ./..., so code only its own tests exercise cannot linger),
+# then the performance guard
 # (bench_guard.sh fails if the 2-worker cached campaign regresses below
 # the 1-worker row, if churn masking falls below flush-the-world
 # under churn, if the UDP sweep+cache row stops beating the UDP
@@ -28,6 +31,12 @@ go vet ./...
 unformatted=$(gofmt -l cmd examples internal perfbench ./*.go)
 if [ -n "$unformatted" ]; then
     echo "check: FAIL — not gofmt-clean: $unformatted"
+    exit 1
+fi
+
+dead=$(go list ./internal/... | grep -vxF "$(go list -f '{{join .Imports "\n"}}' ./...)" || true)
+if [ -n "$dead" ]; then
+    echo "check: FAIL — no non-test importer in ./...: $dead"
     exit 1
 fi
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"wormhole/internal/campaign"
-	"wormhole/internal/experiments"
 	"wormhole/internal/gen"
 	"wormhole/internal/reveal"
 )
@@ -94,38 +93,4 @@ func TestLargeCampaignSoak(t *testing.T) {
 	}
 	t.Logf("soak: %d nodes, %d records, %d revelations, %d probes, %d good hops",
 		c.ITDK.NumNodes(), len(c.Records), len(c.Revelations()), c.Probes, goodHop)
-}
-
-// TestInBandCampaignSoak runs a medium campaign over a world whose entire
-// control plane converged via in-band protocol messages.
-func TestInBandCampaignSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test")
-	}
-	p := experiments.Medium.Params(777)
-	p.InBandControlPlane = true
-	in, err := gen.Build(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := campaign.Run(in, campaign.DefaultConfig())
-	good := 0
-	for _, rev := range c.Revelations() {
-		iInfo, ok := in.Owner(rev.Ingress)
-		if !ok {
-			continue
-		}
-		for _, h := range rev.Hops {
-			hInfo, ok := in.Owner(h)
-			if !ok || hInfo.AS != iInfo.AS {
-				t.Fatalf("in-band world: revealed hop %s fails ground truth", h)
-			}
-			good++
-		}
-	}
-	if good == 0 {
-		t.Error("no hidden hops revealed on the in-band world")
-	}
-	t.Logf("in-band soak: %d records, %d revelations, %d good hops",
-		len(c.Records), len(c.Revelations()), good)
 }
