@@ -13,8 +13,6 @@
 package alias
 
 import (
-	"sort"
-
 	"wormhole/internal/netaddr"
 	"wormhole/internal/packet"
 	"wormhole/internal/probe"
@@ -63,37 +61,6 @@ func (s *Sets) Union(a, b netaddr.Addr) {
 	if s.rank[ra] == s.rank[rb] {
 		s.rank[ra]++
 	}
-}
-
-// SameRouter reports whether two addresses resolved to one router.
-func (s *Sets) SameRouter(a, b netaddr.Addr) bool {
-	return s.find(a) == s.find(b)
-}
-
-// Canonical returns the representative address of a's alias set.
-func (s *Sets) Canonical(a netaddr.Addr) netaddr.Addr { return s.find(a) }
-
-// SetOf returns all known addresses aliased with a (including a itself),
-// sorted.
-func (s *Sets) SetOf(a netaddr.Addr) []netaddr.Addr {
-	root := s.find(a)
-	var out []netaddr.Addr
-	for addr := range s.parent {
-		if s.find(addr) == root {
-			out = append(out, addr)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// NumSets returns the number of distinct alias sets among known addresses.
-func (s *Sets) NumSets() int {
-	roots := map[netaddr.Addr]bool{}
-	for a := range s.parent {
-		roots[s.find(a)] = true
-	}
-	return len(roots)
 }
 
 // Resolve runs the Mercator probe against every address: one UDP probe to

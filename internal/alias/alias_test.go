@@ -11,39 +11,51 @@ import (
 
 func a(s string) netaddr.Addr { return netaddr.MustParseAddr(s) }
 
+// same reports whether two addresses resolved to one router.
+func same(s *Sets, x, y netaddr.Addr) bool { return s.find(x) == s.find(y) }
+
+// numSets counts the distinct alias sets among known addresses.
+func numSets(s *Sets) int {
+	roots := map[netaddr.Addr]bool{}
+	for x := range s.parent {
+		roots[s.find(x)] = true
+	}
+	return len(roots)
+}
+
 func TestUnionFind(t *testing.T) {
 	s := NewSets()
 	s.Union(a("1.0.0.1"), a("1.0.0.2"))
 	s.Union(a("1.0.0.2"), a("1.0.0.3"))
 	s.Union(a("2.0.0.1"), a("2.0.0.2"))
 
-	if !s.SameRouter(a("1.0.0.1"), a("1.0.0.3")) {
+	if !same(s, a("1.0.0.1"), a("1.0.0.3")) {
 		t.Error("transitive union failed")
 	}
-	if s.SameRouter(a("1.0.0.1"), a("2.0.0.1")) {
+	if same(s, a("1.0.0.1"), a("2.0.0.1")) {
 		t.Error("distinct sets merged")
 	}
-	if got := len(s.SetOf(a("1.0.0.2"))); got != 3 {
-		t.Errorf("set size = %d", got)
-	}
-	if s.NumSets() != 2 {
-		t.Errorf("NumSets = %d", s.NumSets())
+	if n := numSets(s); n != 2 || len(s.parent) != 5 {
+		t.Errorf("%d sets over %d addresses, want 2 over 5", n, len(s.parent))
 	}
 	// Self-union and repeats are harmless.
 	s.Union(a("1.0.0.1"), a("1.0.0.1"))
 	s.Union(a("1.0.0.1"), a("1.0.0.2"))
-	if s.NumSets() != 2 {
-		t.Errorf("NumSets after no-ops = %d", s.NumSets())
+	if n := numSets(s); n != 2 {
+		t.Errorf("sets after no-ops = %d", n)
 	}
 }
 
 func TestCanonicalStable(t *testing.T) {
 	s := NewSets()
 	s.Union(a("9.0.0.1"), a("9.0.0.2"))
-	c1 := s.Canonical(a("9.0.0.1"))
-	c2 := s.Canonical(a("9.0.0.2"))
+	c1 := s.find(a("9.0.0.1"))
+	c2 := s.find(a("9.0.0.2"))
 	if c1 != c2 {
 		t.Error("canonical differs within a set")
+	}
+	if s.find(a("9.0.0.1")) != c1 {
+		t.Error("canonical changed on a repeated find")
 	}
 }
 
@@ -63,12 +75,12 @@ func TestMercatorOnTestbed(t *testing.T) {
 	sets := Resolve(l.Prober, []netaddr.Addr{p2Left, p2Right, l.PE2Left, l.P1Left})
 	// Probing P2's right interface elicits a reply from its left (facing
 	// the VP): alias detected.
-	if !sets.SameRouter(p2Left, p2Right) {
-		t.Errorf("P2's interfaces not aliased: sets=%v / %v",
-			sets.SetOf(p2Left), sets.SetOf(p2Right))
+	if !same(sets, p2Left, p2Right) {
+		t.Errorf("P2's interfaces not aliased: %v under %v, %v under %v",
+			p2Left, sets.find(p2Left), p2Right, sets.find(p2Right))
 	}
 	// Different routers never merge.
-	if sets.SameRouter(p2Left, l.PE2Left) || sets.SameRouter(p2Left, l.P1Left) {
+	if same(sets, p2Left, l.PE2Left) || same(sets, p2Left, l.P1Left) {
 		t.Error("distinct routers merged")
 	}
 	if sets.Pairs == 0 {
@@ -91,7 +103,7 @@ func TestMercatorBlindOnWellBehavedOS(t *testing.T) {
 	if sets.Pairs != 0 {
 		t.Errorf("pairs = %d on a well-behaved OS", sets.Pairs)
 	}
-	if sets.SameRouter(addrs[0], addrs[1]) {
+	if same(sets, addrs[0], addrs[1]) {
 		t.Error("addresses merged without evidence")
 	}
 }
@@ -113,7 +125,7 @@ func TestMercatorAgainstGroundTruth(t *testing.T) {
 	truePairs, falsePairs := 0, 0
 	for i := 0; i < len(addrs); i++ {
 		for j := i + 1; j < len(addrs); j++ {
-			if !sets.SameRouter(addrs[i], addrs[j]) {
+			if !same(sets, addrs[i], addrs[j]) {
 				continue
 			}
 			oi, _ := in.Owner(addrs[i])
@@ -132,7 +144,7 @@ func TestMercatorAgainstGroundTruth(t *testing.T) {
 		t.Error("no true aliases recovered")
 	}
 	t.Logf("alias resolution: %d true merged pairs, %d sets over %d addrs",
-		truePairs, sets.NumSets(), len(addrs))
+		truePairs, numSets(sets), len(addrs))
 }
 
 func TestResolverAdapter(t *testing.T) {

@@ -273,7 +273,9 @@ func Run(cfg Config) (*Report, error) {
 		// ICMP: per-probe baseline, the full fast path, and the two
 		// churned fast-path rows (delta-invalidation vs the flush-the-world
 		// baseline on an identical schedule). UDP: per-probe baseline and
-		// the full fast path — the pair that prices the port-cycle slot
+		// the full fast path. Every cached row is timed after
+		// measureCampaign's warm-up run, so the UDP pair prices warm memo
+		// replay against per-probe simulation, not the port-cycle slot
 		// cold path.
 		for _, combo := range []struct {
 			method                   probe.Method

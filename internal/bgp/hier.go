@@ -1,9 +1,6 @@
 package bgp
 
-import (
-	"wormhole/internal/netaddr"
-	"wormhole/internal/router"
-)
+import "wormhole/internal/netaddr"
 
 // Hierarchical (streamed) stub attachment. The generator's large-world
 // builder converges the core (Tier-1s and transits) with the full Compute
@@ -60,17 +57,5 @@ func AttachStub(stub *AS, links []StubLink) {
 	installAS(stub, origin, classProvider, provs, sb)
 	for _, l := range links {
 		redistributeConnected(stub, l.S.A, l.S.AIf)
-	}
-}
-
-// DetachStubRoutes is the inverse of AttachStub's provider-side install,
-// used by tests to verify attachment is the only cross-AS state a stub
-// creates. It removes the stub's aggregate from every router of the
-// given provider.
-func DetachStubRoutes(provider *AS, aggregate netaddr.Prefix) {
-	for _, r := range provider.Routers {
-		if rt, ok := r.GetRoute(aggregate); ok && rt.Origin == router.OriginBGP {
-			r.DeleteRoute(aggregate)
-		}
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"wormhole/internal/campaign"
@@ -558,21 +557,22 @@ func Table5Deployment(w *World) (*Report, error) {
 	type asAgg struct {
 		sig      map[fingerprint.Class]int
 		tech     map[reveal.Technique]int
-		frpla    *stats.Histogram
 		rtla     *stats.Histogram
 		ftl      *stats.Histogram
 		profiled *gen.ASInfo
 	}
 	aggs := map[uint32]*asAgg{}
+	// FRPLA is the Sec. 3.4 AS-scale aggregation: its per-AS median shift
+	// is the table's FRPLA column.
+	frpla := reveal.NewASAggregator()
 	agg := func(asn uint32) *asAgg {
 		a, ok := aggs[asn]
 		if !ok {
 			a = &asAgg{
-				sig:   map[fingerprint.Class]int{},
-				tech:  map[reveal.Technique]int{},
-				frpla: stats.NewHistogram(),
-				rtla:  stats.NewHistogram(),
-				ftl:   stats.NewHistogram(),
+				sig:  map[fingerprint.Class]int{},
+				tech: map[reveal.Technique]int{},
+				rtla: stats.NewHistogram(),
+				ftl:  stats.NewHistogram(),
 			}
 			aggs[asn] = a
 		}
@@ -592,7 +592,7 @@ func Table5Deployment(w *World) (*Report, error) {
 		eg := rec.Candidate.Egress
 		if fp, ok := w.C.Fingerprints[eg.Addr]; ok {
 			if s, ok := reveal.FRPLA(eg, fp.Signature.TimeExceeded); ok {
-				a.frpla.Add(s.RFA())
+				frpla.Add(rec.CandidateAS, s)
 			}
 			if fp.Class == fingerprint.JuniperLike && rec.EgressEchoTTL != 0 {
 				a.rtla.Add(reveal.RTLA(eg.ReplyTTL, rec.EgressEchoTTL))
@@ -631,6 +631,11 @@ func Table5Deployment(w *World) (*Report, error) {
 			}
 			return fmt.Sprintf("%d", h.Median())
 		}
+		shift, shifted := frpla.Verdict(asn)
+		frplaMed := "-"
+		if shifted {
+			frplaMed = fmt.Sprintf("%d", shift.MedianShift)
+		}
 		vendor := "?"
 		if a.profiled != nil {
 			vendor = a.profiled.Profile.Vendor.String()
@@ -644,12 +649,12 @@ func Table5Deployment(w *World) (*Report, error) {
 			pct(a.tech[reveal.TechBRPR], totalTech),
 			pct(a.tech[reveal.TechEither], totalTech),
 			pct(a.tech[reveal.TechHybrid], totalTech),
-			med(a.frpla),
+			frplaMed,
 			med(a.rtla),
 			med(a.ftl),
 		})
 		// Shape: FRPLA median within 2 of FTL median where both exist.
-		if a.frpla.N() > 0 && a.ftl.N() > 0 && abs(a.frpla.Median()-a.ftl.Median()) <= 2 {
+		if shifted && a.ftl.N() > 0 && abs(shift.MedianShift-a.ftl.Median()) <= 2 {
 			shapeHits++
 		}
 	}
@@ -758,14 +763,4 @@ func Fig11PathLength(w *World) (*Report, error) {
 		check = "FAILED: " + check
 	}
 	return &Report{ID: "fig11", Title: "Path length distribution", Text: sb.String(), Check: check}, nil
-}
-
-// sortTechniques gives deterministic iteration for reports.
-func sortTechniques(m map[reveal.Technique]int) []reveal.Technique {
-	ks := make([]reveal.Technique, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }

@@ -226,33 +226,6 @@ func rebuildMPLS(as *ASInfo, res *igp.Result, detour bool) {
 	}
 }
 
-// walkSPF follows a result's first hops from a to b, inclusive — the
-// explicit-path walk of the generator, but over an arbitrary SPF result
-// instead of the AS's pristine one.
-func walkSPF(res *igp.Result, a, b *router.Router) []*router.Router {
-	if a == b {
-		return nil
-	}
-	lo := b.Loopback()
-	if lo == nil {
-		return nil
-	}
-	path := []*router.Router{a}
-	cur := a
-	for steps := 0; steps < 64; steps++ {
-		hops := res.NextHops[cur][lo.Prefix]
-		if len(hops) == 0 || hops[0].Via == nil {
-			return nil
-		}
-		cur = hops[0].Via
-		path = append(path, cur)
-		if cur == b {
-			return path
-		}
-	}
-	return nil
-}
-
 // linkBetween returns the link joining two routers, or nil.
 func linkBetween(a, b *router.Router) *netsim.Link {
 	for _, ifc := range a.Ifaces() {

@@ -237,16 +237,9 @@ func (as *ASInfo) SPF() *igp.Result {
 	}
 	switch as.spfMode {
 	case spfRecompute:
-		as.spfMode = spfEager
-		// InstallOn non-nil and empty: compute paths, install nothing —
-		// materializing ground truth must not touch router tables (that
-		// would bump TopoGen and poison the replica pool).
-		dom := &igp.Domain{Routers: as.Routers(), InstallOn: []*router.Router{}}
-		res, err := dom.Compute()
-		if err != nil {
+		if err := as.recomputeSPF(); err != nil {
 			panic(fmt.Sprintf("gen: AS%d lazy SPF: %v", as.Num, err))
 		}
-		as.spf = res
 	case spfRemap:
 		as.spfMode = spfEager
 		src, ctx := as.snapSrc, as.snapCtx
@@ -256,6 +249,21 @@ func (as *ASInfo) SPF() *igp.Result {
 		}
 	}
 	return as.spf
+}
+
+// recomputeSPF computes the AS's SPF from its own routers' current
+// topology and pins it.
+func (as *ASInfo) recomputeSPF() error {
+	// InstallOn non-nil and empty: compute paths, install nothing —
+	// materializing ground truth must not touch router tables (that would
+	// bump TopoGen and poison the replica pool).
+	dom := &igp.Domain{Routers: as.Routers(), InstallOn: []*router.Router{}}
+	res, err := dom.Compute()
+	if err != nil {
+		return err
+	}
+	as.spf, as.spfMode = res, spfEager
+	return nil
 }
 
 // Routers returns all routers of the AS.
@@ -397,11 +405,13 @@ func (in *Internet) RouterAddrs() []netaddr.Addr {
 // Build generates an Internet. Worlds beyond the flat builder's AS limit
 // (or with Params.Hierarchical set) go through the streamed hierarchical
 // builder in hier.go; small worlds keep the flat path byte-for-byte.
-// Params whose address plan does not fit return an *AddressPlanError.
+// Params outside what the builders support are rejected before anything
+// is built; Params whose address plan does not fit return an
+// *AddressPlanError.
 func Build(p Params) (_ *Internet, err error) {
 	defer recoverPlanError(&err)
-	if p.NumTier1 < 1 {
-		return nil, fmt.Errorf("gen: unsupported AS counts (%d/%d/%d)", p.NumTier1, p.NumTransit, p.NumStub)
+	if err := p.validate(); err != nil {
+		return nil, err
 	}
 	// Decided locally, never written back into p: Params must round-trip
 	// unchanged through Build (Rebuild replays the stored copy).
@@ -554,6 +564,56 @@ func aggregateOf(num uint32) netaddr.Prefix {
 // so the count fits uint32.
 func (a *ASInfo) size() uint32 {
 	return uint32(a.Aggregate.NumAddrs())
+}
+
+// maxASRouters bounds every per-AS router-count range. It sits far above
+// maxLoopbacks, so a count the address plan cannot number still fails
+// with an *AddressPlanError, and it keeps rngRange's span from
+// overflowing.
+const maxASRouters = 1 << 16
+
+// maxStubs bounds NumStub at the child /20 blocks the largest
+// hierarchical core could carve (512 per transit /11).
+const maxStubs = maxHierTransits << 9
+
+// validate rejects Params the builders cannot construct a world from: a
+// rebuild-mode worker reads them off its socket, so anything that would
+// make an allocator, a slice bound or a modulus panic must come back as
+// an error before construction starts.
+func (p Params) validate() error {
+	if p.NumTier1 < 1 || p.NumTransit < 0 || p.NumStub < 0 || p.NumStub > maxStubs || p.NumVPs < 0 {
+		return fmt.Errorf("gen: unsupported AS counts (%d/%d/%d, %d VPs)", p.NumTier1, p.NumTransit, p.NumStub, p.NumVPs)
+	}
+	for _, r := range []struct {
+		name string
+		lo   int
+		v    [2]int
+	}{
+		{"Tier1Core", 1, p.Tier1Core}, {"Tier1Edge", 0, p.Tier1Edge},
+		{"TransitCore", 1, p.TransitCore}, {"TransitEdge", 0, p.TransitEdge},
+		{"StubRouters", 1, p.StubRouters},
+	} {
+		if r.v[0] < r.lo || r.v[1] < r.v[0] || r.v[1] > maxASRouters {
+			return fmt.Errorf("gen: %s %v is not a range within [%d, %d]", r.name, r.v, r.lo, maxASRouters)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"MPLSFrac", p.MPLSFrac}, {"NoPropagateFrac", p.NoPropagateFrac},
+		{"UHPFrac", p.UHPFrac}, {"TEFrac", p.TEFrac}, {"CiscoFrac", p.CiscoFrac},
+		{"JuniperFrac", p.JuniperFrac}, {"MixedFrac", p.MixedFrac},
+		{"TransitPeerProb", p.TransitPeerProb},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("gen: %s %v outside [0, 1]", f.name, f.v)
+		}
+	}
+	if p.MinDelay < 0 || p.MaxDelay < 0 || p.RegionDelay < 0 {
+		return fmt.Errorf("gen: negative link delay (%v, %v, %v)", p.MinDelay, p.MaxDelay, p.RegionDelay)
+	}
+	return nil
 }
 
 // AddressPlanError reports an AS whose address block cannot hold what
@@ -917,7 +977,7 @@ func (in *Internet) addTETunnels(as *ASInfo) {
 		if ingress == egress {
 			continue
 		}
-		path := in.explicitPath(as, ingress, via, egress)
+		path := explicitPath(as, ingress, via, egress)
 		if path == nil {
 			continue
 		}
@@ -938,9 +998,10 @@ func (in *Internet) addTETunnels(as *ASInfo) {
 
 // explicitPath concatenates the IGP walks ingress->via->egress, returning
 // nil when the joined walk revisits a router (no loops allowed in an LSP).
-func (in *Internet) explicitPath(as *ASInfo, ingress, via, egress *router.Router) []*router.Router {
-	first := in.walk(as, ingress, via)
-	second := in.walk(as, via, egress)
+func explicitPath(as *ASInfo, ingress, via, egress *router.Router) []*router.Router {
+	spf := as.SPF()
+	first := walkSPF(spf, ingress, via)
+	second := walkSPF(spf, via, egress)
 	if first == nil || second == nil {
 		return nil
 	}
@@ -958,11 +1019,11 @@ func (in *Internet) explicitPath(as *ASInfo, ingress, via, egress *router.Router
 	return path
 }
 
-// walk follows the AS's SPF first hops from a to b, inclusive.
-func (in *Internet) walk(as *ASInfo, a, b *router.Router) []*router.Router {
-	if a == b {
-		return []*router.Router{a}
-	}
+// walkSPF follows an SPF result's first hops from a to b, inclusive; nil
+// when b is unreachable or has no loopback. a and b must differ. TE
+// tunnels walk the AS's built SPF at generation and the degraded one at
+// churn reconvergence.
+func walkSPF(res *igp.Result, a, b *router.Router) []*router.Router {
 	lo := b.Loopback()
 	if lo == nil {
 		return nil
@@ -970,7 +1031,7 @@ func (in *Internet) walk(as *ASInfo, a, b *router.Router) []*router.Router {
 	path := []*router.Router{a}
 	cur := a
 	for steps := 0; steps < 64; steps++ {
-		hops := as.SPF().NextHops[cur][lo.Prefix]
+		hops := res.NextHops[cur][lo.Prefix]
 		if len(hops) == 0 || hops[0].Via == nil {
 			return nil
 		}

@@ -146,6 +146,39 @@ func TestAddressPlanExhaustion(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsInvalidParams pins that Params the builders cannot
+// construct a world from come back from Build as an error before
+// construction, where each would panic: shares outside [0, 1] overrun
+// stratifiedProfiles' slices, empty or negative core ranges divide by
+// zero, an empty stub range reaches rand.Intn, and negative AS counts
+// index out of range or size a slice below zero.
+func TestBuildRejectsInvalidParams(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*Params)
+	}{
+		{"MPLSFrac 1.5", func(p *Params) { p.MPLSFrac = 1.5 }},
+		{"NoPropagateFrac 2", func(p *Params) { p.NoPropagateFrac = 2 }},
+		{"UHPFrac 2", func(p *Params) { p.UHPFrac = 2 }},
+		{"TEFrac 2", func(p *Params) { p.TEFrac = 2 }},
+		{"TransitCore {0,0}", func(p *Params) { p.TransitCore = [2]int{0, 0} }},
+		{"TransitCore {-3,-1}", func(p *Params) { p.TransitCore = [2]int{-3, -1} }},
+		{"Tier1Core {0,0}", func(p *Params) { p.Tier1Core = [2]int{0, 0} }},
+		{"Tier1Core {-3,-1}", func(p *Params) { p.Tier1Core = [2]int{-3, -1} }},
+		{"StubRouters {0,0}", func(p *Params) { p.StubRouters = [2]int{0, 0} }},
+		{"NumTransit -1", func(p *Params) { p.NumTransit = -1 }},
+		{"NumStub -5 hierarchical", func(p *Params) { p.NumStub, p.Hierarchical = -5, true }},
+	} {
+		p := smallParams(1)
+		c.set(&p)
+		in, err := Build(p)
+		var pe *AddressPlanError
+		if err == nil || in != nil || errors.As(err, &pe) {
+			t.Errorf("%s: Build = (%v, %v), want a Params error", c.name, in != nil, err)
+		}
+	}
+}
+
 func TestSnapshotReplicatesBuild(t *testing.T) {
 	in, err := Build(smallParams(3))
 	if err != nil {

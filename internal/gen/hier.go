@@ -62,7 +62,7 @@ func transitAggregate(i int) netaddr.Prefix {
 }
 
 func buildHierarchical(p Params) (*Internet, error) {
-	if p.NumTier1 < 1 || p.NumTier1 > 256 || p.NumTransit < 1 || p.NumTransit > maxHierTransits {
+	if p.NumTier1 > 256 || p.NumTransit < 1 || p.NumTransit > maxHierTransits {
 		return nil, fmt.Errorf("gen: unsupported hierarchical AS counts (%d/%d/%d)", p.NumTier1, p.NumTransit, p.NumStub)
 	}
 	rng := rand.New(rand.NewSource(p.Seed))

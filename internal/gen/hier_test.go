@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -211,5 +213,110 @@ func TestHierGroundTruth(t *testing.T) {
 	}
 	if _, _, ok := in.Resolve(0xdeadbeef); ok {
 		t.Error("resolved a nonexistent address")
+	}
+}
+
+// TestLazyFaultInUnderChurn pins where a decoded lazy replica attaches a
+// stub it faults in while churn has a ring link of the stub's provider
+// down. materializeStub installs the stub's customer routes, and picks
+// the providers' hot-potato egress, through the providers' SPF. The
+// source computed that SPF at Build and a snapshot replica remaps it, so
+// both attach over the built topology; a decoded replica must too,
+// rather than compute it around the failure at first use, since no
+// repair re-attaches a stub. For each non-resident stub and each ring
+// link of each of its providers, on fresh worlds: fail the link, fault
+// the stub in, reconverge and repair, then compare every provider
+// router's route to the stub's aggregate against the source's.
+func TestLazyFaultInUnderChurn(t *testing.T) {
+	const casesPerSeed = 17
+	type churnCase struct {
+		si   int32
+		cand churnCandidate
+	}
+	routes := func(w *Internet, c churnCase) string {
+		t.Helper()
+		ev := cycleEvents(w, c.cand, 0, 1, 2)
+		if len(ev) != 3 {
+			t.Fatalf("stub %d, AS index %d ring %d: no cycle", c.si, c.cand.as, c.cand.pos)
+		}
+		d := w.lazy.descs[c.si]
+		agg := w.ASes[d.asIndex].Aggregate
+		ev[0].Apply()
+		w.Net.FaultIn(agg.Addr())
+		if !w.lazy.resident.get(int(c.si)) {
+			t.Fatalf("stub %d not faulted in", c.si)
+		}
+		ev[1].Apply()
+		ev[2].Apply()
+		var sb strings.Builder
+		for k := int32(0); k < d.nProv; k++ {
+			for _, r := range w.ASes[d.prov[k]].Routers() {
+				rt, ok := r.GetRoute(agg)
+				if !ok {
+					fmt.Fprintf(&sb, "%s: none\n", r.Name())
+					continue
+				}
+				fmt.Fprintf(&sb, "%s: origin %d via %s", r.Name(), rt.Origin, rt.BGPNextHop)
+				for _, nh := range rt.NextHops {
+					fmt.Fprintf(&sb, " [%s %s]", nh.Out.Addr, nh.Gateway)
+				}
+				sb.WriteByte('\n')
+			}
+		}
+		return sb.String()
+	}
+	for _, seed := range []int64{5, 6} {
+		p := DefaultParams(seed)
+		p.NumTier1, p.NumTransit, p.NumStub = 2, 6, 200
+		p.Hierarchical, p.LazyStubs = true, true
+		p.MPLSFrac = 1
+		plan, err := Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cases []churnCase
+		for si, d := range plan.lazy.descs {
+			if plan.lazy.resident.get(si) {
+				continue
+			}
+			for k := int32(0); k < d.nProv; k++ {
+				if n := len(plan.ASes[d.prov[k]].Core); n >= 3 {
+					for pos := 0; pos < n; pos++ {
+						cases = append(cases, churnCase{int32(si), churnCandidate{int(d.prov[k]), pos}})
+					}
+				}
+			}
+		}
+		if len(cases) < casesPerSeed {
+			t.Fatalf("seed %d: %d cases, want at least %d", seed, len(cases), casesPerSeed)
+		}
+		for _, c := range cases[:casesPerSeed] {
+			src, err := Build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := src.EncodeWire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeWire(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := src.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := routes(src, c)
+			for _, r := range []struct {
+				name string
+				w    *Internet
+			}{{"decoded", dec}, {"snapshot", snap}} {
+				if got := routes(r.w, c); got != want {
+					t.Errorf("seed %d, stub %d, AS index %d ring %d: %s replica attached differently\n got:\n%s want:\n%s",
+						seed, c.si, c.cand.as, c.cand.pos, r.name, got, want)
+				}
+			}
+		}
 	}
 }

@@ -152,19 +152,6 @@ func (in *Internet) ReleaseReplicas(rs []*Internet) {
 	}
 }
 
-// InvalidateReplicas discards leased replicas without returning them to
-// the pool: the error path for a worker that died or left its replica in
-// an unknown state. Unlike ReleaseReplicas it never re-pools — the lease
-// is simply forgotten, so the pool slot is reclaimed instead of stranded.
-func (in *Internet) InvalidateReplicas(rs []*Internet) {
-	p := &in.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, r := range rs {
-		delete(p.leased, r)
-	}
-}
-
 // LeasedReplicas reports how many replicas are currently out on lease —
 // the observable the leak regression pins: after every campaign (error
 // paths included) it must return to zero.

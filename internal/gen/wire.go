@@ -16,8 +16,10 @@ package gen
 // (encode refuses a non-quiescent fabric), route caches, the
 // flow-trajectory cache, prober state (probers are created fresh, then
 // configured by the campaign), and SPF results — replicas recompute those
-// on demand, which is observationally identical and keeps the blob
-// proportional to the data plane.
+// from the decoded topology, which is observationally identical and keeps
+// the blob proportional to the data plane. Recomputation is on demand,
+// except for a lazy world's core: DecodeWire pins it before any churn can
+// reach the fabric, because stub fault-ins read it.
 //
 // Section layout (every section is [u32 id][u64 len][payload][u32 crc]):
 //
@@ -56,7 +58,7 @@ import (
 
 const (
 	wireMagic   = 0x314e5357 // "WSN1" little-endian
-	wireVersion = 2
+	wireVersion = 3
 
 	secParams    = 1
 	secNetBasis  = 2
@@ -94,7 +96,7 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 	// Pre-size the buffer from the counting pass: growth reallocation is
 	// the one avoidable cost at Large (~50MB) scale.
 	est := 1<<16 +
-		stats.Routers*120 + stats.Ifaces*28 + stats.Locals*4 +
+		stats.Routers*64 + stats.Ifaces*28 + stats.Locals*4 +
 		stats.Routes*9 + stats.NHops*8 + stats.Binds*10 + stats.LHops*10 +
 		stats.Unders*4 + stats.LFIB*10 + stats.TrieNodes*13 +
 		nLinks*40 + len(in.addrRecs)*12 + len(in.ASes)*96
@@ -682,6 +684,20 @@ func DecodeWire(buf []byte) (*Internet, error) {
 	}
 	if err := rd.Err(); err != nil {
 		return nil, err
+	}
+	// A fault-in attaches the stub through its providers' SPF
+	// (materializeStub). Pin every core SPF now, on the decoded built
+	// topology, as the source's eager SPF and a snapshot's remap are:
+	// computed on demand it would route around whatever link churn has
+	// down at the first fault-in, and no repair undoes that attachment.
+	if lz := out.lazy; lz != nil && lz.deferred {
+		for _, as := range out.ASes {
+			if as.Profile.Tier != Stub && as.spfMode == spfRecompute {
+				if err := as.recomputeSPF(); err != nil {
+					return nil, fmt.Errorf("gen: AS%d SPF: %w", as.Num, err)
+				}
+			}
+		}
 	}
 	return out, nil
 }

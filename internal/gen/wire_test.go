@@ -110,9 +110,9 @@ func TestWireVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := append([]byte(nil), blob...)
-	binary.LittleEndian.PutUint16(old[4:], 1)
-	if _, err := gen.DecodeWire(old); err == nil || !strings.Contains(err.Error(), "wire version 1 not supported") {
-		t.Fatalf("version-1 blob: got %v, want the version error", err)
+	binary.LittleEndian.PutUint16(old[4:], 2)
+	if _, err := gen.DecodeWire(old); err == nil || !strings.Contains(err.Error(), "wire version 2 not supported") {
+		t.Fatalf("version-2 blob: got %v, want the version error", err)
 	}
 }
 

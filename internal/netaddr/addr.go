@@ -79,9 +79,6 @@ func (a Addr) String() string {
 	return string(b)
 }
 
-// Next returns the numerically next address. It wraps at 255.255.255.255.
-func (a Addr) Next() Addr { return a + 1 }
-
 // Prefix is an IPv4 CIDR prefix: a network address plus a mask length.
 // The address is always stored in canonical (masked) form.
 type Prefix struct {
@@ -155,20 +152,8 @@ func (p Prefix) Bits() int { return int(p.bits) }
 // Contains reports whether the prefix covers a.
 func (p Prefix) Contains(a Addr) bool { return a&maskOf(int(p.bits)) == p.addr }
 
-// Overlaps reports whether two prefixes share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	if p.bits <= q.bits {
-		return p.Contains(q.addr)
-	}
-	return q.Contains(p.addr)
-}
-
 // IsHost reports whether the prefix is a single-address /32.
 func (p Prefix) IsHost() bool { return p.bits == 32 }
-
-// IsValid reports whether the prefix was built by a constructor (the zero
-// Prefix is 0.0.0.0/0, which is also valid; invalid only arises from misuse).
-func (p Prefix) IsValid() bool { return p.bits <= 32 }
 
 // NumAddrs returns the number of addresses covered by the prefix.
 func (p Prefix) NumAddrs() uint64 { return uint64(1) << (32 - uint(p.bits)) }
@@ -185,23 +170,4 @@ func (p Prefix) Nth(i uint64) Addr {
 		panic("netaddr: Nth out of range for " + p.String())
 	}
 	return p.addr + Addr(i)
-}
-
-// MarshalBinary encodes the prefix as 5 bytes (address + length);
-// encoding/gob and friends use it since the fields are unexported.
-func (p Prefix) MarshalBinary() ([]byte, error) {
-	return []byte{byte(p.addr >> 24), byte(p.addr >> 16), byte(p.addr >> 8), byte(p.addr), p.bits}, nil
-}
-
-// UnmarshalBinary reverses MarshalBinary.
-func (p *Prefix) UnmarshalBinary(b []byte) error {
-	if len(b) != 5 {
-		return ErrBadPrefix
-	}
-	if b[4] > 32 {
-		return ErrBadPrefix
-	}
-	p.addr = AddrFrom4(b[0], b[1], b[2], b[3]) & maskOf(int(b[4]))
-	p.bits = b[4]
-	return nil
 }

@@ -17,12 +17,12 @@ func ExampleParsePrefix() {
 	// 10.2.4.5
 }
 
-func ExampleTrie_Lookup() {
+func ExampleTrie_LookupPrefix() {
 	var fib netaddr.Trie[string]
 	fib.Insert(netaddr.MustParsePrefix("10.0.0.0/8"), "aggregate")
 	fib.Insert(netaddr.MustParsePrefix("10.2.0.0/16"), "customer")
-	v, _ := fib.Lookup(netaddr.MustParseAddr("10.2.9.1"))
-	fmt.Println(v) // longest prefix wins
+	p, v, _ := fib.LookupPrefix(netaddr.MustParseAddr("10.2.9.1"))
+	fmt.Println(p, v) // longest prefix wins
 	// Output:
-	// customer
+	// 10.2.0.0/16 customer
 }

@@ -4,8 +4,8 @@ package netaddr
 // arbitrary values. It is the FIB structure used by every simulated router.
 //
 // Nodes live in one contiguous slice and reference each other by index, not
-// by pointer. That layout is what makes fabric snapshots cheap: Clone is a
-// single slice copy plus a linear pass over stored values, with no
+// by pointer. That layout is what makes fabric snapshots cheap: CloneInto
+// is a single slice copy plus a linear pass over stored values, with no
 // pointer-chasing traversal and no per-node allocation. It also means
 // Insert never hits the allocator except to grow the backing slice.
 //
@@ -71,30 +71,7 @@ func (t *Trie[V]) Delete(p Prefix) bool {
 	return true
 }
 
-// Lookup returns the value of the longest prefix covering a.
-func (t *Trie[V]) Lookup(a Addr) (v V, ok bool) {
-	if len(t.nodes) == 0 {
-		return v, false
-	}
-	u := uint32(a)
-	n := int32(0)
-	for i := 0; ; i++ {
-		nd := &t.nodes[n]
-		if nd.set {
-			v, ok = nd.val, true
-		}
-		if i == 32 {
-			break
-		}
-		n = nd.child[(u>>(31-uint(i)))&1]
-		if n == 0 {
-			break
-		}
-	}
-	return v, ok
-}
-
-// LookupPrefix returns both the matched prefix and its value.
+// LookupPrefix returns the longest prefix covering a and its value.
 func (t *Trie[V]) LookupPrefix(a Addr) (p Prefix, v V, ok bool) {
 	if len(t.nodes) == 0 {
 		return p, v, false
@@ -141,31 +118,6 @@ func (t *Trie[V]) Get(p Prefix) (v V, ok bool) {
 // Len returns the number of prefixes stored.
 func (t *Trie[V]) Len() int { return t.size }
 
-// Clone returns a structurally independent copy of the trie. Each stored
-// value is passed through fn, which lets callers rewrite pointer values
-// (e.g. remap routes onto a snapshot's interfaces) during the copy; a nil
-// fn copies values as-is, which for pointer-free V makes Clone a pure
-// memcpy.
-//
-// Because nodes reference each other by slice index, the copy is one
-// allocation, one memcpy, and (with fn) a linear sweep — no traversal.
-func (t *Trie[V]) Clone(fn func(V) V) Trie[V] {
-	nt := Trie[V]{size: t.size}
-	if len(t.nodes) == 0 {
-		return nt
-	}
-	nt.nodes = make([]trieNode[V], len(t.nodes))
-	copy(nt.nodes, t.nodes)
-	if fn != nil {
-		for i := range nt.nodes {
-			if nt.nodes[i].set {
-				nt.nodes[i].val = fn(nt.nodes[i].val)
-			}
-		}
-	}
-	return nt
-}
-
 // NodeCount returns the number of trie nodes (interior and leaf). It is
 // the arena-sizing companion to Len: a CloneInto of this trie consumes
 // exactly NodeCount slots of a TrieArena.
@@ -187,9 +139,14 @@ func NewTrieArena[V any](n int) *TrieArena[V] {
 	return &TrieArena[V]{slab: make([]trieNode[V], 0, n)}
 }
 
-// CloneInto is Clone with the node copy carved from a shared arena. The
-// carve is capacity-clipped, so a later Insert on the clone that needs to
-// grow reallocates privately instead of clobbering its arena neighbor.
+// CloneInto returns a structurally independent copy of the trie, its node
+// slice carved from a shared arena. Each stored value is passed through
+// fn, which lets callers rewrite pointer values (e.g. remap routes onto a
+// snapshot's interfaces) during the copy; a nil fn copies values as-is.
+// Because nodes reference each other by slice index, the copy is one
+// memcpy and (with fn) a linear sweep — no traversal. The carve is
+// capacity-clipped, so a later Insert on the clone that needs to grow
+// reallocates privately instead of clobbering its arena neighbor.
 func (t *Trie[V]) CloneInto(a *TrieArena[V], fn func(V) V) Trie[V] {
 	nt := Trie[V]{size: t.size}
 	if len(t.nodes) == 0 {
@@ -206,17 +163,6 @@ func (t *Trie[V]) CloneInto(a *TrieArena[V], fn func(V) V) Trie[V] {
 		}
 	}
 	return nt
-}
-
-// Each visits every stored value in unspecified order. It is a linear
-// sweep of the node slice — much cheaper than an ordered Walk — for
-// callers that only aggregate over values (e.g. snapshot arena sizing).
-func (t *Trie[V]) Each(fn func(V)) {
-	for i := range t.nodes {
-		if t.nodes[i].set {
-			fn(t.nodes[i].val)
-		}
-	}
 }
 
 // Walk visits every stored prefix in lexicographic (address, length) order.

@@ -24,9 +24,9 @@ func TestTrieBasic(t *testing.T) {
 		{"11.0.0.1", "", false},
 	}
 	for _, c := range cases {
-		got, ok := tr.Lookup(MustParseAddr(c.addr))
+		_, got, ok := tr.LookupPrefix(MustParseAddr(c.addr))
 		if ok != c.ok || got != c.want {
-			t.Errorf("Lookup(%s) = %q,%v want %q,%v", c.addr, got, ok, c.want, c.ok)
+			t.Errorf("LookupPrefix(%s) = %q,%v want %q,%v", c.addr, got, ok, c.want, c.ok)
 		}
 	}
 	if tr.Len() != 3 {
@@ -37,7 +37,7 @@ func TestTrieBasic(t *testing.T) {
 func TestTrieDefaultRoute(t *testing.T) {
 	var tr Trie[int]
 	tr.Insert(MustParsePrefix("0.0.0.0/0"), 42)
-	if v, ok := tr.Lookup(MustParseAddr("203.0.113.77")); !ok || v != 42 {
+	if p, v, ok := tr.LookupPrefix(MustParseAddr("203.0.113.77")); !ok || v != 42 || p.Bits() != 0 {
 		t.Errorf("default route lookup = %d,%v", v, ok)
 	}
 }
@@ -46,10 +46,10 @@ func TestTrieHostRouteWins(t *testing.T) {
 	var tr Trie[int]
 	tr.Insert(MustParsePrefix("192.0.2.0/24"), 1)
 	tr.Insert(HostPrefix(MustParseAddr("192.0.2.7")), 2)
-	if v, _ := tr.Lookup(MustParseAddr("192.0.2.7")); v != 2 {
+	if p, v, _ := tr.LookupPrefix(MustParseAddr("192.0.2.7")); v != 2 || !p.IsHost() {
 		t.Errorf("host route should win, got %d", v)
 	}
-	if v, _ := tr.Lookup(MustParseAddr("192.0.2.8")); v != 1 {
+	if _, v, _ := tr.LookupPrefix(MustParseAddr("192.0.2.8")); v != 1 {
 		t.Errorf("covering route expected, got %d", v)
 	}
 }
@@ -79,7 +79,7 @@ func TestTrieDelete(t *testing.T) {
 	if tr.Delete(p2) {
 		t.Error("double Delete succeeded")
 	}
-	if v, _ := tr.Lookup(MustParseAddr("10.1.2.3")); v != 1 {
+	if p, v, _ := tr.LookupPrefix(MustParseAddr("10.1.2.3")); v != 1 || p != p1 {
 		t.Errorf("after delete, lookup = %d, want covering route 1", v)
 	}
 	if tr.Len() != 1 {
@@ -163,14 +163,15 @@ func (l *linearFIB) insert(p Prefix, v int) {
 	l.values = append(l.values, v)
 }
 
-func (l *linearFIB) lookup(a Addr) (int, bool) {
-	best, bestLen, ok := 0, -1, false
+func (l *linearFIB) lookup(a Addr) (Prefix, int, bool) {
+	var bestP Prefix
+	best, ok := 0, false
 	for i, p := range l.prefixes {
-		if p.Contains(a) && p.Bits() > bestLen {
-			best, bestLen, ok = l.values[i], p.Bits(), true
+		if p.Contains(a) && (!ok || p.Bits() > bestP.Bits()) {
+			bestP, best, ok = p, l.values[i], true
 		}
 	}
-	return best, ok
+	return bestP, best, ok
 }
 
 func TestTrieMatchesLinearOracle(t *testing.T) {
@@ -188,9 +189,9 @@ func TestTrieMatchesLinearOracle(t *testing.T) {
 		}
 		for i := 0; i < 500; i++ {
 			a := Addr(rng.Uint32())
-			tv, tok := tr.Lookup(a)
-			lv, lok := lin.lookup(a)
-			if tok != lok || (tok && tv != lv) {
+			tp, tv, tok := tr.LookupPrefix(a)
+			lp, lv, lok := lin.lookup(a)
+			if tok != lok || (tok && (tv != lv || tp != lp)) {
 				return false
 			}
 		}
@@ -201,7 +202,7 @@ func TestTrieMatchesLinearOracle(t *testing.T) {
 	}
 }
 
-func BenchmarkTrieLookup(b *testing.B) {
+func BenchmarkTrieLookupPrefix(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var tr Trie[int]
 	for i := 0; i < 10000; i++ {
@@ -214,7 +215,7 @@ func BenchmarkTrieLookup(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Lookup(addrs[i&1023])
+		tr.LookupPrefix(addrs[i&1023])
 	}
 }
 
@@ -226,7 +227,8 @@ func TestTrieClone(t *testing.T) {
 	tr.Insert(MustParsePrefix("10.1.0.0/16"), mk(2))
 	tr.Insert(HostPrefix(MustParseAddr("10.1.2.3")), mk(3))
 
-	cl := tr.Clone(func(p *int) *int { v := *p; return &v })
+	arena := NewTrieArena[*int](tr.NodeCount())
+	cl := tr.CloneInto(arena, func(p *int) *int { v := *p; return &v })
 	if cl.Len() != tr.Len() {
 		t.Fatalf("clone Len = %d, want %d", cl.Len(), tr.Len())
 	}

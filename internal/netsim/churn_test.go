@@ -43,7 +43,7 @@ func seedEntry(t *testing.T, net *Network, key FlowKey, ttl uint8, nodes ...Node
 		tl = append(tl, i)
 	}
 	net.flows.fold(e, tl, false)
-	memoize(e, ttl, ProbeObs{Answered: true, From: 0x0a000002, ReplyTTL: 250 - ttl, ICMPType: 11}, false)
+	memoize(e, ttl, ProbeObs{Answered: true, From: 0x0a000002, ReplyTTL: 250 - ttl, ICMPType: 11})
 }
 
 func churnKey(i int) FlowKey {
@@ -350,7 +350,7 @@ func TestChurnMasksReplyShapes(t *testing.T) {
 				{to: h.If, offset: 3 * time.Millisecond, ip: ip(3), lineage: lin.Lineage},
 			}}
 			walk := ProbeObs{Answered: true, From: key.Dst, ReplyTTL: 60, ICMPType: packet.ICMPDestUnreach, ICMPCode: packet.CodePortUnreach, Advance: 6 * time.Millisecond}
-			memoize(e, 5, walk, false)
+			memoize(e, 5, walk)
 			e.touched = []int32{idx(nodes[0]), idx(nodes[1]), idx(h)}
 			net.flows.entries = map[FlowKey]*flowEntry{key: e}
 

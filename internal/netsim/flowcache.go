@@ -167,10 +167,6 @@ type flowEntry struct {
 	// one reply per memoized TTL, in TTL order, at the TTL's rank in valid.
 	valid   [4]uint64
 	replies []ProbeObs
-	// derived flags the replies that were synthesized from a sweep walk
-	// rather than observed live (bench accounting only; a live re-probe
-	// overwrites the reply and clears the flag).
-	derived [4]uint64
 
 	// touched lists, unsorted and without repeats, the fabric node
 	// indices this entry's recorded activity — forward trajectories and
@@ -286,10 +282,6 @@ func (n *Network) SetFlowCacheEnabled(on bool) {
 		f.resetSweep()
 	}
 }
-
-// FlowCacheEnabled reports whether the cache has been requested (it may
-// still be inert on an impure fabric).
-func (n *Network) FlowCacheEnabled() bool { return n.flows.enabled }
 
 // FlowCacheStats returns the cache counters.
 func (n *Network) FlowCacheStats() FlowCacheStats { return n.flows.stats }
@@ -560,7 +552,7 @@ func (n *Network) FlowFinish(ttl uint8, obs ProbeObs) {
 	tl, tlOK := f.takeTouched()
 	n.learnShape(&rec, obs, tl, tlOK)
 	f.fold(e, tl, !tlOK)
-	memoize(e, ttl, obs, false)
+	memoize(e, ttl, obs)
 	if n.churn.masking() {
 		n.keepPristine(rec.key, e, ttl, obs)
 	}
@@ -622,19 +614,13 @@ func (n *Network) keepPristine(key FlowKey, e *flowEntry, ttl uint8, obs ProbeOb
 		return
 	}
 	f.fold(p, e.touched, false)
-	memoize(p, ttl, obs, false)
+	memoize(p, ttl, obs)
 }
 
 // memoize stores obs as the (entry, ttl) reply, overwriting one already
-// there. derived distinguishes sweep-synthesized replies from live
-// observations in the stats.
-func memoize(e *flowEntry, ttl uint8, obs ProbeObs, derived bool) {
+// there.
+func memoize(e *flowEntry, ttl uint8, obs ProbeObs) {
 	w, b := ttl>>6, uint64(1)<<(ttl&63)
-	if derived {
-		e.derived[w] |= b
-	} else {
-		e.derived[w] &^= b
-	}
 	i := e.rank(ttl)
 	if e.valid[w]&b != 0 {
 		e.replies[i] = obs

@@ -118,20 +118,15 @@ func TestFlowCacheDisabledIsInert(t *testing.T) {
 
 // TestMemoizeOutOfOrder pins the dense reply memo: replies memoized in
 // any TTL order — across the valid bitmap's words — read back by rank,
-// each with its derived bit, and a second memoize of a TTL overwrites its
-// reply in place.
+// and a second memoize of a TTL overwrites its reply in place.
 func TestMemoizeOutOfOrder(t *testing.T) {
 	obs := func(ttl uint8) ProbeObs {
 		return ProbeObs{Answered: true, ReplyTTL: 255 - ttl, Advance: time.Duration(ttl),
 			MPLS: packet.LabelStack{{Label: uint32(ttl), TTL: 1}}}
 	}
 	over := ProbeObs{Answered: true, From: 0x0a000009, ReplyTTL: 99}
-	type memo struct {
-		obs     ProbeObs
-		derived bool
-	}
 	e := &flowEntry{}
-	check := func(step string, want map[uint8]memo) {
+	check := func(step string, want map[uint8]ProbeObs) {
 		t.Helper()
 		if len(e.replies) != len(want) {
 			t.Fatalf("%s: %d replies stored for %d TTLs", step, len(e.replies), len(want))
@@ -144,20 +139,17 @@ func TestMemoizeOutOfOrder(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if got := e.reply(uint8(ttl)); !reflect.DeepEqual(got, w.obs) {
-				t.Errorf("%s: reply(%d) = %+v, want %+v", step, ttl, got, w.obs)
-			}
-			if got := e.derived[ttl>>6]&(1<<(ttl&63)) != 0; got != w.derived {
-				t.Errorf("%s: TTL %d derived = %v, want %v", step, ttl, got, w.derived)
+			if got := e.reply(uint8(ttl)); !reflect.DeepEqual(got, w) {
+				t.Errorf("%s: reply(%d) = %+v, want %+v", step, ttl, got, w)
 			}
 		}
 	}
-	memoize(e, 64, obs(64), false)
-	memoize(e, 3, obs(3), true)
-	memoize(e, 10, obs(10), false)
-	check("64, 3, 10", map[uint8]memo{3: {obs(3), true}, 10: {obs(10), false}, 64: {obs(64), false}})
-	memoize(e, 3, over, false)
-	check("3 overwritten", map[uint8]memo{3: {over, false}, 10: {obs(10), false}, 64: {obs(64), false}})
-	memoize(e, 200, obs(200), true)
-	check("200 added", map[uint8]memo{3: {over, false}, 10: {obs(10), false}, 64: {obs(64), false}, 200: {obs(200), true}})
+	memoize(e, 64, obs(64))
+	memoize(e, 3, obs(3))
+	memoize(e, 10, obs(10))
+	check("64, 3, 10", map[uint8]ProbeObs{3: obs(3), 10: obs(10), 64: obs(64)})
+	memoize(e, 3, over)
+	check("3 overwritten", map[uint8]ProbeObs{3: over, 10: obs(10), 64: obs(64)})
+	memoize(e, 200, obs(200))
+	check("200 added", map[uint8]ProbeObs{3: over, 10: obs(10), 64: obs(64), 200: obs(200)})
 }

@@ -79,9 +79,3 @@ func (h *Host) Receive(net *Network, in *Iface, pkt *packet.Packet) {
 		}
 	}
 }
-
-// Send emits a packet from the host's interface and drains the fabric,
-// returning the virtual time consumed.
-func (h *Host) Send(net *Network, pkt *packet.Packet) {
-	net.Transmit(h.If, pkt)
-}

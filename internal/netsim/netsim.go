@@ -242,8 +242,8 @@ func (n *Network) AddNode(node Node) {
 // Nodes returns all registered nodes.
 func (n *Network) Nodes() []Node { return n.nodes }
 
-// RegisterIface indexes an interface address (including loopbacks) so that
-// OwnerOf can resolve addresses fabric-wide.
+// RegisterIface indexes an interface address (including loopbacks),
+// rejecting an address that is already bound fabric-wide.
 func (n *Network) RegisterIface(i *Iface) error {
 	if i.Addr.IsUnspecified() {
 		return fmt.Errorf("netsim: interface %s has no address", i)
@@ -253,12 +253,6 @@ func (n *Network) RegisterIface(i *Iface) error {
 	}
 	n.ifaces[i.Addr] = i
 	return nil
-}
-
-// OwnerOf resolves an address to the interface bearing it.
-func (n *Network) OwnerOf(a netaddr.Addr) (*Iface, bool) {
-	i, ok := n.ifaces[a]
-	return i, ok
 }
 
 // Connect joins two interfaces with a link of the given one-way delay.

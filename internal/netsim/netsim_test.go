@@ -366,7 +366,7 @@ func TestBandwidthQueueing(t *testing.T) {
 	}
 	p1 := &packet.Packet{IP: packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: h1.Addr(), Dst: h2.Addr()},
 		ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: 1, Seq: 10}}
-	p2 := p1.Clone()
+	p2 := net.PacketPool().Clone(p1)
 	p2.ICMP.Seq = 11
 	net.Transmit(h1.If, p1)
 	net.Transmit(h1.If, p2)

@@ -192,10 +192,6 @@ func (f *FlowCache) resetSweep() {
 	f.recBranches = f.recBranches[:0]
 }
 
-// SweepEnabled reports whether the sweep engine has been requested (it
-// may still be inert: flow cache off, or an impure fabric).
-func (n *Network) SweepEnabled() bool { return n.flows.sweepEnabled }
-
 // SweepStats returns the sweep counters.
 func (n *Network) SweepStats() SweepStats { return n.flows.sweep }
 
@@ -436,7 +432,7 @@ func (n *Network) SweepFinish(key FlowKey, obs ProbeObs) {
 	n.learnShape(&rec, obs, tl, tlOK)
 	f.fold(e, tl, !tlOK)
 	f.touchReset()
-	memoize(e, e.t0, obs, false)
+	memoize(e, e.t0, obs)
 }
 
 // scanKind classifies what the backward scan proved about a derived TTL.
@@ -790,13 +786,13 @@ func (n *Network) deriveSlot(e *flowEntry, key FlowKey, ttl uint8) (ProbeObs, bo
 	switch {
 	case sc.kind == scanReach:
 		obs := e.reply(e.t0)
-		memoize(e, ttl, obs, true)
+		memoize(e, ttl, obs)
 		f.sweep.UDP.Replies++
 		n.learnReachHint(key, ttl, &obs)
 		return obs, true
 	case sc.kind == scanExpire && sc.exact:
 		if comp, ok := n.composeExpiry(e, key, sc.step, ttl); ok {
-			memoize(e, ttl, comp, true)
+			memoize(e, ttl, comp)
 			f.sweep.UDP.Replies++
 			return comp, true
 		}

@@ -56,22 +56,6 @@ func (m *ICMP) IsError() bool {
 	return m.Type == ICMPTimeExceeded || m.Type == ICMPDestUnreach
 }
 
-// Clone returns a deep copy of the message.
-func (m *ICMP) Clone() *ICMP {
-	if m == nil {
-		return nil
-	}
-	out := *m
-	if m.Quote != nil {
-		q := *m.Quote
-		out.Quote = &q
-	}
-	if m.Ext != nil {
-		out.Ext = &Extension{LabelStack: m.Ext.LabelStack.Clone()}
-	}
-	return &out
-}
-
 // AppendWire appends the ICMP wire encoding to b.
 func (m *ICMP) AppendWire(b []byte) ([]byte, error) {
 	start := len(b)

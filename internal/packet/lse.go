@@ -143,16 +143,6 @@ func (s LabelStack) Top() (LSE, bool) {
 // Empty reports whether the stack has no entries.
 func (s LabelStack) Empty() bool { return len(s) == 0 }
 
-// Clone returns a deep copy of the stack.
-func (s LabelStack) Clone() LabelStack {
-	if s == nil {
-		return nil
-	}
-	out := make(LabelStack, len(s))
-	copy(out, s)
-	return out
-}
-
 func (s LabelStack) normalize() {
 	for i := range s {
 		s[i].Bottom = i == len(s)-1

@@ -108,23 +108,6 @@ func (p *Packet) PopLineage() bool {
 // Labeled reports whether the packet currently carries a label stack.
 func (p *Packet) Labeled() bool { return !p.MPLS.Empty() }
 
-// Clone returns a deep copy. Routers clone before mutating so that probing
-// code retains the packet it sent.
-func (p *Packet) Clone() *Packet {
-	out := *p
-	out.pooled = false // plain clones are never pool-owned
-	out.MPLS = p.MPLS.Clone()
-	out.ICMP = p.ICMP.Clone()
-	if p.UDP != nil {
-		u := *p.UDP
-		out.UDP = &u
-	}
-	if p.Raw != nil {
-		out.Raw = append([]byte(nil), p.Raw...)
-	}
-	return &out
-}
-
 // Serialize renders the full wire form: label stack, IPv4 header, transport.
 func (p *Packet) Serialize() ([]byte, error) {
 	transport, err := p.transportWire()

@@ -293,7 +293,8 @@ func TestDecodeICMPTruncated(t *testing.T) {
 func TestPacketClone(t *testing.T) {
 	p := echoPacket()
 	p.MPLS = LabelStack{{Label: 5, TTL: 9}}
-	c := p.Clone()
+	var pl Pool
+	c := pl.Clone(p)
 	c.MPLS[0].TTL = 1
 	c.ICMP.Seq = 99
 	c.IP.TTL = 0

@@ -124,7 +124,8 @@ func (pl *Pool) CloneStack(src LabelStack) LabelStack {
 	return s
 }
 
-// Clone is Packet.Clone into pooled storage.
+// Clone returns a pool-owned deep copy of p. Routers clone before
+// mutating so that probing code retains the packet it sent.
 func (pl *Pool) Clone(p *Packet) *Packet {
 	out := pl.Packet()
 	out.MPLS = pl.CloneStack(p.MPLS)

@@ -107,8 +107,8 @@ func TestPoolCloneAfterWarmupDoesNotAllocate(t *testing.T) {
 func TestPushPopInPlaceMatchCopying(t *testing.T) {
 	base := LabelStack{{Label: 10, TTL: 3}, {Label: 20, TTL: 4, Bottom: true}}
 
-	want := base.Clone().Push(LSE{Label: 5, TTL: 9})
-	got := base.Clone()
+	want := base.Push(LSE{Label: 5, TTL: 9})
+	got := append(LabelStack(nil), base...)
 	got.PushInPlace(LSE{Label: 5, TTL: 9})
 	if len(got) != len(want) {
 		t.Fatalf("push length %d, want %d", len(got), len(want))

@@ -53,10 +53,6 @@ func (t *Trace) Last() (Hop, bool) {
 	return Hop{}, false
 }
 
-// Len returns the hop distance of the destination if reached, else the
-// number of probed hops.
-func (t *Trace) Len() int { return len(t.Hops) }
-
 // PingReply is the outcome of one echo probe.
 type PingReply struct {
 	From     netaddr.Addr

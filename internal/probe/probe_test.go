@@ -241,20 +241,21 @@ func TestAttemptsRetryRateLimitedHop(t *testing.T) {
 	l.prober.Attempts = 1
 	tr1 := l.prober.Traceroute(l.host.Addr())
 	tr2 := l.prober.Traceroute(l.host.Addr())
-	// In one of the two traces r1 must have been rate-limited.
+	// In one of the two traces r1 must have been rate-limited: its hop,
+	// and only its hop, goes anonymous.
 	anon := 0
 	for _, tr := range []*Trace{tr1, tr2} {
 		for _, h := range tr.Hops {
 			if h.Anonymous() {
 				anon++
+				if h.ProbeTTL != 2 {
+					t.Errorf("anonymous hop at TTL %d, want only r1's (TTL 2)", h.ProbeTTL)
+				}
 			}
 		}
 	}
 	if anon == 0 {
 		t.Fatal("rate limiting never produced an anonymous hop")
-	}
-	if l.rs[1].Stats.RateLimited == 0 {
-		t.Error("RateLimited counter not incremented")
 	}
 }
 

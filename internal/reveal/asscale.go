@@ -95,9 +95,3 @@ func (a *ASAggregator) Verdicts() []ASVerdict {
 	})
 	return out
 }
-
-// Distribution exposes an AS's raw RFA histogram (figure rendering).
-func (a *ASAggregator) Distribution(asn uint32) (*stats.Histogram, bool) {
-	h, ok := a.byAS[asn]
-	return h, ok
-}

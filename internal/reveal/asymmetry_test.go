@@ -90,7 +90,7 @@ func TestFRPLAFalsePositiveFromAsymmetry(t *testing.T) {
 	}
 	var eHop probe.Hop
 	for _, hop := range tr.Hops {
-		if owner, ok := net.OwnerOf(hop.Addr); ok && owner.Owner == e {
+		if e.IsLocal(hop.Addr) {
 			eHop = hop
 		}
 	}

@@ -8,7 +8,11 @@ import (
 )
 
 func TestFlowHashVariesWithID(t *testing.T) {
-	seen := map[uint32]int{}
+	hops := []NextHop{
+		{Gateway: netaddr.MustParseAddr("10.66.0.1")},
+		{Gateway: netaddr.MustParseAddr("10.66.0.2")},
+	}
+	seen := map[netaddr.Addr]int{}
 	for f := 0; f < 24; f++ {
 		pkt := &packet.Packet{
 			IP: packet.IPv4{
@@ -18,7 +22,7 @@ func TestFlowHashVariesWithID(t *testing.T) {
 			},
 			ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: 0x1234 + uint16(f)*257, Seq: 1},
 		}
-		seen[flowHash(pkt)%2]++
+		seen[notedNextHop(nil, hops, pkt).Gateway]++
 	}
 	t.Logf("branch counts: %v", seen)
 	if len(seen) < 2 {

@@ -49,11 +49,6 @@ var (
 	Legacy = Personality{Name: "legacy", TimeExceededTTL: 64, EchoReplyTTL: 64, RFC4950: false, MinOnPop: true}
 )
 
-// Signature returns the <TE, echo> initial-TTL pair.
-func (p Personality) Signature() (uint8, uint8) {
-	return p.TimeExceededTTL, p.EchoReplyTTL
-}
-
 // LDPPolicy selects which FECs a router allocates and advertises labels
 // for (Sec. 2.1 of the paper).
 type LDPPolicy uint8
@@ -102,10 +97,4 @@ type Config struct {
 	// limit. Campaign code uses this for failure injection — rate-limited
 	// routers appear as anonymous hops, as in real traces.
 	ICMPInterval time.Duration
-}
-
-// DefaultConfig mirrors the paper's "Default configuration" scenario:
-// MPLS with LDP on all prefixes, PHP, TTL propagation enabled.
-func DefaultConfig() Config {
-	return Config{TTLPropagate: true, LDP: LDPAllPrefixes, MPLSEnabled: true}
 }

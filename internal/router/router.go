@@ -59,21 +59,6 @@ type Router struct {
 	// and each VP's reply dst) per drain, so even four entries absorb
 	// nearly every lookup. Any FIB/binding/config mutation invalidates it.
 	routeCache [routeCacheSize]routeCacheEntry
-
-	// Stats counts data-plane events; tests and the campaign post-mortem
-	// read them.
-	Stats Stats
-}
-
-// Stats are per-router data-plane counters.
-type Stats struct {
-	Received      uint64
-	Forwarded     uint64
-	Dropped       uint64
-	TimeExceeded  uint64
-	EchoReplies   uint64
-	LabelSwitched uint64
-	RateLimited   uint64
 }
 
 // firstLabel is the first non-reserved MPLS label (RFC 3032 reserves 0-15).
@@ -148,9 +133,6 @@ func (r *Router) SetConfig(cfg Config) {
 	r.cfg = cfg
 	r.mutated()
 }
-
-// ASN returns the router's autonomous system number.
-func (r *Router) ASN() uint32 { return r.asn }
 
 // SetASN assigns the router to an AS.
 func (r *Router) SetASN(asn uint32) { r.asn = asn }
@@ -305,10 +287,8 @@ func (r *Router) Receive(net *netsim.Network, in *netsim.Iface, pkt *packet.Pack
 	if r.net == nil {
 		r.net = net
 	}
-	r.Stats.Received++
 	if pkt.Labeled() {
 		if !r.cfg.MPLSEnabled {
-			r.Stats.Dropped++
 			return
 		}
 		r.receiveMPLS(net, in, pkt)
@@ -349,7 +329,6 @@ func (r *Router) forward(net *netsim.Network, pkt *packet.Packet) {
 	if !e.valid || e.dst != dst {
 		matched, idx, ok := r.fib.LookupPrefix(dst)
 		if !ok {
-			r.Stats.Dropped++
 			if net != nil { // Originate permits a nil fabric
 				net.PacketPool().Release(pkt)
 			}
@@ -367,7 +346,6 @@ func (r *Router) forward(net *netsim.Network, pkt *packet.Packet) {
 		return
 	}
 	nh := notedNextHop(net, e.rt.NextHops, pkt)
-	r.Stats.Forwarded++
 	net.Transmit(nh.Out, pkt)
 }
 
@@ -407,7 +385,6 @@ func (r *Router) lookupBinding(matched netaddr.Prefix, rt *Route, dst netaddr.Ad
 // and transmits.
 func (r *Router) impose(net *netsim.Network, pkt *packet.Packet, b *Binding) {
 	hop := notedLabelHop(net, b.NextHops, pkt)
-	r.Stats.Forwarded++
 	lseTTL := uint8(255)
 	lseProp := false // lineage of the imposed TTL: 255 is a constant seed
 	if r.cfg.TTLPropagate {
@@ -453,7 +430,6 @@ func (r *Router) switchMPLS(net *netsim.Network, in *netsim.Iface, pkt *packet.P
 	top, _ := pkt.MPLS.Top()
 	entry := r.lfibEntry(top.Label)
 	if entry == nil {
-		r.Stats.Dropped++
 		return
 	}
 	newTTL := top.TTL
@@ -467,7 +443,6 @@ func (r *Router) switchMPLS(net *netsim.Network, in *netsim.Iface, pkt *packet.P
 		r.mplsExpired(net, in, pkt, entry)
 		return
 	}
-	r.Stats.LabelSwitched++
 
 	if entry.PopLocal {
 		r.disposeUHP(net, in, pkt, newTTL)
@@ -588,7 +563,6 @@ func (r *Router) mplsExpired(net *netsim.Network, in *netsim.Iface, pkt *packet.
 	// "what this expiry context produces", answered or not.
 	net.NoteExpiry(in, pkt)
 	if r.cfg.Silent || r.cfg.NoICMPTimeExceeded || !r.icmpAllowed(net) {
-		r.Stats.Dropped++
 		return
 	}
 	pool := net.PacketPool()
@@ -598,7 +572,6 @@ func (r *Router) mplsExpired(net *netsim.Network, in *netsim.Iface, pkt *packet.
 		ext.LabelStack = pool.CloneStack(pkt.MPLS)
 		te.ICMP.Ext = ext
 	}
-	r.Stats.TimeExceeded++
 
 	if entry.PopLocal {
 		r.Originate(net, te)
@@ -648,10 +621,8 @@ func (r *Router) buildTimeExceeded(net *netsim.Network, in *netsim.Iface, pkt *p
 func (r *Router) sendTimeExceeded(net *netsim.Network, in *netsim.Iface, pkt *packet.Packet) {
 	net.NoteExpiry(in, pkt)
 	if r.cfg.Silent || r.cfg.NoICMPTimeExceeded || !r.icmpAllowed(net) {
-		r.Stats.Dropped++
 		return
 	}
-	r.Stats.TimeExceeded++
 	r.Originate(net, r.buildTimeExceeded(net, in, pkt))
 }
 
@@ -662,7 +633,6 @@ func (r *Router) icmpAllowed(net *netsim.Network) bool {
 	}
 	now := net.Now()
 	if r.icmpSent && now-r.lastICMP < r.cfg.ICMPInterval {
-		r.Stats.RateLimited++
 		return false
 	}
 	r.lastICMP = now
@@ -675,13 +645,11 @@ func (r *Router) deliverLocal(net *netsim.Network, pkt *packet.Packet) {
 	// recorder its terminal step is exempt from transit expiry rules.
 	net.NoteLocalDelivery(pkt)
 	if r.cfg.Silent {
-		r.Stats.Dropped++
 		return
 	}
 	pool := net.PacketPool()
 	switch {
 	case pkt.IP.Protocol == packet.ProtoICMP && pkt.ICMP != nil && pkt.ICMP.Type == packet.ICMPEchoRequest:
-		r.Stats.EchoReplies++
 		reply := pool.Packet()
 		reply.IP = packet.IPv4{
 			TTL:      r.os.EchoReplyTTL,

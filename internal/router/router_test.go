@@ -329,12 +329,14 @@ func TestLabeledPacketDroppedWithoutMPLS(t *testing.T) {
 	f := buildChain(t)
 	installLSP(f, false)
 	f.r2.cfg.MPLSEnabled = false
+	before := f.net.FabricStats().Deliveries
 	got := f.probe(t, 5, f.dst)
 	if got != nil {
 		t.Errorf("labeled packet crossed a non-MPLS router: %v", got)
 	}
-	if f.r2.Stats.Dropped == 0 {
-		t.Error("drop not counted")
+	// r1 and r2 received the probe; r2 dropped it, so r3 never did.
+	if d := f.net.FabricStats().Deliveries - before; d != 2 {
+		t.Errorf("%d deliveries, want 2 (vp→r1, r1→r2)", d)
 	}
 }
 
@@ -355,16 +357,16 @@ func TestECMPStableUnderParisFlowID(t *testing.T) {
 	p1 := netaddr.MustParsePrefix("10.0.1.0/30")
 	rt := &Route{Origin: OriginIGP, NextHops: []NextHop{
 		{Out: f.r1.Ifaces()[1], Gateway: p1.Nth(2)},
-		{Out: f.r1.Ifaces()[1], Gateway: p1.Nth(2)},
+		{Out: f.r1.Ifaces()[1], Gateway: p1.Nth(1)},
 	}}
 	pkt := &packet.Packet{
 		IP:   packet.IPv4{TTL: 9, Protocol: packet.ProtoICMP, Src: f.vp.Addr(), Dst: f.dst},
 		ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: 7, Seq: 1},
 	}
-	first := pickNextHop(rt.NextHops, pkt)
+	first := notedNextHop(nil, rt.NextHops, pkt)
 	for i := 0; i < 10; i++ {
 		pkt.ICMP.Seq = uint16(i) // Paris: seq may vary, ID constant
-		if got := pickNextHop(rt.NextHops, pkt); got != first {
+		if got := notedNextHop(nil, rt.NextHops, pkt); got != first {
 			t.Fatal("ECMP choice changed for constant flow ID")
 		}
 	}
@@ -391,7 +393,7 @@ func TestPersonalitySignatures(t *testing.T) {
 		{Legacy, 64, 64},
 	}
 	for _, c := range cases {
-		te, er := c.p.Signature()
+		te, er := c.p.TimeExceededTTL, c.p.EchoReplyTTL
 		if te != c.te || er != c.er {
 			t.Errorf("%s signature = <%d,%d>, want <%d,%d>", c.p.Name, te, er, c.te, c.er)
 		}
@@ -399,14 +401,22 @@ func TestPersonalitySignatures(t *testing.T) {
 }
 
 func TestOriginateWithoutRouteDrops(t *testing.T) {
-	r := New("lonely", Cisco, Config{})
-	pkt := &packet.Packet{
-		IP:   packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Dst: netaddr.MustParseAddr("203.0.113.1")},
-		ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest},
+	echo := func() *packet.Packet {
+		return &packet.Packet{
+			IP:   packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Dst: netaddr.MustParseAddr("203.0.113.1")},
+			ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest},
+		}
 	}
-	r.Originate(nil, pkt)
-	if r.Stats.Dropped != 1 {
-		t.Errorf("Dropped = %d", r.Stats.Dropped)
+	// Originate permits a nil fabric: a routeless packet is dropped
+	// before anything would be transmitted.
+	New("lonely", Cisco, Config{}).Originate(nil, echo())
+	// On a fabric, r1 has no route to the destination: nothing leaves it.
+	f := buildChain(t)
+	before := f.net.FabricStats().Deliveries
+	f.r1.Originate(f.net, echo())
+	f.net.Run()
+	if d := f.net.FabricStats().Deliveries - before; d != 0 {
+		t.Errorf("%d deliveries after a routeless originate, want 0", d)
 	}
 }
 

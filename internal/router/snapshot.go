@@ -24,7 +24,7 @@ import (
 //
 // It also resolves source→replica interface pointers locally: a router's
 // tables only ever reference its own handful of interfaces (the invariant
-// that lets Snapshot clone tables before the rest of the fabric exists),
+// that lets SnapshotInto clone tables before the rest of the fabric exists),
 // so a linear scan of a small array — with a last-hit cache, since routes
 // repeat the same egress — beats the Cloner's fabric-wide map on every
 // lookup.
@@ -135,17 +135,11 @@ func (ar *CloneArena) iface(ifc *netsim.Iface) *netsim.Iface {
 	return nil
 }
 
-// Snapshot deep-copies the router onto a replica fabric being built by c,
-// with a private arena. Fabric-wide snapshots share one arena across all
-// routers via NewCloneArena and SnapshotInto instead.
-func (r *Router) Snapshot(c *netsim.Cloner) *Router {
-	return r.SnapshotInto(c, NewCloneArena([]*Router{r}))
-}
-
 // SnapshotInto deep-copies the router onto a replica fabric being built by
-// c, carving the replica and its table data out of ar. Everything the
-// data plane reads is copied — personality, config, FIB, bindings, LFIB,
-// counters — with interface pointers remapped onto freshly carved replica
+// c, carving the replica and its table data out of ar (one arena serves
+// every router of a fabric snapshot; see NewCloneArena). Everything the
+// data plane reads is copied — personality, config, FIB, bindings, LFIB —
+// with interface pointers remapped onto freshly carved replica
 // interfaces (a router's tables only ever reference its own interfaces,
 // so all mappings exist before the tables are cloned).
 //
@@ -168,7 +162,6 @@ func (r *Router) SnapshotInto(c *netsim.Cloner, ar *CloneArena) *Router {
 	nr.nextLabel = r.nextLabel
 	nr.lastICMP = r.lastICMP
 	nr.icmpSent = r.icmpSent
-	nr.Stats = r.Stats
 
 	lstart := len(ar.locals)
 	ar.locals = append(ar.locals, r.locals...)

@@ -91,33 +91,18 @@ type LFIBEntry struct {
 	PopLocal bool
 }
 
-// flowHash computes the per-flow ECMP hash over the fields Paris
-// traceroute keeps constant: addresses, protocol, and the first 4 bytes of
-// the transport header (ICMP checksum/id or ports). The implementation
-// lives in packet.FlowHash so the sweep engine can predict ECMP choices
-// for untraced port-cycle slots without importing router.
-func flowHash(pkt *packet.Packet) uint32 {
-	return packet.FlowHash(pkt)
-}
-
-// pickNextHop selects the ECMP member for a flow.
-func pickNextHop(hops []NextHop, pkt *packet.Packet) NextHop {
-	if len(hops) == 1 {
-		return hops[0]
-	}
-	return hops[flowHash(pkt)%uint32(len(hops))]
-}
-
-// notedNextHop is pickNextHop plus branch reporting: when a marked sweep
-// walk crosses a real ECMP fan-out, the (fan-out, index) decision is
+// notedNextHop selects the ECMP member for a flow by packet.FlowHash, the
+// hash over the fields Paris traceroute keeps constant. When a marked
+// sweep walk crosses a real ECMP fan-out, the (fan-out, index) decision is
 // handed to the fabric's recorder so untraced port-cycle slots can later
-// be validated against the walk's branch set (netsim.NoteFlowBranch).
-// Single-hop routes never branch and are not reported.
+// be validated against the walk's branch set (netsim.NoteFlowBranch). A
+// nil net selects without reporting. Single-hop routes never branch and
+// are not reported.
 func notedNextHop(net *netsim.Network, hops []NextHop, pkt *packet.Packet) NextHop {
 	if len(hops) == 1 {
 		return hops[0]
 	}
-	idx := flowHash(pkt) % uint32(len(hops))
+	idx := packet.FlowHash(pkt) % uint32(len(hops))
 	if net != nil && pkt.Mark != 0 {
 		net.NoteFlowBranch(uint16(len(hops)), uint16(idx))
 	}
@@ -128,7 +113,7 @@ func notedLabelHop(net *netsim.Network, hops []LabelHop, pkt *packet.Packet) Lab
 	if len(hops) == 1 {
 		return hops[0]
 	}
-	idx := flowHash(pkt) % uint32(len(hops))
+	idx := packet.FlowHash(pkt) % uint32(len(hops))
 	if net != nil && pkt.Mark != 0 {
 		net.NoteFlowBranch(uint16(len(hops)), uint16(idx))
 	}

@@ -192,13 +192,6 @@ func (r *Router) AppendWire(w *wirefmt.Writer) {
 	w.U32(r.nextLabel)
 	w.I64(int64(r.lastICMP))
 	w.Bool(r.icmpSent)
-	w.U64(r.Stats.Received)
-	w.U64(r.Stats.Forwarded)
-	w.U64(r.Stats.Dropped)
-	w.U64(r.Stats.TimeExceeded)
-	w.U64(r.Stats.EchoReplies)
-	w.U64(r.Stats.LabelSwitched)
-	w.U64(r.Stats.RateLimited)
 
 	w.U32(uint32(len(r.locals)))
 	for _, a := range r.locals {
@@ -322,13 +315,6 @@ func DecodeRouter(rd *wirefmt.Reader, ar *CloneArena) *Router {
 	nr.nextLabel = rd.U32()
 	nr.lastICMP = time.Duration(rd.I64())
 	nr.icmpSent = rd.Bool()
-	nr.Stats.Received = rd.U64()
-	nr.Stats.Forwarded = rd.U64()
-	nr.Stats.Dropped = rd.U64()
-	nr.Stats.TimeExceeded = rd.U64()
-	nr.Stats.EchoReplies = rd.U64()
-	nr.Stats.LabelSwitched = rd.U64()
-	nr.Stats.RateLimited = rd.U64()
 
 	nLocal := count(rd, 4)
 	lstart := len(ar.locals)

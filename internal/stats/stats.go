@@ -38,19 +38,7 @@ func (h *Histogram) N() int { return h.n }
 // Count returns the count at value v.
 func (h *Histogram) Count(v int) int { return h.counts[v] }
 
-// Min and Max return the observed range; both 0 when empty.
-func (h *Histogram) Min() int {
-	first := true
-	m := 0
-	for v := range h.counts {
-		if first || v < m {
-			m, first = v, false
-		}
-	}
-	return m
-}
-
-// Max returns the largest observed value.
+// Max returns the largest observed value; 0 when empty.
 func (h *Histogram) Max() int {
 	first := true
 	m := 0
@@ -116,20 +104,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(sum) / float64(h.n)
 }
 
-// StdDev returns the population standard deviation.
-func (h *Histogram) StdDev() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	mean := h.Mean()
-	var ss float64
-	for v, c := range h.counts {
-		d := float64(v) - mean
-		ss += d * d * float64(c)
-	}
-	return math.Sqrt(ss / float64(h.n))
-}
-
 // ShareAbove returns the fraction of observations strictly above v.
 func (h *Histogram) ShareAbove(v int) float64 {
 	if h.n == 0 {
@@ -167,23 +141,6 @@ func (h *Histogram) Render(label string, width int) string {
 		fmt.Fprintf(&sb, "%5d | %-*s %6.4f (%d)\n", v, width, bar, h.PDF(v), c)
 	}
 	return sb.String()
-}
-
-// Series is an (x, y) sequence for figure output.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// PDFSeries converts a histogram into a PDF series over its value range.
-func (h *Histogram) PDFSeries(name string) Series {
-	s := Series{Name: name}
-	for _, v := range h.Values() {
-		s.X = append(s.X, float64(v))
-		s.Y = append(s.Y, h.PDF(v))
-	}
-	return s
 }
 
 // Rate converts a count over a duration into a per-second rate (0 for a
@@ -263,33 +220,4 @@ func (t *Timings) Render(label string, width int) string {
 		fmt.Fprintf(&sb, "%12s | %-*s %v\n", t.names[i], width, strings.Repeat("#", bar), d.Round(time.Microsecond))
 	}
 	return sb.String()
-}
-
-// Float64s summarizes a float sample (RTTs, densities).
-type Float64s []float64
-
-// Mean returns the arithmetic mean of the sample.
-func (f Float64s) Mean() float64 {
-	if len(f) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range f {
-		s += v
-	}
-	return s / float64(len(f))
-}
-
-// Median returns the sample median.
-func (f Float64s) Median() float64 {
-	if len(f) == 0 {
-		return 0
-	}
-	c := append(Float64s(nil), f...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
 }

@@ -191,34 +191,6 @@ func (g *Graph) SubgraphOf(keep func(*Node) bool) *Graph {
 	return sub
 }
 
-// ClusteringCoefficient returns the average local clustering coefficient.
-func (g *Graph) ClusteringCoefficient() float64 {
-	if len(g.nodes) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, n := range g.nodes {
-		k := len(n.neighbors)
-		if k < 2 {
-			continue
-		}
-		links := 0
-		ids := make([]NodeID, 0, k)
-		for id := range n.neighbors {
-			ids = append(ids, id)
-		}
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				if g.nodes[ids[i]].neighbors[ids[j]] {
-					links++
-				}
-			}
-		}
-		sum += 2 * float64(links) / (float64(k) * float64(k-1))
-	}
-	return sum / float64(len(g.nodes))
-}
-
 // HDNs returns the nodes with degree >= threshold (128 in the paper,
 // scaled down for synthetic topologies), sorted by decreasing degree.
 func (g *Graph) HDNs(threshold int) []*Node {

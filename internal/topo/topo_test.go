@@ -109,24 +109,6 @@ func TestDensity(t *testing.T) {
 	}
 }
 
-func TestClusteringCoefficient(t *testing.T) {
-	g := New(nil)
-	// Triangle: clustering 1 at every node.
-	g.AddLink(addr("1.0.0.1"), addr("1.0.0.2"))
-	g.AddLink(addr("1.0.0.2"), addr("1.0.0.3"))
-	g.AddLink(addr("1.0.0.3"), addr("1.0.0.1"))
-	if c := g.ClusteringCoefficient(); c != 1.0 {
-		t.Errorf("triangle clustering = %f", c)
-	}
-	// Star: center has unconnected neighbors -> clustering 0.
-	s := New(nil)
-	s.AddLink(addr("2.0.0.1"), addr("2.0.0.2"))
-	s.AddLink(addr("2.0.0.1"), addr("2.0.0.3"))
-	if c := s.ClusteringCoefficient(); c != 0 {
-		t.Errorf("star clustering = %f", c)
-	}
-}
-
 func TestHDNsSortedByDegree(t *testing.T) {
 	g := New(nil)
 	center := addr("1.0.0.1")
@@ -206,69 +188,11 @@ func TestAddPath(t *testing.T) {
 
 func TestEmptyGraphMetrics(t *testing.T) {
 	g := New(nil)
-	if g.Density() != 0 || g.ClusteringCoefficient() != 0 || g.NumNodes() != 0 {
+	if g.Density() != 0 || g.NumNodes() != 0 {
 		t.Error("empty graph metrics nonzero")
 	}
 	if _, ok := g.Lookup(addr("1.2.3.4")); ok {
 		t.Error("lookup on empty graph")
-	}
-}
-
-func TestShortestPathsOnPathGraph(t *testing.T) {
-	g := New(nil)
-	// Path of 4 nodes: distances 1,1,1,2,2,3 (unordered pairs), doubled
-	// for ordered pairs; diameter 3; avg = (3*1+2*2+1*3)*2 / 12 = 10/6.
-	g.AddLink(addr("1.0.0.1"), addr("1.0.0.2"))
-	g.AddLink(addr("1.0.0.2"), addr("1.0.0.3"))
-	g.AddLink(addr("1.0.0.3"), addr("1.0.0.4"))
-	sp := g.ShortestPaths()
-	if sp.Diameter != 3 {
-		t.Errorf("diameter = %d, want 3", sp.Diameter)
-	}
-	if sp.Pairs != 12 {
-		t.Errorf("pairs = %d, want 12", sp.Pairs)
-	}
-	want := 20.0 / 12.0
-	if diff := sp.AvgPathLength - want; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("avg = %f, want %f", sp.AvgPathLength, want)
-	}
-}
-
-func TestShortestPathsDisconnected(t *testing.T) {
-	g := New(nil)
-	g.AddLink(addr("1.0.0.1"), addr("1.0.0.2"))
-	g.AddLink(addr("2.0.0.1"), addr("2.0.0.2"))
-	sp := g.ShortestPaths()
-	// Only intra-component pairs measured: 2 + 2 ordered pairs.
-	if sp.Pairs != 4 || sp.Diameter != 1 {
-		t.Errorf("pairs=%d diameter=%d", sp.Pairs, sp.Diameter)
-	}
-	if g.LargestComponentSize() != 2 {
-		t.Errorf("largest component = %d", g.LargestComponentSize())
-	}
-}
-
-func TestLargestComponent(t *testing.T) {
-	g := New(nil)
-	g.AddLink(addr("1.0.0.1"), addr("1.0.0.2"))
-	g.AddLink(addr("1.0.0.2"), addr("1.0.0.3"))
-	g.NodeFor(addr("9.9.9.9")) // isolated node
-	if got := g.LargestComponentSize(); got != 3 {
-		t.Errorf("largest component = %d, want 3", got)
-	}
-}
-
-func TestTunnelRevealShrinksDiameterBias(t *testing.T) {
-	// An invisible tunnel compresses a 4-hop path into 1: revealing it
-	// must lengthen shortest paths.
-	invisible := New(nil)
-	invisible.AddPath([]netaddr.Addr{addr("1.0.0.1"), addr("1.0.0.5")})
-	visible := New(nil)
-	visible.AddPath([]netaddr.Addr{
-		addr("1.0.0.1"), addr("1.0.0.2"), addr("1.0.0.3"), addr("1.0.0.4"), addr("1.0.0.5"),
-	})
-	if !(visible.ShortestPaths().Diameter > invisible.ShortestPaths().Diameter) {
-		t.Error("revealed graph should have a larger diameter")
 	}
 }
 

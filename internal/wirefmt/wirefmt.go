@@ -81,10 +81,6 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
-// Bytes appends raw bytes with no length prefix; the caller's schema must
-// make the length recoverable.
-func (w *Writer) Bytes(b []byte) { w.Buf = append(w.Buf, b...) }
-
 // String appends a u32 length prefix followed by the string bytes.
 func (w *Writer) String(s string) {
 	w.U32(uint32(len(s)))

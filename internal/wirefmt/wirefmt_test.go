@@ -26,7 +26,7 @@ func TestScalarRoundTrip(t *testing.T) {
 	w.Bool(false)
 	w.String("")
 	w.String("wormhole ≠ tunnel")
-	w.Bytes([]byte{1, 2, 3})
+	w.Buf = append(w.Buf, 1, 2, 3)
 
 	r := NewReader(w.Buf)
 	if got := r.U8(); got != 0 {
@@ -168,7 +168,7 @@ func TestShortReadsTruncate(t *testing.T) {
 func section(id uint32, payload []byte) []byte {
 	var w Writer
 	m := w.BeginSection(id)
-	w.Bytes(payload)
+	w.Buf = append(w.Buf, payload...)
 	w.EndSection(m)
 	return w.Buf
 }
@@ -245,7 +245,7 @@ func TestStringLyingLength(t *testing.T) {
 	for _, n := range []uint32{4, 1000, math.MaxUint32} {
 		var w Writer
 		w.U32(n)
-		w.Bytes([]byte("abc"))
+		w.Buf = append(w.Buf, "abc"...)
 		r := NewReader(w.Buf)
 		if got := r.String(); got != "" || !errors.Is(r.Err(), ErrTruncated) {
 			t.Errorf("prefix %d over 3 bytes: %q, err %v; want ErrTruncated", n, got, r.Err())

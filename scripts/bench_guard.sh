@@ -27,13 +27,16 @@
 #     Large (~10⁴ router) rung must stay under a committed ceiling. The struct-of-arrays arenas exist to keep replica cost
 #     flat; per-object cloning creeping back in shows up here first.
 #
-#  4. UDP cold path: the UDP sweep+cache row must beat the UDP
-#     per-probe baseline by a real margin at 1 worker. UDP Paris cycles
-#     its destination port per probe, so this coverage comes entirely
-#     from the port-cycle slot machinery — per-slot walks, branch-class
-#     aliasing, canonical-port reply shapes; if the gate fails, UDP
-#     campaigns have silently regressed to per-probe simulation while
-#     the ICMP gates stay green.
+#  4. UDP cache: the UDP sweep+cache row must beat the UDP per-probe
+#     baseline by a real margin at 1 worker. Like every cached row, it
+#     is timed after an untimed warm-up run on the same pooled replicas,
+#     so its timed runs replay the flow cache's memo (the committed
+#     rows read 0 sweep walks and 0 cache misses per run). The gate
+#     therefore guards warm UDP replay against per-probe simulation; it
+#     cannot see the port-cycle slot engine (per-slot walks, branch-class
+#     aliasing, canonical-port reply shapes), and it would stay green if
+#     that cold path regressed. No gate covers the UDP cold path until
+#     perfbench gains a UDP workload.
 #
 #  5. Wire codec: encoding the Large fabric to the versioned snapshot
 #     wire blob must stay within ENCODE_FACTOR× of the in-process
@@ -150,11 +153,11 @@ campaign_gates() {
             exit 1
         }
         if (!(("1,udp,0,0,0") in rate) || !(("1,udp,1,0,0") in rate)) {
-            print "bench_guard: missing udp rows for the slot cold-path gate"
+            print "bench_guard: missing udp rows for the udp cache gate"
             exit 1
         }
         udppct = 100 * rate["1,udp,1,0,0"] / rate["1,udp,0,0,0"]
-        printf "bench_guard: udp cold path %.0f probes/s per-probe, %.0f sweep+cache (%.1f%%, floor %d%%)\n", \
+        printf "bench_guard: udp cache %.0f probes/s per-probe, %.0f sweep+cache (%.1f%%, floor %d%%)\n", \
             rate["1,udp,0,0,0"], rate["1,udp,1,0,0"], udppct, udpfloor
         if (udppct < udpfloor) {
             print "bench_guard: FAIL — udp sweep+cache no longer beats the udp per-probe baseline"

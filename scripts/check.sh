@@ -14,14 +14,14 @@
 # compile-heavy coverage/race phases below leave a single-CPU box in a
 # throttled window that skews them. Then the test suite with coverage
 # aggregation (per-package floors on the engine packages guard against
-# silently shedding tests), short native-fuzz smokes over the sweep
-# derivation model, the UDP port-cycle branch-class algebra, churn
-# masking, the snapshot wire decoder, the distributed coordinator's
-# and worker's inbound frame paths and the dataset reader, and the race tier
-# (TestRaceTier shells out to `go test -race` over the
-# concurrency-heavy packages and is skipped automatically under
-# -short). Last, the distributed smoke: a real 2-process campaign over
-# a Unix socket byte-compared to serial.
+# silently shedding tests; the suite is not -short, so it includes the
+# race tier: TestRaceTier shells out to `go test -race` over the
+# concurrency-heavy packages), then short native-fuzz smokes over the
+# sweep derivation model, the UDP port-cycle branch-class algebra, churn
+# masking, the snapshot wire decoder, the distributed coordinator's and
+# worker's inbound frame paths, the rebuild-mode world frame (generator
+# Params) and the dataset reader. Last, the distributed smoke: a real
+# 2-process campaign over a Unix socket byte-compared to serial.
 #
 # Usage: ./scripts/check.sh
 set -eux
@@ -43,7 +43,7 @@ fi
 ./scripts/bench_guard.sh
 
 # Full suite with an aggregated coverage profile, then per-package floors
-# on the engine packages. The floors sit safely under the measured values
+# on the engine packages. The suite runs the race tier (TestRaceTier). The floors sit safely under the measured values
 # (netsim ~75%, campaign ~90% by function) — they catch wholesale test
 # loss, not incremental drift.
 COVOUT=$(mktemp)
@@ -71,8 +71,9 @@ check_floor campaign 85
 # fuzzer (a cached fabric against the cache-off oracle under
 # gen.BuildChurnPlan schedules), the wire-format reader fuzzer, the
 # snapshot decoder fuzzer (section payloads mutated and re-sealed past
-# their checksums), the coordinator and worker inbound-path fuzzers and
-# the JSONL dataset reader behind `wormhole analyze`.
+# their checksums), the coordinator and worker inbound-path fuzzers, the
+# rebuild-mode Params frame fuzzer and the JSONL dataset reader behind
+# `wormhole analyze`.
 # Regressions in the lineage model, the port-cycle aliasing algebra or
 # the masking rule surface here long before a campaign happens to probe
 # the right flow, roll the colliding ports or churn the right link; a
@@ -88,9 +89,8 @@ go test ./internal/gen/ -run='^$' -fuzz=FuzzDecodeWire -fuzztime=10s
 go test ./internal/netsim/ -run='^$' -fuzz=FuzzChurnMasking -fuzztime=10s -fuzzminimizetime=100x
 go test ./internal/campaign/ -run='^$' -fuzz=FuzzCoordinatorInbound -fuzztime=10s -fuzzminimizetime=100x
 go test ./internal/campaign/ -run='^$' -fuzz=FuzzServeWorkerInbound -fuzztime=10s -fuzzminimizetime=100x
+go test ./internal/campaign/ -run='^$' -fuzz=FuzzServeWorkerRebuild -fuzztime=10s -fuzzminimizetime=100x
 go test ./internal/tracefile/ -run='^$' -fuzz=FuzzTracefileRead -fuzztime=10s -fuzzminimizetime=100x
-
-go test -race -run TestRaceTier .
 
 # Distributed smoke: a 2-worker multi-process campaign over a Unix
 # socket must byte-match the serial engine's dataset at the Large rung.
