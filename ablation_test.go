@@ -6,6 +6,7 @@ package wormhole
 
 import (
 	"testing"
+	"time"
 
 	"wormhole/internal/campaign"
 	"wormhole/internal/gen"
@@ -124,17 +125,23 @@ func BenchmarkAblationBootstrapSpread(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRetries shows the Attempts knob recovering hops lost to
-// packet loss: with a 40%-lossy link in the path, a single attempt leaves
-// many hops anonymous while three attempts recover most of them.
+// BenchmarkAblationRetries shows the Attempts knob recovering hops an
+// ICMP rate limit silences: P2 sends at most one time-exceeded per
+// interval, and back-to-back traces return to it sooner, so a single
+// attempt leaves its hop anonymous on every other trace while a retry
+// outlasts the interval.
 func BenchmarkAblationRetries(b *testing.B) {
 	anonHops := func(attempts int) int {
 		l, err := lab.Build(lab.Options{Scenario: lab.Default})
 		if err != nil {
 			b.Fatal(err)
 		}
-		// The P1-P2 link drops 40% of packets in each direction.
-		l.P1.Ifaces()[1].Link.LossProb = 0.4
+		// Traces to CE2 reach P2 every 66 ms of virtual time, inside its
+		// 68 ms interval; an unanswered probe to P2 costs 4 ms, so the
+		// first retry arrives after the interval has passed.
+		cfg := l.P2.Config()
+		cfg.ICMPInterval = 68 * time.Millisecond
+		l.P2.SetConfig(cfg)
 		l.Prober.Attempts = attempts
 		anon := 0
 		for i := 0; i < 20; i++ {

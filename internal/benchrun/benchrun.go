@@ -466,8 +466,7 @@ func measureCampaign(in *gen.Internet, base campaign.Config, workers, runs int, 
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	var probes, hits, misses, ffs uint64
-	var walks, synth, falls, bypasses, aliases, churnEvents uint64
+	var tally campaign.Counters
 	var replica, boot time.Duration
 	for i := 0; i < runs; i++ {
 		c, err := campaign.RunParallel(in, cfg, campaign.ParallelConfig{Workers: workers})
@@ -477,38 +476,29 @@ func measureCampaign(in *gen.Internet, base campaign.Config, workers, runs int, 
 		if len(c.Records) == 0 {
 			return rep, fmt.Errorf("benchrun: empty campaign at workers=%d", workers)
 		}
-		probes += c.Probes
-		hits += c.FlowCache.Hits
-		misses += c.FlowCache.Misses
-		ffs += c.FlowCache.FastForwards
-		sw := c.Sweep.Total()
-		walks += sw.Walks
-		synth += sw.Replies
-		falls += sw.Fallbacks
-		bypasses += sw.Bypasses
-		aliases += sw.Aliases
-		churnEvents += c.ChurnEvents
+		tally.Add(c.Counters)
 		replica += c.Phase.Replica
 		boot += c.Phase.Bootstrap
 	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&ms1)
 
-	rep.ProbesPerRun = probes / uint64(runs)
+	n, probes, sw := uint64(runs), tally.Probes, tally.Sweep.Total()
+	rep.ProbesPerRun = probes / n
 	rep.BootstrapProbesPerRun = bootstrap
 	rep.CampaignProbesPerRun = rep.ProbesPerRun - bootstrap
 	rep.WallMSPerRun = msPer(wall, runs)
 	rep.ReplicaMS = msPer(replica, runs)
 	rep.BootstrapMS = msPer(boot, runs)
-	rep.CacheHitsPerRun = hits / uint64(runs)
-	rep.CacheMissesPerRun = misses / uint64(runs)
-	rep.CacheFFPerRun = ffs / uint64(runs)
-	rep.SweepWalksPerRun = walks / uint64(runs)
-	rep.SweepRepliesPerRun = synth / uint64(runs)
-	rep.SweepFallbacksPerRun = falls / uint64(runs)
-	rep.SweepBypassesPerRun = bypasses / uint64(runs)
-	rep.SweepAliasesPerRun = aliases / uint64(runs)
-	rep.ChurnEventsPerRun = churnEvents / uint64(runs)
+	rep.CacheHitsPerRun = tally.FlowCache.Hits / n
+	rep.CacheMissesPerRun = tally.FlowCache.Misses / n
+	rep.CacheFFPerRun = tally.FlowCache.FastForwards / n
+	rep.SweepWalksPerRun = sw.Walks / n
+	rep.SweepRepliesPerRun = sw.Replies / n
+	rep.SweepFallbacksPerRun = sw.Fallbacks / n
+	rep.SweepBypassesPerRun = sw.Bypasses / n
+	rep.SweepAliasesPerRun = sw.Aliases / n
+	rep.ChurnEventsPerRun = tally.ChurnEvents / n
 	if probes > 0 {
 		rep.NsPerProbe = float64(wall.Nanoseconds()) / float64(probes)
 		rep.ProbesPerSec = float64(probes) / wall.Seconds()

@@ -22,7 +22,7 @@ type miniNet struct {
 func newMiniNet(t *testing.T) *miniNet {
 	t.Helper()
 	return &miniNet{
-		net:  netsim.New(5),
+		net:  netsim.New(),
 		ases: map[string]*AS{},
 		rs:   map[string]*router.Router{},
 		topo: &Topology{},
@@ -32,7 +32,6 @@ func newMiniNet(t *testing.T) *miniNet {
 func (m *miniNet) addAS(t *testing.T, name string, num uint32) {
 	t.Helper()
 	r := router.New(name, router.Cisco, router.Config{TTLPropagate: true})
-	r.SetASN(num)
 	lo := netaddr.AddrFrom4(192, 168, byte(num), byte(1+len(m.rs)))
 	r.SetLoopback(lo)
 	m.net.AddNode(r)
@@ -207,7 +206,6 @@ func TestIntraASSessionRejected(t *testing.T) {
 	m := newMiniNet(t)
 	m.addAS(t, "a", 1)
 	r2 := router.New("a2", router.Cisco, router.Config{})
-	r2.SetASN(1)
 	m.ases["a"].Routers = append(m.ases["a"].Routers, r2)
 	m.rs["a2"] = r2
 	m.net.AddNode(r2)
@@ -237,10 +235,9 @@ func TestHotPotatoPicksNearestEgress(t *testing.T) {
 	// AS x has two routers r1 (border to provider p1) and r2 (border to
 	// provider p2); a destination reachable via both providers must exit
 	// each router's nearest border: r1 via itself, r2 via itself.
-	net := netsim.New(9)
-	mkRouter := func(name string, asn uint32, lo netaddr.Addr) *router.Router {
+	net := netsim.New()
+	mkRouter := func(name string, lo netaddr.Addr) *router.Router {
 		r := router.New(name, router.Cisco, router.Config{TTLPropagate: true})
-		r.SetASN(asn)
 		r.SetLoopback(lo)
 		net.AddNode(r)
 		if err := net.RegisterIface(r.Loopback()); err != nil {
@@ -248,11 +245,11 @@ func TestHotPotatoPicksNearestEgress(t *testing.T) {
 		}
 		return r
 	}
-	r1 := mkRouter("r1", 1, netaddr.MustParseAddr("192.168.1.1"))
-	r2 := mkRouter("r2", 1, netaddr.MustParseAddr("192.168.1.2"))
-	p1 := mkRouter("p1", 2, netaddr.MustParseAddr("192.168.2.1"))
-	p2 := mkRouter("p2", 3, netaddr.MustParseAddr("192.168.3.1"))
-	dst := mkRouter("dst", 4, netaddr.MustParseAddr("192.168.4.1"))
+	r1 := mkRouter("r1", netaddr.MustParseAddr("192.168.1.1"))
+	r2 := mkRouter("r2", netaddr.MustParseAddr("192.168.1.2"))
+	p1 := mkRouter("p1", netaddr.MustParseAddr("192.168.2.1"))
+	p2 := mkRouter("p2", netaddr.MustParseAddr("192.168.3.1"))
+	dst := mkRouter("dst", netaddr.MustParseAddr("192.168.4.1"))
 
 	sub := 0
 	wire := func(a, b *router.Router) (ai, bi *netsim.Iface) {

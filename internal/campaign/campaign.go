@@ -23,7 +23,6 @@ import (
 	"wormhole/internal/fingerprint"
 	"wormhole/internal/gen"
 	"wormhole/internal/netaddr"
-	"wormhole/internal/netsim"
 	"wormhole/internal/probe"
 	"wormhole/internal/reveal"
 	"wormhole/internal/topo"
@@ -37,8 +36,6 @@ type Config struct {
 	// adaptively (the 90th percentile of the observed degree
 	// distribution, floored at 4).
 	HDNThreshold int
-	// Teams is the number of vantage-point teams (5 in the paper).
-	Teams int
 	// FirstTTL is the initial probe TTL (2 in the paper).
 	FirstTTL uint8
 	// BootstrapSpread is how many VPs trace each bootstrap target.
@@ -113,10 +110,14 @@ type Config struct {
 	StreamSeed int64
 }
 
+// teams is the number of vantage-point teams the targets split across,
+// as in the paper.
+const teams = 5
+
 // DefaultConfig mirrors the paper at synthetic scale, with an adaptive
 // HDN threshold.
 func DefaultConfig() Config {
-	return Config{Teams: 5, FirstTTL: 2, BootstrapSpread: 2}
+	return Config{FirstTTL: 2, BootstrapSpread: 2}
 }
 
 // Record is one campaign trace with its analysis context.
@@ -156,30 +157,17 @@ type Campaign struct {
 	// fingerprint; TTL-delta analyses must pair replies observed from the
 	// same VP.
 	FingerprintVP map[netaddr.Addr]*gen.VP
-	// Probes counts every probe packet sent (campaign accounting).
-	Probes uint64
-	// BudgetHits counts fabric drains that exhausted their event budget
-	// anywhere in the campaign (bootstrap included); LoopDrops the queued
-	// events discarded when that happened. Non-zero totals mean some
-	// probes died inside the fabric instead of being answered or timing
-	// out — surfaced in the post-mortem so silent discards are never
-	// mistaken for clean '*' hops.
-	BudgetHits, LoopDrops uint64
-	// FlowCache aggregates the fabric flow-trajectory cache counters over
-	// the whole campaign (bootstrap plus every shard). All-zero when the
-	// cache is disabled or inert.
-	FlowCache netsim.FlowCacheStats
-	// Sweep aggregates the single-injection TTL sweep counters over the
-	// whole campaign (bootstrap plus every shard). All-zero when the
-	// sweep is disabled or inert: with the cache off, and for ICMP.
-	Sweep netsim.SweepStats
-	// ChurnEvents counts the topology churn events fired across all
-	// shards (zero when ChurnRate is zero).
-	ChurnEvents uint64
+	// Counters is the campaign's tally over every fabric it drove: the
+	// bootstrap's (alias resolution included) plus every shard's. Non-zero
+	// BudgetHits or LoopDrops mean some probes died inside the fabric
+	// instead of being answered or timing out — surfaced in the
+	// post-mortem so silent discards are never mistaken for clean '*'
+	// hops.
+	Counters
 	// Lazy is the source fabric's resident-set accounting after the run
-	// (Resident == Total on eager worlds), with FaultIns/FaultInNS as
-	// campaign deltas summed over the source fabric and every worker
-	// replica — the materialization work this campaign caused.
+	// (Resident == Total on eager worlds). Its FaultIns and FaultInNS are
+	// the source's lifetime totals; the campaign's own fault-ins, on the
+	// source and every replica, are Counters.FaultIns and FaultInNS.
 	Lazy gen.LazyStats
 	// ReplicaResident sums the worker replicas' resident router counts
 	// (zero for the serial engine): the fabric state actually paged in
@@ -210,7 +198,7 @@ type Campaign struct {
 	teamOf map[netaddr.Addr]int
 	// boot is the bootstrap phase's accounting (alias resolution
 	// included) over every fabric the campaign drove.
-	boot counters
+	boot Counters
 }
 
 // PhaseTimings is the campaign wall-clock split by engine phase: slot
@@ -345,10 +333,6 @@ func (c *Campaign) finishBootstrapGraph() {
 // "if neighbor N is in VP set 1, then all neighbors of N are also in VP
 // set 1" — a neighbor's whole neighborhood probes from one team.
 func (c *Campaign) selectTargets() {
-	teams := c.Cfg.Teams
-	if teams < 1 {
-		teams = 1
-	}
 	c.teamOf = make(map[netaddr.Addr]int)
 	seen := make(map[netaddr.Addr]bool)
 	add := func(n *topo.Node, team int) {

@@ -75,7 +75,7 @@ const (
 	msgWorld                       // c→w: wire blob (snapshot) or Params JSON (rebuild)
 	msgBootstrap                   // c→w: []bootJob, the worker's contiguous partition
 	msgTraces                      // w→c: []tracefile.Trace chunk, partition order
-	msgBootDone                    // w→c: counters of the partition
+	msgBootDone                    // w→c: Counters of the partition
 	msgShards                      // c→w: shardMsg
 	msgShardResult                 // w→c: distShardResult, assignment order
 	msgWorkerDone                  // w→c: slotDone
@@ -233,43 +233,43 @@ func (r *remoteSlot) readJSON(want byte, v any) error {
 	return decodeJSON(typ, want, payload, v)
 }
 
-func (r *remoteSlot) traceJobs(jobs []bootJob, emit func(int, *probe.Trace) error) (counters, error) {
+func (r *remoteSlot) traceJobs(jobs []bootJob, emit func(int, *probe.Trace) error) (Counters, error) {
 	if err := writeJSON(r.conn, msgBootstrap, jobs); err != nil {
-		return counters{}, err
+		return Counters{}, err
 	}
 	got := 0
 	for {
 		typ, payload, err := r.read()
 		if err != nil {
-			return counters{}, fmt.Errorf("bootstrap: %w", err)
+			return Counters{}, fmt.Errorf("bootstrap: %w", err)
 		}
 		switch typ {
 		case msgTraces:
 			var chunk []tracefile.Trace
 			if err := json.Unmarshal(payload, &chunk); err != nil {
-				return counters{}, err
+				return Counters{}, err
 			}
 			if got+len(chunk) > len(jobs) {
-				return counters{}, fmt.Errorf("bootstrap returned over %d traces", len(jobs))
+				return Counters{}, fmt.Errorf("bootstrap returned over %d traces", len(jobs))
 			}
 			for _, wt := range chunk {
 				tr, err := wt.ToTrace()
 				if err != nil {
-					return counters{}, err
+					return Counters{}, err
 				}
 				if err := emit(got, tr); err != nil {
-					return counters{}, err
+					return Counters{}, err
 				}
 				got++
 			}
 		case msgBootDone:
 			if got != len(jobs) {
-				return counters{}, fmt.Errorf("bootstrap returned %d traces, want %d", got, len(jobs))
+				return Counters{}, fmt.Errorf("bootstrap returned %d traces, want %d", got, len(jobs))
 			}
-			var d counters
+			var d Counters
 			return d, json.Unmarshal(payload, &d)
 		default:
-			return counters{}, fmt.Errorf("unexpected frame type %d in bootstrap", typ)
+			return Counters{}, fmt.Errorf("unexpected frame type %d in bootstrap", typ)
 		}
 	}
 }

@@ -5,7 +5,7 @@ package campaign
 // canonical bootstrap job list, contiguous per-slot partitions replayed
 // into the observed graph in job order, target selection, static shard
 // assignment (shard si on slot si mod ShardWorkers), the deterministic
-// merge, and one set of counters read, subtracted and added the same way
+// merge, and one tally (Counters) read, subtracted and added the same way
 // for every slot.
 //
 // A slot executes its share of each phase on one fabric. A localSlot is
@@ -19,10 +19,10 @@ package campaign
 // fabric, writes only its own partition of the bootstrap trace slice and
 // its own shard results, and the coordinator reads them after the phase
 // barrier. Trace content is independent of probing history for both Paris
-// methods (no loss injection, bandwidth modeling, or ICMP rate limiting
-// is active in generated worlds; UDP Paris restarts its per-prober port
-// cycle from the same seed on every replica), so the partition-shaped
-// execution is byte-identical to one fabric probing everything in order.
+// methods (no ICMP rate limiting is active in generated worlds; UDP Paris
+// restarts its per-prober port cycle from the same seed on every
+// replica), so the partition-shaped execution is byte-identical to one
+// fabric probing everything in order.
 
 import (
 	"sync"
@@ -41,7 +41,7 @@ type executor interface {
 	// traceJobs traces a contiguous partition of the canonical bootstrap
 	// job list, handing trace j to emit in job order, and returns the
 	// counters the partition cost.
-	traceJobs(jobs []bootJob, emit func(j int, tr *probe.Trace) error) (counters, error)
+	traceJobs(jobs []bootJob, emit func(j int, tr *probe.Trace) error) (Counters, error)
 	// probeShards runs the slot's shards in canonical order, handing each
 	// result to emit.
 	probeShards(shards []shard, p *probePlan, emit func(*shardResult) error) error
@@ -74,66 +74,90 @@ func newProbePlan(hdns []*topo.Node, churn *gen.ChurnPlan) *probePlan {
 	return p
 }
 
-// counters is the engine's accounting of one fabric over some window:
-// probes sent, event-budget exhaustion, flow-cache and sweep activity,
-// and lazy-stub fault-ins.
-type counters struct {
-	Probes     uint64                `json:"probes"`
-	BudgetHits uint64                `json:"budget_hits,omitempty"`
-	LoopDrops  uint64                `json:"loop_drops,omitempty"`
-	Flow       netsim.FlowCacheStats `json:"flow"`
-	Sweep      netsim.SweepStats     `json:"sweep"`
-	FaultIns   int                   `json:"fault_ins,omitempty"`
-	FaultInNS  int64                 `json:"fault_in_ns,omitempty"`
+// Counters is the campaign's accounting of one fabric over some window,
+// and the one tally every reader shares: a shard's is one difference of
+// two reads around it, a campaign's is the bootstrap's plus one Add per
+// shard, and ShardStats and Campaign embed it.
+type Counters struct {
+	// Probes and Replies count probe packets sent and matched replies
+	// (traceroutes, fingerprinting, pings, alias resolution and
+	// revelation re-traces).
+	Probes  uint64 `json:"probes"`
+	Replies uint64 `json:"replies"`
+	// BudgetHits counts fabric drains that exhausted their event budget;
+	// LoopDrops the queued events discarded when that happened. Non-zero
+	// values mean probes died inside the fabric (a forwarding loop or
+	// runaway flood) rather than being answered or timing out.
+	BudgetHits uint64 `json:"budget_hits,omitempty"`
+	LoopDrops  uint64 `json:"loop_drops,omitempty"`
+	// FlowCache and Sweep are the flow-trajectory cache and UDP sweep
+	// activity, all zero when disabled or inert. Like a shard's Worker
+	// and Elapsed they are execution details: hit/miss splits vary with
+	// worker count (each replica warms its own trajectories), while the
+	// measured records do not.
+	FlowCache netsim.FlowCacheStats `json:"flow_cache"`
+	Sweep     netsim.SweepStats     `json:"sweep"`
+	// ChurnEvents counts the topology churn events fired, schedule
+	// remainders force-fired at shard end included.
+	ChurnEvents uint64 `json:"churn_events,omitempty"`
+	// FaultIns counts the lazy stubs materialized, on whichever fabric
+	// probed toward them; FaultInNS is the time they took.
+	FaultIns  int   `json:"fault_ins,omitempty"`
+	FaultInNS int64 `json:"fault_in_ns,omitempty"`
 }
 
 // readCounters reads a fabric's cumulative counters.
-func readCounters(in *gen.Internet) counters {
+func readCounters(in *gen.Internet) Counters {
 	fab := in.Net.FabricStats()
 	lz := in.LazyStats()
-	c := counters{
-		BudgetHits: fab.BudgetExhausted,
-		LoopDrops:  fab.DroppedEvents,
-		Flow:       in.Net.FlowCacheStats(),
-		Sweep:      in.Net.SweepStats(),
-		FaultIns:   lz.FaultIns,
-		FaultInNS:  lz.FaultInNS,
+	c := Counters{
+		BudgetHits:  fab.BudgetExhausted,
+		LoopDrops:   fab.DroppedEvents,
+		FlowCache:   in.Net.FlowCacheStats(),
+		Sweep:       in.Net.SweepStats(),
+		ChurnEvents: in.Net.ChurnFired(),
+		FaultIns:    lz.FaultIns,
+		FaultInNS:   lz.FaultInNS,
 	}
 	for _, vp := range in.VPs {
 		c.Probes += vp.Prober.Sent
+		c.Replies += vp.Prober.Recv
 	}
 	return c
 }
 
-// sub returns the per-field difference c − o.
-func (c counters) sub(o counters) counters {
-	return counters{
-		Probes:     c.Probes - o.Probes,
-		BudgetHits: c.BudgetHits - o.BudgetHits,
-		LoopDrops:  c.LoopDrops - o.LoopDrops,
-		Flow:       c.Flow.Sub(o.Flow),
-		Sweep:      c.Sweep.Sub(o.Sweep),
-		FaultIns:   c.FaultIns - o.FaultIns,
-		FaultInNS:  c.FaultInNS - o.FaultInNS,
+// Sub returns the per-field difference c − o.
+func (c Counters) Sub(o Counters) Counters {
+	return Counters{
+		Probes:      c.Probes - o.Probes,
+		Replies:     c.Replies - o.Replies,
+		BudgetHits:  c.BudgetHits - o.BudgetHits,
+		LoopDrops:   c.LoopDrops - o.LoopDrops,
+		FlowCache:   c.FlowCache.Sub(o.FlowCache),
+		Sweep:       c.Sweep.Sub(o.Sweep),
+		ChurnEvents: c.ChurnEvents - o.ChurnEvents,
+		FaultIns:    c.FaultIns - o.FaultIns,
+		FaultInNS:   c.FaultInNS - o.FaultInNS,
 	}
 }
 
-// add accumulates o into c field by field.
-func (c *counters) add(o counters) {
+// Add accumulates o into c field by field.
+func (c *Counters) Add(o Counters) {
 	c.Probes += o.Probes
+	c.Replies += o.Replies
 	c.BudgetHits += o.BudgetHits
 	c.LoopDrops += o.LoopDrops
-	c.Flow.Add(o.Flow)
+	c.FlowCache.Add(o.FlowCache)
 	c.Sweep.Add(o.Sweep)
+	c.ChurnEvents += o.ChurnEvents
 	c.FaultIns += o.FaultIns
 	c.FaultInNS += o.FaultInNS
 }
 
-// slotDone closes a slot's session: the counters of all its phases and,
-// for a replica, its resident router count.
+// slotDone closes a slot's session: for a replica, its resident router
+// count.
 type slotDone struct {
-	Used     counters `json:"used"`
-	Resident int      `json:"resident,omitempty"`
+	Resident int `json:"resident,omitempty"`
 }
 
 // proberSettings are the prober tunables every slot copies from the
@@ -163,7 +187,6 @@ type localSlot struct {
 	// replica is false for the serial engine's slot, which probes the
 	// source fabric and holds no replica of its own.
 	replica bool
-	used    counters
 }
 
 func newLocalSlot(in *gen.Internet, cfg Config, probers []proberSettings, replica bool) *localSlot {
@@ -173,41 +196,35 @@ func newLocalSlot(in *gen.Internet, cfg Config, probers []proberSettings, replic
 }
 
 // drive binds the fabric to the calling goroutine for one phase and
-// applies the phase's prober discipline; the returned func bills the
-// phase's counters to the slot and releases the fabric.
-func (s *localSlot) drive(firstTTL uint8) func() counters {
+// applies the phase's prober discipline; the phase releases the fabric
+// when it ends.
+func (s *localSlot) drive(firstTTL uint8) {
 	s.in.Net.BindOwner()
 	for i, vp := range s.in.VPs {
 		p, set := vp.Prober, s.probers[i]
 		p.FirstTTL, p.Method = firstTTL, s.cfg.Method
 		p.MaxTTL, p.GapLimit, p.Attempts, p.FlowID = set.MaxTTL, set.GapLimit, set.Attempts, set.FlowID
 	}
-	c0 := readCounters(s.in)
-	return func() counters {
-		d := readCounters(s.in).sub(c0)
-		s.used.add(d)
-		s.in.Net.ReleaseOwner()
-		return d
-	}
 }
 
 // traceJobs always probes from TTL 1: the bootstrap maps the whole path,
 // gateway included, whatever FirstTTL a previous campaign on the same
 // fabric left behind, so its probe count is invariant across runs.
-func (s *localSlot) traceJobs(jobs []bootJob, emit func(int, *probe.Trace) error) (counters, error) {
-	done := s.drive(1)
+func (s *localSlot) traceJobs(jobs []bootJob, emit func(int, *probe.Trace) error) (Counters, error) {
+	s.drive(1)
+	defer s.in.Net.ReleaseOwner()
+	c0 := readCounters(s.in)
 	for j, job := range jobs {
 		if err := emit(j, s.in.VPs[job.VP].Prober.Traceroute(job.Dst)); err != nil {
-			done()
-			return counters{}, err
+			return Counters{}, err
 		}
 	}
-	return done(), nil
+	return readCounters(s.in).Sub(c0), nil
 }
 
 func (s *localSlot) probeShards(shards []shard, p *probePlan, emit func(*shardResult) error) error {
-	done := s.drive(s.cfg.FirstTTL)
-	defer done()
+	s.drive(s.cfg.FirstTTL)
+	defer s.in.Net.ReleaseOwner()
 	for _, sh := range shards {
 		if err := emit(runShard(s.in, sh, p, s.cfg.ChurnFlushWorld)); err != nil {
 			return err
@@ -217,7 +234,7 @@ func (s *localSlot) probeShards(shards []shard, p *probePlan, emit func(*shardRe
 }
 
 func (s *localSlot) finish() (slotDone, error) {
-	d := slotDone{Used: s.used}
+	var d slotDone
 	if s.replica {
 		d.Resident = s.in.LazyStats().Resident
 	}
@@ -233,15 +250,15 @@ type engine struct {
 	// it (alias resolution, job enumeration, graph replay, selection) and
 	// is paused while slots run, so a slot on the source fabric is never
 	// billed twice.
-	own      counters
-	ownStart counters
+	own      Counters
+	ownStart Counters
 }
 
 func (e *engine) resume() { e.ownStart = readCounters(e.in) }
-func (e *engine) pause()  { e.own.add(readCounters(e.in).sub(e.ownStart)) }
+func (e *engine) pause()  { e.own.Add(readCounters(e.in).Sub(e.ownStart)) }
 
 // owned returns the coordinator's own source counters so far.
-func (e *engine) owned() counters {
+func (e *engine) owned() Counters {
 	e.pause()
 	e.resume()
 	return e.own
@@ -288,7 +305,7 @@ func (e *engine) run() (*Campaign, error) {
 	c.ITDK = topo.New(c.resolver())
 	jobs := c.bootstrapJobs()
 	traces := make([]*probe.Trace, len(jobs))
-	boot := make([]counters, len(e.slots))
+	boot := make([]Counters, len(e.slots))
 	err := e.each(func(i int, x executor) error {
 		lo, hi := len(jobs)*i/len(e.slots), len(jobs)*(i+1)/len(e.slots)
 		var err error
@@ -310,7 +327,7 @@ func (e *engine) run() (*Campaign, error) {
 	c.selectTargets()
 	c.boot = e.owned()
 	for _, d := range boot {
-		c.boot.add(d)
+		c.boot.Add(d)
 	}
 	c.Phase.Bootstrap = time.Since(t0)
 	// Every VP — including ones that end up with no targets but still run
@@ -347,18 +364,12 @@ func (e *engine) run() (*Campaign, error) {
 	c.Phase.Probe = time.Since(t0)
 
 	c.merge(results)
-	// Lazy reports the source's resident set, with fault-ins summed over
-	// every fabric the campaign drove.
-	own := e.owned()
 	c.Lazy = in.LazyStats()
-	c.Lazy.FaultIns, c.Lazy.FaultInNS = own.FaultIns, own.FaultInNS
 	for i, x := range e.slots {
 		d, err := x.finish()
 		if err != nil {
 			return nil, &WorkerError{Worker: i, Err: err}
 		}
-		c.Lazy.FaultIns += d.Used.FaultIns
-		c.Lazy.FaultInNS += d.Used.FaultInNS
 		c.ReplicaResident += d.Resident
 	}
 	return c, nil

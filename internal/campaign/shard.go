@@ -6,7 +6,6 @@ import (
 	"wormhole/internal/fingerprint"
 	"wormhole/internal/gen"
 	"wormhole/internal/netaddr"
-	"wormhole/internal/netsim"
 	"wormhole/internal/reveal"
 )
 
@@ -15,37 +14,20 @@ import (
 type ShardStats struct {
 	// Shard is the canonical shard index; Team the owning team.
 	Shard, Team int
-	// Worker is the pool slot that executed the shard. Scheduling-
-	// dependent in parallel runs — everything else in the campaign output
-	// is not.
+	// Worker is the slot that executed the shard: shard index mod
+	// Campaign.ShardWorkers.
 	Worker int
 	// Targets is the number of destinations probed.
 	Targets int
-	// Probes and Replies count probe packets sent and matched replies
-	// (traceroutes, fingerprinting, pings, and revelation re-traces).
-	Probes, Replies uint64
+	// Counters is the shard's tally, one difference of its fabric's
+	// counters around it.
+	Counters
 	// Candidates counts revelation triggers among the shard's traces;
 	// Revelations the distinct pairs that revealed at least one hop.
 	Candidates, Revelations int
 	// MaxRevealDepth is the deepest revelation recursion (re-trace steps
 	// of the longest backward walk).
 	MaxRevealDepth int
-	// BudgetHits counts fabric drains that exhausted their event budget
-	// during the shard; LoopDrops the queued events silently discarded
-	// when that happened. Non-zero values mean probes died inside the
-	// fabric (a forwarding loop or runaway flood) rather than timing out.
-	BudgetHits, LoopDrops uint64
-	// FlowCache is the shard's flow-trajectory cache activity. Like
-	// Worker and Elapsed it is an execution detail: hit/miss splits vary
-	// with worker count (each replica warms its own trajectories), while
-	// the measured records do not.
-	FlowCache netsim.FlowCacheStats
-	// Sweep is the shard's single-injection sweep activity — an execution
-	// detail like FlowCache.
-	Sweep netsim.SweepStats
-	// ChurnEvents counts the topology churn events fired during the
-	// shard (schedule remainders force-fired at shard end included).
-	ChurnEvents uint64
 	// Elapsed is the wall-clock time the shard took; VirtualElapsed the
 	// fabric time its probes consumed.
 	Elapsed, VirtualElapsed time.Duration
@@ -81,7 +63,7 @@ func (c *Campaign) buildShards() []shard {
 		return nil
 	}
 	var shards []shard
-	for team := 0; team < max(c.Cfg.Teams, 1); team++ {
+	for team := 0; team < teams; team++ {
 		var targets []netaddr.Addr
 		for _, dst := range c.Targets { // already sorted
 			if c.teamOf[dst] == team {
@@ -117,9 +99,7 @@ func runShard(in *gen.Internet, sh shard, p *probePlan, flushWorld bool) *shardR
 	}
 	prober := in.VPs[sh.Team%len(in.VPs)].Prober
 	c0 := readCounters(in)
-	recv0 := prober.Recv
 	clock0 := in.Net.Now()
-	fired0 := in.Net.ChurnFired()
 	in.Net.ChurnBegin(p.churn.EventsFor(in, sh.Idx, len(sh.Targets)), flushWorld)
 	start := time.Now()
 
@@ -186,16 +166,9 @@ func runShard(in *gen.Internet, sh shard, p *probePlan, flushWorld bool) *shardR
 	// restore the pristine control plane, and their invalidations land in
 	// the shard's cache accounting.
 	in.Net.ChurnEnd()
-	d := readCounters(in).sub(c0)
-	res.stats.ChurnEvents = in.Net.ChurnFired() - fired0
-	res.stats.Probes = d.Probes
-	res.stats.Replies = prober.Recv - recv0
+	res.stats.Counters = readCounters(in).Sub(c0)
 	res.stats.Elapsed = time.Since(start)
 	res.stats.VirtualElapsed = in.Net.Now() - clock0
-	res.stats.BudgetHits = d.BudgetHits
-	res.stats.LoopDrops = d.LoopDrops
-	res.stats.FlowCache = d.Flow
-	res.stats.Sweep = d.Sweep
 	return res
 }
 
@@ -204,13 +177,12 @@ func runShard(in *gen.Internet, sh shard, p *probePlan, flushWorld bool) *shardR
 // campaign-level VP of their team, the first shard to fingerprint an
 // address wins, and revelations are canonicalized so every record of a
 // candidate pair shares the pair's first revelation object — exactly what
-// a serial pass over the same shards produces. The campaign totals start
-// from the bootstrap's counters.
+// a serial pass over the same shards produces. The campaign's tally is
+// the bootstrap's plus every shard's.
 func (c *Campaign) merge(results []*shardResult) {
 	c.Fingerprints = make(map[netaddr.Addr]fingerprint.Result)
 	c.FingerprintVP = make(map[netaddr.Addr]*gen.VP)
-	c.Probes, c.BudgetHits, c.LoopDrops = c.boot.Probes, c.boot.BudgetHits, c.boot.LoopDrops
-	c.FlowCache, c.Sweep = c.boot.Flow, c.boot.Sweep
+	c.Counters = c.boot
 	canonical := make(map[revealPair]*reveal.Revelation)
 	for _, res := range results {
 		vp := c.vpForTeam(res.sh.Team)
@@ -233,13 +205,7 @@ func (c *Campaign) merge(results []*shardResult) {
 				c.FingerprintVP[a] = vp
 			}
 		}
-		s := res.stats
-		c.Shards = append(c.Shards, s)
-		c.Probes += s.Probes
-		c.BudgetHits += s.BudgetHits
-		c.LoopDrops += s.LoopDrops
-		c.ChurnEvents += s.ChurnEvents
-		c.FlowCache.Add(s.FlowCache)
-		c.Sweep.Add(s.Sweep)
+		c.Shards = append(c.Shards, res.stats)
+		c.Counters.Add(res.stats.Counters)
 	}
 }

@@ -274,11 +274,11 @@ func cmdCampaign(args []string) error {
 	if *dist > 0 {
 		printf("distributed: %d worker processes, %s replicas\n", c.Workers, *distReplica)
 	}
-	if st := c.Lazy; st.Resident != st.Total || st.FaultIns > 0 {
+	if st := c.Lazy; st.Resident != st.Total || c.FaultIns > 0 {
 		printf("lazy fabric: resident %d of %d routers (%d of %d stubs), %d fault-ins",
-			st.Resident, st.Total, st.ResidentStubs, st.TotalStubs, st.FaultIns)
-		if st.FaultIns > 0 {
-			printf(" (%.2f ms total)", float64(st.FaultInNS)/1e6)
+			st.Resident, st.Total, st.ResidentStubs, st.TotalStubs, c.FaultIns)
+		if c.FaultIns > 0 {
+			printf(" (%.2f ms total)", float64(c.FaultInNS)/1e6)
 		}
 		if c.ReplicaResident > 0 {
 			printf(", %d resident across %d replicas", c.ReplicaResident, c.Workers)
@@ -381,7 +381,6 @@ func startProfiles(prefix string) (stop func(), err error) {
 	}, nil
 }
 
-// cmdBench runs the benchrun suite and writes the JSON report.
 // spawnWorkerProcess launches one distributed-campaign worker by
 // re-execing this binary's worker subcommand against the coordinator's
 // socket.
@@ -418,6 +417,7 @@ func cmdWorker(args []string) error {
 	return campaign.ServeWorker(conn)
 }
 
+// cmdBench runs the benchrun suite and writes the JSON report.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	seed := fs.Int64("seed", 2024, "generator seed")
@@ -428,40 +428,16 @@ func cmdBench(args []string) error {
 	scalesOnly := fs.Bool("scales-only", false, "measure only the scale ladder (skip clone and campaign matrices)")
 	distCSV := fs.String("dist", "2,4", "comma-separated worker counts for the distributed-engine rows (real worker processes; empty = skip)")
 	outPath := fs.String("out", "BENCH_campaign.json", "output JSON path")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole suite to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	pprofPrefix := fs.String("pprof", "", "write CPU and heap profiles of the whole suite to <prefix>.cpu.pb.gz and <prefix>.heap.pb.gz")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cpuProfile != "" {
-		cpu, err := os.Create(*cpuProfile)
+	if *pprofPrefix != "" {
+		stop, err := startProfiles(*pprofPrefix)
 		if err != nil {
 			return err
 		}
-		if err := pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close()
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			cpu.Close()
-			printf("cpu profile written to %s\n", *cpuProfile)
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			heap, err := os.Create(*memProfile)
-			if err != nil {
-				printf("memprofile: %v\n", err)
-				return
-			}
-			defer heap.Close()
-			if err := pprof.WriteHeapProfile(heap); err != nil {
-				printf("memprofile: %v\n", err)
-				return
-			}
-			printf("heap profile written to %s\n", *memProfile)
-		}()
+		defer stop()
 	}
 	scale, err := parseScale(*scaleName)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"wormhole/internal/fingerprint"
 	"wormhole/internal/lab"
 	"wormhole/internal/netaddr"
 	"wormhole/internal/probe"
@@ -116,7 +117,7 @@ func Table1Signatures() (*Report, error) {
 			ok = false
 			continue
 		}
-		sig := fmt.Sprintf("<%d, %d>", inferInitial(te), inferInitial(echo.ReplyTTL))
+		sig := fmt.Sprintf("<%d, %d>", fingerprint.InferInitial(te), fingerprint.InferInitial(echo.ReplyTTL))
 		want := fmt.Sprintf("<%d, %d>", pc.p.TimeExceededTTL, pc.p.EchoReplyTTL)
 		if sig != want {
 			ok = false
@@ -133,21 +134,6 @@ func Table1Signatures() (*Report, error) {
 		Text:  table([]string{"Router Signature", "Router Brand and OS"}, rows),
 		Check: check,
 	}, nil
-}
-
-func inferInitial(observed uint8) int {
-	switch {
-	case observed == 0:
-		return 0
-	case observed <= 32:
-		return 32
-	case observed <= 64:
-		return 64
-	case observed <= 128:
-		return 128
-	default:
-		return 255
-	}
 }
 
 // Table2Visibility regenerates Table 2: for every combination of LDP

@@ -421,7 +421,7 @@ func Build(p Params) (_ *Internet, err error) {
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	in := &Internet{
-		Net:     netsim.New(p.Seed ^ 0x5eed),
+		Net:     netsim.New(),
 		asByNum: make(map[uint32]*ASInfo),
 		params:  p,
 		rng:     rng,
@@ -455,37 +455,9 @@ func Build(p Params) (_ *Internet, err error) {
 	transits := build(Transit, p.NumTransit)
 	stubs := build(Stub, p.NumStub)
 
-	// 2. Inter-AS wiring.
-	var sessions []*bgp.Session
-	link := func(a, b *ASInfo, rel bgp.Relationship) {
-		sessions = append(sessions, in.connectASes(p, a, b, rel))
-	}
-	for i := 0; i < len(tier1s); i++ {
-		for j := i + 1; j < len(tier1s); j++ {
-			link(tier1s[i], tier1s[j], bgp.APeerOfB)
-		}
-	}
-	for _, tr := range transits {
-		providers := 1 + rng.Intn(2)
-		perm := rng.Perm(len(tier1s))
-		for k := 0; k < providers && k < len(perm); k++ {
-			link(tr, tier1s[perm[k]], bgp.ACustomerOfB)
-		}
-	}
-	for i := 0; i < len(transits); i++ {
-		for j := i + 1; j < len(transits); j++ {
-			if rng.Float64() < p.TransitPeerProb {
-				link(transits[i], transits[j], bgp.APeerOfB)
-			}
-		}
-	}
-	for _, st := range stubs {
-		providers := 1 + rng.Intn(2)
-		perm := rng.Perm(len(transits))
-		for k := 0; k < providers && k < len(perm); k++ {
-			link(st, transits[perm[k]], bgp.ACustomerOfB)
-		}
-	}
+	// 2. Inter-AS wiring: the core, then stubs buying from transits.
+	sessions := in.wireCore(p, tier1s, transits)
+	sessions = in.buyTransit(p, sessions, stubs, transits)
 
 	// 3. Vantage points on distinct stubs.
 	vpStubs := rng.Perm(len(stubs))
@@ -494,13 +466,57 @@ func Build(p Params) (_ *Internet, err error) {
 		in.attachVP(in.rng, p, as, i)
 	}
 
-	// 4. Control planes: IGP per AS, LDP where MPLS, then BGP.
-	var bgpASes []*bgp.AS
-	for _, as := range in.ASes {
+	// 4. Control planes.
+	if err := in.converge(in.ASes, sessions); err != nil {
+		return nil, err
+	}
+	in.finishAddrIndex()
+	return in, nil
+}
+
+// wireCore joins the core ASes both builders share: a tier-1 full mesh,
+// each transit buying from one or two tier-1s, and transit pairs peering
+// with TransitPeerProb.
+func (in *Internet) wireCore(p Params, tier1s, transits []*ASInfo) []*bgp.Session {
+	var sessions []*bgp.Session
+	for i := range tier1s {
+		for j := i + 1; j < len(tier1s); j++ {
+			sessions = append(sessions, in.connectASes(p, tier1s[i], tier1s[j], bgp.APeerOfB))
+		}
+	}
+	sessions = in.buyTransit(p, sessions, transits, tier1s)
+	for i := range transits {
+		for j := i + 1; j < len(transits); j++ {
+			if in.rng.Float64() < p.TransitPeerProb {
+				sessions = append(sessions, in.connectASes(p, transits[i], transits[j], bgp.APeerOfB))
+			}
+		}
+	}
+	return sessions
+}
+
+// buyTransit has each customer buy from one or two distinct providers,
+// appending the sessions to sessions.
+func (in *Internet) buyTransit(p Params, sessions []*bgp.Session, customers, providers []*ASInfo) []*bgp.Session {
+	for _, c := range customers {
+		n := 1 + in.rng.Intn(2)
+		perm := in.rng.Perm(len(providers))
+		for k := 0; k < n && k < len(perm); k++ {
+			sessions = append(sessions, in.connectASes(p, c, providers[perm[k]], bgp.ACustomerOfB))
+		}
+	}
+	return sessions
+}
+
+// converge runs the control planes of ases — IGP, then LDP and RSVP-TE
+// where MPLS — and one valley-free BGP pass over them and sessions.
+func (in *Internet) converge(ases []*ASInfo, sessions []*bgp.Session) error {
+	bgpASes := make([]*bgp.AS, 0, len(ases))
+	for _, as := range ases {
 		dom := &igp.Domain{Routers: as.Routers()}
 		spf, err := dom.Compute()
 		if err != nil {
-			return nil, fmt.Errorf("gen: AS%d SPF: %w", as.Num, err)
+			return fmt.Errorf("gen: AS%d SPF: %w", as.Num, err)
 		}
 		as.spf = spf
 		if as.Profile.MPLS {
@@ -516,11 +532,7 @@ func Build(p Params) (_ *Internet, err error) {
 			SPF:      spf,
 		})
 	}
-	if err := bgp.Compute(&bgp.Topology{ASes: bgpASes, Sessions: sessions}); err != nil {
-		return nil, err
-	}
-	in.finishAddrIndex()
-	return in, nil
+	return bgp.Compute(&bgp.Topology{ASes: bgpASes, Sessions: sessions})
 }
 
 // finishAddrIndex sorts the ground-truth index once registration is done;
@@ -831,7 +843,6 @@ func (in *Internet) buildASRouters(rng *rand.Rand, p Params, as *ASInfo, nCore, 
 			LDP:          pol,
 		}
 		r := router.New(fmt.Sprintf("as%d-%s%d", num, kind, i), pers, cfg)
-		r.SetASN(num)
 		lo := r.SetLoopback(as.loopback())
 		in.Net.AddNode(r)
 		in.register(lo, r, as)

@@ -6,9 +6,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"wormhole/internal/bgp"
-	"wormhole/internal/igp"
-	"wormhole/internal/ldp"
 	"wormhole/internal/netaddr"
 	"wormhole/internal/netsim"
 )
@@ -67,7 +64,7 @@ func buildHierarchical(p Params) (*Internet, error) {
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	in := &Internet{
-		Net:     netsim.New(p.Seed ^ 0x5eed),
+		Net:     netsim.New(),
 		asByNum: make(map[uint32]*ASInfo, p.NumTier1+p.NumTransit+p.NumStub),
 		params:  p,
 		rng:     rng,
@@ -106,63 +103,16 @@ func buildHierarchical(p Params) (*Internet, error) {
 		transits = append(transits, mkCore(Transit, agg, floor))
 	}
 
-	// 2. Core wiring: tier-1 full mesh, transits buying from 1-2 tier-1s,
-	// probabilistic transit peering — the flat builder's shapes.
-	var coreSessions []*bgp.Session
-	link := func(a, b *ASInfo, rel bgp.Relationship) {
-		coreSessions = append(coreSessions, in.connectASes(p, a, b, rel))
-	}
-	for i := 0; i < len(tier1s); i++ {
-		for j := i + 1; j < len(tier1s); j++ {
-			link(tier1s[i], tier1s[j], bgp.APeerOfB)
-		}
-	}
-	for _, tr := range transits {
-		providers := 1 + rng.Intn(2)
-		perm := rng.Perm(len(tier1s))
-		for k := 0; k < providers && k < len(perm); k++ {
-			link(tr, tier1s[perm[k]], bgp.ACustomerOfB)
-		}
-	}
-	for i := 0; i < len(transits); i++ {
-		for j := i + 1; j < len(transits); j++ {
-			if rng.Float64() < p.TransitPeerProb {
-				link(transits[i], transits[j], bgp.APeerOfB)
-			}
-		}
-	}
-
-	// 3. Core control planes: IGP, LDP, TE per AS, then one full
-	// valley-free BGP pass over the core only.
+	// 2. Core wiring and control planes, as in the flat builder, with
+	// one full valley-free BGP pass over the core only.
 	coreASes := make([]*ASInfo, 0, len(tier1s)+len(transits))
 	coreASes = append(coreASes, tier1s...)
 	coreASes = append(coreASes, transits...)
-	bgpCore := make([]*bgp.AS, 0, len(coreASes))
-	for _, as := range coreASes {
-		dom := &igp.Domain{Routers: as.Routers()}
-		spf, err := dom.Compute()
-		if err != nil {
-			return nil, fmt.Errorf("gen: AS%d SPF: %w", as.Num, err)
-		}
-		as.spf = spf
-		if as.Profile.MPLS {
-			ldp.Build(as.Routers(), spf)
-			if as.Profile.TE {
-				in.addTETunnels(as)
-			}
-		}
-		bgpCore = append(bgpCore, &bgp.AS{
-			Num:      as.Num,
-			Routers:  as.Routers(),
-			Prefixes: []netaddr.Prefix{as.Aggregate},
-			SPF:      spf,
-		})
-	}
-	if err := bgp.Compute(&bgp.Topology{ASes: bgpCore, Sessions: coreSessions}); err != nil {
+	if err := in.converge(coreASes, in.wireCore(p, tier1s, transits)); err != nil {
 		return nil, err
 	}
 
-	// 4. Vantage-point slots: distinct stubs chosen up front so streaming
+	// 3. Vantage-point slots: distinct stubs chosen up front so streaming
 	// can attach each VP the moment its stub exists.
 	vpSlot := make(map[int]int, p.NumVPs)
 	vpPerm := rng.Perm(p.NumStub)
@@ -170,7 +120,7 @@ func buildHierarchical(p Params) (*Internet, error) {
 		vpSlot[vpPerm[i]] = i
 	}
 
-	// 5. Plan every stub from the build rng: coordinates, providers,
+	// 4. Plan every stub from the build rng: coordinates, providers,
 	// profile, router count, a private construction seed, and the carved
 	// /20 — everything the eager build would have decided globally, and
 	// nothing that requires construction. Consecutive stubs share a
@@ -249,7 +199,7 @@ func buildHierarchical(p Params) (*Internet, error) {
 	lz.resident = make(bitset, (len(lz.descs)+63)/64)
 	lz.residentRouters = lz.coreRouters
 
-	// 6. Materialize: everything for the eager build, only the VP stubs
+	// 5. Materialize: everything for the eager build, only the VP stubs
 	// for a lazy one — the rest faults in on first touch via the hook.
 	for si := range lz.descs {
 		if p.LazyStubs && lz.descs[si].vp < 0 {

@@ -25,9 +25,9 @@ package gen
 //
 //	header   magic "WSN1" + u16 version
 //	1 params    the exact Build() input
-//	2 netbasis  fabric seed, virtual clock, event seq, fabric counters
+//	2 netbasis  virtual clock, event seq, fabric counters
 //	3 nodes     counting prelude + per-node records, fabric order
-//	4 links     endpoint interface ids + delay/up/loss/rate/occupancy
+//	4 links     endpoint interface ids + delay/up
 //	5 regifaces registered interface ids, address-sorted
 //	6 ases      AS metadata, router indices, TE history, lazy records
 //	7 vps       host index, AS index, prober knobs
@@ -58,7 +58,7 @@ import (
 
 const (
 	wireMagic   = 0x314e5357 // "WSN1" little-endian
-	wireVersion = 3
+	wireVersion = 4
 
 	secParams    = 1
 	secNetBasis  = 2
@@ -99,7 +99,7 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 		stats.Routers*64 + stats.Ifaces*28 + stats.Locals*4 +
 		stats.Routes*9 + stats.NHops*8 + stats.Binds*10 + stats.LHops*10 +
 		stats.Unders*4 + stats.LFIB*10 + stats.TrieNodes*13 +
-		nLinks*40 + len(in.addrRecs)*12 + len(in.ASes)*96
+		nLinks*17 + len(in.addrRecs)*12 + len(in.ASes)*96
 	if lz := in.lazy; lz != nil {
 		est += len(lz.descs)*36 + len(lz.spans)*8 + len(lz.resident)*8
 	}
@@ -134,7 +134,6 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 	// 2: netbasis.
 	mark = w.BeginSection(secNetBasis)
 	clock, seq, fstats := in.Net.WireBasis()
-	w.I64(in.Net.Seed())
 	w.I64(int64(clock))
 	w.U64(seq)
 	w.U64(fstats.Deliveries)
@@ -187,11 +186,6 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 		w.I32(ib)
 		w.I64(int64(l.Delay))
 		w.Bool(l.Up)
-		w.U64(math.Float64bits(l.LossProb))
-		w.I64(l.BytesPerSec)
-		busy := l.BusyUntil()
-		w.I64(int64(busy[0]))
-		w.I64(int64(busy[1]))
 	}
 	w.EndSection(mark)
 
@@ -397,7 +391,6 @@ func DecodeWire(buf []byte) (*Internet, error) {
 
 	// 2: netbasis.
 	sec = rd.Section(secNetBasis)
-	seed := sec.I64()
 	clock := time.Duration(sec.I64())
 	seq := sec.U64()
 	var fstats netsim.FabricStats
@@ -407,7 +400,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 	if err := sec.Err(); err != nil {
 		return nil, err
 	}
-	net := netsim.New(seed)
+	net := netsim.New()
 	net.SetWireBasis(clock, seq, fstats)
 
 	out := &Internet{
@@ -469,24 +462,17 @@ func DecodeWire(buf []byte) (*Internet, error) {
 
 	// 4: links.
 	sec = rd.Section(secLinks)
-	nLinks := wireCount(sec, 42)
+	nLinks := wireCount(sec, 17)
 	net.ReserveLinks(nLinks)
 	for i := 0; i < nLinks; i++ {
 		a := ifByID(sec, sec.I32())
 		b := ifByID(sec, sec.I32())
 		delay := time.Duration(sec.I64())
 		up := sec.Bool()
-		loss := math.Float64frombits(sec.U64())
-		rate := sec.I64()
-		busy := [2]time.Duration{time.Duration(sec.I64()), time.Duration(sec.I64())}
 		if sec.Err() != nil {
 			break
 		}
-		l := net.Connect(a, b, delay)
-		l.Up = up
-		l.LossProb = loss
-		l.BytesPerSec = rate
-		l.SetBusyUntil(busy)
+		net.Connect(a, b, delay).Up = up
 	}
 	if err := sec.Err(); err != nil {
 		return nil, err

@@ -26,7 +26,7 @@ type diamond struct {
 
 func buildDiamond(t *testing.T) *diamond {
 	t.Helper()
-	net := netsim.New(3)
+	net := netsim.New()
 	mk := func(name string) *router.Router {
 		r := router.New(name, router.Cisco, router.Config{TTLPropagate: true})
 		net.AddNode(r)
@@ -207,7 +207,7 @@ func TestNonPositiveMetricRejected(t *testing.T) {
 }
 
 func TestDisconnectedRouterHasNoRoute(t *testing.T) {
-	net := netsim.New(1)
+	net := netsim.New()
 	r1 := router.New("r1", router.Cisco, router.Config{})
 	r2 := router.New("r2", router.Cisco, router.Config{})
 	net.AddNode(r1)

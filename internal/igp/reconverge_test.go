@@ -27,7 +27,7 @@ type mplsDiamond struct {
 
 func buildMPLSDiamond(t *testing.T) *mplsDiamond {
 	t.Helper()
-	net := netsim.New(12)
+	net := netsim.New()
 	f := &mplsDiamond{net: net}
 	cfg := router.Config{MPLSEnabled: true, LDP: router.LDPAllPrefixes} // invisible
 	mk := func(name string, i int) *router.Router {

@@ -49,7 +49,7 @@ type DoubleLab struct {
 // BuildDouble constructs the two-tunnel testbed; both transit ASes run
 // invisible LDP tunnels (all-prefix, no ttl-propagate, PHP).
 func BuildDouble() (*DoubleLab, error) {
-	net := netsim.New(77)
+	net := netsim.New()
 	l := &DoubleLab{Net: net}
 
 	mplsCfg := router.Config{MPLSEnabled: true, LDP: router.LDPAllPrefixes}
@@ -135,9 +135,6 @@ func BuildDouble() (*DoubleLab, error) {
 
 	// IGPs + LDP per AS.
 	mkAS := func(num uint32, prefixes []string, routers ...*router.Router) (*bgp.AS, error) {
-		for _, r := range routers {
-			r.SetASN(num)
-		}
 		dom := &igp.Domain{Routers: routers}
 		spf, err := dom.Compute()
 		if err != nil {

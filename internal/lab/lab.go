@@ -122,7 +122,7 @@ func Build(o Options) (*Lab, error) {
 	}
 	ipCfg := router.Config{TTLPropagate: true} // plain IP client routers
 
-	net := netsim.New(42)
+	net := netsim.New()
 	l := &Lab{Net: net}
 
 	l.CE1 = router.New("CE1", router.Cisco, ipCfg)
@@ -243,11 +243,6 @@ func Build(o Options) (*Lab, error) {
 		}}
 	as3 := &bgp.AS{Num: 3, Routers: dom3.Routers, SPF: spf3,
 		Prefixes: []netaddr.Prefix{netaddr.MustParsePrefix("192.168.3.1/32")}}
-	for i, as := range []*bgp.AS{as1, as2, as3} {
-		for _, r := range as.Routers {
-			r.SetASN(uint32(i + 1))
-		}
-	}
 	topo := &bgp.Topology{
 		ASes: []*bgp.AS{as1, as2, as3},
 		Sessions: []*bgp.Session{

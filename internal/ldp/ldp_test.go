@@ -25,7 +25,7 @@ type fixture struct {
 
 func build(t *testing.T, cfgs []router.Config) *fixture {
 	t.Helper()
-	net := netsim.New(3)
+	net := netsim.New()
 	f := &fixture{net: net}
 	f.rs = make([]*router.Router, len(cfgs))
 	for i, cfg := range cfgs {

@@ -279,8 +279,8 @@ func (n *Network) InvalidateFlowCacheScoped(nd Node) {
 //
 // The bracket exists for lazy-fabric materialization (gen's fault-in
 // stubs). Materializing a stub is purely *additive* from the cache's
-// point of view: the new routers and links are clean (no loss, no rate
-// limiting — purity is preserved), and the only mutations on
+// point of view: the new routers are clean (no rate limiting — purity is
+// preserved), and the only mutations on
 // already-built routers are customer routes for the stub's fresh address
 // block. The fault-in hook fires before the first probe toward that
 // block, so no cached trajectory or reply shape can reference it — there

@@ -14,7 +14,7 @@ import (
 // scopes can be expressed over real nodes.
 func churnHosts(t *testing.T, n int) (*Network, []*Host) {
 	t.Helper()
-	net := New(1)
+	net := New()
 	p := netaddr.MustParsePrefix("10.9.0.0/24")
 	hosts := make([]*Host, n)
 	for i := range hosts {
@@ -138,7 +138,7 @@ func TestChurnMidDrainPoisonsRecording(t *testing.T) {
 // a probe from pair i's first host to its second touches that pair only.
 func echoPairs(t *testing.T, n int) (*Network, [][2]*Host) {
 	t.Helper()
-	net := New(1)
+	net := New()
 	pairs := make([][2]*Host, n)
 	for i := range pairs {
 		p := netaddr.MustPrefixFrom(netaddr.AddrFrom4(10, 8, byte(i), 0), 30)
@@ -322,7 +322,7 @@ func TestChurnMasksReplyShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			net := New(1)
+			net := New()
 			var nodes [4]*cacheableNode
 			scope := make([]Node, len(nodes))
 			for i := range nodes {

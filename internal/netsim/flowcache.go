@@ -21,10 +21,9 @@ import (
 // Correctness rests on three pillars:
 //
 //   - Purity. The cache only engages when every node is deterministic
-//     (hosts, or routers reporting FlowCacheable) and no link injects loss
-//     or models bandwidth; down links are fine (they drop
-//     deterministically). A Trace hook also disables it, since tracing
-//     must observe every delivery.
+//     (hosts, or routers reporting FlowCacheable); down links are fine
+//     (they drop deterministically). A Trace hook also disables it, since
+//     tracing must observe every delivery.
 //
 //   - TTL lineage. Every TTL field in flight is either an affine function
 //     of the probe's initial TTL (propagated) or a constant seeded from
@@ -344,15 +343,9 @@ func (n *Network) purityOK() bool {
 	return f.pure
 }
 
-// flowPure verifies the fabric is deterministic per flow key: no lossy or
-// bandwidth-modeled links, and every node either a Host or a node that
-// reports itself cacheable.
+// flowPure verifies the fabric is deterministic per flow key: every node
+// either a Host or a node that reports itself cacheable.
 func (n *Network) flowPure() bool {
-	for _, l := range n.links {
-		if l.LossProb > 0 || l.BytesPerSec > 0 {
-			return false
-		}
-	}
 	for _, nd := range n.nodes {
 		if _, ok := nd.(*Host); ok {
 			continue

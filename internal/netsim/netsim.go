@@ -29,7 +29,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -84,20 +83,6 @@ type Link struct {
 	a, b  *Iface
 	Delay time.Duration // one-way propagation delay
 	Up    bool
-
-	// LossProb drops packets independently in each direction with this
-	// probability, using the network's seeded RNG (failure injection).
-	LossProb float64
-
-	// BytesPerSec, when non-zero, models the link's serialization rate:
-	// each packet occupies the link for size/BytesPerSec and subsequent
-	// packets queue behind it (one FIFO per direction). Zero means
-	// infinite bandwidth.
-	BytesPerSec int64
-
-	// busyUntil tracks per-direction transmitter occupancy (index 0 for
-	// a->b, 1 for b->a).
-	busyUntil [2]time.Duration
 }
 
 func (l *Link) other(i *Iface) *Iface {
@@ -120,9 +105,7 @@ type Network struct {
 	clock  time.Duration
 	queue  eventQueue
 	seq    uint64 // tiebreaker for deterministic ordering
-	seed   int64
-	rng    *rand.Rand
-	budget int // remaining deliveries for the current drain (loop guard)
+	budget int    // remaining deliveries for the current drain (loop guard)
 	stats  FabricStats
 
 	// pool recycles the fabric's per-hop packet clones; single-goroutine
@@ -182,14 +165,11 @@ type Network struct {
 // misconfigured topology exhausts it instead of hanging the process.
 const DefaultEventBudget = 1 << 20
 
-// New creates an empty network with a seeded RNG (loss injection and any
-// tie-breaking randomness derive from it, keeping runs reproducible).
-func New(seed int64) *Network {
+// New creates an empty network.
+func New() *Network {
 	return &Network{
 		ifaces:  make(map[netaddr.Addr]*Iface),
 		nodeIdx: make(map[Node]int32),
-		seed:    seed,
-		rng:     rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -303,55 +283,21 @@ func (n *Network) Links() []*Link { return n.links }
 func (n *Network) Now() time.Duration { return n.clock }
 
 // Transmit sends pkt out of interface out. Delivery to the remote end is
-// scheduled after the queueing (bandwidth) and propagation delays; down
-// links and loss-injected packets are silently dropped, as on a real wire.
+// scheduled after the link's propagation delay; a down link silently
+// drops the packet, as a cut wire would.
 func (n *Network) Transmit(out *Iface, pkt *packet.Packet) {
 	l := out.Link
 	if l == nil || !l.Up {
-		n.pool.Release(pkt)
-		return
-	}
-	if l.LossProb > 0 && n.rng.Float64() < l.LossProb {
 		n.pool.Release(pkt) // ownership transferred to the wire; recycle drops
 		return
 	}
-	depart := n.clock
-	if l.BytesPerSec > 0 {
-		dir := 0
-		if out == l.b {
-			dir = 1
-		}
-		start := depart
-		if l.busyUntil[dir] > start {
-			start = l.busyUntil[dir] // queue behind the packet on the wire
-		}
-		tx := time.Duration(int64(wireSize(pkt)) * int64(time.Second) / l.BytesPerSec)
-		l.busyUntil[dir] = start + tx
-		depart = l.busyUntil[dir]
-	}
 	n.seq++
 	n.queue.push(event{
-		at:  depart + l.Delay,
+		at:  n.clock + l.Delay,
 		seq: n.seq,
 		to:  l.other(out),
 		pkt: pkt,
 	})
-}
-
-// wireSize estimates the on-wire byte count without serializing: IPv4
-// header, 4 bytes per label stack entry, the transport header, and any
-// opaque payload. ICMP errors carry their RFC 4884-padded quote.
-func wireSize(pkt *packet.Packet) int {
-	size := 20 + 4*len(pkt.MPLS) + pkt.PayloadLen
-	switch {
-	case pkt.ICMP != nil && pkt.ICMP.IsError():
-		size += 8 + 128 + 16 // header + padded quote + extension estimate
-	case pkt.ICMP != nil:
-		size += 8
-	case pkt.UDP != nil:
-		size += 8
-	}
-	return size
 }
 
 // Inject introduces a packet as if node src emitted it from iface out at

@@ -20,9 +20,9 @@ func link30(t *testing.T, net *Network, a, b *Host, prefix string, delay time.Du
 	}
 }
 
-func pairedHosts(t *testing.T, seed int64, delay time.Duration) (*Network, *Host, *Host) {
+func pairedHosts(t *testing.T, delay time.Duration) (*Network, *Host, *Host) {
 	t.Helper()
-	net := New(seed)
+	net := New()
 	p := netaddr.MustParsePrefix("10.0.0.0/30")
 	h1 := NewHost("h1", p.Nth(1), p)
 	h2 := NewHost("h2", p.Nth(2), p)
@@ -33,7 +33,7 @@ func pairedHosts(t *testing.T, seed int64, delay time.Duration) (*Network, *Host
 }
 
 func TestEchoOverOneLink(t *testing.T) {
-	net, h1, h2 := pairedHosts(t, 1, 5*time.Millisecond)
+	net, h1, h2 := pairedHosts(t, 5*time.Millisecond)
 	var got *packet.Packet
 	h1.Handler = func(net *Network, pkt *packet.Packet) { net.AdoptPacket(pkt); got = pkt }
 
@@ -62,7 +62,7 @@ func TestEchoOverOneLink(t *testing.T) {
 }
 
 func TestUDPProbeGetsPortUnreachable(t *testing.T) {
-	net, h1, h2 := pairedHosts(t, 1, time.Millisecond)
+	net, h1, h2 := pairedHosts(t, time.Millisecond)
 	var got *packet.Packet
 	h1.Handler = func(net *Network, pkt *packet.Packet) { net.AdoptPacket(pkt); got = pkt }
 
@@ -88,7 +88,7 @@ func TestUDPProbeGetsPortUnreachable(t *testing.T) {
 }
 
 func TestHostDoesNotForward(t *testing.T) {
-	net, h1, h2 := pairedHosts(t, 1, time.Millisecond)
+	net, h1, h2 := pairedHosts(t, time.Millisecond)
 	handled := false
 	h2.Handler = func(_ *Network, _ *packet.Packet) { handled = true }
 	probe := &packet.Packet{
@@ -107,7 +107,7 @@ func TestHostDoesNotForward(t *testing.T) {
 }
 
 func TestDownLinkDropsPackets(t *testing.T) {
-	net, h1, h2 := pairedHosts(t, 1, time.Millisecond)
+	net, h1, h2 := pairedHosts(t, time.Millisecond)
 	h1.If.Link.Up = false
 	var got *packet.Packet
 	h1.Handler = func(net *Network, pkt *packet.Packet) { net.AdoptPacket(pkt); got = pkt }
@@ -121,25 +121,8 @@ func TestDownLinkDropsPackets(t *testing.T) {
 	}
 }
 
-func TestLossInjection(t *testing.T) {
-	net, h1, h2 := pairedHosts(t, 7, time.Millisecond)
-	h1.If.Link.LossProb = 1.0
-	replies := 0
-	h1.Handler = func(_ *Network, _ *packet.Packet) { replies++ }
-	for i := 0; i < 10; i++ {
-		probe := &packet.Packet{
-			IP:   packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: h1.Addr(), Dst: h2.Addr()},
-			ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, Seq: uint16(i)},
-		}
-		net.Inject(h1.If, probe)
-	}
-	if replies != 0 {
-		t.Errorf("%d replies over a fully lossy link", replies)
-	}
-}
-
 func TestRegisterIfaceRejectsDuplicates(t *testing.T) {
-	net := New(1)
+	net := New()
 	p := netaddr.MustParsePrefix("10.0.0.0/30")
 	h1 := NewHost("h1", p.Nth(1), p)
 	h2 := NewHost("h2", p.Nth(1), p) // same address on purpose
@@ -156,7 +139,7 @@ func TestRegisterIfaceRejectsDuplicates(t *testing.T) {
 }
 
 func TestVirtualClockAdvancesMonotonically(t *testing.T) {
-	net, h1, h2 := pairedHosts(t, 1, 3*time.Millisecond)
+	net, h1, h2 := pairedHosts(t, 3*time.Millisecond)
 	var at []time.Duration
 	net.Trace = func(ts time.Duration, _ *Iface, _ *packet.Packet) { at = append(at, ts) }
 	probe := &packet.Packet{
@@ -185,7 +168,7 @@ func (l *loopNode) Receive(net *Network, in *Iface, pkt *packet.Packet) {
 }
 
 func TestEventBudgetBreaksForwardingLoops(t *testing.T) {
-	net := New(1)
+	net := New()
 	p := netaddr.MustParsePrefix("10.0.0.0/30")
 	a := &loopNode{name: "a"}
 	a.ifc = &Iface{Owner: a, Name: "x", Addr: p.Nth(1), Prefix: p}
@@ -210,7 +193,7 @@ func TestEventBudgetBreaksForwardingLoops(t *testing.T) {
 // TestOwnerAssertionAllowsOwningGoroutine: a bound fabric driven only by
 // its owner never trips the assertion.
 func TestOwnerAssertionAllowsOwningGoroutine(t *testing.T) {
-	net, h1, h2 := pairedHosts(t, 1, time.Millisecond)
+	net, h1, h2 := pairedHosts(t, time.Millisecond)
 	done := make(chan error, 1)
 	go func() {
 		defer func() {
@@ -237,7 +220,7 @@ func TestOwnerAssertionAllowsOwningGoroutine(t *testing.T) {
 // TestOwnerAssertionPanicsCrossGoroutine: driving a fabric from a
 // goroutine other than its bound owner is a driver bug and must panic.
 func TestOwnerAssertionPanicsCrossGoroutine(t *testing.T) {
-	net, h1, h2 := pairedHosts(t, 1, time.Millisecond)
+	net, h1, h2 := pairedHosts(t, time.Millisecond)
 	net.BindOwner() // owner: the test goroutine
 
 	panicked := make(chan bool, 1)
@@ -288,7 +271,7 @@ func (b *blockingNode) Receive(net *Network, in *Iface, pkt *packet.Packet) {
 // TestConcurrentDrivePanics: even an unbound fabric detects two
 // goroutines draining at once (the no-shared-fabric invariant).
 func TestConcurrentDrivePanics(t *testing.T) {
-	net := New(1)
+	net := New()
 	p := netaddr.MustParsePrefix("10.0.0.0/30")
 	h := NewHost("h", p.Nth(1), p)
 	b := &blockingNode{name: "b", entered: make(chan struct{}), release: make(chan struct{})}
@@ -320,7 +303,7 @@ func TestConcurrentDrivePanics(t *testing.T) {
 }
 
 func TestIfaceRemoteAndString(t *testing.T) {
-	_, h1, h2 := pairedHosts(t, 1, time.Millisecond)
+	_, h1, h2 := pairedHosts(t, time.Millisecond)
 	if h1.If.Remote() != h2.If {
 		t.Error("Remote() wrong")
 	}
@@ -330,66 +313,5 @@ func TestIfaceRemoteAndString(t *testing.T) {
 	lo := &Iface{Owner: h1, Name: "lo0", Addr: netaddr.MustParseAddr("1.1.1.1")}
 	if lo.Remote() != nil {
 		t.Error("loopback Remote must be nil")
-	}
-}
-
-func TestBandwidthQueueing(t *testing.T) {
-	net, h1, h2 := pairedHosts(t, 1, time.Millisecond)
-	// ~1500 bytes/sec: a 28-byte echo occupies the wire for ~18.6ms.
-	h1.If.Link.BytesPerSec = 1500
-
-	var rtts []time.Duration
-	h1.Handler = func(_ *Network, pkt *packet.Packet) {}
-	send := func(seq uint16) time.Duration {
-		start := net.Now()
-		probe := &packet.Packet{
-			IP:   packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: h1.Addr(), Dst: h2.Addr()},
-			ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: 1, Seq: seq},
-		}
-		// Inject two back to back before draining: the second must queue.
-		net.Transmit(h1.If, probe)
-		net.Run()
-		return net.Now() - start
-	}
-	rtts = append(rtts, send(1))
-	if rtts[0] <= 2*time.Millisecond {
-		t.Fatalf("first RTT %v does not include serialization delay", rtts[0])
-	}
-
-	// Two packets injected together: deliveries must be serialized.
-	var arrivals []time.Duration
-	h2.Handler = nil
-	net.Trace = func(ts time.Duration, to *Iface, _ *packet.Packet) {
-		if to == h2.If {
-			arrivals = append(arrivals, ts)
-		}
-	}
-	p1 := &packet.Packet{IP: packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: h1.Addr(), Dst: h2.Addr()},
-		ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: 1, Seq: 10}}
-	p2 := net.PacketPool().Clone(p1)
-	p2.ICMP.Seq = 11
-	net.Transmit(h1.If, p1)
-	net.Transmit(h1.If, p2)
-	net.Run()
-	if len(arrivals) != 2 {
-		t.Fatalf("arrivals = %d", len(arrivals))
-	}
-	gap := arrivals[1] - arrivals[0]
-	if gap < 15*time.Millisecond {
-		t.Errorf("second packet did not queue: gap %v", gap)
-	}
-}
-
-func TestInfiniteBandwidthUnchanged(t *testing.T) {
-	net, h1, h2 := pairedHosts(t, 1, time.Millisecond)
-	var got *packet.Packet
-	h1.Handler = func(net *Network, pkt *packet.Packet) { net.AdoptPacket(pkt); got = pkt }
-	probe := &packet.Packet{
-		IP:   packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: h1.Addr(), Dst: h2.Addr()},
-		ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: 2, Seq: 1},
-	}
-	elapsed := net.Inject(h1.If, probe)
-	if got == nil || elapsed != 2*time.Millisecond {
-		t.Errorf("RTT = %v, want exactly 2ms with no bandwidth model", elapsed)
 	}
 }

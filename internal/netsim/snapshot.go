@@ -17,11 +17,6 @@ import (
 //
 //   - The source fabric must be idle: no queued events. Snapshotting
 //     mid-drain has no sensible meaning and is refused.
-//   - The replica's RNG restarts from the source's original seed rather
-//     than its current state (math/rand state is not copyable). Generated
-//     worlds only consume fabric randomness for loss injection, which
-//     campaigns do not enable, so replicas still replay identically to a
-//     freshly built world.
 //   - The replica gets a fresh packet pool; free lists are warm-up state,
 //     not semantics.
 type Cloner struct {
@@ -31,13 +26,14 @@ type Cloner struct {
 }
 
 // BeginSnapshot starts a structural copy of the network, returning a
-// Cloner whose destination is an empty fabric with the same seed, clock,
-// and sequence counter. It fails if events are still queued.
+// Cloner whose destination is an empty fabric with the same clock,
+// sequence counter and fabric counters. It fails if events are still
+// queued.
 func (n *Network) BeginSnapshot() (*Cloner, error) {
 	if n.queue.len() > 0 {
 		return nil, errors.New("netsim: cannot snapshot a fabric with queued events")
 	}
-	dst := New(n.seed)
+	dst := New()
 	dst.clock = n.clock
 	dst.seq = n.seq
 	dst.stats = n.stats
@@ -86,9 +82,8 @@ func (c *Cloner) Iface(src *Iface) *Iface {
 	return c.ifaces[src]
 }
 
-// Finish replicates links (including dynamic state: Up, loss, bandwidth,
-// transmitter occupancy) and the fabric-wide address index. Every source
-// interface must have been mapped by then.
+// Finish replicates links (delay and Up) and the fabric-wide address
+// index. Every source interface must have been mapped by then.
 func (c *Cloner) Finish() error {
 	for _, l := range c.src.links {
 		a, b := c.ifaces[l.a], c.ifaces[l.b]
@@ -97,9 +92,6 @@ func (c *Cloner) Finish() error {
 		}
 		nl := c.dst.Connect(a, b, l.Delay)
 		nl.Up = l.Up
-		nl.LossProb = l.LossProb
-		nl.BytesPerSec = l.BytesPerSec
-		nl.busyUntil = l.busyUntil
 	}
 	for addr, i := range c.src.ifaces {
 		ni := c.ifaces[i]

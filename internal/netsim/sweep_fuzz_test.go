@@ -41,7 +41,7 @@ func FuzzLineageBackwardScan(f *testing.F) {
 		if !ok {
 			return
 		}
-		net := New(1)
+		net := New()
 		prevExpire := -1 // expiry step at the previous (larger) ttl
 		sawExpire := false
 		for ttl := int(e.t0) - 1; ttl >= 0; ttl-- {

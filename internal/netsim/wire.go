@@ -3,15 +3,11 @@ package netsim
 // Accessors used by the snapshot wire codec (internal/gen/wire.go). The
 // codec rebuilds a Network field-for-field in another process, which
 // needs exactly the state BeginSnapshot/Finish carries across a clone:
-// the seed, the virtual-clock basis, and per-link transient occupancy.
-// They are deliberately narrow — the event queue itself never crosses the
-// wire (encode refuses a non-quiescent fabric, mirroring BeginSnapshot).
+// the virtual-clock basis. They are deliberately narrow — the event queue
+// itself never crosses the wire (encode refuses a non-quiescent fabric,
+// mirroring BeginSnapshot).
 
 import "time"
-
-// Seed returns the seed the network was created with, so a decoder can
-// call New(seed) and obtain the identical deterministic RNG stream.
-func (n *Network) Seed() int64 { return n.seed }
 
 // WireBasis returns the simulation basis a codec must carry: the virtual
 // clock, the event sequence counter, and the fabric counters — the same
@@ -31,12 +27,6 @@ func (n *Network) SetWireBasis(clock time.Duration, seq uint64, stats FabricStat
 // with in-flight events is refused for the same reason BeginSnapshot
 // refuses it: queued closures cannot be serialized.
 func (n *Network) Quiescent() bool { return n.queue.len() == 0 }
-
-// BusyUntil returns the link's per-direction transmission occupancy.
-func (l *Link) BusyUntil() [2]time.Duration { return l.busyUntil }
-
-// SetBusyUntil restores per-direction occupancy on a decoded link.
-func (l *Link) SetBusyUntil(b [2]time.Duration) { l.busyUntil = b }
 
 // RegisteredIfaces returns the addresses registered for delivery, in
 // arbitrary order; the codec sorts before writing. Iface identity on the

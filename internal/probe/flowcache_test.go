@@ -54,7 +54,7 @@ func TestTracerouteAcrossTokenWrap(t *testing.T) {
 // destination port, so the quoted transport pair alone cannot tell them
 // apart — the quoted IP identifier (the full 16-bit token) must decide.
 func TestUDPQuoteMatchingUsesIPID(t *testing.T) {
-	net := netsim.New(1)
+	net := netsim.New()
 	p := &Prober{Net: net, FlowID: 0x1234}
 
 	// Pretend a UDP probe with token 7 is in flight.

@@ -23,7 +23,7 @@ type line struct {
 
 func buildLine(t *testing.T, n int) *line {
 	t.Helper()
-	net := netsim.New(2)
+	net := netsim.New()
 	l := &line{net: net}
 	for i := 0; i < n; i++ {
 		r := router.New("r"+string(rune('0'+i)), router.Cisco, router.Config{TTLPropagate: true})

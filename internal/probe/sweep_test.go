@@ -2,6 +2,7 @@ package probe
 
 import (
 	"testing"
+	"time"
 
 	"wormhole/internal/netsim"
 	"wormhole/internal/packet"
@@ -60,13 +61,15 @@ func TestICMPTraceFastForwardsWithoutWalking(t *testing.T) {
 	}
 }
 
-// TestSweepPurityFallbackLossyLink proves the purity gate: on a fabric
-// with a lossy link the sweep must stay inert even with the flow cache
-// requested — no walks, no synthesized replies — and the trace runs
-// per-probe.
-func TestSweepPurityFallbackLossyLink(t *testing.T) {
+// TestSweepPurityFallbackRateLimited proves the purity gate: on a fabric
+// with an ICMP rate-limited router the sweep must stay inert even with the
+// flow cache requested — no walks, no synthesized replies — and the trace
+// runs per-probe.
+func TestSweepPurityFallbackRateLimited(t *testing.T) {
 	l := buildLine(t, 3)
-	l.vp.If.Link.LossProb = 0.5
+	cfg := l.rs[1].Config()
+	cfg.ICMPInterval = time.Millisecond
+	l.rs[1].SetConfig(cfg)
 	l.net.SetFlowCacheEnabled(true)
 	l.net.SetSweepEnabled(true)
 	l.prober.Method = UDPParis

@@ -23,7 +23,7 @@ func TestFRPLAFalsePositiveFromAsymmetry(t *testing.T) {
 	// vp - a - {b | c - d} - e - h. Forward: a-b-e (short). Return: TE
 	// tunnel steers e's traffic for the VP prefix via d-c (long), with
 	// ttl-propagate ON so nothing is hidden.
-	net := netsim.New(17)
+	net := netsim.New()
 	cfg := router.Config{MPLSEnabled: true, TTLPropagate: true}
 	mk := func(name string, i int) *router.Router {
 		r := router.New(name, router.Cisco, cfg)

@@ -15,7 +15,6 @@ type Router struct {
 	name string
 	os   Personality
 	cfg  Config
-	asn  uint32
 
 	loopback *netsim.Iface
 	ifaces   []*netsim.Iface
@@ -133,9 +132,6 @@ func (r *Router) SetConfig(cfg Config) {
 	r.cfg = cfg
 	r.mutated()
 }
-
-// SetASN assigns the router to an AS.
-func (r *Router) SetASN(asn uint32) { r.asn = asn }
 
 // AddIface attaches a new interface bearing addr within prefix. The
 // interface must still be connected via netsim.Network.Connect.

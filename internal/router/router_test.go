@@ -22,7 +22,7 @@ type chainFixture struct {
 
 func buildChain(t *testing.T) *chainFixture {
 	t.Helper()
-	net := netsim.New(1)
+	net := netsim.New()
 
 	p0 := netaddr.MustParsePrefix("10.0.0.0/30") // vp - r1
 	p1 := netaddr.MustParsePrefix("10.0.1.0/30") // r1 - r2

@@ -158,7 +158,6 @@ func (r *Router) SnapshotInto(c *netsim.Cloner, ar *CloneArena) *Router {
 	nr.name = r.name
 	nr.os = r.os
 	nr.cfg = r.cfg
-	nr.asn = r.asn
 	nr.nextLabel = r.nextLabel
 	nr.lastICMP = r.lastICMP
 	nr.icmpSent = r.icmpSent

@@ -188,7 +188,6 @@ func (r *Router) AppendWire(w *wirefmt.Writer) {
 	w.Bool(r.cfg.Silent)
 	w.Bool(r.cfg.NoICMPTimeExceeded)
 	w.I64(int64(r.cfg.ICMPInterval))
-	w.U32(r.asn)
 	w.U32(r.nextLabel)
 	w.I64(int64(r.lastICMP))
 	w.Bool(r.icmpSent)
@@ -311,7 +310,6 @@ func DecodeRouter(rd *wirefmt.Reader, ar *CloneArena) *Router {
 	nr.cfg.Silent = rd.Bool()
 	nr.cfg.NoICMPTimeExceeded = rd.Bool()
 	nr.cfg.ICMPInterval = time.Duration(rd.I64())
-	nr.asn = rd.U32()
 	nr.nextLabel = rd.U32()
 	nr.lastICMP = time.Duration(rd.I64())
 	nr.icmpSent = rd.Bool()

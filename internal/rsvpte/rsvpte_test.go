@@ -22,7 +22,7 @@ type diamond struct {
 
 func buildDiamond(t *testing.T, propagate bool) *diamond {
 	t.Helper()
-	net := netsim.New(4)
+	net := netsim.New()
 	f := &diamond{net: net}
 	cfg := router.Config{MPLSEnabled: true, TTLPropagate: propagate}
 	mk := func(name string, i int) *router.Router {

@@ -118,7 +118,7 @@ func TestLazyFaultInEquivalence(t *testing.T) {
 		t.Fatalf("lazy serial diverged from eager oracle\n%s", firstDiffLine(want, got))
 	}
 	st := lc.Lazy
-	if st.FaultIns == 0 {
+	if lc.FaultIns == 0 {
 		t.Fatal("lazy campaign faulted nothing in — laziness not engaged")
 	}
 	if st.ResidentStubs >= st.TotalStubs {
@@ -126,7 +126,7 @@ func TestLazyFaultInEquivalence(t *testing.T) {
 			st.ResidentStubs, st.TotalStubs)
 	}
 	t.Logf("lazy serial: %d of %d routers resident (%d of %d stubs), %d fault-ins",
-		st.Resident, st.Total, st.ResidentStubs, st.TotalStubs, st.FaultIns)
+		st.Resident, st.Total, st.ResidentStubs, st.TotalStubs, lc.FaultIns)
 
 	for _, pcfg := range []campaign.ParallelConfig{
 		{Workers: 1},
@@ -146,6 +146,37 @@ func TestLazyFaultInEquivalence(t *testing.T) {
 		}
 		if got := dumpLazyCampaign(c); got != want {
 			t.Errorf("%s: lazy parallel diverged from eager oracle\n%s", name, firstDiffLine(want, got))
+		}
+	}
+}
+
+// TestLazyFaultInTally pins the campaign's fault-in total: on a fresh
+// lazy world under churn, c.FaultIns equals the fault-ins the source
+// fabric and every pooled replica record over their lifetimes, at 1, 2
+// and 8 workers.
+func TestLazyFaultInTally(t *testing.T) {
+	cfg := streamedConfig()
+	cfg.ChurnRate, cfg.ChurnSeed = 2, 5
+	for _, workers := range []int{1, 2, 8} {
+		in, err := gen.Build(lazyParams(424242, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := campaign.RunParallel(in, cfg, campaign.ParallelConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps, err := in.AcquireReplicas(workers, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := in.LazyStats().FaultIns
+		for _, r := range reps {
+			want += r.LazyStats().FaultIns
+		}
+		in.ReleaseReplicas(reps)
+		if c.FaultIns == 0 || c.FaultIns != want {
+			t.Errorf("workers=%d: campaign counted %d fault-ins, the fabrics record %d", workers, c.FaultIns, want)
 		}
 	}
 }
@@ -297,7 +328,7 @@ func TestGigaScale(t *testing.T) {
 	lz := c.Lazy
 	t.Logf("giga campaign: %d records, %d revelations, %d probes; %d of %d routers resident, %d fault-ins (%.0f ms), %d resident across replicas",
 		len(c.Records), len(c.Revelations()), c.Probes,
-		lz.Resident, lz.Total, lz.FaultIns, float64(lz.FaultInNS)/1e6, c.ReplicaResident)
+		lz.Resident, lz.Total, c.FaultIns, float64(c.FaultInNS)/1e6, c.ReplicaResident)
 	if lz.Resident*50 > lz.Total {
 		t.Errorf("Giga campaign materialized %d of %d routers — sampling should touch a sliver", lz.Resident, lz.Total)
 	}

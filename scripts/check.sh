@@ -12,7 +12,11 @@
 # snapshot-relative budget) — run
 # first because its throughput ratios are timing-sensitive and the
 # compile-heavy coverage/race phases below leave a single-CPU box in a
-# throttled window that skews them. Then the test suite with coverage
+# throttled window that skews them. Then the perfbench module's vet and
+# smoke test: perfbench is a separate module that `go build ./...` skips,
+# and its TestSmoke runs every workload at Small, so a change to the API
+# it compiles against fails here rather than only in a benchmark run.
+# Then the test suite with coverage
 # aggregation (per-package floors on the engine packages guard against
 # silently shedding tests; the suite is not -short, so it includes the
 # race tier: TestRaceTier shells out to `go test -race` over the
@@ -41,6 +45,8 @@ if [ -n "$dead" ]; then
 fi
 
 ./scripts/bench_guard.sh
+
+(cd perfbench && go vet . && go test .)
 
 # Full suite with an aggregated coverage profile, then per-package floors
 # on the engine packages. The suite runs the race tier (TestRaceTier). The floors sit safely under the measured values
