@@ -115,14 +115,11 @@ type CampaignReport struct {
 	// counts.
 	GoMaxProcs int `json:"gomaxprocs"`
 	// Method is the traceroute probe modality the row ran ("icmp" or
-	// "udp"). The udp rows measure the port-cycle slot cold path: a UDP
-	// trace touches a different flow key per probe, so its cache and
-	// sweep coverage comes from branch-class aliasing rather than
-	// single-flow memoization.
+	// "udp"). A UDP trace touches a different flow key per probe, one per
+	// port-cycle slot, so its cache memoizes per (slot, TTL).
 	Method string `json:"method"`
-	// FlowCache reports whether the flow-trajectory cache was enabled,
-	// and with it the single-injection TTL sweep, which engages only on
-	// cached UDP rows. The FlowCache=false row is the per-probe baseline.
+	// FlowCache reports whether the flow-trajectory cache was enabled.
+	// The FlowCache=false row is the per-probe baseline.
 	FlowCache bool `json:"flow_cache"`
 	// Churn reports whether a seeded fail/reconverge/repair schedule ran
 	// during every campaign. Churn rows measure invalidation cost: the
@@ -157,18 +154,6 @@ type CampaignReport struct {
 	CacheHitsPerRun   uint64 `json:"cache_hits_per_run"`
 	CacheMissesPerRun uint64 `json:"cache_misses_per_run"`
 	CacheFFPerRun     uint64 `json:"cache_fast_forwards_per_run"`
-	// Sweep counters, averaged per run (zero except on cached UDP rows):
-	// walks injected, replies synthesized without event-loop simulation,
-	// and probes that fell back to live simulation under a swept flow.
-	SweepWalksPerRun     uint64 `json:"sweep_walks_per_run"`
-	SweepRepliesPerRun   uint64 `json:"sweep_replies_per_run"`
-	SweepFallbacksPerRun uint64 `json:"sweep_fallbacks_per_run"`
-	// SweepBypassesPerRun counts traces the adaptive bypass ran per-probe
-	// because their hinted reach depth promised too few derived replies;
-	// SweepAliasesPerRun counts UDP port-cycle slots that adopted a
-	// master walk's trajectory instead of walking themselves.
-	SweepBypassesPerRun uint64 `json:"sweep_bypasses_per_run"`
-	SweepAliasesPerRun  uint64 `json:"sweep_aliases_per_run"`
 	// ChurnEventsPerRun is the number of churn events fired per campaign
 	// (zero when Churn is false).
 	ChurnEventsPerRun uint64 `json:"churn_events_per_run"`
@@ -179,7 +164,7 @@ type CampaignReport struct {
 // Encode/decode price the world transfer's endpoints, StreamMB the
 // total socket traffic per campaign, and the throughput columns are
 // directly comparable to the in-process CampaignReport rows at the same
-// worker count (same scale, same config, flow cache and sweep on).
+// worker count (same scale, same config, flow cache on).
 type DistReport struct {
 	Workers int `json:"workers"`
 	// Processes is the OS-process footprint: 1 when the workers are
@@ -483,7 +468,7 @@ func measureCampaign(in *gen.Internet, base campaign.Config, workers, runs int, 
 	wall := time.Since(start)
 	runtime.ReadMemStats(&ms1)
 
-	n, probes, sw := uint64(runs), tally.Probes, tally.Sweep.Total()
+	n, probes := uint64(runs), tally.Probes
 	rep.ProbesPerRun = probes / n
 	rep.BootstrapProbesPerRun = bootstrap
 	rep.CampaignProbesPerRun = rep.ProbesPerRun - bootstrap
@@ -493,11 +478,6 @@ func measureCampaign(in *gen.Internet, base campaign.Config, workers, runs int, 
 	rep.CacheHitsPerRun = tally.FlowCache.Hits / n
 	rep.CacheMissesPerRun = tally.FlowCache.Misses / n
 	rep.CacheFFPerRun = tally.FlowCache.FastForwards / n
-	rep.SweepWalksPerRun = sw.Walks / n
-	rep.SweepRepliesPerRun = sw.Replies / n
-	rep.SweepFallbacksPerRun = sw.Fallbacks / n
-	rep.SweepBypassesPerRun = sw.Bypasses / n
-	rep.SweepAliasesPerRun = sw.Aliases / n
 	rep.ChurnEventsPerRun = tally.ChurnEvents / n
 	if probes > 0 {
 		rep.NsPerProbe = float64(wall.Nanoseconds()) / float64(probes)

@@ -23,6 +23,7 @@ import (
 	"wormhole/internal/fingerprint"
 	"wormhole/internal/gen"
 	"wormhole/internal/netaddr"
+	"wormhole/internal/netsim"
 	"wormhole/internal/probe"
 	"wormhole/internal/reveal"
 	"wormhole/internal/topo"
@@ -56,11 +57,8 @@ type Config struct {
 	// byte-identical to this oracle by the equivalence tests; the switch
 	// exists for those tests and for benchmarking the speedup.
 	DisableFlowCache bool
-	// DisableSweep turns the fabric's single-injection TTL sweep off, so
-	// cold UDP Paris traces probe per-TTL instead of deriving each
-	// port-cycle slot class from one walk. It switches UDP only: ICMP
-	// Paris never walks (its cold path is the flow cache's frontier
-	// fast-forward), and with DisableFlowCache the sweep is inert too.
+	// DisableSweep is ignored. It switched the retired UDP slot engine
+	// off and stays only because the frozen perfbench module sets it.
 	DisableSweep bool
 	// ChurnRate arms the dynamic-topology churn engine: the expected
 	// number of link fail/reconverge/repair cycles injected per shard,
@@ -164,6 +162,10 @@ type Campaign struct {
 	// post-mortem so silent discards are never mistaken for clean '*'
 	// hops.
 	Counters
+	// Sweep is always zero. It held the retired UDP slot engine's
+	// counters and stays only because the frozen perfbench module reads
+	// it.
+	Sweep netsim.SweepStats
 	// Lazy is the source fabric's resident-set accounting after the run
 	// (Resident == Total on eager worlds). Its FaultIns and FaultInNS are
 	// the source's lifetime totals; the campaign's own fault-ins, on the

@@ -20,18 +20,13 @@ func churnTestConfig() Config {
 
 // TestChurnEquivalenceGolden is the acceptance test for the churn engine
 // and its delta-invalidation: under an identical churn schedule, a
-// campaign with the flow cache and sweep engine enabled must be
-// byte-identical — hops, reply TTLs, label stacks, RTTs, probe and reply
-// counters, per-shard virtual-clock totals — to the uncached, unswept
-// oracle, across the serial engine, snapshot and rebuild replicas,
-// 1/2/8-worker pools, both invalidation modes (masking and the
-// flush-the-world baseline), and both probe methods. The UDP run
-// additionally exercises masking of aliased port-cycle slots: a mask
-// hides a master walk's entry from every slot sharing it, and while a
-// window is open slots take the plain memo path instead of deriving from
-// trajectories the window may have changed. A cache-off run is the
-// per-probe oracle even with the sweep requested: its events have nothing
-// to mask, so it must move no cache or sweep counter.
+// campaign with the flow cache enabled must be byte-identical — hops,
+// reply TTLs, label stacks, RTTs, probe and reply counters, per-shard
+// virtual-clock totals — to the uncached oracle, across the serial
+// engine, snapshot and rebuild replicas, 1/2/8-worker pools, both
+// invalidation modes (masking and the flush-the-world baseline), and both
+// probe methods. A cache-off run is the per-probe oracle: its events have
+// nothing to mask, so it must move no cache counter.
 func TestChurnEquivalenceGolden(t *testing.T) {
 	t.Run("icmp", func(t *testing.T) { testChurnEquivalence(t, probe.ICMPParis) })
 	t.Run("udp", func(t *testing.T) { testChurnEquivalence(t, probe.UDPParis) })
@@ -43,7 +38,6 @@ func testChurnEquivalence(t *testing.T, method probe.Method) {
 
 	oracleCfg := cfg
 	oracleCfg.DisableFlowCache = true
-	oracleCfg.DisableSweep = true
 	oracle := Run(testInternet(t, 101), oracleCfg)
 	want := dumpExactCampaign(t, oracle)
 	if len(oracle.Records) == 0 || len(oracle.Revelations()) == 0 {
@@ -77,17 +71,13 @@ func testChurnEquivalence(t *testing.T, method probe.Method) {
 	}{
 		{name: "serial delta", mutate: func(c *Config) {}},
 		{name: "serial flush-world", mutate: func(c *Config) { c.ChurnFlushWorld = true }},
-		{name: "serial delta sweep-off", mutate: func(c *Config) { c.DisableSweep = true }},
 		{name: "workers=1", parallel: true, pcfg: ParallelConfig{Workers: 1}, mutate: func(c *Config) {}},
 		{name: "workers=2", parallel: true, pcfg: ParallelConfig{Workers: 2}, mutate: func(c *Config) {}},
 		{name: "workers=8", parallel: true, pcfg: ParallelConfig{Workers: 8}, mutate: func(c *Config) {}},
 		{name: "workers=2 rebuild", parallel: true, pcfg: ParallelConfig{Workers: 2, Replica: ReplicaRebuild}, mutate: func(c *Config) {}},
 		{name: "workers=2 flush-world", parallel: true, pcfg: ParallelConfig{Workers: 2}, mutate: func(c *Config) { c.ChurnFlushWorld = true }},
 		{name: "serial cache-off", mutate: func(c *Config) { c.DisableFlowCache = true }},
-		{name: "workers=2 cache-off", parallel: true, pcfg: ParallelConfig{Workers: 2}, mutate: func(c *Config) {
-			c.DisableFlowCache = true
-			c.DisableSweep = true
-		}},
+		{name: "workers=2 cache-off", parallel: true, pcfg: ParallelConfig{Workers: 2}, mutate: func(c *Config) { c.DisableFlowCache = true }},
 	} {
 		runCfg := cfg
 		tc.mutate(&runCfg)
@@ -112,8 +102,8 @@ func testChurnEquivalence(t *testing.T, method probe.Method) {
 		if !runCfg.DisableFlowCache && c.FlowCache.Hits == 0 {
 			t.Errorf("%s: cache enabled under churn but never hit: %+v", tc.name, c.FlowCache)
 		}
-		if runCfg.DisableFlowCache && (c.FlowCache != (netsim.FlowCacheStats{}) || c.Sweep != (netsim.SweepStats{})) {
-			t.Errorf("%s: cache disabled but counters moved: %+v %+v", tc.name, c.FlowCache, c.Sweep)
+		if runCfg.DisableFlowCache && c.FlowCache != (netsim.FlowCacheStats{}) {
+			t.Errorf("%s: cache disabled but counters moved: %+v", tc.name, c.FlowCache)
 		}
 	}
 }

@@ -146,8 +146,8 @@ func TestDistributedStream(t *testing.T) {
 }
 
 // TestDistributedLargeGolden is the acceptance pin at the Large rung:
-// a 2-worker distributed campaign over a Unix socket, sweep and flow
-// cache on, byte-identical to serial.
+// a 2-worker distributed campaign over a Unix socket, flow cache on,
+// byte-identical to serial.
 func TestDistributedLargeGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale tier")

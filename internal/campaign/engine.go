@@ -90,13 +90,11 @@ type Counters struct {
 	// runaway flood) rather than being answered or timing out.
 	BudgetHits uint64 `json:"budget_hits,omitempty"`
 	LoopDrops  uint64 `json:"loop_drops,omitempty"`
-	// FlowCache and Sweep are the flow-trajectory cache and UDP sweep
-	// activity, all zero when disabled or inert. Like a shard's Worker
-	// and Elapsed they are execution details: hit/miss splits vary with
-	// worker count (each replica warms its own trajectories), while the
-	// measured records do not.
+	// FlowCache is the flow-trajectory cache's activity, all zero when
+	// disabled. Like a shard's Worker and Elapsed it is an execution
+	// detail: hit/miss splits vary with worker count (each replica warms
+	// its own trajectories), while the measured records do not.
 	FlowCache netsim.FlowCacheStats `json:"flow_cache"`
-	Sweep     netsim.SweepStats     `json:"sweep"`
 	// ChurnEvents counts the topology churn events fired, schedule
 	// remainders force-fired at shard end included.
 	ChurnEvents uint64 `json:"churn_events,omitempty"`
@@ -114,7 +112,6 @@ func readCounters(in *gen.Internet) Counters {
 		BudgetHits:  fab.BudgetExhausted,
 		LoopDrops:   fab.DroppedEvents,
 		FlowCache:   in.Net.FlowCacheStats(),
-		Sweep:       in.Net.SweepStats(),
 		ChurnEvents: in.Net.ChurnFired(),
 		FaultIns:    lz.FaultIns,
 		FaultInNS:   lz.FaultInNS,
@@ -134,7 +131,6 @@ func (c Counters) Sub(o Counters) Counters {
 		BudgetHits:  c.BudgetHits - o.BudgetHits,
 		LoopDrops:   c.LoopDrops - o.LoopDrops,
 		FlowCache:   c.FlowCache.Sub(o.FlowCache),
-		Sweep:       c.Sweep.Sub(o.Sweep),
 		ChurnEvents: c.ChurnEvents - o.ChurnEvents,
 		FaultIns:    c.FaultIns - o.FaultIns,
 		FaultInNS:   c.FaultInNS - o.FaultInNS,
@@ -148,7 +144,6 @@ func (c *Counters) Add(o Counters) {
 	c.BudgetHits += o.BudgetHits
 	c.LoopDrops += o.LoopDrops
 	c.FlowCache.Add(o.FlowCache)
-	c.Sweep.Add(o.Sweep)
 	c.ChurnEvents += o.ChurnEvents
 	c.FaultIns += o.FaultIns
 	c.FaultInNS += o.FaultInNS
@@ -191,7 +186,6 @@ type localSlot struct {
 
 func newLocalSlot(in *gen.Internet, cfg Config, probers []proberSettings, replica bool) *localSlot {
 	in.Net.SetFlowCacheEnabled(!cfg.DisableFlowCache)
-	in.Net.SetSweepEnabled(!cfg.DisableSweep)
 	return &localSlot{in: in, cfg: cfg, probers: probers, replica: replica}
 }
 
@@ -292,7 +286,6 @@ func (e *engine) run() (*Campaign, error) {
 	in, cfg := e.in, e.cfg
 	c := &Campaign{In: in, Cfg: cfg, Workers: len(e.slots)}
 	in.Net.SetFlowCacheEnabled(!cfg.DisableFlowCache)
-	in.Net.SetSweepEnabled(!cfg.DisableSweep)
 	// The resolver may probe the source (MeasuredAliases) with bootstrap
 	// discipline.
 	for _, vp := range in.VPs {

@@ -10,7 +10,7 @@ import (
 )
 
 // invariantTally is the engine-independent part of a tally. The flow
-// cache, sweep and fault-in counts depend on which fabric probed what
+// cache and fault-in counts depend on which fabric probed what
 // (each replica warms its own caches and faults in its own stubs), so
 // they are left out.
 func invariantTally(c campaign.Counters) campaign.Counters {

@@ -20,7 +20,6 @@ import (
 	"wormhole/internal/gen"
 	"wormhole/internal/lab"
 	"wormhole/internal/netaddr"
-	"wormhole/internal/netsim"
 	"wormhole/internal/pcap"
 	"wormhole/internal/probe"
 	"wormhole/internal/reveal"
@@ -200,7 +199,6 @@ func cmdCampaign(args []string) error {
 	distReplica := fs.String("dist-replica", "snapshot", "how workers obtain the fabric: snapshot (wire-codec blob) or rebuild (regenerate from Params)")
 	method := fs.String("method", "icmp", "traceroute probe method: icmp (Paris echo) or udp (classic port-cycling)")
 	noFlowCache := fs.Bool("no-flow-cache", false, "disable the flow-trajectory probe cache (results are identical either way)")
-	noSweep := fs.Bool("no-sweep", false, "disable the single-injection TTL sweep, which only -method udp uses, with the flow cache on (results are identical either way)")
 	churn := fs.Float64("churn", 0, "expected link fail/reconverge/repair cycles per shard (0 = static topology)")
 	churnSeed := fs.Int64("churn-seed", 0, "churn schedule seed (default: the generator seed)")
 	churnFlush := fs.Bool("churn-flush-world", false, "invalidate every cache on each churn event instead of masking (baseline mode)")
@@ -241,7 +239,6 @@ func cmdCampaign(args []string) error {
 		return fmt.Errorf("unknown probe method %q (want icmp or udp)", *method)
 	}
 	ccfg.DisableFlowCache = *noFlowCache
-	ccfg.DisableSweep = *noSweep
 	ccfg.ChurnRate = *churn
 	ccfg.ChurnSeed = *churnSeed
 	if ccfg.ChurnSeed == 0 {
@@ -301,10 +298,6 @@ func cmdCampaign(args []string) error {
 		fc := c.FlowCache
 		printf("flow cache: %d hits, %d misses, %d fast-forwards, %d invalidations\n",
 			fc.Hits, fc.Misses, fc.FastForwards, fc.Invalidations)
-	}
-	if sw := c.Sweep.UDP; sw != (netsim.SweepCounters{}) {
-		printf("ttl sweep [udp]: %d walks, %d derived replies, %d fallbacks, %d bypasses, %d slot aliases\n",
-			sw.Walks, sw.Replies, sw.Fallbacks, sw.Bypasses, sw.Aliases)
 	}
 	byTech := map[reveal.Technique]int{}
 	hidden := 0
@@ -516,11 +509,6 @@ func cmdBench(args []string) error {
 		if cr.FlowCache {
 			printf(" (%d hits, %d misses, %d ff)",
 				cr.CacheHitsPerRun, cr.CacheMissesPerRun, cr.CacheFFPerRun)
-		}
-		if cr.FlowCache && cr.Method == "udp" {
-			printf(" (%d walks, %d derived, %d fallbacks, %d bypasses, %d aliases)",
-				cr.SweepWalksPerRun, cr.SweepRepliesPerRun, cr.SweepFallbacksPerRun,
-				cr.SweepBypassesPerRun, cr.SweepAliasesPerRun)
 		}
 		printf("\n")
 	}

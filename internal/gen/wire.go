@@ -94,11 +94,13 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 	}
 
 	// Pre-size the buffer from the counting pass: growth reallocation is
-	// the one avoidable cost at Large (~50MB) scale.
+	// the one avoidable cost at Large (~50MB) scale. A trie node costs 9
+	// bytes and 4 more when it holds a value, one per route or binding.
 	est := 1<<16 +
 		stats.Routers*64 + stats.Ifaces*28 + stats.Locals*4 +
 		stats.Routes*9 + stats.NHops*8 + stats.Binds*10 + stats.LHops*10 +
-		stats.Unders*4 + stats.LFIB*10 + stats.TrieNodes*13 +
+		stats.Unders*4 + stats.LFIB*10 +
+		stats.TrieNodes*9 + (stats.Routes+stats.Binds)*4 +
 		nLinks*17 + len(in.addrRecs)*12 + len(in.ASes)*96
 	if lz := in.lazy; lz != nil {
 		est += len(lz.descs)*36 + len(lz.spans)*8 + len(lz.resident)*8

@@ -53,6 +53,30 @@ func TestWireRoundTripLarge(t *testing.T) {
 	roundTrip(t, experiments.Large, 499)
 }
 
+// TestEncodeWireTightBuffer pins EncodeWire's size estimate: an upper
+// bound, so the buffer never regrows, that leaves at most 128 KiB of
+// spare capacity in the blob the caller holds for the whole transfer.
+func TestEncodeWireTightBuffer(t *testing.T) {
+	for _, scale := range []experiments.Scale{experiments.Small, experiments.Medium, experiments.Large} {
+		t.Run(scale.String(), func(t *testing.T) {
+			if scale == experiments.Large && testing.Short() {
+				t.Skip("scale tier")
+			}
+			in, err := gen.Build(scale.Params(2024))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := in.EncodeWire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spare := cap(blob) - len(blob); spare > 1<<17 {
+				t.Errorf("%d-byte blob carries %d bytes of spare capacity", len(blob), spare)
+			}
+		})
+	}
+}
+
 // TestWireCorruption pins the acceptance contract: a corrupted section
 // decodes to a checksum error, never a panic, and truncation is an error
 // too.

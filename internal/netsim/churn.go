@@ -26,10 +26,10 @@ package netsim
 // InvalidateFlowCacheScoped and joins the event's scope, with the nodes
 // its EvictScope names. Cached state then splits in two:
 //
-//   - Pristine: the flow entries and reply shapes in the cache's main
-//     maps, each recorded while no node of its touched set (the nodes
-//     its recorded activity visited, see flowcache.go) deviated from the
-//     built topology. No event ever evicts them.
+//   - Pristine: the flow entries in the cache's main map, each recorded
+//     while no node of its touched set (the nodes its recorded activity
+//     visited, see flowcache.go) deviated from the built topology. No
+//     event ever evicts them.
 //   - Window-era: entries recorded while a deviance window (fail →
 //     repair) is open whose touched set crosses a masked node. They live
 //     in a per-window map that the next event drops.
@@ -37,7 +37,7 @@ package netsim
 // While a window is open the mask is every node an event since the first
 // window opened put in scope. A pristine artifact is served only if its
 // touched set misses the mask (unknown provenance never does); a fresh
-// recording that misses it is pristine too, and joins the main maps. When
+// recording that misses it is pristine too, and joins the main map. When
 // the last open window closes, the mask clears and everything it hid is
 // served again without a live probe — provided every masked node lies in
 // the DevScope of a window that opened since, whose repair restores it;
@@ -283,7 +283,7 @@ func (n *Network) InvalidateFlowCacheScoped(nd Node) {
 // preserved), and the only mutations on
 // already-built routers are customer routes for the stub's fresh address
 // block. The fault-in hook fires before the first probe toward that
-// block, so no cached trajectory or reply shape can reference it — there
+// block, so no cached trajectory or reply can reference it — there
 // is nothing to invalidate, and suppressing the flush keeps every warm
 // cache (and the TopoGen-keyed replica pool) intact. The mutating
 // routers' local route caches are still flushed by their own mutation
@@ -382,21 +382,10 @@ func (s *nodeSet) union(list, add []int32) []int32 {
 	return list
 }
 
-// holds reports whether list contains every index of sub, marking
-// through s, which must be empty and is left empty.
-func (s *nodeSet) holds(list, sub []int32) bool {
-	for _, i := range list {
-		s.add(i)
-	}
-	ok := s.covers(sub)
-	s.reset()
-	return ok
-}
-
 // fold merges an artifact's provenance — a finished drain's touch list,
-// another entry's or a reply shape's touched set, or unknown — into the
-// entry's touched set. A fast-forward re-records only frontier-onward, so
-// what earlier recordings touched stays relevant: the set only grows.
+// another entry's touched set, or unknown — into the entry's touched set.
+// A fast-forward re-records only frontier-onward, so what earlier
+// recordings touched stays relevant: the set only grows.
 func (f *FlowCache) fold(e *flowEntry, touched []int32, touchAll bool) {
 	switch {
 	case touchAll:

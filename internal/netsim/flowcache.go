@@ -121,46 +121,25 @@ func (s *FlowCacheStats) Add(o FlowCacheStats) {
 
 // trajStep is one recorded delivery of the (marked) forward packet: the
 // ingress interface, the virtual-time offset from injection, and the
-// packet headers as delivered, with their TTL lineage. minT is the
-// smallest initial TTL this snapshot is proven valid for — the running
-// floor of NoteTTLMin lower bounds accumulated by the processing of all
-// earlier steps (see the sweep engine in sweep.go, the only consumer).
+// packet headers as delivered, with their TTL lineage.
 type trajStep struct {
 	to      *Iface
 	offset  time.Duration
 	ip      packet.IPv4
 	mpls    packet.LabelStack
 	lineage uint32
-	minT    uint8
 }
 
 // flowEntry holds one flow's state: the frontier of the most recent live
 // (or resumed) probe — the last delivery of its marked packet, where the
 // t0 probe expired or was answered, normalized to t0 — plus the per-TTL
 // reply memo. maxTTL is the largest initial TTL the recorded trajectory
-// is proven valid for (accumulated from NoteTTLMin bounds). Only a swept
-// walk keeps its whole step history, which backward derivation reads;
-// every other recording keeps the frontier alone, the one step the
-// fast-forward rebuilds.
+// is proven valid for (accumulated from NoteTTLMin bounds). A recording
+// keeps the frontier alone, the one step the fast-forward rebuilds.
 type flowEntry struct {
 	t0     uint8
 	maxTTL uint8
 	steps  []trajStep
-
-	// swept marks a trajectory recorded by a full TTL-sweep walk
-	// (sweep.go): every step is a trusted snapshot, so smaller initial
-	// TTLs may be derived backward from the prefix. Later probes of the
-	// flow resume from the walk without re-recording it (sweepResume).
-	swept bool
-	// terminalLocal records that the walk's final delivery was consumed
-	// locally by a router (deliverLocal): such a terminal answers before
-	// any IP TTL-expiry check, so backward derivation must not synthesize
-	// a time-exceeded there.
-	terminalLocal bool
-	// tailMinT is the NoteTTLMin floor accumulated over the *entire* walk
-	// (including the terminal's own processing); reusing the walk's
-	// observation for a smaller TTL requires ttl >= tailMinT.
-	tailMinT uint8
 
 	// valid is a 256-bit presence set over probe TTLs. replies is dense:
 	// one reply per memoized TTL, in TTL order, at the TTL's rank in valid.
@@ -175,47 +154,17 @@ type flowEntry struct {
 	// means unknown provenance, which never does.
 	touched  []int32
 	touchAll bool
-
-	// branches and port exist only on swept UDP trajectories (sweep.go).
-	// branches is the walk's deduplicated ECMP decision list; any
-	// port-cycle slot whose flow hash reproduces it shares this entry by
-	// pointer (udpAlias). port is the branch class's canonical
-	// destination port — the lowest cycle port satisfying branches —
-	// used as the slot component of reply-shape keys so shapes are
-	// learned once per class instead of once per raw port.
-	branches []branchRec
-	port     uint16
 }
 
 // flowRec is the in-flight recording state for the probe currently being
 // drained. bad poisons the recording (budget exhaustion or a mid-drain
 // invalidation); a poisoned probe is neither recorded nor memoized.
-// resume marks a probe materialized from a swept trajectory: it runs live
-// but must not overwrite the walk's steps or tighten its bounds — only
-// its final observation is memoized (and its reply shape learned). walk
-// marks a UDP sweep walk (SweepWalk), the one recording that keeps every
-// step instead of the frontier alone.
 type flowRec struct {
 	active bool
 	bad    bool
-	resume bool
-	walk   bool
 	entry  *flowEntry
 	key    FlowKey
 	start  time.Duration
-
-	// minT is the running NoteTTLMin floor (lower-bound counterpart of
-	// flowEntry.maxTTL), stamped into each step as it is recorded.
-	minT uint8
-
-	// Reply-shape capture (sweep.go): the first TTL expiry observed during
-	// this probe's drain, keyed by its synthesis context. localSeen records
-	// a router-local delivery of the marked packet.
-	expSeen   bool
-	expDeep   bool
-	localSeen bool
-	expOff    time.Duration
-	expKey    shapeKey
 }
 
 // FlowCache is the per-fabric cache state, embedded by value in Network
@@ -231,22 +180,6 @@ type FlowCache struct {
 	window  map[FlowKey]*flowEntry
 	stats   FlowCacheStats
 	rec     flowRec
-
-	// Sweep-engine state (sweep.go). sweepEnabled gates the UDP slot
-	// walks, which engage only while the cache itself is active; shapes
-	// memoizes learned reply shapes.
-	sweepEnabled bool
-	sweep        SweepStats
-	shapes       map[shapeKey]replyShape
-
-	// hints maps (vp, destination) to the last observed reach TTL —
-	// the yield predictor behind SweepBegin's adaptive walk bypass.
-	// masters indexes completed UDP walks by port-erased flow key for
-	// slot aliasing; recBranches is the scratch the in-flight walk's
-	// ECMP decisions accumulate in before SweepFinish stamps them.
-	hints       map[hintKey]uint8
-	masters     map[FlowKey][]FlowKey
-	recBranches []branchRec
 
 	// hotKey/hotE memoize the last FlowLookup so the FlowProbe that
 	// follows a miss reuses the entry without re-hashing the key. hotE may
@@ -268,7 +201,7 @@ type FlowCache struct {
 
 // SetFlowCacheEnabled turns the flow-trajectory cache on or off. Enabling
 // schedules a purity scan (performed lazily on the next probe); disabling
-// drops all cached state, the sweep engine's included.
+// drops all cached state.
 func (n *Network) SetFlowCacheEnabled(on bool) {
 	f := &n.flows
 	f.enabled = on
@@ -278,15 +211,14 @@ func (n *Network) SetFlowCacheEnabled(on bool) {
 		f.window = nil
 		f.rec = flowRec{}
 		f.hotE, f.hotOK = nil, false
-		f.resetSweep()
 	}
 }
 
 // FlowCacheStats returns the cache counters.
 func (n *Network) FlowCacheStats() FlowCacheStats { return n.flows.stats }
 
-// InvalidateFlowCache flushes every memoized trajectory, reply and reply
-// shape, poisons any in-flight recording, and schedules a purity re-scan.
+// InvalidateFlowCache flushes every memoized trajectory and reply, poisons
+// any in-flight recording, and schedules a purity re-scan.
 // Routers call it from the same mutation hooks that flush their route
 // caches. It also advances the fabric's topology generation.
 func (n *Network) InvalidateFlowCache() {
@@ -306,8 +238,6 @@ func (n *Network) flush() {
 	if !f.enabled {
 		return
 	}
-	// Sweep state is derived from the same control plane as the memo.
-	f.resetSweep()
 	f.entries = nil
 	f.window = nil
 	f.hotE, f.hotOK = nil, false
@@ -328,14 +258,6 @@ func (n *Network) flowActive() bool {
 	if !f.enabled || n.Trace != nil {
 		return false
 	}
-	return n.purityOK()
-}
-
-// purityOK runs the deferred purity scan if one is pending and reports
-// the result. Shared by the flow cache and the sweep engine, which are
-// gated by exactly the same determinism rules.
-func (n *Network) purityOK() bool {
-	f := &n.flows
 	if f.needScan {
 		f.pure = n.flowPure()
 		f.needScan = false
@@ -372,25 +294,6 @@ func (n *Network) FlowLookup(key FlowKey, ttl uint8) (ProbeObs, bool) {
 	e := f.entries[key]
 	f.hotKey, f.hotE, f.hotOK = key, e, true
 	if e == nil || !e.has(ttl) {
-		if key.Proto == packet.ProtoUDP && f.sweepEnabled {
-			// Slot path: adopt a master walk for a first-contact slot, then
-			// derive this TTL's reply from the shared trajectory on demand.
-			if e == nil {
-				if e = n.udpAlias(key); e != nil {
-					f.hotE = e
-					if e.has(ttl) {
-						f.stats.Hits++
-						return e.reply(ttl), true
-					}
-				}
-			}
-			if e != nil && e.swept {
-				if obs, ok := n.deriveSlot(e, key, ttl); ok {
-					f.stats.Hits++
-					return obs, true
-				}
-			}
-		}
 		f.stats.Misses++
 		return ProbeObs{}, false
 	}
@@ -400,9 +303,7 @@ func (n *Network) FlowLookup(key FlowKey, ttl uint8) (ProbeObs, bool) {
 
 // windowLookup is FlowLookup while a deviance window has masked nodes:
 // the flow's window-era entry answers first, then its pristine entry if
-// the entry's touched set misses the mask. UDP slots take this plain memo
-// path too — no alias, no derivation — so nothing is derived from a
-// trajectory the window may have changed.
+// the entry's touched set misses the mask.
 func (n *Network) windowLookup(key FlowKey, ttl uint8) (ProbeObs, bool) {
 	f := &n.flows
 	e := f.window[key]
@@ -461,12 +362,6 @@ func (n *Network) FlowProbe(out *Iface, pkt *packet.Packet, key FlowKey, ttl uin
 	}
 	if e == nil {
 		e = f.putEntry(key, &flowEntry{})
-	}
-	if e.swept {
-		// A swept UDP slot must keep its prefix intact for backward
-		// derivation: materialize this probe from the walk (or run it fully
-		// live in resume mode) instead of re-recording over the steps.
-		return n.sweepResume(out, pkt, e, key, ttl)
 	}
 	start := n.clock
 	pkt.Mark = 1
@@ -531,25 +426,18 @@ func (n *Network) FlowFinish(ttl uint8, obs ProbeObs) {
 	e := rec.entry
 	f.rec = flowRec{}
 	if rec.bad {
+		// Poisoned: the steps may reflect pre-mutation state (or a loop hit
+		// the budget); discard so every later probe re-runs live.
 		f.touchReset()
-		if !rec.resume {
-			// Poisoned: the steps may reflect pre-mutation state (or a loop
-			// hit the budget); discard so every later probe re-runs live. A
-			// resumed probe leaves the walk's steps alone — its own badness
-			// poisons only its own memo.
-			e.steps = e.steps[:0]
-			e.swept = false
-		}
+		e.steps = e.steps[:0]
 		return
 	}
 	tl, tlOK := f.takeTouched()
-	n.learnShape(&rec, obs, tl, tlOK)
 	f.fold(e, tl, !tlOK)
 	memoize(e, ttl, obs)
 	if n.churn.masking() {
 		n.keepPristine(rec.key, e, ttl, obs)
 	}
-	n.learnReachHint(rec.key, ttl, &obs)
 	f.touchReset()
 }
 
@@ -573,7 +461,7 @@ func (n *Network) windowEntry(key FlowKey) *flowEntry {
 		return e
 	}
 	e := &flowEntry{}
-	if p := f.entries[key]; p != nil && !p.swept && len(p.steps) > 0 && !n.masked(p.touched, p.touchAll) {
+	if p := f.entries[key]; p != nil && len(p.steps) > 0 && !n.masked(p.touched, p.touchAll) {
 		fr := p.steps[len(p.steps)-1]
 		fr.mpls = append(packet.LabelStack(nil), fr.mpls...)
 		e.steps = append(e.steps, fr)
@@ -625,29 +513,20 @@ func memoize(e *flowEntry, ttl uint8, obs ProbeObs) {
 
 // record captures one delivery of the marked forward packet, reusing the
 // step slot (and its label-stack capacity) left by previous recordings so
-// steady-state recording allocates nothing. Outside a walk each delivery
-// overwrites the last: the frontier is the only step read back.
+// steady-state recording allocates nothing. Each delivery overwrites the
+// last: the frontier is the only step read back.
 func (f *FlowCache) record(to *Iface, at time.Duration, pkt *packet.Packet) {
-	if f.rec.resume {
-		// A probe materialized from a swept trajectory runs live without
-		// touching the walk's recorded steps.
-		return
-	}
 	e := f.rec.entry
-	if !f.rec.walk {
-		e.steps = e.steps[:0]
-	}
-	if len(e.steps) < cap(e.steps) {
-		e.steps = e.steps[:len(e.steps)+1]
+	if cap(e.steps) > 0 {
+		e.steps = e.steps[:1]
 	} else {
 		e.steps = append(e.steps, trajStep{})
 	}
-	st := &e.steps[len(e.steps)-1]
+	st := &e.steps[0]
 	st.to = to
 	st.offset = at - f.rec.start
 	st.ip = pkt.IP
 	st.lineage = pkt.Lineage
-	st.minT = f.rec.minT
 	st.mpls = append(st.mpls[:0], pkt.MPLS...)
 }
 
@@ -706,7 +585,7 @@ func (f *FlowCache) touchReset() {
 // are unaffected and need no call.
 func (n *Network) NoteTTLMin(a, b uint8, aProp, bProp bool) {
 	f := &n.flows
-	if !f.rec.active || f.rec.resume {
+	if !f.rec.active {
 		return
 	}
 	t0 := int(f.rec.entry.t0)
@@ -719,16 +598,9 @@ func (n *Network) NoteTTLMin(a, b uint8, aProp, bProp bool) {
 		// b (propagated) won; it keeps winning upward while its grown value
 		// ≤ a. Downward it only shrinks further, so no floor.
 		noteMaxT(f, t0+int(a)-int(b))
-	case aProp && !bProp && a >= b:
-		// b (constant) won; upward is monotone-safe, but a smaller initial
-		// TTL shrinks a below b and flips the branch: valid while
-		// a-(t0-t) >= b, i.e. t >= t0-(a-b).
-		noteMinT(f, t0-(int(a)-int(b)))
-	case bProp && !aProp && a < b:
-		// a (constant) won; a smaller initial TTL shrinks b to or below a:
-		// valid while b-(t0-t) > a, i.e. t >= t0-(b-a)+1.
-		noteMinT(f, t0-(int(b)-int(a))+1)
 	}
+	// A constant winner stays the winner as the initial TTL grows: upward
+	// is monotone-safe, and the fast-forward never replays downward.
 }
 
 // noteMaxT tightens the recording's upper validity bound (frontier
@@ -742,19 +614,5 @@ func noteMaxT(f *FlowCache, maxT int) {
 	}
 	if uint8(maxT) < f.rec.entry.maxTTL {
 		f.rec.entry.maxTTL = uint8(maxT)
-	}
-}
-
-// noteMinT raises the recording's lower validity floor (backward sweep
-// derivation to smaller initial TTLs).
-func noteMinT(f *FlowCache, minT int) {
-	if minT <= 0 {
-		return
-	}
-	if minT > 255 {
-		minT = 255
-	}
-	if uint8(minT) > f.rec.minT {
-		f.rec.minT = uint8(minT)
 	}
 }

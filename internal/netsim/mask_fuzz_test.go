@@ -71,21 +71,18 @@ func maskOp(in *gen.Internet, op byte, dst netaddr.Addr) string {
 // FuzzChurnMasking is the differential fuzzer for churn masking. Each
 // input is a churn rate, a schedule seed and a probe sequence (two bytes
 // per operation: maskOp's selector, then a destination). Two replicas of
-// one Small world — one with the flow cache and sweep engine on, one with
-// the cache off, the per-probe oracle — arm the same gen.BuildChurnPlan
-// schedule and run the sequence, then do it all again on their warm
-// state; with the rate's high bit set, a quiescent pass first fills the
-// cache with pristine state (UDP slot walks and reply shapes included)
-// for the windows to mask. Every observation, counter and clock reading
+// one Small world — one with the flow cache on, one with it off, the
+// per-probe oracle — arm the same gen.BuildChurnPlan schedule and run the
+// sequence, then do it all again on their warm state; with the rate's
+// high bit set, a quiescent pass first fills the cache with pristine
+// state (UDP port-cycle slots included) for the windows to mask. Every observation, counter and clock reading
 // must be identical. A mask that serves a stale pristine entry, a
 // window-era recording that outlives its interval, or a repair that lifts
 // the mask too early shows up as a divergence.
 func FuzzChurnMasking(f *testing.F) {
 	in, dsts := maskFuzzWorld(f)
 	// Seeds: ICMP traces across the schedule; UDP traces after a
-	// quiescent pass (slot walks, aliases and derivation outside windows,
-	// the plain memo path inside); mixed pings and traceroutes from later
-	// first TTLs.
+	// quiescent pass; mixed pings and traceroutes from later first TTLs.
 	f.Add(byte(4), int64(1), []byte{0, 10, 1, 200, 2, 33, 3, 77, 4, 150, 0, 10, 1, 201})
 	f.Add(byte(0x82), int64(7), []byte{8, 10, 9, 200, 10, 33, 11, 77, 12, 150, 8, 10, 9, 201, 10, 34})
 	f.Add(byte(6), int64(42), []byte{0x10, 5, 0x21, 90, 0x48, 120, 0x62, 17, 0x13, 66, 0x2a, 240})
@@ -102,7 +99,6 @@ func FuzzChurnMasking(f *testing.F) {
 			t.Fatal(err)
 		}
 		cached.Net.SetFlowCacheEnabled(true)
-		cached.Net.SetSweepEnabled(true)
 		plan := gen.BuildChurnPlan(in, float64(rate&0x7f%9)/2, seed)
 		targets := 1 + len(ops)/8
 		rounds := []bool{true, true}

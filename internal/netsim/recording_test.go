@@ -11,8 +11,7 @@ import (
 )
 
 // coldReplica returns a fresh replica of the Small world with the flow
-// cache and sweep engine on, as a campaign runs it, and its first
-// vantage point's prober.
+// cache on, as a campaign runs it, and its first vantage point's prober.
 func coldReplica(t *testing.T) (*gen.Internet, *probe.Prober) {
 	t.Helper()
 	in, _ := maskFuzzWorld(t)
@@ -21,7 +20,6 @@ func coldReplica(t *testing.T) (*gen.Internet, *probe.Prober) {
 		t.Fatal(err)
 	}
 	w.Net.SetFlowCacheEnabled(true)
-	w.Net.SetSweepEnabled(true)
 	return w, w.VPs[0].Prober
 }
 

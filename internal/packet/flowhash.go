@@ -10,10 +10,8 @@ const (
 
 // FlowHash computes the per-flow ECMP hash over the fields Paris
 // traceroute keeps constant: addresses, protocol, and the first 4 bytes of
-// the transport header (ICMP checksum/id or ports). It lives in packet —
-// not router — because it is a pure function of packet fields: the sweep
-// engine predicts a router's ECMP choices for untraced port-cycle slots by
-// hashing synthetic packets, and netsim cannot import router.
+// the transport header (ICMP checksum/id or ports). It lives in packet
+// because it is a pure function of packet fields.
 func FlowHash(pkt *Packet) uint32 {
 	var b [13]byte
 	src, dst := uint32(pkt.IP.Src), uint32(pkt.IP.Dst)

@@ -75,17 +75,6 @@ func (p *Packet) SetLineageTop(prop bool) {
 	}
 }
 
-// LineageIPPropagated reports whether a raw lineage word (same layout as
-// Packet.Lineage) marks the IP TTL as initial-TTL-propagated. For code
-// that stores lineage snapshots detached from a Packet.
-func LineageIPPropagated(l uint32) bool { return l&lineageIPBit != 0 }
-
-// LineageLSEPropagated reports whether a raw lineage word marks MPLS[i]
-// as initial-TTL-propagated.
-func LineageLSEPropagated(l uint32, i int) bool {
-	return l&lineageMPLSMask&(1<<uint(i)) != 0
-}
-
 // PushLineage shifts the label-stack lineage bits for a PushInPlace and
 // records the new top's lineage. Call it alongside every push on a marked
 // packet, in push order.

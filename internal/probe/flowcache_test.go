@@ -2,6 +2,7 @@ package probe
 
 import (
 	"testing"
+	"time"
 
 	"wormhole/internal/netsim"
 	"wormhole/internal/packet"
@@ -86,5 +87,112 @@ func TestUDPQuoteMatchingUsesIPID(t *testing.T) {
 	p.handle(net, reply(token))
 	if p.pending.reply == nil || p.Recv != 1 {
 		t.Fatal("genuine quote was not matched")
+	}
+}
+
+// tracesEqual compares two traces hop for hop, RTTs and RFC 4950 stacks
+// included.
+func tracesEqual(t *testing.T, want, got *Trace) {
+	t.Helper()
+	if want.Reached != got.Reached || len(want.Hops) != len(got.Hops) {
+		t.Fatalf("trace shape differs: want reached=%v hops=%d, got reached=%v hops=%d",
+			want.Reached, len(want.Hops), got.Reached, len(got.Hops))
+	}
+	for i := range want.Hops {
+		w, g := want.Hops[i], got.Hops[i]
+		if w.Addr != g.Addr || w.RTT != g.RTT || w.ReplyTTL != g.ReplyTTL ||
+			w.ICMPType != g.ICMPType || w.ICMPCode != g.ICMPCode || len(w.MPLS) != len(g.MPLS) {
+			t.Errorf("hop %d differs: want %+v, got %+v", i, w, g)
+			continue
+		}
+		for j := range w.MPLS {
+			if w.MPLS[j] != g.MPLS[j] {
+				t.Errorf("hop %d LSE %d differs: want %+v, got %+v", i, j, w.MPLS[j], g.MPLS[j])
+			}
+		}
+	}
+}
+
+// cachedMatchesPerProbe traces the line's host with the given method on a
+// per-probe fabric and on one with the flow cache on, and requires the
+// traces, the Sent/Recv accounting and the virtual clocks to agree. It
+// returns the cached fabric's counters.
+func cachedMatchesPerProbe(t *testing.T, method Method) netsim.FlowCacheStats {
+	t.Helper()
+	a := buildLine(t, 3)
+	a.prober.Method = method
+	off := a.prober.Traceroute(a.host.Addr())
+
+	b := buildLine(t, 3)
+	b.prober.Method = method
+	b.net.SetFlowCacheEnabled(true)
+	on := b.prober.Traceroute(b.host.Addr())
+
+	tracesEqual(t, off, on)
+	if a.prober.Sent != b.prober.Sent || a.prober.Recv != b.prober.Recv {
+		t.Errorf("accounting differs: per-probe Sent/Recv %d/%d, cached %d/%d",
+			a.prober.Sent, a.prober.Recv, b.prober.Sent, b.prober.Recv)
+	}
+	if a.net.Now() != b.net.Now() {
+		t.Errorf("virtual clock differs: per-probe %v, cached %v", a.net.Now(), b.net.Now())
+	}
+	return b.net.FlowCacheStats()
+}
+
+// TestFlowCacheICMPFastForward pins the ICMP cold path on a pure fabric:
+// each probe of an ICMP Paris trace past the first fast-forwards to the
+// flow's recorded frontier, and the trace is identical to the per-probe
+// run.
+func TestFlowCacheICMPFastForward(t *testing.T) {
+	if fc := cachedMatchesPerProbe(t, ICMPParis); fc.FastForwards == 0 {
+		t.Errorf("ICMP trace never fast-forwarded: %+v", fc)
+	}
+}
+
+// TestSweepUDPTraceMatchesPerProbe pins the UDP cold path on a pure
+// fabric: every probe of a UDP Paris trace is its own port-cycle flow, so
+// each one runs live and memoizes its reply, and the trace is identical
+// to the per-probe run.
+func TestSweepUDPTraceMatchesPerProbe(t *testing.T) {
+	if fc := cachedMatchesPerProbe(t, UDPParis); fc.Misses == 0 {
+		t.Errorf("UDP trace never consulted the cache: %+v", fc)
+	}
+}
+
+// TestFlowCachePurityFallbackRateLimited proves the purity gate: on a
+// fabric with an ICMP rate-limited router the cache must stay inert even
+// when requested — no lookup, no recording — and the trace runs
+// per-probe.
+func TestFlowCachePurityFallbackRateLimited(t *testing.T) {
+	l := buildLine(t, 3)
+	cfg := l.rs[1].Config()
+	cfg.ICMPInterval = time.Millisecond
+	l.rs[1].SetConfig(cfg)
+	l.net.SetFlowCacheEnabled(true)
+	l.prober.Method = UDPParis
+	tr := l.prober.Traceroute(l.host.Addr())
+	if len(tr.Hops) == 0 {
+		t.Fatal("trace produced no hops")
+	}
+	if fc := l.net.FlowCacheStats(); fc != (netsim.FlowCacheStats{}) {
+		t.Errorf("flow cache engaged on an impure fabric: %+v", fc)
+	}
+}
+
+// TestFlowCacheOffUDPPerProbe pins that with the flow cache off a UDP
+// Paris trace runs per-probe to the destination's port-unreachable and
+// moves no cache counter.
+func TestFlowCacheOffUDPPerProbe(t *testing.T) {
+	l := buildLine(t, 3)
+	l.prober.Method = UDPParis
+	tr := l.prober.Traceroute(l.host.Addr())
+	if !tr.Reached {
+		t.Fatalf("UDP trace not reached: %+v", tr.Hops)
+	}
+	if tr.Hops[len(tr.Hops)-1].ICMPType != packet.ICMPDestUnreach {
+		t.Errorf("UDP trace should end in port-unreachable: %+v", tr.Hops[len(tr.Hops)-1])
+	}
+	if fc := l.net.FlowCacheStats(); fc != (netsim.FlowCacheStats{}) {
+		t.Errorf("UDP trace moved the cache counters with the cache off: %+v", fc)
 	}
 }

@@ -81,10 +81,8 @@ func (m Method) String() string {
 }
 
 // udpBasePort is the classic traceroute destination-port base; probes
-// cycle over the 128 ports above it, one flow per port. The sweep engine
-// aliases those per-port flows back into branch classes, so the value is
-// shared with netsim.
-const udpBasePort = netsim.UDPBasePort
+// cycle over the 128 ports above it, one flow per port.
+const udpBasePort = 33434
 
 // Prober issues probes from a vantage-point host. It is not safe for
 // concurrent use; campaigns run one Prober per vantage point sequentially
@@ -247,8 +245,7 @@ func (p *Prober) probe(dst netaddr.Addr, ttl uint8, method Method) netsim.ProbeO
 	// Churn ticks once per logical probe, memo hit or live — the single
 	// choke point every probe passes through, so an armed schedule fires
 	// its events at identical probe boundaries whether or not caching is
-	// on. The sweep walk deliberately does not tick: it is bookkeeping
-	// standing in for the per-probe replies the memo later serves here.
+	// on.
 	p.Net.ChurnTick()
 	token := p.nextToken()
 	key := netsim.FlowKey{Src: p.Host.Addr(), Dst: dst, Proto: packet.ProtoICMP, A: p.FlowID}
@@ -263,33 +260,6 @@ func (p *Prober) probe(dst netaddr.Addr, ttl uint8, method Method) netsim.ProbeO
 			p.Recv++
 		}
 		return obs
-	}
-	if method == UDPParis && ttl < p.MaxTTL && p.Net.SweepBegin(key, ttl, p.MaxTTL) {
-		// First contact with this slot's branch class: walk the slot once
-		// at MaxTTL so the engine can derive the lower-TTL replies of this
-		// and every aliased slot. The walk reuses the probe's own token —
-		// the slot IS the token, and drawing a fresh one would shift every
-		// later probe's port off the per-probe oracle's sequence. The walk
-		// is bookkeeping, not a probe: Sent is untouched and its reply
-		// match must not count toward Recv.
-		wpkt := p.buildProbe(dst, p.MaxTTL, UDPParis, token)
-		p.pending = await{id: wpkt.UDP.SrcPort, seq: wpkt.UDP.DstPort, ipid: token}
-		p.waiting = true
-		recv := p.Recv
-		elapsed := p.Net.SweepWalk(p.Host.If, wpkt, key)
-		wreply := p.pending.reply
-		p.waiting = false
-		p.pending = await{}
-		p.Recv = recv
-		p.Net.SweepFinish(key, replyObs(wreply, elapsed))
-		if obs, ok := p.Net.FlowLookup(key, ttl); ok {
-			p.Sent++
-			p.Net.AdvanceClock(obs.Advance)
-			if obs.Answered {
-				p.Recv++
-			}
-			return obs
-		}
 	}
 	pkt := p.buildProbe(dst, ttl, method, token)
 	if pkt.UDP != nil {

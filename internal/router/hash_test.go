@@ -22,7 +22,7 @@ func TestFlowHashVariesWithID(t *testing.T) {
 			},
 			ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: 0x1234 + uint16(f)*257, Seq: 1},
 		}
-		seen[notedNextHop(nil, hops, pkt).Gateway]++
+		seen[ecmpNextHop(hops, pkt).Gateway]++
 	}
 	t.Logf("branch counts: %v", seen)
 	if len(seen) < 2 {

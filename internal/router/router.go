@@ -341,7 +341,7 @@ func (r *Router) forward(net *netsim.Network, pkt *packet.Packet) {
 		r.impose(net, pkt, e.binding)
 		return
 	}
-	nh := notedNextHop(net, e.rt.NextHops, pkt)
+	nh := ecmpNextHop(e.rt.NextHops, pkt)
 	net.Transmit(nh.Out, pkt)
 }
 
@@ -380,7 +380,7 @@ func (r *Router) lookupBinding(matched netaddr.Prefix, rt *Route, dst netaddr.Ad
 // impose pushes the FEC's label (or forwards unlabeled for implicit null)
 // and transmits.
 func (r *Router) impose(net *netsim.Network, pkt *packet.Packet, b *Binding) {
-	hop := notedLabelHop(net, b.NextHops, pkt)
+	hop := ecmpLabelHop(b.NextHops, pkt)
 	lseTTL := uint8(255)
 	lseProp := false // lineage of the imposed TTL: 255 is a constant seed
 	if r.cfg.TTLPropagate {
@@ -445,7 +445,7 @@ func (r *Router) switchMPLS(net *netsim.Network, in *netsim.Iface, pkt *packet.P
 		return
 	}
 
-	hop := notedLabelHop(net, entry.NextHops, pkt)
+	hop := ecmpLabelHop(entry.NextHops, pkt)
 	fwd := net.PacketPool().Clone(pkt)
 	switch hop.Label {
 	case OutLabelImplicitNull:
@@ -555,9 +555,6 @@ func (r *Router) disposeUHP(net *netsim.Network, in *netsim.Iface, pkt *packet.P
 // leaves a plain IP reply that is routed — and possibly re-tunneled —
 // immediately.
 func (r *Router) mplsExpired(net *netsim.Network, in *netsim.Iface, pkt *packet.Packet, entry *LFIBEntry) {
-	// Before any suppression decision: the sweep engine's reply shape is
-	// "what this expiry context produces", answered or not.
-	net.NoteExpiry(in, pkt)
 	if r.cfg.Silent || r.cfg.NoICMPTimeExceeded || !r.icmpAllowed(net) {
 		return
 	}
@@ -573,7 +570,7 @@ func (r *Router) mplsExpired(net *netsim.Network, in *netsim.Iface, pkt *packet.
 		r.Originate(net, te)
 		return
 	}
-	hop := notedLabelHop(net, entry.NextHops, pkt)
+	hop := ecmpLabelHop(entry.NextHops, pkt)
 	switch hop.Label {
 	case OutLabelImplicitNull:
 		if len(pkt.MPLS) > 1 {
@@ -615,7 +612,6 @@ func (r *Router) buildTimeExceeded(net *netsim.Network, in *netsim.Iface, pkt *p
 }
 
 func (r *Router) sendTimeExceeded(net *netsim.Network, in *netsim.Iface, pkt *packet.Packet) {
-	net.NoteExpiry(in, pkt)
 	if r.cfg.Silent || r.cfg.NoICMPTimeExceeded || !r.icmpAllowed(net) {
 		return
 	}
@@ -637,9 +633,6 @@ func (r *Router) icmpAllowed(net *netsim.Network) bool {
 }
 
 func (r *Router) deliverLocal(net *netsim.Network, pkt *packet.Packet) {
-	// Routers consume local traffic before any TTL check; tell the sweep
-	// recorder its terminal step is exempt from transit expiry rules.
-	net.NoteLocalDelivery(pkt)
 	if r.cfg.Silent {
 		return
 	}
@@ -664,7 +657,7 @@ func (r *Router) deliverLocal(net *netsim.Network, pkt *packet.Packet) {
 			// Source the unreachable from the interface the reply leaves
 			// through (Mercator's alias signal).
 			if _, rt, ok := r.LookupRoute(pkt.IP.Src); ok {
-				src = notedNextHop(net, rt.NextHops, pkt).Out.Addr
+				src = ecmpNextHop(rt.NextHops, pkt).Out.Addr
 			}
 		}
 		reply := pool.Packet()

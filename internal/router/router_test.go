@@ -363,10 +363,10 @@ func TestECMPStableUnderParisFlowID(t *testing.T) {
 		IP:   packet.IPv4{TTL: 9, Protocol: packet.ProtoICMP, Src: f.vp.Addr(), Dst: f.dst},
 		ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: 7, Seq: 1},
 	}
-	first := notedNextHop(nil, rt.NextHops, pkt)
+	first := ecmpNextHop(rt.NextHops, pkt)
 	for i := 0; i < 10; i++ {
 		pkt.ICMP.Seq = uint16(i) // Paris: seq may vary, ID constant
-		if got := notedNextHop(nil, rt.NextHops, pkt); got != first {
+		if got := ecmpNextHop(rt.NextHops, pkt); got != first {
 			t.Fatal("ECMP choice changed for constant flow ID")
 		}
 	}

@@ -47,49 +47,13 @@ type CloneArena struct {
 }
 
 // NewCloneArena sizes an arena for snapshots of all the given routers
-// with linear passes over their table arenas.
+// with the counting pass the wire prelude uses.
 func NewCloneArena(rs []*Router) *CloneArena {
-	var nIf, nPtr, nLocal, nRoute, nBind, nNH, nLH, nU, nLFIB, nTrie int
-	countLabelHops := func(hops []LabelHop) {
-		nLH += len(hops)
-		for _, h := range hops {
-			nU += len(h.Under)
-		}
-	}
+	var s WireStats
 	for _, r := range rs {
-		nPtr += len(r.ifaces)
-		nIf += len(r.ifaces)
-		if r.loopback != nil {
-			nIf++
-		}
-		nLocal += len(r.locals)
-		nRoute += len(r.routes)
-		nBind += len(r.binds)
-		for i := range r.routes {
-			nNH += len(r.routes[i].NextHops)
-		}
-		for i := range r.binds {
-			countLabelHops(r.binds[i].NextHops)
-		}
-		for i := range r.lfib {
-			countLabelHops(r.lfib[i].NextHops)
-		}
-		nLFIB += len(r.lfib)
-		nTrie += r.fib.NodeCount() + r.bindings.NodeCount()
+		s.Count(r)
 	}
-	return &CloneArena{
-		routers: make([]Router, 0, len(rs)),
-		ifrecs:  make([]netsim.Iface, 0, nIf),
-		ifptrs:  make([]*netsim.Iface, 0, nPtr),
-		locals:  make([]netaddr.Addr, 0, nLocal),
-		routes:  make([]Route, 0, nRoute),
-		binds:   make([]Binding, 0, nBind),
-		nhops:   make([]NextHop, 0, nNH),
-		lhops:   make([]LabelHop, 0, nLH),
-		unders:  make([]uint32, 0, nU),
-		lfib:    make([]LFIBEntry, 0, nLFIB),
-		tries:   netaddr.NewTrieArena[int32](nTrie),
-	}
+	return NewDecodeArena(s)
 }
 
 // takeIface carves one interface record from the slab. Records beyond the

@@ -91,31 +91,20 @@ type LFIBEntry struct {
 	PopLocal bool
 }
 
-// notedNextHop selects the ECMP member for a flow by packet.FlowHash, the
-// hash over the fields Paris traceroute keeps constant. When a marked
-// sweep walk crosses a real ECMP fan-out, the (fan-out, index) decision is
-// handed to the fabric's recorder so untraced port-cycle slots can later
-// be validated against the walk's branch set (netsim.NoteFlowBranch). A
-// nil net selects without reporting. Single-hop routes never branch and
-// are not reported.
-func notedNextHop(net *netsim.Network, hops []NextHop, pkt *packet.Packet) NextHop {
+// ecmpNextHop selects the ECMP member for a flow by packet.FlowHash, the
+// hash over the fields Paris traceroute keeps constant. A single-hop route
+// never branches and skips the hash.
+func ecmpNextHop(hops []NextHop, pkt *packet.Packet) NextHop {
 	if len(hops) == 1 {
 		return hops[0]
 	}
-	idx := packet.FlowHash(pkt) % uint32(len(hops))
-	if net != nil && pkt.Mark != 0 {
-		net.NoteFlowBranch(uint16(len(hops)), uint16(idx))
-	}
-	return hops[idx]
+	return hops[packet.FlowHash(pkt)%uint32(len(hops))]
 }
 
-func notedLabelHop(net *netsim.Network, hops []LabelHop, pkt *packet.Packet) LabelHop {
+// ecmpLabelHop is ecmpNextHop over an LFIB entry's or binding's hops.
+func ecmpLabelHop(hops []LabelHop, pkt *packet.Packet) LabelHop {
 	if len(hops) == 1 {
 		return hops[0]
 	}
-	idx := packet.FlowHash(pkt) % uint32(len(hops))
-	if net != nil && pkt.Mark != 0 {
-		net.NoteFlowBranch(uint16(len(hops)), uint16(idx))
-	}
-	return hops[idx]
+	return hops[packet.FlowHash(pkt)%uint32(len(hops))]
 }

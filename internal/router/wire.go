@@ -25,9 +25,9 @@ import (
 
 var errBadWire = errors.New("router: corrupt router encoding")
 
-// WireStats counts, across a set of routers, every slab the decode arena
-// must pre-size — the same linear pass NewCloneArena runs. It travels as
-// the prelude of the wire nodes section so the decoder allocates once.
+// WireStats counts, across a set of routers, every slab a CloneArena must
+// pre-size; NewCloneArena counts through it too. It travels as the
+// prelude of the wire nodes section so the decoder allocates once.
 type WireStats struct {
 	Routers   int
 	Ifaces    int // interface records, loopbacks included
@@ -98,8 +98,9 @@ func DecodeWireStats(r *wirefmt.Reader) WireStats {
 	return s
 }
 
-// NewDecodeArena sizes a CloneArena from a wire prelude; DecodeRouter
-// carves replicas out of it exactly as SnapshotInto does.
+// NewDecodeArena sizes a CloneArena from slab counts: a wire prelude, or
+// NewCloneArena's own pass. DecodeRouter carves replicas out of it
+// exactly as SnapshotInto does.
 func NewDecodeArena(s WireStats) *CloneArena {
 	return &CloneArena{
 		routers: make([]Router, 0, s.Routers),

@@ -27,16 +27,15 @@
 #     Large (~10⁴ router) rung must stay under a committed ceiling. The struct-of-arrays arenas exist to keep replica cost
 #     flat; per-object cloning creeping back in shows up here first.
 #
-#  4. UDP cache: the UDP sweep+cache row must beat the UDP per-probe
-#     baseline by a real margin at 1 worker. Like every cached row, it
-#     is timed after an untimed warm-up run on the same pooled replicas,
-#     so its timed runs replay the flow cache's memo (the committed
-#     rows read 0 sweep walks and 0 cache misses per run). The gate
-#     therefore guards warm UDP replay against per-probe simulation; it
-#     cannot see the port-cycle slot engine (per-slot walks, branch-class
-#     aliasing, canonical-port reply shapes), and it would stay green if
-#     that cold path regressed. No gate covers the UDP cold path until
-#     perfbench gains a UDP workload.
+#  4. UDP cache: the UDP cache row must beat the UDP per-probe baseline
+#     by a real margin at 1 worker. Like every cached row, it is timed
+#     after an untimed warm-up run on the same pooled replicas, so its
+#     timed runs replay the flow cache's memo (the committed rows read 0
+#     cache misses per run). The gate therefore guards warm UDP replay
+#     against per-probe simulation; it cannot see the UDP cold path
+#     (each port-cycle slot's first probe runs live), and it would stay
+#     green if that path regressed. No gate covers the UDP cold path
+#     until perfbench gains a UDP workload.
 #
 #  5. Wire codec: encoding the Large fabric to the versioned snapshot
 #     wire blob must stay within ENCODE_FACTOR× of the in-process
@@ -68,8 +67,8 @@
 # inversion was -37%). The churned delta row must reach CHURN_FLOOR%
 # of the churned flush-world row at 2 workers (100%: delta must at
 # least match the baseline — it wins by masking, which keeps the pool
-# and every replica's pristine cache state warm). The UDP sweep+cache row
-# must reach UDP_FLOOR% of the UDP per-probe baseline at 1 worker.
+# and every replica's pristine cache state warm). The UDP cache row must
+# reach UDP_FLOOR% of the UDP per-probe baseline at 1 worker.
 # The Large replica must stay under MEM_CEILING heap bytes per router.
 #
 # Usage: ./scripts/bench_guard.sh   (repo root; also run by check.sh)
@@ -157,10 +156,10 @@ campaign_gates() {
             exit 1
         }
         udppct = 100 * rate["1,udp,1,0,0"] / rate["1,udp,0,0,0"]
-        printf "bench_guard: udp cache %.0f probes/s per-probe, %.0f sweep+cache (%.1f%%, floor %d%%)\n", \
+        printf "bench_guard: udp cache %.0f probes/s per-probe, %.0f cached (%.1f%%, floor %d%%)\n", \
             rate["1,udp,0,0,0"], rate["1,udp,1,0,0"], udppct, udpfloor
         if (udppct < udpfloor) {
-            print "bench_guard: FAIL — udp sweep+cache no longer beats the udp per-probe baseline"
+            print "bench_guard: FAIL — udp cache no longer beats the udp per-probe baseline"
             exit 1
         }
     }

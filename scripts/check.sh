@@ -6,8 +6,8 @@
 # then the performance guard
 # (bench_guard.sh fails if the 2-worker cached campaign regresses below
 # the 1-worker row, if churn masking falls below flush-the-world
-# under churn, if the UDP sweep+cache row stops beating the UDP
-# per-probe baseline, if the Large replica's bytes/router exceeds the
+# under churn, if the UDP cache row stops beating the UDP per-probe
+# baseline, if the Large replica's bytes/router exceeds the
 # committed ceiling, or if the Large wire codec exceeds its
 # snapshot-relative budget) — run
 # first because its throughput ratios are timing-sensitive and the
@@ -20,8 +20,7 @@
 # aggregation (per-package floors on the engine packages guard against
 # silently shedding tests; the suite is not -short, so it includes the
 # race tier: TestRaceTier shells out to `go test -race` over the
-# concurrency-heavy packages), then short native-fuzz smokes over the
-# sweep derivation model, the UDP port-cycle branch-class algebra, churn
+# concurrency-heavy packages), then short native-fuzz smokes over churn
 # masking, the snapshot wire decoder, the distributed coordinator's and
 # worker's inbound frame paths, the rebuild-mode world frame (generator
 # Params) and the dataset reader. Last, the distributed smoke: a real
@@ -72,21 +71,17 @@ check_floor() {
 check_floor netsim 50
 check_floor campaign 85
 
-# Native-fuzz smokes: ten seconds each of the backward-scan differential
-# fuzzer, the UDP slot-class fuzzer, the churn-masking differential
+# Native-fuzz smokes: ten seconds each of the churn-masking differential
 # fuzzer (a cached fabric against the cache-off oracle under
 # gen.BuildChurnPlan schedules), the wire-format reader fuzzer, the
 # snapshot decoder fuzzer (section payloads mutated and re-sealed past
 # their checksums), the coordinator and worker inbound-path fuzzers, the
 # rebuild-mode Params frame fuzzer and the JSONL dataset reader behind
 # `wormhole analyze`.
-# Regressions in the lineage model, the port-cycle aliasing algebra or
-# the masking rule surface here long before a campaign happens to probe
-# the right flow, roll the colliding ports or churn the right link; a
+# Regressions in the masking rule surface here long before a campaign
+# happens to probe the right flow or churn the right link; a
 # blob or frame that panics or hangs a decoder surfaces before a real
 # peer sends one.
-go test ./internal/netsim/ -run='^$' -fuzz=FuzzLineageBackwardScan -fuzztime=10s
-go test ./internal/netsim/ -run='^$' -fuzz=FuzzUDPSlotClasses -fuzztime=10s
 go test ./internal/wirefmt/ -run='^$' -fuzz=FuzzReader -fuzztime=10s
 go test ./internal/gen/ -run='^$' -fuzz=FuzzDecodeWire -fuzztime=10s
 # The masking, inbound and dataset fuzzers' inputs are whole probe
