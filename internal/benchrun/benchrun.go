@@ -310,8 +310,8 @@ func goSpawnWorker(_ int, network, addr string) error {
 
 // measureDist prices the distributed engine at one worker count: the
 // wire codec's encode/decode endpoints, then whole campaigns through the
-// socket protocol in snapshot-replica mode. One untimed campaign warms
-// the allocator exactly as the in-process rows do.
+// socket protocol. One untimed campaign warms the allocator exactly as
+// the in-process rows do.
 func measureDist(in *gen.Internet, base campaign.Config, workers, runs int, spawn func(int, string, string) error) (DistReport, error) {
 	rep := DistReport{Workers: workers, Processes: 1, Runs: runs}
 	if spawn == nil {
@@ -337,7 +337,7 @@ func measureDist(in *gen.Internet, base campaign.Config, workers, runs int, spaw
 	}
 	rep.DecodeMS = msPer(time.Since(start), 1)
 
-	dcfg := campaign.DistConfig{Workers: workers, Replica: campaign.ReplicaSnapshot, Spawn: spawn}
+	dcfg := campaign.DistConfig{Workers: workers, Spawn: spawn}
 	prev := runtime.GOMAXPROCS(0)
 	if target := min(workers, runtime.NumCPU()); target > prev {
 		runtime.GOMAXPROCS(target)

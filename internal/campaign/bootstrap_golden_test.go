@@ -51,9 +51,9 @@ func dumpITDK(c *Campaign) string {
 // TestParallelBootstrapITDKGolden pins the sharded bootstrap sweep to the
 // serial one: the observed ITDK graph (node and link sets, insertion-order
 // node identities), HDN flags, and target selection must be byte-identical
-// at every worker count and under both replica modes. This is the
-// bootstrap-phase analogue of TestParallelDeterminismGolden, aimed
-// squarely at the canonical (VP, target) trace merge.
+// at every worker count. This is the bootstrap-phase analogue of
+// TestParallelDeterminismGolden, aimed squarely at the canonical
+// (VP, target) trace merge.
 func TestParallelBootstrapITDKGolden(t *testing.T) {
 	build := func() *Campaign {
 		in := testInternet(t, 411)
@@ -64,21 +64,19 @@ func TestParallelBootstrapITDKGolden(t *testing.T) {
 		t.Fatalf("serial bootstrap dump is degenerate:\n%s", want)
 	}
 
-	for _, mode := range []ReplicaMode{ReplicaSnapshot, ReplicaRebuild} {
-		for _, workers := range []int{1, 2, 8} {
-			name := fmt.Sprintf("%s-%dw", mode, workers)
-			in := testInternet(t, 411)
-			c, err := RunParallel(in, DefaultConfig(), ParallelConfig{Workers: workers, Replica: mode})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if got := dumpITDK(c); got != want {
-				t.Errorf("%s: bootstrap ITDK diverged from serial\n--- serial ---\n%s\n--- %s ---\n%s",
-					name, want, name, got)
-			}
-			if c.Workers != workers {
-				t.Errorf("%s: campaign reports %d workers", name, c.Workers)
-			}
+	for _, workers := range []int{1, 2, 8} {
+		name := fmt.Sprintf("%dw", workers)
+		in := testInternet(t, 411)
+		c, err := RunParallel(in, DefaultConfig(), ParallelConfig{Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := dumpITDK(c); got != want {
+			t.Errorf("%s: bootstrap ITDK diverged from serial\n--- serial ---\n%s\n--- %s ---\n%s",
+				name, want, name, got)
+		}
+		if c.Workers != workers {
+			t.Errorf("%s: campaign reports %d workers", name, c.Workers)
 		}
 	}
 

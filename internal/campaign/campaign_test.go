@@ -8,8 +8,8 @@ import (
 	"wormhole/internal/reveal"
 )
 
-func testInternet(t *testing.T, seed int64) *gen.Internet {
-	t.Helper()
+// testParams is the Small-rung world most campaign tests run on.
+func testParams(seed int64) gen.Params {
 	p := gen.DefaultParams(seed)
 	p.NumTier1 = 2
 	p.NumTransit = 5
@@ -19,7 +19,12 @@ func testInternet(t *testing.T, seed int64) *gen.Internet {
 	p.MPLSFrac = 1.0
 	p.NoPropagateFrac = 0.8
 	p.UHPFrac = 0.0
-	in, err := gen.Build(p)
+	return p
+}
+
+func testInternet(t *testing.T, seed int64) *gen.Internet {
+	t.Helper()
+	in, err := gen.Build(testParams(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,10 @@ func churnTestConfig() Config {
 // campaign with the flow cache enabled must be byte-identical — hops,
 // reply TTLs, label stacks, RTTs, probe and reply counters, per-shard
 // virtual-clock totals — to the uncached oracle, across the serial
-// engine, snapshot and rebuild replicas, 1/2/8-worker pools, both
-// invalidation modes (masking and the flush-the-world baseline), and both
-// probe methods. A cache-off run is the per-probe oracle: its events have
-// nothing to mask, so it must move no cache counter.
+// engine, 1/2/8-worker pools, both invalidation modes (masking and the
+// flush-the-world baseline), and both probe methods. A cache-off run is
+// the per-probe oracle: its events have nothing to mask, so it must move
+// no cache counter.
 func TestChurnEquivalenceGolden(t *testing.T) {
 	t.Run("icmp", func(t *testing.T) { testChurnEquivalence(t, probe.ICMPParis) })
 	t.Run("udp", func(t *testing.T) { testChurnEquivalence(t, probe.UDPParis) })
@@ -74,7 +74,6 @@ func testChurnEquivalence(t *testing.T, method probe.Method) {
 		{name: "workers=1", parallel: true, pcfg: ParallelConfig{Workers: 1}, mutate: func(c *Config) {}},
 		{name: "workers=2", parallel: true, pcfg: ParallelConfig{Workers: 2}, mutate: func(c *Config) {}},
 		{name: "workers=8", parallel: true, pcfg: ParallelConfig{Workers: 8}, mutate: func(c *Config) {}},
-		{name: "workers=2 rebuild", parallel: true, pcfg: ParallelConfig{Workers: 2, Replica: ReplicaRebuild}, mutate: func(c *Config) {}},
 		{name: "workers=2 flush-world", parallel: true, pcfg: ParallelConfig{Workers: 2}, mutate: func(c *Config) { c.ChurnFlushWorld = true }},
 		{name: "serial cache-off", mutate: func(c *Config) { c.DisableFlowCache = true }},
 		{name: "workers=2 cache-off", parallel: true, pcfg: ParallelConfig{Workers: 2}, mutate: func(c *Config) { c.DisableFlowCache = true }},

@@ -2,13 +2,12 @@ package campaign
 
 // The multi-process transport. RunDistributed hands the coordinator one
 // remoteSlot per worker process: a length-prefixed frame protocol on a
-// Unix (or TCP) socket. The worker receives a replica of the fabric — the
-// wire-codec snapshot blob in ReplicaSnapshot mode, the generator Params
-// in ReplicaRebuild mode — and ServeWorker drives the same localSlot code
-// the in-process engines use on it, streaming tracefile-format records
-// back. The coordinator replays them through the shared phases, so the
-// distributed output is byte-identical to Run and RunParallel at any
-// worker count.
+// Unix (or TCP) socket. The worker receives a replica of the fabric as
+// the wire-codec snapshot blob, and ServeWorker drives the same localSlot
+// code the in-process engines use on it, streaming tracefile-format
+// records back. The coordinator replays them through the shared phases,
+// so the distributed output is byte-identical to Run and RunParallel at
+// any worker count.
 
 import (
 	"encoding/binary"
@@ -32,13 +31,21 @@ import (
 	"wormhole/internal/tracefile"
 )
 
+// ReplicaMode is ignored; it stays only because the frozen perfbench
+// module sets DistConfig.Replica. Every worker gets its world as the
+// wire-codec blob.
+type ReplicaMode uint8
+
+// ReplicaSnapshot is ignored; it stays only because the frozen perfbench
+// module sets it.
+const ReplicaSnapshot ReplicaMode = 0
+
 // DistConfig tunes the distributed engine.
 type DistConfig struct {
 	// Workers is the number of worker processes (minimum 1).
 	Workers int
-	// Replica selects how the fabric reaches the workers: ReplicaSnapshot
-	// ships the wire-codec blob (decode, no generation replay),
-	// ReplicaRebuild ships the generator Params (each worker rebuilds).
+	// Replica is ignored; it stays only because the frozen perfbench
+	// module sets it.
 	Replica ReplicaMode
 	// Network/Addr name the coordinator's listening socket. Empty Network
 	// selects a Unix socket in a private temp directory.
@@ -69,10 +76,10 @@ func (e *WorkerError) Error() string {
 func (e *WorkerError) Unwrap() error { return e.Err }
 
 // Frame protocol: [u32 length | u8 type | payload]. Payloads are JSON
-// except msgWorld, which carries the raw snapshot blob in snapshot mode.
+// except msgWorld, which carries the raw wire blob.
 const (
 	msgHello       byte = iota + 1 // c→w: distHello
-	msgWorld                       // c→w: wire blob (snapshot) or Params JSON (rebuild)
+	msgWorld                       // c→w: the world's wire-codec blob
 	msgBootstrap                   // c→w: []bootJob, the worker's contiguous partition
 	msgTraces                      // w→c: []tracefile.Trace chunk, partition order
 	msgBootDone                    // w→c: Counters of the partition
@@ -95,10 +102,9 @@ const frameChunk = 64 << 10
 // replays in partition order regardless.
 const distTraceChunk = 256
 
-// distHello opens the session: the campaign configuration, the replica
-// mode of the world frame that follows, and the source's prober settings.
+// distHello opens the session: the campaign configuration and the
+// source's prober settings.
 type distHello struct {
-	Replica ReplicaMode      `json:"replica"`
 	Cfg     Config           `json:"cfg"`
 	Probers []proberSettings `json:"probers"`
 }
@@ -346,9 +352,9 @@ func rebuildShardResult(sh shard, d *distShardResult) (*shardResult, error) {
 
 // RunDistributed executes the campaign with dcfg.Workers worker
 // processes. Output is byte-identical to Run and RunParallel on the same
-// Internet and Config, at any worker count and in both replica modes. On
-// any worker failure it returns a *WorkerError and no campaign: partial
-// results are discarded, never merged.
+// Internet and Config, at any worker count. On any worker failure it
+// returns a *WorkerError and no campaign: partial results are discarded,
+// never merged.
 func RunDistributed(in *gen.Internet, cfg Config, dcfg DistConfig) (*Campaign, error) {
 	workers := max(dcfg.Workers, 1)
 	if dcfg.Spawn == nil {
@@ -368,13 +374,8 @@ func RunDistributed(in *gen.Internet, cfg Config, dcfg DistConfig) (*Campaign, e
 	// before any prober state mutates: the blob captures the fabric
 	// exactly as the serial engine would first observe it.
 	t0 := time.Now()
-	var world []byte
-	var err error
-	if dcfg.Replica == ReplicaRebuild {
-		if world, err = json.Marshal(in.Params()); err != nil {
-			return nil, fmt.Errorf("campaign: params encode: %w", err)
-		}
-	} else if world, err = in.EncodeWire(); err != nil {
+	world, err := in.EncodeWire()
+	if err != nil {
 		return nil, fmt.Errorf("campaign: snapshot encode: %w", err)
 	}
 
@@ -406,7 +407,7 @@ func RunDistributed(in *gen.Internet, cfg Config, dcfg DistConfig) (*Campaign, e
 		}
 	}()
 	e := &engine{in: in, cfg: cfg}
-	hello := distHello{Replica: dcfg.Replica, Cfg: cfg, Probers: proberSettingsOf(in.VPs)}
+	hello := distHello{Cfg: cfg, Probers: proberSettingsOf(in.VPs)}
 	type deadliner interface{ SetDeadline(time.Time) error }
 	for i := 0; i < workers; i++ {
 		if d, ok := ln.(deadliner); ok {
@@ -455,16 +456,8 @@ func ServeWorker(conn net.Conn) error {
 	if typ != msgWorld {
 		return fmt.Errorf("worker: unexpected frame type %d (want world)", typ)
 	}
-	var win *gen.Internet
-	if hello.Replica == ReplicaRebuild {
-		var p gen.Params
-		if err := json.Unmarshal(payload, &p); err != nil {
-			return fmt.Errorf("worker: params: %w", err)
-		}
-		if win, err = gen.Build(p); err != nil {
-			return fmt.Errorf("worker: rebuild: %w", err)
-		}
-	} else if win, err = gen.DecodeWire(payload); err != nil {
+	win, err := gen.DecodeWire(payload)
+	if err != nil {
 		return fmt.Errorf("worker: decode: %w", err)
 	}
 	if len(hello.Probers) != len(win.VPs) {

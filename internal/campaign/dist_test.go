@@ -1,11 +1,11 @@
 package campaign_test
 
 // Distributed-engine contracts: the multi-process campaign is
-// byte-identical to the serial engine at every worker count and in both
-// replica modes, and a worker dying mid-campaign yields a typed error —
-// promptly, with partial results discarded — never a hang or a corrupted
-// merge. Workers here are goroutines driving the real socket protocol;
-// the check.sh smoke exercises true OS processes through the CLI.
+// byte-identical to the serial engine at every worker count, and a worker
+// dying mid-campaign yields a typed error — promptly, with partial
+// results discarded — never a hang or a corrupted merge. Workers here are
+// goroutines driving the real socket protocol; the check.sh smoke
+// exercises true OS processes through the CLI.
 
 import (
 	"bytes"
@@ -56,23 +56,19 @@ func datasetBytes(t *testing.T, c *campaign.Campaign) []byte {
 	return buf.Bytes()
 }
 
-func runDist(t *testing.T, in *gen.Internet, cfg campaign.Config, workers int, mode campaign.ReplicaMode) *campaign.Campaign {
+func runDist(t *testing.T, in *gen.Internet, cfg campaign.Config, workers int) *campaign.Campaign {
 	t.Helper()
-	c, err := campaign.RunDistributed(in, cfg, campaign.DistConfig{
-		Workers: workers,
-		Replica: mode,
-		Spawn:   goSpawn,
-	})
+	c, err := campaign.RunDistributed(in, cfg, campaign.DistConfig{Workers: workers, Spawn: goSpawn})
 	if err != nil {
-		t.Fatalf("distributed run (workers=%d mode=%s): %v", workers, mode, err)
+		t.Fatalf("distributed run (workers=%d): %v", workers, err)
 	}
 	return c
 }
 
 // TestDistributedGolden pins the headline contract: 1, 2, and 4 worker
-// processes, in both replica modes, produce the byte-identical dataset
-// the serial engine produces, and bill their slot set-up (encode, spawn,
-// join, world shipping) to Phase.Replica.
+// processes produce the byte-identical dataset the serial engine
+// produces, and bill their slot set-up (encode, spawn, join, world
+// shipping) to Phase.Replica.
 func TestDistributedGolden(t *testing.T) {
 	in := distWorld(t)
 	cfg := campaign.DefaultConfig()
@@ -81,24 +77,22 @@ func TestDistributedGolden(t *testing.T) {
 	if len(serial.Records) == 0 {
 		t.Fatal("serial campaign produced no records")
 	}
-	for _, mode := range []campaign.ReplicaMode{campaign.ReplicaSnapshot, campaign.ReplicaRebuild} {
-		for _, workers := range []int{1, 2, 4} {
-			c := runDist(t, in, cfg, workers, mode)
-			if got := datasetBytes(t, c); !bytes.Equal(got, want) {
-				t.Fatalf("workers=%d mode=%s: dataset diverges from serial", workers, mode)
-			}
-			if c.Probes != serial.Probes {
-				t.Errorf("workers=%d mode=%s: probes %d, serial %d", workers, mode, c.Probes, serial.Probes)
-			}
-			if len(c.Shards) != len(serial.Shards) {
-				t.Errorf("workers=%d mode=%s: %d shards, serial %d", workers, mode, len(c.Shards), len(serial.Shards))
-			}
-			if c.Workers != workers {
-				t.Errorf("Workers = %d, want %d", c.Workers, workers)
-			}
-			if c.Phase.Replica <= 0 {
-				t.Errorf("workers=%d mode=%s: slot set-up not billed to Phase.Replica", workers, mode)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		c := runDist(t, in, cfg, workers)
+		if got := datasetBytes(t, c); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: dataset diverges from serial", workers)
+		}
+		if c.Probes != serial.Probes {
+			t.Errorf("workers=%d: probes %d, serial %d", workers, c.Probes, serial.Probes)
+		}
+		if len(c.Shards) != len(serial.Shards) {
+			t.Errorf("workers=%d: %d shards, serial %d", workers, len(c.Shards), len(serial.Shards))
+		}
+		if c.Workers != workers {
+			t.Errorf("Workers = %d, want %d", c.Workers, workers)
+		}
+		if c.Phase.Replica <= 0 {
+			t.Errorf("workers=%d: slot set-up not billed to Phase.Replica", workers)
 		}
 	}
 }
@@ -113,7 +107,7 @@ func TestDistributedChurn(t *testing.T) {
 	cfg.ChurnSeed = 99
 	serial := campaign.Run(in, cfg)
 	want := datasetBytes(t, serial)
-	c := runDist(t, in, cfg, 2, campaign.ReplicaSnapshot)
+	c := runDist(t, in, cfg, 2)
 	if got := datasetBytes(t, c); !bytes.Equal(got, want) {
 		t.Fatal("churned distributed dataset diverges from serial")
 	}
@@ -138,7 +132,7 @@ func TestDistributedStream(t *testing.T) {
 	serial := campaign.Run(in, cfg)
 	want := datasetBytes(t, serial)
 	for _, workers := range []int{2, 3} {
-		c := runDist(t, in, cfg, workers, campaign.ReplicaSnapshot)
+		c := runDist(t, in, cfg, workers)
 		if got := datasetBytes(t, c); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: streamed distributed dataset diverges from serial", workers)
 		}
@@ -159,7 +153,7 @@ func TestDistributedLargeGolden(t *testing.T) {
 	cfg := experiments.Large.CampaignConfig()
 	serial := campaign.Run(in, cfg)
 	want := datasetBytes(t, serial)
-	c := runDist(t, in, cfg, 2, campaign.ReplicaSnapshot)
+	c := runDist(t, in, cfg, 2)
 	if got := datasetBytes(t, c); !bytes.Equal(got, want) {
 		t.Fatal("Large distributed dataset diverges from serial")
 	}

@@ -46,13 +46,19 @@ func dumpExactCampaign(t *testing.T, c *Campaign) string {
 // flow-trajectory cache on the default ICMP path: a campaign with the
 // cache enabled must be byte-identical — hops, reply TTLs, label stacks,
 // RTTs, probe and reply counters, and per-shard virtual-clock totals — to
-// the cache-disabled oracle, across the serial engine, snapshot and
-// rebuild replicas, and 1/2/8-worker pools. ICMP Paris keeps one flow per
-// trace, so its cached runs serve their cold probes by the upward
-// fast-forward; a cache-off run must move no counter.
-// TestSweepEquivalenceGolden runs the same matrix for UDP Paris.
+// the cache-disabled oracle, across the serial engine and 1/2/8-worker
+// pools. ICMP Paris keeps one flow per trace, so its cached runs serve
+// their cold probes by the upward fast-forward; a cache-off run must move
+// no counter.
 func TestFlowCacheEquivalenceGolden(t *testing.T) {
 	testFlowCacheEquivalence(t, probe.ICMPParis)
+}
+
+// TestSweepEquivalenceGolden runs the same matrix for the UDP Paris TTL
+// sweep: UDP Paris cycles its destination port, so each probe of a trace
+// is its own flow and memoizes its reply per (slot, TTL).
+func TestSweepEquivalenceGolden(t *testing.T) {
+	t.Run("udp", func(t *testing.T) { testFlowCacheEquivalence(t, probe.UDPParis) })
 }
 
 func testFlowCacheEquivalence(t *testing.T, method probe.Method) {
@@ -81,8 +87,8 @@ func testFlowCacheEquivalence(t *testing.T, method probe.Method) {
 		t.Errorf("serial cached run shows no cache activity: %+v", cached.FlowCache)
 	}
 
-	// Parallel engine: snapshot replicas at 1/2/8 workers, a rebuild
-	// replica, and cache-disabled parallel controls.
+	// Parallel engine at 1/2/8 workers, and cache-disabled parallel
+	// controls.
 	for _, tc := range []struct {
 		name    string
 		pcfg    ParallelConfig
@@ -91,9 +97,8 @@ func testFlowCacheEquivalence(t *testing.T, method probe.Method) {
 		{"workers=1", ParallelConfig{Workers: 1}, false},
 		{"workers=2", ParallelConfig{Workers: 2}, false},
 		{"workers=8", ParallelConfig{Workers: 8}, false},
-		{"workers=2 rebuild", ParallelConfig{Workers: 2, Replica: ReplicaRebuild}, false},
 		{"workers=2 cache-off", ParallelConfig{Workers: 2}, true},
-		{"workers=8 cache-off rebuild", ParallelConfig{Workers: 8, Replica: ReplicaRebuild}, true},
+		{"workers=8 cache-off", ParallelConfig{Workers: 8}, true},
 	} {
 		runCfg := cfg
 		runCfg.DisableFlowCache = tc.disable

@@ -8,35 +8,12 @@ import (
 	"wormhole/internal/gen"
 )
 
-// ReplicaMode selects how each worker obtains its private fabric replica.
-type ReplicaMode uint8
-
-const (
-	// ReplicaSnapshot structurally deep-copies the built Internet
-	// (gen.Internet.Snapshot) — O(state) per worker, the fast path.
-	ReplicaSnapshot ReplicaMode = iota
-	// ReplicaRebuild replays the generator with the original parameters
-	// (gen.Internet.Rebuild) — O(convergence) per worker. Kept as the
-	// validation oracle for the snapshot path: campaign output must be
-	// byte-identical under either mode.
-	ReplicaRebuild
-)
-
-func (m ReplicaMode) String() string {
-	if m == ReplicaRebuild {
-		return "rebuild"
-	}
-	return "snapshot"
-}
-
 // ParallelConfig tunes the parallel campaign engine.
 type ParallelConfig struct {
 	// Workers sizes the worker pool; <= 0 selects GOMAXPROCS. Every slot
 	// gets a bootstrap partition; the probing phase uses min(Workers,
 	// shard count) of them (Campaign.ShardWorkers).
 	Workers int
-	// Replica selects the worker replica path (default ReplicaSnapshot).
-	Replica ReplicaMode
 }
 
 // RunParallel executes the campaign on a worker pool: the coordinator
@@ -62,7 +39,7 @@ func RunParallel(in *gen.Internet, cfg Config, pcfg ParallelConfig) (*Campaign, 
 	workers = max(workers, 1)
 
 	t0 := time.Now()
-	replicas, err := in.AcquireReplicas(workers, pcfg.Replica == ReplicaRebuild)
+	replicas, err := in.AcquireReplicas(workers, false)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: replica pool: %w", err)
 	}

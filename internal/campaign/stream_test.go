@@ -88,8 +88,7 @@ func TestStreamCoverageAndBudget(t *testing.T) {
 // TestStreamedDeterminismGolden is the scheduler's engine-equivalence
 // golden: with Stream on (a per-prefix budget and both sampling caps
 // engaged), the serial engine and the parallel engine at several worker
-// counts — on both replica paths — produce byte-identical campaign
-// output.
+// counts produce byte-identical campaign output.
 func TestStreamedDeterminismGolden(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HDNThreshold = 6
@@ -109,10 +108,8 @@ func TestStreamedDeterminismGolden(t *testing.T) {
 		{Workers: 1},
 		{Workers: 2},
 		{Workers: 8},
-		{Workers: 2, Replica: ReplicaRebuild},
-		{Workers: 8, Replica: ReplicaRebuild},
 	} {
-		name := fmt.Sprintf("workers=%d replica=%s", pcfg.Workers, pcfg.Replica)
+		name := fmt.Sprintf("workers=%d", pcfg.Workers)
 		par, err := RunParallel(testInternet(t, 101), cfg, pcfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -47,7 +47,7 @@ func TestTallyAcrossEngines(t *testing.T) {
 		}
 		runs[fmt.Sprintf("workers=%d", w)] = c
 	}
-	runs["dist=2"] = runDist(t, in, cfg, 2, campaign.ReplicaSnapshot)
+	runs["dist=2"] = runDist(t, in, cfg, 2)
 
 	want := invariantTally(serial.Counters)
 	for name, c := range runs {

@@ -8,8 +8,8 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"net"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -113,12 +113,28 @@ func (s *workerSession) serve(hello, jobs, shards []byte) error {
 	return ServeWorker(sessionConn{r: bytes.NewReader(in.Bytes())})
 }
 
+// withChurnRate returns the session's hello with its campaign's churn
+// rate replaced.
+func (s *workerSession) withChurnRate(t testing.TB, rate float64) []byte {
+	var h distHello
+	if err := json.Unmarshal(s.hello, &h); err != nil {
+		t.Fatal(err)
+	}
+	h.Cfg.ChurnRate = rate
+	hello, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hello
+}
+
 // FuzzServeWorkerInbound fuzzes the worker's inbound path — the hello's
 // configuration and prober settings, the bootstrap jobs and the shards
 // frame with its HDN set — from a recorded session. Any input must end in
 // an error or a clean session, never a panic or a hang. Crashers stay in
 // testdata/fuzz/FuzzServeWorkerInbound (null-hdn: a shards frame whose
-// HDN set holds a null).
+// HDN set holds a null); the third seed is the hello of
+// TestServeWorkerChurnRateBounded.
 func FuzzServeWorkerInbound(f *testing.F) {
 	s := recordWorkerSession(f)
 	if err := s.serve(s.hello, s.jobs, s.shards); err != nil {
@@ -126,6 +142,7 @@ func FuzzServeWorkerInbound(f *testing.F) {
 	}
 	f.Add(s.hello, s.jobs, s.shards)
 	f.Add(s.hello, s.jobs[:len(s.jobs)/2], s.shards[:len(s.shards)/2])
+	f.Add(s.withChurnRate(f, 1e6), s.jobs, s.shards)
 	f.Fuzz(func(t *testing.T, hello, jobs, shards []byte) {
 		_ = s.serve(hello, jobs, shards)
 	})
@@ -142,103 +159,22 @@ func TestServeWorkerRejectsNullHDN(t *testing.T) {
 	}
 }
 
-// serveRebuild runs a rebuild-mode worker whose world frame is the given
-// Params payload. The hello carries no probers, so a world that builds
-// ends the session at the prober check right after Build.
-func serveRebuild(world []byte) error {
-	var in bytes.Buffer
-	if err := writeJSON(&in, msgHello, distHello{Replica: ReplicaRebuild, Cfg: DefaultConfig()}); err != nil {
-		return err
+// TestServeWorkerChurnRateBounded pins the churn schedule's bound on a
+// worker: the churn rate comes from the peer's hello, and the schedule
+// used to plan floor(rate) fail/reconverge/repair cycles per shard
+// however few probes the shard held, so a rate of 10⁶ on a two-target
+// shard would have allocated about 500 GB. The session must end cleanly
+// within a few times the 4 MB a rate-2 session allocates.
+func TestServeWorkerChurnRateBounded(t *testing.T) {
+	s := recordWorkerSession(t)
+	hello := s.withChurnRate(t, 1e6)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.serve(hello, s.jobs, s.shards); err != nil {
+		t.Fatalf("session with churn rate 1e6: %v", err)
 	}
-	if err := writeFrame(&in, msgWorld, world); err != nil {
-		return err
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Fatalf("session with churn rate 1e6 allocated %d MB, want at most 64", alloc>>20)
 	}
-	return ServeWorker(sessionConn{r: bytes.NewReader(in.Bytes())})
-}
-
-// TestServeWorkerRebuildPlanError feeds a rebuild-mode worker Params
-// whose address plan cannot fit (a transit with more routers than
-// loopback slots): the generator's error must end the session instead of
-// panicking the worker process.
-func TestServeWorkerRebuildPlanError(t *testing.T) {
-	p := gen.DefaultParams(1)
-	p.TransitCore = [2]int{300, 300}
-	world, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = serveRebuild(world)
-	var pe *gen.AddressPlanError
-	if err == nil || !strings.HasPrefix(err.Error(), "worker: rebuild:") || !errors.As(err, &pe) {
-		t.Fatalf("ServeWorker = %v, want a worker: rebuild: error wrapping *gen.AddressPlanError", err)
-	}
-}
-
-// TestServeWorkerRebuildInvalidParams feeds a rebuild-mode worker Params
-// that gen.Build cannot construct (an MPLS share above 1 would overrun a
-// slice inside construction): the session must end with the rebuild
-// error, not a panic.
-func TestServeWorkerRebuildInvalidParams(t *testing.T) {
-	p := gen.DefaultParams(1)
-	p.MPLSFrac = 1.5
-	world, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := serveRebuild(world); err == nil || !strings.HasPrefix(err.Error(), "worker: rebuild:") {
-		t.Fatalf("ServeWorker = %v, want a worker: rebuild: error", err)
-	}
-}
-
-// rebuildBudget is the most routers a FuzzServeWorkerRebuild world may
-// hold at its range maxima (the Small rung holds at most 154).
-const rebuildBudget = 400
-
-// rebuildSize bounds the routers a Params could build, or reports false
-// when a count is too large to bound cheaply.
-func rebuildSize(p gen.Params) (int, bool) {
-	const big = 1 << 12
-	counts := []int{p.NumTier1, p.NumTransit, p.NumStub,
-		p.Tier1Core[1], p.Tier1Edge[1], p.TransitCore[1], p.TransitEdge[1], p.StubRouters[1]}
-	for _, n := range counts {
-		if n > big {
-			return 0, false
-		}
-	}
-	size := max(p.NumTier1, 0)*(max(p.Tier1Core[1], 0)+max(p.Tier1Edge[1], 0)) +
-		max(p.NumTransit, 0)*(max(p.TransitCore[1], 0)+max(p.TransitEdge[1], 0)) +
-		max(p.NumStub, 0)*max(p.StubRouters[1], 0)
-	return size, true
-}
-
-// FuzzServeWorkerRebuild fuzzes the rebuild-mode world frame — the
-// generator Params as JSON — from the Small rung. Any frame must end the
-// session in an error, never a panic or a hang. Frames that decode to a
-// world above rebuildBudget are skipped, not clamped: clamping would
-// rewrite the input the worker reads.
-func FuzzServeWorkerRebuild(f *testing.F) {
-	p := gen.DefaultParams(7)
-	p.NumTier1, p.NumTransit, p.NumStub, p.NumVPs = 2, 5, 10, 5 // the Small rung
-	seed, err := json.Marshal(p)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := serveRebuild(seed); err == nil || !strings.Contains(err.Error(), "probers") {
-		f.Fatalf("Small rung rebuild: %v, want the prober-count error after Build", err)
-	}
-	f.Add(seed)
-	p.Hierarchical, p.LazyStubs = true, true
-	lazy, _ := json.Marshal(p)
-	f.Add(lazy)
-	f.Fuzz(func(t *testing.T, world []byte) {
-		var p gen.Params
-		if json.Unmarshal(world, &p) == nil {
-			if size, ok := rebuildSize(p); !ok || size > rebuildBudget {
-				t.Skip("world above the size budget")
-			}
-		}
-		if serveRebuild(world) == nil {
-			t.Fatal("a session without probers ended cleanly")
-		}
-	})
 }

@@ -196,7 +196,6 @@ func cmdCampaign(args []string) error {
 	seeds := fs.Int("seeds", 1, "run this many consecutive seeds in parallel and pool the statistics")
 	workers := fs.Int("workers", 0, "probing worker-pool size (0 = GOMAXPROCS); results are identical at every size")
 	dist := fs.Int("dist", 0, "run the campaign across this many worker processes instead of in-process goroutines (results are identical)")
-	distReplica := fs.String("dist-replica", "snapshot", "how workers obtain the fabric: snapshot (wire-codec blob) or rebuild (regenerate from Params)")
 	method := fs.String("method", "icmp", "traceroute probe method: icmp (Paris echo) or udp (classic port-cycling)")
 	noFlowCache := fs.Bool("no-flow-cache", false, "disable the flow-trajectory probe cache (results are identical either way)")
 	churn := fs.Float64("churn", 0, "expected link fail/reconverge/repair cycles per shard (0 = static topology)")
@@ -247,18 +246,8 @@ func cmdCampaign(args []string) error {
 	ccfg.ChurnFlushWorld = *churnFlush
 	var c *campaign.Campaign
 	if *dist > 0 {
-		var mode campaign.ReplicaMode
-		switch *distReplica {
-		case "snapshot":
-			mode = campaign.ReplicaSnapshot
-		case "rebuild":
-			mode = campaign.ReplicaRebuild
-		default:
-			return fmt.Errorf("unknown dist replica mode %q (want snapshot or rebuild)", *distReplica)
-		}
 		c, err = campaign.RunDistributed(in, ccfg, campaign.DistConfig{
 			Workers: *dist,
-			Replica: mode,
 			Spawn:   spawnWorkerProcess,
 		})
 	} else {
@@ -269,7 +258,7 @@ func cmdCampaign(args []string) error {
 	}
 	printf("internet: %d ASes, %d VPs\n", len(in.ASes), len(in.VPs))
 	if *dist > 0 {
-		printf("distributed: %d worker processes, %s replicas\n", c.Workers, *distReplica)
+		printf("distributed: %d worker processes\n", c.Workers)
 	}
 	if st := c.Lazy; st.Resident != st.Total || c.FaultIns > 0 {
 		printf("lazy fabric: resident %d of %d routers (%d of %d stubs), %d fault-ins",

@@ -41,6 +41,10 @@ import (
 // spread over a shard, not which events fire.
 const churnProbesPerTarget = 48
 
+// churnCycleTicks is the fewest probe boundaries one fail/reconverge/repair
+// cycle spans: two gaps of at least three probes, and the repair tick.
+const churnCycleTicks = 7
+
 // churnCandidate is one failable link, symbolically: the ring link from
 // Core[pos] to Core[(pos+1) % len(Core)] of AS index as. Ring links with
 // at least three ring members never disconnect the AS.
@@ -59,10 +63,11 @@ type ChurnPlan struct {
 
 // BuildChurnPlan compiles the candidate set for an Internet. rate is the
 // expected number of fail/reconverge/repair cycles per shard (fractions
-// are sampled per shard). Returns nil — no churn — for a non-positive
-// rate or a topology with no safely failable links.
+// are sampled per shard; a shard never plans more cycles than its probe
+// span holds). Returns nil — no churn — for a non-positive or NaN rate or
+// a topology with no safely failable links.
 func BuildChurnPlan(in *Internet, rate float64, seed int64) *ChurnPlan {
-	if rate <= 0 {
+	if !(rate > 0) {
 		return nil
 	}
 	p := &ChurnPlan{rate: rate, seed: seed}
@@ -92,14 +97,19 @@ func (p *ChurnPlan) EventsFor(in2 *Internet, stream, targets int) []netsim.Churn
 		return nil
 	}
 	rng := rand.New(rand.NewSource(p.seed ^ int64(uint64(stream+1)*0x9e3779b97f4a7c15)))
-	cycles := int(math.Floor(p.rate))
-	if frac := p.rate - math.Floor(p.rate); frac > 0 && rng.Float64() < frac {
+	span := uint64(targets) * churnProbesPerTarget
+	// The shard's probe span holds at most span/churnCycleTicks cycles.
+	// More would only pile up at its end, where ChurnEnd force-fires them,
+	// and the rate, which a worker reads from its peer, must not size the
+	// schedule without bound.
+	rate := min(p.rate, float64(span/churnCycleTicks))
+	cycles := int(math.Floor(rate))
+	if frac := rate - math.Floor(rate); frac > 0 && rng.Float64() < frac {
 		cycles++
 	}
 	if cycles == 0 {
 		return nil
 	}
-	span := uint64(targets) * churnProbesPerTarget
 	// Failure windows span a meaningful fraction of the cycle's slot — a
 	// handful of targets' worth of probes — so traces actually cross the
 	// degraded topology; a few-probe window would close before any probe

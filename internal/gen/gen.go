@@ -319,9 +319,6 @@ type Internet struct {
 	pool replicaPool
 }
 
-// Params returns the parameters the Internet was built from.
-func (in *Internet) Params() Params { return in.params }
-
 // AddrInfo is the ground-truth owner of an interface address.
 type AddrInfo struct {
 	Router *router.Router
@@ -588,10 +585,10 @@ const maxASRouters = 1 << 16
 // hierarchical core could carve (512 per transit /11).
 const maxStubs = maxHierTransits << 9
 
-// validate rejects Params the builders cannot construct a world from: a
-// rebuild-mode worker reads them off its socket, so anything that would
-// make an allocator, a slice bound or a modulus panic must come back as
-// an error before construction starts.
+// validate rejects Params the builders cannot construct a world from:
+// Build is the library's entry point, so anything that would make an
+// allocator, a slice bound or a modulus panic must come back as an error
+// before construction starts.
 func (p Params) validate() error {
 	if p.NumTier1 < 1 || p.NumTransit < 0 || p.NumStub < 0 || p.NumStub > maxStubs || p.NumVPs < 0 {
 		return fmt.Errorf("gen: unsupported AS counts (%d/%d/%d, %d VPs)", p.NumTier1, p.NumTransit, p.NumStub, p.NumVPs)

@@ -191,8 +191,8 @@ func TestSnapshotReplicatesBuild(t *testing.T) {
 	if replica == in || replica.Net == in.Net {
 		t.Fatal("Snapshot returned a shared world, want an independent replica")
 	}
-	if in.Params() != smallParams(3) {
-		t.Fatal("Params() does not round-trip the build parameters")
+	if in.params != smallParams(3) {
+		t.Fatal("Build does not keep its parameters verbatim")
 	}
 	aa, bb := in.RouterAddrs(), replica.RouterAddrs()
 	if len(aa) != len(bb) {

@@ -168,8 +168,8 @@ func TestHierParamsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Params() != p {
-		t.Fatal("Params() does not round-trip the hierarchical build parameters")
+	if in.params != p {
+		t.Fatal("Build does not keep its hierarchical parameters verbatim")
 	}
 	replica, err := in.Snapshot()
 	if err != nil {

@@ -24,13 +24,12 @@ type replicaPool struct {
 	// ReleaseReplicas compares both to detect replicas mutated during the
 	// campaign and replicas that outlived a pool reseed.
 	leased map[*Internet]lease
-	// srcGen and rebuild key the pool's validity: the source fabric's
-	// topology generation when the pool was (re)seeded, and the replica
-	// mode the entries were built with. epoch increments on every reseed.
-	srcGen  uint64
-	rebuild bool
-	seeded  bool
-	epoch   uint64
+	// srcGen keys the pool's validity: the source fabric's topology
+	// generation when the pool was (re)seeded. epoch increments on every
+	// reseed.
+	srcGen uint64
+	seeded bool
+	epoch  uint64
 }
 
 // lease records what must still hold at release for a replica to re-enter
@@ -42,18 +41,18 @@ type lease struct {
 
 // AcquireReplicas returns n independent replicas of this Internet, reusing
 // pooled ones when neither the source nor the replica has mutated since
-// they were built, and building the rest (concurrently) via Rebuild when
-// rebuild is set, Snapshot otherwise. Replicas come back in stable order —
-// slot i holds the same replica across successive acquisitions — and must
-// be returned with ReleaseReplicas.
-func (in *Internet) AcquireReplicas(n int, rebuild bool) ([]*Internet, error) {
+// they were built, and building the rest (concurrently) via Snapshot.
+// Replicas come back in stable order — slot i holds the same replica
+// across successive acquisitions — and must be returned with
+// ReleaseReplicas. The second parameter is ignored; it stays only because
+// the frozen perfbench module passes it.
+func (in *Internet) AcquireReplicas(n int, _ bool) ([]*Internet, error) {
 	p := &in.pool
 	p.mu.Lock()
 	cur := in.Net.TopoGen()
-	if !p.seeded || p.srcGen != cur || p.rebuild != rebuild {
+	if !p.seeded || p.srcGen != cur {
 		p.entries = nil
 		p.srcGen = cur
-		p.rebuild = rebuild
 		p.seeded = true
 		p.epoch++
 		// Leases from earlier epochs can never re-enter the pool (the
@@ -89,11 +88,7 @@ func (in *Internet) AcquireReplicas(n int, rebuild bool) ([]*Internet, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if rebuild {
-				built[i], errs[i] = in.Rebuild()
-			} else {
-				built[i], errs[i] = in.Snapshot()
-			}
+			built[i], errs[i] = in.Snapshot()
 		}(i)
 	}
 	wg.Wait()

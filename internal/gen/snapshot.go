@@ -35,8 +35,7 @@ type snapCtx struct {
 // the campaign config anyway.
 //
 // Snapshot works on every built world. Rebuild, a generator replay,
-// stays as its validation oracle and behind the explicit rebuild replica
-// mode.
+// stays as its validation oracle.
 func (in *Internet) Snapshot() (*Internet, error) {
 	c, err := in.Net.BeginSnapshot()
 	if err != nil {

@@ -2,9 +2,9 @@
 // (gen.Params.LazyStubs) keeps stub ASes as descriptors and constructs
 // them on first touch; these tests pin that laziness is unobservable —
 // byte-identical campaign output against an eager build of the same
-// parameters, across engines, worker counts, and replica modes — and
-// that faulting stubs in on leased replicas leaves the replica pool
-// warm. The Giga (~10⁶ router) rung is opt-in via WORMHOLE_GIGA.
+// parameters, across engines and worker counts — and that faulting stubs
+// in on leased replicas leaves the replica pool warm. The Giga (~10⁶
+// router) rung is opt-in via WORMHOLE_GIGA.
 package wormhole
 
 import (
@@ -91,9 +91,8 @@ func firstDiffLine(want, got string) string {
 
 // TestLazyFaultInEquivalence is the tentpole golden: the same streamed
 // campaign on an eager and a lazy build of identical parameters produces
-// byte-identical output — serially, and in parallel at 1/2/8 workers on
-// both replica paths — while the lazy run leaves most of the stub
-// universe unconstructed.
+// byte-identical output — serially, and in parallel at 1/2/8 workers —
+// while the lazy run leaves most of the stub universe unconstructed.
 func TestLazyFaultInEquivalence(t *testing.T) {
 	eager, err := gen.Build(lazyParams(424242, false))
 	if err != nil {
@@ -132,10 +131,8 @@ func TestLazyFaultInEquivalence(t *testing.T) {
 		{Workers: 1},
 		{Workers: 2},
 		{Workers: 8},
-		{Workers: 2, Replica: campaign.ReplicaRebuild},
-		{Workers: 8, Replica: campaign.ReplicaRebuild},
 	} {
-		name := fmt.Sprintf("workers=%d replica=%s", pcfg.Workers, pcfg.Replica)
+		name := fmt.Sprintf("workers=%d", pcfg.Workers)
 		in, err := gen.Build(lazyParams(424242, true))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -22,9 +22,9 @@
 # race tier: TestRaceTier shells out to `go test -race` over the
 # concurrency-heavy packages), then short native-fuzz smokes over churn
 # masking, the snapshot wire decoder, the distributed coordinator's and
-# worker's inbound frame paths, the rebuild-mode world frame (generator
-# Params) and the dataset reader. Last, the distributed smoke: a real
-# 2-process campaign over a Unix socket byte-compared to serial.
+# worker's inbound frame paths, engine equivalence over generated worlds
+# and the dataset reader. Last, the distributed smoke: a real 2-process
+# campaign over a Unix socket byte-compared to serial.
 #
 # Usage: ./scripts/check.sh
 set -eux
@@ -76,21 +76,22 @@ check_floor campaign 85
 # gen.BuildChurnPlan schedules), the wire-format reader fuzzer, the
 # snapshot decoder fuzzer (section payloads mutated and re-sealed past
 # their checksums), the coordinator and worker inbound-path fuzzers, the
-# rebuild-mode Params frame fuzzer and the JSONL dataset reader behind
-# `wormhole analyze`.
+# engine differential (drawn generator Params and campaign configs, every
+# engine against the cache-off serial run on a fresh build) and the JSONL
+# dataset reader behind `wormhole analyze`.
 # Regressions in the masking rule surface here long before a campaign
 # happens to probe the right flow or churn the right link; a
 # blob or frame that panics or hangs a decoder surfaces before a real
 # peer sends one.
 go test ./internal/wirefmt/ -run='^$' -fuzz=FuzzReader -fuzztime=10s
 go test ./internal/gen/ -run='^$' -fuzz=FuzzDecodeWire -fuzztime=10s
-# The masking, inbound and dataset fuzzers' inputs are whole probe
-# sequences, sessions and datasets; bound the minimization of each new
-# input so the smokes spend their time mutating.
+# The masking, inbound, engine and dataset fuzzers' inputs are whole probe
+# sequences, sessions, campaigns and datasets; bound the minimization of
+# each new input so the smokes spend their time mutating.
 go test ./internal/netsim/ -run='^$' -fuzz=FuzzChurnMasking -fuzztime=10s -fuzzminimizetime=100x
 go test ./internal/campaign/ -run='^$' -fuzz=FuzzCoordinatorInbound -fuzztime=10s -fuzzminimizetime=100x
 go test ./internal/campaign/ -run='^$' -fuzz=FuzzServeWorkerInbound -fuzztime=10s -fuzzminimizetime=100x
-go test ./internal/campaign/ -run='^$' -fuzz=FuzzServeWorkerRebuild -fuzztime=10s -fuzzminimizetime=100x
+go test ./internal/campaign/ -run='^$' -fuzz=FuzzEngineEquivalence -fuzztime=10s -fuzzminimizetime=100x
 go test ./internal/tracefile/ -run='^$' -fuzz=FuzzTracefileRead -fuzztime=10s -fuzzminimizetime=100x
 
 # Distributed smoke: a 2-worker multi-process campaign over a Unix
