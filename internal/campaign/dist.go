@@ -4,14 +4,14 @@ package campaign
 // remoteSlot per worker process: a length-prefixed frame protocol on a
 // Unix (or TCP) socket. The worker receives a replica of the fabric as
 // the wire-codec snapshot blob, and ServeWorker drives the same localSlot
-// code the in-process engines use on it, streaming tracefile-format
-// records back. The coordinator replays them through the shared phases,
-// so the distributed output is byte-identical to Run and RunParallel at
-// any worker count.
+// code the in-process engines use on it, streaming traces and shard
+// results back as wirefmt sections (frames.go) that decode to the values
+// the worker held, label stack entries whole. The coordinator replays
+// them through the shared phases, so the distributed output is
+// byte-identical to Run and RunParallel at any worker count.
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -22,13 +22,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wormhole/internal/fingerprint"
 	"wormhole/internal/gen"
-	"wormhole/internal/netaddr"
 	"wormhole/internal/probe"
-	"wormhole/internal/reveal"
-	"wormhole/internal/topo"
-	"wormhole/internal/tracefile"
 )
 
 // ReplicaMode is ignored; it stays only because the frozen perfbench
@@ -75,16 +70,17 @@ func (e *WorkerError) Error() string {
 
 func (e *WorkerError) Unwrap() error { return e.Err }
 
-// Frame protocol: [u32 length | u8 type | payload]. Payloads are JSON
-// except msgWorld, which carries the raw wire blob.
+// Frame protocol: [u32 length | u8 type | payload]. The world frame's
+// payload is the raw wire blob; every other payload is one wirefmt
+// section whose id is the frame type (frames.go).
 const (
 	msgHello       byte = iota + 1 // c→w: distHello
 	msgWorld                       // c→w: the world's wire-codec blob
 	msgBootstrap                   // c→w: []bootJob, the worker's contiguous partition
-	msgTraces                      // w→c: []tracefile.Trace chunk, partition order
+	msgTraces                      // w→c: a chunk of bootstrap traces, partition order
 	msgBootDone                    // w→c: Counters of the partition
 	msgShards                      // c→w: shardMsg
-	msgShardResult                 // w→c: distShardResult, assignment order
+	msgShardResult                 // w→c: one shard's result, assignment order
 	msgWorkerDone                  // w→c: slotDone
 )
 
@@ -101,38 +97,6 @@ const frameChunk = 64 << 10
 // msgTraces frame. Chunking never changes output — the coordinator
 // replays in partition order regardless.
 const distTraceChunk = 256
-
-// distHello opens the session: the campaign configuration and the
-// source's prober settings.
-type distHello struct {
-	Cfg     Config           `json:"cfg"`
-	Probers []proberSettings `json:"probers"`
-}
-
-// shardMsg is the probing-phase plan for one worker: the HDN set the
-// candidate filter needs (distinct IDs preserved, so the same-router
-// exclusion compares identically) and the worker's shards.
-type shardMsg struct {
-	HDNs   []*topo.Node `json:"hdns"`
-	Shards []shard      `json:"shards"`
-}
-
-// distRecord is one campaign record in tracefile format, plus the
-// candidate flag the coordinator needs to re-derive Record.Candidate
-// (CandidateFromTrace is a pure function of the trace, so only presence
-// crosses the wire).
-type distRecord struct {
-	tracefile.Record
-	HasCandidate bool `json:"has_candidate,omitempty"`
-}
-
-// distShardResult is one shard's private output in wire form.
-type distShardResult struct {
-	Idx     int                     `json:"idx"`
-	Stats   ShardStats              `json:"stats"`
-	Records []distRecord            `json:"records"`
-	Fps     []tracefile.Fingerprint `json:"fps,omitempty"`
-}
 
 // countConn wraps a worker connection and bills every byte moved to the
 // coordinator's stream counter, which every slot's goroutine shares.
@@ -153,20 +117,17 @@ func (c *countConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// writeFrame writes a frame around a payload encoded elsewhere, the
+// world blob, without copying it.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	hdr := make([]byte, 5, 5+len(payload))
-	binary.LittleEndian.PutUint32(hdr, uint32(len(payload)+1))
+	var hdr [5]byte
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
 	hdr[4] = typ
-	_, err := w.Write(append(hdr, payload...))
-	return err
-}
-
-func writeJSON(w io.Writer, typ byte, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	return writeFrame(w, typ, payload)
+	_, err := w.Write(payload)
+	return err
 }
 
 // readFrame reads one frame into buf's storage, growing it only as bytes
@@ -195,27 +156,24 @@ func readFrame(r io.Reader, buf []byte) (byte, []byte, error) {
 	return hdr[4], payload, nil
 }
 
-func readJSON(r io.Reader, want byte, v any) error {
+// readSection reads one frame of type want from r and decodes its
+// section with body.
+func readSection(r io.Reader, want byte, body func(*frameReader)) error {
 	typ, payload, err := readFrame(r, nil)
 	if err != nil {
 		return err
 	}
-	return decodeJSON(typ, want, payload, v)
-}
-
-func decodeJSON(typ, want byte, payload []byte, v any) error {
-	if typ != want {
-		return fmt.Errorf("unexpected frame type %d (want %d)", typ, want)
-	}
-	return json.Unmarshal(payload, v)
+	return decodeFrame(typ, want, payload, body)
 }
 
 // remoteSlot drives a worker process over its connection. Every inbound
-// frame is decoded before the next is read, so one buffer serves them all.
+// frame is decoded before the next is read, so one buffer serves them
+// all, and one frameWriter every outbound frame.
 type remoteSlot struct {
 	conn net.Conn
 	step time.Duration
 	buf  []byte
+	out  frameWriter
 }
 
 func (r *remoteSlot) read() (byte, []byte, error) {
@@ -231,16 +189,18 @@ func (r *remoteSlot) read() (byte, []byte, error) {
 	return typ, payload, err
 }
 
-func (r *remoteSlot) readJSON(want byte, v any) error {
+func (r *remoteSlot) readSection(want byte, body func(*frameReader)) error {
 	typ, payload, err := r.read()
 	if err != nil {
 		return err
 	}
-	return decodeJSON(typ, want, payload, v)
+	return decodeFrame(typ, want, payload, body)
 }
 
 func (r *remoteSlot) traceJobs(jobs []bootJob, emit func(int, *probe.Trace) error) (Counters, error) {
-	if err := writeJSON(r.conn, msgBootstrap, jobs); err != nil {
+	r.out.begin(msgBootstrap)
+	putList(&r.out, jobs, r.out.job)
+	if err := r.out.send(r.conn); err != nil {
 		return Counters{}, err
 	}
 	got := 0
@@ -251,18 +211,14 @@ func (r *remoteSlot) traceJobs(jobs []bootJob, emit func(int, *probe.Trace) erro
 		}
 		switch typ {
 		case msgTraces:
-			var chunk []tracefile.Trace
-			if err := json.Unmarshal(payload, &chunk); err != nil {
+			var chunk []*probe.Trace
+			if err := decodeFrame(typ, msgTraces, payload, func(d *frameReader) { chunk = getList(d, minTrace, d.trace) }); err != nil {
 				return Counters{}, err
 			}
 			if got+len(chunk) > len(jobs) {
 				return Counters{}, fmt.Errorf("bootstrap returned over %d traces", len(jobs))
 			}
-			for _, wt := range chunk {
-				tr, err := wt.ToTrace()
-				if err != nil {
-					return Counters{}, err
-				}
+			for _, tr := range chunk {
 				if err := emit(got, tr); err != nil {
 					return Counters{}, err
 				}
@@ -273,7 +229,8 @@ func (r *remoteSlot) traceJobs(jobs []bootJob, emit func(int, *probe.Trace) erro
 				return Counters{}, fmt.Errorf("bootstrap returned %d traces, want %d", got, len(jobs))
 			}
 			var d Counters
-			return d, json.Unmarshal(payload, &d)
+			err := decodeFrame(typ, msgBootDone, payload, func(f *frameReader) { d = f.counters() })
+			return d, err
 		default:
 			return Counters{}, fmt.Errorf("unexpected frame type %d in bootstrap", typ)
 		}
@@ -281,20 +238,15 @@ func (r *remoteSlot) traceJobs(jobs []bootJob, emit func(int, *probe.Trace) erro
 }
 
 func (r *remoteSlot) probeShards(shards []shard, p *probePlan, emit func(*shardResult) error) error {
-	if err := writeJSON(r.conn, msgShards, shardMsg{HDNs: p.hdns, Shards: shards}); err != nil {
+	r.out.begin(msgShards)
+	r.out.shardMsg(shardMsg{HDNs: p.hdns, Shards: shards})
+	if err := r.out.send(r.conn); err != nil {
 		return err
 	}
 	for _, sh := range shards {
-		var d distShardResult
-		if err := r.readJSON(msgShardResult, &d); err != nil {
+		var res *shardResult
+		if err := r.readSection(msgShardResult, func(d *frameReader) { res = d.shardResult(sh) }); err != nil {
 			return fmt.Errorf("shard phase: %w", err)
-		}
-		if d.Idx != sh.Idx {
-			return fmt.Errorf("shard result %d, want %d", d.Idx, sh.Idx)
-		}
-		res, err := rebuildShardResult(sh, &d)
-		if err != nil {
-			return err
 		}
 		if err := emit(res); err != nil {
 			return err
@@ -305,49 +257,10 @@ func (r *remoteSlot) probeShards(shards []shard, p *probePlan, emit func(*shardR
 
 func (r *remoteSlot) finish() (slotDone, error) {
 	var d slotDone
-	if err := r.readJSON(msgWorkerDone, &d); err != nil {
+	if err := r.readSection(msgWorkerDone, func(f *frameReader) { d = f.slotDone() }); err != nil {
 		return d, fmt.Errorf("finish: %w", err)
 	}
 	return d, nil
-}
-
-// rebuildShardResult reconstructs a shard's private output from its wire
-// form: traces parse back hop-for-hop, Candidate re-derives from the
-// identical trace, revelations parse with their technique and steps, and
-// the merge then canonicalizes exactly as in-process.
-func rebuildShardResult(sh shard, d *distShardResult) (*shardResult, error) {
-	res := &shardResult{sh: sh, fps: make(map[netaddr.Addr]fingerprint.Result), stats: d.Stats}
-	for i := range d.Records {
-		dr := &d.Records[i]
-		tr, err := dr.Trace.ToTrace()
-		if err != nil {
-			return nil, err
-		}
-		rec := &Record{Trace: tr}
-		if dr.HasCandidate {
-			cand, ok := reveal.CandidateFromTrace(tr)
-			if !ok {
-				return nil, fmt.Errorf("shard %d: candidate does not re-derive from trace to %s", sh.Idx, tr.Dst)
-			}
-			rec.Candidate = &cand
-			rec.CandidateAS = dr.CandidateAS
-			rec.EgressEchoTTL = dr.EgressEchoTTL
-		}
-		if dr.Revelation != nil {
-			if rec.Revelation, err = dr.Revelation.ToRevelation(); err != nil {
-				return nil, err
-			}
-		}
-		res.records = append(res.records, rec)
-	}
-	for _, f := range d.Fps {
-		r, err := f.ToResult()
-		if err != nil {
-			return nil, err
-		}
-		res.fps[r.Addr] = r
-	}
-	return res, nil
 }
 
 // RunDistributed executes the campaign with dcfg.Workers worker
@@ -407,7 +320,13 @@ func RunDistributed(in *gen.Internet, cfg Config, dcfg DistConfig) (*Campaign, e
 		}
 	}()
 	e := &engine{in: in, cfg: cfg}
-	hello := distHello{Cfg: cfg, Probers: proberSettingsOf(in.VPs)}
+	var hf frameWriter
+	hf.begin(msgHello)
+	hf.hello(distHello{Cfg: cfg, Probers: proberSettingsOf(in.VPs)})
+	hello, err := hf.frame()
+	if err != nil {
+		return nil, err
+	}
 	type deadliner interface{ SetDeadline(time.Time) error }
 	for i := 0; i < workers; i++ {
 		if d, ok := ln.(deadliner); ok {
@@ -420,7 +339,7 @@ func RunDistributed(in *gen.Internet, cfg Config, dcfg DistConfig) (*Campaign, e
 		conns = append(conns, conn)
 		s := &remoteSlot{conn: &countConn{Conn: conn, n: &streamed}, step: stepTO}
 		e.slots = append(e.slots, s)
-		if err := writeJSON(s.conn, msgHello, hello); err != nil {
+		if _, err := s.conn.Write(hello); err != nil {
 			return nil, &WorkerError{Worker: i, Err: err}
 		}
 		if err := writeFrame(s.conn, msgWorld, world); err != nil {
@@ -446,7 +365,7 @@ func RunDistributed(in *gen.Internet, cfg Config, dcfg DistConfig) (*Campaign, e
 func ServeWorker(conn net.Conn) error {
 	defer conn.Close()
 	var hello distHello
-	if err := readJSON(conn, msgHello, &hello); err != nil {
+	if err := readSection(conn, msgHello, func(d *frameReader) { hello = d.hello() }); err != nil {
 		return fmt.Errorf("worker: hello: %w", err)
 	}
 	typ, payload, err := readFrame(conn, nil)
@@ -466,7 +385,7 @@ func ServeWorker(conn net.Conn) error {
 	s := newLocalSlot(win, hello.Cfg, hello.Probers, true)
 
 	var jobs []bootJob
-	if err := readJSON(conn, msgBootstrap, &jobs); err != nil {
+	if err := readSection(conn, msgBootstrap, func(d *frameReader) { jobs = getList(d, minJob, d.job) }); err != nil {
 		return fmt.Errorf("worker: bootstrap jobs: %w", err)
 	}
 	for _, j := range jobs {
@@ -474,17 +393,19 @@ func ServeWorker(conn net.Conn) error {
 			return fmt.Errorf("worker: bootstrap job for VP %d of %d", j.VP, len(win.VPs))
 		}
 	}
-	chunk := make([]tracefile.Trace, 0, distTraceChunk)
+	var out frameWriter
+	chunk := make([]*probe.Trace, 0, distTraceChunk)
 	flush := func() error {
 		if len(chunk) == 0 {
 			return nil
 		}
-		err := writeJSON(conn, msgTraces, chunk)
+		out.begin(msgTraces)
+		putList(&out, chunk, out.trace)
 		chunk = chunk[:0]
-		return err
+		return out.send(conn)
 	}
 	boot, err := s.traceJobs(jobs, func(_ int, tr *probe.Trace) error {
-		chunk = append(chunk, tracefile.FromTrace(tr))
+		chunk = append(chunk, tr)
 		if len(chunk) < distTraceChunk {
 			return nil
 		}
@@ -496,18 +417,15 @@ func ServeWorker(conn net.Conn) error {
 	if err != nil {
 		return err
 	}
-	if err := writeJSON(conn, msgBootDone, boot); err != nil {
+	out.begin(msgBootDone)
+	out.counters(boot)
+	if err := out.send(conn); err != nil {
 		return err
 	}
 
 	var sm shardMsg
-	if err := readJSON(conn, msgShards, &sm); err != nil {
+	if err := readSection(conn, msgShards, func(d *frameReader) { sm = d.shardMsg() }); err != nil {
 		return fmt.Errorf("worker: shards: %w", err)
-	}
-	for i, h := range sm.HDNs {
-		if h == nil {
-			return fmt.Errorf("worker: null HDN %d in the shards frame", i)
-		}
 	}
 	for _, sh := range sm.Shards {
 		if sh.Team < 0 || len(win.VPs) == 0 {
@@ -519,23 +437,15 @@ func ServeWorker(conn net.Conn) error {
 	// schedule is a pure function of (seed, shard index).
 	plan := newProbePlan(sm.HDNs, gen.BuildChurnPlan(win, hello.Cfg.ChurnRate, hello.Cfg.ChurnSeed))
 	err = s.probeShards(sm.Shards, plan, func(res *shardResult) error {
-		out := distShardResult{Idx: res.sh.Idx, Stats: res.stats, Fps: tracefile.FromFingerprints(res.fps)}
-		for _, rec := range res.records {
-			dr := distRecord{
-				Record:       tracefile.Record{Trace: tracefile.FromTrace(rec.Trace), CandidateAS: rec.CandidateAS, EgressEchoTTL: rec.EgressEchoTTL},
-				HasCandidate: rec.Candidate != nil,
-			}
-			if rec.Revelation != nil {
-				rv := tracefile.FromRevelation(rec.Revelation)
-				dr.Revelation = &rv
-			}
-			out.Records = append(out.Records, dr)
-		}
-		return writeJSON(conn, msgShardResult, out)
+		out.begin(msgShardResult)
+		out.shardResult(res)
+		return out.send(conn)
 	})
 	if err != nil {
 		return err
 	}
 	done, _ := s.finish()
-	return writeJSON(conn, msgWorkerDone, done)
+	out.begin(msgWorkerDone)
+	out.slotDone(done)
+	return out.send(conn)
 }

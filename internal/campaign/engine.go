@@ -51,8 +51,8 @@ type executor interface {
 
 // bootJob is one bootstrap traceroute: a VP index and a destination.
 type bootJob struct {
-	VP  int          `json:"vp"`
-	Dst netaddr.Addr `json:"dst"`
+	VP  int
+	Dst netaddr.Addr
 }
 
 // probePlan is what every slot needs for the probing phase: the HDN set
@@ -82,26 +82,26 @@ type Counters struct {
 	// Probes and Replies count probe packets sent and matched replies
 	// (traceroutes, fingerprinting, pings, alias resolution and
 	// revelation re-traces).
-	Probes  uint64 `json:"probes"`
-	Replies uint64 `json:"replies"`
+	Probes  uint64
+	Replies uint64
 	// BudgetHits counts fabric drains that exhausted their event budget;
 	// LoopDrops the queued events discarded when that happened. Non-zero
 	// values mean probes died inside the fabric (a forwarding loop or
 	// runaway flood) rather than being answered or timing out.
-	BudgetHits uint64 `json:"budget_hits,omitempty"`
-	LoopDrops  uint64 `json:"loop_drops,omitempty"`
+	BudgetHits uint64
+	LoopDrops  uint64
 	// FlowCache is the flow-trajectory cache's activity, all zero when
 	// disabled. Like a shard's Worker and Elapsed it is an execution
 	// detail: hit/miss splits vary with worker count (each replica warms
 	// its own trajectories), while the measured records do not.
-	FlowCache netsim.FlowCacheStats `json:"flow_cache"`
+	FlowCache netsim.FlowCacheStats
 	// ChurnEvents counts the topology churn events fired, schedule
 	// remainders force-fired at shard end included.
-	ChurnEvents uint64 `json:"churn_events,omitempty"`
+	ChurnEvents uint64
 	// FaultIns counts the lazy stubs materialized, on whichever fabric
 	// probed toward them; FaultInNS is the time they took.
-	FaultIns  int   `json:"fault_ins,omitempty"`
-	FaultInNS int64 `json:"fault_in_ns,omitempty"`
+	FaultIns  int
+	FaultInNS int64
 }
 
 // readCounters reads a fabric's cumulative counters.
@@ -152,17 +152,17 @@ func (c *Counters) Add(o Counters) {
 // slotDone closes a slot's session: for a replica, its resident router
 // count.
 type slotDone struct {
-	Resident int `json:"resident,omitempty"`
+	Resident int
 }
 
 // proberSettings are the prober tunables every slot copies from the
 // source's vantage points. FirstTTL and Method are phase discipline,
 // applied separately.
 type proberSettings struct {
-	MaxTTL   uint8  `json:"max_ttl"`
-	GapLimit int    `json:"gap_limit"`
-	Attempts int    `json:"attempts"`
-	FlowID   uint16 `json:"flow_id"`
+	MaxTTL   uint8
+	GapLimit int
+	Attempts int
+	FlowID   uint16
 }
 
 func proberSettingsOf(vps []*gen.VP) []proberSettings {

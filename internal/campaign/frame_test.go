@@ -8,7 +8,6 @@ package campaign
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"net"
 	"runtime"
 	"strings"
@@ -120,9 +119,69 @@ func recordInboundSession(t testing.TB) *inboundSession {
 	}
 }
 
-// replay drives a remoteSlot through a whole session over data.
+// sectionBody returns the section body encode writes.
+func sectionBody(encode func(*frameWriter)) []byte {
+	var f frameWriter
+	f.begin(0)
+	encode(&f)
+	return f.Buf[f.mark:]
+}
+
+// sealedFrame returns the frame of type typ whose section holds body
+// under the checksum of body.
+func sealedFrame(typ byte, body []byte) []byte {
+	var f frameWriter
+	f.begin(typ)
+	f.Buf = append(f.Buf, body...)
+	frame, _ := f.frame() // appended bytes cannot fail to encode
+	return frame
+}
+
+// decodeBody decodes body as the section of a frame of type typ.
+func decodeBody(typ byte, body []byte, decode func(*frameReader)) error {
+	return decodeFrame(typ, typ, sealedFrame(typ, body)[5:], decode)
+}
+
+// The inbound fuzzers mutate frames that carry bare section bodies and
+// seal each body before a decoder reads it, so a mutation reaches the
+// field decoders instead of stopping at the section checksum; wirefmt's
+// FuzzReader covers the section framing itself.
+
+// bareStream strips the section framing from every frame of a recorded
+// worker stream.
+func bareStream(t testing.TB, stream []byte) []byte {
+	var out bytes.Buffer
+	r := bytes.NewReader(stream)
+	for r.Len() > 0 {
+		typ, payload, err := readFrame(r, nil)
+		if err != nil || len(payload) < 16 {
+			t.Fatalf("recorded stream does not parse: %v", err)
+		}
+		writeFrame(&out, typ, payload[12:len(payload)-4])
+	}
+	return out.Bytes()
+}
+
+// sealStream reverses bareStream. From the first frame that does not
+// parse on, data is kept as is.
+func sealStream(data []byte) []byte {
+	var out []byte
+	r := bytes.NewReader(data)
+	for r.Len() > 0 {
+		rest := data[len(data)-r.Len():]
+		typ, body, err := readFrame(r, nil)
+		if err != nil {
+			return append(out, rest...)
+		}
+		out = append(out, sealedFrame(typ, body)...)
+	}
+	return out
+}
+
+// replay seals data and drives a remoteSlot through a whole session over
+// it.
 func (s *inboundSession) replay(data []byte) error {
-	x := &remoteSlot{conn: replayConn{r: bytes.NewReader(data)}}
+	x := &remoteSlot{conn: replayConn{r: bytes.NewReader(sealStream(data))}}
 	if _, err := x.traceJobs(s.jobs, func(int, *probe.Trace) error { return nil }); err != nil {
 		return err
 	}
@@ -133,18 +192,21 @@ func (s *inboundSession) replay(data []byte) error {
 	return err
 }
 
-// FuzzCoordinatorInbound fuzzes the coordinator's inbound path — frame
-// reader, trace-chunk and shard-result decode, rebuildShardResult — from
-// a real worker stream. Any input must end in an error or a clean
-// session, never a panic or a hang.
+// FuzzCoordinatorInbound fuzzes the coordinator's inbound path — the
+// frame reader and the trace-chunk, counters, shard-result and
+// worker-done sections, candidates re-derived from their traces — from a
+// real worker stream, its frames bare. Any input must end in an error or
+// a clean session, never a panic or a hang. The third seed is a frame
+// header claiming 2³¹−1 bytes.
 func FuzzCoordinatorInbound(f *testing.F) {
 	s := recordInboundSession(f)
-	if err := s.replay(s.stream); err != nil {
+	bare := bareStream(f, s.stream)
+	if err := s.replay(bare); err != nil {
 		f.Fatalf("recorded session does not replay: %v", err)
 	}
-	f.Add(s.stream)
-	f.Add(s.stream[:len(s.stream)/2])
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, msgTraces, '[', '{'})
+	f.Add(bare)
+	f.Add(bare[:len(bare)/2])
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, msgTraces, 1, 2, 3, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = s.replay(data)
 	})
@@ -162,8 +224,10 @@ func TestServeWorkerRejectsProberMismatch(t *testing.T) {
 	coord, worker := net.Pipe()
 	errc := make(chan error, 1)
 	go func() { errc <- ServeWorker(worker) }()
-	hello, _ := json.Marshal(distHello{Cfg: DefaultConfig(), Probers: proberSettingsOf(in.VPs[:1])})
-	if err := writeFrame(coord, msgHello, hello); err != nil {
+	var hello frameWriter
+	hello.begin(msgHello)
+	hello.hello(distHello{Cfg: DefaultConfig(), Probers: proberSettingsOf(in.VPs[:1])})
+	if err := hello.send(coord); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeFrame(coord, msgWorld, world); err != nil {

@@ -36,9 +36,9 @@ type ShardStats struct {
 // shard is one unit of probing work: a team's targets, probed from that
 // team's vantage point. It crosses the worker wire as is.
 type shard struct {
-	Idx     int            `json:"idx"` // canonical order
-	Team    int            `json:"team"`
-	Targets []netaddr.Addr `json:"targets"`
+	Idx     int // canonical order
+	Team    int
+	Targets []netaddr.Addr
 }
 
 // revealPair keys revelation de-duplication by candidate endpoints.

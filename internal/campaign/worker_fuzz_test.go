@@ -7,15 +7,15 @@ package campaign
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"net"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
 	"wormhole/internal/gen"
+	"wormhole/internal/wirefmt"
 )
 
 // readTee records what a worker reads.
@@ -43,8 +43,9 @@ func (c sessionConn) Close() error                { return nil }
 
 // workerSession is the coordinator's side of a real 1-worker distributed
 // campaign at the Small rung, trimmed so that replaying it costs
-// milliseconds: three bootstrap jobs and one two-target shard. The world
-// blob is replayed as recorded.
+// milliseconds: three bootstrap jobs and one two-target shard. The hello,
+// jobs and shards are section bodies; the world blob is replayed as
+// recorded.
 type workerSession struct {
 	hello, world, jobs, shards []byte
 }
@@ -84,32 +85,34 @@ func recordWorkerSession(t testing.TB) *workerSession {
 		}
 		frames[typ] = payload
 	}
-	s := &workerSession{hello: frames[msgHello], world: frames[msgWorld]}
+	var hello distHello
 	var jobs []bootJob
 	var sm shardMsg
-	if json.Unmarshal(frames[msgBootstrap], &jobs) != nil || json.Unmarshal(frames[msgShards], &sm) != nil || len(jobs) < 3 || len(sm.Shards) == 0 {
-		t.Fatal("recorded session lacks its jobs or shards")
+	if decodeFrame(msgHello, msgHello, frames[msgHello], func(d *frameReader) { hello = d.hello() }) != nil ||
+		decodeFrame(msgBootstrap, msgBootstrap, frames[msgBootstrap], func(d *frameReader) { jobs = getList(d, minJob, d.job) }) != nil ||
+		decodeFrame(msgShards, msgShards, frames[msgShards], func(d *frameReader) { sm = d.shardMsg() }) != nil ||
+		len(jobs) < 3 || len(sm.Shards) == 0 {
+		t.Fatal("recorded session lacks its hello, jobs or shards")
 	}
 	sort.Slice(sm.Shards, func(i, j int) bool { return len(sm.Shards[i].Targets) < len(sm.Shards[j].Targets) })
 	sm.Shards = sm.Shards[:1]
 	sm.Shards[0].Targets = sm.Shards[0].Targets[:min(2, len(sm.Shards[0].Targets))]
-	s.jobs, _ = json.Marshal(jobs[:3])
-	s.shards, _ = json.Marshal(sm)
-	return s
+	return &workerSession{
+		hello:  sectionBody(func(f *frameWriter) { f.hello(hello) }),
+		world:  frames[msgWorld],
+		jobs:   sectionBody(func(f *frameWriter) { putList(f, jobs[:3], f.job) }),
+		shards: sectionBody(func(f *frameWriter) { f.shardMsg(sm) }),
+	}
 }
 
 // serve runs a worker over the session with the given hello, jobs and
-// shards frames.
+// shards section bodies, each sealed into its frame.
 func (s *workerSession) serve(hello, jobs, shards []byte) error {
 	var in bytes.Buffer
-	for _, fr := range []struct {
-		typ     byte
-		payload []byte
-	}{{msgHello, hello}, {msgWorld, s.world}, {msgBootstrap, jobs}, {msgShards, shards}} {
-		if err := writeFrame(&in, fr.typ, fr.payload); err != nil {
-			return err
-		}
-	}
+	in.Write(sealedFrame(msgHello, hello))
+	writeFrame(&in, msgWorld, s.world)
+	in.Write(sealedFrame(msgBootstrap, jobs))
+	in.Write(sealedFrame(msgShards, shards))
 	return ServeWorker(sessionConn{r: bytes.NewReader(in.Bytes())})
 }
 
@@ -117,23 +120,20 @@ func (s *workerSession) serve(hello, jobs, shards []byte) error {
 // rate replaced.
 func (s *workerSession) withChurnRate(t testing.TB, rate float64) []byte {
 	var h distHello
-	if err := json.Unmarshal(s.hello, &h); err != nil {
+	if err := decodeBody(msgHello, s.hello, func(d *frameReader) { h = d.hello() }); err != nil {
 		t.Fatal(err)
 	}
 	h.Cfg.ChurnRate = rate
-	hello, err := json.Marshal(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return hello
+	return sectionBody(func(f *frameWriter) { f.hello(h) })
 }
 
 // FuzzServeWorkerInbound fuzzes the worker's inbound path — the hello's
 // configuration and prober settings, the bootstrap jobs and the shards
-// frame with its HDN set — from a recorded session. Any input must end in
-// an error or a clean session, never a panic or a hang. Crashers stay in
-// testdata/fuzz/FuzzServeWorkerInbound (null-hdn: a shards frame whose
-// HDN set holds a null); the third seed is the hello of
+// frame with its HDN set, as section bodies — from a recorded session.
+// Any input must end in an error or a clean session, never a panic or a
+// hang. testdata/fuzz/FuzzServeWorkerInbound/hdn-count-overrun holds the
+// shards frame of TestServeWorkerRejectsOverrunningCounts whose HDN count
+// overruns its payload; the third seed is the hello of
 // TestServeWorkerChurnRateBounded.
 func FuzzServeWorkerInbound(f *testing.F) {
 	s := recordWorkerSession(f)
@@ -148,14 +148,42 @@ func FuzzServeWorkerInbound(f *testing.F) {
 	})
 }
 
-// TestServeWorkerRejectsNullHDN pins the regression FuzzServeWorkerInbound
-// guards: a shards frame whose HDN set holds a null used to panic the
-// worker; it must end the session with an error.
-func TestServeWorkerRejectsNullHDN(t *testing.T) {
+// overrunningShards are shards frames whose HDN count, or whose one HDN's
+// address count, claims 2²⁰ elements in a payload that holds none.
+var overrunningShards = map[string]func(*frameWriter){
+	"HDN count": func(f *frameWriter) { f.count(1 << 20) },
+	"address count": func(f *frameWriter) {
+		f.count(1)
+		f.i64(7)
+		f.String("r7")
+		f.U32(65001)
+		f.count(1 << 20)
+	},
+}
+
+// TestServeWorkerRejectsOverrunningCounts pins the bound on every count a
+// worker reads: a shards frame whose HDN count, or a node's address
+// count, overruns the payload must end the session with a truncation
+// error, having allocated memory in proportion to the payload rather
+// than to the count.
+func TestServeWorkerRejectsOverrunningCounts(t *testing.T) {
 	s := recordWorkerSession(t)
-	err := s.serve(s.hello, []byte("[]"), []byte(`{"hdns":[null],"shards":[]}`))
-	if err == nil || !strings.Contains(err.Error(), "HDN") {
-		t.Fatalf("null HDN: %v", err)
+	noJobs := sectionBody(func(f *frameWriter) { putList(f, nil, f.job) })
+	for name, encode := range overrunningShards {
+		shards := sectionBody(encode)
+		if err := s.serve(s.hello, noJobs, shards); !errors.Is(err, wirefmt.ErrTruncated) {
+			t.Errorf("%s: session ended with %v, want a truncation error", name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decodeBody(msgShards, shards, func(d *frameReader) { d.shardMsg() })
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: shards frame decoded", name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+			t.Errorf("%s: decoding a %d-byte shards section allocated %d bytes", name, len(shards), alloc)
+		}
 	}
 }
 

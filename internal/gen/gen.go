@@ -96,6 +96,8 @@ type Params struct {
 	// TransitPeerProb links pairs of transit ASes as peers.
 	TransitPeerProb float64
 
+	// NumVPs vantage points sit on distinct stubs, so there may be no
+	// more of them than NumStub.
 	NumVPs int
 
 	// Link delays are uniform in [MinDelay, MaxDelay].
@@ -458,7 +460,7 @@ func Build(p Params) (_ *Internet, err error) {
 
 	// 3. Vantage points on distinct stubs.
 	vpStubs := rng.Perm(len(stubs))
-	for i := 0; i < p.NumVPs && i < len(vpStubs); i++ {
+	for i := 0; i < p.NumVPs; i++ {
 		as := stubs[vpStubs[i]]
 		in.attachVP(in.rng, p, as, i)
 	}
@@ -592,6 +594,10 @@ const maxStubs = maxHierTransits << 9
 func (p Params) validate() error {
 	if p.NumTier1 < 1 || p.NumTransit < 0 || p.NumStub < 0 || p.NumStub > maxStubs || p.NumVPs < 0 {
 		return fmt.Errorf("gen: unsupported AS counts (%d/%d/%d, %d VPs)", p.NumTier1, p.NumTransit, p.NumStub, p.NumVPs)
+	}
+	// Each vantage point sits on its own stub.
+	if p.NumVPs > p.NumStub {
+		return fmt.Errorf("gen: %d vantage points need as many stubs, not %d", p.NumVPs, p.NumStub)
 	}
 	for _, r := range []struct {
 		name string

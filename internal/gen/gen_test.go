@@ -168,6 +168,8 @@ func TestBuildRejectsInvalidParams(t *testing.T) {
 		{"StubRouters {0,0}", func(p *Params) { p.StubRouters = [2]int{0, 0} }},
 		{"NumTransit -1", func(p *Params) { p.NumTransit = -1 }},
 		{"NumStub -5 hierarchical", func(p *Params) { p.NumStub, p.Hierarchical = -5, true }},
+		{"NumVPs 5 on NumStub 0", func(p *Params) { p.NumStub, p.NumVPs = 0, 5 }},
+		{"NumVPs 5 on NumStub 3", func(p *Params) { p.NumStub, p.NumVPs = 3, 5 }},
 	} {
 		p := smallParams(1)
 		c.set(&p)

@@ -116,7 +116,7 @@ func buildHierarchical(p Params) (*Internet, error) {
 	// can attach each VP the moment its stub exists.
 	vpSlot := make(map[int]int, p.NumVPs)
 	vpPerm := rng.Perm(p.NumStub)
-	for i := 0; i < p.NumVPs && i < len(vpPerm); i++ {
+	for i := 0; i < p.NumVPs; i++ {
 		vpSlot[vpPerm[i]] = i
 	}
 

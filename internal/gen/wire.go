@@ -334,18 +334,6 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 	return w.Buf, nil
 }
 
-// wireCount reads a u32 count bounded by what the payload can hold (each
-// element costs at least min bytes), so corrupt counts fail instead of
-// driving a giant allocation.
-func wireCount(rd *wirefmt.Reader, min int) int {
-	n := int(rd.U32())
-	if n < 0 || n > rd.Len()/min {
-		rd.Fail(errBadWire)
-		return 0
-	}
-	return n
-}
-
 // DecodeWire reconstructs a live fabric from an EncodeWire blob. Any
 // corruption — truncation, a flipped bit, an out-of-range index —
 // surfaces as an error (checksum failures as a *wirefmt.ChecksumError);
@@ -413,7 +401,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 
 	// 3: nodes.
 	sec = rd.Section(secNodes)
-	nNodes := wireCount(sec, 1)
+	nNodes := sec.Count(1)
 	stats := router.DecodeWireStats(sec)
 	if err := sec.Err(); err != nil {
 		return nil, err
@@ -464,7 +452,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 
 	// 4: links.
 	sec = rd.Section(secLinks)
-	nLinks := wireCount(sec, 17)
+	nLinks := sec.Count(17)
 	net.ReserveLinks(nLinks)
 	for i := 0; i < nLinks; i++ {
 		a := ifByID(sec, sec.I32())
@@ -482,7 +470,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 
 	// 5: registered interfaces.
 	sec = rd.Section(secRegIfaces)
-	nReg := wireCount(sec, 4)
+	nReg := sec.Count(4)
 	for i := 0; i < nReg; i++ {
 		ifc := ifByID(sec, sec.I32())
 		if sec.Err() != nil {
@@ -511,7 +499,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 
 	// 6: ASes.
 	sec = rd.Section(secASes)
-	nAS := wireCount(sec, 40)
+	nAS := sec.Count(40)
 	asSlab := make([]ASInfo, nAS)
 	out.ASes = make([]*ASInfo, 0, nAS)
 	out.asByNum = make(map[uint32]*ASInfo, nAS)
@@ -534,7 +522,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 		as.nextSubnet = sec.U32()
 		as.nextLo = sec.U32()
 		for _, side := range [2]*[]*router.Router{&as.Core, &as.Edge} {
-			n := wireCount(sec, 4)
+			n := sec.Count(4)
 			if n > 0 {
 				*side = make([]*router.Router, 0, n)
 				for j := 0; j < n; j++ {
@@ -549,13 +537,13 @@ func DecodeWire(buf []byte) (*Internet, error) {
 		if sec.Bool() {
 			as.spfMode = spfRecompute
 		}
-		nTE := wireCount(sec, 10)
+		nTE := sec.Count(10)
 		for j := 0; j < nTE; j++ {
 			tn := &rsvpte.Tunnel{}
 			tn.Name = sec.String()
 			tn.FEC = netaddr.DecodePrefix(sec)
 			tn.UHP = sec.Bool()
-			nPath := wireCount(sec, 4)
+			nPath := sec.Count(4)
 			tn.Path = make([]*router.Router, 0, nPath)
 			for k := 0; k < nPath; k++ {
 				r := routerAt(sec, sec.I32())
@@ -566,7 +554,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 			}
 			as.teTunnels = append(as.teTunnels, tn)
 		}
-		nRec := wireCount(sec, 12)
+		nRec := sec.Count(12)
 		for j := 0; j < nRec; j++ {
 			as.lazyRecs = append(as.lazyRecs, addrRec{
 				addr: netaddr.DecodeAddr(sec),
@@ -583,7 +571,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 
 	// 7: VPs.
 	sec = rd.Section(secVPs)
-	nVP := wireCount(sec, 14)
+	nVP := sec.Count(14)
 	for i := 0; i < nVP; i++ {
 		hi := sec.I32()
 		asIdx := sec.I32()
@@ -618,7 +606,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 
 	// 8: address index.
 	sec = rd.Section(secAddrRecs)
-	nRec := wireCount(sec, 12)
+	nRec := sec.Count(12)
 	out.addrRecs = make([]addrRec, 0, nRec)
 	for i := 0; i < nRec; i++ {
 		out.addrRecs = append(out.addrRecs, addrRec{
@@ -636,7 +624,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 	if sec.Bool() {
 		lz := &lazyState{sealed: true}
 		lz.deferred = sec.Bool()
-		nDesc := wireCount(sec, 32)
+		nDesc := sec.Count(32)
 		lz.descs = make([]stubDesc, 0, nDesc)
 		for i := 0; i < nDesc; i++ {
 			lz.descs = append(lz.descs, stubDesc{
@@ -648,12 +636,12 @@ func DecodeWire(buf []byte) (*Internet, error) {
 				vp:      sec.I32(),
 			})
 		}
-		nSpan := wireCount(sec, 8)
+		nSpan := sec.Count(8)
 		lz.spans = make([]stubSpan, 0, nSpan)
 		for i := 0; i < nSpan; i++ {
 			lz.spans = append(lz.spans, stubSpan{start: netaddr.DecodeAddr(sec), si: sec.I32()})
 		}
-		nWord := wireCount(sec, 8)
+		nWord := sec.Count(8)
 		lz.resident = make(bitset, 0, nWord)
 		for i := 0; i < nWord; i++ {
 			lz.resident = append(lz.resident, sec.U64())

@@ -254,25 +254,13 @@ func wireDecIface(rd *wirefmt.Reader, nr *Router, idx int32) *netsim.Iface {
 	}
 }
 
-// count reads a u32 element count and sanity-bounds it: each element
-// costs at least min bytes on the wire, so a count the payload cannot
-// hold is corruption, caught before any allocation can balloon.
-func count(rd *wirefmt.Reader, min int) int {
-	n := int(rd.U32())
-	if n < 0 || n > rd.Len()/min {
-		rd.Fail(errBadWire)
-		return 0
-	}
-	return n
-}
-
 func decodeLabelHops(rd *wirefmt.Reader, nr *Router, ar *CloneArena) []LabelHop {
-	n := count(rd, 9)
+	n := rd.Count(9)
 	start := len(ar.lhops)
 	for i := 0; i < n; i++ {
 		h := LabelHop{Out: wireDecIface(rd, nr, rd.I32()), Label: rd.U32()}
 		if rd.Bool() {
-			nu := count(rd, 4)
+			nu := rd.Count(4)
 			u := len(ar.unders)
 			for j := 0; j < nu; j++ {
 				ar.unders = append(ar.unders, rd.U32())
@@ -315,7 +303,7 @@ func DecodeRouter(rd *wirefmt.Reader, ar *CloneArena) *Router {
 	nr.lastICMP = time.Duration(rd.I64())
 	nr.icmpSent = rd.Bool()
 
-	nLocal := count(rd, 4)
+	nLocal := rd.Count(4)
 	lstart := len(ar.locals)
 	for i := 0; i < nLocal; i++ {
 		ar.locals = append(ar.locals, netaddr.DecodeAddr(rd))
@@ -330,7 +318,7 @@ func DecodeRouter(rd *wirefmt.Reader, ar *CloneArena) *Router {
 		lo.Prefix = netaddr.DecodePrefix(rd)
 		nr.loopback = lo
 	}
-	nIf := count(rd, 13)
+	nIf := rd.Count(13)
 	pstart := len(ar.ifptrs)
 	for i := 0; i < nIf; i++ {
 		ni := ar.takeIface()
@@ -343,11 +331,11 @@ func DecodeRouter(rd *wirefmt.Reader, ar *CloneArena) *Router {
 	nr.ifaces = ar.ifptrs[pstart:len(ar.ifptrs):len(ar.ifptrs)]
 
 	nr.fib = netaddr.DecodeTrieInto(rd, ar.tries, (*wirefmt.Reader).I32)
-	nRoute := count(rd, 9)
+	nRoute := rd.Count(9)
 	rstart := len(ar.routes)
 	for i := 0; i < nRoute; i++ {
 		rt := Route{Origin: Origin(rd.U8()), BGPNextHop: netaddr.DecodeAddr(rd)}
-		nNH := count(rd, 8)
+		nNH := rd.Count(8)
 		start := len(ar.nhops)
 		for j := 0; j < nNH; j++ {
 			ar.nhops = append(ar.nhops, NextHop{
@@ -361,7 +349,7 @@ func DecodeRouter(rd *wirefmt.Reader, ar *CloneArena) *Router {
 	nr.routes = ar.routes[rstart:len(ar.routes):len(ar.routes)]
 
 	nr.bindings = netaddr.DecodeTrieInto(rd, ar.tries, (*wirefmt.Reader).I32)
-	nBind := count(rd, 9)
+	nBind := rd.Count(9)
 	bstart := len(ar.binds)
 	for i := 0; i < nBind; i++ {
 		b := Binding{FEC: netaddr.DecodePrefix(rd)}
@@ -370,7 +358,7 @@ func DecodeRouter(rd *wirefmt.Reader, ar *CloneArena) *Router {
 	}
 	nr.binds = ar.binds[bstart:len(ar.binds):len(ar.binds)]
 
-	nLFIB := count(rd, 9)
+	nLFIB := rd.Count(9)
 	fstart := len(ar.lfib)
 	for i := 0; i < nLFIB; i++ {
 		f := LFIBEntry{InLabel: rd.U32(), PopLocal: rd.Bool()}

@@ -201,6 +201,19 @@ func (r *Reader) Bool() bool {
 	}
 }
 
+// Count reads a u32 element count whose elements each take at least
+// size (≥ 1) bytes on the wire. A count the unread bytes cannot hold
+// fails the reader with ErrTruncated and reads as 0, so a corrupt or
+// hostile count is caught before any allocation it would size.
+func (r *Reader) Count(size int) int {
+	n := r.U32()
+	if uint64(n)*uint64(size) > uint64(r.Len()) {
+		r.Fail(fmt.Errorf("%w: %d elements of %d bytes or more in %d bytes", ErrTruncated, n, size, r.Len()))
+		return 0
+	}
+	return int(n)
+}
+
 // Bytes returns the next n bytes as a sub-slice of the underlying buffer
 // (no copy; the caller must not retain it past the buffer's lifetime
 // unless it copies).

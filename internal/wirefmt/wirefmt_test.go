@@ -253,6 +253,26 @@ func TestStringLyingLength(t *testing.T) {
 	}
 }
 
+// TestCountLyingLength reads element counts the remaining bytes cannot
+// hold: ErrTruncated and a count of 0. A count they can hold reads as is.
+func TestCountLyingLength(t *testing.T) {
+	for _, n := range []uint32{2, 1000, math.MaxUint32} {
+		var w Writer
+		w.U32(n)
+		w.U64(0)
+		r := NewReader(w.Buf)
+		if got := r.Count(5); got != 0 || !errors.Is(r.Err(), ErrTruncated) {
+			t.Errorf("count %d of 5-byte elements over 8 bytes: %d, err %v; want ErrTruncated", n, got, r.Err())
+		}
+	}
+	var w Writer
+	w.U32(2)
+	w.U64(0)
+	if r := NewReader(w.Buf); r.Count(4) != 2 || r.Err() != nil {
+		t.Errorf("count 2 of 4-byte elements over 8 bytes: err %v", r.Err())
+	}
+}
+
 // TestBoolRejectsOtherBytes reads a Bool byte of 2: false, with a sticky
 // error that is neither truncation nor overwritten by later failures.
 func TestBoolRejectsOtherBytes(t *testing.T) {
