@@ -224,7 +224,7 @@ func (c *Campaign) BootstrapProbes() uint64 { return c.boot.Probes }
 // the coordinator every engine shares, driving one slot on the source.
 // Output is byte-identical to RunParallel at any worker count.
 func Run(in *gen.Internet, cfg Config) *Campaign {
-	e := &engine{in: in, cfg: cfg, slots: []executor{newLocalSlot(in, cfg, proberSettingsOf(in.VPs), false)}}
+	e := &engine{in: in, cfg: cfg, slots: []executor{newLocalSlot(in, cfg, false)}}
 	c, _ := e.run() // local slots never fail
 	return c
 }

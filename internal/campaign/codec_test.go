@@ -7,9 +7,7 @@ package campaign
 
 import (
 	"fmt"
-	"net"
 	"reflect"
-	"sync"
 	"testing"
 
 	"wormhole/internal/fingerprint"
@@ -92,10 +90,29 @@ func roundTrip[T any](t *testing.T, put func(*frameWriter, T), get func(*frameRe
 
 // TestFrameCodecRoundTrip runs every struct that crosses the worker wire
 // through its encoder and decoder. It fails as soon as a field is added
-// to one of them and not to the codec.
+// to one of them and not to the codec. The hello is the exception: it
+// carries the six Config fields a worker reads, in 20 bytes, and no
+// other.
 func TestFrameCodecRoundTrip(t *testing.T) {
-	roundTrip(t, (*frameWriter).config, (*frameReader).config)
-	roundTrip(t, (*frameWriter).prober, (*frameReader).prober)
+	var cfg Config
+	(&filler{t: t}).fill(reflect.ValueOf(&cfg).Elem())
+	body := sectionBody(func(f *frameWriter) { f.hello(cfg) })
+	var got Config
+	if err := decodeBody(msgHello, body, func(d *frameReader) { got = d.hello() }); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	want := Config{
+		FirstTTL:         cfg.FirstTTL,
+		Method:           cfg.Method,
+		DisableFlowCache: cfg.DisableFlowCache,
+		ChurnFlushWorld:  cfg.ChurnFlushWorld,
+		ChurnRate:        cfg.ChurnRate,
+		ChurnSeed:        cfg.ChurnSeed,
+	}
+	if got != want || len(body) != 20 {
+		t.Errorf("hello of %d bytes decodes to %+v, want 20 bytes decoding to %+v", len(body), got, want)
+	}
+
 	roundTrip(t, (*frameWriter).job, (*frameReader).job)
 	roundTrip(t, (*frameWriter).shard, (*frameReader).shard)
 	roundTrip(t, (*frameWriter).node, (*frameReader).node)
@@ -123,22 +140,7 @@ func TestDistributedRecordsMatchInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var workers sync.WaitGroup
-		spawn := func(_ int, network, addr string) error {
-			workers.Add(1)
-			go func() {
-				defer workers.Done()
-				if conn, err := net.Dial(network, addr); err == nil {
-					_ = ServeWorker(conn)
-				}
-			}()
-			return nil
-		}
-		got, err := RunDistributed(in, cfg, DistConfig{Workers: 2, Spawn: spawn})
-		workers.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := runGoroutineWorkers(t, in, cfg, 2)
 		if len(got.Records) != len(want.Records) || len(want.Records) == 0 {
 			t.Fatalf("churn %v: %d distributed records, %d in-process", churn, len(got.Records), len(want.Records))
 		}

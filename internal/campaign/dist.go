@@ -74,7 +74,7 @@ func (e *WorkerError) Unwrap() error { return e.Err }
 // payload is the raw wire blob; every other payload is one wirefmt
 // section whose id is the frame type (frames.go).
 const (
-	msgHello       byte = iota + 1 // c→w: distHello
+	msgHello       byte = iota + 1 // c→w: the Config fields a worker reads
 	msgWorld                       // c→w: the world's wire-codec blob
 	msgBootstrap                   // c→w: []bootJob, the worker's contiguous partition
 	msgTraces                      // w→c: a chunk of bootstrap traces, partition order
@@ -322,7 +322,7 @@ func RunDistributed(in *gen.Internet, cfg Config, dcfg DistConfig) (*Campaign, e
 	e := &engine{in: in, cfg: cfg}
 	var hf frameWriter
 	hf.begin(msgHello)
-	hf.hello(distHello{Cfg: cfg, Probers: proberSettingsOf(in.VPs)})
+	hf.hello(cfg)
 	hello, err := hf.frame()
 	if err != nil {
 		return nil, err
@@ -364,8 +364,8 @@ func RunDistributed(in *gen.Internet, cfg Config, dcfg DistConfig) (*Campaign, e
 // caller's concern.
 func ServeWorker(conn net.Conn) error {
 	defer conn.Close()
-	var hello distHello
-	if err := readSection(conn, msgHello, func(d *frameReader) { hello = d.hello() }); err != nil {
+	var cfg Config
+	if err := readSection(conn, msgHello, func(d *frameReader) { cfg = d.hello() }); err != nil {
 		return fmt.Errorf("worker: hello: %w", err)
 	}
 	typ, payload, err := readFrame(conn, nil)
@@ -379,10 +379,7 @@ func ServeWorker(conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("worker: decode: %w", err)
 	}
-	if len(hello.Probers) != len(win.VPs) {
-		return fmt.Errorf("worker: hello carries %d probers for %d vantage points", len(hello.Probers), len(win.VPs))
-	}
-	s := newLocalSlot(win, hello.Cfg, hello.Probers, true)
+	s := newLocalSlot(win, cfg, true)
 
 	var jobs []bootJob
 	if err := readSection(conn, msgBootstrap, func(d *frameReader) { jobs = getList(d, minJob, d.job) }); err != nil {
@@ -435,7 +432,7 @@ func ServeWorker(conn net.Conn) error {
 	// The symbolic churn plan compiles identically on a structural
 	// replica: candidates are (AS index, core position) pairs and the
 	// schedule is a pure function of (seed, shard index).
-	plan := newProbePlan(sm.HDNs, gen.BuildChurnPlan(win, hello.Cfg.ChurnRate, hello.Cfg.ChurnSeed))
+	plan := newProbePlan(sm.HDNs, gen.BuildChurnPlan(win, cfg.ChurnRate, cfg.ChurnSeed))
 	err = s.probeShards(sm.Shards, plan, func(res *shardResult) error {
 		out.begin(msgShardResult)
 		out.shardResult(res)

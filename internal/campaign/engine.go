@@ -155,38 +155,21 @@ type slotDone struct {
 	Resident int
 }
 
-// proberSettings are the prober tunables every slot copies from the
-// source's vantage points. FirstTTL and Method are phase discipline,
-// applied separately.
-type proberSettings struct {
-	MaxTTL   uint8
-	GapLimit int
-	Attempts int
-	FlowID   uint16
-}
-
-func proberSettingsOf(vps []*gen.VP) []proberSettings {
-	out := make([]proberSettings, len(vps))
-	for i, vp := range vps {
-		p := vp.Prober
-		out[i] = proberSettings{MaxTTL: p.MaxTTL, GapLimit: p.GapLimit, Attempts: p.Attempts, FlowID: p.FlowID}
-	}
-	return out
-}
-
-// localSlot drives one fabric through its share of a campaign.
+// localSlot drives one fabric through its share of a campaign. Its
+// vantage points probe with the settings the fabric arrived with: the
+// source's own, a leased replica's copy of them (AcquireReplicas), or a
+// decoded world's from its blob.
 type localSlot struct {
-	in      *gen.Internet
-	cfg     Config
-	probers []proberSettings
+	in  *gen.Internet
+	cfg Config
 	// replica is false for the serial engine's slot, which probes the
 	// source fabric and holds no replica of its own.
 	replica bool
 }
 
-func newLocalSlot(in *gen.Internet, cfg Config, probers []proberSettings, replica bool) *localSlot {
+func newLocalSlot(in *gen.Internet, cfg Config, replica bool) *localSlot {
 	in.Net.SetFlowCacheEnabled(!cfg.DisableFlowCache)
-	return &localSlot{in: in, cfg: cfg, probers: probers, replica: replica}
+	return &localSlot{in: in, cfg: cfg, replica: replica}
 }
 
 // drive binds the fabric to the calling goroutine for one phase and
@@ -194,10 +177,8 @@ func newLocalSlot(in *gen.Internet, cfg Config, probers []proberSettings, replic
 // when it ends.
 func (s *localSlot) drive(firstTTL uint8) {
 	s.in.Net.BindOwner()
-	for i, vp := range s.in.VPs {
-		p, set := vp.Prober, s.probers[i]
-		p.FirstTTL, p.Method = firstTTL, s.cfg.Method
-		p.MaxTTL, p.GapLimit, p.Attempts, p.FlowID = set.MaxTTL, set.GapLimit, set.Attempts, set.FlowID
+	for _, vp := range s.in.VPs {
+		vp.Prober.FirstTTL, vp.Prober.Method = firstTTL, s.cfg.Method
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"net"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -210,31 +209,4 @@ func FuzzCoordinatorInbound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = s.replay(data)
 	})
-}
-
-// TestServeWorkerRejectsProberMismatch pins the hello check: a session
-// whose prober settings do not cover exactly the decoded world's vantage
-// points is refused instead of silently leaving some VPs unmirrored.
-func TestServeWorkerRejectsProberMismatch(t *testing.T) {
-	in := testInternet(t, 101)
-	world, err := in.EncodeWire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, worker := net.Pipe()
-	errc := make(chan error, 1)
-	go func() { errc <- ServeWorker(worker) }()
-	var hello frameWriter
-	hello.begin(msgHello)
-	hello.hello(distHello{Cfg: DefaultConfig(), Probers: proberSettingsOf(in.VPs[:1])})
-	if err := hello.send(coord); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(coord, msgWorld, world); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err == nil || !strings.Contains(err.Error(), "probers") {
-		t.Fatalf("mismatched hello accepted: %v", err)
-	}
-	coord.Close()
 }

@@ -33,7 +33,6 @@ import (
 // The least bytes an element of each repeated kind takes on the wire,
 // which bound every count before its allocation.
 const (
-	minProber = 1 + 8 + 8 + 2
 	minJob    = 8 + 4
 	minNode   = 8 + 4 + 4 + 4
 	minShard  = 8 + 8 + 4
@@ -140,71 +139,28 @@ func getList[T any](d *frameReader, size int, get func() T) []T {
 	return out
 }
 
-// distHello opens the session: the campaign configuration and the
-// source's prober settings.
-type distHello struct {
-	Cfg     Config
-	Probers []proberSettings
-}
-
-func (f *frameWriter) hello(h distHello) {
-	f.config(h.Cfg)
-	putList(f, h.Probers, f.prober)
-}
-
-func (d *frameReader) hello() distHello {
-	return distHello{Cfg: d.config(), Probers: getList(d, minProber, d.prober)}
-}
-
-func (f *frameWriter) config(c Config) {
-	f.i64(c.HDNThreshold)
+// hello opens the session with the campaign configuration a worker
+// reads: the probing discipline (FirstTTL, Method), the flow cache switch
+// and the churn schedule. The rest of Config drives the coordinator's own
+// phases, and the vantage points' prober settings ride in the world blob.
+func (f *frameWriter) hello(c Config) {
 	f.U8(c.FirstTTL)
-	f.i64(c.BootstrapSpread)
-	f.f64(c.ASMapNoise)
-	f.Bool(c.MeasuredAliases)
+	f.U8(uint8(c.Method))
 	f.Bool(c.DisableFlowCache)
-	f.Bool(c.DisableSweep)
+	f.Bool(c.ChurnFlushWorld)
 	f.f64(c.ChurnRate)
 	f.I64(c.ChurnSeed)
-	f.Bool(c.ChurnFlushWorld)
-	f.i64(c.MaxBootstrapTargets)
-	f.i64(c.MaxTargets)
-	f.U8(uint8(c.Method))
-	f.Bool(c.Stream)
-	f.i64(c.PrefixBudget)
-	f.I64(c.StreamSeed)
 }
 
-func (d *frameReader) config() Config {
-	var c Config
-	c.HDNThreshold = d.i64()
-	c.FirstTTL = d.U8()
-	c.BootstrapSpread = d.i64()
-	c.ASMapNoise = d.f64()
-	c.MeasuredAliases = d.Bool()
-	c.DisableFlowCache = d.Bool()
-	c.DisableSweep = d.Bool()
-	c.ChurnRate = d.f64()
-	c.ChurnSeed = d.I64()
-	c.ChurnFlushWorld = d.Bool()
-	c.MaxBootstrapTargets = d.i64()
-	c.MaxTargets = d.i64()
-	c.Method = probe.Method(d.enum("probe method", uint8(probe.UDPParis)))
-	c.Stream = d.Bool()
-	c.PrefixBudget = d.i64()
-	c.StreamSeed = d.I64()
-	return c
-}
-
-func (f *frameWriter) prober(p proberSettings) {
-	f.U8(p.MaxTTL)
-	f.i64(p.GapLimit)
-	f.i64(p.Attempts)
-	f.U16(p.FlowID)
-}
-
-func (d *frameReader) prober() proberSettings {
-	return proberSettings{MaxTTL: d.U8(), GapLimit: d.i64(), Attempts: d.i64(), FlowID: d.U16()}
+func (d *frameReader) hello() Config {
+	return Config{
+		FirstTTL:         d.U8(),
+		Method:           probe.Method(d.enum("probe method", uint8(probe.UDPParis))),
+		DisableFlowCache: d.Bool(),
+		ChurnFlushWorld:  d.Bool(),
+		ChurnRate:        d.f64(),
+		ChurnSeed:        d.I64(),
+	}
 }
 
 func (f *frameWriter) job(j bootJob) {

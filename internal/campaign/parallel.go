@@ -45,9 +45,8 @@ func RunParallel(in *gen.Internet, cfg Config, pcfg ParallelConfig) (*Campaign, 
 	}
 	defer in.ReleaseReplicas(replicas)
 	e := &engine{in: in, cfg: cfg}
-	probers := proberSettingsOf(in.VPs)
 	for _, r := range replicas {
-		e.slots = append(e.slots, newLocalSlot(r, cfg, probers, true))
+		e.slots = append(e.slots, newLocalSlot(r, cfg, true))
 	}
 	setup := time.Since(t0)
 

@@ -2,9 +2,11 @@ package campaign
 
 import (
 	"fmt"
+	"net"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"wormhole/internal/gen"
@@ -228,6 +230,75 @@ func TestParallelStress(t *testing.T) {
 			if c.Workers != workers {
 				t.Fatalf("iter %d round %d: pool size %d, want %d", i, round, c.Workers, workers)
 			}
+		}
+	}
+}
+
+// runGoroutineWorkers runs a distributed campaign whose workers are
+// goroutines serving the real socket protocol, and waits for them.
+func runGoroutineWorkers(t *testing.T, in *gen.Internet, cfg Config, workers int) *Campaign {
+	t.Helper()
+	var served sync.WaitGroup
+	spawn := func(_ int, network, addr string) error {
+		served.Add(1)
+		go func() {
+			defer served.Done()
+			if conn, err := net.Dial(network, addr); err == nil {
+				_ = ServeWorker(conn)
+			}
+		}()
+		return nil
+	}
+	c, err := RunDistributed(in, cfg, DistConfig{Workers: workers, Spawn: spawn})
+	served.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestReplicasProbeWithSourceSettings pins where a replica's prober
+// settings come from: the source's vantage points as they are when the
+// campaign starts, copied onto every leased replica and encoded in the
+// world a worker decodes. FlowID and MaxTTL change on the source between
+// two RunParallel calls on one Internet, the second on pooled replicas,
+// and between a RunParallel and a RunDistributed; every run must equal a
+// serial Run on a fresh build with the same settings.
+func TestReplicasProbeWithSourceSettings(t *testing.T) {
+	const seed = 101
+	set := func(in *gen.Internet, flowID uint16, maxTTL uint8) {
+		for _, vp := range in.VPs {
+			vp.Prober.FlowID, vp.Prober.MaxTTL = flowID, maxTTL
+		}
+	}
+	cfg := DefaultConfig()
+	in := testInternet(t, seed)
+	for _, run := range []struct {
+		name   string
+		flowID uint16
+		maxTTL uint8
+		dist   bool
+	}{
+		{"parallel", 0x1234, 30, false},
+		{"parallel on pooled replicas", 0x4321, 9, false},
+		{"distributed", 0x5678, 11, true},
+	} {
+		fresh := testInternet(t, seed)
+		set(fresh, run.flowID, run.maxTTL)
+		want := dumpExactCampaign(t, Run(fresh, cfg))
+		set(in, run.flowID, run.maxTTL)
+		var c *Campaign
+		if run.dist {
+			c = runGoroutineWorkers(t, in, cfg, 2)
+		} else {
+			var err error
+			if c, err = RunParallel(in, cfg, ParallelConfig{Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := dumpExactCampaign(t, c); got != want {
+			t.Errorf("%s with FlowID %#x, MaxTTL %d differs from a fresh serial run:\n%s",
+				run.name, run.flowID, run.maxTTL, firstDiff(want, got))
 		}
 	}
 }

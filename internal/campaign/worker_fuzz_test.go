@@ -85,7 +85,7 @@ func recordWorkerSession(t testing.TB) *workerSession {
 		}
 		frames[typ] = payload
 	}
-	var hello distHello
+	var hello Config
 	var jobs []bootJob
 	var sm shardMsg
 	if decodeFrame(msgHello, msgHello, frames[msgHello], func(d *frameReader) { hello = d.hello() }) != nil ||
@@ -119,17 +119,17 @@ func (s *workerSession) serve(hello, jobs, shards []byte) error {
 // withChurnRate returns the session's hello with its campaign's churn
 // rate replaced.
 func (s *workerSession) withChurnRate(t testing.TB, rate float64) []byte {
-	var h distHello
-	if err := decodeBody(msgHello, s.hello, func(d *frameReader) { h = d.hello() }); err != nil {
+	var cfg Config
+	if err := decodeBody(msgHello, s.hello, func(d *frameReader) { cfg = d.hello() }); err != nil {
 		t.Fatal(err)
 	}
-	h.Cfg.ChurnRate = rate
-	return sectionBody(func(f *frameWriter) { f.hello(h) })
+	cfg.ChurnRate = rate
+	return sectionBody(func(f *frameWriter) { f.hello(cfg) })
 }
 
 // FuzzServeWorkerInbound fuzzes the worker's inbound path — the hello's
-// configuration and prober settings, the bootstrap jobs and the shards
-// frame with its HDN set, as section bodies — from a recorded session.
+// configuration, the bootstrap jobs and the shards frame with its HDN
+// set, as section bodies — from a recorded session.
 // Any input must end in an error or a clean session, never a panic or a
 // hang. testdata/fuzz/FuzzServeWorkerInbound/hdn-count-overrun holds the
 // shards frame of TestServeWorkerRejectsOverrunningCounts whose HDN count

@@ -183,15 +183,13 @@ type ASInfo struct {
 	// Aggregate is the announced address block.
 	Aggregate netaddr.Prefix
 
-	// spf is the AS's computed IGP state. It is materialized lazily when
-	// spfMode says so: campaign workers never read SPF state, and
-	// remapping (or recomputing) it eagerly costs as much as cloning all
-	// the router tables of the AS. The mode enum replaces a per-AS
-	// closure so snapshots stay allocation-free.
+	// spf is the AS's computed IGP state. A replica, and a streamed stub
+	// that dropped its build-time result, recompute it from their own
+	// routers when spfMode says so: campaign workers never read SPF
+	// state, and computing it eagerly costs as much as cloning all the
+	// router tables of the AS.
 	spf     *igp.Result
 	spfMode uint8
-	snapSrc *ASInfo  // spfRemap: source AS to remap from
-	snapCtx *snapCtx // spfRemap: shared pointer-translation context
 
 	// teTunnels records every RSVP-TE tunnel signalling *attempt* of the
 	// build, in order — including attempts Signal rejected, because a
@@ -223,35 +221,26 @@ type ASInfo struct {
 	nextLo     uint32
 }
 
-// SPF materialization modes for snapshot replicas and streamed stubs.
+// SPF materialization modes for replicas and streamed stubs.
 const (
 	spfEager     uint8 = iota // spf is whatever it is; no lazy work
-	spfRecompute              // recompute from the replica's own routers on demand
-	spfRemap                  // remap the source AS's result through snapCtx
+	spfRecompute              // recompute from the AS's own routers on demand
 )
 
 // SPF returns the AS's computed IGP state (nil if the AS has none). On
-// snapshot replicas — and on streamed stubs that dropped their transient
+// replicas — and on streamed stubs that dropped their transient
 // build-time SPF — the first call materializes it.
 func (as *ASInfo) SPF() *igp.Result {
-	if as.spf != nil {
-		return as.spf
-	}
-	switch as.spfMode {
-	case spfRecompute:
+	if as.spf == nil && as.spfMode == spfRecompute {
 		if err := as.recomputeSPF(); err != nil {
 			panic(fmt.Sprintf("gen: AS%d lazy SPF: %v", as.Num, err))
-		}
-	case spfRemap:
-		as.spfMode = spfEager
-		src, ctx := as.snapSrc, as.snapCtx
-		as.snapSrc, as.snapCtx = nil, nil
-		if s := src.SPF(); s != nil {
-			as.spf = s.Remap(ctx.router, ctx.iface)
 		}
 	}
 	return as.spf
 }
+
+// hasSPF reports whether the AS has SPF state, computed or recomputable.
+func (as *ASInfo) hasSPF() bool { return as.spf != nil || as.spfMode == spfRecompute }
 
 // recomputeSPF computes the AS's SPF from its own routers' current
 // topology and pins it.

@@ -104,16 +104,16 @@ func TestHierReachability(t *testing.T) {
 
 // TestHierSnapshotEquivalence extends the snapshot contract to the
 // streamed builder: replicas must reproduce the source's traceroute
-// behaviour byte-for-byte, including stubs whose SPF is in each of the
-// three modes (eager, lazily recomputable, remapped from a materialized
-// source result).
+// behaviour byte-for-byte, including stubs whose source SPF is in each
+// of the two modes (eager, lazily recomputable), and a replica recomputes
+// SPF state over its own routers.
 func TestHierSnapshotEquivalence(t *testing.T) {
 	in, err := Build(hierParams(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Materialize one stub SPF before the snapshot so the remap path is
-	// exercised alongside the recompute path.
+	// Materialize one stub SPF before the snapshot so a source stub with
+	// computed SPF state is snapshot alongside recomputable ones.
 	var stub *ASInfo
 	for _, as := range in.ASes {
 		if as.Profile.Tier == Stub {
@@ -137,7 +137,7 @@ func TestHierSnapshotEquivalence(t *testing.T) {
 		t.Errorf("snapshot traces diverge from original:\n%s", firstTraceDiff(want, got))
 	}
 
-	// The remapped SPF must reference the snapshot's routers, not the
+	// The recomputed SPF must reference the snapshot's routers, not the
 	// source's.
 	snapStub := snap.ASByNum(stub.Num)
 	res := snapStub.SPF()
@@ -216,12 +216,12 @@ func TestHierGroundTruth(t *testing.T) {
 	}
 }
 
-// TestLazyFaultInUnderChurn pins where a decoded lazy replica attaches a
-// stub it faults in while churn has a ring link of the stub's provider
-// down. materializeStub installs the stub's customer routes, and picks
-// the providers' hot-potato egress, through the providers' SPF. The
-// source computed that SPF at Build and a snapshot replica remaps it, so
-// both attach over the built topology; a decoded replica must too,
+// TestLazyFaultInUnderChurn pins where a lazy replica, decoded or
+// snapshot, attaches a stub it faults in while churn has a ring link of
+// the stub's provider down. materializeStub installs the stub's customer
+// routes, and picks the providers' hot-potato egress, through the
+// providers' SPF. The source computed that SPF at Build, over the built
+// topology; a replica pins it as it is made, over the same topology,
 // rather than compute it around the failure at first use, since no
 // repair re-attaches a stub. For each non-resident stub and each ring
 // link of each of its providers, on fresh worlds: fail the link, fault

@@ -240,6 +240,26 @@ func (in *Internet) materializeStub(si int32) {
 	as.spfMode = spfRecompute
 }
 
+// pinCoreSPF computes the SPF of every core AS of a lazy replica as the
+// replica is made, by Snapshot or DecodeWire. A fault-in attaches the
+// stub through its providers' SPF (materializeStub): pinned now, on the
+// built topology, it equals the source's; computed on demand it would
+// route around whatever link churn has down at the first fault-in, and
+// no repair undoes that attachment.
+func (in *Internet) pinCoreSPF() error {
+	if lz := in.lazy; lz == nil || !lz.deferred {
+		return nil
+	}
+	for _, as := range in.ASes {
+		if as.Profile.Tier != Stub && as.spfMode == spfRecompute {
+			if err := as.recomputeSPF(); err != nil {
+				return fmt.Errorf("gen: AS%d SPF: %w", as.Num, err)
+			}
+		}
+	}
+	return nil
+}
+
 // materializeAll faults in every remaining stub (full-enumeration paths
 // like RouterAddrs need the universe constructed).
 func (in *Internet) materializeAll() {

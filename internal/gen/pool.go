@@ -44,8 +44,9 @@ type lease struct {
 // they were built, and building the rest (concurrently) via Snapshot.
 // Replicas come back in stable order — slot i holds the same replica
 // across successive acquisitions — and must be returned with
-// ReleaseReplicas. The second parameter is ignored; it stays only because
-// the frozen perfbench module passes it.
+// ReleaseReplicas. Every replica leased, pooled or new, probes with the
+// source's prober settings as they are now. The second parameter is
+// ignored; it stays only because the frozen perfbench module passes it.
 func (in *Internet) AcquireReplicas(n int, _ bool) ([]*Internet, error) {
 	p := &in.pool
 	p.mu.Lock()
@@ -78,6 +79,7 @@ func (in *Internet) AcquireReplicas(n int, _ bool) ([]*Internet, error) {
 	need := n - len(out)
 	p.mu.Unlock()
 	if need == 0 {
+		in.mirrorVPs(out)
 		return out, nil
 	}
 
@@ -120,7 +122,18 @@ func (in *Internet) AcquireReplicas(n int, _ bool) ([]*Internet, error) {
 		}
 		return nil, err
 	}
+	in.mirrorVPs(out)
 	return out, nil
+}
+
+// mirrorVPs sets the prober settings of every replica's vantage points
+// to the source's: a pooled replica keeps those it was leased with.
+func (in *Internet) mirrorVPs(replicas []*Internet) {
+	for _, r := range replicas {
+		for i, vp := range r.VPs {
+			copyProber(vp.Prober, in.VPs[i].Prober)
+		}
+	}
 }
 
 // ReleaseReplicas returns leased replicas to the pool in the given order.

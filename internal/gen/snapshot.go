@@ -10,29 +10,22 @@ import (
 	"wormhole/internal/rsvpte"
 )
 
-// snapCtx carries the old→new pointer translation of one structural
-// snapshot for ASes that defer their SPF remap. One context is shared by
-// every deferred AS of the snapshot, so the per-AS cost is two pointer
-// stores — no closures, no per-AS allocations.
-type snapCtx struct {
-	router func(*router.Router) *router.Router
-	iface  func(*netsim.Iface) *netsim.Iface
-}
-
 // Snapshot builds an independent replica of this Internet by structurally
 // deep-copying the built state: every router (FIB, LFIB, bindings,
-// personality, config, counters), link, host, SPF result, and the
-// ground-truth address index. No control-plane computation is replayed, so
-// a snapshot costs O(state) rather than O(convergence) — the fast path for
-// parallel campaign workers.
+// personality, config, counters), link, host, and the ground-truth
+// address index. No control-plane computation is replayed, so a snapshot
+// costs O(state) rather than O(convergence) — the fast path for parallel
+// campaign workers.
 //
 // Replica ASInfo records and their Core/Edge pointer tables are carved
 // from slabs sized in one pass, mirroring router.CloneArena: a snapshot of
 // a large fabric allocates a handful of arrays, not O(ASes) objects.
 //
-// Probers are created fresh on the replica (counters zeroed), matching what
-// a generator replay would produce; campaign workers reconfigure them from
-// the campaign config anyway.
+// The replica's probers are created fresh (counters zeroed) with the
+// source's settings, as DecodeWire creates them from the blob's. SPF
+// state is recomputed from the replica's own routers, as on a decoded
+// replica: on demand, except for a lazy world's core, pinned here (see
+// pinCoreSPF).
 //
 // Snapshot works on every built world. Rebuild, a generator replay,
 // stays as its validation oracle.
@@ -74,10 +67,6 @@ func (in *Internet) Snapshot() (*Internet, error) {
 		// clone invariants — shared by reference, never copied.
 		addrRecs: in.addrRecs,
 	}
-	ctx := &snapCtx{
-		router: func(r *router.Router) *router.Router { return routers[r] },
-		iface:  c.Iface,
-	}
 	var nPtr int
 	for _, as := range in.ASes {
 		nPtr += len(as.Core) + len(as.Edge)
@@ -113,17 +102,7 @@ func (in *Internet) Snapshot() (*Internet, error) {
 		}
 		na.Edge = ptrSlab[start:len(ptrSlab):len(ptrSlab)]
 
-		// SPF state stays lazy on the replica: campaign workers never
-		// read it, and an eager Remap costs as much as cloning the AS's
-		// router tables. Materialized or remappable source results defer
-		// to a remap through the shared context; streamed stubs that
-		// dropped their build-time SPF recompute locally on demand.
-		switch {
-		case as.spf != nil || as.spfMode == spfRemap:
-			na.spfMode = spfRemap
-			na.snapSrc = as
-			na.snapCtx = ctx
-		case as.spfMode == spfRecompute:
+		if as.hasSPF() {
 			na.spfMode = spfRecompute
 		}
 
@@ -146,12 +125,7 @@ func (in *Internet) Snapshot() (*Internet, error) {
 			return nil, fmt.Errorf("gen: VP host %q missing from snapshot", vp.Host.Name())
 		}
 		pr := probe.New(out.Net, host)
-		pr.Method = vp.Prober.Method
-		pr.FirstTTL = vp.Prober.FirstTTL
-		pr.MaxTTL = vp.Prober.MaxTTL
-		pr.GapLimit = vp.Prober.GapLimit
-		pr.Attempts = vp.Prober.Attempts
-		pr.FlowID = vp.Prober.FlowID
+		copyProber(pr, vp.Prober)
 		out.VPs = append(out.VPs, &VP{Host: host, Prober: pr, AS: out.asByNum[vp.AS.Num]})
 	}
 	if lz := in.lazy; lz != nil {
@@ -173,7 +147,16 @@ func (in *Internet) Snapshot() (*Internet, error) {
 			out.Net.SetFaultInHook(out.faultInAddr)
 		}
 	}
+	if err := out.pinCoreSPF(); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// copyProber sets dst's prober settings to src's.
+func copyProber(dst, src *probe.Prober) {
+	dst.Method, dst.FirstTTL, dst.MaxTTL = src.Method, src.FirstTTL, src.MaxTTL
+	dst.GapLimit, dst.Attempts, dst.FlowID = src.GapLimit, src.Attempts, src.FlowID
 }
 
 // Rebuild builds an independent replica by replaying the generator with

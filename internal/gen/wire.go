@@ -14,12 +14,13 @@ package gen
 //
 // What never crosses the wire, mirroring Snapshot(): queued events
 // (encode refuses a non-quiescent fabric), route caches, the
-// flow-trajectory cache, prober state (probers are created fresh, then
-// configured by the campaign), and SPF results — replicas recompute those
-// from the decoded topology, which is observationally identical and keeps
-// the blob proportional to the data plane. Recomputation is on demand,
-// except for a lazy world's core: DecodeWire pins it before any churn can
-// reach the fabric, because stub fault-ins read it.
+// flow-trajectory cache, prober counters (probers are created fresh with
+// the encoded settings, the only ones a distributed worker receives),
+// and SPF results — a replica recomputes those from its own topology,
+// decoded or snapshot alike, which is observationally identical and
+// keeps the blob proportional to the data plane. Recomputation is on
+// demand, except for a lazy world's core, pinned as the replica is made
+// (pinCoreSPF) because stub fault-ins read it.
 //
 // Section layout (every section is [u32 id][u64 len][payload][u32 crc]):
 //
@@ -245,7 +246,7 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 		}
 		// SPF state is never shipped: a replica recomputes from its own
 		// routers on demand, which Compute() makes deterministic.
-		w.Bool(as.spf != nil || as.spfMode != spfEager)
+		w.Bool(as.hasSPF())
 		w.U32(uint32(len(as.teTunnels)))
 		for _, tn := range as.teTunnels {
 			w.String(tn.Name)
@@ -587,6 +588,9 @@ func DecodeWire(buf []byte) (*Internet, error) {
 		if hi < 0 || int(hi) >= len(net.Nodes()) || asIdx < 0 || int(asIdx) >= len(out.ASes) {
 			return nil, errBadWire
 		}
+		if method > probe.UDPParis || attempts < 1 || attempts > probe.MaxAttempts {
+			return nil, fmt.Errorf("%w: vantage point %d probes by method %d with %d attempts", errBadWire, i, method, attempts)
+		}
 		host, ok := net.Nodes()[hi].(*netsim.Host)
 		if !ok {
 			return nil, errBadWire
@@ -661,19 +665,8 @@ func DecodeWire(buf []byte) (*Internet, error) {
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
-	// A fault-in attaches the stub through its providers' SPF
-	// (materializeStub). Pin every core SPF now, on the decoded built
-	// topology, as the source's eager SPF and a snapshot's remap are:
-	// computed on demand it would route around whatever link churn has
-	// down at the first fault-in, and no repair undoes that attachment.
-	if lz := out.lazy; lz != nil && lz.deferred {
-		for _, as := range out.ASes {
-			if as.Profile.Tier != Stub && as.spfMode == spfRecompute {
-				if err := as.recomputeSPF(); err != nil {
-					return nil, fmt.Errorf("gen: AS%d SPF: %w", as.Num, err)
-				}
-			}
-		}
+	if err := out.pinCoreSPF(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

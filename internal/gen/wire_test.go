@@ -12,6 +12,7 @@ import (
 
 	"wormhole/internal/experiments"
 	"wormhole/internal/gen"
+	"wormhole/internal/probe"
 	"wormhole/internal/wirefmt"
 )
 
@@ -167,6 +168,66 @@ func wireSections(t testing.TB, blob []byte) []wireSection {
 	return out
 }
 
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// patched returns a copy of blob with patch written into section s's
+// payload at off, wrapped to the payload, and the section's CRC-32C
+// re-sealed, so the patch reaches the section parser.
+func patched(blob []byte, s wireSection, off uint32, patch []byte) []byte {
+	bad := append([]byte(nil), blob...)
+	copy(bad[s.start+int(off%uint32(s.end-s.start)):s.end], patch)
+	binary.LittleEndian.PutUint32(bad[s.end:], crc32.Checksum(bad[s.start:s.end], castagnoli))
+	return bad
+}
+
+// The first vantage point's probe method and Attempts in the VP section,
+// the blob's seventh: past the VP count and the host and AS indices, and
+// for Attempts also past the method, the first and max TTLs and the gap
+// limit.
+const (
+	vpSection    = 6
+	vpMethodAt   = 4 + 4 + 4
+	vpAttemptsAt = vpMethodAt + 1 + 1 + 1 + 4
+)
+
+// TestDecodeWireBoundsProberSettings pins the check on the prober
+// settings a decoded world's vantage points arrive with, the only way
+// they reach a worker: a first VP that retries each hop 2³¹−1 times, or
+// none, or probes by an unknown method, fails the decode, while
+// probe.MaxAttempts retries decode.
+func TestDecodeWireBoundsProberSettings(t *testing.T) {
+	in, err := gen.Build(experiments.Small.Params(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := in.EncodeWire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vps := wireSections(t, blob)[vpSection]
+	for _, c := range []struct {
+		name  string
+		off   uint32
+		patch []byte
+		ok    bool
+	}{
+		{"2³¹−1 attempts", vpAttemptsAt, []byte{0xff, 0xff, 0xff, 0x7f}, false},
+		{"0 attempts", vpAttemptsAt, []byte{0, 0, 0, 0}, false},
+		{"method 2", vpMethodAt, []byte{2}, false},
+		{"MaxAttempts", vpAttemptsAt, []byte{probe.MaxAttempts, 0, 0, 0}, true},
+	} {
+		out, err := gen.DecodeWire(patched(blob, vps, c.off, c.patch))
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.ok && out.VPs[0].Prober.Attempts != probe.MaxAttempts:
+			t.Errorf("%s: first VP decoded with %d attempts", c.name, out.VPs[0].Prober.Attempts)
+		case !c.ok && err == nil:
+			t.Errorf("%s: decoded", c.name)
+		}
+	}
+}
+
 // FuzzDecodeWire drives hostile bytes past the checksums into the
 // section parsers. Each input picks one section of a Small blob, patches
 // bytes of its payload at an offset, and re-seals that section's CRC-32C,
@@ -188,22 +249,20 @@ func FuzzDecodeWire(f *testing.F) {
 	}
 	secs := wireSections(f, blob)
 	// Seeds: per section, a count or scalar at the payload head zeroed
-	// and saturated, and a flip in the middle of the payload.
+	// and saturated, and a flip in the middle of the payload; and the
+	// first VP's Attempts raised to 2³¹−1.
 	for i, s := range secs {
 		f.Add(uint8(i), uint32(0), []byte{0, 0, 0, 0})
 		f.Add(uint8(i), uint32(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 		f.Add(uint8(i), uint32(s.end-s.start)/2, []byte{0x5a})
 	}
-	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	f.Add(uint8(vpSection), uint32(vpAttemptsAt), []byte{0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, sec uint8, off uint32, patch []byte) {
 		s := secs[int(sec)%len(secs)]
 		if s.end == s.start {
 			return
 		}
-		bad := append([]byte(nil), blob...)
-		copy(bad[s.start+int(off%uint32(s.end-s.start)):s.end], patch)
-		binary.LittleEndian.PutUint32(bad[s.end:], crc32.Checksum(bad[s.start:s.end], castagnoli))
-		out, err := gen.DecodeWire(bad)
+		out, err := gen.DecodeWire(patched(blob, s, off, patch))
 		if err != nil || len(out.VPs) == 0 {
 			return
 		}

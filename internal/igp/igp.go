@@ -53,65 +53,6 @@ type Result struct {
 	Dist map[*router.Router]map[*router.Router]int
 }
 
-// Remap rewrites every router and interface pointer in the result through
-// the given mapping functions, returning a new Result for a structural
-// snapshot of the network (gen.Internet.Snapshot). Prefixes and distances
-// are values and copy straight across.
-//
-// All hop and owner slices in the copy are carved from two slabs sized by
-// a counting pass: the result holds one slice per (router, prefix) pair,
-// and cloning each individually is thousands of small allocations that
-// would dominate snapshot time.
-func (res *Result) Remap(rmap func(*router.Router) *router.Router, imap func(*netsim.Iface) *netsim.Iface) *Result {
-	var nOwners, nHops int
-	for _, owners := range res.Owners {
-		nOwners += len(owners)
-	}
-	for _, byPrefix := range res.NextHops {
-		for _, hops := range byPrefix {
-			nHops += len(hops)
-		}
-	}
-	ownerSlab := make([]*router.Router, 0, nOwners)
-	hopSlab := make([]Hop, 0, nHops)
-	out := &Result{
-		Prefixes: append([]netaddr.Prefix(nil), res.Prefixes...),
-		Owners:   make(map[netaddr.Prefix][]*router.Router, len(res.Owners)),
-		NextHops: make(map[*router.Router]map[netaddr.Prefix][]Hop, len(res.NextHops)),
-		Dist:     make(map[*router.Router]map[*router.Router]int, len(res.Dist)),
-	}
-	for p, owners := range res.Owners {
-		start := len(ownerSlab)
-		for _, o := range owners {
-			ownerSlab = append(ownerSlab, rmap(o))
-		}
-		out.Owners[p] = ownerSlab[start:len(ownerSlab):len(ownerSlab)]
-	}
-	for r, byPrefix := range res.NextHops {
-		nm := make(map[netaddr.Prefix][]Hop, len(byPrefix))
-		for p, hops := range byPrefix {
-			start := len(hopSlab)
-			for _, h := range hops {
-				nh := Hop{Out: imap(h.Out), Gateway: h.Gateway}
-				if h.Via != nil {
-					nh.Via = rmap(h.Via)
-				}
-				hopSlab = append(hopSlab, nh)
-			}
-			nm[p] = hopSlab[start:len(hopSlab):len(hopSlab)]
-		}
-		out.NextHops[rmap(r)] = nm
-	}
-	for a, dd := range res.Dist {
-		nd := make(map[*router.Router]int, len(dd))
-		for b, v := range dd {
-			nd[rmap(b)] = v
-		}
-		out.Dist[rmap(a)] = nd
-	}
-	return out
-}
-
 // adjacency is one directed router-to-router edge.
 type adjacency struct {
 	to      *router.Router

@@ -352,7 +352,7 @@ func TestWindowEntryKeepsPristineTouched(t *testing.T) {
 	net.SetFlowCacheEnabled(true)
 	idx := func(h *Host) int32 { return net.nodeIdx[h] }
 	key := churnKey(60)
-	p := net.flows.putEntry(key, &flowEntry{t0: 3, maxTTL: 255, steps: []trajStep{{to: hosts[1].If}}})
+	p := net.flows.putEntry(key, &flowEntry{t0: 3, maxTTL: 255, hasFrontier: true, frontier: trajStep{to: hosts[1].If}})
 	p.touched = append(make([]int32, 0, 8), idx(hosts[0]), idx(hosts[1]))
 	before := slices.Clone(p.touched[:cap(p.touched)])
 
@@ -360,8 +360,8 @@ func TestWindowEntryKeepsPristineTouched(t *testing.T) {
 	net.ChurnBegin([]ChurnEvent{{Tick: 0, Kind: "fail", Dev: 1, DevScope: []Node{hosts[4]}, EvictScope: []Node{hosts[4]}}}, false)
 	net.ChurnTick()
 	e := net.windowEntry(key)
-	if len(e.steps) != 1 || !slices.Equal(e.touched, p.touched) {
-		t.Fatalf("window entry not seeded from the pristine one: %d steps, touched %v", len(e.steps), e.touched)
+	if !e.hasFrontier || e.frontier.to != hosts[1].If || !slices.Equal(e.touched, p.touched) {
+		t.Fatalf("window entry not seeded from the pristine one: frontier %v, touched %v", e.hasFrontier, e.touched)
 	}
 	net.flows.fold(e, []int32{idx(hosts[2])}, false)
 	if !slices.Equal(p.touched[:cap(p.touched)], before) {

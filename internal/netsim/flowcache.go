@@ -12,11 +12,12 @@ import (
 // This file implements the fabric's flow-trajectory cache. Forwarding in
 // the simulated data plane is a pure function of the flow key (src, dst,
 // protocol, transport flow fields) while the control plane is static, so
-// the first probe on a flow records its trajectory — the ordered
-// (ingress iface, arrival offset, packet-header snapshot) steps — and
-// later probes either replay a memoized (flow, TTL) → reply observation in
-// O(1) or fast-forward to the recorded frontier and resume live simulation
-// there, turning an L-hop traceroute from O(L²) into O(L) router visits.
+// a live probe on a flow records its frontier — the last delivery of its
+// marked packet: ingress iface, arrival offset and packet-header
+// snapshot — and later probes either replay a memoized (flow, TTL) →
+// reply observation in O(1) or fast-forward to the frontier and resume
+// live simulation there, turning an L-hop traceroute from O(L²) into
+// O(L) router visits.
 //
 // Correctness rests on three pillars:
 //
@@ -135,11 +136,13 @@ type trajStep struct {
 // t0 probe expired or was answered, normalized to t0 — plus the per-TTL
 // reply memo. maxTTL is the largest initial TTL the recorded trajectory
 // is proven valid for (accumulated from NoteTTLMin bounds). A recording
-// keeps the frontier alone, the one step the fast-forward rebuilds.
+// keeps the frontier alone, the one step the fast-forward rebuilds; it is
+// held inline and read only while hasFrontier is set.
 type flowEntry struct {
-	t0     uint8
-	maxTTL uint8
-	steps  []trajStep
+	t0          uint8
+	maxTTL      uint8
+	hasFrontier bool
+	frontier    trajStep
 
 	// valid is a 256-bit presence set over probe TTLs. replies is dense:
 	// one reply per memoized TTL, in TTL order, at the TTL's rank in valid.
@@ -365,13 +368,13 @@ func (n *Network) FlowProbe(out *Iface, pkt *packet.Packet, key FlowKey, ttl uin
 	}
 	start := n.clock
 	pkt.Mark = 1
-	if len(e.steps) > 0 && ttl > e.t0 && ttl <= e.maxTTL {
+	if e.hasFrontier && ttl > e.t0 && ttl <= e.maxTTL {
 		// Fast-forward: reconstruct the packet as it was delivered at the
 		// frontier, patched for this probe's larger initial TTL, carrying
 		// the current probe's transport layer and IP identifier (constant
 		// along the path, and the source of the reply-match token).
 		f.stats.FastForwards++
-		fr := &e.steps[len(e.steps)-1]
+		fr := &e.frontier
 		delta := ttl - e.t0
 		id := pkt.IP.ID
 		pkt.IP = fr.ip
@@ -394,7 +397,7 @@ func (n *Network) FlowProbe(out *Iface, pkt *packet.Packet, key FlowKey, ttl uin
 		// The resumed run re-records the frontier in place, rebased to this
 		// probe's t0; offsets stay measured from injection, since link
 		// delays are TTL-independent.
-		e.steps = e.steps[:0]
+		e.hasFrontier = false
 		e.t0 = ttl
 		f.rec = flowRec{active: true, entry: e, key: key, start: start}
 		n.touchRemote(out)
@@ -405,7 +408,7 @@ func (n *Network) FlowProbe(out *Iface, pkt *packet.Packet, key FlowKey, ttl uin
 	}
 	// Full live run, recorded from scratch. (The miss was already counted
 	// by the FlowLookup that preceded this call.)
-	e.steps = e.steps[:0]
+	e.hasFrontier = false
 	e.t0 = ttl
 	e.maxTTL = 255
 	pkt.SetLineageIP(true)
@@ -426,10 +429,10 @@ func (n *Network) FlowFinish(ttl uint8, obs ProbeObs) {
 	e := rec.entry
 	f.rec = flowRec{}
 	if rec.bad {
-		// Poisoned: the steps may reflect pre-mutation state (or a loop hit
-		// the budget); discard so every later probe re-runs live.
+		// Poisoned: the frontier may reflect pre-mutation state (or a loop
+		// hit the budget); discard it so every later probe re-runs live.
 		f.touchReset()
-		e.steps = e.steps[:0]
+		e.hasFrontier = false
 		return
 	}
 	tl, tlOK := f.takeTouched()
@@ -461,10 +464,10 @@ func (n *Network) windowEntry(key FlowKey) *flowEntry {
 		return e
 	}
 	e := &flowEntry{}
-	if p := f.entries[key]; p != nil && len(p.steps) > 0 && !n.masked(p.touched, p.touchAll) {
-		fr := p.steps[len(p.steps)-1]
-		fr.mpls = append(packet.LabelStack(nil), fr.mpls...)
-		e.steps = append(e.steps, fr)
+	if p := f.entries[key]; p != nil && p.hasFrontier && !n.masked(p.touched, p.touchAll) {
+		e.frontier = p.frontier
+		e.frontier.mpls = append(packet.LabelStack(nil), p.frontier.mpls...)
+		e.hasFrontier = true
 		e.t0, e.maxTTL = p.t0, p.maxTTL
 		// The pristine provenance, shared: touched sets only grow by
 		// appending, and the clipped capacity sends this entry's first
@@ -511,23 +514,19 @@ func memoize(e *flowEntry, ttl uint8, obs ProbeObs) {
 	e.replies = slices.Insert(e.replies, i, obs)
 }
 
-// record captures one delivery of the marked forward packet, reusing the
-// step slot (and its label-stack capacity) left by previous recordings so
-// steady-state recording allocates nothing. Each delivery overwrites the
-// last: the frontier is the only step read back.
+// record captures one delivery of the marked forward packet as the
+// entry's frontier, reusing the label-stack capacity previous recordings
+// left so steady-state recording allocates nothing. Each delivery
+// overwrites the last: the frontier is the only step read back.
 func (f *FlowCache) record(to *Iface, at time.Duration, pkt *packet.Packet) {
 	e := f.rec.entry
-	if cap(e.steps) > 0 {
-		e.steps = e.steps[:1]
-	} else {
-		e.steps = append(e.steps, trajStep{})
-	}
-	st := &e.steps[0]
-	st.to = to
-	st.offset = at - f.rec.start
-	st.ip = pkt.IP
-	st.lineage = pkt.Lineage
-	st.mpls = append(st.mpls[:0], pkt.MPLS...)
+	fr := &e.frontier
+	fr.to = to
+	fr.offset = at - f.rec.start
+	fr.ip = pkt.IP
+	fr.lineage = pkt.Lineage
+	fr.mpls = append(fr.mpls[:0], pkt.MPLS...)
+	e.hasFrontier = true
 }
 
 // touchDelivery records that the drain being recorded delivered to this

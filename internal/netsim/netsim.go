@@ -200,8 +200,8 @@ func (n *Network) PacketPool() *packet.Pool { return &n.pool }
 func (n *Network) AdoptPacket(p *packet.Packet) { n.pool.Adopt(p) }
 
 // SetFaultInHook installs (or clears) the lazy-fabric fault-in hook.
-// Probers invoke it through FaultIn with a trace's destination before the
-// first probe toward it is injected.
+// A prober invokes it through FaultIn with a trace's destination before
+// the first probe toward it is injected.
 func (n *Network) SetFaultInHook(h func(netaddr.Addr)) { n.faultIn = h }
 
 // FaultIn gives the fabric's owner a chance to materialize lazily-built

@@ -73,15 +73,6 @@ func (c *Cloner) NodeOf(src Node) Node { return c.nodes[src] }
 // calls it for every interface it creates, loopbacks included.
 func (c *Cloner) MapIface(src, dst *Iface) { c.ifaces[src] = dst }
 
-// Iface resolves a source interface to its replica (nil-safe, so remapping
-// optional references needs no guards).
-func (c *Cloner) Iface(src *Iface) *Iface {
-	if src == nil {
-		return nil
-	}
-	return c.ifaces[src]
-}
-
 // Finish replicates links (delay and Up) and the fabric-wide address
 // index. Every source interface must have been mapped by then.
 func (c *Cloner) Finish() error {

@@ -80,6 +80,11 @@ func (m Method) String() string {
 	return "icmp"
 }
 
+// MaxAttempts bounds Attempts where prober settings arrive from outside
+// the process, in a decoded world: every program probes a hop once, and
+// 2³¹ retries of one unanswered hop keep a prober busy for hours.
+const MaxAttempts = 8
+
 // udpBasePort is the classic traceroute destination-port base; probes
 // cycle over the 128 ports above it, one flow per port.
 const udpBasePort = 33434
@@ -283,7 +288,9 @@ func (p *Prober) Traceroute(dst netaddr.Addr) *Trace {
 	// Lazy fabrics materialize the destination's stub before the first
 	// packet toward it exists (a no-op on eager fabrics).
 	p.Net.FaultIn(dst)
-	tr := &Trace{Src: p.Host.Addr(), Dst: dst}
+	// Room for 16 hops up front: campaign traces run about 12, and
+	// growing the list from empty leaves as much garbage as it keeps.
+	tr := &Trace{Src: p.Host.Addr(), Dst: dst, Hops: make([]Hop, 0, 16)}
 	p.seq = p.traceSeed(dst)
 	gaps := 0
 	attempts := p.Attempts

@@ -44,10 +44,9 @@ func smallRungSeed(f *testing.F) []byte {
 
 // FuzzTracefileRead fuzzes the JSONL reader behind `wormhole analyze`,
 // the decoder of dataset files from outside the process. Read must either
-// fail with an error or return a dataset whose every record converts back
-// through ToTrace and ToRevelation, and every fingerprint through
-// ToResult, without a panic; a conversion may still reject a malformed
-// field with its own error.
+// fail with an error or return a dataset whose every trace converts back
+// through ToTrace, as analyze converts it, without a panic; the
+// conversion may still reject a malformed field with its own error.
 func FuzzTracefileRead(f *testing.F) {
 	f.Add(smallRungSeed(f))
 	f.Add([]byte(`{"header":{"format":1,"tool":"wormhole"}}`))
@@ -61,14 +60,6 @@ func FuzzTracefileRead(f *testing.F) {
 			if tr, err := rec.Trace.ToTrace(); err == nil && len(tr.Hops) != len(rec.Trace.Hops) {
 				t.Fatalf("ToTrace kept %d of %d hops", len(tr.Hops), len(rec.Trace.Hops))
 			}
-			if rec.Revelation != nil {
-				if rev, err := rec.Revelation.ToRevelation(); err == nil && len(rev.Hops) != len(rec.Revelation.Hops) {
-					t.Fatalf("ToRevelation kept %d of %d hops", len(rev.Hops), len(rec.Revelation.Hops))
-				}
-			}
-		}
-		for _, fp := range ds.Fingerprints {
-			fp.ToResult()
 		}
 	})
 }

@@ -118,37 +118,6 @@ func FromResult(fp fingerprint.Result) Fingerprint {
 	}
 }
 
-// ToResult reverses FromResult.
-func (f Fingerprint) ToResult() (fingerprint.Result, error) {
-	addr, err := netaddr.ParseAddr(f.Addr)
-	if err != nil {
-		return fingerprint.Result{}, fmt.Errorf("tracefile: bad fingerprint addr: %w", err)
-	}
-	class, err := parseClass(f.Class)
-	if err != nil {
-		return fingerprint.Result{}, err
-	}
-	return fingerprint.Result{
-		Addr:         addr,
-		Signature:    fingerprint.Signature{TimeExceeded: f.TimeExceeded, EchoReply: f.EchoReply},
-		Class:        class,
-		TEReplyTTL:   f.TEReplyTTL,
-		EchoReplyTTL: f.EchoReplyTTL,
-	}, nil
-}
-
-func parseClass(s string) (fingerprint.Class, error) {
-	for _, c := range []fingerprint.Class{
-		fingerprint.CiscoLike, fingerprint.JuniperLike, fingerprint.JunosELike,
-		fingerprint.LegacyLike, fingerprint.Unknown,
-	} {
-		if c.String() == s {
-			return c, nil
-		}
-	}
-	return fingerprint.Unknown, fmt.Errorf("tracefile: unknown fingerprint class %q", s)
-}
-
 func sortedFingerprints(m map[netaddr.Addr]fingerprint.Result) []fingerprint.Result {
 	keys := make([]netaddr.Addr, 0, len(m))
 	for k := range m {
@@ -201,48 +170,6 @@ func FromRevelation(r *reveal.Revelation) Revelation {
 		out.Hops = append(out.Hops, h.String())
 	}
 	return out
-}
-
-// ToRevelation reverses FromRevelation.
-func (r Revelation) ToRevelation() (*reveal.Revelation, error) {
-	ing, err := netaddr.ParseAddr(r.Ingress)
-	if err != nil {
-		return nil, fmt.Errorf("tracefile: bad revelation ingress: %w", err)
-	}
-	eg, err := netaddr.ParseAddr(r.Egress)
-	if err != nil {
-		return nil, fmt.Errorf("tracefile: bad revelation egress: %w", err)
-	}
-	tech, err := parseTechnique(r.Technique)
-	if err != nil {
-		return nil, err
-	}
-	out := &reveal.Revelation{
-		Ingress:   ing,
-		Egress:    eg,
-		Technique: tech,
-		Probes:    r.Probes,
-		Steps:     r.Steps,
-	}
-	for _, h := range r.Hops {
-		a, err := netaddr.ParseAddr(h)
-		if err != nil {
-			return nil, fmt.Errorf("tracefile: bad revelation hop: %w", err)
-		}
-		out.Hops = append(out.Hops, a)
-	}
-	return out, nil
-}
-
-func parseTechnique(s string) (reveal.Technique, error) {
-	for _, t := range []reveal.Technique{
-		reveal.TechNone, reveal.TechDPR, reveal.TechBRPR, reveal.TechEither, reveal.TechHybrid,
-	} {
-		if t.String() == s {
-			return t, nil
-		}
-	}
-	return reveal.TechNone, fmt.Errorf("tracefile: unknown revelation technique %q", s)
 }
 
 // ToTrace reverses fromTrace.
