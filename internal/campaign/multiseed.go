@@ -58,7 +58,9 @@ func summarize(seed int64, c *Campaign) Summary {
 }
 
 // RunSeeds generates one world per seed and runs the campaign on each,
-// in parallel across CPUs. params.Seed is overridden per slot.
+// in parallel across CPUs. params.Seed is overridden per slot, and so is
+// a cfg.ChurnSeed of 0: each world's churn schedule is then seeded with
+// its generator seed, as a single-world campaign's is by default.
 func RunSeeds(seeds []int64, params gen.Params, cfg Config) []Summary {
 	out := make([]Summary, len(seeds))
 	workers := runtime.GOMAXPROCS(0)
@@ -79,7 +81,11 @@ func RunSeeds(seeds []int64, params gen.Params, cfg Config) []Summary {
 					out[i] = Summary{Seed: seeds[i], Err: err}
 					continue
 				}
-				out[i] = summarize(seeds[i], Run(in, cfg))
+				c := cfg
+				if c.ChurnSeed == 0 {
+					c.ChurnSeed = seeds[i]
+				}
+				out[i] = summarize(seeds[i], Run(in, c))
 			}
 		}()
 	}

@@ -13,6 +13,7 @@ package campaign
 import (
 	"sort"
 
+	"wormhole/internal/gen"
 	"wormhole/internal/netaddr"
 )
 
@@ -111,41 +112,36 @@ func streamTargets(space TargetSpace, seed int64, limit, budget int) []netaddr.A
 }
 
 // streamSampleTargets is the streamed replacement for the target-list
-// stride sample: permute the canonically sorted list with the campaign
-// seed, accept under the same per-prefix budget the bootstrap used
-// (budget key = the target's ground-truth AS aggregate) up to
-// MaxTargets, and re-sort — the shards' canonical order contract. A pure
-// function of the sorted list, so every engine probes the same subset.
+// stride sample: draw the canonically sorted list with streamTargets,
+// under the campaign seed and the same per-prefix budget the bootstrap
+// used, up to MaxTargets, and re-sort — the shards' canonical order
+// contract. A pure function of the sorted list, so every engine probes
+// the same subset.
 func (c *Campaign) streamSampleTargets(targets []netaddr.Addr) []netaddr.Addr {
-	max := c.Cfg.MaxTargets
-	budget := c.Cfg.PrefixBudget
+	max, budget := c.Cfg.MaxTargets, c.Cfg.PrefixBudget
 	if len(targets) == 0 || (budget <= 0 && (max <= 0 || len(targets) <= max)) {
 		return targets
 	}
-	f := newFeistel(len(targets), c.Cfg.StreamSeed^0x7461726765747321)
-	used := make(map[netaddr.Prefix]int)
-	capN := len(targets)
-	if max > 0 && max < capN {
-		capN = max
-	}
-	out := make([]netaddr.Addr, 0, capN)
-	for i := uint64(0); i < uint64(len(targets)); i++ {
-		if max > 0 && len(out) >= max {
-			break
-		}
-		a := targets[f.walk(i)]
-		if budget > 0 {
-			// Bootstrap traced every selected target, so the owner lookup
-			// never faults in a new stub here.
-			if info, ok := c.In.Owner(a); ok {
-				if used[info.AS.Aggregate] >= budget {
-					continue
-				}
-				used[info.AS.Aggregate]++
-			}
-		}
-		out = append(out, a)
-	}
+	out := streamTargets(targetList{c.In, targets}, c.Cfg.StreamSeed^0x7461726765747321, max, budget)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// targetList is a target list as a TargetSpace. A target's budget key is
+// its ground-truth AS aggregate; a target no AS owns is its own /32.
+type targetList struct {
+	in    *gen.Internet
+	addrs []netaddr.Addr
+}
+
+func (t targetList) Len() int                { return len(t.addrs) }
+func (t targetList) Addr(i int) netaddr.Addr { return t.addrs[i] }
+
+func (t targetList) Prefix(i int) netaddr.Prefix {
+	// Bootstrap traced every selected target, so the owner lookup never
+	// faults in a new stub here.
+	if info, ok := t.in.Owner(t.addrs[i]); ok {
+		return info.AS.Aggregate
+	}
+	return netaddr.HostPrefix(t.addrs[i])
 }

@@ -213,13 +213,18 @@ func cmdCampaign(args []string) error {
 		defer stop()
 	}
 	if *seeds > 1 {
-		return multiSeedCampaign(*seed, *seeds, *scaleName)
+		// Each of these names one world's dataset or one engine.
+		var single string
+		fs.Visit(func(f *flag.Flag) {
+			if single == "" && (f.Name == "out" || f.Name == "workers" || f.Name == "dist") {
+				single = f.Name
+			}
+		})
+		if single != "" {
+			return fmt.Errorf("-%s applies to a single world's campaign and cannot be combined with -seeds %d", single, *seeds)
+		}
 	}
 	scale, err := parseScale(*scaleName)
-	if err != nil {
-		return err
-	}
-	in, err := gen.Build(scale.Params(*seed))
 	if err != nil {
 		return err
 	}
@@ -240,10 +245,17 @@ func cmdCampaign(args []string) error {
 	ccfg.DisableFlowCache = *noFlowCache
 	ccfg.ChurnRate = *churn
 	ccfg.ChurnSeed = *churnSeed
+	ccfg.ChurnFlushWorld = *churnFlush
+	if *seeds > 1 {
+		return multiSeedCampaign(*seed, *seeds, scale, ccfg)
+	}
 	if ccfg.ChurnSeed == 0 {
 		ccfg.ChurnSeed = *seed
 	}
-	ccfg.ChurnFlushWorld = *churnFlush
+	in, err := gen.Build(scale.Params(*seed))
+	if err != nil {
+		return err
+	}
 	var c *campaign.Campaign
 	if *dist > 0 {
 		c, err = campaign.RunDistributed(in, ccfg, campaign.DistConfig{
@@ -514,16 +526,12 @@ func cmdBench(args []string) error {
 }
 
 // multiSeedCampaign pools statistics across parallel worlds.
-func multiSeedCampaign(first int64, n int, scaleName string) error {
-	scale, err := parseScale(scaleName)
-	if err != nil {
-		return err
-	}
+func multiSeedCampaign(first int64, n int, scale experiments.Scale, cfg campaign.Config) error {
 	var list []int64
 	for i := 0; i < n; i++ {
 		list = append(list, first+int64(i))
 	}
-	sums := campaign.RunSeeds(list, scale.Params(0), scale.CampaignConfig())
+	sums := campaign.RunSeeds(list, scale.Params(0), cfg)
 	printf("%-8s %-7s %-7s %-6s %-8s %-8s %-12s %-6s\n",
 		"seed", "nodes", "edges", "HDNs", "targets", "probes", "revelations", "hops")
 	for _, s := range sums {

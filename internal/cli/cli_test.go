@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -180,6 +181,41 @@ func TestMultiSeedCampaign(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout missing %q", want)
 		}
+	}
+}
+
+// TestMultiSeedCampaignSettings: every world of a multi-seed run probes
+// with the command line's method, cache and churn settings, so its row
+// reports the probes of the same single-world campaign; flags that name
+// one world's dataset or one engine are refused, by name.
+func TestMultiSeedCampaignSettings(t *testing.T) {
+	settings := []string{"-method", "udp", "-churn", "2", "-no-flow-cache"}
+	code, single, stderr := run(t, append([]string{"campaign", "-seed", "301"}, settings...)...)
+	if code != 0 {
+		t.Fatalf("code=%d stderr=%q", code, stderr)
+	}
+	m := regexp.MustCompile(`probes sent: (\d+)`).FindStringSubmatch(single)
+	if m == nil {
+		t.Fatalf("single-world campaign printed no probe count:\n%s", single)
+	}
+	code, multi, stderr := run(t, append([]string{"campaign", "-seeds", "2", "-seed", "300"}, settings...)...)
+	if code != 0 {
+		t.Fatalf("code=%d stderr=%q", code, stderr)
+	}
+	row := regexp.MustCompile(`(?m)^301 +\d+ +\d+ +\d+ +\d+ +(\d+) `).FindStringSubmatch(multi)
+	if row == nil || row[1] != m[1] {
+		t.Errorf("seed 301's row does not report the single-world campaign's %s probes:\n%s", m[1], multi)
+	}
+
+	out := filepath.Join(t.TempDir(), "ds.jsonl")
+	for _, flag := range [][]string{{"-out", out}, {"-workers", "2"}, {"-dist", "2"}} {
+		code, _, stderr := run(t, append([]string{"campaign", "-seeds", "2"}, flag...)...)
+		if code == 0 || !strings.Contains(stderr, flag[0]+" ") {
+			t.Errorf("-seeds 2 %s: code=%d stderr=%q, want an error naming %s", strings.Join(flag, " "), code, stderr, flag[0])
+		}
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Error("a refused multi-seed run wrote a dataset")
 	}
 }
 

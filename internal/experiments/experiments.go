@@ -44,7 +44,8 @@ type Scale int
 const (
 	// Small runs in well under a second; used by tests.
 	Small Scale = iota
-	// Medium is the default for the CLI and benches.
+	// Medium is gen.DefaultParams unchanged: the flat generator's default
+	// world. (The CLI's -scale defaults to small.)
 	Medium
 	// Large is ~10⁴ routers through the streamed hierarchical builder;
 	// campaigns sample targets to stay tractable.

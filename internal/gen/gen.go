@@ -299,6 +299,8 @@ type Internet struct {
 	// params is the exact Build input, kept so Rebuild can replay it.
 	params Params
 
+	// rng is the build's generator. Replicas hold none: they never draw,
+	// so a draw by mistake panics instead of diverging from the source.
 	rng *rand.Rand
 
 	// lazy is the hierarchical builder's stub-universe plan (see lazy.go):

@@ -1,8 +1,8 @@
 package gen
 
 import (
+	"errors"
 	"fmt"
-	"math/rand"
 
 	"wormhole/internal/netsim"
 	"wormhole/internal/probe"
@@ -15,11 +15,17 @@ import (
 // personality, config, counters), link, host, and the ground-truth
 // address index. No control-plane computation is replayed, so a snapshot
 // costs O(state) rather than O(convergence) — the fast path for parallel
-// campaign workers.
+// campaign workers. Like EncodeWire, it refuses a fabric with queued
+// events.
 //
-// Replica ASInfo records and their Core/Edge pointer tables are carved
-// from slabs sized in one pass, mirroring router.CloneArena: a snapshot of
-// a large fabric allocates a handful of arrays, not O(ASes) objects.
+// The replica is assembled the way DecodeWire assembles a decoded one:
+// a presized fabric with the source's simulation basis, nodes added in
+// source order with router tables carved from one arena, links and
+// addresses connected and registered by interface id (walkIfaces), and
+// AS routers, TE paths and VP hosts found by node index. Replica ASInfo
+// records and their Core/Edge pointer tables are carved from slabs sized
+// in one pass, so a snapshot of a large fabric allocates a handful of
+// arrays, not O(ASes) objects.
 //
 // The replica's probers are created fresh (counters zeroed) with the
 // source's settings, as DecodeWire creates them from the blob's. SPF
@@ -30,39 +36,75 @@ import (
 // Snapshot works on every built world. Rebuild, a generator replay,
 // stays as its validation oracle.
 func (in *Internet) Snapshot() (*Internet, error) {
-	c, err := in.Net.BeginSnapshot()
-	if err != nil {
-		return nil, err
+	src := in.Net
+	if !src.Quiescent() {
+		return nil, errors.New("gen: cannot snapshot a fabric with queued events")
 	}
-	srcRouters := make([]*router.Router, 0, len(in.Net.Nodes()))
-	for _, n := range in.Net.Nodes() {
-		if r, ok := n.(*router.Router); ok {
-			srcRouters = append(srcRouters, r)
-		}
-	}
-	// One arena serves every router: table data for the whole replica
-	// lands in a handful of contiguous slabs.
-	arena := router.NewCloneArena(srcRouters)
-	routers := make(map[*router.Router]*router.Router, len(srcRouters))
-	for _, n := range in.Net.Nodes() {
+	index := indexSource(src)
+	regs := src.RegisteredIfaces()
+	net := netsim.New()
+	net.SetWireBasis(src.WireBasis())
+	net.Presize(len(src.Nodes()), len(regs), len(src.Links()))
+
+	arena := router.NewDecodeArena(index.stats)
+	ifs := make([]*netsim.Iface, 0, len(index.ifIDs))
+	for _, n := range src.Nodes() {
+		var nn netsim.Node
 		switch v := n.(type) {
 		case *router.Router:
-			routers[v] = v.SnapshotInto(c, arena)
+			nn = v.SnapshotInto(arena)
 		case *netsim.Host:
-			v.Snapshot(c)
+			h := netsim.NewHost(v.Name(), v.If.Addr, v.If.Prefix)
+			h.InitTTL = v.InitTTL
+			h.If.Name = v.If.Name
+			nn = h
 		default:
 			return nil, fmt.Errorf("gen: cannot snapshot node %q of type %T", n.Name(), n)
 		}
+		net.AddNode(nn)
+		ifs = walkIfaces(ifs, nn)
 	}
-	if err := c.Finish(); err != nil {
-		return nil, err
+	for _, l := range src.Links() {
+		a, b, err := index.linkEnds(l)
+		if err != nil {
+			return nil, err
+		}
+		net.Connect(ifs[a], ifs[b], l.Delay).Up = l.Up
+	}
+	// Register in id order, not in the source registry's hash order: the
+	// replica's interface records are then read in the order they were
+	// carved, which cuts a Large snapshot's time by about a fifth.
+	registered := make([]bool, len(ifs))
+	for _, ifc := range regs {
+		id, err := index.ifaceID(ifc)
+		if err != nil {
+			return nil, err
+		}
+		registered[id] = true
+	}
+	for id, ok := range registered {
+		if ok {
+			if err := net.RegisterIface(ifs[id]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// replicas appends the replica of each of rs to dst.
+	replicas := func(dst, rs []*router.Router) ([]*router.Router, error) {
+		for _, r := range rs {
+			i, err := nodeIndex(src, r)
+			if err != nil {
+				return nil, err
+			}
+			dst = append(dst, net.Nodes()[i].(*router.Router))
+		}
+		return dst, nil
 	}
 
 	out := &Internet{
-		Net:     c.Net(),
+		Net:     net,
 		asByNum: make(map[uint32]*ASInfo, len(in.ASes)),
 		params:  in.params,
-		rng:     rand.New(rand.NewSource(in.params.Seed)),
 		// The ground-truth index holds node and AS indices, which are
 		// clone invariants — shared by reference, never copied.
 		addrRecs: in.addrRecs,
@@ -91,14 +133,15 @@ func (in *Internet) Snapshot() (*Internet, error) {
 		// snapshot time, so its nodes were cloned in order.)
 		na.lazyRecs = as.lazyRecs
 
+		var err error
 		start := len(ptrSlab)
-		for _, r := range as.Core {
-			ptrSlab = append(ptrSlab, routers[r])
+		if ptrSlab, err = replicas(ptrSlab, as.Core); err != nil {
+			return nil, err
 		}
 		na.Core = ptrSlab[start:len(ptrSlab):len(ptrSlab)]
 		start = len(ptrSlab)
-		for _, r := range as.Edge {
-			ptrSlab = append(ptrSlab, routers[r])
+		if ptrSlab, err = replicas(ptrSlab, as.Edge); err != nil {
+			return nil, err
 		}
 		na.Edge = ptrSlab[start:len(ptrSlab):len(ptrSlab)]
 
@@ -110,9 +153,8 @@ func (in *Internet) Snapshot() (*Internet, error) {
 			// Remap the recorded TE signalling history so churn repair on
 			// the replica replays the same label allocations.
 			nt := &rsvpte.Tunnel{Name: tn.Name, FEC: tn.FEC, UHP: tn.UHP}
-			nt.Path = make([]*router.Router, len(tn.Path))
-			for i, r := range tn.Path {
-				nt.Path[i] = routers[r]
+			if nt.Path, err = replicas(make([]*router.Router, 0, len(tn.Path)), tn.Path); err != nil {
+				return nil, err
 			}
 			na.teTunnels = append(na.teTunnels, nt)
 		}
@@ -120,11 +162,12 @@ func (in *Internet) Snapshot() (*Internet, error) {
 		out.asByNum[na.Num] = na
 	}
 	for _, vp := range in.VPs {
-		host, ok := c.NodeOf(vp.Host).(*netsim.Host)
-		if !ok {
-			return nil, fmt.Errorf("gen: VP host %q missing from snapshot", vp.Host.Name())
+		i, err := nodeIndex(src, vp.Host)
+		if err != nil {
+			return nil, err
 		}
-		pr := probe.New(out.Net, host)
+		host := net.Nodes()[i].(*netsim.Host)
+		pr := probe.New(net, host)
 		copyProber(pr, vp.Prober)
 		out.VPs = append(out.VPs, &VP{Host: host, Prober: pr, AS: out.asByNum[vp.AS.Num]})
 	}

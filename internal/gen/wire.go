@@ -35,17 +35,17 @@ package gen
 //	8 addrrecs  the sealed ground-truth address index
 //	9 lazy      stub descriptors, span index, resident bitset
 //
-// Interface identity on the wire is positional: walking Nodes() in
-// fabric order and, per router, its data interfaces then its loopback
-// (per host, its single interface) yields the global interface id space
-// used by sections 4 and 5. Node identity is the fabric node index, the
-// same clone invariant the address index already relies on.
+// Interface identity on the wire is positional: walkIfaces over Nodes()
+// in fabric order yields the global interface id space used by sections
+// 4 and 5. Node identity is the fabric node index, the same clone
+// invariant the address index already relies on. Snapshot assembles its
+// replica by the same two identities, so both replica paths build a
+// fabric one way.
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -80,19 +80,92 @@ const (
 	nodeHost   = 1
 )
 
+// walkIfaces appends n's interfaces to dst in wire order: a router's data
+// interfaces, then its loopback; a host's one interface. Over a fabric's
+// nodes in order, an interface's position in the walk is its id: links
+// and the address registry name interfaces by it, on the wire and
+// between a source and its snapshot.
+func walkIfaces(dst []*netsim.Iface, n netsim.Node) []*netsim.Iface {
+	switch v := n.(type) {
+	case *router.Router:
+		dst = append(dst, v.Ifaces()...)
+		if lo := v.Loopback(); lo != nil {
+			dst = append(dst, lo)
+		}
+	case *netsim.Host:
+		dst = append(dst, v.If)
+	}
+	return dst
+}
+
+// sourceIndex is what EncodeWire and Snapshot read off a source fabric
+// before they write its replica: the slab counts of its routers (the
+// wire prelude, and the size of a snapshot's arena) and each interface's
+// id.
+type sourceIndex struct {
+	stats router.WireStats
+	ifIDs map[*netsim.Iface]int32
+}
+
+func indexSource(net *netsim.Network) sourceIndex {
+	var x sourceIndex
+	nodes := net.Nodes()
+	for _, n := range nodes {
+		if r, ok := n.(*router.Router); ok {
+			x.stats.Count(r)
+		}
+	}
+	x.ifIDs = make(map[*netsim.Iface]int32, x.stats.Ifaces+len(nodes)-x.stats.Routers)
+	var buf []*netsim.Iface
+	for _, n := range nodes {
+		buf = walkIfaces(buf[:0], n)
+		for _, ifc := range buf {
+			x.ifIDs[ifc] = int32(len(x.ifIDs))
+		}
+	}
+	return x
+}
+
+// ifaceID returns ifc's id; an interface that no node owns has none.
+func (x sourceIndex) ifaceID(ifc *netsim.Iface) (int32, error) {
+	id, ok := x.ifIDs[ifc]
+	if !ok {
+		return 0, fmt.Errorf("gen: interface %v not owned by any node", ifc.Addr)
+	}
+	return id, nil
+}
+
+// linkEnds returns the ids of l's endpoints.
+func (x sourceIndex) linkEnds(l *netsim.Link) (int32, int32, error) {
+	a, b := l.Endpoints()
+	ia, err := x.ifaceID(a)
+	if err != nil {
+		return 0, 0, err
+	}
+	ib, err := x.ifaceID(b)
+	return ia, ib, err
+}
+
+// nodeIndex returns n's fabric index: the id by which the wire names AS
+// routers, TE paths and VP hosts, and by which Snapshot finds their
+// replicas.
+func nodeIndex(net *netsim.Network, n netsim.Node) (int32, error) {
+	i, ok := net.IndexOf(n)
+	if !ok {
+		return 0, fmt.Errorf("gen: node %s not on the fabric", n.Name())
+	}
+	return i, nil
+}
+
 // EncodeWire serializes the fabric. It refuses a fabric with queued
 // events.
 func (in *Internet) EncodeWire() ([]byte, error) {
 	if !in.Net.Quiescent() {
 		return nil, errors.New("gen: cannot encode a fabric with queued events")
 	}
-	var stats router.WireStats
+	index := indexSource(in.Net)
+	stats := index.stats
 	nLinks := len(in.Net.Links())
-	for _, n := range in.Net.Nodes() {
-		if r, ok := n.(*router.Router); ok {
-			stats.Count(r)
-		}
-	}
 
 	// Pre-size the buffer from the counting pass: growth reallocation is
 	// the one avoidable cost at Large (~50MB) scale. A trie node costs 9
@@ -144,9 +217,8 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 	w.U64(fstats.DroppedEvents)
 	w.EndSection(mark)
 
-	// 3: nodes. The global interface id space is defined by this walk.
+	// 3: nodes.
 	nodes := in.Net.Nodes()
-	ifID := make(map[*netsim.Iface]int32, stats.Ifaces)
 	mark = w.BeginSection(secNodes)
 	w.U32(uint32(len(nodes)))
 	stats.Append(w)
@@ -155,12 +227,6 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 		case *router.Router:
 			w.U8(nodeRouter)
 			v.AppendWire(w)
-			for _, ifc := range v.Ifaces() {
-				ifID[ifc] = int32(len(ifID))
-			}
-			if lo := v.Loopback(); lo != nil {
-				ifID[lo] = int32(len(ifID))
-			}
 		case *netsim.Host:
 			w.U8(nodeHost)
 			w.String(v.Name())
@@ -168,7 +234,6 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 			w.String(v.If.Name)
 			netaddr.AppendAddr(w, v.If.Addr)
 			netaddr.AppendPrefix(w, v.If.Prefix)
-			ifID[v.If] = int32(len(ifID))
 		default:
 			return nil, fmt.Errorf("gen: cannot encode node %q of type %T", n.Name(), n)
 		}
@@ -179,11 +244,9 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 	mark = w.BeginSection(secLinks)
 	w.U32(uint32(nLinks))
 	for _, l := range in.Net.Links() {
-		a, b := l.Endpoints()
-		ia, okA := ifID[a]
-		ib, okB := ifID[b]
-		if !okA || !okB {
-			return nil, fmt.Errorf("gen: link endpoint not owned by any node (%v-%v)", a.Addr, b.Addr)
+		ia, ib, err := index.linkEnds(l)
+		if err != nil {
+			return nil, err
 		}
 		w.I32(ia)
 		w.I32(ib)
@@ -199,9 +262,9 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 	sort.Slice(regs, func(i, j int) bool { return regs[i].Addr < regs[j].Addr })
 	w.U32(uint32(len(regs)))
 	for _, ifc := range regs {
-		id, ok := ifID[ifc]
-		if !ok {
-			return nil, fmt.Errorf("gen: registered interface %v not owned by any node", ifc.Addr)
+		id, err := index.ifaceID(ifc)
+		if err != nil {
+			return nil, err
 		}
 		w.I32(id)
 	}
@@ -210,13 +273,6 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 	// 6: ASes.
 	mark = w.BeginSection(secASes)
 	w.U32(uint32(len(in.ASes)))
-	nodeIdx := func(r *router.Router) (int32, error) {
-		i, ok := in.Net.IndexOf(r)
-		if !ok {
-			return 0, fmt.Errorf("gen: router %s not on the fabric", r.Name())
-		}
-		return i, nil
-	}
 	for _, as := range in.ASes {
 		w.U32(as.Num)
 		w.String(as.Name)
@@ -237,7 +293,7 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 		for _, side := range [2][]*router.Router{as.Core, as.Edge} {
 			w.U32(uint32(len(side)))
 			for _, r := range side {
-				i, err := nodeIdx(r)
+				i, err := nodeIndex(in.Net, r)
 				if err != nil {
 					return nil, err
 				}
@@ -254,7 +310,7 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 			w.Bool(tn.UHP)
 			w.U32(uint32(len(tn.Path)))
 			for _, r := range tn.Path {
-				i, err := nodeIdx(r)
+				i, err := nodeIndex(in.Net, r)
 				if err != nil {
 					return nil, err
 				}
@@ -274,9 +330,9 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 	mark = w.BeginSection(secVPs)
 	w.U32(uint32(len(in.VPs)))
 	for _, vp := range in.VPs {
-		hi, ok := in.Net.IndexOf(vp.Host)
-		if !ok {
-			return nil, fmt.Errorf("gen: VP host %q not on the fabric", vp.Host.Name())
+		hi, err := nodeIndex(in.Net, vp.Host)
+		if err != nil {
+			return nil, err
 		}
 		w.I32(hi)
 		w.I32(vp.AS.index)
@@ -391,22 +447,26 @@ func DecodeWire(buf []byte) (*Internet, error) {
 	if err := sec.Err(); err != nil {
 		return nil, err
 	}
-	net := netsim.New()
-	net.SetWireBasis(clock, seq, fstats)
 
-	out := &Internet{
-		Net:    net,
-		params: p,
-		rng:    rand.New(rand.NewSource(p.Seed)),
-	}
-
-	// 3: nodes.
+	// 3-5: nodes, links and registered interfaces. Their counts size the
+	// replica fabric before the first node is added.
 	sec = rd.Section(secNodes)
+	linkSec := rd.Section(secLinks)
+	regSec := rd.Section(secRegIfaces)
 	nNodes := sec.Count(1)
 	stats := router.DecodeWireStats(sec)
-	if err := sec.Err(); err != nil {
-		return nil, err
+	nLinks := linkSec.Count(17)
+	nReg := regSec.Count(4)
+	for _, s := range [...]*wirefmt.Reader{sec, linkSec, regSec} {
+		if err := s.Err(); err != nil {
+			return nil, err
+		}
 	}
+	net := netsim.New()
+	net.SetWireBasis(clock, seq, fstats)
+	net.Presize(nNodes, nReg, nLinks)
+	out := &Internet{Net: net, params: p}
+
 	arena := router.NewDecodeArena(stats)
 	ifs := make([]*netsim.Iface, 0, stats.Ifaces)
 	for i := 0; i < nNodes; i++ {
@@ -417,10 +477,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 				return nil, err
 			}
 			net.AddNode(r)
-			ifs = append(ifs, r.Ifaces()...)
-			if lo := r.Loopback(); lo != nil {
-				ifs = append(ifs, lo)
-			}
+			ifs = walkIfaces(ifs, r)
 		case nodeHost:
 			name := sec.String()
 			initTTL := sec.U8()
@@ -434,7 +491,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 			h.InitTTL = initTTL
 			h.If.Name = ifName
 			net.AddNode(h)
-			ifs = append(ifs, h.If)
+			ifs = walkIfaces(ifs, h)
 		default:
 			return nil, fmt.Errorf("gen: unknown node kind %d in snapshot blob", kind)
 		}
@@ -452,9 +509,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 	}
 
 	// 4: links.
-	sec = rd.Section(secLinks)
-	nLinks := sec.Count(17)
-	net.ReserveLinks(nLinks)
+	sec = linkSec
 	for i := 0; i < nLinks; i++ {
 		a := ifByID(sec, sec.I32())
 		b := ifByID(sec, sec.I32())
@@ -470,8 +525,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 	}
 
 	// 5: registered interfaces.
-	sec = rd.Section(secRegIfaces)
-	nReg := sec.Count(4)
+	sec = regSec
 	for i := 0; i < nReg; i++ {
 		ifc := ifByID(sec, sec.I32())
 		if sec.Err() != nil {

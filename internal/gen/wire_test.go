@@ -4,6 +4,7 @@ package gen_test
 // the rungs come from internal/experiments (which imports gen).
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -12,6 +13,7 @@ import (
 
 	"wormhole/internal/experiments"
 	"wormhole/internal/gen"
+	"wormhole/internal/netsim"
 	"wormhole/internal/probe"
 	"wormhole/internal/wirefmt"
 )
@@ -52,6 +54,114 @@ func TestWireRoundTripLarge(t *testing.T) {
 		t.Skip("scale tier")
 	}
 	roundTrip(t, experiments.Large, 499)
+}
+
+// TestReplicaBlobIdentity requires each replica constructor to build
+// exactly the fabric its source's blob describes: EncodeWire of a
+// Snapshot replica, and of DecodeWire(EncodeWire(x)), must equal
+// EncodeWire(x) byte for byte. The blob holds what EquivalenceDiff's
+// sampled traces cannot see — link delays and states, interface names,
+// the address registry, the clock basis and a lazy world's resident set.
+func TestReplicaBlobIdentity(t *testing.T) {
+	rung := func(s experiments.Scale) func(t *testing.T) *gen.Internet {
+		return func(t *testing.T) *gen.Internet {
+			if s == experiments.Large && testing.Short() {
+				t.Skip("scale tier")
+			}
+			in, err := gen.Build(s.Params(2024))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return in
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		world func(t *testing.T) *gen.Internet
+	}{
+		{"small", rung(experiments.Small)},
+		{"medium", rung(experiments.Medium)},
+		{"large", rung(experiments.Large)},
+		{"lazy-faulted", func(t *testing.T) *gen.Internet {
+			p := gen.DefaultParams(11)
+			p.NumTier1, p.NumTransit, p.NumStub = 2, 6, 60
+			p.Hierarchical, p.LazyStubs = true, true
+			in, err := gen.Build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := in.FaultInSample(11); n != 11 {
+				t.Fatalf("faulted in %d stubs, want 11", n)
+			}
+			return in
+		}},
+		{"probed-link-down", func(t *testing.T) *gen.Internet {
+			in := rung(experiments.Small)(t)
+			gen.SampleTraces(in, 17)
+			if !downCoreLink(in) {
+				t.Fatal("no intra-AS core link to take down")
+			}
+			return in
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			in := c.world(t)
+			want, err := in.EncodeWire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := in.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := gen.DecodeWire(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []struct {
+				name string
+				w    *gen.Internet
+			}{{"snapshot", snap}, {"decoded", dec}} {
+				got, err := r.w.EncodeWire()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s replica's blob differs from its source's (%d vs %d bytes, first difference at byte %d)",
+						r.name, len(got), len(want), firstDiff(got, want))
+				}
+			}
+		})
+	}
+}
+
+// downCoreLink takes down the first link joining two core routers of
+// one AS and reports whether it found one.
+func downCoreLink(in *gen.Internet) bool {
+	for _, as := range in.ASes {
+		core := make(map[netsim.Node]bool, len(as.Core))
+		for _, r := range as.Core {
+			core[r] = true
+		}
+		for _, r := range as.Core {
+			for _, ifc := range r.Ifaces() {
+				if far := ifc.Remote(); far != nil && core[far.Owner] {
+					ifc.Link.Up = false
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+func firstDiff(a, b []byte) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }
 
 // TestEncodeWireTightBuffer pins EncodeWire's size estimate: an upper

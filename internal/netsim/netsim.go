@@ -259,13 +259,19 @@ func (n *Network) allocLink() *Link {
 	return &n.linkBlock[len(n.linkBlock)-1]
 }
 
-// ReserveLinks pre-sizes the link arena for n more Connect calls; the
-// snapshot path uses it to carve a replica's whole link table from one
-// block.
-func (n *Network) ReserveLinks(count int) {
-	if count > cap(n.linkBlock)-len(n.linkBlock) {
-		n.linkBlock = make([]Link, 0, count)
+// Presize sizes an empty fabric for a replica whose node, registered
+// address and link counts are known: the node index, the address index
+// and the link arena (one block for the whole link table) are allocated
+// once, so building the replica never grows them.
+func (n *Network) Presize(nodes, addrs, links int) {
+	if len(n.nodes) > 0 || len(n.ifaces) > 0 || len(n.links) > 0 {
+		panic("netsim: Presize on a fabric that is not empty")
 	}
+	n.nodes = make([]Node, 0, nodes)
+	n.nodeIdx = make(map[Node]int32, nodes)
+	n.ifaces = make(map[netaddr.Addr]*Iface, addrs)
+	n.links = make([]*Link, 0, links)
+	n.linkBlock = make([]Link, 0, links)
 }
 
 // IndexOf returns a node's stable fabric index (its position in Nodes()).

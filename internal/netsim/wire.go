@@ -1,17 +1,16 @@
 package netsim
 
-// Accessors used by the snapshot wire codec (internal/gen/wire.go). The
-// codec rebuilds a Network field-for-field in another process, which
-// needs exactly the state BeginSnapshot/Finish carries across a clone:
-// the virtual-clock basis. They are deliberately narrow — the event queue
-// itself never crosses the wire (encode refuses a non-quiescent fabric,
-// mirroring BeginSnapshot).
+// Accessors the replica constructors in internal/gen use: Snapshot
+// copies a fabric in process and the wire codec (internal/gen/wire.go)
+// rebuilds one in another process, and both carry the same state across
+// — the virtual-clock basis — onto a fresh Network. They are
+// deliberately narrow: the event queue itself is never copied (both
+// refuse a non-quiescent fabric).
 
 import "time"
 
-// WireBasis returns the simulation basis a codec must carry: the virtual
-// clock, the event sequence counter, and the fabric counters — the same
-// trio BeginSnapshot copies onto a clone.
+// WireBasis returns the simulation basis a replica carries: the virtual
+// clock, the event sequence counter, and the fabric counters.
 func (n *Network) WireBasis() (clock time.Duration, seq uint64, stats FabricStats) {
 	return n.clock, n.seq, n.stats
 }
@@ -23,15 +22,16 @@ func (n *Network) SetWireBasis(clock time.Duration, seq uint64, stats FabricStat
 	n.stats = stats
 }
 
-// Quiescent reports whether the event queue is empty. Encoding a fabric
-// with in-flight events is refused for the same reason BeginSnapshot
-// refuses it: queued closures cannot be serialized.
+// Quiescent reports whether the event queue is empty. Copying or
+// encoding a fabric with in-flight events is refused: queued packets are
+// transient drain state, not part of the world.
 func (n *Network) Quiescent() bool { return n.queue.len() == 0 }
 
-// RegisteredIfaces returns the addresses registered for delivery, in
-// arbitrary order; the codec sorts before writing. Iface identity on the
-// wire is positional (the global interface walk), so only the addresses
-// are needed to replay RegisterIface on decode.
+// RegisteredIfaces returns the interfaces in the fabric's address
+// registry, in arbitrary order; the codec sorts them before writing.
+// Replica constructors name each by its position in the fabric-wide
+// interface walk and replay RegisterIface on the replica's interface at
+// that position.
 func (n *Network) RegisteredIfaces() []*Iface {
 	out := make([]*Iface, 0, len(n.ifaces))
 	for _, ifc := range n.ifaces {

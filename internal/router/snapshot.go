@@ -26,8 +26,7 @@ import (
 // tables only ever reference its own handful of interfaces (the invariant
 // that lets SnapshotInto clone tables before the rest of the fabric exists),
 // so a linear scan of a small array — with a last-hit cache, since routes
-// repeat the same egress — beats the Cloner's fabric-wide map on every
-// lookup.
+// repeat the same egress — needs no fabric-wide map.
 type CloneArena struct {
 	routers []Router
 	ifrecs  []netsim.Iface
@@ -44,16 +43,6 @@ type CloneArena struct {
 	oldIfs           []*netsim.Iface
 	newIfs           []*netsim.Iface
 	lastOld, lastNew *netsim.Iface
-}
-
-// NewCloneArena sizes an arena for snapshots of all the given routers
-// with the counting pass the wire prelude uses.
-func NewCloneArena(rs []*Router) *CloneArena {
-	var s WireStats
-	for _, r := range rs {
-		s.Count(r)
-	}
-	return NewDecodeArena(s)
 }
 
 // takeIface carves one interface record from the slab. Records beyond the
@@ -99,19 +88,20 @@ func (ar *CloneArena) iface(ifc *netsim.Iface) *netsim.Iface {
 	return nil
 }
 
-// SnapshotInto deep-copies the router onto a replica fabric being built by
-// c, carving the replica and its table data out of ar (one arena serves
-// every router of a fabric snapshot; see NewCloneArena). Everything the
-// data plane reads is copied — personality, config, FIB, bindings, LFIB —
-// with interface pointers remapped onto freshly carved replica
-// interfaces (a router's tables only ever reference its own interfaces,
-// so all mappings exist before the tables are cloned).
+// SnapshotInto deep-copies the router, carving the replica and its table
+// data out of ar (one arena, sized by NewDecodeArena from the WireStats of
+// every router, serves a whole fabric snapshot). Everything the data
+// plane reads is copied — personality, config, FIB, bindings, LFIB — with
+// interface pointers remapped onto freshly carved replica interfaces (a
+// router's tables only ever reference its own interfaces, so all mappings
+// exist before the tables are cloned). The replica is not attached to any
+// fabric: the caller adds it and connects its interfaces.
 //
 // The index tries clone as memcpy carves of the shared trie arena (they
 // hold arena indices, not pointers); the route, binding, and dense LFIB
 // arenas copy with one sequential sweep each, remapping egress interfaces
 // as they go.
-func (r *Router) SnapshotInto(c *netsim.Cloner, ar *CloneArena) *Router {
+func (r *Router) SnapshotInto(ar *CloneArena) *Router {
 	var nr *Router
 	if len(ar.routers) < cap(ar.routers) {
 		ar.routers = append(ar.routers, Router{})
@@ -134,14 +124,12 @@ func (r *Router) SnapshotInto(c *netsim.Cloner, ar *CloneArena) *Router {
 		lo := ar.takeIface()
 		lo.Owner, lo.Name, lo.Addr, lo.Prefix = nr, r.loopback.Name, r.loopback.Addr, r.loopback.Prefix
 		nr.loopback = lo
-		c.MapIface(r.loopback, lo)
 	}
 	pstart := len(ar.ifptrs)
 	for _, ifc := range r.ifaces {
 		ni := ar.takeIface()
 		ni.Owner, ni.Name, ni.Addr, ni.Prefix = nr, ifc.Name, ifc.Addr, ifc.Prefix
 		ar.ifptrs = append(ar.ifptrs, ni)
-		c.MapIface(ifc, ni)
 	}
 	nr.ifaces = ar.ifptrs[pstart:len(ar.ifptrs):len(ar.ifptrs)]
 
@@ -178,8 +166,6 @@ func (r *Router) SnapshotInto(c *netsim.Cloner, ar *CloneArena) *Router {
 			nr.lfib[i].NextHops = ar.remapLabelHops(hops)
 		}
 	}
-
-	c.PutNode(r, nr)
 	return nr
 }
 

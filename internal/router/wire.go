@@ -26,8 +26,8 @@ import (
 var errBadWire = errors.New("router: corrupt router encoding")
 
 // WireStats counts, across a set of routers, every slab a CloneArena must
-// pre-size; NewCloneArena counts through it too. It travels as the
-// prelude of the wire nodes section so the decoder allocates once.
+// pre-size. It travels as the prelude of the wire nodes section so the
+// decoder allocates once, and sizes a snapshot's arena the same way.
 type WireStats struct {
 	Routers   int
 	Ifaces    int // interface records, loopbacks included
@@ -99,8 +99,8 @@ func DecodeWireStats(r *wirefmt.Reader) WireStats {
 }
 
 // NewDecodeArena sizes a CloneArena from slab counts: a wire prelude, or
-// NewCloneArena's own pass. DecodeRouter carves replicas out of it
-// exactly as SnapshotInto does.
+// a snapshot's count of its source's routers. DecodeRouter carves
+// replicas out of it exactly as SnapshotInto does.
 func NewDecodeArena(s WireStats) *CloneArena {
 	return &CloneArena{
 		routers: make([]Router, 0, s.Routers),

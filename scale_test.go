@@ -7,6 +7,7 @@ package wormhole
 
 import (
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -73,6 +74,11 @@ func TestLargeSnapshotEquivalence(t *testing.T) {
 // Snapshot carves replicas out of a handful of slabs, so its allocation
 // count must stay far below one object per router. Per-object cloning
 // creeping back in fails this long before the bytes/router gate moves.
+// It also bounds the bytes one Large Snapshot allocates: perfbench's
+// large-cold workload builds two snapshots inside each timed campaign,
+// and that campaign's one GC cycle starts near the end of the window, so
+// a few MB more per snapshot moves its wall time by far more than the
+// copy costs.
 func TestLargeSnapshotAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale tier")
@@ -86,12 +92,25 @@ func TestLargeSnapshotAllocs(t *testing.T) {
 	})
 	t.Logf("Snapshot at Large: %.0f allocs for %d routers (%.3f/router)",
 		allocs, routers, allocs/float64(routers))
-	// Measured ~0.07 allocs/router (slabs, VPs, TE remaps); one tenth of
+	// Measured ~0.06 allocs/router (slabs, VPs, TE remaps); one tenth of
 	// an object per router is an order of magnitude of headroom while
 	// still failing fast if any per-router clone path returns.
 	if allocs > float64(routers)/10 {
 		t.Errorf("Snapshot allocates %.0f objects for %d routers — per-router allocation is back",
 			allocs, routers)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := in.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("Snapshot at Large: %.2f MB", mb)
+	// Measured 45.7 MB; the 48 MB bound leaves about 5% of headroom.
+	if mb > 48 {
+		t.Errorf("Snapshot allocates %.2f MB at Large, over the 48 MB bound", mb)
 	}
 }
 

@@ -23,8 +23,10 @@
 # concurrency-heavy packages), then short native-fuzz smokes over churn
 # masking, the snapshot wire decoder, the distributed coordinator's and
 # worker's inbound frame paths, engine equivalence over generated worlds
-# and the dataset reader. Last, the distributed smoke: a real 2-process
-# campaign over a Unix socket byte-compared to serial.
+# and the dataset reader. Then the distributed smoke: a real 2-process
+# campaign over a Unix socket byte-compared to serial. Last, REPORT.md
+# regenerated with the same binary and byte-compared to the committed
+# file.
 #
 # Usage: ./scripts/check.sh
 set -eux
@@ -106,6 +108,13 @@ go build -o "$DISTDIR/wormhole" ./cmd/wormhole
 "$DISTDIR/wormhole" campaign -scale large -workers 1 -out "$DISTDIR/serial.jsonl" >/dev/null
 cmp "$DISTDIR/dist.jsonl" "$DISTDIR/serial.jsonl"
 echo "check: distributed campaign byte-identical to serial at large"
+
+# REPORT.md is the output of one command. Regenerating it must reproduce
+# the committed file byte for byte, which also checks that all 18
+# experiments stay deterministic end to end at the Large rung.
+"$DISTDIR/wormhole" experiments -scale large -seed 42 -md "$DISTDIR/REPORT.md" >/dev/null
+cmp "$DISTDIR/REPORT.md" REPORT.md
+echo "check: REPORT.md regenerated byte-identical"
 
 # Opt-in Giga acceptance: WORMHOLE_GIGA=1 ./scripts/check.sh also runs
 # the ~10⁶-router end-to-end test (the bench guard above already ran its
