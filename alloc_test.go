@@ -6,6 +6,7 @@
 package wormhole
 
 import (
+	"slices"
 	"testing"
 
 	"wormhole/internal/lab"
@@ -65,5 +66,48 @@ func TestUDPUnreachablePathAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() { l.Net.Inject(l.VP.If, probe) })
 	if allocs > 0 {
 		t.Errorf("warm port-unreachable round-trip allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestProbePathAllocs pins the prober's side of a live probe: it rebuilds
+// the prober's own probe packet and copies the observation out of the
+// reply, which the fabric recycles. With the flow cache off (a lab's
+// default), a warm ping allocates nothing, and a traceroute through the
+// RFC 4950 tunnel allocates its Trace and hop list; the quoted stacks
+// land on the prober's append-only slab, whose growth rounds away over
+// the runs.
+func TestProbePathAllocs(t *testing.T) {
+	l := lab.MustBuild(lab.Options{Scenario: lab.Default})
+	p := l.Prober
+	first := p.Traceroute(l.CE2Left)
+	var quoted []packet.LabelStack
+	for _, h := range first.Hops {
+		if h.Labeled() {
+			quoted = append(quoted, slices.Clone(h.MPLS))
+		}
+	}
+	if len(quoted) == 0 {
+		t.Fatal("no hop of the trace quoted an RFC 4950 stack")
+	}
+	for i := 0; i < 32; i++ {
+		p.Ping(l.CE2Left, 64)
+		p.Traceroute(l.CE2Left)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { p.Ping(l.CE2Left, 64) }); allocs > 0 {
+		t.Errorf("warm ping allocates %.1f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { p.Traceroute(l.CE2Left) }); allocs > 2 {
+		t.Errorf("warm traceroute allocates %.1f objects, want 2 (its Trace and hop list)", allocs)
+	}
+	// Hundreds of recycled replies and slab blocks later, the first
+	// trace's stacks still read as they were quoted.
+	i := 0
+	for _, h := range first.Hops {
+		if h.Labeled() {
+			if !slices.Equal(h.MPLS, quoted[i]) {
+				t.Errorf("hop %d: stack %v changed to %v", h.ProbeTTL, quoted[i], h.MPLS)
+			}
+			i++
+		}
 	}
 }

@@ -172,8 +172,8 @@ type Campaign struct {
 	// source and every replica, are Counters.FaultIns and FaultInNS.
 	Lazy gen.LazyStats
 	// ReplicaResident sums the worker replicas' resident router counts
-	// (zero for the serial engine): the fabric state actually paged in
-	// across the whole pool.
+	// (zero with one in-process worker, whose slot is the source): the
+	// fabric state actually paged in across the whole pool.
 	ReplicaResident int
 	// StreamBytes counts every byte the coordinator moved over its worker
 	// sockets — world blobs out, traces and shard results back (zero for
@@ -204,9 +204,9 @@ type Campaign struct {
 }
 
 // PhaseTimings is the campaign wall-clock split by engine phase: slot
-// set-up (replica acquisition, or the distributed engine's encode, spawn,
-// join and world shipping; zero for the serial engine), the bootstrap
-// sweep plus target selection, and the shard probing phase.
+// set-up (replica acquisition, none with one in-process worker, or the
+// distributed engine's encode, spawn, join and world shipping), the
+// bootstrap sweep plus target selection, and the shard probing phase.
 type PhaseTimings struct {
 	Replica   time.Duration
 	Bootstrap time.Duration
@@ -221,11 +221,10 @@ type PhaseTimings struct {
 func (c *Campaign) BootstrapProbes() uint64 { return c.boot.Probes }
 
 // Run executes the full campaign serially on the Internet's own fabric:
-// the coordinator every engine shares, driving one slot on the source.
-// Output is byte-identical to RunParallel at any worker count.
+// RunParallel with one worker, whose one slot is the source. Output is
+// byte-identical to RunParallel at any worker count.
 func Run(in *gen.Internet, cfg Config) *Campaign {
-	e := &engine{in: in, cfg: cfg, slots: []executor{newLocalSlot(in, cfg, false)}}
-	c, _ := e.run() // local slots never fail
+	c, _ := RunParallel(in, cfg, ParallelConfig{Workers: 1}) // leases nothing, so never fails
 	return c
 }
 

@@ -9,11 +9,11 @@ package campaign
 // for every slot.
 //
 // A slot executes its share of each phase on one fabric. A localSlot is
-// a goroutine driving a pooled replica — or, for the serial engine, the
-// source fabric itself. A remoteSlot is a socket to a worker process,
-// which runs ServeWorker: the same localSlot code on its decoded world.
-// Run, RunParallel and RunDistributed differ only in the slots they hand
-// the coordinator.
+// a goroutine driving the source fabric itself (RunParallel's slot 0) or
+// a pooled replica (its other slots). A remoteSlot is a socket to a
+// worker process, which runs ServeWorker: the same localSlot code on its
+// decoded world. RunParallel and RunDistributed differ only in the slots
+// they hand the coordinator; Run is RunParallel with one worker.
 //
 // Slots run concurrently and share nothing mutable: each drives its own
 // fabric, writes only its own partition of the bootstrap trace slice and
@@ -162,8 +162,8 @@ type slotDone struct {
 type localSlot struct {
 	in  *gen.Internet
 	cfg Config
-	// replica is false for the serial engine's slot, which probes the
-	// source fabric and holds no replica of its own.
+	// replica is false for slot 0, which probes the source fabric and
+	// holds no replica of its own.
 	replica bool
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"wormhole/internal/gen"
+	"wormhole/internal/netsim"
 )
 
 // dumpCampaign renders every deterministic campaign output byte-for-byte:
@@ -204,7 +205,7 @@ func TestParallelStress(t *testing.T) {
 	p.NumTier1, p.NumTransit, p.NumStub, p.NumVPs = 2, 3, 6, 3
 	p.MPLSFrac, p.NoPropagateFrac, p.UHPFrac = 1.0, 0.8, 0
 	iters := 1
-	if raceEnabled {
+	if netsim.RaceEnabled {
 		iters = 10
 	}
 	workers := runtime.GOMAXPROCS(0) * 2 // oversubscribe the pool

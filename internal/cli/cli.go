@@ -279,7 +279,13 @@ func cmdCampaign(args []string) error {
 			printf(" (%.2f ms total)", float64(c.FaultInNS)/1e6)
 		}
 		if c.ReplicaResident > 0 {
-			printf(", %d resident across %d replicas", c.ReplicaResident, c.Workers)
+			// In-process, slot 0 probes the source; each distributed
+			// worker decodes a replica of its own.
+			replicas := c.Workers - 1
+			if *dist > 0 {
+				replicas = c.Workers
+			}
+			printf(", %d resident across %d replicas", c.ReplicaResident, replicas)
 		}
 		printf("\n")
 	}

@@ -149,7 +149,7 @@ func TestEndToEndReachabilityAfterSPF(t *testing.T) {
 	}
 
 	var got *packet.Packet
-	vp.Handler = func(net *netsim.Network, pkt *packet.Packet) { net.AdoptPacket(pkt); got = pkt }
+	vp.Handler = func(net *netsim.Network, pkt *packet.Packet) { got = new(packet.Pool).Clone(pkt) }
 	probe := &packet.Packet{
 		IP:   packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: vp.Addr(), Dst: f.host.Addr()},
 		ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: 5, Seq: 1},

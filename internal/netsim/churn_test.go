@@ -164,7 +164,7 @@ func echo(net *Network, p [2]*Host) bool {
 		return true
 	}
 	var reply *packet.Packet
-	src.Handler = func(net *Network, pkt *packet.Packet) { net.AdoptPacket(pkt); reply = pkt }
+	src.Handler = func(net *Network, pkt *packet.Packet) { reply = new(packet.Pool).Clone(pkt) }
 	pkt := &packet.Packet{
 		IP:   packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: src.Addr(), Dst: dst.Addr()},
 		ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: 7, Seq: 1},

@@ -76,8 +76,8 @@ type FlowKey struct {
 // ProbeObs is a memoized probe outcome: everything the prober derives
 // from a reply (or its absence), plus the virtual time the drain consumed
 // so a replay advances the clock exactly as the live run did. The MPLS
-// stack aliases the adopted reply's RFC 4950 extension stack and is
-// shared read-only by every replay.
+// stack is the prober's copy of the reply's RFC 4950 extension stack and
+// is shared read-only by every replay.
 type ProbeObs struct {
 	Answered bool
 	From     netaddr.Addr
@@ -501,8 +501,14 @@ func (n *Network) keepPristine(key FlowKey, e *flowEntry, ttl uint8, obs ProbeOb
 	memoize(p, ttl, obs)
 }
 
+// traceReplies is the reply-list capacity of a traceroute's entry:
+// campaign traces run about 12 hops.
+const traceReplies = 16
+
 // memoize stores obs as the (entry, ttl) reply, overwriting one already
-// there.
+// there. A flow's first reply gets a list of one, all a ping needs; its
+// second marks a traceroute, whose list is sized for the trace at once
+// rather than regrown at 2, 4, 8 and 16 replies.
 func memoize(e *flowEntry, ttl uint8, obs ProbeObs) {
 	w, b := ttl>>6, uint64(1)<<(ttl&63)
 	i := e.rank(ttl)
@@ -511,6 +517,9 @@ func memoize(e *flowEntry, ttl uint8, obs ProbeObs) {
 		return
 	}
 	e.valid[w] |= b
+	if len(e.replies) == 1 {
+		e.replies = slices.Grow(e.replies, traceReplies-1)
+	}
 	e.replies = slices.Insert(e.replies, i, obs)
 }
 

@@ -72,9 +72,9 @@ func (h *Host) Receive(net *Network, in *Iface, pkt *packet.Packet) {
 		net.Transmit(h.If, reply)
 	default:
 		if h.Handler != nil {
-			// The packet is recycled when Receive returns; a handler that
-			// retains it (the prober stores matched replies) must call
-			// net.AdoptPacket first.
+			// The packet is recycled when Receive returns; a handler
+			// copies what it keeps (the prober, a matched reply's
+			// observation).
 			h.Handler(net, pkt)
 		}
 	}

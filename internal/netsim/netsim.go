@@ -22,9 +22,13 @@
 //     ever drives it again.
 //
 // Both are enforced here as cheap debug assertions: Run always detects
-// concurrent drives (an atomic busy flag), and a bound network also
-// verifies the caller's goroutine identity on every drain. Violations are
-// programming errors in the driver, so they panic.
+// concurrent drives (an atomic busy flag), and a bound network verifies
+// the caller's goroutine identity on its first drain after BindOwner.
+// Resolving that identity walks the runtime stack, which costs more than
+// a short drain, so only -race builds (where TestRaceTier runs the
+// campaign and netsim tests) re-verify it, every ownerCheckInterval
+// drains. Violations are programming errors in the driver, so they
+// panic.
 package netsim
 
 import (
@@ -115,11 +119,11 @@ type Network struct {
 
 	// owner is the goroutine bound via BindOwner (0 = unbound); driving
 	// flags an in-progress drain for concurrent-drive detection. checkTick
-	// amortizes the goroutine-identity assertion: resolving the caller's id
-	// walks the runtime stack, which at campaign call depths costs more
-	// than a short drain, so the id is verified on the first drive after a
-	// bind and every ownerCheckInterval drives after that. The concurrent-
-	// drive CAS below stays on every drain.
+	// counts down the drives to the next goroutine-identity check, and is
+	// negative when none is due: the id is verified on the first drive
+	// after a bind and, in -race builds, every ownerCheckInterval drives
+	// after that (see the package comment). The concurrent-drive CAS below
+	// stays on every drain.
 	owner     uint64
 	driving   int32
 	checkTick int32
@@ -191,13 +195,8 @@ func (n *Network) FabricStats() FabricStats { return n.stats }
 
 // PacketPool returns the fabric's packet free-list. Nodes use it for
 // per-hop clones and generated replies; everything obtained from it is
-// recycled after the receiving node returns, unless adopted.
+// recycled after the receiving node returns.
 func (n *Network) PacketPool() *packet.Pool { return &n.pool }
-
-// AdoptPacket removes a delivered packet from pool ownership so the caller
-// may retain it past Receive (the prober stores matched replies). Safe on
-// packets that were never pooled.
-func (n *Network) AdoptPacket(p *packet.Packet) { n.pool.Adopt(p) }
 
 // SetFaultInHook installs (or clears) the lazy-fabric fault-in hook.
 // A prober invokes it through FaultIn with a trace's destination before
@@ -327,27 +326,29 @@ func (n *Network) BindOwner() { n.owner, n.checkTick = gid(), 0 }
 func (n *Network) ReleaseOwner() { n.owner = 0 }
 
 // ownerCheckInterval is how many drives may pass between goroutine-identity
-// verifications of a bound fabric. The first drive after BindOwner is always
-// verified, so handing a bound replica to the wrong goroutine trips the
-// assertion immediately; a long-lived foreign driver is caught within one
-// interval.
+// verifications of a bound fabric in -race builds. The first drive after
+// BindOwner is verified in every build, so handing a bound replica to the
+// wrong goroutine trips the assertion immediately; under -race a
+// long-lived foreign driver is caught within one interval.
 const ownerCheckInterval = 64
 
 // assertDriver panics when the fabric is driven from a goroutine other
-// than its bound owner (verified on a sampled schedule — see checkTick),
-// or from two goroutines at once.
+// than its bound owner (verified on the schedule checkTick keeps), or
+// from two goroutines at once.
 func (n *Network) assertDriver() {
-	if n.owner != 0 {
+	if n.owner != 0 && n.checkTick >= 0 {
 		n.checkTick--
 		if n.checkTick < 0 {
-			n.checkTick = ownerCheckInterval - 1
 			if g := gid(); g != n.owner {
 				panic(fmt.Sprintf("netsim: fabric owned by goroutine %d driven from goroutine %d", n.owner, g))
+			}
+			if RaceEnabled {
+				n.checkTick = ownerCheckInterval - 1
 			}
 		}
 	}
 	if !atomic.CompareAndSwapInt32(&n.driving, 0, 1) {
-		panic("netsim: fabric driven concurrently (one replica per worker, no shared fabric)")
+		panic("netsim: fabric driven concurrently (one fabric per worker, no shared fabric)")
 	}
 }
 
@@ -410,8 +411,8 @@ func (n *Network) Run() {
 			}
 		}
 		ev.to.Owner.Receive(n, ev.to, ev.pkt)
-		// Receive must not retain pkt (nodes that do — the prober — adopt
-		// it first), so the clone can go straight back to the free list.
+		// Receive must not retain pkt (the prober copies what it keeps of
+		// a reply), so the clone can go straight back to the free list.
 		n.pool.Release(ev.pkt)
 	}
 }

@@ -35,7 +35,7 @@ func pairedHosts(t *testing.T, delay time.Duration) (*Network, *Host, *Host) {
 func TestEchoOverOneLink(t *testing.T) {
 	net, h1, h2 := pairedHosts(t, 5*time.Millisecond)
 	var got *packet.Packet
-	h1.Handler = func(net *Network, pkt *packet.Packet) { net.AdoptPacket(pkt); got = pkt }
+	h1.Handler = func(net *Network, pkt *packet.Packet) { got = new(packet.Pool).Clone(pkt) }
 
 	probe := &packet.Packet{
 		IP: packet.IPv4{
@@ -64,7 +64,7 @@ func TestEchoOverOneLink(t *testing.T) {
 func TestUDPProbeGetsPortUnreachable(t *testing.T) {
 	net, h1, h2 := pairedHosts(t, time.Millisecond)
 	var got *packet.Packet
-	h1.Handler = func(net *Network, pkt *packet.Packet) { net.AdoptPacket(pkt); got = pkt }
+	h1.Handler = func(net *Network, pkt *packet.Packet) { got = new(packet.Pool).Clone(pkt) }
 
 	probe := &packet.Packet{
 		IP: packet.IPv4{
@@ -110,7 +110,7 @@ func TestDownLinkDropsPackets(t *testing.T) {
 	net, h1, h2 := pairedHosts(t, time.Millisecond)
 	h1.If.Link.Up = false
 	var got *packet.Packet
-	h1.Handler = func(net *Network, pkt *packet.Packet) { net.AdoptPacket(pkt); got = pkt }
+	h1.Handler = func(net *Network, pkt *packet.Packet) { got = new(packet.Pool).Clone(pkt) }
 	probe := &packet.Packet{
 		IP:   packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: h1.Addr(), Dst: h2.Addr()},
 		ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest},

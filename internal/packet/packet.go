@@ -39,8 +39,8 @@ type Packet struct {
 	// with a different initial TTL. Like Mark, it never reaches the wire.
 	Lineage uint32
 
-	// pooled marks a packet owned by a Pool; Pool.Release recycles it and
-	// Pool.Adopt clears the mark so retained packets escape recycling.
+	// pooled marks a packet owned by a Pool, which Pool.Release recycles;
+	// a packet built outside any pool is never recycled.
 	pooled bool
 }
 

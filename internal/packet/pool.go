@@ -8,11 +8,9 @@ package packet
 //
 // Lifetime contract: a packet obtained from Packet() or Clone() belongs to
 // the pool and is recycled by Release() after the receiving node returns
-// (Node.Receive forbids retaining packets). Code that must keep a delivered
-// packet — the prober stores matched replies and aliases their RFC 4950
-// label stacks — calls Adopt() first, which permanently removes the packet
-// (and everything hanging off it) from pool ownership; Release then becomes
-// a no-op for it.
+// (Node.Receive forbids retaining packets), so code that keeps what a
+// delivered packet says copies it out first. Packets the pool never
+// handed out — a prober's own probe — are ignored by Release.
 type Pool struct {
 	pkts   []*Packet
 	icmps  []*ICMP
@@ -165,8 +163,8 @@ func (pl *Pool) cloneICMP(src *ICMP) *ICMP {
 }
 
 // Release returns a pool-owned packet and its sub-objects to the free
-// lists. Adopted or never-pooled packets are ignored. The caller must not
-// touch the packet afterwards.
+// lists. Never-pooled packets are ignored. The caller must not touch the
+// packet afterwards.
 func (pl *Pool) Release(p *Packet) {
 	if p == nil || !p.pooled {
 		return
@@ -198,13 +196,4 @@ func (pl *Pool) releaseStack(s LabelStack) {
 		return
 	}
 	pl.stacks = append(pl.stacks, s[:0])
-}
-
-// Adopt transfers a packet (and everything reachable from it) out of pool
-// ownership: a later Release is a no-op, so the caller may retain it
-// indefinitely. Safe to call on packets that were never pooled.
-func (pl *Pool) Adopt(p *Packet) {
-	if p != nil {
-		p.pooled = false
-	}
 }

@@ -80,12 +80,12 @@ func TestUDPQuoteMatchingUsesIPID(t *testing.T) {
 	// A stale reply quoting token 7+128 hits the same port but must NOT
 	// match the pending probe.
 	p.handle(net, reply(token+128))
-	if p.pending.reply != nil || p.Recv != 0 {
+	if p.pending.obs.Answered || p.Recv != 0 {
 		t.Fatal("aliased quote (same port, different token) was matched")
 	}
 	// The genuine reply must match.
 	p.handle(net, reply(token))
-	if p.pending.reply == nil || p.Recv != 1 {
+	if !p.pending.obs.Answered || p.Recv != 1 {
 		t.Fatal("genuine quote was not matched")
 	}
 }

@@ -120,6 +120,20 @@ type Prober struct {
 	waiting bool
 	pending await
 
+	// pkt is the probe packet, with its transport headers, rebuilt in
+	// place for every live probe. It is the prober's, not the fabric
+	// pool's: the fabric never recycles it, and routers clone it before
+	// they forward, so one packet serves every probe.
+	pkt  packet.Packet
+	icmp packet.ICMP
+	udp  packet.UDP
+	// slab holds the RFC 4950 stacks of matched replies, which the fabric
+	// recycles once the prober has read them. It is append-only: every
+	// ProbeObs.MPLS (and so every Hop.MPLS and flow-cache memo) aliases
+	// its part of the slab read-only, so a full slab is replaced, never
+	// overwritten.
+	slab packet.LabelStack
+
 	// Sent counts probe packets for campaign accounting.
 	Sent uint64
 	// Recv counts matched replies (anonymous hops are the difference).
@@ -132,8 +146,7 @@ type Prober struct {
 type await struct {
 	id, seq uint16
 	ipid    uint16
-	reply   *packet.Packet
-	rtt     time.Duration
+	obs     netsim.ProbeObs
 }
 
 // New creates a prober bound to a vantage-point host with scamper-like
@@ -174,7 +187,7 @@ func (p *Prober) nextToken() uint16 {
 	return uint16(p.seq)
 }
 
-func (p *Prober) handle(net *netsim.Network, pkt *packet.Packet) {
+func (p *Prober) handle(_ *netsim.Network, pkt *packet.Packet) {
 	if !p.waiting || pkt.ICMP == nil {
 		return
 	}
@@ -182,12 +195,7 @@ func (p *Prober) handle(net *netsim.Network, pkt *packet.Packet) {
 	switch {
 	case m.Type == packet.ICMPEchoReply:
 		if m.ID == p.pending.id && m.Seq == p.pending.seq {
-			// The reply outlives Receive (Traceroute reads it after the
-			// drain and aliases its label stack into Hop.MPLS), so take it
-			// off the fabric's free list.
-			net.AdoptPacket(pkt)
-			p.pending.reply = pkt
-			p.Recv++
+			p.matched(pkt)
 		}
 	case m.IsError():
 		// Error replies are matched on the quoted transport pair (echo
@@ -196,16 +204,52 @@ func (p *Prober) handle(net *netsim.Network, pkt *packet.Packet) {
 		// collision-free for UDP, whose destination port cycles mod 128.
 		if m.Quote != nil && m.Quote.ID == p.pending.id && m.Quote.Seq == p.pending.seq &&
 			m.Quote.IP.ID == p.pending.ipid {
-			net.AdoptPacket(pkt)
-			p.pending.reply = pkt
-			p.Recv++
+			p.matched(pkt)
 		}
 	}
 }
 
-// buildProbe constructs one probe packet for the given method and token.
+// matched records the reply to the probe in flight as its observation.
+// The fabric recycles the reply when Receive returns, so everything is
+// copied out: the RFC 4950 stack onto the slab.
+func (p *Prober) matched(reply *packet.Packet) {
+	p.pending.obs = netsim.ProbeObs{
+		Answered: true,
+		From:     reply.IP.Src,
+		ReplyTTL: reply.IP.TTL,
+		ICMPType: reply.ICMP.Type,
+		ICMPCode: reply.ICMP.Code,
+	}
+	if ext := reply.ICMP.Ext; ext != nil {
+		p.pending.obs.MPLS = p.keepStack(ext.LabelStack)
+	}
+	p.Recv++
+}
+
+// slabChunk is the capacity, in label stack entries, of each slab block.
+const slabChunk = 256
+
+// keepStack copies s onto the slab and returns the copy, its capacity
+// clipped so an append by a reader cannot reach the next stack.
+func (p *Prober) keepStack(s packet.LabelStack) packet.LabelStack {
+	if len(s) == 0 {
+		return nil
+	}
+	if cap(p.slab)-len(p.slab) < len(s) {
+		p.slab = make(packet.LabelStack, 0, max(slabChunk, len(s)))
+	}
+	n := len(p.slab)
+	p.slab = append(p.slab, s...)
+	return p.slab[n:len(p.slab):len(p.slab)]
+}
+
+// buildProbe rebuilds the prober's probe packet in place for the given
+// method and token. A fast-forward may have left a label stack on it;
+// its capacity is kept for the next one.
 func (p *Prober) buildProbe(dst netaddr.Addr, ttl uint8, method Method, token uint16) *packet.Packet {
-	pkt := &packet.Packet{
+	pkt := &p.pkt
+	*pkt = packet.Packet{
+		MPLS: pkt.MPLS[:0],
 		IP: packet.IPv4{
 			ID:       token,
 			TTL:      ttl,
@@ -216,28 +260,13 @@ func (p *Prober) buildProbe(dst netaddr.Addr, ttl uint8, method Method, token ui
 	}
 	if method == UDPParis {
 		pkt.IP.Protocol = packet.ProtoUDP
-		pkt.UDP = &packet.UDP{SrcPort: p.FlowID, DstPort: udpBasePort + token%128}
+		p.udp = packet.UDP{SrcPort: p.FlowID, DstPort: udpBasePort + token%128}
+		pkt.UDP = &p.udp
 	} else {
-		pkt.ICMP = &packet.ICMP{Type: packet.ICMPEchoRequest, ID: p.FlowID, Seq: token}
+		p.icmp = packet.ICMP{Type: packet.ICMPEchoRequest, ID: p.FlowID, Seq: token}
+		pkt.ICMP = &p.icmp
 	}
 	return pkt
-}
-
-// replyObs converts a matched reply packet (or nil, for a timeout) into
-// the observation the flow cache memoizes.
-func replyObs(reply *packet.Packet, elapsed time.Duration) netsim.ProbeObs {
-	obs := netsim.ProbeObs{Advance: elapsed}
-	if reply != nil {
-		obs.Answered = true
-		obs.From = reply.IP.Src
-		obs.ReplyTTL = reply.IP.TTL
-		obs.ICMPType = reply.ICMP.Type
-		obs.ICMPCode = reply.ICMP.Code
-		if reply.ICMP.Ext != nil {
-			obs.MPLS = reply.ICMP.Ext.LabelStack
-		}
-	}
-	return obs
 }
 
 // probe issues one probe of the given method and TTL toward dst, going
@@ -275,10 +304,10 @@ func (p *Prober) probe(dst netaddr.Addr, ttl uint8, method Method) netsim.ProbeO
 	p.waiting = true
 	p.Sent++
 	elapsed := p.Net.FlowProbe(p.Host.If, pkt, key, ttl)
-	reply := p.pending.reply
+	obs := p.pending.obs
+	obs.Advance = elapsed
 	p.waiting = false
 	p.pending = await{}
-	obs := replyObs(reply, elapsed)
 	p.Net.FlowFinish(ttl, obs)
 	return obs
 }

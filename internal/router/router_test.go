@@ -83,7 +83,7 @@ func buildChain(t *testing.T) *chainFixture {
 func (f *chainFixture) probe(t *testing.T, ttl uint8, dst netaddr.Addr) *packet.Packet {
 	t.Helper()
 	var got *packet.Packet
-	f.vp.Handler = func(net *netsim.Network, pkt *packet.Packet) { net.AdoptPacket(pkt); got = pkt }
+	f.vp.Handler = func(net *netsim.Network, pkt *packet.Packet) { got = new(packet.Pool).Clone(pkt) }
 	p := &packet.Packet{
 		IP:   packet.IPv4{TTL: ttl, Protocol: packet.ProtoICMP, Src: f.vp.Addr(), Dst: dst},
 		ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest, ID: 9, Seq: uint16(ttl)},
@@ -192,7 +192,7 @@ func TestNoICMPTimeExceededStillPings(t *testing.T) {
 func TestUDPProbeToRouterPortUnreach(t *testing.T) {
 	f := buildChain(t)
 	var got *packet.Packet
-	f.vp.Handler = func(net *netsim.Network, pkt *packet.Packet) { net.AdoptPacket(pkt); got = pkt }
+	f.vp.Handler = func(net *netsim.Network, pkt *packet.Packet) { got = new(packet.Pool).Clone(pkt) }
 	p := &packet.Packet{
 		IP:  packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: f.vp.Addr(), Dst: f.dst},
 		UDP: &packet.UDP{SrcPort: 33000, DstPort: 33434},

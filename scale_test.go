@@ -170,8 +170,41 @@ func TestReplicaPoolTopoGenReuse(t *testing.T) {
 // TestReplicaPoolLeakReclaim pins the pool's lease accounting: released
 // leases return the count to zero, and an abandoned lease is purged when
 // the pool reseeds rather than pinning its replica in the lease map
-// forever.
+// forever. It also pins what a campaign leases: RunParallel's slot 0
+// probes the source, so W workers pool W−1 replicas.
 func TestReplicaPoolLeakReclaim(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		w, err := gen.Build(experiments.Small.Params(311))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := campaign.RunParallel(w, campaign.DefaultConfig(), campaign.ParallelConfig{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if n := w.LeasedReplicas(); n != 0 {
+			t.Fatalf("workers=%d: leased %d after the campaign, want 0", workers, n)
+		}
+		// A pooled replica keeps its probers' counters; a fresh one has
+		// sent nothing.
+		rs, err := w.AcquireReplicas(2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled := 0
+		for _, r := range rs {
+			for _, vp := range r.VPs {
+				if vp.Prober.Sent > 0 {
+					pooled++
+					break
+				}
+			}
+		}
+		w.ReleaseReplicas(rs)
+		if pooled != workers-1 {
+			t.Errorf("workers=%d: %d replicas pooled, want %d", workers, pooled, workers-1)
+		}
+	}
+
 	in, err := gen.Build(experiments.Small.Params(311))
 	if err != nil {
 		t.Fatal(err)
