@@ -35,9 +35,6 @@ func (m *miniNet) addAS(t *testing.T, name string, num uint32) {
 	lo := netaddr.AddrFrom4(192, 168, byte(num), byte(1+len(m.rs)))
 	r.SetLoopback(lo)
 	m.net.AddNode(r)
-	if err := m.net.RegisterIface(r.Loopback()); err != nil {
-		t.Fatal(err)
-	}
 	m.rs[name] = r
 	as := &AS{
 		Num:      num,
@@ -59,11 +56,6 @@ func (m *miniNet) link(t *testing.T, a, b string, rel Relationship) {
 	ai := ra.AddIface("to-"+b, p.Nth(1), p)
 	bi := rb.AddIface("to-"+a, p.Nth(2), p)
 	m.net.Connect(ai, bi, time.Millisecond)
-	for _, ifc := range []*netsim.Iface{ai, bi} {
-		if err := m.net.RegisterIface(ifc); err != nil {
-			t.Fatal(err)
-		}
-	}
 	m.topo.Sessions = append(m.topo.Sessions, &Session{A: ra, B: rb, AIf: ai, BIf: bi, Rel: rel})
 }
 
@@ -240,9 +232,6 @@ func TestHotPotatoPicksNearestEgress(t *testing.T) {
 		r := router.New(name, router.Cisco, router.Config{TTLPropagate: true})
 		r.SetLoopback(lo)
 		net.AddNode(r)
-		if err := net.RegisterIface(r.Loopback()); err != nil {
-			t.Fatal(err)
-		}
 		return r
 	}
 	r1 := mkRouter("r1", netaddr.MustParseAddr("192.168.1.1"))
@@ -261,11 +250,6 @@ func TestHotPotatoPicksNearestEgress(t *testing.T) {
 		ai = a.AddIface("to-"+b.Name(), p.Nth(1), p)
 		bi = b.AddIface("to-"+a.Name(), p.Nth(2), p)
 		net.Connect(ai, bi, time.Millisecond)
-		for _, ifc := range []*netsim.Iface{ai, bi} {
-			if err := net.RegisterIface(ifc); err != nil {
-				t.Fatal(err)
-			}
-		}
 		return ai, bi
 	}
 	wire(r1, r2) // intra-AS link

@@ -324,9 +324,8 @@ type AddrInfo struct {
 // what a probe toward the address would materialize) and is then resolved
 // against the stub's local record list.
 func (in *Internet) lookupAddr(a netaddr.Addr) (addrRec, bool) {
-	i := sort.Search(len(in.addrRecs), func(i int) bool { return in.addrRecs[i].addr >= a })
-	if i < len(in.addrRecs) && in.addrRecs[i].addr == a {
-		return in.addrRecs[i], true
+	if rec, ok := in.sealedRec(a); ok {
+		return rec, true
 	}
 	if si, ok := in.stubByAddr(a); ok {
 		in.ensureStub(si)
@@ -525,10 +524,38 @@ func (in *Internet) converge(ases []*ASInfo, sessions []*bgp.Session) error {
 	return bgp.Compute(&bgp.Topology{ASes: bgpASes, Sessions: sessions})
 }
 
-// finishAddrIndex sorts the ground-truth index once registration is done;
-// Resolve/Owner binary-search it from then on.
+// finishAddrIndex seals the ground-truth index once registration is
+// done: sorted by address, Resolve/Owner binary-search it from then on.
+// The seal is the world's one duplicate-address check. No two records
+// may share an address, and no vantage point's host may sit on a router
+// address; either is a generator bug, so it panics. A stub that faults
+// in after the seal needs no check of its own: it replays the eager
+// build of the same stub (TestLazyFaultInEquivalence), and that build is
+// sealed here.
 func (in *Internet) finishAddrIndex() {
-	sort.Slice(in.addrRecs, func(i, j int) bool { return in.addrRecs[i].addr < in.addrRecs[j].addr })
+	recs := in.addrRecs
+	sort.Slice(recs, func(i, j int) bool { return recs[i].addr < recs[j].addr })
+	for i := 1; i < len(recs); i++ {
+		if recs[i].addr == recs[i-1].addr {
+			panic(fmt.Sprintf("gen: address %s bound to %s and %s (generator bug)",
+				recs[i].addr, in.Net.Nodes()[recs[i-1].node].Name(), in.Net.Nodes()[recs[i].node].Name()))
+		}
+	}
+	for _, vp := range in.VPs {
+		if rec, dup := in.sealedRec(vp.Host.Addr()); dup {
+			panic(fmt.Sprintf("gen: address %s bound to %s and %s (generator bug)",
+				rec.addr, in.Net.Nodes()[rec.node].Name(), vp.Host.Name()))
+		}
+	}
+}
+
+// sealedRec binary-searches the sealed ground-truth index.
+func (in *Internet) sealedRec(a netaddr.Addr) (addrRec, bool) {
+	i := sort.Search(len(in.addrRecs), func(i int) bool { return in.addrRecs[i].addr >= a })
+	if i < len(in.addrRecs) && in.addrRecs[i].addr == a {
+		return in.addrRecs[i], true
+	}
+	return addrRec{}, false
 }
 
 // --- internals ---
@@ -883,10 +910,9 @@ func (in *Internet) buildASRouters(rng *rand.Rand, p Params, as *ASInfo, nCore, 
 	}
 }
 
+// register appends ifc's ground-truth record; finishAddrIndex checks the
+// records for duplicates when it seals them.
 func (in *Internet) register(ifc *netsim.Iface, r *router.Router, as *ASInfo) {
-	if err := in.Net.RegisterIface(ifc); err != nil {
-		panic(err) // generator bug: address allocation never collides
-	}
 	idx, ok := in.Net.IndexOf(r)
 	if !ok {
 		panic(fmt.Sprintf("gen: register before AddNode for %s", r.Name()))
@@ -957,9 +983,6 @@ func (in *Internet) attachVP(rng *rand.Rand, p Params, as *ASInfo, idx int) {
 	in.Net.AddNode(host)
 	in.Net.Connect(ri, host.If, delay(rng, p))
 	in.register(ri, r, as)
-	if err := in.Net.RegisterIface(host.If); err != nil {
-		panic(err)
-	}
 	in.VPs = append(in.VPs, &VP{Host: host, Prober: probe.New(in.Net, host), AS: as})
 }
 

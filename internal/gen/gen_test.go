@@ -274,6 +274,34 @@ func TestGroundTruthResolver(t *testing.T) {
 	}
 }
 
+// TestSealRejectsDuplicateAddresses pins the world's one duplicate-address
+// check, at the seal of the ground-truth index: two records of one
+// address, or a vantage point's host on a router address, panic as a
+// generator bug.
+func TestSealRejectsDuplicateAddresses(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		dup  func(in *Internet)
+	}{
+		{"two records", func(in *Internet) { in.addrRecs = append(in.addrRecs, in.addrRecs[len(in.addrRecs)/2]) }},
+		{"VP host on a router address", func(in *Internet) { in.VPs[0].Host.If.Addr = in.addrRecs[0].addr }},
+	} {
+		in, err := Build(smallParams(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.dup(in)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the seal accepted a duplicate address", c.name)
+				}
+			}()
+			in.finishAddrIndex()
+		}()
+	}
+}
+
 func TestVendorPersonalities(t *testing.T) {
 	p := smallParams(23)
 	p.CiscoFrac, p.JuniperFrac, p.MixedFrac = 0, 1, 0 // force Juniper

@@ -12,20 +12,19 @@ import (
 
 // Snapshot builds an independent replica of this Internet by structurally
 // deep-copying the built state: every router (FIB, LFIB, bindings,
-// personality, config, counters), link, host, and the ground-truth
-// address index. No control-plane computation is replayed, so a snapshot
-// costs O(state) rather than O(convergence) — the fast path for parallel
-// campaign workers. Like EncodeWire, it refuses a fabric with queued
-// events.
+// personality, config, counters), link and host. The ground-truth address
+// index is shared by reference (see addrRec). No control-plane
+// computation is replayed, so a snapshot costs O(state) rather than
+// O(convergence) — the fast path for parallel campaign workers. Like
+// EncodeWire, it refuses a fabric with queued events.
 //
 // The replica is assembled the way DecodeWire assembles a decoded one:
 // a presized fabric with the source's simulation basis, nodes added in
-// source order with router tables carved from one arena, links and
-// addresses connected and registered by interface id (walkIfaces), and
-// AS routers, TE paths and VP hosts found by node index. Replica ASInfo
-// records and their Core/Edge pointer tables are carved from slabs sized
-// in one pass, so a snapshot of a large fabric allocates a handful of
-// arrays, not O(ASes) objects.
+// source order with router tables carved from one arena, links connected
+// by interface id (walkIfaces), and AS routers, TE paths and VP hosts
+// found by node index. Replica ASInfo records and their Core/Edge
+// pointer tables are carved from slabs sized in one pass, so a snapshot
+// of a large fabric allocates a handful of arrays, not O(ASes) objects.
 //
 // The replica's probers are created fresh (counters zeroed) with the
 // source's settings, as DecodeWire creates them from the blob's. SPF
@@ -41,10 +40,9 @@ func (in *Internet) Snapshot() (*Internet, error) {
 		return nil, errors.New("gen: cannot snapshot a fabric with queued events")
 	}
 	index := indexSource(src)
-	regs := src.RegisteredIfaces()
 	net := netsim.New()
 	net.SetWireBasis(src.WireBasis())
-	net.Presize(len(src.Nodes()), len(regs), len(src.Links()))
+	net.Presize(len(src.Nodes()), len(src.Links()))
 
 	arena := router.NewDecodeArena(index.stats)
 	ifs := make([]*netsim.Iface, 0, len(index.ifIDs))
@@ -70,24 +68,6 @@ func (in *Internet) Snapshot() (*Internet, error) {
 			return nil, err
 		}
 		net.Connect(ifs[a], ifs[b], l.Delay).Up = l.Up
-	}
-	// Register in id order, not in the source registry's hash order: the
-	// replica's interface records are then read in the order they were
-	// carved, which cuts a Large snapshot's time by about a fifth.
-	registered := make([]bool, len(ifs))
-	for _, ifc := range regs {
-		id, err := index.ifaceID(ifc)
-		if err != nil {
-			return nil, err
-		}
-		registered[id] = true
-	}
-	for id, ok := range registered {
-		if ok {
-			if err := net.RegisterIface(ifs[id]); err != nil {
-				return nil, err
-			}
-		}
 	}
 	// replicas appends the replica of each of rs to dst.
 	replicas := func(dst, rs []*router.Router) ([]*router.Router, error) {

@@ -29,24 +29,25 @@ package gen
 //	2 netbasis  virtual clock, event seq, fabric counters
 //	3 nodes     counting prelude + per-node records, fabric order
 //	4 links     endpoint interface ids + delay/up
-//	5 regifaces registered interface ids, address-sorted
 //	6 ases      AS metadata, router indices, TE history, lazy records
 //	7 vps       host index, AS index, prober knobs
 //	8 addrrecs  the sealed ground-truth address index
 //	9 lazy      stub descriptors, span index, resident bitset
 //
+// Id 5 stays unused: version 4 blobs carried the fabric's address
+// registry there, and the sealed ground-truth index (8) is the one
+// address index.
+//
 // Interface identity on the wire is positional: walkIfaces over Nodes()
-// in fabric order yields the global interface id space used by sections
-// 4 and 5. Node identity is the fabric node index, the same clone
-// invariant the address index already relies on. Snapshot assembles its
-// replica by the same two identities, so both replica paths build a
-// fabric one way.
+// in fabric order yields the global interface id space used by section
+// 4. Node identity is the fabric node index, the same clone invariant the
+// address index already relies on. Snapshot assembles its replica by the
+// same two identities, so both replica paths build a fabric one way.
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"wormhole/internal/netaddr"
@@ -59,17 +60,16 @@ import (
 
 const (
 	wireMagic   = 0x314e5357 // "WSN1" little-endian
-	wireVersion = 4
+	wireVersion = 5
 
-	secParams    = 1
-	secNetBasis  = 2
-	secNodes     = 3
-	secLinks     = 4
-	secRegIfaces = 5
-	secASes      = 6
-	secVPs       = 7
-	secAddrRecs  = 8
-	secLazy      = 9
+	secParams   = 1
+	secNetBasis = 2
+	secNodes    = 3
+	secLinks    = 4
+	secASes     = 6
+	secVPs      = 7
+	secAddrRecs = 8
+	secLazy     = 9
 )
 
 var errBadWire = errors.New("gen: corrupt snapshot encoding")
@@ -83,8 +83,8 @@ const (
 // walkIfaces appends n's interfaces to dst in wire order: a router's data
 // interfaces, then its loopback; a host's one interface. Over a fabric's
 // nodes in order, an interface's position in the walk is its id: links
-// and the address registry name interfaces by it, on the wire and
-// between a source and its snapshot.
+// name interfaces by it, on the wire and between a source and its
+// snapshot.
 func walkIfaces(dst []*netsim.Iface, n netsim.Node) []*netsim.Iface {
 	switch v := n.(type) {
 	case *router.Router:
@@ -171,7 +171,7 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 	// the one avoidable cost at Large (~50MB) scale. A trie node costs 9
 	// bytes and 4 more when it holds a value, one per route or binding.
 	est := 1<<16 +
-		stats.Routers*64 + stats.Ifaces*28 + stats.Locals*4 +
+		stats.Routers*64 + stats.Ifaces*24 + stats.Locals*4 +
 		stats.Routes*9 + stats.NHops*8 + stats.Binds*10 + stats.LHops*10 +
 		stats.Unders*4 + stats.LFIB*10 +
 		stats.TrieNodes*9 + (stats.Routes+stats.Binds)*4 +
@@ -252,21 +252,6 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 		w.I32(ib)
 		w.I64(int64(l.Delay))
 		w.Bool(l.Up)
-	}
-	w.EndSection(mark)
-
-	// 5: registered interfaces, sorted by address so the blob is
-	// deterministic (the registry is a map).
-	mark = w.BeginSection(secRegIfaces)
-	regs := in.Net.RegisteredIfaces()
-	sort.Slice(regs, func(i, j int) bool { return regs[i].Addr < regs[j].Addr })
-	w.U32(uint32(len(regs)))
-	for _, ifc := range regs {
-		id, err := index.ifaceID(ifc)
-		if err != nil {
-			return nil, err
-		}
-		w.I32(id)
 	}
 	w.EndSection(mark)
 
@@ -435,6 +420,9 @@ func DecodeWire(buf []byte) (*Internet, error) {
 	if err := sec.Err(); err != nil {
 		return nil, err
 	}
+	if err := p.validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", errBadWire, err)
+	}
 
 	// 2: netbasis.
 	sec = rd.Section(secNetBasis)
@@ -448,23 +436,21 @@ func DecodeWire(buf []byte) (*Internet, error) {
 		return nil, err
 	}
 
-	// 3-5: nodes, links and registered interfaces. Their counts size the
-	// replica fabric before the first node is added.
+	// 3-4: nodes and links. Their counts size the replica fabric before
+	// the first node is added.
 	sec = rd.Section(secNodes)
 	linkSec := rd.Section(secLinks)
-	regSec := rd.Section(secRegIfaces)
 	nNodes := sec.Count(1)
 	stats := router.DecodeWireStats(sec)
 	nLinks := linkSec.Count(17)
-	nReg := regSec.Count(4)
-	for _, s := range [...]*wirefmt.Reader{sec, linkSec, regSec} {
+	for _, s := range [...]*wirefmt.Reader{sec, linkSec} {
 		if err := s.Err(); err != nil {
 			return nil, err
 		}
 	}
 	net := netsim.New()
 	net.SetWireBasis(clock, seq, fstats)
-	net.Presize(nNodes, nReg, nLinks)
+	net.Presize(nNodes, nLinks)
 	out := &Internet{Net: net, params: p}
 
 	arena := router.NewDecodeArena(stats)
@@ -524,21 +510,6 @@ func DecodeWire(buf []byte) (*Internet, error) {
 		return nil, err
 	}
 
-	// 5: registered interfaces.
-	sec = regSec
-	for i := 0; i < nReg; i++ {
-		ifc := ifByID(sec, sec.I32())
-		if sec.Err() != nil {
-			break
-		}
-		if err := net.RegisterIface(ifc); err != nil {
-			return nil, err
-		}
-	}
-	if err := sec.Err(); err != nil {
-		return nil, err
-	}
-
 	routerAt := func(rd *wirefmt.Reader, idx int32) *router.Router {
 		if idx < 0 || int(idx) >= len(net.Nodes()) {
 			rd.Fail(errBadWire)
@@ -550,6 +521,15 @@ func DecodeWire(buf []byte) (*Internet, error) {
 			return nil
 		}
 		return r
+	}
+	// decodeRec reads one ground-truth address record, which must name a
+	// router and one of nAS ASes.
+	decodeRec := func(rd *wirefmt.Reader, nAS int) addrRec {
+		rec := addrRec{addr: netaddr.DecodeAddr(rd), node: rd.I32(), as: rd.I32()}
+		if routerAt(rd, rec.node) == nil || rec.as < 0 || int(rec.as) >= nAS {
+			rd.Fail(errBadWire)
+		}
+		return rec
 	}
 
 	// 6: ASes.
@@ -572,7 +552,9 @@ func DecodeWire(buf []byte) (*Internet, error) {
 		as.X = math.Float64frombits(sec.U64())
 		as.Y = math.Float64frombits(sec.U64())
 		as.Aggregate = netaddr.DecodePrefix(sec)
-		as.index = sec.I32()
+		if as.index = sec.I32(); as.index != int32(i) {
+			sec.Fail(errBadWire)
+		}
 		as.childFloor = sec.U32()
 		as.nextSubnet = sec.U32()
 		as.nextLo = sec.U32()
@@ -611,11 +593,7 @@ func DecodeWire(buf []byte) (*Internet, error) {
 		}
 		nRec := sec.Count(12)
 		for j := 0; j < nRec; j++ {
-			as.lazyRecs = append(as.lazyRecs, addrRec{
-				addr: netaddr.DecodeAddr(sec),
-				node: sec.I32(),
-				as:   sec.I32(),
-			})
+			as.lazyRecs = append(as.lazyRecs, decodeRec(sec, nAS))
 		}
 		out.ASes = append(out.ASes, as)
 		out.asByNum[as.Num] = as
@@ -662,16 +640,17 @@ func DecodeWire(buf []byte) (*Internet, error) {
 		return nil, err
 	}
 
-	// 8: address index.
+	// 8: address index. lookupAddr's binary search needs it strictly
+	// increasing by address, which also rules out a duplicate address.
 	sec = rd.Section(secAddrRecs)
 	nRec := sec.Count(12)
 	out.addrRecs = make([]addrRec, 0, nRec)
 	for i := 0; i < nRec; i++ {
-		out.addrRecs = append(out.addrRecs, addrRec{
-			addr: netaddr.DecodeAddr(sec),
-			node: sec.I32(),
-			as:   sec.I32(),
-		})
+		rec := decodeRec(sec, nAS)
+		if i > 0 && rec.addr <= out.addrRecs[i-1].addr {
+			sec.Fail(errBadWire)
+		}
+		out.addrRecs = append(out.addrRecs, rec)
 	}
 	if err := sec.Err(); err != nil {
 		return nil, err
@@ -716,6 +695,11 @@ func DecodeWire(buf []byte) (*Internet, error) {
 	if err := sec.Err(); err != nil {
 		return nil, err
 	}
+	if out.lazy != nil {
+		if err := out.checkPlan(out.lazy); err != nil {
+			return nil, err
+		}
+	}
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
@@ -723,4 +707,45 @@ func DecodeWire(buf []byte) (*Internet, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// checkPlan rejects a decoded lazy plan that a fault-in could not replay:
+// every index it holds must be in range, and every stub that is not yet
+// resident must still be the empty shell its descriptor plans, as Build
+// leaves it. It returns nil for a plan EncodeWire wrote.
+func (in *Internet) checkPlan(lz *lazyState) error {
+	p := in.params
+	asAt := func(i int32, t Tier) *ASInfo {
+		if i < 0 || int(i) >= len(in.ASes) || in.ASes[i].Profile.Tier != t {
+			return nil
+		}
+		return in.ASes[i]
+	}
+	if len(lz.resident) != (len(lz.descs)+63)/64 {
+		return fmt.Errorf("%w: %d resident words for %d stubs", errBadWire, len(lz.resident), len(lz.descs))
+	}
+	for si, d := range lz.descs {
+		as := asAt(d.asIndex, Stub)
+		bad := as == nil || si > 0 && d.asIndex <= lz.descs[si-1].asIndex ||
+			d.nProv < 1 || d.nProv > 2 || d.vp < -1 || int(d.vp) >= p.NumVPs ||
+			int(d.nCore) < p.StubRouters[0] || int(d.nCore) > min(p.StubRouters[1], maxLoopbacks)
+		for k := int32(0); !bad && k < d.nProv; k++ {
+			prov := asAt(d.prov[k], Transit)
+			bad = prov == nil || len(prov.Core) == 0 || !prov.hasSPF()
+		}
+		if !bad && !lz.resident.get(si) {
+			bad = d.vp >= 0 || len(as.Core)+len(as.Edge)+len(as.teTunnels)+len(as.lazyRecs) > 0 ||
+				as.nextLo != 0 || as.nextSubnet != 0 ||
+				as.Aggregate.Bits() != 20 || as.childFloor != stubBlockSize-256
+		}
+		if bad {
+			return fmt.Errorf("%w: stub descriptor %d", errBadWire, si)
+		}
+	}
+	for _, sp := range lz.spans {
+		if sp.si < 0 || int(sp.si) >= len(lz.descs) {
+			return fmt.Errorf("%w: span names stub %d of %d", errBadWire, sp.si, len(lz.descs))
+		}
+	}
+	return nil
 }

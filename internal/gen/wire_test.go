@@ -7,7 +7,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -61,7 +63,8 @@ func TestWireRoundTripLarge(t *testing.T) {
 // Snapshot replica, and of DecodeWire(EncodeWire(x)), must equal
 // EncodeWire(x) byte for byte. The blob holds what EquivalenceDiff's
 // sampled traces cannot see — link delays and states, interface names,
-// the address registry, the clock basis and a lazy world's resident set.
+// the ground-truth address index, the clock basis and a lazy world's
+// resident set.
 func TestReplicaBlobIdentity(t *testing.T) {
 	rung := func(s experiments.Scale) func(t *testing.T) *gen.Internet {
 		return func(t *testing.T) *gen.Internet {
@@ -82,19 +85,7 @@ func TestReplicaBlobIdentity(t *testing.T) {
 		{"small", rung(experiments.Small)},
 		{"medium", rung(experiments.Medium)},
 		{"large", rung(experiments.Large)},
-		{"lazy-faulted", func(t *testing.T) *gen.Internet {
-			p := gen.DefaultParams(11)
-			p.NumTier1, p.NumTransit, p.NumStub = 2, 6, 60
-			p.Hierarchical, p.LazyStubs = true, true
-			in, err := gen.Build(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := in.FaultInSample(11); n != 11 {
-				t.Fatalf("faulted in %d stubs, want 11", n)
-			}
-			return in
-		}},
+		{"lazy-faulted", func(t *testing.T) *gen.Internet { return lazyFaulted(t) }},
 		{"probed-link-down", func(t *testing.T) *gen.Internet {
 			in := rung(experiments.Small)(t)
 			gen.SampleTraces(in, 17)
@@ -133,6 +124,23 @@ func TestReplicaBlobIdentity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lazyFaulted builds a lazy 60-stub world and faults 11 stubs in, so its
+// blob carries lazy records, resident and planned stubs alike.
+func lazyFaulted(t testing.TB) *gen.Internet {
+	t.Helper()
+	p := gen.DefaultParams(11)
+	p.NumTier1, p.NumTransit, p.NumStub = 2, 6, 60
+	p.Hierarchical, p.LazyStubs = true, true
+	in, err := gen.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := in.FaultInSample(11); n != 11 {
+		t.Fatalf("faulted in %d stubs, want 11", n)
+	}
+	return in
 }
 
 // downCoreLink takes down the first link joining two core routers of
@@ -291,14 +299,94 @@ func patched(blob []byte, s wireSection, off uint32, patch []byte) []byte {
 }
 
 // The first vantage point's probe method and Attempts in the VP section,
-// the blob's seventh: past the VP count and the host and AS indices, and
+// the blob's sixth: past the VP count and the host and AS indices, and
 // for Attempts also past the method, the first and max TTLs and the gap
 // limit.
 const (
-	vpSection    = 6
+	vpSection    = 5
 	vpMethodAt   = 4 + 4 + 4
 	vpAttemptsAt = vpMethodAt + 1 + 1 + 1 + 4
 )
+
+// The ASes, the address index and the lazy plan, the blob's fifth,
+// seventh and eighth sections. A lazy section opens with two flags and
+// the descriptor count; a descriptor is 32 bytes, its AS index 8 bytes in
+// and its provider count 20; the span count and 8-byte spans follow the
+// descriptors, a span's stub index 4 bytes in. An AS record opens with
+// its number and name; its loopback cursor follows the name by 40 bytes.
+const (
+	asSection   = 4
+	addrSection = 6
+	lazySection = 7
+	descsAt     = 1 + 1 + 4
+	nextLoAt    = 7 + 8 + 8 + 5 + 4 + 4 + 4
+)
+
+// wirePatch is one FuzzDecodeWire input: bytes written into a section's
+// payload at an offset.
+type wirePatch struct {
+	name  string
+	sec   uint8
+	off   uint32
+	patch []byte
+}
+
+// planPatches returns patches of blob, a lazy world's, whose decoded
+// fabric would panic later if DecodeWire let them through. Three set an
+// index to 2³¹−1: the AS index of the first descriptor whose stub is not
+// resident, the first span's stub index, and the first address record's
+// node index; the fabric would panic on the first traceroute toward that
+// stub (the first two) or on resolving that address. Two more patch that
+// planned stub: its descriptor's provider count to 3, and its AS's
+// loopback cursor to 254, as if built; its fault-in would panic.
+func planPatches(t testing.TB, blob []byte) []wirePatch {
+	t.Helper()
+	secs := wireSections(t, blob)
+	s := secs[lazySection]
+	lazy := blob[s.start:s.end]
+	nDesc := int(binary.LittleEndian.Uint32(lazy[2:]))
+	spans := descsAt + 32*nDesc
+	nSpan := int(binary.LittleEndian.Uint32(lazy[spans:]))
+	resident := binary.LittleEndian.Uint64(lazy[spans+4+8*nSpan+4:])
+	si := bits.TrailingZeros64(^resident)
+	if si >= nDesc {
+		t.Fatalf("no planned stub among the first %d", nDesc)
+	}
+	desc := descsAt + 32*si
+	num := binary.LittleEndian.Uint32(lazy[desc+8:]) + 1
+	name := fmt.Sprintf("AS%d", num)
+	rec := binary.LittleEndian.AppendUint32(nil, num)
+	rec = append(binary.LittleEndian.AppendUint32(rec, uint32(len(name))), name...)
+	at := bytes.Index(blob[secs[asSection].start:secs[asSection].end], rec)
+	if at < 0 {
+		t.Fatalf("no record of %s in the AS section", name)
+	}
+	big := []byte{0xff, 0xff, 0xff, 0x7f}
+	return []wirePatch{
+		{"descriptor AS index", lazySection, uint32(desc + 8), big},
+		{"span stub index", lazySection, uint32(spans + 4 + 4), big},
+		{"address record node", addrSection, 4 + 4, big},
+		{"descriptor provider count", lazySection, uint32(desc + 20), []byte{3, 0, 0, 0}},
+		{"planned stub's loopback cursor", asSection, uint32(at + len(rec) + nextLoAt), []byte{254, 0, 0, 0}},
+	}
+}
+
+// TestDecodeWireChecksIndexAndPlan pins the decoder's checks on the
+// ground-truth index and the lazy plan: each of planPatches' blobs fails
+// the decode instead of decoding into a fabric that panics later.
+func TestDecodeWireChecksIndexAndPlan(t *testing.T) {
+	blob, err := lazyFaulted(t).EncodeWire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := wireSections(t, blob)
+	for _, c := range planPatches(t, blob) {
+		_, err := gen.DecodeWire(patched(blob, secs[c.sec], c.off, c.patch))
+		if err == nil || !strings.Contains(err.Error(), "corrupt snapshot encoding") {
+			t.Errorf("%s: decode returned %v, want the corrupt-encoding error", c.name, err)
+		}
+	}
+}
 
 // TestDecodeWireBoundsProberSettings pins the check on the prober
 // settings a decoded world's vantage points arrive with, the only way
@@ -339,45 +427,64 @@ func TestDecodeWireBoundsProberSettings(t *testing.T) {
 }
 
 // FuzzDecodeWire drives hostile bytes past the checksums into the
-// section parsers. Each input picks one section of a Small blob, patches
-// bytes of its payload at an offset, and re-seals that section's CRC-32C,
-// so the mutation reaches the parser instead of stopping at
-// *wirefmt.ChecksumError as TestWireCorruption's flips do. Decoding must
-// return an error or a fabric, never panic; a fabric that decodes must
-// then carry a traceroute from its first and its last vantage point
-// without panicking either. A crash found here is fixed by making the
-// decoder reject the input (errBadWire), and the crashing input stays
-// under testdata/fuzz as a regression seed.
+// section parsers. Each input picks one section of a blob, patches bytes
+// of its payload at an offset, and re-seals that section's CRC-32C, so
+// the mutation reaches the parser instead of stopping at
+// *wirefmt.ChecksumError as TestWireCorruption's flips do. Every input
+// patches two blobs with the same eight sections: a flat Small world's
+// and lazyFaulted's, whose address index, lazy records and stub plan a
+// fault-in reads. Decoding must return an error or a fabric, never
+// panic; a fabric that decodes must then carry a traceroute from its
+// first and its last vantage point, resolve the first and the last
+// address of its probe space, and carry a traceroute toward that last
+// address, a planned stub's anchor on the lazy world, without panicking
+// either. A crash found here is fixed by making the decoder reject the
+// input (errBadWire), and the crashing input stays under testdata/fuzz
+// as a regression seed.
 func FuzzDecodeWire(f *testing.F) {
-	in, err := gen.Build(experiments.Small.Params(7))
+	small, err := gen.Build(experiments.Small.Params(7))
 	if err != nil {
 		f.Fatal(err)
 	}
-	blob, err := in.EncodeWire()
-	if err != nil {
-		f.Fatal(err)
+	var blobs [2][]byte
+	var secs [2][]wireSection
+	for i, in := range []*gen.Internet{small, lazyFaulted(f)} {
+		if blobs[i], err = in.EncodeWire(); err != nil {
+			f.Fatal(err)
+		}
+		secs[i] = wireSections(f, blobs[i])
 	}
-	secs := wireSections(f, blob)
 	// Seeds: per section, a count or scalar at the payload head zeroed
-	// and saturated, and a flip in the middle of the payload; and the
-	// first VP's Attempts raised to 2³¹−1.
-	for i, s := range secs {
+	// and saturated, and a flip in the middle of the payload; the first
+	// VP's Attempts raised to 2³¹−1; and planPatches.
+	for i, s := range secs[0] {
 		f.Add(uint8(i), uint32(0), []byte{0, 0, 0, 0})
 		f.Add(uint8(i), uint32(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 		f.Add(uint8(i), uint32(s.end-s.start)/2, []byte{0x5a})
 	}
 	f.Add(uint8(vpSection), uint32(vpAttemptsAt), []byte{0xff, 0xff, 0xff, 0x7f})
+	for _, c := range planPatches(f, blobs[1]) {
+		f.Add(c.sec, c.off, c.patch)
+	}
 	f.Fuzz(func(t *testing.T, sec uint8, off uint32, patch []byte) {
-		s := secs[int(sec)%len(secs)]
-		if s.end == s.start {
-			return
+		for i, blob := range blobs {
+			s := secs[i][int(sec)%len(secs[i])]
+			if s.end == s.start {
+				continue
+			}
+			out, err := gen.DecodeWire(patched(blob, s, off, patch))
+			if err != nil || len(out.VPs) == 0 {
+				continue
+			}
+			first, last := out.VPs[0], out.VPs[len(out.VPs)-1]
+			first.Prober.Traceroute(last.Host.Addr())
+			last.Prober.Traceroute(first.Host.Addr())
+			space := out.ProbeSpace()
+			if n := space.Len(); n > 0 {
+				out.Resolve(space.Addr(0))
+				out.Resolve(space.Addr(n - 1))
+				first.Prober.Traceroute(space.Addr(n - 1))
+			}
 		}
-		out, err := gen.DecodeWire(patched(blob, s, off, patch))
-		if err != nil || len(out.VPs) == 0 {
-			return
-		}
-		first, last := out.VPs[0], out.VPs[len(out.VPs)-1]
-		first.Prober.Traceroute(last.Host.Addr())
-		last.Prober.Traceroute(first.Host.Addr())
 	})
 }

@@ -41,11 +41,6 @@ func buildDiamond(t *testing.T) *diamond {
 		xi := x.AddIface("to-"+y.Name(), p.Nth(1), p)
 		yi := y.AddIface("to-"+x.Name(), p.Nth(2), p)
 		net.Connect(xi, yi, time.Millisecond)
-		for _, ifc := range []*netsim.Iface{xi, yi} {
-			if err := net.RegisterIface(ifc); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	connect(a, b)
 	connect(a, c)
@@ -55,9 +50,6 @@ func buildDiamond(t *testing.T) *diamond {
 	for i, r := range []*router.Router{a, b, c, d} {
 		lo := netaddr.AddrFrom4(192, 168, 1, byte(i+1))
 		r.SetLoopback(lo)
-		if err := net.RegisterIface(r.Loopback()); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	hp := netaddr.MustParsePrefix("10.9.0.0/30")
@@ -65,12 +57,6 @@ func buildDiamond(t *testing.T) *diamond {
 	net.AddNode(host)
 	di := d.AddIface("to-host", hp.Nth(1), hp)
 	net.Connect(di, host.If, time.Millisecond)
-	if err := net.RegisterIface(di); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RegisterIface(host.If); err != nil {
-		t.Fatal(err)
-	}
 
 	dom := &Domain{Routers: []*router.Router{a, b, c, d}}
 	res, err := dom.Compute()

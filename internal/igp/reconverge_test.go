@@ -34,9 +34,6 @@ func buildMPLSDiamond(t *testing.T) *mplsDiamond {
 		r := router.New(name, router.Cisco, cfg)
 		r.SetLoopback(netaddr.AddrFrom4(192, 168, 55, byte(i+1)))
 		net.AddNode(r)
-		if err := net.RegisterIface(r.Loopback()); err != nil {
-			t.Fatal(err)
-		}
 		f.all = append(f.all, r)
 		return r
 	}
@@ -48,11 +45,6 @@ func buildMPLSDiamond(t *testing.T) *mplsDiamond {
 		xi := x.AddIface("to-"+y.Name(), p.Nth(1), p)
 		yi := y.AddIface("to-"+x.Name(), p.Nth(2), p)
 		net.Connect(xi, yi, time.Millisecond)
-		for _, ifc := range []*netsim.Iface{xi, yi} {
-			if err := net.RegisterIface(ifc); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	wire(f.a, f.b)
 	wire(f.b, f.d)
@@ -69,11 +61,6 @@ func buildMPLSDiamond(t *testing.T) *mplsDiamond {
 	net.AddNode(f.host)
 	di := f.d.AddIface("to-h", hP.Nth(1), hP)
 	net.Connect(di, f.host.If, time.Millisecond)
-	for _, ifc := range []*netsim.Iface{ai, f.vp.If, di, f.host.If} {
-		if err := net.RegisterIface(ifc); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	f.converge(t)
 	f.prober = probe.New(net, f.vp)

@@ -117,19 +117,7 @@ func BuildDouble() (*DoubleLab, error) {
 	l.CE2Left = left[l.CE2]
 
 	all := []*router.Router{l.CE1, l.PE1a, l.P1a, l.P2a, l.PE2a, l.PE1b, l.P1b, l.P2b, l.PE2b, l.CE2}
-	for _, r := range all {
-		if lo := r.Loopback(); lo != nil {
-			if err := net.RegisterIface(lo); err != nil {
-				return nil, err
-			}
-		}
-		for _, ifc := range r.Ifaces() {
-			if err := net.RegisterIface(ifc); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := net.RegisterIface(l.VP.If); err != nil {
+	if err := checkAddrs(all, l.VP); err != nil {
 		return nil, err
 	}
 

@@ -190,20 +190,7 @@ func Build(o Options) (*Lab, error) {
 	l.PE2Left = ifaces["PE2.left"].Addr
 	l.CE2Left = ifaces["CE2.left"].Addr
 
-	// Register everything.
-	for _, r := range routers {
-		if lo := r.Loopback(); lo != nil {
-			if err := net.RegisterIface(lo); err != nil {
-				return nil, err
-			}
-		}
-		for _, ifc := range r.Ifaces() {
-			if err := net.RegisterIface(ifc); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := net.RegisterIface(l.VP.If); err != nil {
+	if err := checkAddrs(routers, l.VP); err != nil {
 		return nil, err
 	}
 
@@ -265,4 +252,24 @@ func MustBuild(o Options) *Lab {
 		panic(err)
 	}
 	return l
+}
+
+// checkAddrs rejects a testbed that binds one address twice: the
+// routers' interfaces and loopbacks and the vantage point's interface
+// must all differ.
+func checkAddrs(routers []*router.Router, vp *netsim.Host) error {
+	owner := map[netaddr.Addr]*netsim.Iface{vp.If.Addr: vp.If}
+	for _, r := range routers {
+		ifs := r.Ifaces()
+		if lo := r.Loopback(); lo != nil {
+			ifs = append(ifs[:len(ifs):len(ifs)], lo)
+		}
+		for _, ifc := range ifs {
+			if prev, dup := owner[ifc.Addr]; dup {
+				return fmt.Errorf("lab: address %s bound to %s and %s", ifc.Addr, prev, ifc)
+			}
+			owner[ifc.Addr] = ifc
+		}
+	}
+	return nil
 }

@@ -213,3 +213,35 @@ func TestFig4cJuniperGolden(t *testing.T) {
 		{l.CE2Left, 250, false},
 	}, true)
 }
+
+// TestCheckAddrsRejectsDuplicates pins the testbeds' duplicate-address
+// check, which Build and BuildDouble return: it passes both built labs,
+// and fails a lab whose routers bind one address twice, or whose vantage
+// point sits on a router address.
+func TestCheckAddrsRejectsDuplicates(t *testing.T) {
+	d, err := BuildDouble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkAddrs([]*router.Router{d.CE1, d.PE1a, d.P1a, d.P2a, d.PE2a, d.PE1b, d.P1b, d.P2b, d.PE2b, d.CE2}, d.VP); err != nil {
+		t.Errorf("double lab: %v", err)
+	}
+	build := func() (*Lab, []*router.Router) {
+		l := MustBuild(Options{})
+		return l, []*router.Router{l.CE1, l.PE1, l.P1, l.P2, l.P3, l.PE2, l.CE2}
+	}
+	l, routers := build()
+	if err := checkAddrs(routers, l.VP); err != nil {
+		t.Errorf("lab: %v", err)
+	}
+	p := netaddr.MustParsePrefix("10.2.1.0/30")
+	l.P3.AddIface("dup", l.P1Left, p)
+	if err := checkAddrs(routers, l.VP); err == nil {
+		t.Error("a router address bound twice passed")
+	}
+	l, routers = build()
+	l.VP.If.Addr = l.CE2Lo
+	if err := checkAddrs(routers, l.VP); err == nil {
+		t.Error("a vantage point on a router address passed")
+	}
+}

@@ -33,17 +33,9 @@ func build(t *testing.T, cfgs []router.Config) *fixture {
 		f.rs[i] = router.New(fmt.Sprintf("r%d", i), router.Cisco, cfg)
 		f.rs[i].SetLoopback(netaddr.AddrFrom4(192, 168, 9, byte(i+1)))
 		net.AddNode(f.rs[i])
-		if err := net.RegisterIface(f.rs[i].Loopback()); err != nil {
-			t.Fatal(err)
-		}
 	}
 	wire := func(ai, bi *netsim.Iface) {
 		net.Connect(ai, bi, time.Millisecond)
-		for _, ifc := range []*netsim.Iface{ai, bi} {
-			if err := net.RegisterIface(ifc); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	for i := 0; i+1 < len(f.rs); i++ {
 		p := netaddr.MustPrefixFrom(netaddr.AddrFrom4(10, 50, byte(i), 0), 30)

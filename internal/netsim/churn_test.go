@@ -145,7 +145,7 @@ func echoPairs(t *testing.T, n int) (*Network, [][2]*Host) {
 		a, b := NewHost("a", p.Nth(1), p), NewHost("b", p.Nth(2), p)
 		net.AddNode(a)
 		net.AddNode(b)
-		link30(t, net, a, b, "", time.Millisecond)
+		net.Connect(a.If, b.If, time.Millisecond)
 		pairs[i] = [2]*Host{a, b}
 	}
 	net.SetFlowCacheEnabled(true)

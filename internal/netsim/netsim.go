@@ -102,9 +102,8 @@ func (l *Link) Endpoints() (*Iface, *Iface) { return l.a, l.b }
 // Network is the simulation fabric: the set of nodes, links, the virtual
 // clock, and the pending-delivery queue.
 type Network struct {
-	nodes  []Node
-	links  []*Link
-	ifaces map[netaddr.Addr]*Iface
+	nodes []Node
+	links []*Link
 
 	clock  time.Duration
 	queue  eventQueue
@@ -171,10 +170,7 @@ const DefaultEventBudget = 1 << 20
 
 // New creates an empty network.
 func New() *Network {
-	return &Network{
-		ifaces:  make(map[netaddr.Addr]*Iface),
-		nodeIdx: make(map[Node]int32),
-	}
+	return &Network{nodeIdx: make(map[Node]int32)}
 }
 
 // FabricStats counts event-loop occurrences that individual nodes cannot
@@ -221,19 +217,6 @@ func (n *Network) AddNode(node Node) {
 // Nodes returns all registered nodes.
 func (n *Network) Nodes() []Node { return n.nodes }
 
-// RegisterIface indexes an interface address (including loopbacks),
-// rejecting an address that is already bound fabric-wide.
-func (n *Network) RegisterIface(i *Iface) error {
-	if i.Addr.IsUnspecified() {
-		return fmt.Errorf("netsim: interface %s has no address", i)
-	}
-	if prev, dup := n.ifaces[i.Addr]; dup {
-		return fmt.Errorf("netsim: address %s already bound to %s", i.Addr, prev)
-	}
-	n.ifaces[i.Addr] = i
-	return nil
-}
-
 // Connect joins two interfaces with a link of the given one-way delay.
 func (n *Network) Connect(a, b *Iface, delay time.Duration) *Link {
 	l := n.allocLink()
@@ -258,17 +241,16 @@ func (n *Network) allocLink() *Link {
 	return &n.linkBlock[len(n.linkBlock)-1]
 }
 
-// Presize sizes an empty fabric for a replica whose node, registered
-// address and link counts are known: the node index, the address index
-// and the link arena (one block for the whole link table) are allocated
-// once, so building the replica never grows them.
-func (n *Network) Presize(nodes, addrs, links int) {
-	if len(n.nodes) > 0 || len(n.ifaces) > 0 || len(n.links) > 0 {
+// Presize sizes an empty fabric for a replica whose node and link counts
+// are known: the node index and the link arena (one block for the whole
+// link table) are allocated once, so building the replica never grows
+// them.
+func (n *Network) Presize(nodes, links int) {
+	if len(n.nodes) > 0 || len(n.links) > 0 {
 		panic("netsim: Presize on a fabric that is not empty")
 	}
 	n.nodes = make([]Node, 0, nodes)
 	n.nodeIdx = make(map[Node]int32, nodes)
-	n.ifaces = make(map[netaddr.Addr]*Iface, addrs)
 	n.links = make([]*Link, 0, links)
 	n.linkBlock = make([]Link, 0, links)
 }

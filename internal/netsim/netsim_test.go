@@ -9,17 +9,6 @@ import (
 	"wormhole/internal/packet"
 )
 
-func link30(t *testing.T, net *Network, a, b *Host, prefix string, delay time.Duration) {
-	t.Helper()
-	net.Connect(a.If, b.If, delay)
-	if err := net.RegisterIface(a.If); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RegisterIface(b.If); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func pairedHosts(t *testing.T, delay time.Duration) (*Network, *Host, *Host) {
 	t.Helper()
 	net := New()
@@ -28,7 +17,7 @@ func pairedHosts(t *testing.T, delay time.Duration) (*Network, *Host, *Host) {
 	h2 := NewHost("h2", p.Nth(2), p)
 	net.AddNode(h1)
 	net.AddNode(h2)
-	link30(t, net, h1, h2, "10.0.0.0/30", delay)
+	net.Connect(h1.If, h2.If, delay)
 	return net, h1, h2
 }
 
@@ -118,23 +107,6 @@ func TestDownLinkDropsPackets(t *testing.T) {
 	net.Inject(h1.If, probe)
 	if got != nil {
 		t.Error("packet crossed a down link")
-	}
-}
-
-func TestRegisterIfaceRejectsDuplicates(t *testing.T) {
-	net := New()
-	p := netaddr.MustParsePrefix("10.0.0.0/30")
-	h1 := NewHost("h1", p.Nth(1), p)
-	h2 := NewHost("h2", p.Nth(1), p) // same address on purpose
-	if err := net.RegisterIface(h1.If); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RegisterIface(h2.If); err == nil {
-		t.Error("duplicate address registration accepted")
-	}
-	h3 := NewHost("h3", 0, p)
-	if err := net.RegisterIface(h3.If); err == nil {
-		t.Error("unspecified address registration accepted")
 	}
 }
 

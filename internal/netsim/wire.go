@@ -26,16 +26,3 @@ func (n *Network) SetWireBasis(clock time.Duration, seq uint64, stats FabricStat
 // encoding a fabric with in-flight events is refused: queued packets are
 // transient drain state, not part of the world.
 func (n *Network) Quiescent() bool { return n.queue.len() == 0 }
-
-// RegisteredIfaces returns the interfaces in the fabric's address
-// registry, in arbitrary order; the codec sorts them before writing.
-// Replica constructors name each by its position in the fabric-wide
-// interface walk and replay RegisterIface on the replica's interface at
-// that position.
-func (n *Network) RegisteredIfaces() []*Iface {
-	out := make([]*Iface, 0, len(n.ifaces))
-	for _, ifc := range n.ifaces {
-		out = append(out, ifc)
-	}
-	return out
-}

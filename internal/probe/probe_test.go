@@ -29,18 +29,10 @@ func buildLine(t *testing.T, n int) *line {
 		r := router.New("r"+string(rune('0'+i)), router.Cisco, router.Config{TTLPropagate: true})
 		r.SetLoopback(netaddr.AddrFrom4(192, 168, 7, byte(i+1)))
 		net.AddNode(r)
-		if err := net.RegisterIface(r.Loopback()); err != nil {
-			t.Fatal(err)
-		}
 		l.rs = append(l.rs, r)
 	}
 	wire := func(ai, bi *netsim.Iface) {
 		net.Connect(ai, bi, time.Millisecond)
-		for _, ifc := range []*netsim.Iface{ai, bi} {
-			if err := net.RegisterIface(ifc); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	for i := 0; i+1 < n; i++ {
 		p := netaddr.MustPrefixFrom(netaddr.AddrFrom4(10, 60, byte(i), 0), 30)

@@ -29,9 +29,6 @@ func TestFRPLAFalsePositiveFromAsymmetry(t *testing.T) {
 		r := router.New(name, router.Cisco, cfg)
 		r.SetLoopback(netaddr.AddrFrom4(192, 168, 99, byte(i+1)))
 		net.AddNode(r)
-		if err := net.RegisterIface(r.Loopback()); err != nil {
-			t.Fatal(err)
-		}
 		return r
 	}
 	a, b, c, d, e := mk("a", 0), mk("b", 1), mk("c", 2), mk("d", 3), mk("e", 4)
@@ -43,11 +40,6 @@ func TestFRPLAFalsePositiveFromAsymmetry(t *testing.T) {
 		xi := x.AddIface("to-"+y.Name(), p.Nth(1), p)
 		yi := y.AddIface("to-"+x.Name(), p.Nth(2), p)
 		net.Connect(xi, yi, time.Millisecond)
-		for _, ifc := range []*netsim.Iface{xi, yi} {
-			if err := net.RegisterIface(ifc); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	wire(a, b)
 	wire(b, e)
@@ -65,11 +57,6 @@ func TestFRPLAFalsePositiveFromAsymmetry(t *testing.T) {
 	net.AddNode(h)
 	ei := e.AddIface("to-h", hP.Nth(1), hP)
 	net.Connect(ei, h.If, time.Millisecond)
-	for _, ifc := range []*netsim.Iface{ai, vp.If, ei, h.If} {
-		if err := net.RegisterIface(ifc); err != nil {
-			t.Fatal(err)
-		}
-	}
 	dom := &igp.Domain{Routers: all}
 	if _, err := dom.Compute(); err != nil {
 		t.Fatal(err)

@@ -195,10 +195,12 @@ func (s RFASample) RFA() int { return s.Return - s.Forward }
 
 // FRPLA derives an RFA sample from a traceroute hop. initialTTL is the
 // router's inferred time-exceeded initial TTL (255 for Cisco/Juniper;
-// fingerprinting supplies it). ok is false for anonymous hops or echo
-// replies with inconsistent TTLs.
+// fingerprinting supplies it). ok is false for anonymous hops, for
+// replies that are not time-exceeded (a destination's echo reply starts
+// from its echo initial TTL, which may differ), and for reply TTLs above
+// initialTTL.
 func FRPLA(h probe.Hop, initialTTL uint8) (RFASample, bool) {
-	if h.Anonymous() || initialTTL == 0 || h.ReplyTTL > initialTTL {
+	if h.Anonymous() || h.ICMPType != packet.ICMPTimeExceeded || initialTTL == 0 || h.ReplyTTL > initialTTL {
 		return RFASample{}, false
 	}
 	return RFASample{

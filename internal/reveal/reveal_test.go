@@ -5,6 +5,7 @@ import (
 
 	"wormhole/internal/lab"
 	"wormhole/internal/netaddr"
+	"wormhole/internal/packet"
 	"wormhole/internal/probe"
 	"wormhole/internal/router"
 )
@@ -131,6 +132,35 @@ func TestFRPLAOnSymmetricPath(t *testing.T) {
 	}
 	if s.RFA() != 0 {
 		t.Errorf("visible-tunnel RFA = %d, want 0", s.RFA())
+	}
+}
+
+// TestFRPLAScoresTimeExceededOnly pins FRPLA to time-exceeded replies.
+// A destination answers a trace's last probe with an echo reply, which
+// starts from the router's echo initial TTL (64 on Juniper), so scoring
+// it against the time-exceeded initial TTL mixes two signatures. The
+// trace's destination hop yields no sample; its tunnel egress hop still
+// yields RFA +3.
+func TestFRPLAScoresTimeExceededOnly(t *testing.T) {
+	l := lab.MustBuild(lab.Options{Scenario: lab.BackwardRecursive})
+	tr := l.Prober.Traceroute(l.CE2Left)
+	var dst, pe2 probe.Hop
+	for _, h := range tr.Hops {
+		switch h.Addr {
+		case l.CE2Left:
+			dst = h
+		case l.PE2Left:
+			pe2 = h
+		}
+	}
+	if dst.ICMPType != packet.ICMPEchoReply {
+		t.Fatalf("destination hop %v answered with ICMP type %d, want an echo reply", dst.Addr, dst.ICMPType)
+	}
+	if s, ok := FRPLA(dst, 255); ok {
+		t.Errorf("destination's echo reply scored: RFA %+d", s.RFA())
+	}
+	if s, ok := FRPLA(pe2, 255); !ok || s.RFA() != 3 {
+		t.Errorf("egress hop: FRPLA = %+d, %v; want +3, true", s.RFA(), ok)
 	}
 }
 

@@ -52,11 +52,6 @@ func buildChain(t *testing.T) *chainFixture {
 	net.Connect(r1b, r2a, time.Millisecond)
 	net.Connect(r2b, r3a, time.Millisecond)
 	net.Connect(r3b, h.If, time.Millisecond)
-	for _, ifc := range []*netsim.Iface{vp.If, h.If, r1a, r1b, r2a, r2b, r3a, r3b} {
-		if err := net.RegisterIface(ifc); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	// Static routing: everything right goes right, everything left goes left.
 	host := func(a netaddr.Addr) netaddr.Prefix { return netaddr.HostPrefix(a) }

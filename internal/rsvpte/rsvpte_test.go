@@ -29,9 +29,6 @@ func buildDiamond(t *testing.T, propagate bool) *diamond {
 		r := router.New(name, router.Cisco, cfg)
 		r.SetLoopback(netaddr.AddrFrom4(192, 168, 77, byte(i+1)))
 		net.AddNode(r)
-		if err := net.RegisterIface(r.Loopback()); err != nil {
-			t.Fatal(err)
-		}
 		return r
 	}
 	f.a, f.b, f.c, f.d, f.e = mk("a", 0), mk("b", 1), mk("c", 2), mk("d", 3), mk("e", 4)
@@ -43,11 +40,6 @@ func buildDiamond(t *testing.T, propagate bool) *diamond {
 		xi := x.AddIface("to-"+y.Name(), p.Nth(1), p)
 		yi := y.AddIface("to-"+x.Name(), p.Nth(2), p)
 		net.Connect(xi, yi, time.Millisecond)
-		for _, ifc := range []*netsim.Iface{xi, yi} {
-			if err := net.RegisterIface(ifc); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	wire(f.a, f.b)
 	wire(f.b, f.e)
@@ -65,11 +57,6 @@ func buildDiamond(t *testing.T, propagate bool) *diamond {
 	net.AddNode(f.host)
 	ei := f.e.AddIface("to-h", hP.Nth(1), hP)
 	net.Connect(ei, f.host.If, time.Millisecond)
-	for _, ifc := range []*netsim.Iface{ai, f.vp.If, ei, f.host.If} {
-		if err := net.RegisterIface(ifc); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	dom := &igp.Domain{Routers: []*router.Router{f.a, f.b, f.c, f.d, f.e}}
 	if _, err := dom.Compute(); err != nil {

@@ -52,7 +52,7 @@
 #     above Large's: the Giga resident set is almost entirely the
 #     transit core, and a core router's BGP/LDP state scales with the
 #     ~10³ core-AS aggregates it holds routes and labels for — measured
-#     ~110 k bytes each, versus Large's stub-dominated ~4.7 k. The gate
+#     ~110 k bytes each, versus Large's stub-dominated ~4.4 k. The gate
 #     catches replicas silently re-acquiring universe-sized state (the
 #     descriptor table, the span index, or worse, materialized stubs).
 #     Opt-in because the build alone takes ~25 s.
@@ -77,7 +77,7 @@ set -eu
 TOLERANCE=97
 CHURN_FLOOR=100
 UDP_FLOOR=150
-# Heap bytes per router for one retained Large replica: measured ~4.7k
+# Heap bytes per router for one retained Large replica: measured ~4.4k
 # with the fabric-wide arenas (was >20k with per-object cloning); 7k
 # leaves headroom for real feature growth while catching any return of
 # per-router heap objects.
