@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -90,6 +91,26 @@ func TestParallelBootstrapITDKGolden(t *testing.T) {
 		}
 		if got := dumpITDK(c); got != want {
 			t.Errorf("warm round %d: bootstrap ITDK diverged from serial", round)
+		}
+	}
+}
+
+// bootstrapITDKDigest is the SHA-256 of dumpITDK for testInternet(t, 411)
+// under DefaultConfig(). TestParallelBootstrapITDKGolden compares engines
+// with each other, so a change that renumbers nodes or reorders neighbors
+// in every engine at once still passes it; this digest pins the graph
+// across versions. Update it only for a change meant to alter the
+// observed graph, HDN set or target list, and say so in CHANGES.md.
+const bootstrapITDKDigest = "6724a8f9ef05e8a593c2c1dcbf63909eb540947e991d90337aa614e1dac245dd"
+
+func TestBootstrapITDKDigest(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		c, err := RunParallel(testInternet(t, 411), DefaultConfig(), ParallelConfig{Workers: workers})
+		if err != nil {
+			t.Fatalf("%dw: %v", workers, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(dumpITDK(c)))); got != bootstrapITDKDigest {
+			t.Errorf("%dw: dumpITDK digest %s, want %s", workers, got, bootstrapITDKDigest)
 		}
 	}
 }

@@ -16,7 +16,7 @@ package campaign
 
 import (
 	"hash/fnv"
-	"sort"
+	"slices"
 	"time"
 
 	"wormhole/internal/alias"
@@ -207,9 +207,13 @@ type Campaign struct {
 // set-up (replica acquisition, none with one in-process worker, or the
 // distributed engine's encode, spawn, join and world shipping), the
 // bootstrap sweep plus target selection, and the shard probing phase.
+// Graph is the part of Bootstrap the coordinator spends alone after the
+// sweep's barrier: the observed-graph replay in job order, HDN derivation
+// and target selection.
 type PhaseTimings struct {
 	Replica   time.Duration
 	Bootstrap time.Duration
+	Graph     time.Duration
 	Probe     time.Duration
 }
 
@@ -335,14 +339,17 @@ func (c *Campaign) finishBootstrapGraph() {
 // set 1" — a neighbor's whole neighborhood probes from one team.
 func (c *Campaign) selectTargets() {
 	c.teamOf = make(map[netaddr.Addr]int)
-	seen := make(map[netaddr.Addr]bool)
+	// Every address belongs to exactly one node, so visiting each node
+	// once visits each address once.
+	seen := make([]bool, c.ITDK.NumNodes()) // by NodeID
 	add := func(n *topo.Node, team int) {
+		if seen[n.ID] {
+			return
+		}
+		seen[n.ID] = true
 		for _, a := range n.Addrs {
-			if !seen[a] {
-				seen[a] = true
-				c.Targets = append(c.Targets, a)
-				c.teamOf[a] = team
-			}
+			c.Targets = append(c.Targets, a)
+			c.teamOf[a] = team
 		}
 	}
 	nextTeam := 0
@@ -356,7 +363,7 @@ func (c *Campaign) selectTargets() {
 			}
 		}
 	}
-	sort.Slice(c.Targets, func(i, j int) bool { return c.Targets[i] < c.Targets[j] })
+	slices.Sort(c.Targets)
 	// Cap after the canonical sort: the sampled subset is a function of
 	// the sorted list alone, so every engine probes the same targets.
 	// teamOf keeps entries for sampled-out addresses; only c.Targets

@@ -294,11 +294,13 @@ func (e *engine) run() (*Campaign, error) {
 	}
 	// AddTrace assigns node identities in insertion order: replaying in
 	// job order is what makes the observed graph engine-independent.
+	tg := time.Now()
 	for _, tr := range traces {
 		c.ITDK.AddTrace(tr)
 	}
 	c.finishBootstrapGraph()
 	c.selectTargets()
+	c.Phase.Graph = time.Since(tg)
 	c.boot = e.owned()
 	for _, d := range boot {
 		c.boot.Add(d)

@@ -12,6 +12,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"time"
 
 	"wormhole/internal/benchrun"
 	"wormhole/internal/campaign"
@@ -315,6 +316,9 @@ func cmdCampaign(args []string) error {
 	printf("revelations: DPR=%d BRPR=%d either=%d hybrid=%d failed=%d, hidden hops found=%d\n",
 		byTech[reveal.TechDPR], byTech[reveal.TechBRPR], byTech[reveal.TechEither],
 		byTech[reveal.TechHybrid], byTech[reveal.TechNone], hidden)
+	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
+	printf("phases: replica %.1f ms, bootstrap %.1f ms (graph %.1f ms), probe %.1f ms\n",
+		ms(c.Phase.Replica), ms(c.Phase.Bootstrap), ms(c.Phase.Graph), ms(c.Phase.Probe))
 	printShardStats(c)
 	if *out != "" {
 		ds := c.Dataset(fmt.Sprintf("seed=%d scale=%s", *seed, *scaleName))

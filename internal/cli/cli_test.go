@@ -95,7 +95,8 @@ func TestCampaignSaveAndAnalyze(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("campaign: code=%d stderr=%q", code, stderr)
 	}
-	if !strings.Contains(stdout, "revelations:") || !strings.Contains(stdout, "dataset saved") {
+	if !strings.Contains(stdout, "revelations:") || !strings.Contains(stdout, "phases: replica ") ||
+		!strings.Contains(stdout, "dataset saved") {
 		t.Errorf("campaign output:\n%s", stdout)
 	}
 	code, stdout, stderr = run(t, "analyze", path)

@@ -3,7 +3,6 @@ package topo
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // WriteDOT renders the graph in Graphviz DOT form, one node per router
@@ -14,7 +13,7 @@ func (g *Graph) WriteDOT(w io.Writer, name string, highlight func(*Node) bool) e
 	if _, err := fmt.Fprintf(w, "graph %q {\n  node [shape=ellipse fontsize=10];\n", name); err != nil {
 		return err
 	}
-	for _, n := range g.Nodes() {
+	for _, n := range g.nodes {
 		attrs := fmt.Sprintf("label=%q", fmt.Sprintf("%s (%d)", n.Name, n.Degree()))
 		if highlight != nil && highlight(n) {
 			attrs += ` style=filled fillcolor=lightcoral`
@@ -23,25 +22,14 @@ func (g *Graph) WriteDOT(w io.Writer, name string, highlight func(*Node) bool) e
 			return err
 		}
 	}
-	// Deterministic edge order.
-	type edge struct{ a, b NodeID }
-	var edges []edge
-	for _, n := range g.Nodes() {
-		for nb := range n.neighbors {
-			if n.ID < nb {
-				edges = append(edges, edge{n.ID, nb})
+	// Nodes and neighbor lists ascend by ID, so edges come out sorted.
+	for _, n := range g.nodes {
+		for _, nb := range n.nbrs {
+			if n.ID < nb.ID {
+				if _, err := fmt.Fprintf(w, "  n%d -- n%d;\n", n.ID, nb.ID); err != nil {
+					return err
+				}
 			}
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].a != edges[j].a {
-			return edges[i].a < edges[j].a
-		}
-		return edges[i].b < edges[j].b
-	})
-	for _, e := range edges {
-		if _, err := fmt.Fprintf(w, "  n%d -- n%d;\n", e.a, e.b); err != nil {
-			return err
 		}
 	}
 	_, err := fmt.Fprintln(w, "}")

@@ -5,18 +5,25 @@
 // node degree distribution, density, clustering — plus the High Degree
 // Node (HDN) detection that seeds the measurement campaign, and the
 // corrections applied once invisible tunnels are revealed.
+//
+// Storage is dense. Node IDs are 0, 1, 2, … in insertion order, so a
+// node's ID is its index in Nodes(), and each node keeps its neighbors
+// in a slice ascending by ID. Nodes() and Neighbors() return those
+// slices themselves, without copying: callers must treat them as
+// read-only.
 package topo
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"wormhole/internal/netaddr"
 	"wormhole/internal/probe"
 	"wormhole/internal/stats"
 )
 
-// NodeID identifies a router-level node.
+// NodeID identifies a router-level node: its index in Graph.Nodes().
 type NodeID int
 
 // Node is one router-level node: an alias set of interface addresses.
@@ -26,11 +33,11 @@ type Node struct {
 	ASN   uint32
 	Addrs []netaddr.Addr
 
-	neighbors map[NodeID]bool
+	nbrs []*Node // ascending by ID
 }
 
 // Degree returns the node's degree.
-func (n *Node) Degree() int { return len(n.neighbors) }
+func (n *Node) Degree() int { return len(n.nbrs) }
 
 // Resolver maps an interface address to a router name and AS. Campaigns
 // use the generator's ground truth (playing the role of the ITDK alias
@@ -40,10 +47,9 @@ type Resolver func(netaddr.Addr) (name string, asn uint32, ok bool)
 
 // Graph is an undirected router-level graph.
 type Graph struct {
-	nodes  map[NodeID]*Node
-	byAddr map[netaddr.Addr]NodeID
-	byName map[string]NodeID
-	next   NodeID
+	nodes  []*Node // indexed by NodeID
+	byAddr map[netaddr.Addr]*Node
+	byName map[string]*Node
 	edges  int
 
 	resolve Resolver
@@ -56,75 +62,90 @@ func New(r Resolver) *Graph {
 		r = func(netaddr.Addr) (string, uint32, bool) { return "", 0, false }
 	}
 	return &Graph{
-		nodes:   make(map[NodeID]*Node),
-		byAddr:  make(map[netaddr.Addr]NodeID),
-		byName:  make(map[string]NodeID),
+		byAddr:  make(map[netaddr.Addr]*Node),
+		byName:  make(map[string]*Node),
 		resolve: r,
 	}
 }
 
 // NodeFor returns (creating if needed) the node owning addr.
 func (g *Graph) NodeFor(addr netaddr.Addr) *Node {
-	if id, ok := g.byAddr[addr]; ok {
-		return g.nodes[id]
+	if n, ok := g.byAddr[addr]; ok {
+		return n
 	}
 	name, asn, ok := g.resolve(addr)
 	if ok {
-		if id, seen := g.byName[name]; seen {
-			n := g.nodes[id]
+		if n, seen := g.byName[name]; seen {
 			n.Addrs = append(n.Addrs, addr)
-			g.byAddr[addr] = id
+			g.byAddr[addr] = n
 			return n
 		}
 	} else {
 		name = fmt.Sprintf("unmapped-%s", addr)
 	}
-	id := g.next
-	g.next++
-	n := &Node{ID: id, Name: name, ASN: asn, Addrs: []netaddr.Addr{addr}, neighbors: make(map[NodeID]bool)}
-	g.nodes[id] = n
-	g.byAddr[addr] = id
-	g.byName[name] = id
+	n := &Node{ID: NodeID(len(g.nodes)), Name: name, ASN: asn, Addrs: []netaddr.Addr{addr}}
+	g.nodes = append(g.nodes, n)
+	g.byAddr[addr] = n
+	g.byName[name] = n
 	return n
 }
 
 // Lookup returns the node for an address without creating one.
 func (g *Graph) Lookup(addr netaddr.Addr) (*Node, bool) {
-	id, ok := g.byAddr[addr]
-	if !ok {
-		return nil, false
-	}
-	return g.nodes[id], true
+	n, ok := g.byAddr[addr]
+	return n, ok
 }
 
 // AddLink records an undirected router-level link between the owners of
 // two addresses.
 func (g *Graph) AddLink(a, b netaddr.Addr) {
-	na, nb := g.NodeFor(a), g.NodeFor(b)
-	if na.ID == nb.ID {
+	g.link(g.NodeFor(a), g.NodeFor(b))
+}
+
+// link records the undirected link a–b unless it exists or a is b,
+// keeping both neighbor lists ascending by ID.
+func (g *Graph) link(a, b *Node) {
+	if a == b {
 		return
 	}
-	if !na.neighbors[nb.ID] {
-		na.neighbors[nb.ID] = true
-		nb.neighbors[na.ID] = true
-		g.edges++
+	i, found := slot(a.nbrs, b.ID)
+	if found {
+		return
 	}
+	a.nbrs = slices.Insert(a.nbrs, i, b)
+	j, _ := slot(b.nbrs, a.ID)
+	b.nbrs = slices.Insert(b.nbrs, j, a)
+	g.edges++
+}
+
+// slot returns where id sits, or would be inserted, in the ascending
+// neighbor list nbrs.
+func slot(nbrs []*Node, id NodeID) (int, bool) {
+	return slices.BinarySearchFunc(nbrs, id, func(n *Node, id NodeID) int { return cmp.Compare(n.ID, id) })
 }
 
 // AddTrace inserts the links of one trace: every pair of consecutive
-// responding hops (anonymous hops break adjacency, as in ITDK).
+// responding hops (anonymous hops break adjacency, as in ITDK). Each hop
+// is resolved once, and only when it takes part in a link, so a hop that
+// links to nothing adds no node.
 func (g *Graph) AddTrace(tr *probe.Trace) {
-	var prev netaddr.Addr
+	var prev *Node // prevAddr's node; nil until a link needs it
+	var prevAddr netaddr.Addr
 	havePrev := false
 	for _, h := range tr.Hops {
-		if h.Anonymous() {
+		switch {
+		case h.Anonymous():
 			havePrev = false
-			continue
+		case !havePrev:
+			prev, prevAddr, havePrev = nil, h.Addr, true
+		case h.Addr != prevAddr:
+			if prev == nil {
+				prev = g.NodeFor(prevAddr)
+			}
+			cur := g.NodeFor(h.Addr)
+			g.link(prev, cur)
+			prev, prevAddr = cur, h.Addr
 		}
-		if havePrev && prev != h.Addr {
-			g.AddLink(prev, h.Addr)
-		}
-		prev, havePrev = h.Addr, true
 	}
 }
 
@@ -144,15 +165,9 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // NumEdges returns the undirected edge count.
 func (g *Graph) NumEdges() int { return g.edges }
 
-// Nodes returns all nodes, ordered by ID for determinism.
-func (g *Graph) Nodes() []*Node {
-	out := make([]*Node, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// Nodes returns all nodes in ID order. The slice is the graph's own:
+// read-only.
+func (g *Graph) Nodes() []*Node { return g.nodes }
 
 // DegreeHistogram returns the node degree distribution (Fig. 1 / Fig. 10).
 func (g *Graph) DegreeHistogram() *stats.Histogram {
@@ -172,27 +187,33 @@ func (g *Graph) Density() float64 {
 	return 2 * float64(g.edges) / (float64(v) * float64(v-1))
 }
 
-// SubgraphOf returns a new graph restricted to nodes satisfying keep,
-// preserving names/ASNs (used for per-AS density in Table 4).
+// SubgraphOf returns the subgraph induced by the nodes satisfying keep,
+// preserving names/ASNs (used for per-AS density in Table 4): every kept
+// node, linked or not, and every link between two kept nodes.
 func (g *Graph) SubgraphOf(keep func(*Node) bool) *Graph {
 	sub := New(g.resolve)
-	for _, n := range g.Nodes() {
-		if !keep(n) {
+	kept := make([]*Node, len(g.nodes)) // by NodeID: the node's copy in sub
+	for _, n := range g.nodes {
+		if keep(n) {
+			kept[n.ID] = sub.NodeFor(n.Addrs[0])
+		}
+	}
+	for _, n := range g.nodes {
+		if kept[n.ID] == nil {
 			continue
 		}
-		for nbID := range n.neighbors {
-			nb := g.nodes[nbID]
-			if !keep(nb) || nb.ID <= n.ID {
-				continue
+		for _, nb := range n.nbrs {
+			if nb.ID > n.ID && kept[nb.ID] != nil {
+				sub.link(kept[n.ID], kept[nb.ID])
 			}
-			sub.AddLink(n.Addrs[0], nb.Addrs[0])
 		}
 	}
 	return sub
 }
 
 // HDNs returns the nodes with degree >= threshold (128 in the paper,
-// scaled down for synthetic topologies), sorted by decreasing degree.
+// scaled down for synthetic topologies), sorted by decreasing degree,
+// ties by ID.
 func (g *Graph) HDNs(threshold int) []*Node {
 	var out []*Node
 	for _, n := range g.nodes {
@@ -200,24 +221,14 @@ func (g *Graph) HDNs(threshold int) []*Node {
 			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Degree() != out[j].Degree() {
-			return out[i].Degree() > out[j].Degree()
-		}
-		return out[i].ID < out[j].ID
-	})
+	// Collected in ID order, so a stable sort keeps ties by ID.
+	slices.SortStableFunc(out, func(a, b *Node) int { return cmp.Compare(b.Degree(), a.Degree()) })
 	return out
 }
 
-// Neighbors returns a node's neighbor set.
-func (g *Graph) Neighbors(n *Node) []*Node {
-	out := make([]*Node, 0, len(n.neighbors))
-	for id := range n.neighbors {
-		out = append(out, g.nodes[id])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// Neighbors returns a node's neighbors in ID order. The slice is the
+// node's own: read-only.
+func (g *Graph) Neighbors(n *Node) []*Node { return n.nbrs }
 
 // PathLengthHistogram returns the trace length distribution (Fig. 11):
 // the number of responding hops per completed trace, optionally extended

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -135,6 +136,24 @@ func TestSubgraphOf(t *testing.T) {
 	}
 }
 
+func TestSubgraphOfKeepsNodesWithoutKeptNeighbors(t *testing.T) {
+	g := New(aliasResolver)
+	g.AddLink(addr("10.1.0.1"), addr("10.2.0.1"))
+	g.AddLink(addr("10.2.0.1"), addr("203.0.113.1"))
+	g.AddLink(addr("203.0.113.1"), addr("10.3.0.1")) // r3's only link leaves the kept set
+	sub := g.SubgraphOf(func(n *Node) bool { return n.ASN != 0 })
+	if sub.NumNodes() != 3 || sub.NumEdges() != 1 {
+		t.Fatalf("subgraph = %d nodes / %d edges, want 3 / 1", sub.NumNodes(), sub.NumEdges())
+	}
+	if d := sub.Density(); d != 1.0/3 {
+		t.Errorf("density = %f, want 1/3", d)
+	}
+	r3, ok := sub.Lookup(addr("10.3.0.1"))
+	if !ok || r3.Name != "r3" || r3.ASN != 3 || r3.Degree() != 0 {
+		t.Errorf("isolated kept node: %+v, %v", r3, ok)
+	}
+}
+
 func TestDegreeHistogram(t *testing.T) {
 	g := New(nil)
 	g.AddLink(addr("1.0.0.1"), addr("1.0.0.2"))
@@ -214,5 +233,117 @@ func TestWriteDOT(t *testing.T) {
 	// Exactly one highlighted node (the middle one).
 	if strings.Count(out, "fillcolor") != 1 {
 		t.Errorf("highlight count wrong:\n%s", out)
+	}
+}
+
+func TestAddTraceOneResponsiveHopAddsNoNode(t *testing.T) {
+	g := New(nil)
+	g.AddTrace(traceOf("*", "10.1.0.1", "*"))
+	g.AddTrace(traceOf("10.2.0.1", "10.2.0.1"))
+	if g.NumNodes() != 0 || g.NumEdges() != 0 {
+		t.Errorf("nodes/edges = %d/%d, want 0/0", g.NumNodes(), g.NumEdges())
+	}
+	if _, ok := g.Lookup(addr("10.1.0.1")); ok {
+		t.Error("a hop that links to nothing got a node")
+	}
+}
+
+func TestAddTraceAnonymousHopSplitsTrace(t *testing.T) {
+	g := New(nil)
+	g.AddTrace(traceOf("10.1.0.1", "*", "10.3.0.1", "10.4.0.1"))
+	if g.NumNodes() != 2 || g.NumEdges() != 1 {
+		t.Fatalf("nodes/edges = %d/%d, want 2/1", g.NumNodes(), g.NumEdges())
+	}
+	n, _ := g.Lookup(addr("10.3.0.1"))
+	if nb := g.Neighbors(n); len(nb) != 1 || nb[0].Addrs[0] != addr("10.4.0.1") {
+		t.Errorf("neighbors of 10.3.0.1 = %v", nb)
+	}
+}
+
+func TestAddTraceEqualConsecutiveHopsAddNoLink(t *testing.T) {
+	g := New(nil)
+	g.AddTrace(traceOf("10.1.0.1", "10.1.0.1", "10.2.0.1", "10.2.0.1"))
+	if g.NumNodes() != 2 || g.NumEdges() != 1 {
+		t.Errorf("nodes/edges = %d/%d, want 2/1", g.NumNodes(), g.NumEdges())
+	}
+	for _, n := range g.Nodes() {
+		if n.Degree() != 1 {
+			t.Errorf("%s: degree %d, want 1", n.Name, n.Degree())
+		}
+	}
+}
+
+func TestAliasesLinkingOneNeighborAddOneEdge(t *testing.T) {
+	g := New(aliasResolver)
+	g.AddTrace(traceOf("10.1.0.1", "10.2.0.1"))
+	g.AddTrace(traceOf("10.1.0.2", "10.2.0.1"))
+	g.AddTrace(traceOf("10.2.0.2", "10.1.0.3"))
+	if g.NumNodes() != 2 || g.NumEdges() != 1 {
+		t.Fatalf("nodes/edges = %d/%d, want 2/1", g.NumNodes(), g.NumEdges())
+	}
+	r1, _ := g.Lookup(addr("10.1.0.3"))
+	if len(r1.Addrs) != 3 || r1.Degree() != 1 {
+		t.Errorf("r1: %d addrs, degree %d; want 3, 1", len(r1.Addrs), r1.Degree())
+	}
+}
+
+func TestNeighborsAscendAfterOutOfOrderLinks(t *testing.T) {
+	g := New(nil)
+	var leaves []*Node
+	for i := 1; i <= 5; i++ {
+		leaves = append(leaves, g.NodeFor(netaddr.AddrFrom4(9, 0, 0, byte(i))))
+	}
+	center := addr("1.0.0.1")
+	for _, i := range []int{3, 0, 4, 1, 3, 2} {
+		g.AddLink(center, leaves[i].Addrs[0])
+	}
+	c, _ := g.Lookup(center)
+	nb := g.Neighbors(c)
+	if len(nb) != 5 {
+		t.Fatalf("degree %d, want 5", len(nb))
+	}
+	for i, n := range nb {
+		if n != leaves[i] {
+			t.Errorf("neighbor %d is node %d, want %d", i, n.ID, leaves[i].ID)
+		}
+		if back := g.Neighbors(n); len(back) != 1 || back[0] != c {
+			t.Errorf("node %d: neighbors %v, want the center", n.ID, back)
+		}
+	}
+}
+
+func TestHDNsBreakDegreeTiesByID(t *testing.T) {
+	g := New(nil)
+	// Three hubs of degree 2, 3 and 2 (IDs ascending in that order).
+	g.AddPath([]netaddr.Addr{addr("2.0.0.1"), addr("1.0.0.1"), addr("2.0.0.2")})
+	g.AddPath([]netaddr.Addr{addr("2.0.0.3"), addr("1.0.0.2"), addr("2.0.0.4")})
+	g.AddLink(addr("1.0.0.2"), addr("2.0.0.5"))
+	g.AddPath([]netaddr.Addr{addr("2.0.0.6"), addr("1.0.0.3"), addr("2.0.0.7")})
+	var got []string
+	for _, n := range g.HDNs(2) {
+		got = append(got, fmt.Sprintf("%s/%d", n.Addrs[0], n.Degree()))
+	}
+	want := "[1.0.0.2/3 1.0.0.1/2 1.0.0.3/2]"
+	if fmt.Sprint(got) != want {
+		t.Errorf("HDNs = %v, want %s", got, want)
+	}
+}
+
+func TestReadsAndReplaysAllocateNothing(t *testing.T) {
+	g := New(aliasResolver)
+	tr := traceOf("10.1.0.1", "10.2.0.1", "*", "10.3.0.1", "10.4.0.1", "10.4.0.1", "10.5.0.1")
+	g.AddTrace(tr)
+	n, _ := g.Lookup(addr("10.4.0.1"))
+	for name, fn := range map[string]func(){
+		"Nodes":     func() { _ = g.Nodes() },
+		"Neighbors": func() { _ = g.Neighbors(n) },
+		"AddTrace":  func() { g.AddTrace(tr) },
+	} {
+		if a := testing.AllocsPerRun(100, fn); a != 0 {
+			t.Errorf("%s: %.1f allocs per call, want 0", name, a)
+		}
+	}
+	if g.NumNodes() != 5 || g.NumEdges() != 3 {
+		t.Errorf("replays changed the graph: nodes/edges = %d/%d", g.NumNodes(), g.NumEdges())
 	}
 }

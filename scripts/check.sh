@@ -51,8 +51,8 @@ fi
 
 # Full suite with an aggregated coverage profile, then per-package floors
 # on the engine packages. The suite runs the race tier (TestRaceTier). The floors sit safely under the measured values
-# (netsim ~75%, campaign ~90% by function) — they catch wholesale test
-# loss, not incremental drift.
+# (netsim ~75%, campaign ~90%, topo ~99% by function) — they catch
+# wholesale test loss, not incremental drift.
 COVOUT=$(mktemp)
 trap 'rm -f "$COVOUT"' EXIT
 go test -coverprofile="$COVOUT" ./...
@@ -72,6 +72,7 @@ check_floor() {
 }
 check_floor netsim 50
 check_floor campaign 85
+check_floor topo 85
 
 # Native-fuzz smokes: ten seconds each of the churn-masking differential
 # fuzzer (a cached fabric against the cache-off oracle under
