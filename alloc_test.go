@@ -11,6 +11,7 @@ import (
 
 	"wormhole/internal/lab"
 	"wormhole/internal/packet"
+	"wormhole/internal/probe"
 )
 
 // warmInject drives the same probe through the fabric until free lists,
@@ -108,6 +109,29 @@ func TestProbePathAllocs(t *testing.T) {
 				t.Errorf("hop %d: stack %v changed to %v", h.ProbeTTL, quoted[i], h.MPLS)
 			}
 			i++
+		}
+	}
+}
+
+// TestTracerouteIntoAllocFree pins the bootstrap's probe path: a slot
+// traces every job into one reused Trace, so once the hop list has grown,
+// a warm traceroute allocates nothing, live or replayed from the flow
+// cache. On the live path the quoted stacks still land on the prober's
+// slab, whose growth rounds away over the runs.
+func TestTracerouteIntoAllocFree(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		l := lab.MustBuild(lab.Options{Scenario: lab.Default})
+		l.Net.SetFlowCacheEnabled(cached)
+		p := l.Prober
+		var tr probe.Trace
+		for i := 0; i < 32; i++ {
+			p.TracerouteInto(&tr, l.CE2Left)
+		}
+		if allocs := testing.AllocsPerRun(200, func() { p.TracerouteInto(&tr, l.CE2Left) }); allocs > 0 {
+			t.Errorf("flow cache %v: warm traceroute into a reused Trace allocates %.1f objects, want 0", cached, allocs)
+		}
+		if !tr.Reached || tr.Dst != l.CE2Left {
+			t.Errorf("flow cache %v: reused trace to %s, reached %v", cached, tr.Dst, tr.Reached)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wormhole/internal/gen"
 	"wormhole/internal/topo"
 )
 
@@ -103,14 +104,75 @@ func TestParallelBootstrapITDKGolden(t *testing.T) {
 // observed graph, HDN set or target list, and say so in CHANGES.md.
 const bootstrapITDKDigest = "6724a8f9ef05e8a593c2c1dcbf63909eb540947e991d90337aa614e1dac245dd"
 
+// The digest is checked at every split point the engines produce: one
+// to eight in-process slots, and one or two worker processes (goroutines
+// serving the real socket protocol), whose link maps cross the wire.
 func TestBootstrapITDKDigest(t *testing.T) {
-	for _, workers := range []int{1, 2} {
+	check := func(name string, c *Campaign) {
+		t.Helper()
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(dumpITDK(c)))); got != bootstrapITDKDigest {
+			t.Errorf("%s: dumpITDK digest %s, want %s", name, got, bootstrapITDKDigest)
+		}
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
 		c, err := RunParallel(testInternet(t, 411), DefaultConfig(), ParallelConfig{Workers: workers})
 		if err != nil {
 			t.Fatalf("%dw: %v", workers, err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(dumpITDK(c)))); got != bootstrapITDKDigest {
-			t.Errorf("%dw: dumpITDK digest %s, want %s", workers, got, bootstrapITDKDigest)
+		check(fmt.Sprintf("%dw", workers), c)
+	}
+	for _, workers := range []int{1, 2} {
+		check(fmt.Sprintf("dist %dw", workers), runGoroutineWorkers(t, testInternet(t, 411), DefaultConfig(), workers))
+	}
+}
+
+// TestNamingStaysOnCoordinator covers the two resolvers that write what
+// they read: measured aliases, whose union-find compresses paths on a
+// lookup, and a lazy world, where naming an address faults its stub in
+// on the source. At 2 and 3 slots each campaign must observe the serial
+// engine's graph; under the race detector (the race tier runs this
+// package with -race), a resolver running on a slot goroutine would race
+// the other slots and slot 0's probing of the source.
+func TestNamingStaysOnCoordinator(t *testing.T) {
+	aliases := DefaultConfig()
+	aliases.MeasuredAliases = true
+	lazy := testParams(424242)
+	lazy.NumTransit, lazy.NumStub = 6, 60
+	lazy.Hierarchical, lazy.LazyStubs = true, true
+	// A streamed bootstrap: the stride sample would enumerate, and so
+	// materialize, every stub before any slot starts.
+	streamed := DefaultConfig()
+	streamed.Stream, streamed.StreamSeed, streamed.PrefixBudget = true, 77, 1
+	streamed.MaxBootstrapTargets, streamed.MaxTargets = 40, 30
+	for _, tc := range []struct {
+		name string
+		p    gen.Params
+		cfg  Config
+	}{
+		{"measured aliases", testParams(313), aliases},
+		{"lazy world", lazy, streamed},
+	} {
+		build := func() *gen.Internet {
+			in, err := gen.Build(tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return in
+		}
+		serial := Run(build(), tc.cfg)
+		want := dumpITDK(serial)
+		if tc.p.LazyStubs && (serial.Lazy.ResidentStubs == serial.Lazy.TotalStubs || serial.FaultIns == 0) {
+			t.Fatalf("%s: %d of %d stubs resident after %d fault-ins, want a partly built world",
+				tc.name, serial.Lazy.ResidentStubs, serial.Lazy.TotalStubs, serial.FaultIns)
+		}
+		for _, workers := range []int{2, 3} {
+			c, err := RunParallel(build(), tc.cfg, ParallelConfig{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s, %dw: %v", tc.name, workers, err)
+			}
+			if got := dumpITDK(c); got != want {
+				t.Errorf("%s, %dw: observed graph diverged from serial\n%s", tc.name, workers, firstDiff(want, got))
+			}
 		}
 	}
 }

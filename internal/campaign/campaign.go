@@ -176,8 +176,9 @@ type Campaign struct {
 	// fabric state actually paged in across the whole pool.
 	ReplicaResident int
 	// StreamBytes counts every byte the coordinator moved over its worker
-	// sockets — world blobs out, traces and shard results back (zero for
-	// the in-process engines).
+	// sockets — hellos, world blobs, bootstrap jobs and shard plans out,
+	// each worker's bootstrap link map and its shard results back (zero
+	// for the in-process engines).
 	StreamBytes uint64
 
 	// Shards reports per-shard measurement statistics (probing phase
@@ -208,8 +209,10 @@ type Campaign struct {
 // distributed engine's encode, spawn, join and world shipping), the
 // bootstrap sweep plus target selection, and the shard probing phase.
 // Graph is the part of Bootstrap the coordinator spends alone after the
-// sweep's barrier: the observed-graph replay in job order, HDN derivation
-// and target selection.
+// sweep's barrier: building the observed graph from the slots' link maps
+// in slot order (naming every address on the source), HDN derivation and
+// target selection. Folding traces into link maps is the slots' work,
+// inside the sweep.
 type PhaseTimings struct {
 	Replica   time.Duration
 	Bootstrap time.Duration
@@ -322,7 +325,7 @@ func spreadJobs(targets []netaddr.Addr, spread, vps int) []bootJob {
 
 // finishBootstrapGraph derives the HDN set from the observed graph,
 // selecting the threshold adaptively when unset. It must run after the
-// last AddTrace.
+// last link map is added.
 func (c *Campaign) finishBootstrapGraph() {
 	if c.Cfg.HDNThreshold == 0 {
 		c.Cfg.HDNThreshold = c.ITDK.DegreeHistogram().Quantile(0.90)

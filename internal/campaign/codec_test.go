@@ -120,6 +120,7 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 	roundTrip(t, (*frameWriter).shardStats, (*frameReader).shardStats)
 	roundTrip(t, (*frameWriter).slotDone, (*frameReader).slotDone)
 	roundTrip(t, (*frameWriter).trace, (*frameReader).trace)
+	roundTrip(t, (*frameWriter).link, (*frameReader).link)
 	roundTrip(t, (*frameWriter).revelation, (*frameReader).revelation)
 	roundTrip(t, (*frameWriter).fingerprint, (*frameReader).fingerprint)
 }

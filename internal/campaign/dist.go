@@ -4,11 +4,11 @@ package campaign
 // remoteSlot per worker process: a length-prefixed frame protocol on a
 // Unix (or TCP) socket. The worker receives a replica of the fabric as
 // the wire-codec snapshot blob, and ServeWorker drives the same localSlot
-// code the in-process engines use on it, streaming traces and shard
-// results back as wirefmt sections (frames.go) that decode to the values
-// the worker held, label stack entries whole. The coordinator replays
-// them through the shared phases, so the distributed output is
-// byte-identical to Run and RunParallel at any worker count.
+// code the in-process engines use on it, sending its bootstrap link map
+// and streaming shard results back as wirefmt sections (frames.go) that
+// decode to the values the worker held, label stack entries whole. The
+// coordinator replays them through the shared phases, so the distributed
+// output is byte-identical to Run and RunParallel at any worker count.
 
 import (
 	"encoding/binary"
@@ -23,7 +23,7 @@ import (
 	"time"
 
 	"wormhole/internal/gen"
-	"wormhole/internal/probe"
+	"wormhole/internal/topo"
 )
 
 // ReplicaMode is ignored; it stays only because the frozen perfbench
@@ -77,8 +77,7 @@ const (
 	msgHello       byte = iota + 1 // c→w: the Config fields a worker reads
 	msgWorld                       // c→w: the world's wire-codec blob
 	msgBootstrap                   // c→w: []bootJob, the worker's contiguous partition
-	msgTraces                      // w→c: a chunk of bootstrap traces, partition order
-	msgBootDone                    // w→c: Counters of the partition
+	msgBootDone                    // w→c: Counters and link map of the partition
 	msgShards                      // c→w: shardMsg
 	msgShardResult                 // w→c: one shard's result, assignment order
 	msgWorkerDone                  // w→c: slotDone
@@ -92,11 +91,6 @@ const maxFrame = 1 << 31
 // the buffer eightfold at most, so it never exceeds eight times the bytes
 // actually received plus one chunk, whatever length the header claims.
 const frameChunk = 64 << 10
-
-// distTraceChunk is the bootstrap streaming granularity: traces per
-// msgTraces frame. Chunking never changes output — the coordinator
-// replays in partition order regardless.
-const distTraceChunk = 256
 
 // countConn wraps a worker connection and bills every byte moved to the
 // coordinator's stream counter, which every slot's goroutine shares.
@@ -197,44 +191,18 @@ func (r *remoteSlot) readSection(want byte, body func(*frameReader)) error {
 	return decodeFrame(typ, want, payload, body)
 }
 
-func (r *remoteSlot) traceJobs(jobs []bootJob, emit func(int, *probe.Trace) error) (Counters, error) {
+func (r *remoteSlot) traceJobs(jobs []bootJob) (*topo.LinkMap, Counters, error) {
 	r.out.begin(msgBootstrap)
 	putList(&r.out, jobs, r.out.job)
 	if err := r.out.send(r.conn); err != nil {
-		return Counters{}, err
+		return nil, Counters{}, err
 	}
-	got := 0
-	for {
-		typ, payload, err := r.read()
-		if err != nil {
-			return Counters{}, fmt.Errorf("bootstrap: %w", err)
-		}
-		switch typ {
-		case msgTraces:
-			var chunk []*probe.Trace
-			if err := decodeFrame(typ, msgTraces, payload, func(d *frameReader) { chunk = getList(d, minTrace, d.trace) }); err != nil {
-				return Counters{}, err
-			}
-			if got+len(chunk) > len(jobs) {
-				return Counters{}, fmt.Errorf("bootstrap returned over %d traces", len(jobs))
-			}
-			for _, tr := range chunk {
-				if err := emit(got, tr); err != nil {
-					return Counters{}, err
-				}
-				got++
-			}
-		case msgBootDone:
-			if got != len(jobs) {
-				return Counters{}, fmt.Errorf("bootstrap returned %d traces, want %d", got, len(jobs))
-			}
-			var d Counters
-			err := decodeFrame(typ, msgBootDone, payload, func(f *frameReader) { d = f.counters() })
-			return d, err
-		default:
-			return Counters{}, fmt.Errorf("unexpected frame type %d in bootstrap", typ)
-		}
+	var m *topo.LinkMap
+	var d Counters
+	if err := r.readSection(msgBootDone, func(f *frameReader) { d, m = f.counters(), f.linkMap() }); err != nil {
+		return nil, Counters{}, fmt.Errorf("bootstrap: %w", err)
 	}
+	return m, d, nil
 }
 
 func (r *remoteSlot) probeShards(shards []shard, p *probePlan, emit func(*shardResult) error) error {
@@ -358,10 +326,10 @@ func RunDistributed(in *gen.Internet, cfg Config, dcfg DistConfig) (*Campaign, e
 }
 
 // ServeWorker runs the worker half of the protocol on conn: receive the
-// world, then drive a localSlot on it — the bootstrap partition and the
-// assigned shards — streaming results back. It returns when the session
-// completes or the connection breaks; the process exit code is the
-// caller's concern.
+// world, then drive a localSlot on it — the bootstrap partition, sent
+// back as one link map, and the assigned shards, each result streamed
+// back as it completes. It returns when the session completes or the
+// connection breaks; the process exit code is the caller's concern.
 func ServeWorker(conn net.Conn) error {
 	defer conn.Close()
 	var cfg Config
@@ -390,32 +358,11 @@ func ServeWorker(conn net.Conn) error {
 			return fmt.Errorf("worker: bootstrap job for VP %d of %d", j.VP, len(win.VPs))
 		}
 	}
+	m, boot, _ := s.traceJobs(jobs) // a local slot never fails
 	var out frameWriter
-	chunk := make([]*probe.Trace, 0, distTraceChunk)
-	flush := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		out.begin(msgTraces)
-		putList(&out, chunk, out.trace)
-		chunk = chunk[:0]
-		return out.send(conn)
-	}
-	boot, err := s.traceJobs(jobs, func(_ int, tr *probe.Trace) error {
-		chunk = append(chunk, tr)
-		if len(chunk) < distTraceChunk {
-			return nil
-		}
-		return flush()
-	})
-	if err == nil {
-		err = flush()
-	}
-	if err != nil {
-		return err
-	}
 	out.begin(msgBootDone)
 	out.counters(boot)
+	out.linkMap(m)
 	if err := out.send(conn); err != nil {
 		return err
 	}

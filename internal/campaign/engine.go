@@ -2,11 +2,11 @@ package campaign
 
 // The campaign engine. One coordinator runs every phase the paper's
 // Sec. 4 pipeline shares, whatever executes it: prober discipline, the
-// canonical bootstrap job list, contiguous per-slot partitions replayed
-// into the observed graph in job order, target selection, static shard
-// assignment (shard si on slot si mod ShardWorkers), the deterministic
-// merge, and one tally (Counters) read, subtracted and added the same way
-// for every slot.
+// canonical bootstrap job list, contiguous per-slot partitions whose
+// link maps are named into the observed graph in job order, target
+// selection, static shard assignment (shard si on slot si mod
+// ShardWorkers), the deterministic merge, and one tally (Counters) read,
+// subtracted and added the same way for every slot.
 //
 // A slot executes its share of each phase on one fabric. A localSlot is
 // a goroutine driving the source fabric itself (RunParallel's slot 0) or
@@ -16,13 +16,15 @@ package campaign
 // they hand the coordinator; Run is RunParallel with one worker.
 //
 // Slots run concurrently and share nothing mutable: each drives its own
-// fabric, writes only its own partition of the bootstrap trace slice and
-// its own shard results, and the coordinator reads them after the phase
-// barrier. Trace content is independent of probing history for both Paris
-// methods (no ICMP rate limiting is active in generated worlds; UDP Paris
-// restarts its per-prober port cycle from the same seed on every
-// replica), so the partition-shaped execution is byte-identical to one
-// fabric probing everything in order.
+// fabric, folds its bootstrap partition into a link map of its own and
+// returns its own shard results, and the coordinator reads them after the
+// phase barrier. A slot names nothing: every address is resolved on the
+// coordinator, on the source, as the link maps are replayed. Trace
+// content is independent of probing history for both Paris methods (no
+// ICMP rate limiting is active in generated worlds; UDP Paris restarts
+// its per-prober port cycle from the same seed on every replica), so the
+// partition-shaped execution is byte-identical to one fabric probing
+// everything in order.
 
 import (
 	"sync"
@@ -39,9 +41,9 @@ import (
 // on its own goroutine, concurrently with the other slots'.
 type executor interface {
 	// traceJobs traces a contiguous partition of the canonical bootstrap
-	// job list, handing trace j to emit in job order, and returns the
-	// counters the partition cost.
-	traceJobs(jobs []bootJob, emit func(j int, tr *probe.Trace) error) (Counters, error)
+	// job list and returns it folded, in job order, into one link map,
+	// with the counters the partition cost.
+	traceJobs(jobs []bootJob) (*topo.LinkMap, Counters, error)
 	// probeShards runs the slot's shards in canonical order, handing each
 	// result to emit.
 	probeShards(shards []shard, p *probePlan, emit func(*shardResult) error) error
@@ -184,17 +186,22 @@ func (s *localSlot) drive(firstTTL uint8) {
 
 // traceJobs always probes from TTL 1: the bootstrap maps the whole path,
 // gateway included, whatever FirstTTL a previous campaign on the same
-// fabric left behind, so its probe count is invariant across runs.
-func (s *localSlot) traceJobs(jobs []bootJob, emit func(int, *probe.Trace) error) (Counters, error) {
+// fabric left behind, so its probe count is invariant across runs. Every
+// job is traced into one reused Trace, which the link map reads before
+// the next job overwrites it.
+func (s *localSlot) traceJobs(jobs []bootJob) (*topo.LinkMap, Counters, error) {
 	s.drive(1)
 	defer s.in.Net.ReleaseOwner()
 	c0 := readCounters(s.in)
-	for j, job := range jobs {
-		if err := emit(j, s.in.VPs[job.VP].Prober.Traceroute(job.Dst)); err != nil {
-			return Counters{}, err
-		}
+	// Sized for a Large partition, whose every job folds to about one new
+	// address and one and a half new links.
+	m := topo.NewLinkMap(len(jobs), len(jobs)*3/2)
+	var tr probe.Trace
+	for _, job := range jobs {
+		s.in.VPs[job.VP].Prober.TracerouteInto(&tr, job.Dst)
+		m.AddTrace(&tr)
 	}
-	return readCounters(s.in).Sub(c0), nil
+	return m, readCounters(s.in).Sub(c0), nil
 }
 
 func (s *localSlot) probeShards(shards []shard, p *probePlan, emit func(*shardResult) error) error {
@@ -222,7 +229,7 @@ type engine struct {
 	cfg   Config
 	slots []executor
 	// own meters the source fabric while the coordinator itself works on
-	// it (alias resolution, job enumeration, graph replay, selection) and
+	// it (alias resolution, job enumeration, naming, selection) and
 	// is paused while slots run, so a slot on the source fabric is never
 	// billed twice.
 	own      Counters
@@ -278,25 +285,25 @@ func (e *engine) run() (*Campaign, error) {
 	t0 := time.Now()
 	c.ITDK = topo.New(c.resolver())
 	jobs := c.bootstrapJobs()
-	traces := make([]*probe.Trace, len(jobs))
+	maps := make([]*topo.LinkMap, len(e.slots))
 	boot := make([]Counters, len(e.slots))
 	err := e.each(func(i int, x executor) error {
 		lo, hi := len(jobs)*i/len(e.slots), len(jobs)*(i+1)/len(e.slots)
 		var err error
-		boot[i], err = x.traceJobs(jobs[lo:hi], func(j int, tr *probe.Trace) error {
-			traces[lo+j] = tr
-			return nil
-		})
+		maps[i], boot[i], err = x.traceJobs(jobs[lo:hi])
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	// AddTrace assigns node identities in insertion order: replaying in
-	// job order is what makes the observed graph engine-independent.
+	// The graph assigns node identities in resolution order: replaying the
+	// slots' maps in slot order, which is job order, is what makes the
+	// observed graph engine-independent. Naming runs here, on the source,
+	// never on a slot: the resolver may compress alias sets on read
+	// (MeasuredAliases) or fault stubs in on a lazy world.
 	tg := time.Now()
-	for _, tr := range traces {
-		c.ITDK.AddTrace(tr)
+	for _, m := range maps {
+		c.ITDK.AddLinks(m)
 	}
 	c.finishBootstrapGraph()
 	c.selectTargets()

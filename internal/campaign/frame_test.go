@@ -1,20 +1,25 @@
 package campaign
 
 // The coordinator's inbound path reads bytes from another process: frame
-// headers, trace chunks, shard results. These tests pin that bad input
+// headers, bootstrap link maps, shard results. These tests pin that bad input
 // costs an error within bounded memory, never a panic, a hang, or an
 // allocation the peer never paid for.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"net"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"wormhole/internal/gen"
+	"wormhole/internal/netaddr"
 	"wormhole/internal/probe"
+	"wormhole/internal/topo"
+	"wormhole/internal/wirefmt"
 )
 
 // TestReadFrameBoundsMemory is the regression test for a frame reader
@@ -25,7 +30,7 @@ import (
 func TestReadFrameBoundsMemory(t *testing.T) {
 	var hdr [5]byte
 	binary.LittleEndian.PutUint32(hdr[:4], maxFrame)
-	hdr[4] = msgTraces
+	hdr[4] = msgBootDone
 	lying := append(hdr[:], 1, 2, 3, 4)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -181,7 +186,7 @@ func sealStream(data []byte) []byte {
 // it.
 func (s *inboundSession) replay(data []byte) error {
 	x := &remoteSlot{conn: replayConn{r: bytes.NewReader(sealStream(data))}}
-	if _, err := x.traceJobs(s.jobs, func(int, *probe.Trace) error { return nil }); err != nil {
+	if _, _, err := x.traceJobs(s.jobs); err != nil {
 		return err
 	}
 	if err := x.probeShards(s.shards, s.plan, func(*shardResult) error { return nil }); err != nil {
@@ -192,11 +197,11 @@ func (s *inboundSession) replay(data []byte) error {
 }
 
 // FuzzCoordinatorInbound fuzzes the coordinator's inbound path — the
-// frame reader and the trace-chunk, counters, shard-result and
-// worker-done sections, candidates re-derived from their traces — from a
-// real worker stream, its frames bare. Any input must end in an error or
-// a clean session, never a panic or a hang. The third seed is a frame
-// header claiming 2³¹−1 bytes.
+// frame reader and the boot-done (counters and link map), shard-result
+// and worker-done sections, candidates re-derived from their traces —
+// from a real worker stream, its frames bare. Any input must end in an
+// error or a clean session, never a panic or a hang. The third seed is a
+// boot-done frame header claiming 2³¹−1 bytes.
 func FuzzCoordinatorInbound(f *testing.F) {
 	s := recordInboundSession(f)
 	bare := bareStream(f, s.stream)
@@ -205,8 +210,67 @@ func FuzzCoordinatorInbound(f *testing.F) {
 	}
 	f.Add(bare)
 	f.Add(bare[:len(bare)/2])
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, msgTraces, 1, 2, 3, 4})
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, msgBootDone, 1, 2, 3, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = s.replay(data)
 	})
+}
+
+// badBootDone are boot-done bodies whose link map the payload cannot
+// hold or whose link leaves its address list, each with the error its
+// decoder must return.
+var badBootDone = map[string]struct {
+	encode func(*frameWriter)
+	want   error
+}{
+	"address count": {func(f *frameWriter) { f.count(1 << 20) }, wirefmt.ErrTruncated},
+	"link count": {func(f *frameWriter) {
+		putList(f, []netaddr.Addr{1, 2}, f.addr)
+		f.count(1 << 20)
+	}, wirefmt.ErrTruncated},
+	"link endpoint": {func(f *frameWriter) {
+		putList(f, []netaddr.Addr{1, 2}, f.addr)
+		putList(f, []topo.Link{{A: 0, B: 1}, {A: 1, B: 2}}, f.link)
+	}, errFrameRange},
+	"link endpoint past an empty map": {func(f *frameWriter) {
+		putList(f, nil, f.addr)
+		putList(f, []topo.Link{{A: 0, B: 0}}, f.link)
+	}, errFrameRange},
+}
+
+// TestBootDoneBoundsLinkMap pins the bounds of the boot-done frame: a
+// worker's link map decodes whole, and an address or link count that
+// overruns the payload, or a link endpoint outside the address list,
+// ends the bootstrap with the frame's typed error, having allocated
+// memory in proportion to the payload rather than to the count.
+func TestBootDoneBoundsLinkMap(t *testing.T) {
+	var want topo.LinkMap
+	want.AddTrace(&probe.Trace{Hops: []probe.Hop{{Addr: 7}, {Addr: 9}, {}, {Addr: 9}, {Addr: 8}}})
+	cost := Counters{Probes: 5, Replies: 4}
+	body := sectionBody(func(f *frameWriter) {
+		f.counters(cost)
+		f.linkMap(&want)
+	})
+	x := &remoteSlot{conn: replayConn{r: bytes.NewReader(sealedFrame(msgBootDone, body))}}
+	m, c, err := x.traceJobs(nil)
+	if err != nil || c != cost || !reflect.DeepEqual(m.Addrs, want.Addrs) || !reflect.DeepEqual(m.Links, want.Links) {
+		t.Fatalf("boot-done decodes to %v %v %+v, %v; want %v %v %+v", m.Addrs, m.Links, c, err, want.Addrs, want.Links, cost)
+	}
+	for name, bad := range badBootDone {
+		body := sectionBody(func(f *frameWriter) {
+			f.counters(cost)
+			bad.encode(f)
+		})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		x := &remoteSlot{conn: replayConn{r: bytes.NewReader(sealedFrame(msgBootDone, body))}}
+		_, _, err := x.traceJobs(nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, bad.want) {
+			t.Errorf("%s: bootstrap ended with %v, want %v", name, err, bad.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+			t.Errorf("%s: decoding a %d-byte boot-done section allocated %d bytes", name, len(body), alloc)
+		}
+	}
 }

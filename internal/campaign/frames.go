@@ -9,12 +9,14 @@ package campaign
 // stack as 4-byte LSEs (traffic class and bottom-of-stack flag
 // included). The decoders read the same fields back and trust nothing:
 // a count is checked against the bytes the section has left before
-// anything is allocated, an enum against its range, and a frame with
-// bytes left over after its fields is an error, so a corrupt or hostile
-// frame costs an error within memory in proportion to its own size.
+// anything is allocated (wirefmt.ErrTruncated), an enum or a link
+// endpoint against its range (errFrameRange), and a frame with bytes
+// left over after its fields is an error, so a corrupt or hostile frame
+// costs an error within memory in proportion to its own size.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -41,6 +43,10 @@ const (
 	minRecord = minTrace + 1 + 4 + 1 + 1
 	minFP     = 4 + 5
 )
+
+// errFrameRange is the error of a decoded field outside the range its
+// frame allows.
+var errFrameRange = errors.New("frame field out of range")
 
 // frameWriter builds outbound frames in one reused buffer: the frame
 // header readFrame reads, then one section whose id is the frame type.
@@ -111,7 +117,7 @@ func (d *frameReader) addr() netaddr.Addr { return netaddr.DecodeAddr(d.Reader) 
 func (d *frameReader) enum(name string, top uint8) uint8 {
 	v := d.U8()
 	if v > top {
-		d.Fail(fmt.Errorf("%s %d out of range", name, v))
+		d.Fail(fmt.Errorf("%w: %s %d", errFrameRange, name, v))
 	}
 	return v
 }
@@ -255,6 +261,33 @@ func (d *frameReader) lse() packet.LSE {
 	e, _ := packet.DecodeLSE(d.Bytes(4)) // a short read has failed d
 	return e
 }
+
+// linkMap writes a slot's bootstrap link map: its addresses in order,
+// then its links as pairs of indices into them.
+func (f *frameWriter) linkMap(m *topo.LinkMap) {
+	putList(f, m.Addrs, f.addr)
+	putList(f, m.Links, f.link)
+}
+
+// linkMap reads a link map whose every link joins two of its addresses.
+func (d *frameReader) linkMap() *topo.LinkMap {
+	m := &topo.LinkMap{Addrs: getList(d, 4, d.addr)}
+	m.Links = getList(d, 8, func() topo.Link {
+		l := d.link()
+		if n := uint32(len(m.Addrs)); (l.A >= n || l.B >= n) && d.Err() == nil {
+			d.Fail(fmt.Errorf("%w: link %d–%d of a map of %d addresses", errFrameRange, l.A, l.B, n))
+		}
+		return l
+	})
+	return m
+}
+
+func (f *frameWriter) link(l topo.Link) {
+	f.U32(l.A)
+	f.U32(l.B)
+}
+
+func (d *frameReader) link() topo.Link { return topo.Link{A: d.U32(), B: d.U32()} }
 
 func (f *frameWriter) counters(c Counters) {
 	f.U64(c.Probes)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -310,6 +311,9 @@ type Internet struct {
 
 	// pool caches built replicas across parallel campaigns (see pool.go).
 	pool replicaPool
+
+	// routerAddrs is RouterAddrs' list, built on its first call.
+	routerAddrs []netaddr.Addr
 }
 
 // AddrInfo is the ground-truth owner of an interface address.
@@ -370,13 +374,20 @@ func (in *Internet) ASByNum(num uint32) *ASInfo {
 
 // RouterAddrs returns every registered router interface address (loopbacks
 // included), in deterministic order. Campaigns draw probing targets from
-// this set. On a lazy world it materializes the whole universe first —
-// full enumeration defeats laziness by definition; streaming campaigns
-// use ProbeSpace instead, which enumerates without constructing.
+// this set. On a lazy world the first call materializes the whole
+// universe — full enumeration defeats laziness by definition; streaming
+// campaigns use ProbeSpace instead, which enumerates without
+// constructing. Once the universe is built no router address is added
+// or removed, so the list is built on the first call and every call
+// returns it: it is read-only, and its capacity is clipped, so appending
+// to it copies. A snapshot or decoded replica builds its own.
 func (in *Internet) RouterAddrs() []netaddr.Addr {
+	if in.routerAddrs != nil {
+		return in.routerAddrs
+	}
 	in.materializeAll()
 	// Every registered router address has exactly one ground-truth row, so
-	// the index length is the exact output size.
+	// on an eager world the index length is the exact output size.
 	out := make([]netaddr.Addr, 0, len(in.addrRecs))
 	for _, as := range in.ASes {
 		for _, r := range as.Routers() {
@@ -388,7 +399,8 @@ func (in *Internet) RouterAddrs() []netaddr.Addr {
 			}
 		}
 	}
-	return out
+	in.routerAddrs = slices.Clip(out)
+	return in.routerAddrs
 }
 
 // Build generates an Internet. Worlds beyond the flat builder's AS limit

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -422,5 +423,46 @@ func TestRegionalDelays(t *testing.T) {
 	}
 	if max2 >= max {
 		t.Errorf("flat world (%v) not faster than regional (%v)", max2, max)
+	}
+}
+
+// TestRouterAddrsBuiltOnce pins RouterAddrs' cache: a second call
+// allocates nothing and returns the same list, clipped so an append by a
+// caller copies, and a snapshot or decoded replica builds its own equal
+// list rather than sharing the source's.
+func TestRouterAddrsBuiltOnce(t *testing.T) {
+	in, err := Build(smallParams(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := in.RouterAddrs()
+	if allocs := testing.AllocsPerRun(10, func() { in.RouterAddrs() }); allocs != 0 {
+		t.Errorf("a repeated call allocates %.1f objects, want 0", allocs)
+	}
+	again := in.RouterAddrs()
+	if len(first) == 0 || &again[0] != &first[0] || len(again) != len(first) || cap(first) != len(first) {
+		t.Fatalf("second call returned %d addresses (cap %d) at another array, want the first call's %d, clipped",
+			len(again), cap(again), len(first))
+	}
+	snap, err := in.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := in.EncodeWire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeWire(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Internet{"snapshot": snap, "decoded": decoded} {
+		got := r.RouterAddrs()
+		if !slices.Equal(got, first) {
+			t.Errorf("%s: %d addresses differ from the source's %d", name, len(got), len(first))
+		}
+		if len(got) > 0 && &got[0] == &first[0] {
+			t.Errorf("%s: shares the source's list", name)
+		}
 	}
 }

@@ -312,14 +312,23 @@ func (p *Prober) probe(dst netaddr.Addr, ttl uint8, method Method) netsim.ProbeO
 	return obs
 }
 
-// Traceroute traces toward dst.
+// Traceroute traces toward dst into a new Trace.
 func (p *Prober) Traceroute(dst netaddr.Addr) *Trace {
+	// Room for 16 hops up front: campaign traces run about 12, and
+	// growing the list from empty leaves as much garbage as it keeps.
+	tr := &Trace{Hops: make([]Hop, 0, 16)}
+	p.TracerouteInto(tr, dst)
+	return tr
+}
+
+// TracerouteInto traces toward dst into tr, overwriting what tr held and
+// reusing its hop list's storage, so a caller that reads each trace
+// before the next can trace any number of them without allocating.
+func (p *Prober) TracerouteInto(tr *Trace, dst netaddr.Addr) {
 	// Lazy fabrics materialize the destination's stub before the first
 	// packet toward it exists (a no-op on eager fabrics).
 	p.Net.FaultIn(dst)
-	// Room for 16 hops up front: campaign traces run about 12, and
-	// growing the list from empty leaves as much garbage as it keeps.
-	tr := &Trace{Src: p.Host.Addr(), Dst: dst, Hops: make([]Hop, 0, 16)}
+	*tr = Trace{Src: p.Host.Addr(), Dst: dst, Hops: tr.Hops[:0]}
 	p.seq = p.traceSeed(dst)
 	gaps := 0
 	attempts := p.Attempts
@@ -356,7 +365,6 @@ func (p *Prober) Traceroute(dst netaddr.Addr) *Trace {
 			break
 		}
 	}
-	return tr
 }
 
 // Ping sends one echo request with the given TTL (0 means 64) and reports

@@ -129,23 +129,68 @@ func slot(nbrs []*Node, id NodeID) (int, bool) {
 // is resolved once, and only when it takes part in a link, so a hop that
 // links to nothing adds no node.
 func (g *Graph) AddTrace(tr *probe.Trace) {
-	var prev *Node // prevAddr's node; nil until a link needs it
-	var prevAddr netaddr.Addr
-	havePrev := false
-	for _, h := range tr.Hops {
+	var prev *Node // the last link's far end
+	w := linkWalk{hops: tr.Hops}
+	for {
+		a, b, chained, ok := w.next()
+		if !ok {
+			return
+		}
+		if !chained {
+			prev = g.NodeFor(a)
+		}
+		cur := g.NodeFor(b)
+		g.link(prev, cur)
+		prev = cur
+	}
+}
+
+// linkWalk is the one hop walk behind Graph.AddTrace and
+// LinkMap.AddTrace: it steps through a trace's links, the pairs of
+// consecutive responding hops with distinct addresses.
+type linkWalk struct {
+	hops    []probe.Hop  // not yet walked
+	prev    netaddr.Addr // the last responding hop, while have
+	have    bool
+	chained bool // prev is the far end of the last link returned
+}
+
+// next returns the walk's next link a–b, and whether a is the far end of
+// the link before it. A caller that resolves a only when it is not
+// resolves each hop once, and only when it takes part in a link, so both
+// callers resolve the same addresses in the same order.
+func (w *linkWalk) next() (a, b netaddr.Addr, chained, ok bool) {
+	for i, h := range w.hops {
 		switch {
 		case h.Anonymous():
-			havePrev = false
-		case !havePrev:
-			prev, prevAddr, havePrev = nil, h.Addr, true
-		case h.Addr != prevAddr:
-			if prev == nil {
-				prev = g.NodeFor(prevAddr)
-			}
-			cur := g.NodeFor(h.Addr)
-			g.link(prev, cur)
-			prev, prevAddr = cur, h.Addr
+			w.have = false
+		case !w.have:
+			w.prev, w.have, w.chained = h.Addr, true, false
+		case h.Addr != w.prev:
+			a, b, chained = w.prev, h.Addr, w.chained
+			w.hops = w.hops[i+1:]
+			w.prev, w.chained = h.Addr, true
+			return a, b, chained, true
 		}
+	}
+	w.hops = nil
+	return 0, 0, false, false
+}
+
+// AddLinks inserts the links of a link map: it resolves the map's
+// addresses in order, then links their pairs. Over the maps of
+// consecutive runs of traces, taken in order, it builds exactly the graph
+// AddTrace builds over the traces one by one: NodeFor acts only on an
+// address's first call, a map keeps its addresses in the order the graph
+// would first resolve them, and link does not depend on call order.
+// Every link must index m.Addrs.
+func (g *Graph) AddLinks(m *LinkMap) {
+	nodes := make([]*Node, len(m.Addrs))
+	for i, a := range m.Addrs {
+		nodes[i] = g.NodeFor(a)
+	}
+	for _, l := range m.Links {
+		g.link(nodes[l.A], nodes[l.B])
 	}
 }
 

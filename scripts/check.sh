@@ -21,9 +21,9 @@
 # silently shedding tests; the suite is not -short, so it includes the
 # race tier: TestRaceTier shells out to `go test -race` over the
 # concurrency-heavy packages), then short native-fuzz smokes over churn
-# masking, the snapshot wire decoder, the distributed coordinator's and
-# worker's inbound frame paths, engine equivalence over generated worlds
-# and the dataset reader. Then the distributed smoke: a real 2-process
+# masking, the snapshot wire decoder, the bootstrap link-map replay, the
+# distributed coordinator's and worker's inbound frame paths, engine
+# equivalence over generated worlds and the dataset reader. Then the distributed smoke: a real 2-process
 # campaign over a Unix socket byte-compared to serial. Last, REPORT.md
 # regenerated with the same binary and byte-compared to the committed
 # file.
@@ -78,7 +78,9 @@ check_floor topo 85
 # fuzzer (a cached fabric against the cache-off oracle under
 # gen.BuildChurnPlan schedules), the wire-format reader fuzzer, the
 # snapshot decoder fuzzer (section payloads mutated and re-sealed past
-# their checksums), the coordinator and worker inbound-path fuzzers, the
+# their checksums), the link-map replay differential (link maps of
+# consecutive runs of traces against AddTrace over the traces one by
+# one), the coordinator and worker inbound-path fuzzers, the
 # engine differential (drawn generator Params and campaign configs, every
 # engine against the cache-off serial run on a fresh build) and the JSONL
 # dataset reader behind `wormhole analyze`.
@@ -88,6 +90,7 @@ check_floor topo 85
 # peer sends one.
 go test ./internal/wirefmt/ -run='^$' -fuzz=FuzzReader -fuzztime=10s
 go test ./internal/gen/ -run='^$' -fuzz=FuzzDecodeWire -fuzztime=10s
+go test ./internal/topo/ -run='^$' -fuzz=FuzzLinkMapReplay -fuzztime=10s
 # The masking, inbound, engine and dataset fuzzers' inputs are whole probe
 # sequences, sessions, campaigns and datasets; bound the minimization of
 # each new input so the smokes spend their time mutating.
