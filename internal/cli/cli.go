@@ -36,7 +36,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	out = stdout
+	out, errOut = stdout, stderr
 	var err error
 	switch args[0] {
 	case "emulate":
@@ -71,9 +71,10 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// out is the active stdout for the running command; Main sets it before
-// dispatch. Subcommands print through printf/println.
-var out io.Writer = os.Stdout
+// out and errOut are the active stdout and stderr for the running
+// command; Main sets them before dispatch. Subcommands print through
+// printf/println.
+var out, errOut io.Writer = os.Stdout, os.Stderr
 
 func printf(format string, a ...any) { fmt.Fprintf(out, format, a...) }
 func println(a ...any)               { fmt.Fprintln(out, a...) }
@@ -721,7 +722,7 @@ func cmdExperiments(args []string) error {
 			continue
 		}
 		if r.NeedsWorld && w == nil {
-			fmt.Fprintf(os.Stderr, "building world (seed %d, scale %s)...\n", *seed, *scaleName)
+			fmt.Fprintf(errOut, "building world (seed %d, scale %s)...\n", *seed, *scaleName)
 			if w, err = experiments.NewWorld(*seed, scale); err != nil {
 				return err
 			}

@@ -132,6 +132,21 @@ func TestExperimentsSubset(t *testing.T) {
 	}
 }
 
+// TestExperimentsProgressOnStderr checks that the world-building line
+// goes to the stderr Main was given, not to the process's.
+func TestExperimentsProgressOnStderr(t *testing.T) {
+	code, stdout, stderr := run(t, "experiments", "-scale", "small", "-seed", "3", "fig1")
+	if code != 0 {
+		t.Fatalf("code=%d stderr=%q", code, stderr)
+	}
+	if !strings.Contains(stderr, "building world (seed 3, scale small)...") {
+		t.Errorf("stderr = %q, want the world-building line", stderr)
+	}
+	if strings.Contains(stdout, "building world") {
+		t.Error("world-building line on stdout")
+	}
+}
+
 func TestGraphCommand(t *testing.T) {
 	dir := t.TempDir()
 	before := filepath.Join(dir, "b.dot")

@@ -13,27 +13,20 @@ import (
 // and compares the resulting graphs. It quantifies how much of the HDN
 // analysis survives realistic, incomplete alias resolution.
 func AliasQuality(w *World) (*Report, error) {
-	// Fresh internets with the same seed so both campaigns probe
-	// identical worlds.
+	// Both campaigns probe one world: a campaign's output does not depend
+	// on what the fabric probed before it.
 	p := Small.Params(808)
 	if w != nil && len(w.In.ASes) > 20 {
 		p = Medium.Params(808)
 	}
-	build := func() (*gen.Internet, error) { return gen.Build(p) }
-
-	inTruth, err := build()
+	in, err := gen.Build(p)
 	if err != nil {
 		return nil, err
 	}
-	truth := campaign.Run(inTruth, campaign.DefaultConfig())
-
-	inMeasured, err := build()
-	if err != nil {
-		return nil, err
-	}
+	truth := campaign.Run(in, campaign.DefaultConfig())
 	cfg := campaign.DefaultConfig()
 	cfg.MeasuredAliases = true
-	measured := campaign.Run(inMeasured, cfg)
+	measured := campaign.Run(in, cfg)
 
 	revealedHops := func(c *campaign.Campaign) int {
 		n := 0

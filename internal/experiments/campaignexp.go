@@ -676,16 +676,16 @@ func Fig10DegreeCorrection(w *World) (*Report, error) {
 	sb.WriteString(before.DegreeHistogram().Render("all ASes, invisible", 40))
 	sb.WriteString("\n" + after.DegreeHistogram().Render("all ASes, visible (revealed)", 40))
 
-	// Densest candidate AS: render its distributions and check that the
-	// false LER mesh dissolves (edges among candidate LERs drop — the
-	// degree histogram itself may shift mass around as revealed LSRs join
-	// the subgraph, so the mesh density is the faithful criterion, as in
-	// Table 4).
+	// Densest candidate AS, the lowest ASN on a tie: render its
+	// distributions and check that the false LER mesh dissolves (edges
+	// among candidate LERs drop — the degree histogram itself may shift
+	// mass around as revealed LSRs join the subgraph, so the mesh density
+	// is the faithful criterion, as in Table 4).
 	views := buildASViews(w.C)
 	bestASN, bestRevealed := uint32(0), 0
-	for asn, v := range views {
+	for _, asn := range sortedKeys(views) {
 		revealed := 0
-		for _, rev := range v.pairs {
+		for _, rev := range views[asn].pairs {
 			if rev != nil && len(rev.Hops) > 0 {
 				revealed++
 			}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"wormhole/internal/anomaly"
 	"wormhole/internal/fingerprint"
 	"wormhole/internal/lab"
 	"wormhole/internal/netaddr"
@@ -103,26 +104,19 @@ func Table1Signatures() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		// P1 answers probe TTL 3 with a time-exceeded; ping it for the
-		// echo half.
-		tr := l.Prober.Traceroute(l.CE2Left)
-		var te uint8
-		for _, h := range tr.Hops {
-			if h.Addr == l.P1Left {
-				te = h.ReplyTTL
-			}
-		}
-		echo, got := l.Prober.Ping(l.P1Left, 64)
-		if !got {
+		// P1 answers probe TTL 3 with a time-exceeded; the fingerprinter
+		// pings it for the echo half.
+		p1 := hopAt(l.Prober.Traceroute(l.CE2Left), l.P1Left)
+		res, found := fingerprint.New(l.Prober).FromHop(p1)
+		if !found {
 			ok = false
 			continue
 		}
-		sig := fmt.Sprintf("<%d, %d>", fingerprint.InferInitial(te), fingerprint.InferInitial(echo.ReplyTTL))
-		want := fmt.Sprintf("<%d, %d>", pc.p.TimeExceededTTL, pc.p.EchoReplyTTL)
-		if sig != want {
+		sig := res.Signature
+		if sig != (fingerprint.Signature{TimeExceeded: pc.p.TimeExceededTTL, EchoReply: pc.p.EchoReplyTTL}) {
 			ok = false
 		}
-		rows = append(rows, []string{sig, pc.brand})
+		rows = append(rows, []string{fmt.Sprintf("<%d, %d>", sig.TimeExceeded, sig.EchoReply), pc.brand})
 	}
 	check := "all four signatures recovered exactly"
 	if !ok {
@@ -147,19 +141,18 @@ func Table2Visibility() (*Report, error) {
 		internal   bool
 	}
 	classify := func(c combo) (string, error) {
-		scenario := lab.BackwardRecursive
-		if c.propagate {
-			scenario = lab.Default
-		}
-		if c.ldp == router.LDPHostRoutesOnly && !c.propagate {
-			scenario = lab.ExplicitRoute
-		}
-		opts := lab.Options{Scenario: scenario}
-		if c.ldp == router.LDPHostRoutesOnly && c.propagate {
-			// Propagating host-routes network: build Default then flip
-			// policies is not directly expressible via Scenario; emulate by
-			// using ExplicitRoute + propagate override below.
+		opts := lab.Options{Scenario: lab.BackwardRecursive, PE2Personality: router.Cisco}
+		switch {
+		case c.ldp == router.LDPHostRoutesOnly:
+			// A propagating host-routes network is ExplicitRoute with
+			// ttl-propagate switched back on after the build.
 			opts.Scenario = lab.ExplicitRoute
+		case c.propagate:
+			opts.Scenario = lab.Default
+		}
+		if c.juniperLER {
+			// RTLA needs a <255,64> egress.
+			opts.PE2Personality = router.Juniper
 		}
 		l, err := lab.Build(opts)
 		if err != nil {
@@ -172,10 +165,6 @@ func Table2Visibility() (*Report, error) {
 				r.SetConfig(cfg)
 			}
 		}
-		if c.juniperLER {
-			// RTLA needs a <255,64> egress.
-			swapPersonality(l.PE2, router.Juniper)
-		}
 		target := l.CE2Left
 		if c.internal {
 			target = l.PE2Left
@@ -184,7 +173,6 @@ func Table2Visibility() (*Report, error) {
 
 		labeled := false
 		sawP := false
-		var egressHop probe.Hop
 		for _, h := range tr.Hops {
 			if h.Labeled() {
 				labeled = true
@@ -192,39 +180,22 @@ func Table2Visibility() (*Report, error) {
 			if h.Addr == l.P1Left || h.Addr == l.P2Left || h.Addr == l.P3Left {
 				sawP = true
 			}
-			if h.Addr == l.PE2Left {
-				egressHop = h
-			}
 		}
 		switch {
 		case labeled:
 			return "explicit LSP (no shift, no gap)", nil
 		case sawP:
 			return "route without labels (DPR/BRPR)", nil
+		}
+		// Invisible: check FRPLA shift and RTLA gap on the egress.
+		shift, gap := egressSignals(l, hopAt(tr, l.PE2Left), opts.PE2Personality)
+		switch {
+		case shift && gap:
+			return "invisible LSP (shift FRPLA, gap RTLA)", nil
+		case shift:
+			return "invisible LSP (shift FRPLA, no gap)", nil
 		default:
-			// Invisible: check FRPLA shift and RTLA gap on the egress.
-			shift := false
-			if !egressHop.Anonymous() {
-				if s, ok := reveal.FRPLA(egressHop, 255); ok && s.RFA() > 0 {
-					shift = true
-				}
-			}
-			gap := false
-			if c.juniperLER && !egressHop.Anonymous() {
-				if echo, ok := l.Prober.Ping(l.PE2Left, 64); ok {
-					gap = reveal.RTLA(egressHop.ReplyTTL, echo.ReplyTTL) > 0
-				}
-			}
-			desc := "invisible LSP"
-			switch {
-			case shift && gap:
-				desc += " (shift FRPLA, gap RTLA)"
-			case shift:
-				desc += " (shift FRPLA, no gap)"
-			default:
-				desc += " (no shift)"
-			}
-			return desc, nil
+			return "invisible LSP (no shift)", nil
 		}
 	}
 
@@ -267,59 +238,74 @@ func Table2Visibility() (*Report, error) {
 	}, nil
 }
 
-// swapPersonality is a small helper for scenario variants.
-func swapPersonality(r *router.Router, p router.Personality) {
-	// Router personality is fixed at construction; rebuilding the lab for
-	// one field would be wasteful, so the router package could expose a
-	// setter. Tests reach the same effect through lab.Options; here we
-	// rebuild via the exported surface.
-	r.SetPersonality(p)
-}
-
 // Fig6RTTCorrection regenerates Fig. 6: the RTT staircase across an
-// invisible tunnel before and after hop revelation. The revealed curve
-// comes from a DPR-style trace (pure IGP path), as in the paper's
-// campaign: time-exceeded replies from inside a live LSP detour via the
-// tunnel tail and would not expose the per-hop delay decomposition.
+// invisible tunnel whose interior links are slow. The delay-anomaly
+// detector runs the augmented traceroute across it and attributes the one
+// large RTT jump to the hidden LSRs it reveals there.
 func Fig6RTTCorrection() (*Report, error) {
-	// Fat links inside the tunnel: the invisible trace shows one large
-	// RTT jump at the egress, the revealed trace decomposes it.
-	const tunnelDelay = 8 * time.Millisecond
-	inv, err := lab.Build(lab.Options{Scenario: lab.BackwardRecursive, TunnelDelay: tunnelDelay})
-	if err != nil {
-		return nil, err
-	}
-	vis, err := lab.Build(lab.Options{Scenario: lab.ExplicitRoute, TunnelDelay: tunnelDelay})
+	l, findings, at, err := fig6Detect()
 	if err != nil {
 		return nil, err
 	}
 	var sb strings.Builder
-	render := func(name string, l *lab.Lab, dst netaddr.Addr) (jump time.Duration, hops int) {
-		tr := l.Prober.Traceroute(dst)
-		fmt.Fprintf(&sb, "%s:\n", name)
-		var prev time.Duration
-		for i, h := range tr.Hops {
-			if h.Anonymous() {
-				continue
-			}
-			fmt.Fprintf(&sb, "  hop %2d  %-14s rtt=%v\n", i+1, h.Addr, h.RTT)
-			if h.RTT-prev > jump {
-				jump = h.RTT - prev
-			}
-			prev = h.RTT
-			hops++
+	sb.WriteString("augmented trace:\n")
+	for _, h := range at.Hops {
+		if h.Anonymous() {
+			continue
 		}
-		return jump, hops
+		fmt.Fprintf(&sb, "  hop %2d  %-14s rtt=%v\n", h.ProbeTTL, h.Addr, h.RTT)
+		for _, a := range h.Hidden {
+			fmt.Fprintf(&sb, "          %-14s revealed\n", a)
+		}
 	}
-	invJump, invHops := render("invisible", inv, inv.CE2Left)
-	visJump, visHops := render("visible (revealed via DPR)", vis, vis.PE2Left)
-	check := fmt.Sprintf("invisible: %d hops, max step %v; visible: %d hops, max step %v", invHops, invJump, visHops, visJump)
-	if !(visHops > invHops && invJump > visJump) {
-		check = "FAILED: " + check
-	} else {
-		check += " — the delay jump decomposes across revealed hops"
+	check := fmt.Sprintf("FAILED: %d delay jumps, want one", len(findings))
+	if len(findings) == 1 {
+		f := findings[0]
+		check = fmt.Sprintf("the %v jump after %s decomposes across %d revealed hops, ~%v per link", f.Jump, f.After, f.HiddenHops, f.PerHop)
+		if f.Attribution != anomaly.InvisibleTunnel || f.After != l.PE1Left || f.HiddenHops != 3 || f.PerHop >= f.Jump {
+			check = fmt.Sprintf("FAILED: attributed %s: %s", f.Attribution, check)
+		}
 	}
 	return &Report{ID: "fig6", Title: "RTT correction with hop revelation", Text: sb.String(), Check: check}, nil
+}
+
+// fig6Detect builds Fig. 6's testbed, an invisible tunnel over 8 ms
+// links, and runs the delay-anomaly detector to CE2 across it.
+func fig6Detect() (*lab.Lab, []anomaly.Finding, *reveal.AugmentedTrace, error) {
+	l, err := lab.Build(lab.Options{Scenario: lab.BackwardRecursive, TunnelDelay: 8 * time.Millisecond})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	findings, at := anomaly.Detect(l.Prober, l.CE2Left, 10*time.Millisecond)
+	return l, findings, at, nil
+}
+
+// hopAt returns the hop of tr that replied from addr, or an anonymous hop
+// if none did.
+func hopAt(tr *probe.Trace, addr netaddr.Addr) probe.Hop {
+	for _, h := range tr.Hops {
+		if h.Addr == addr {
+			return h
+		}
+	}
+	return probe.Hop{}
+}
+
+// egressSignals reports the two signals an invisible tunnel leaves on its
+// egress LER's hop: the FRPLA shift (a return path longer than the
+// forward one) and, when the LER's echo and time-exceeded initial TTLs
+// differ, the RTLA gap between a ping to PE2 and the hop's reply.
+func egressSignals(l *lab.Lab, egress probe.Hop, pers router.Personality) (shift, gap bool) {
+	if egress.Anonymous() {
+		return false, false
+	}
+	s, ok := reveal.FRPLA(egress, pers.TimeExceededTTL)
+	shift = ok && s.RFA() > 0
+	if pers.EchoReplyTTL != pers.TimeExceededTTL {
+		echo, ok := l.Prober.Ping(l.PE2Left, 64)
+		gap = ok && reveal.RTLA(egress.ReplyTTL, echo.ReplyTTL) > 0
+	}
+	return shift, gap
 }
 
 // Table6Applicability regenerates Table 6: which techniques fire for the
@@ -332,24 +318,8 @@ func Table6Applicability() (*Report, error) {
 		if err != nil {
 			return o, err
 		}
-		tr := l.Prober.Traceroute(l.CE2Left)
-		var egress probe.Hop
-		for _, h := range tr.Hops {
-			if h.Addr == l.PE2Left {
-				egress = h
-			}
-		}
-		if !egress.Anonymous() {
-			init := pers.TimeExceededTTL
-			if s, ok := reveal.FRPLA(egress, init); ok && s.RFA() > 0 {
-				o.frpla = true
-			}
-			if pers.EchoReplyTTL != pers.TimeExceededTTL {
-				if echo, ok := l.Prober.Ping(l.PE2Left, 64); ok && reveal.RTLA(egress.ReplyTTL, echo.ReplyTTL) > 0 {
-					o.rtla = true
-				}
-			}
-		}
+		egress := hopAt(l.Prober.Traceroute(l.CE2Left), l.PE2Left)
+		o.frpla, o.rtla = egressSignals(l, egress, pers)
 		rev := reveal.Reveal(l.Prober, l.PE1Left, l.PE2Left)
 		switch rev.Technique {
 		case reveal.TechDPR:

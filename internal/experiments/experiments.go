@@ -141,21 +141,15 @@ type World struct {
 }
 
 // NewWorld generates an Internet at the given scale and runs the campaign
-// with the default worker pool (one worker per CPU).
+// with the default worker pool (one worker per CPU). The results do not
+// depend on the CPU count; only wall-clock does.
 func NewWorld(seed int64, scale Scale) (*World, error) {
-	return NewWorldParallel(seed, scale, 0)
-}
-
-// NewWorldParallel is NewWorld with an explicit worker-pool size for the
-// campaign's probing phase (0 means GOMAXPROCS). Results are identical at
-// every worker count; only wall-clock changes.
-func NewWorldParallel(seed int64, scale Scale, workers int) (*World, error) {
 	in, err := gen.Build(scale.Params(seed))
 	if err != nil {
 		return nil, err
 	}
 	cfg := scale.CampaignConfig() // adaptive HDN threshold; sampled at Large+
-	c, err := campaign.RunParallel(in, cfg, campaign.ParallelConfig{Workers: workers})
+	c, err := campaign.RunParallel(in, cfg, campaign.ParallelConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"wormhole/internal/anomaly"
 	"wormhole/internal/campaign"
+	"wormhole/internal/netaddr"
 )
 
 // world is shared across experiment tests (building it dominates runtime).
@@ -87,6 +89,55 @@ func TestChurnRowsProbeBaselineTargets(t *testing.T) {
 		}
 		if churnExpRates[i] > 0 && cc.ChurnEvents == 0 {
 			t.Errorf("churn rate %.0f fired no events", churnExpRates[i])
+		}
+	}
+}
+
+// TestFig6AttributesJumpToRevealedHops pins Fig. 6's finding: one RTT
+// jump, right after PE1, attributed to an invisible tunnel whose hidden
+// hops are P1, P2 and P3, with a per-link share below the jump.
+func TestFig6AttributesJumpToRevealedHops(t *testing.T) {
+	l, findings, at, err := fig6Detect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 {
+		t.Fatalf("findings = %+v, want one", findings)
+	}
+	f := findings[0]
+	if f.Attribution != anomaly.InvisibleTunnel || f.After != l.PE1Left {
+		t.Errorf("jump after %s attributed %s, want %s after PE1.left %s", f.After, f.Attribution, anomaly.InvisibleTunnel, l.PE1Left)
+	}
+	if f.PerHop >= f.Jump {
+		t.Errorf("per-link share %v not below the %v jump", f.PerHop, f.Jump)
+	}
+	var hidden []netaddr.Addr
+	for _, h := range at.Hops {
+		if h.Addr == f.After {
+			hidden = h.Hidden
+		}
+	}
+	if want := []netaddr.Addr{l.P1Left, l.P2Left, l.P3Left}; f.HiddenHops != 3 || !slices.Equal(hidden, want) {
+		t.Errorf("%d hidden hops %v, want %v", f.HiddenHops, hidden, want)
+	}
+}
+
+// TestFig10DensestASDeterministic pins Fig. 10's choice of AS on a world
+// where two ASes tie at the most revealed pairs (AS4 and AS7 at two each,
+// Small seed 3): every call must name the lower ASN, not whichever AS the
+// map yields first.
+func TestFig10DensestASDeterministic(t *testing.T) {
+	w, err := NewWorld(3, Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		rep, err := Fig10DegreeCorrection(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(rep.Text, "AS4 (densest mesh)") {
+			t.Fatalf("call %d picked another AS:\n%s", i, rep.Text)
 		}
 	}
 }

@@ -53,7 +53,12 @@ func TestFlowCacheInvalidatedByMutations(t *testing.T) {
 		name   string
 		mutate func(l *Lab)
 	}{
-		{"SetPersonality", func(l *Lab) { l.PE2.SetPersonality(router.Juniper) }},
+		{"SetConfig", func(l *Lab) {
+			// The ingress stops propagating TTL: the tunnel goes invisible.
+			cfg := l.PE1.Config()
+			cfg.TTLPropagate = false
+			l.PE1.SetConfig(cfg)
+		}},
 		{"ClearMPLS", func(l *Lab) { l.P2.ClearMPLS() }},
 		{"DeleteRoute", func(l *Lab) {
 			// Withdraw whatever P2 resolves for CE2's access link.

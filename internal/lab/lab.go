@@ -1,9 +1,12 @@
-// Package lab builds the paper's GNS3 validation testbed (Fig. 2): a
+// Package lab builds two emulation testbeds, both chains of ASes wired by
+// one builder. Build is the paper's GNS3 validation testbed (Fig. 2): a
 // client AS1 (CE1, with the vantage point behind it), an MPLS transit AS2
 // (PE1 - P1 - P2 - P3 - PE2 running LDP over an OSPF-like IGP), and a
 // client AS3 (CE2). The four emulation scenarios of Sec. 3.3 are selected
 // by Scenario; the expected traceroute outputs — including bracketed
-// return TTLs — are the golden data of Fig. 4.
+// return TTLs — are the golden data of Fig. 4. BuildDouble puts two
+// invisible MPLS transit ASes in sequence, the Sec. 7 case where a trace
+// crosses several tunnels.
 package lab
 
 import (
@@ -50,6 +53,10 @@ func (s Scenario) String() string {
 	}
 }
 
+// linkDelay is the one-way delay of every testbed link outside a
+// TunnelDelay tunnel.
+const linkDelay = time.Millisecond
+
 // Options tunes the testbed build.
 type Options struct {
 	Scenario Scenario
@@ -58,11 +65,10 @@ type Options struct {
 	// PE2Personality overrides the egress LER's OS (RTLA experiments use
 	// Juniper here). Zero value means "same as AS2Personality".
 	PE2Personality router.Personality
-	// LinkDelay is the one-way delay of every link (default 1ms).
-	LinkDelay time.Duration
 	// TunnelDelay, when non-zero, is used for the three links inside the
-	// LSP (P1-P2, P2-P3, P3-PE2) instead of LinkDelay, so
-	// delay-decomposition experiments (Fig. 6) see an interesting profile.
+	// LSP (P1-P2, P2-P3, P3-PE2) instead of the 1 ms of every other link,
+	// so delay-decomposition experiments (Fig. 6) see an interesting
+	// profile.
 	TunnelDelay time.Duration
 }
 
@@ -84,10 +90,8 @@ type Lab struct {
 	CE2Left netaddr.Addr
 	CE2Lo   netaddr.Addr
 	PE2Lo   netaddr.Addr
-	PE1Lo   netaddr.Addr
 
 	Prober *probe.Prober
-	SPF2   *igp.Result
 }
 
 // Build constructs the testbed.
@@ -98,11 +102,8 @@ func Build(o Options) (*Lab, error) {
 	if o.PE2Personality.Name == "" {
 		o.PE2Personality = o.AS2Personality
 	}
-	if o.LinkDelay == 0 {
-		o.LinkDelay = time.Millisecond
-	}
 	if o.TunnelDelay == 0 {
-		o.TunnelDelay = o.LinkDelay
+		o.TunnelDelay = linkDelay
 	}
 
 	as2cfg := router.Config{MPLSEnabled: true}
@@ -121,128 +122,39 @@ func Build(o Options) (*Lab, error) {
 		return nil, fmt.Errorf("lab: unknown scenario %d", o.Scenario)
 	}
 	ipCfg := router.Config{TTLPropagate: true} // plain IP client routers
+	as2 := o.AS2Personality
 
-	net := netsim.New()
-	l := &Lab{Net: net}
-
-	l.CE1 = router.New("CE1", router.Cisco, ipCfg)
-	l.PE1 = router.New("PE1", o.AS2Personality, as2cfg)
-	l.P1 = router.New("P1", o.AS2Personality, as2cfg)
-	l.P2 = router.New("P2", o.AS2Personality, as2cfg)
-	l.P3 = router.New("P3", o.AS2Personality, as2cfg)
-	l.PE2 = router.New("PE2", o.PE2Personality, as2cfg)
-	l.CE2 = router.New("CE2", router.Cisco, ipCfg)
-	routers := []*router.Router{l.CE1, l.PE1, l.P1, l.P2, l.P3, l.PE2, l.CE2}
-	for _, r := range routers {
-		net.AddNode(r)
-	}
-
-	// Loopbacks.
-	l.CE1.SetLoopback(netaddr.MustParseAddr("192.168.1.1"))
-	l.PE1.SetLoopback(netaddr.MustParseAddr("192.168.2.1"))
-	l.P1.SetLoopback(netaddr.MustParseAddr("192.168.2.2"))
-	l.P2.SetLoopback(netaddr.MustParseAddr("192.168.2.3"))
-	l.P3.SetLoopback(netaddr.MustParseAddr("192.168.2.4"))
-	l.PE2.SetLoopback(netaddr.MustParseAddr("192.168.2.5"))
-	l.CE2.SetLoopback(netaddr.MustParseAddr("192.168.3.1"))
-	l.PE1Lo = l.PE1.Loopback().Addr
-	l.PE2Lo = l.PE2.Loopback().Addr
-	l.CE2Lo = l.CE2.Loopback().Addr
-
-	type wire struct {
-		a, b         *router.Router
-		aName, bName string
-		prefix       string
-		delay        time.Duration
-	}
-	wires := []wire{
-		{l.CE1, l.PE1, "right", "left", "10.12.0.0/30", o.LinkDelay},
-		{l.PE1, l.P1, "right", "left", "10.2.1.0/30", o.LinkDelay},
-		{l.P1, l.P2, "right", "left", "10.2.2.0/30", o.TunnelDelay},
-		{l.P2, l.P3, "right", "left", "10.2.3.0/30", o.TunnelDelay},
-		{l.P3, l.PE2, "right", "left", "10.2.4.0/30", o.TunnelDelay},
-		{l.PE2, l.CE2, "right", "left", "10.23.0.0/30", o.LinkDelay},
-	}
-	ifaces := map[string]*netsim.Iface{}
-	for _, w := range wires {
-		p := netaddr.MustParsePrefix(w.prefix)
-		ai := w.a.AddIface(w.aName, p.Nth(1), p)
-		bi := w.b.AddIface(w.bName, p.Nth(2), p)
-		net.Connect(ai, bi, w.delay)
-		ifaces[w.a.Name()+"."+w.aName] = ai
-		ifaces[w.b.Name()+"."+w.bName] = bi
-	}
-
-	// The vantage point hangs off CE1's left side.
-	vpPrefix := netaddr.MustParsePrefix("10.1.0.0/30")
-	l.VP = netsim.NewHost("VP", vpPrefix.Nth(1), vpPrefix)
-	net.AddNode(l.VP)
-	ce1Left := l.CE1.AddIface("left", vpPrefix.Nth(2), vpPrefix)
-	net.Connect(l.VP.If, ce1Left, o.LinkDelay)
-	ifaces["CE1.left"] = ce1Left
-
-	l.VPAddr = l.VP.Addr()
-	l.CE1Left = ce1Left.Addr
-	l.PE1Left = ifaces["PE1.left"].Addr
-	l.P1Left = ifaces["P1.left"].Addr
-	l.P2Left = ifaces["P2.left"].Addr
-	l.P3Left = ifaces["P3.left"].Addr
-	l.PE2Left = ifaces["PE2.left"].Addr
-	l.CE2Left = ifaces["CE2.left"].Addr
-
-	if err := checkAddrs(routers, l.VP); err != nil {
-		return nil, err
-	}
-
-	// IGPs.
-	dom1 := &igp.Domain{Routers: []*router.Router{l.CE1}}
-	spf1, err := dom1.Compute()
+	c, err := buildChain([]chainAS{
+		{1, []string{"10.1.0.0/30", "192.168.1.1/32"}, []chainRouter{{"CE1", router.Cisco, ipCfg, "192.168.1.1"}}},
+		{2, []string{"10.2.0.0/16", "10.12.0.0/30", "10.23.0.0/30", "192.168.2.0/24"}, []chainRouter{
+			{"PE1", as2, as2cfg, "192.168.2.1"},
+			{"P1", as2, as2cfg, "192.168.2.2"},
+			{"P2", as2, as2cfg, "192.168.2.3"},
+			{"P3", as2, as2cfg, "192.168.2.4"},
+			{"PE2", o.PE2Personality, as2cfg, "192.168.2.5"},
+		}},
+		{3, []string{"192.168.3.1/32"}, []chainRouter{{"CE2", router.Cisco, ipCfg, "192.168.3.1"}}},
+	}, []chainLink{
+		{"10.12.0.0/30", linkDelay},
+		{"10.2.1.0/30", linkDelay},
+		{"10.2.2.0/30", o.TunnelDelay},
+		{"10.2.3.0/30", o.TunnelDelay},
+		{"10.2.4.0/30", o.TunnelDelay},
+		{"10.23.0.0/30", linkDelay},
+	})
 	if err != nil {
 		return nil, err
 	}
-	dom2 := &igp.Domain{Routers: []*router.Router{l.PE1, l.P1, l.P2, l.P3, l.PE2}}
-	spf2, err := dom2.Compute()
-	if err != nil {
-		return nil, err
-	}
-	l.SPF2 = spf2
-	dom3 := &igp.Domain{Routers: []*router.Router{l.CE2}}
-	spf3, err := dom3.Compute()
-	if err != nil {
-		return nil, err
-	}
-
-	// LDP inside AS2.
-	ldp.Build(dom2.Routers, spf2)
-
-	// BGP.
-	as1 := &bgp.AS{Num: 1, Routers: dom1.Routers, SPF: spf1,
-		Prefixes: []netaddr.Prefix{
-			netaddr.MustParsePrefix("10.1.0.0/30"),
-			netaddr.MustParsePrefix("192.168.1.1/32"),
-		}}
-	as2 := &bgp.AS{Num: 2, Routers: dom2.Routers, SPF: spf2,
-		Prefixes: []netaddr.Prefix{
-			netaddr.MustParsePrefix("10.2.0.0/16"),
-			netaddr.MustParsePrefix("10.12.0.0/30"),
-			netaddr.MustParsePrefix("10.23.0.0/30"),
-			netaddr.MustParsePrefix("192.168.2.0/24"),
-		}}
-	as3 := &bgp.AS{Num: 3, Routers: dom3.Routers, SPF: spf3,
-		Prefixes: []netaddr.Prefix{netaddr.MustParsePrefix("192.168.3.1/32")}}
-	topo := &bgp.Topology{
-		ASes: []*bgp.AS{as1, as2, as3},
-		Sessions: []*bgp.Session{
-			{A: l.CE1, B: l.PE1, AIf: ifaces["CE1.right"], BIf: ifaces["PE1.left"], Rel: bgp.ACustomerOfB},
-			{A: l.CE2, B: l.PE2, AIf: ifaces["CE2.left"], BIf: ifaces["PE2.right"], Rel: bgp.ACustomerOfB},
-		},
-	}
-	if err := bgp.Compute(topo); err != nil {
-		return nil, err
-	}
-
-	l.Prober = probe.New(net, l.VP)
-	return l, nil
+	r, left := c.routers, c.left
+	return &Lab{
+		Net: c.net, VP: c.vp, Prober: c.prober,
+		CE1: r[0], PE1: r[1], P1: r[2], P2: r[3], P3: r[4], PE2: r[5], CE2: r[6],
+		VPAddr:  c.vp.Addr(),
+		CE1Left: left[0], PE1Left: left[1], P1Left: left[2], P2Left: left[3],
+		P3Left: left[4], PE2Left: left[5], CE2Left: left[6],
+		CE2Lo: r[6].Loopback().Addr,
+		PE2Lo: r[5].Loopback().Addr,
+	}, nil
 }
 
 // MustBuild is Build for tests and examples.
@@ -252,6 +164,114 @@ func MustBuild(o Options) *Lab {
 		panic(err)
 	}
 	return l
+}
+
+// chainAS is one AS of a chain testbed: its number, the prefixes it
+// announces, and its routers in path order.
+type chainAS struct {
+	num      uint32
+	prefixes []string
+	routers  []chainRouter
+}
+
+// chainRouter is one router of a chainAS.
+type chainRouter struct {
+	name string
+	os   router.Personality
+	cfg  router.Config
+	lo   string
+}
+
+// chainLink is the /30 and one-way delay of the link joining two routers
+// adjacent on the path.
+type chainLink struct {
+	prefix string
+	delay  time.Duration
+}
+
+// chain is a built chain testbed.
+type chain struct {
+	net     *netsim.Network
+	vp      *netsim.Host
+	prober  *probe.Prober
+	routers []*router.Router // in path order
+	left    []netaddr.Addr   // each router's address facing the VP
+}
+
+// buildChain builds a testbed whose ASes, given in path order, form one
+// chain away from the vantage point. links[i] joins the i-th and
+// (i+1)-th routers of the path, numbered .1 on the left router's "right"
+// interface and .2 on the right router's "left" one; the VP hangs off
+// the first router on 10.1.0.0/30. Each AS converges its IGP, plus LDP
+// when it runs MPLS. In BGP the two end ASes are customers of their
+// neighbours, and interior neighbours peer.
+func buildChain(ases []chainAS, links []chainLink) (*chain, error) {
+	net := netsim.New()
+	c := &chain{net: net}
+	for _, as := range ases {
+		for _, cr := range as.routers {
+			r := router.New(cr.name, cr.os, cr.cfg)
+			r.SetLoopback(netaddr.MustParseAddr(cr.lo))
+			net.AddNode(r)
+			c.routers = append(c.routers, r)
+		}
+	}
+	leftIf := make([]*netsim.Iface, len(c.routers))
+	rightIf := make([]*netsim.Iface, len(c.routers))
+	for i, ln := range links {
+		p := netaddr.MustParsePrefix(ln.prefix)
+		rightIf[i] = c.routers[i].AddIface("right", p.Nth(1), p)
+		leftIf[i+1] = c.routers[i+1].AddIface("left", p.Nth(2), p)
+		net.Connect(rightIf[i], leftIf[i+1], ln.delay)
+	}
+	vpP := netaddr.MustParsePrefix("10.1.0.0/30")
+	c.vp = netsim.NewHost("VP", vpP.Nth(1), vpP)
+	net.AddNode(c.vp)
+	leftIf[0] = c.routers[0].AddIface("left", vpP.Nth(2), vpP)
+	net.Connect(c.vp.If, leftIf[0], linkDelay)
+	for _, ifc := range leftIf {
+		c.left = append(c.left, ifc.Addr)
+	}
+	if err := checkAddrs(c.routers, c.vp); err != nil {
+		return nil, err
+	}
+
+	topo := &bgp.Topology{}
+	first := 0 // path index of the AS's first router
+	for i, as := range ases {
+		end := first + len(as.routers)
+		routers := c.routers[first:end:end]
+		spf, err := (&igp.Domain{Routers: routers}).Compute()
+		if err != nil {
+			return nil, err
+		}
+		if routers[0].Config().MPLSEnabled {
+			ldp.Build(routers, spf)
+		}
+		var ps []netaddr.Prefix
+		for _, s := range as.prefixes {
+			ps = append(ps, netaddr.MustParsePrefix(s))
+		}
+		topo.ASes = append(topo.ASes, &bgp.AS{Num: as.num, Routers: routers, Prefixes: ps, SPF: spf})
+		if i > 0 {
+			// The session over the link joining this AS to the previous one.
+			a, b := first-1, first
+			s := &bgp.Session{A: c.routers[a], B: c.routers[b], AIf: rightIf[a], BIf: leftIf[b], Rel: bgp.APeerOfB}
+			switch i {
+			case 1:
+				s.Rel = bgp.ACustomerOfB
+			case len(ases) - 1:
+				s = &bgp.Session{A: c.routers[b], B: c.routers[a], AIf: leftIf[b], BIf: rightIf[a], Rel: bgp.ACustomerOfB}
+			}
+			topo.Sessions = append(topo.Sessions, s)
+		}
+		first = end
+	}
+	if err := bgp.Compute(topo); err != nil {
+		return nil, err
+	}
+	c.prober = probe.New(net, c.vp)
+	return c, nil
 }
 
 // checkAddrs rejects a testbed that binds one address twice: the

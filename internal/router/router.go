@@ -116,13 +116,6 @@ func (r *Router) Name() string { return r.name }
 // Personality returns the router's OS personality.
 func (r *Router) Personality() Personality { return r.os }
 
-// SetPersonality swaps the OS personality (scenario variants in
-// experiments re-type a router without rebuilding the testbed).
-func (r *Router) SetPersonality(p Personality) {
-	r.os = p
-	r.mutated()
-}
-
 // Config returns the router's configuration.
 func (r *Router) Config() Config { return r.cfg }
 
@@ -358,13 +351,9 @@ func (r *Router) lookupBinding(matched netaddr.Prefix, rt *Route, dst netaddr.Ad
 		if rt.BGPNextHop.IsUnspecified() {
 			return nil
 		}
-		fec, idx, ok := r.bindings.LookupPrefix(rt.BGPNextHop)
-		if ok && fec.IsHost() {
-			return &r.binds[idx]
-		}
-		// Fall back to a covering binding for the next hop (all-prefix
-		// LDP may have bound the loopback's containing prefix).
-		if ok {
+		// The longest bound FEC covering the next hop: its loopback /32,
+		// or a containing prefix that all-prefix LDP bound.
+		if _, idx, ok := r.bindings.LookupPrefix(rt.BGPNextHop); ok {
 			return &r.binds[idx]
 		}
 		return nil
