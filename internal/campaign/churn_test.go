@@ -1,10 +1,13 @@
 package campaign
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"wormhole/internal/gen"
 	"wormhole/internal/netsim"
+	"wormhole/internal/packet"
 	"wormhole/internal/probe"
 )
 
@@ -201,5 +204,41 @@ func TestChurnWarmRepeat(t *testing.T) {
 				t.Errorf("warm churned repeat missed %d of %d probes", second.FlowCache.Misses, second.Probes)
 			}
 		})
+	}
+}
+
+// TestChurnStacksStayOneLabelDeep runs a churned Medium campaign with a
+// Trace hook on its one fabric: RSVP-TE tunnels are signalled, failed
+// over onto detours and re-signalled, and no delivery may carry more
+// than one label (the router's MPLS path assumes a stack one label deep).
+func TestChurnStacksStayOneLabelDeep(t *testing.T) {
+	in, err := gen.Build(gen.DefaultParams(2024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	te := false
+	for _, as := range in.ASes {
+		te = te || as.Profile.TE
+	}
+	if !te {
+		t.Fatal("no AS runs RSVP-TE")
+	}
+	var one, deeper atomic.Int64
+	in.Net.Trace = func(_ time.Duration, _ *netsim.Iface, pkt *packet.Packet) {
+		switch {
+		case len(pkt.MPLS) == 1:
+			one.Add(1)
+		case len(pkt.MPLS) > 1:
+			deeper.Add(1)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.ChurnRate = 2
+	c := Run(in, cfg)
+	if c.ChurnEvents == 0 || one.Load() == 0 {
+		t.Fatalf("%d churn events, %d labeled deliveries: the campaign exercised nothing", c.ChurnEvents, one.Load())
+	}
+	if deeper.Load() != 0 {
+		t.Errorf("%d deliveries carried more than one label", deeper.Load())
 	}
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -139,5 +141,31 @@ func TestFig10DensestASDeterministic(t *testing.T) {
 		if !strings.Contains(rep.Text, "AS4 (densest mesh)") {
 			t.Fatalf("call %d picked another AS:\n%s", i, rep.Text)
 		}
+	}
+}
+
+// TestTable2ShapeChecksEveryCell runs Table 2's shape check on the rows
+// REPORT.md commits, then on the same rows with the RTLA gap removed from
+// one <255,64> cell, which must fail it.
+func TestTable2ShapeChecksEveryCell(t *testing.T) {
+	md, err := os.ReadFile("../../REPORT.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(md), "## TABLE2 ")
+	_, block, _ := strings.Cut(section, "```\n")
+	block, _, _ = strings.Cut(block, "```")
+	lines := strings.Split(strings.TrimSpace(block), "\n")
+	padding := regexp.MustCompile(`\s{2,}`) // between the space-padded columns
+	var rows [][]string
+	for _, line := range lines[2:] { // past the header and its rule
+		rows = append(rows, padding.Split(strings.TrimSpace(line), -1))
+	}
+	if len(rows) != 4 || !table2Shape(rows) {
+		t.Fatalf("REPORT.md's %d Table 2 rows fail the shape check: %q", len(rows), rows)
+	}
+	rows[0][4] = strings.Replace(rows[0][4], "gap RTLA", "no gap", 1)
+	if table2Shape(rows) {
+		t.Errorf("rows with no RTLA gap at <255,64> pass the shape check: %q", rows[0])
 	}
 }

@@ -60,7 +60,7 @@ import (
 
 const (
 	wireMagic   = 0x314e5357 // "WSN1" little-endian
-	wireVersion = 5
+	wireVersion = 6
 
 	secParams   = 1
 	secNetBasis = 2
@@ -172,9 +172,8 @@ func (in *Internet) EncodeWire() ([]byte, error) {
 	// bytes and 4 more when it holds a value, one per route or binding.
 	est := 1<<16 +
 		stats.Routers*64 + stats.Ifaces*24 + stats.Locals*4 +
-		stats.Routes*9 + stats.NHops*8 + stats.Binds*10 + stats.LHops*10 +
-		stats.Unders*4 + stats.LFIB*10 +
-		stats.TrieNodes*9 + (stats.Routes+stats.Binds)*4 +
+		stats.Routes*9 + stats.NHops*8 + stats.Binds*10 + stats.LHops*8 +
+		stats.LFIB*10 + stats.TrieNodes*9 + (stats.Routes+stats.Binds)*4 +
 		nLinks*17 + len(in.addrRecs)*12 + len(in.ASes)*96
 	if lz := in.lazy; lz != nil {
 		est += len(lz.descs)*36 + len(lz.spans)*8 + len(lz.resident)*8

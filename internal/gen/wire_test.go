@@ -12,10 +12,12 @@ import (
 	"math/bits"
 	"strings"
 	"testing"
+	"time"
 
 	"wormhole/internal/experiments"
 	"wormhole/internal/gen"
 	"wormhole/internal/netsim"
+	"wormhole/internal/packet"
 	"wormhole/internal/probe"
 	"wormhole/internal/wirefmt"
 )
@@ -438,9 +440,10 @@ func TestDecodeWireBoundsProberSettings(t *testing.T) {
 // first and its last vantage point, resolve the first and the last
 // address of its probe space, and carry a traceroute toward that last
 // address, a planned stub's anchor on the lazy world, without panicking
-// either. A crash found here is fixed by making the decoder reject the
-// input (errBadWire), and the crashing input stays under testdata/fuzz
-// as a regression seed.
+// either, and without any delivery carrying more than one label (the
+// router's MPLS path assumes a stack one label deep). A crash found here
+// is fixed by making the decoder reject the input (errBadWire), and the
+// crashing input stays under testdata/fuzz as a regression seed.
 func FuzzDecodeWire(f *testing.F) {
 	small, err := gen.Build(experiments.Small.Params(7))
 	if err != nil {
@@ -475,6 +478,11 @@ func FuzzDecodeWire(f *testing.F) {
 			out, err := gen.DecodeWire(patched(blob, s, off, patch))
 			if err != nil || len(out.VPs) == 0 {
 				continue
+			}
+			out.Net.Trace = func(_ time.Duration, to *netsim.Iface, pkt *packet.Packet) {
+				if len(pkt.MPLS) > 1 {
+					t.Fatalf("delivery to %s carries %d labels: %v", to.Name, len(pkt.MPLS), pkt)
+				}
 			}
 			first, last := out.VPs[0], out.VPs[len(out.VPs)-1]
 			first.Prober.Traceroute(last.Host.Addr())

@@ -3,6 +3,7 @@ package lab
 import (
 	"testing"
 
+	"wormhole/internal/netaddr"
 	"wormhole/internal/probe"
 	"wormhole/internal/router"
 )
@@ -60,12 +61,14 @@ func TestFlowCacheInvalidatedByMutations(t *testing.T) {
 			l.PE1.SetConfig(cfg)
 		}},
 		{"ClearMPLS", func(l *Lab) { l.P2.ClearMPLS() }},
-		{"DeleteRoute", func(l *Lab) {
-			// Withdraw whatever P2 resolves for CE2's access link.
-			p, _, ok := l.P2.LookupRoute(l.CE2Left)
-			if !ok || !l.P2.DeleteRoute(p) {
-				panic("no route to delete on P2")
+		{"InstallRoute", func(l *Lab) {
+			// Pin a host route for CE2's address over the next hops P2
+			// already resolves it through: a new FIB entry, same path.
+			_, rt, ok := l.P2.LookupRoute(l.CE2Left)
+			if !ok {
+				panic("no route to CE2 on P2")
 			}
+			l.P2.InstallRoute(netaddr.HostPrefix(l.CE2Left), &router.Route{Origin: rt.Origin, NextHops: rt.NextHops})
 		}},
 		{"InstallLFIB", func(l *Lab) {
 			// Adding an (unused) label entry is still a mutation:

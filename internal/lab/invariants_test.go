@@ -3,8 +3,10 @@ package lab
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"wormhole/internal/netaddr"
+	"wormhole/internal/netsim"
 	"wormhole/internal/packet"
 	"wormhole/internal/reveal"
 	"wormhole/internal/router"
@@ -164,5 +166,51 @@ func TestInvariantProbeConservation(t *testing.T) {
 	sent := l.Prober.Sent - before
 	if sent != uint64(len(tr.Hops)) {
 		t.Errorf("sent %d probes for %d hops", sent, len(tr.Hops))
+	}
+}
+
+// labelDepths counts a fabric's deliveries by label-stack depth.
+type labelDepths struct{ one, deeper int }
+
+// watchLabelDepths installs a Trace hook on net that counts its
+// deliveries carrying one label and more than one.
+func watchLabelDepths(net *netsim.Network) *labelDepths {
+	d := new(labelDepths)
+	net.Trace = func(_ time.Duration, _ *netsim.Iface, pkt *packet.Packet) {
+		switch {
+		case len(pkt.MPLS) == 1:
+			d.one++
+		case len(pkt.MPLS) > 1:
+			d.deeper++
+		}
+	}
+	return d
+}
+
+// TestInvariantOneLabelDeep: traces, pings and revelations across every
+// scenario, personality and the two-tunnel testbed never stack a second
+// label, the invariant the router's MPLS path rests on.
+func TestInvariantOneLabelDeep(t *testing.T) {
+	for _, sc := range allScenarios() {
+		for _, pers := range []router.Personality{router.Cisco, router.Juniper, router.JunosE, router.Legacy} {
+			l := MustBuild(Options{Scenario: sc, AS2Personality: pers})
+			d := watchLabelDepths(l.Net)
+			for _, dst := range []netaddr.Addr{l.CE2Left, l.CE2Lo, l.PE2Left, l.PE2Lo} {
+				l.Prober.Traceroute(dst)
+				l.Prober.Ping(dst, 64)
+			}
+			reveal.Reveal(l.Prober, l.PE1Left, l.PE2Left)
+			if d.deeper != 0 || d.one == 0 {
+				t.Errorf("%s/%s: %d deliveries with more than one label, %d with one", sc, pers.Name, d.deeper, d.one)
+			}
+		}
+	}
+	dl := MustBuildDouble()
+	d := watchLabelDepths(dl.Net)
+	dl.Prober.Traceroute(dl.CE2Left)
+	dl.Prober.Ping(dl.CE2Left, 64)
+	reveal.AugmentedTraceroute(dl.Prober, dl.CE2Left)
+	if d.deeper != 0 || d.one == 0 {
+		t.Errorf("double testbed: %d deliveries with more than one label, %d with one", d.deeper, d.one)
 	}
 }

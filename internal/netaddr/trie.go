@@ -46,31 +46,6 @@ func (t *Trie[V]) Insert(p Prefix, v V) {
 	nd.val, nd.set = v, true
 }
 
-// Delete removes the value for an exact prefix, reporting whether it existed.
-// Interior nodes are left in place; the trie is used for long-lived FIBs
-// where deletions are rare, so compaction is not worth the complexity.
-func (t *Trie[V]) Delete(p Prefix) bool {
-	if len(t.nodes) == 0 {
-		return false
-	}
-	n := int32(0)
-	a := uint32(p.Addr())
-	for i := 0; i < p.Bits(); i++ {
-		n = t.nodes[n].child[(a>>(31-uint(i)))&1]
-		if n == 0 {
-			return false
-		}
-	}
-	nd := &t.nodes[n]
-	if !nd.set {
-		return false
-	}
-	var zero V
-	nd.val, nd.set = zero, false
-	t.size--
-	return true
-}
-
 // LookupPrefix returns the longest prefix covering a and its value.
 func (t *Trie[V]) LookupPrefix(a Addr) (p Prefix, v V, ok bool) {
 	if len(t.nodes) == 0 {
@@ -163,34 +138,4 @@ func (t *Trie[V]) CloneInto(a *TrieArena[V], fn func(V) V) Trie[V] {
 		}
 	}
 	return nt
-}
-
-// Walk visits every stored prefix in lexicographic (address, length) order.
-// Returning false from fn stops the walk.
-func (t *Trie[V]) Walk(fn func(Prefix, V) bool) {
-	if len(t.nodes) == 0 {
-		return
-	}
-	t.walk(0, 0, 0, fn)
-}
-
-func (t *Trie[V]) walk(n int32, addr uint32, depth int, fn func(Prefix, V) bool) bool {
-	nd := &t.nodes[n]
-	if nd.set {
-		if !fn(Prefix{addr: Addr(addr), bits: uint8(depth)}, nd.val) {
-			return false
-		}
-	}
-	if depth == 32 {
-		return true
-	}
-	if c := nd.child[0]; c != 0 {
-		if !t.walk(c, addr, depth+1, fn) {
-			return false
-		}
-	}
-	if c := nd.child[1]; c != 0 {
-		return t.walk(c, addr|1<<(31-uint(depth)), depth+1, fn)
-	}
-	return true
 }

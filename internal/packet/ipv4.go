@@ -10,21 +10,15 @@ type Protocol uint8
 // Protocol numbers used by the simulator.
 const (
 	ProtoICMP Protocol = 1
-	ProtoTCP  Protocol = 6
 	ProtoUDP  Protocol = 17
-	ProtoOSPF Protocol = 89
 )
 
 func (p Protocol) String() string {
 	switch p {
 	case ProtoICMP:
 		return "icmp"
-	case ProtoTCP:
-		return "tcp"
 	case ProtoUDP:
 		return "udp"
-	case ProtoOSPF:
-		return "ospf"
 	default:
 		return "proto-" + itoa(int(p))
 	}

@@ -14,10 +14,6 @@ type Packet struct {
 	IP   IPv4
 	ICMP *ICMP // set when IP.Protocol == ProtoICMP
 	UDP  *UDP  // set when IP.Protocol == ProtoUDP
-	// Raw carries the opaque payload of protocols the codec does not
-	// model (TCP, OSPF and the like), so Decode and Serialize round-trip
-	// them.
-	Raw []byte
 
 	// PayloadLen is opaque application payload carried beyond the modeled
 	// headers; it only affects serialized length.
@@ -60,18 +56,6 @@ func (p *Packet) SetLineageIP(prop bool) {
 		p.Lineage |= lineageIPBit
 	} else {
 		p.Lineage &^= lineageIPBit
-	}
-}
-
-// LineageTop reports whether the top LSE's TTL is initial-TTL-propagated.
-func (p *Packet) LineageTop() bool { return p.Lineage&1 != 0 }
-
-// SetLineageTop records the top LSE's lineage.
-func (p *Packet) SetLineageTop(prop bool) {
-	if prop {
-		p.Lineage |= 1
-	} else {
-		p.Lineage &^= 1
 	}
 }
 
@@ -129,10 +113,7 @@ func (p *Packet) transportWire() ([]byte, error) {
 		}
 		transport = p.UDP.AppendWire(nil, p.PayloadLen)
 	default:
-		if p.Raw == nil {
-			return nil, fmt.Errorf("packet: cannot serialize protocol %v", p.IP.Protocol)
-		}
-		transport = append(transport, p.Raw...)
+		return nil, fmt.Errorf("packet: cannot serialize protocol %v", p.IP.Protocol)
 	}
 	for i := 0; i < p.PayloadLen; i++ {
 		transport = append(transport, 0)
@@ -140,13 +121,13 @@ func (p *Packet) transportWire() ([]byte, error) {
 	return transport, nil
 }
 
-// Decode parses wire bytes into a Packet. If the first 4 bytes do not look
-// like an IPv4 header, an MPLS label stack is assumed to precede it (the
-// simulator knows from link context whether a frame is labeled; on a real
-// wire the ethertype disambiguates).
-func Decode(b []byte) (*Packet, error) {
+// Decode parses wire bytes into a Packet. labeled is the link layer's
+// answer to whether an MPLS label stack precedes the IPv4 header (on
+// Ethernet, ethertype 0x8847): the bytes alone cannot tell, since a top
+// label in 0x40000–0x4FFFF begins with an IPv4 header's version nibble.
+func Decode(b []byte, labeled bool) (*Packet, error) {
 	p := &Packet{}
-	if len(b) >= 1 && b[0]>>4 != 4 {
+	if labeled {
 		stack, n, err := DecodeLabelStack(b)
 		if err != nil {
 			return nil, err
@@ -186,7 +167,7 @@ func Decode(b []byte) (*Packet, error) {
 		p.UDP = &u
 		p.PayloadLen = len(body) - 8
 	default:
-		p.Raw = append([]byte(nil), body...)
+		return nil, fmt.Errorf("packet: cannot decode protocol %v", h.Protocol)
 	}
 	return p, nil
 }

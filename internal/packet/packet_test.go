@@ -161,7 +161,7 @@ func TestPacketEchoRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(b)
+	back, err := Decode(b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestPacketLabeledRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(b)
+	back, err := Decode(b, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,12 +201,24 @@ func TestPacketUDPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(b)
+	back, err := Decode(b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *back.UDP != *p.UDP || back.PayloadLen != 20 {
 		t.Errorf("UDP round trip: %+v len=%d", back.UDP, back.PayloadLen)
+	}
+}
+
+// TestUnmodeledProtocolRejected: a datagram that carries neither ICMP nor
+// UDP neither serializes nor decodes.
+func TestUnmodeledProtocolRejected(t *testing.T) {
+	ip := IPv4{TTL: 9, Protocol: 6, Src: netaddr.MustParseAddr("10.0.0.1"), Dst: netaddr.MustParseAddr("10.0.0.2")}
+	if _, err := (&Packet{IP: ip}).Serialize(); err == nil {
+		t.Error("protocol 6 serialized")
+	}
+	if p, err := Decode(ip.AppendWire(nil, 0), false); err == nil {
+		t.Errorf("protocol 6 decoded as %v", p)
 	}
 }
 
@@ -362,7 +374,8 @@ func TestDecodeNeverPanics(t *testing.T) {
 		if len(b) > 0 {
 			b[int(flip)%len(b)] = val
 		}
-		Decode(b)
+		Decode(b, false)
+		Decode(b, true)
 		DecodeICMP(b)
 		DecodeIPv4(b)
 		DecodeLabelStack(b)
@@ -382,7 +395,8 @@ func TestDecodeRandomBytes(t *testing.T) {
 				t.Fatalf("decode panicked on %x: %v", b, r)
 			}
 		}()
-		Decode(b)
+		Decode(b, false)
+		Decode(b, true)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -413,7 +427,7 @@ func TestSerializeDecodeIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pkt %d: %v", i, err)
 		}
-		back, err := Decode(b1)
+		back, err := Decode(b1, p.Labeled())
 		if err != nil {
 			t.Fatalf("pkt %d decode: %v", i, err)
 		}

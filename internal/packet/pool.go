@@ -92,9 +92,10 @@ func (pl *Pool) Stack(n int) LabelStack {
 	return make(LabelStack, n, c)
 }
 
-// stackSpareCap is the minimum capacity of freshly allocated pooled stacks,
-// sized so label pushes inside tunnels (outer + a couple of Under labels)
-// stay in place.
+// stackSpareCap is the minimum capacity of freshly allocated pooled stacks.
+// One free list recycles stacks of every length, so the spare capacity
+// lets a recycled stack serve a later, longer request in place instead of
+// being dropped and reallocated.
 const stackSpareCap = 8
 
 // GrowStack returns s with capacity for at least n entries (length and
@@ -135,11 +136,6 @@ func (pl *Pool) Clone(p *Packet) *Packet {
 		u := pl.UDPHeader()
 		*u = *p.UDP
 		out.UDP = u
-	}
-	if p.Raw != nil {
-		// Raw is control-plane payload, off the hot path; a plain copy is
-		// fine and keeps ownership of the bytes unambiguous.
-		out.Raw = append([]byte(nil), p.Raw...)
 	}
 	out.PayloadLen = p.PayloadLen
 	out.Mark, out.Lineage = p.Mark, p.Lineage

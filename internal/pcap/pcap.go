@@ -104,8 +104,7 @@ func Attach(net *netsim.Network, pw *Writer) func(time.Duration, *netsim.Iface, 
 	return prev
 }
 
-// Record is one parsed capture record (reader side, used by tests and the
-// analyze tooling).
+// Record is one parsed capture record (reader side, used by tests).
 type Record struct {
 	TS        time.Duration
 	EtherType uint16
@@ -142,14 +141,11 @@ func Read(r io.Reader) ([]Record, error) {
 		}
 		ts := time.Duration(binary.LittleEndian.Uint32(rec[0:]))*time.Second +
 			time.Duration(binary.LittleEndian.Uint32(rec[4:]))*time.Microsecond
-		pkt, err := packet.Decode(frame[14:])
+		etherType := binary.BigEndian.Uint16(frame[12:])
+		pkt, err := packet.Decode(frame[14:], etherType == etherTypeMPLS)
 		if err != nil {
 			return nil, fmt.Errorf("pcap: frame %d: %w", len(out), err)
 		}
-		out = append(out, Record{
-			TS:        ts,
-			EtherType: binary.BigEndian.Uint16(frame[12:]),
-			Packet:    pkt,
-		})
+		out = append(out, Record{TS: ts, EtherType: etherType, Packet: pkt})
 	}
 }

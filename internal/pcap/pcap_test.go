@@ -99,3 +99,31 @@ func TestWriterCountsAndHeaderOnce(t *testing.T) {
 		t.Fatalf("read back %d records, err %v", len(records), err)
 	}
 }
+
+// TestReadLabelsWithIPv4Nibble round-trips labels whose first nibble is 4,
+// the version nibble of an IPv4 header: only the frame's ethertype says
+// that a label stack comes first.
+func TestReadLabelsWithIPv4Nibble(t *testing.T) {
+	var buf bytes.Buffer
+	pw := NewWriter(&buf)
+	labels := []uint32{0x40000, 0x4FFFF}
+	for _, label := range labels {
+		p := &packet.Packet{
+			MPLS: packet.LabelStack{{Label: label, TTL: 7, Bottom: true}},
+			IP:   packet.IPv4{TTL: 4, Protocol: packet.ProtoICMP},
+			ICMP: &packet.ICMP{Type: packet.ICMPEchoRequest},
+		}
+		if err := pw.WritePacket(0, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records, err := Read(&buf)
+	if err != nil || len(records) != len(labels) {
+		t.Fatalf("read back %d records, err %v", len(records), err)
+	}
+	for i, rec := range records {
+		if len(rec.Packet.MPLS) != 1 || rec.Packet.MPLS[0].Label != labels[i] || rec.Packet.IP.TTL != 4 {
+			t.Errorf("frame %d read back as %v, want label %#x over IP TTL 4", i, rec.Packet, labels[i])
+		}
+	}
+}

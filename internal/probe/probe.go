@@ -68,8 +68,10 @@ const (
 	// ICMPParis sends ICMP echo requests with a fixed identifier (the
 	// paper's campaign configuration).
 	ICMPParis Method = iota
-	// UDPParis sends UDP probes with fixed ports (classic traceroute;
-	// the destination answers with port-unreachable).
+	// UDPParis sends UDP probes from the fixed source port FlowID to a
+	// destination port that cycles per probe over the 128 ports above
+	// udpBasePort, so each port slot is one flow (classic traceroute; the
+	// destination answers with port-unreachable).
 	UDPParis
 )
 

@@ -28,7 +28,7 @@ type Router struct {
 	// index tries are pointer-free, so a structural snapshot clones them
 	// with a memcpy and copies the arenas with one sequential sweep.
 	// Pointers returned by lookups point into the arenas and stay valid
-	// until the next Install/Delete on the same table.
+	// until the next Install on the same table.
 	//
 	// The LFIB is a dense slice indexed by incoming label: labels are
 	// allocated sequentially from firstLabel (reserved labels sit below),
@@ -193,18 +193,6 @@ func (r *Router) GetRoute(p netaddr.Prefix) (*Route, bool) {
 		return nil, false
 	}
 	return &r.routes[idx], true
-}
-
-// DeleteRoute removes the FIB entry for exactly p (BGP withdrawals). The
-// arena slot goes dead; withdrawals are far too rare to compact for.
-func (r *Router) DeleteRoute(p netaddr.Prefix) bool {
-	r.mutated()
-	return r.fib.Delete(p)
-}
-
-// WalkRoutes visits every FIB entry.
-func (r *Router) WalkRoutes(fn func(netaddr.Prefix, *Route) bool) {
-	r.fib.Walk(func(p netaddr.Prefix, idx int32) bool { return fn(p, &r.routes[idx]) })
 }
 
 // InstallBinding adds or replaces a label-imposition entry for a FEC. The
@@ -376,22 +364,15 @@ func (r *Router) impose(net *netsim.Network, pkt *packet.Packet, b *Binding) {
 		lseTTL = pkt.IP.TTL
 		lseProp = pkt.LineageIP()
 	}
-	// Deeper labels first (segment lists), then the top label. The pushes
-	// mutate in place: the packet is exclusively ours here (a pooled clone
-	// or a locally originated reply). Growing through the pool keeps the
-	// common impose-on-unlabeled-clone case allocation-free.
-	if need := len(pkt.MPLS) + len(hop.Under) + 1; net != nil && cap(pkt.MPLS) < need {
+	// The push mutates in place: the packet is exclusively ours here (a
+	// pooled clone or a locally originated reply). Growing through the
+	// pool keeps the impose-on-unlabeled-clone case allocation-free.
+	if need := len(pkt.MPLS) + 1; net != nil && cap(pkt.MPLS) < need {
 		pkt.MPLS = net.PacketPool().GrowStack(pkt.MPLS, need)
-	}
-	for i := len(hop.Under) - 1; i >= 0; i-- {
-		pkt.MPLS.PushInPlace(packet.LSE{Label: hop.Under[i], TTL: lseTTL})
-		if pkt.Mark != 0 {
-			pkt.PushLineage(lseProp)
-		}
 	}
 	switch hop.Label {
 	case OutLabelImplicitNull:
-		// PHP pre-applied: nothing more on the wire for the top segment.
+		// PHP pre-applied: the packet leaves unlabeled.
 		net.Transmit(hop.Out, pkt)
 	default:
 		pkt.MPLS.PushInPlace(packet.LSE{Label: hop.Label, TTL: lseTTL})
@@ -404,30 +385,20 @@ func (r *Router) impose(net *netsim.Network, pkt *packet.Packet, b *Binding) {
 
 // ---- MPLS path ----
 
+// receiveMPLS performs one label operation. A label stack is one label
+// deep: impose is the only push, and forward hands it unlabeled packets
+// only, so a swap or pop always acts on the bottom of the stack.
 func (r *Router) receiveMPLS(net *netsim.Network, in *netsim.Iface, pkt *packet.Packet) {
-	r.switchMPLS(net, in, pkt, true)
-}
-
-// switchMPLS performs one label operation. decrement is false when the
-// packet is being re-processed at the same router after an inner label
-// surfaced (a router charges the TTL once per hop, not once per label).
-func (r *Router) switchMPLS(net *netsim.Network, in *netsim.Iface, pkt *packet.Packet, decrement bool) {
 	top, _ := pkt.MPLS.Top()
 	entry := r.lfibEntry(top.Label)
 	if entry == nil {
 		return
 	}
-	newTTL := top.TTL
-	if decrement {
-		if top.TTL <= 1 {
-			r.mplsExpired(net, in, pkt, entry)
-			return
-		}
-		newTTL = top.TTL - 1
-	} else if top.TTL == 0 {
+	if top.TTL <= 1 {
 		r.mplsExpired(net, in, pkt, entry)
 		return
 	}
+	newTTL := top.TTL - 1
 
 	if entry.PopLocal {
 		r.disposeUHP(net, in, pkt, newTTL)
@@ -446,23 +417,13 @@ func (r *Router) switchMPLS(net *netsim.Network, in *netsim.Iface, pkt *packet.P
 			topProp = fwd.PopLineage()
 		}
 		fwd.MPLS.PopInPlace()
-		if fwd.MPLS.Empty() {
-			if r.os.MinOnPop {
-				if fwd.Mark != 0 {
-					net.NoteTTLMin(newTTL, fwd.IP.TTL, topProp, fwd.LineageIP())
-				}
-				if newTTL < fwd.IP.TTL {
-					fwd.IP.TTL = newTTL
-					fwd.SetLineageIP(topProp)
-				}
-			}
-		} else if r.os.MinOnPop {
+		if r.os.MinOnPop {
 			if fwd.Mark != 0 {
-				net.NoteTTLMin(newTTL, fwd.MPLS[0].TTL, topProp, fwd.LineageTop())
+				net.NoteTTLMin(newTTL, fwd.IP.TTL, topProp, fwd.LineageIP())
 			}
-			if newTTL < fwd.MPLS[0].TTL {
-				fwd.MPLS[0].TTL = newTTL
-				fwd.SetLineageTop(topProp)
+			if newTTL < fwd.IP.TTL {
+				fwd.IP.TTL = newTTL
+				fwd.SetLineageIP(topProp)
 			}
 		}
 		// PHP forwards to the LFIB next hop directly; no IP lookup and no
@@ -487,24 +448,6 @@ func (r *Router) disposeUHP(net *netsim.Network, in *netsim.Iface, pkt *packet.P
 		topProp = fwd.PopLineage()
 	}
 	fwd.MPLS.PopInPlace()
-	if !fwd.MPLS.Empty() {
-		// Nested tunnels: propagate the TTL downward and keep switching —
-		// without a second decrement at this router.
-		if r.os.MinOnPop {
-			if fwd.Mark != 0 {
-				net.NoteTTLMin(lseTTL, fwd.MPLS[0].TTL, topProp, fwd.LineageTop())
-			}
-			if lseTTL < fwd.MPLS[0].TTL {
-				fwd.MPLS[0].TTL = lseTTL
-				fwd.SetLineageTop(topProp)
-			}
-		}
-		r.switchMPLS(net, in, fwd, false)
-		// switchMPLS clones again before transmitting; this intermediate
-		// copy is done.
-		net.PacketPool().Release(fwd)
-		return
-	}
 	if r.cfg.TTLPropagate {
 		if fwd.Mark != 0 {
 			net.NoteTTLMin(lseTTL, fwd.IP.TTL, topProp, fwd.LineageIP())
@@ -562,15 +505,6 @@ func (r *Router) mplsExpired(net *netsim.Network, in *netsim.Iface, pkt *packet.
 	hop := ecmpLabelHop(entry.NextHops, pkt)
 	switch hop.Label {
 	case OutLabelImplicitNull:
-		if len(pkt.MPLS) > 1 {
-			// Still labeled below the popped entry: ride the rest of the LSP.
-			te.MPLS = pool.CloneStack(pkt.MPLS[1:])
-			for i := range te.MPLS {
-				te.MPLS[i].TTL = r.os.TimeExceededTTL
-			}
-			net.Transmit(hop.Out, te)
-			return
-		}
 		// Pop exposes plain IP: route the reply from here.
 		r.Originate(net, te)
 	default:

@@ -415,30 +415,6 @@ func TestOriginateWithoutRouteDrops(t *testing.T) {
 	}
 }
 
-func TestNestedStackThroughUHPEgress(t *testing.T) {
-	// A two-label stack arriving at a PopLocal router: the outer pop must
-	// expose the inner label and keep switching (segment-routing through a
-	// UHP egress).
-	f := buildChain(t)
-	for _, r := range []*Router{f.r1, f.r2, f.r3} {
-		cfg := r.Config()
-		cfg.MPLSEnabled = true
-		r.SetConfig(cfg)
-	}
-	// r2: LFIB explicit-null -> PopLocal; plus label 300 -> pop to r3.
-	f.r2.InstallLFIB(&LFIBEntry{InLabel: packet.LabelExplicitNull, PopLocal: true})
-	f.r2.InstallLFIB(&LFIBEntry{InLabel: 300, NextHops: []LabelHop{{Out: f.r2.Ifaces()[1], Label: OutLabelImplicitNull}}})
-	// Send from vp: r1 imposes [explicit-null, 300] toward r2.
-	f.r1.InstallBinding(&Binding{
-		FEC:      netaddr.MustParsePrefix("10.0.3.0/30"),
-		NextHops: []LabelHop{{Out: f.r1.Ifaces()[1], Label: OutLabelExplicitNull, Under: []uint32{300}}},
-	})
-	got := f.probe(t, 64, f.h.Addr())
-	if got == nil || got.ICMP.Type != packet.ICMPEchoReply {
-		t.Fatalf("nested stack did not deliver: %v", got)
-	}
-}
-
 func TestRateLimiterAllowsAfterInterval(t *testing.T) {
 	f := buildChain(t)
 	cfg := f.r2.Config()
@@ -452,24 +428,6 @@ func TestRateLimiterAllowsAfterInterval(t *testing.T) {
 	// the next expiry is past the interval and must be answered too.
 	if got := f.probe(t, 2, f.h.Addr()); got == nil {
 		t.Fatal("TE suppressed after the interval elapsed")
-	}
-}
-
-func TestWalkRoutes(t *testing.T) {
-	f := buildChain(t)
-	n := 0
-	f.r1.WalkRoutes(func(p netaddr.Prefix, rt *Route) bool {
-		n++
-		return true
-	})
-	if n < 4 {
-		t.Errorf("WalkRoutes visited %d routes", n)
-	}
-	// Early stop.
-	n = 0
-	f.r1.WalkRoutes(func(netaddr.Prefix, *Route) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("early stop visited %d", n)
 	}
 }
 
@@ -499,39 +457,6 @@ func TestClearMPLSRemovesState(t *testing.T) {
 	got := f.probe(t, 3, f.h.Addr())
 	if got == nil || got.IP.Src != netaddr.MustParseAddr("10.0.2.2") {
 		t.Fatalf("after ClearMPLS: %v", got)
-	}
-}
-
-func TestMPLSExpiryUnderStackedLabels(t *testing.T) {
-	// A two-label packet expires at a popping LSR: the time-exceeded must
-	// ride the REMAINING stack to that segment's end before returning.
-	f := buildChain(t)
-	for _, r := range []*Router{f.r1, f.r2, f.r3} {
-		cfg := r.Config()
-		cfg.MPLSEnabled = true
-		r.SetConfig(cfg)
-	}
-	// r1 imposes [outer 300, inner explicit-null]: r2 pops the outer
-	// (PHP), the inner rides to the egress r3, which disposes it (UHP
-	// style). A TTL=2 probe expires at r2 holding the 2-deep stack; its
-	// time-exceeded must ride the remaining inner label to r3 and only
-	// then route back.
-	f.r1.InstallBinding(&Binding{
-		FEC:      netaddr.MustParsePrefix("10.0.3.0/30"),
-		NextHops: []LabelHop{{Out: f.r1.Ifaces()[1], Label: 300, Under: []uint32{packet.LabelExplicitNull}}},
-	})
-	f.r2.InstallLFIB(&LFIBEntry{InLabel: 300, NextHops: []LabelHop{{Out: f.r2.Ifaces()[1], Label: OutLabelImplicitNull}}})
-	f.r3.InstallLFIB(&LFIBEntry{InLabel: packet.LabelExplicitNull, PopLocal: true})
-	got := f.probe(t, 2, f.h.Addr()) // r1 decrements to 1, pushes LSE TTL 1 -> expires at r2
-	if got == nil {
-		t.Fatal("no reply")
-	}
-	if got.ICMP.Type != packet.ICMPTimeExceeded || got.IP.Src != netaddr.MustParseAddr("10.0.1.2") {
-		t.Fatalf("reply = %v, want TE from r2", got)
-	}
-	// The quote carries the full received stack.
-	if got.ICMP.Ext == nil || len(got.ICMP.Ext.LabelStack) != 2 {
-		t.Fatalf("quoted stack = %+v, want 2 entries", got.ICMP.Ext)
 	}
 }
 

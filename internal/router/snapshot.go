@@ -36,7 +36,6 @@ type CloneArena struct {
 	binds   []Binding
 	nhops   []NextHop
 	lhops   []LabelHop
-	unders  []uint32
 	lfib    []LFIBEntry
 	tries   *netaddr.TrieArena[int32]
 
@@ -172,13 +171,7 @@ func (r *Router) SnapshotInto(ar *CloneArena) *Router {
 func (ar *CloneArena) remapLabelHops(hops []LabelHop) []LabelHop {
 	start := len(ar.lhops)
 	for _, h := range hops {
-		nh := LabelHop{Out: ar.iface(h.Out), Label: h.Label}
-		if h.Under != nil {
-			u := len(ar.unders)
-			ar.unders = append(ar.unders, h.Under...)
-			nh.Under = ar.unders[u:len(ar.unders):len(ar.unders)]
-		}
-		ar.lhops = append(ar.lhops, nh)
+		ar.lhops = append(ar.lhops, LabelHop{Out: ar.iface(h.Out), Label: h.Label})
 	}
 	return ar.lhops[start:len(ar.lhops):len(ar.lhops)]
 }

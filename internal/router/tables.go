@@ -15,7 +15,6 @@ const (
 	OriginConnected Origin = iota
 	OriginIGP
 	OriginBGP
-	OriginStatic
 )
 
 func (o Origin) String() string {
@@ -27,7 +26,7 @@ func (o Origin) String() string {
 	case OriginBGP:
 		return "bgp"
 	default:
-		return "static"
+		return "unknown"
 	}
 }
 
@@ -65,11 +64,7 @@ const (
 // LabelHop is one labeled forwarding alternative.
 type LabelHop struct {
 	Out   *netsim.Iface
-	Label uint32 // outgoing/top label, or one of the OutLabel sentinels
-	// Under lists additional labels imposed beneath the top one (Under[0]
-	// directly below it). Segment-routing steering uses this to push a
-	// whole segment list in one imposition; LDP never sets it.
-	Under []uint32
+	Label uint32 // outgoing label, or one of the OutLabel sentinels
 }
 
 // Binding is the imposition entry for a FEC at an ingress/transit router:

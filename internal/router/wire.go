@@ -37,7 +37,6 @@ type WireStats struct {
 	NHops     int
 	Binds     int
 	LHops     int
-	Unders    int
 	LFIB      int
 	TrieNodes int
 }
@@ -56,17 +55,11 @@ func (s *WireStats) Count(r *Router) {
 	for i := range r.routes {
 		s.NHops += len(r.routes[i].NextHops)
 	}
-	countLH := func(hops []LabelHop) {
-		s.LHops += len(hops)
-		for _, h := range hops {
-			s.Unders += len(h.Under)
-		}
-	}
 	for i := range r.binds {
-		countLH(r.binds[i].NextHops)
+		s.LHops += len(r.binds[i].NextHops)
 	}
 	for i := range r.lfib {
-		countLH(r.lfib[i].NextHops)
+		s.LHops += len(r.lfib[i].NextHops)
 	}
 	s.LFIB += len(r.lfib)
 	s.TrieNodes += r.fib.NodeCount() + r.bindings.NodeCount()
@@ -75,7 +68,7 @@ func (s *WireStats) Count(r *Router) {
 // Append writes the stats prelude.
 func (s WireStats) Append(w *wirefmt.Writer) {
 	for _, v := range [...]int{s.Routers, s.Ifaces, s.IfPtrs, s.Locals, s.Routes,
-		s.NHops, s.Binds, s.LHops, s.Unders, s.LFIB, s.TrieNodes} {
+		s.NHops, s.Binds, s.LHops, s.LFIB, s.TrieNodes} {
 		w.U64(uint64(v))
 	}
 }
@@ -87,7 +80,7 @@ func (s WireStats) Append(w *wirefmt.Writer) {
 func DecodeWireStats(r *wirefmt.Reader) WireStats {
 	var s WireStats
 	for _, p := range [...]*int{&s.Routers, &s.Ifaces, &s.IfPtrs, &s.Locals, &s.Routes,
-		&s.NHops, &s.Binds, &s.LHops, &s.Unders, &s.LFIB, &s.TrieNodes} {
+		&s.NHops, &s.Binds, &s.LHops, &s.LFIB, &s.TrieNodes} {
 		v := r.U64()
 		if v > uint64(r.Len()) {
 			r.Fail(errBadWire)
@@ -111,7 +104,6 @@ func NewDecodeArena(s WireStats) *CloneArena {
 		binds:   make([]Binding, 0, s.Binds),
 		nhops:   make([]NextHop, 0, s.NHops),
 		lhops:   make([]LabelHop, 0, s.LHops),
-		unders:  make([]uint32, 0, s.Unders),
 		lfib:    make([]LFIBEntry, 0, s.LFIB),
 		tries:   netaddr.NewTrieArena[int32](s.TrieNodes),
 	}
@@ -159,15 +151,6 @@ func (e *wireEnc) appendLabelHops(w *wirefmt.Writer, hops []LabelHop) {
 		h := &hops[i]
 		w.I32(e.ifIdx(h.Out))
 		w.U32(h.Label)
-		if h.Under == nil {
-			w.Bool(false)
-		} else {
-			w.Bool(true)
-			w.U32(uint32(len(h.Under)))
-			for _, u := range h.Under {
-				w.U32(u)
-			}
-		}
 	}
 }
 
@@ -255,19 +238,10 @@ func wireDecIface(rd *wirefmt.Reader, nr *Router, idx int32) *netsim.Iface {
 }
 
 func decodeLabelHops(rd *wirefmt.Reader, nr *Router, ar *CloneArena) []LabelHop {
-	n := rd.Count(9)
+	n := rd.Count(8)
 	start := len(ar.lhops)
 	for i := 0; i < n; i++ {
-		h := LabelHop{Out: wireDecIface(rd, nr, rd.I32()), Label: rd.U32()}
-		if rd.Bool() {
-			nu := rd.Count(4)
-			u := len(ar.unders)
-			for j := 0; j < nu; j++ {
-				ar.unders = append(ar.unders, rd.U32())
-			}
-			h.Under = ar.unders[u:len(ar.unders):len(ar.unders)]
-		}
-		ar.lhops = append(ar.lhops, h)
+		ar.lhops = append(ar.lhops, LabelHop{Out: wireDecIface(rd, nr, rd.I32()), Label: rd.U32()})
 	}
 	return ar.lhops[start:len(ar.lhops):len(ar.lhops)]
 }

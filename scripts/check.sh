@@ -17,7 +17,7 @@
 # and its TestSmoke runs every workload at Small, so a change to the API
 # it compiles against fails here rather than only in a benchmark run.
 # Then the test suite with coverage
-# aggregation (per-package floors on the engine packages guard against
+# aggregation (per-package floors on the engine and data-plane packages guard against
 # silently shedding tests; the suite is not -short, so it includes the
 # race tier: TestRaceTier shells out to `go test -race` over the
 # concurrency-heavy packages), then short native-fuzz smokes over churn
@@ -50,9 +50,9 @@ fi
 (cd perfbench && go vet . && go test .)
 
 # Full suite with an aggregated coverage profile, then per-package floors
-# on the engine packages. The suite runs the race tier (TestRaceTier). The floors sit safely under the measured values
-# (netsim ~75%, campaign ~90%, topo ~99% by function) — they catch
-# wholesale test loss, not incremental drift.
+# on the engine packages and the data plane. The suite runs the race tier (TestRaceTier). The floors sit safely under the measured values
+# (netsim ~75%, campaign ~90%, topo ~99%, router ~53%, packet ~72% by
+# function) — they catch wholesale test loss, not incremental drift.
 COVOUT=$(mktemp)
 trap 'rm -f "$COVOUT"' EXIT
 go test -coverprofile="$COVOUT" ./...
@@ -73,6 +73,8 @@ check_floor() {
 check_floor netsim 50
 check_floor campaign 85
 check_floor topo 85
+check_floor router 45
+check_floor packet 60
 
 # Native-fuzz smokes: ten seconds each of the churn-masking differential
 # fuzzer (a cached fabric against the cache-off oracle under
